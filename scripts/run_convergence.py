@@ -13,6 +13,7 @@ import argparse
 import math
 import time
 
+from vpb_spectral.blas import describe_policy, one_blas_thread
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.limit_lab import (
     layer_time_grid,
@@ -54,11 +55,13 @@ def main() -> int:
     )
     print(f"# backend={args.backend} degree={args.degree} shells={args.shells} "
           f"eps={args.eps}")
+    print(f"# {describe_policy()}")
     for label, kind, subtract in runs:
         t0 = time.perf_counter()
         data = make_initial_data(kind, profile, basis, grid)
-        table = run_convergence_study(op, data, list(args.eps), times, coeffs,
-                                      subtract_layer=subtract, jobs=args.jobs)
+        with one_blas_thread():
+            table = run_convergence_study(op, data, list(args.eps), times, coeffs,
+                                          subtract_layer=subtract, jobs=args.jobs)
         meta = table.metadata
         sups = ", ".join(f"{float(k):.3g}: {v:.4e}"
                          for k, v in meta["weighted_sup"].items())

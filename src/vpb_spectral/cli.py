@@ -20,7 +20,8 @@ import numpy as np
 
 from .collision import CollisionOperator, assemble_collision, synthetic_collision
 from .config import ExperimentConfig, apply_overrides, parse_config, validate_config
-from .dispersion import asymptotic_coefficients, hydrodynamic_spectrum
+from .blas import describe_policy, one_blas_thread
+from .dispersion import R0_DEFAULT, hydrodynamic_spectrum
 from .errors import ConfigError, VPBError
 from .limit_lab import (
     layer_time_grid,
@@ -44,8 +45,6 @@ from .transport import (
 )
 from .velocity_space import MacroState, build_basis, macro_vector, weighted_norm
 
-R0_BALL = 0.3  # admissible eps*s for the five-branch construction
-
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
 
@@ -63,9 +62,10 @@ def write_csv(path: Path, header: tuple, rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    # serialized before the file is opened, so a NaN leaves no artifact behind
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def build_operator(cfg: ExperimentConfig) -> CollisionOperator:
@@ -95,7 +95,25 @@ def _coeffs(op: CollisionOperator):
     return compute_kappas(op, allow_synthetic=True)
 
 
-# ---------------------------------------------------------------- spectrum
+# ------------------------------------------------------ spectrum, dispersion
+
+def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
+    """((eps, s), branch points) for every sweep mode inside the eps*s ball."""
+    grid = _grid(cfg)
+    pairs = [(eps, float(s)) for eps in cfg.eps_list for s in grid.nodes
+             if eps * float(s) <= R0_DEFAULT]
+    skipped = len(cfg.eps_list) * grid.count - len(pairs)
+    if skipped:
+        print(f"note: {skipped} (eps, s) pairs outside the eps*s <= {R0_DEFAULT} "
+              "ball were skipped", file=sys.stderr)
+
+    def task(pair):
+        eps, s = pair
+        return hydrodynamic_spectrum(mode_operator(op, eps, np.array([s, 0.0, 0.0])))
+
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(zip(pairs, pool.map(task, pairs)))
+
 
 SPECTRUM_HEADER = ("s", "eps", "branch", "re_lambda", "im_lambda",
                    "det_residual", "eig_residual")
@@ -103,33 +121,16 @@ SPECTRUM_HEADER = ("s", "eps", "branch", "re_lambda", "im_lambda",
 
 def run_spectrum(cfg: ExperimentConfig) -> int:
     op = build_operator(cfg)
-    grid = _grid(cfg)
-    pairs = [(eps, float(s)) for eps in cfg.eps_list for s in grid.nodes
-             if eps * float(s) <= R0_BALL]
-    skipped = len(cfg.eps_list) * grid.count - len(pairs)
-    if skipped:
-        print(f"note: {skipped} (eps, s) pairs outside the eps*s <= {R0_BALL} "
-              "ball were skipped", file=sys.stderr)
-
-    def task(pair):
-        eps, s = pair
-        mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-        return hydrodynamic_spectrum(mode)
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(task, pairs))
-    rows = []
-    for (eps, s), points in zip(pairs, results):
-        for bp in points:
-            rows.append((s, eps, bp.branch, bp.lam.real, bp.lam.imag,
-                         bp.det_residual, bp.eig_residual))
+    with one_blas_thread():
+        sweep = _branch_sweep(cfg, op)
+    rows = [(s, eps, bp.branch, bp.lam.real, bp.lam.imag,
+             bp.det_residual, bp.eig_residual)
+            for (eps, s), points in sweep for bp in points]
     path = _artifact(cfg, "spectrum", "csv")
     write_csv(path, SPECTRUM_HEADER, rows)
     print(path)
     return 0
 
-
-# --------------------------------------------------------------- dispersion
 
 DISPERSION_HEADER = ("branch", "s", "eps", "re_lambda", "im_lambda",
                      "asym_residual", "det_residual", "eig_residual")
@@ -137,20 +138,11 @@ DISPERSION_HEADER = ("branch", "s", "eps", "re_lambda", "im_lambda",
 
 def run_dispersion(cfg: ExperimentConfig) -> int:
     op = build_operator(cfg)
-    coeffs = _coeffs(op)
-    grid = _grid(cfg)
-    pairs = [(eps, float(s)) for eps in cfg.eps_list for s in grid.nodes
-             if eps * float(s) <= R0_BALL]
-
-    def task(pair):
-        eps, s = pair
-        mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-        return hydrodynamic_spectrum(mode)
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(task, pairs))
+    with one_blas_thread():
+        coeffs = _coeffs(op)
+        sweep = _branch_sweep(cfg, op)
     rows = []
-    for (eps, s), points in zip(pairs, results):
+    for (eps, s), points in sweep:
         for bp in points:
             model = asymptotic_eigenvalue(bp.branch, s, eps, coeffs)
             rows.append((bp.branch, s, eps, bp.lam.real, bp.lam.imag,
@@ -194,26 +186,27 @@ SEMIGROUP_HEADER = ("t", "norm_xi", "norm_macro", "norm_micro", "norm_s2")
 def run_semigroup(cfg: ExperimentConfig) -> int:
     op = build_operator(cfg)
     basis = op.basis
-    grid = _grid(cfg)
-    data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
-    eps = cfg.eps_list[0]
-    probe = grid.count // 2
-    s = float(grid.nodes[probe])
-    mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-    times = layer_time_grid(eps, cfg.t_max, cfg.n_layer, cfg.n_bulk)
-    f0 = data.shell(probe)
-    traj = propagate_kinetic(mode, f0, times)
-    _, s2 = split_S1_S2(mode, f0, times)
-    rows = []
-    for i, t in enumerate(times):
-        state = traj.states[i]
-        rows.append((
-            float(t),
-            weighted_norm(basis, state, s),
-            weighted_norm(basis, basis.macro_project(state), s),
-            float(np.linalg.norm(basis.micro_project(state))),
-            weighted_norm(basis, s2[i], s),
-        ))
+    with one_blas_thread():
+        grid = _grid(cfg)
+        data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
+        eps = cfg.eps_list[0]
+        probe = grid.count // 2
+        s = float(grid.nodes[probe])
+        mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
+        times = layer_time_grid(eps, cfg.t_max, cfg.n_layer, cfg.n_bulk)
+        f0 = data.shell(probe)
+        traj = propagate_kinetic(mode, f0, times)
+        _, s2 = split_S1_S2(mode, f0, times)
+        rows = []
+        for i, t in enumerate(times):
+            state = traj.states[i]
+            rows.append((
+                float(t),
+                weighted_norm(basis, state, s),
+                weighted_norm(basis, basis.macro_project(state), s),
+                float(np.linalg.norm(basis.micro_project(state))),
+                weighted_norm(basis, s2[i], s),
+            ))
     path = _artifact(cfg, "semigroup", "csv")
     write_csv(path, SEMIGROUP_HEADER, rows)
     print(path)
@@ -227,13 +220,14 @@ CONVERGE_HEADER = ("eps", "t", "err_Linf_P", "err_macro", "err_micro")
 
 def run_converge(cfg: ExperimentConfig) -> int:
     op = build_operator(cfg)
-    coeffs = _coeffs(op)
-    grid = _grid(cfg)
-    data = make_initial_data(cfg.kind, _profile(cfg), op.basis, grid)
-    times = layer_time_grid(max(cfg.eps_list), cfg.t_max, cfg.n_layer, cfg.n_bulk)
-    table = run_convergence_study(op, data, list(cfg.eps_list), times, coeffs,
-                                  subtract_layer=cfg.subtract_layer,
-                                  jobs=cfg.jobs)
+    with one_blas_thread():
+        coeffs = _coeffs(op)
+        grid = _grid(cfg)
+        data = make_initial_data(cfg.kind, _profile(cfg), op.basis, grid)
+        times = layer_time_grid(max(cfg.eps_list), cfg.t_max, cfg.n_layer, cfg.n_bulk)
+        table = run_convergence_study(op, data, list(cfg.eps_list), times, coeffs,
+                                      subtract_layer=cfg.subtract_layer,
+                                      jobs=cfg.jobs)
     csv_path = _artifact(cfg, "converge", "csv")
     write_csv(csv_path, CONVERGE_HEADER, table.rows())
     meta = dict(table.metadata)
@@ -249,9 +243,8 @@ def run_converge(cfg: ExperimentConfig) -> int:
 
 # -------------------------------------------------------------------- check
 
-def _check_steps(cfg: ExperimentConfig):
+def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     """Yield (name, callable) invariant checks; callables raise on failure."""
-    op = build_operator(cfg)
     basis = op.basis
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed)
@@ -356,20 +349,23 @@ def _check_steps(cfg: ExperimentConfig):
 
 
 def run_check(cfg: ExperimentConfig) -> int:
+    print(describe_policy())
     failures = 0
     t_start = time.perf_counter()
-    for name, step in _check_steps(cfg):
-        t0 = time.perf_counter()
-        try:
-            step()
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        except VPBError as exc:
-            failures += 1
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-        else:
-            print(f"PASS {name} ({time.perf_counter() - t0:.2f}s)")
+    op = build_operator(cfg)
+    with one_blas_thread():
+        for name, step in _check_steps(cfg, op):
+            t0 = time.perf_counter()
+            try:
+                step()
+            except AssertionError as exc:
+                failures += 1
+                print(f"FAIL {name}: {exc}")
+            except VPBError as exc:
+                failures += 1
+                print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            else:
+                print(f"PASS {name} ({time.perf_counter() - t0:.2f}s)")
     total = time.perf_counter() - t_start
     print(f"{'FAILED' if failures else 'OK'} "
           f"({failures} failure(s), {total:.2f}s total)")

@@ -133,12 +133,18 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
         bad("schema", f"unsupported schema {cfg.schema}; this build reads {SCHEMA_VERSION}")
     if cfg.backend not in BACKENDS:
         bad("backend", f"{cfg.backend!r} not one of {BACKENDS}")
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                bad(f.name, f"non-finite value {v}")
     if cfg.max_degree < 2:
         bad("max_degree", "must be at least 2 to span the invariants")
     if cfg.quad_order < 0:
         bad("quad_order", "must be 0 (default) or positive")
-    if cfg.gamma <= 0 or cfg.kernel_c <= 0 or cfg.nu_bar <= 0:
-        bad("gamma", "kernel parameters must be positive")
+    for name in ("gamma", "kernel_c", "nu_bar"):
+        if getattr(cfg, name) <= 0:
+            bad(name, "kernel parameters must be positive")
     if not 0.0 < cfg.s_min < cfg.s_max:
         bad("s_min", f"need 0 < s_min < s_max, got [{cfg.s_min}, {cfg.s_max}]")
     if cfg.s_count < 2:
@@ -151,8 +157,6 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
         if not 0.0 < e < 1.0:
             bad("eps_list", f"scaling parameter {e} outside the open interval (0, 1); "
                 "the expansion is only defined for eps in (0, 1)")
-        if not math.isfinite(e):
-            bad("eps_list", f"non-finite value {e}")
     if cfg.t_max <= 0:
         bad("t_max", "must be positive")
     if cfg.n_layer < 1 or cfg.n_bulk < 2:

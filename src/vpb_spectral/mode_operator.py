@@ -94,8 +94,19 @@ class FourierMode:
         """Re (B f, f) in the mode metric; equals the collision form exactly."""
         return float(np.real(self.inner(self.matrix @ f, f)))
 
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = scipy.linalg.eig(self.matrix)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return scipy.linalg.eig(self.matrix)
+        """Dense eigenvalues and right eigenvectors, decomposed once per mode.
+
+        Both arrays are shared between callers and read-only.
+        """
+        return self._eig
 
     def strip_eigensystem(self, fraction: float = 0.3):
         """Eigenpairs with Re above -fraction * gap: the hydrodynamic cluster.

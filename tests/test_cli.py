@@ -15,7 +15,9 @@ from vpb_spectral.cli import (
     SPECTRUM_HEADER,
     SUBCOMMANDS,
     main,
+    write_json,
 )
+from vpb_spectral.blas import describe_policy
 
 TINY = "\n".join([
     "backend = synthetic",
@@ -83,6 +85,21 @@ class TestExitCodes:
                                 "--out", tmp_path / "a"], capsys)
         assert code == 1
         assert "FitError" in err
+
+    def test_nan_t_max_is_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TINY.replace("t_max = 4.0", "t_max = nan"), encoding="utf-8")
+        code, out, err = run_cli(["converge", "--config", cfg,
+                                  "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert "field 't_max': non-finite value nan" in err
+        assert out == "" and not (tmp_path / "a").exists()
+
+    def test_json_refuses_nan_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"t_max": float("nan")})
+        assert not path.exists()
 
     def test_bad_override_is_two(self, tiny_cfg, capsys):
         code, _, err = run_cli(["transport", "--config", tiny_cfg,
@@ -212,6 +229,8 @@ class TestCheck:
         assert len([line for line in out.splitlines()
                     if line.startswith("PASS ")]) == 9
         assert out.splitlines()[-1].startswith("OK (0 failure(s)")
+        # the thread policy is stated once, before the steps
+        assert out.splitlines()[0] == describe_policy()
 
     def test_default_config_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # keep any artifact litter out of the repo

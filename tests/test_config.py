@@ -137,6 +137,19 @@ class TestValidate:
     def test_jobs(self):
         self.check_rejected("jobs", "at least 1", jobs=0)
 
+    FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.type in ("float", float)]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS + ["eps_list"])
+    def test_non_finite_float_names_its_field(self, field, value):
+        bad = (0.2, value) if field == "eps_list" else value
+        self.check_rejected(field, "non-finite value", **{field: bad})
+
+    @pytest.mark.parametrize("field", ["gamma", "kernel_c", "nu_bar"])
+    def test_kernel_parameter_names_its_field(self, field):
+        self.check_rejected(field, "must be positive", **{field: 0.0})
+
     def test_file_level_validation(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("eps_list = 1.5\n", encoding="utf-8")

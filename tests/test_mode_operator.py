@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,6 +51,19 @@ def test_adjoint_is_reflected_mode(op4):
     rhs = (mode.metric @ mode.matrix).conj().T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     assert np.max(np.abs(refl.matrix - np.conj(mode.matrix))) == 0.0
+
+
+def test_eigensystem_is_decomposed_once(op4):
+    mode = mode_operator(op4, 0.1, 0.7)
+    vals, vecs = mode.eigensystem()
+    again = mode.eigensystem()
+    assert again[0] is vals and again[1] is vecs
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    # the cached pair is the direct decomposition of the mode matrix
+    ref_vals = scipy.linalg.eigvals(np.array(mode.matrix))
+    assert np.max(np.min(np.abs(ref_vals[:, None] - vals[None, :]), axis=1)) <= 1e-12
+    resid = np.max(np.abs(mode.matrix @ vecs - vecs * vals))
+    assert resid <= 1e-10 * np.max(np.abs(mode.matrix))
 
 
 def test_strip_eigenvalues_structure(op4):
