@@ -41,7 +41,7 @@ def write_matrix(path: Path, header: dict, matrix: np.ndarray) -> None:
     head["shape"] = list(matrix.shape)
     head["dtype"] = "float64"
     blob = json.dumps(head, sort_keys=True).encode()
-    tmp = Path(str(path) + ".tmp")
+    tmp = Path(f"{path}.{os.getpid()}.tmp")  # concurrent writers never share a file
     with open(tmp, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
@@ -51,13 +51,18 @@ def write_matrix(path: Path, header: dict, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: Path) -> tuple[dict, np.ndarray]:
+    """Header and matrix of one cache file; VPBError if it is malformed."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise VPBError(f"{path}: not an operator cache file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    shape = tuple(header.get("shape", ()))
-    if data.size != int(np.prod(shape)):
-        raise VPBError(f"{path}: truncated payload")
-    return header, data.reshape(shape).copy()
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise VPBError(f"{path}: not an operator cache file")
+    try:
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + hlen].decode())
+        shape = tuple(header.get("shape", ()))
+        data = np.frombuffer(blob, dtype=np.float64, offset=16 + hlen)
+        if data.size != int(np.prod(shape)):
+            raise VPBError(f"{path}: truncated payload")
+        return header, data.reshape(shape).copy()
+    except (struct.error, ValueError, AttributeError, TypeError) as exc:
+        raise VPBError(f"{path}: unreadable cache file: {exc}") from exc

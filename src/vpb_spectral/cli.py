@@ -22,7 +22,7 @@ from .collision import CollisionOperator, assemble_collision, synthetic_collisio
 from .config import ExperimentConfig, apply_overrides, parse_config, validate_config
 from .blas import describe_policy, one_blas_thread
 from .dispersion import R0_DEFAULT, hydrodynamic_spectrum
-from .errors import ConfigError, VPBError
+from .errors import ConfigError, RegimeError, VPBError
 from .limit_lab import (
     layer_time_grid,
     make_initial_data,
@@ -103,6 +103,9 @@ def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
     pairs = [(eps, float(s)) for eps in cfg.eps_list for s in grid.nodes
              if eps * float(s) <= R0_DEFAULT]
     skipped = len(cfg.eps_list) * grid.count - len(pairs)
+    if not pairs:
+        raise RegimeError(f"all {skipped} (eps, s) pairs lie outside the eps*s <= "
+                          f"{R0_DEFAULT} ball; nothing to compute")
     if skipped:
         print(f"note: {skipped} (eps, s) pairs outside the eps*s <= {R0_DEFAULT} "
               "ball were skipped", file=sys.stderr)
@@ -117,38 +120,28 @@ def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
 
 SPECTRUM_HEADER = ("s", "eps", "branch", "re_lambda", "im_lambda",
                    "det_residual", "eig_residual")
-
-
-def run_spectrum(cfg: ExperimentConfig) -> int:
-    op = build_operator(cfg)
-    with one_blas_thread():
-        sweep = _branch_sweep(cfg, op)
-    rows = [(s, eps, bp.branch, bp.lam.real, bp.lam.imag,
-             bp.det_residual, bp.eig_residual)
-            for (eps, s), points in sweep for bp in points]
-    path = _artifact(cfg, "spectrum", "csv")
-    write_csv(path, SPECTRUM_HEADER, rows)
-    print(path)
-    return 0
-
-
 DISPERSION_HEADER = ("branch", "s", "eps", "re_lambda", "im_lambda",
                      "asym_residual", "det_residual", "eig_residual")
 
 
-def run_dispersion(cfg: ExperimentConfig) -> int:
+def run_branches(cfg: ExperimentConfig, subcommand: str) -> int:
+    """The spectrum table, or with the asymptotic model's gap the dispersion table."""
     op = build_operator(cfg)
     with one_blas_thread():
-        coeffs = _coeffs(op)
+        coeffs = _coeffs(op) if subcommand == "dispersion" else None
         sweep = _branch_sweep(cfg, op)
     rows = []
     for (eps, s), points in sweep:
         for bp in points:
-            model = asymptotic_eigenvalue(bp.branch, s, eps, coeffs)
-            rows.append((bp.branch, s, eps, bp.lam.real, bp.lam.imag,
-                         abs(bp.lam - model), bp.det_residual, bp.eig_residual))
-    path = _artifact(cfg, "dispersion", "csv")
-    write_csv(path, DISPERSION_HEADER, rows)
+            lam = (bp.lam.real, bp.lam.imag)
+            checks = (bp.det_residual, bp.eig_residual)
+            if coeffs is None:
+                rows.append((s, eps, bp.branch, *lam, *checks))
+            else:
+                gap = abs(bp.lam - asymptotic_eigenvalue(bp.branch, s, eps, coeffs))
+                rows.append((bp.branch, s, eps, *lam, gap, *checks))
+    path = _artifact(cfg, subcommand, "csv")
+    write_csv(path, SPECTRUM_HEADER if coeffs is None else DISPERSION_HEADER, rows)
     print(path)
     return 0
 
@@ -374,8 +367,8 @@ def run_check(cfg: ExperimentConfig) -> int:
 
 RUNNERS = {
     "check": run_check,
-    "spectrum": run_spectrum,
-    "dispersion": run_dispersion,
+    "spectrum": lambda cfg: run_branches(cfg, "spectrum"),
+    "dispersion": lambda cfg: run_branches(cfg, "dispersion"),
     "transport": run_transport,
     "semigroup": run_semigroup,
     "converge": run_converge,

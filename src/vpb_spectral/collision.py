@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma as gamma_fn
 
 import numpy as np
 from scipy.special import erf, roots_genlaguerre, roots_hermitenorm, roots_legendre
 
 from . import cache as _cache
-from .errors import AssemblyError, BackendError, BasisError
-from .velocity_space import VelocityBasis, hermite_polynomial_table
+from .errors import AssemblyError, BackendError, BasisError, VPBError
+from .velocity_space import VelocityBasis
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 150_000
@@ -111,15 +112,6 @@ class _CollisionGrid:
                 * float(np.sum(self.eta_w)) * float(np.sum(self.sigma_w)))
 
 
-def _poly_values(basis: VelocityBasis, pts: np.ndarray) -> np.ndarray:
-    """Polynomial parts of all basis functions at arbitrary points, (npts, dim)."""
-    tables = [hermite_polynomial_table(basis.max_degree, pts[:, k]) for k in range(3)]
-    out = np.empty((pts.shape[0], len(basis.multi_indices)))
-    for i, (a1, a2, a3) in enumerate(basis.multi_indices):
-        out[:, i] = tables[0][a1] * tables[1][a2] * tables[2][a3]
-    return out @ basis.rotation
-
-
 def _pair_points(com: np.ndarray, rho: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v, v_*) or (v', v'_*) for a block of center-of-mass nodes."""
     shift = rho[None, :, None, None] * unit[None, None, :, :]
@@ -148,8 +140,8 @@ def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
     for blk in _chunk_blocks(grid.com_nodes.shape[0], per_com):
         com = grid.com_nodes[blk]
         v, v_star = _pair_points(com, grid.rho, unit)
-        s_vals = _poly_values(basis, v)
-        s_vals += _poly_values(basis, v_star)
+        s_vals = basis.poly_values(v)
+        s_vals += basis.poly_values(v_star)
         w_full = (grid.com_w[blk, None, None]
                   * grid.rho_w[None, :, None] * unit_w[None, None, :]).ravel()
         acc += s_vals.T @ (w_full[:, None] * s_vals)
@@ -206,7 +198,7 @@ def collision_frequency_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np
     for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * n_sphere):
         com = grid.com_nodes[blk]
         v, _ = _pair_points(com, grid.rho, grid.eta)
-        u_vals = _poly_values(basis, v)
+        u_vals = basis.poly_values(v)
         w_full = (grid.com_w[blk, None, None]
                   * grid.rho_w[None, :, None] * grid.eta_w[None, None, :]).ravel()
         acc += u_vals.T @ (w_full[:, None] * u_vals)
@@ -235,7 +227,7 @@ def one_point_integrals(basis: VelocityBasis, grid: _CollisionGrid,
         pts = plus if which in ("v", "v_prime") else minus
         w_full = (grid.com_w[blk, None, None]
                   * grid.rho_w[None, :, None] * unit_w[None, None, :]).ravel()
-        acc += _poly_values(basis, pts).T @ w_full
+        acc += basis.poly_values(pts).T @ w_full
     return grid.prefactor * other_total * acc
 
 
@@ -261,8 +253,8 @@ class GammaEvaluator:
         for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * g.sigma.shape[0]):
             com = g.com_nodes[blk]
             vp, vps = _pair_points(com, g.rho, g.sigma)
-            s_vals = _poly_values(basis, vp)
-            s_vals += _poly_values(basis, vps)
+            s_vals = basis.poly_values(vp)
+            s_vals += basis.poly_values(vps)
             by_sphere = s_vals.reshape(com.shape[0] * n_rho, g.sigma.shape[0], basis.dim)
             start = blk.start * n_rho
             self._b_primed[start:start + com.shape[0] * n_rho] = np.einsum(
@@ -284,8 +276,8 @@ class GammaEvaluator:
         for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * n_sphere):
             com = g.com_nodes[blk]
             v, v_star = _pair_points(com, g.rho, g.eta)
-            u_vals = _poly_values(basis, v)
-            us_vals = _poly_values(basis, v_star)
+            u_vals = basis.poly_values(v)
+            us_vals = basis.poly_values(v_star)
             w_full = (g.com_w[blk, None, None]
                       * g.rho_w[None, :, None] * g.eta_w[None, None, :]).ravel()
             x = (u_vals @ f_mat) * (us_vals @ g_mat)  # (npts, npairs)
@@ -338,7 +330,16 @@ class CollisionOperator:
     def gamma_form(self) -> GammaEvaluator:
         if self.backend != "boltzmann":
             raise BackendError(f"bilinear collision product unavailable on backend {self.backend!r}")
-        return _gamma_for(self)
+        return self._gamma_evaluator
+
+    @cached_property
+    def _gamma_evaluator(self) -> GammaEvaluator:
+        return GammaEvaluator(self.basis, self.gamma, self.kernel_c)
+
+    @cached_property
+    def micro_blocks(self) -> "_MicroBlocks":
+        """Collision and streaming blocks on the micro subspace, built once."""
+        return _MicroBlocks(self)
 
     def descriptor(self) -> dict:
         d = {
@@ -354,14 +355,28 @@ class CollisionOperator:
         return d
 
 
-_GAMMA_CACHE: dict[tuple, GammaEvaluator] = {}
+class _MicroBlocks:
+    """Collision and streaming matrices restricted to the micro subspace."""
 
+    def __init__(self, op: CollisionOperator):
+        basis = op.basis
+        inv = set(basis.invariant_indices)
+        self.micro = np.array([i for i in range(basis.dim) if i not in inv])
+        self.L = op.matrix[np.ix_(self.micro, self.micro)]
+        v1 = basis.v_matrices[0]
+        self.V = v1[np.ix_(self.micro, self.micro)]
+        flux = {}
+        for j in (1, 2, 3, 4):
+            full = basis.micro_project(v1 @ basis.chi(j))
+            flux[j] = full[self.micro]
+        self.flux = flux
+        self.dim = basis.dim
+        self.kappa_bar: float | None = None
 
-def _gamma_for(op: CollisionOperator) -> GammaEvaluator:
-    key = (op.basis.descriptor_hash(), op.gamma, op.kernel_c)
-    if key not in _GAMMA_CACHE:
-        _GAMMA_CACHE[key] = GammaEvaluator(op.basis, op.gamma, op.kernel_c)
-    return _GAMMA_CACHE[key]
+    def embed(self, micro_vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=complex)
+        out[self.micro] = micro_vec
+        return out
 
 
 def _structural_checks(basis: VelocityBasis, mat: np.ndarray) -> None:
@@ -405,13 +420,16 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     if root is not None:
         path = root / f"L-{_cache.key_hash(params)}.vpbc"
         if path.exists():
-            header, mat = _cache.read_matrix(path)
+            try:
+                header, mat = _cache.read_matrix(path)
+            except VPBError:
+                header, mat = {}, None
             if header.get("params") == params and mat.shape == (basis.dim, basis.dim):
                 mat.setflags(write=False)
                 return CollisionOperator(basis=basis, matrix=mat, backend="boltzmann",
                                          gamma=gamma, kernel_c=kernel_c, quad=quad)
-            warnings.warn(f"cached operator {path.name} does not match the requested "
-                          "assembly parameters; rebuilding", stacklevel=2)
+            warnings.warn(f"cached operator {path.name} is unreadable or does not match "
+                          "the requested assembly parameters; rebuilding", stacklevel=2)
     grid = _CollisionGrid(quad, gamma, kernel_c)
     mat = _dirichlet_matrix(basis, grid)
     _structural_checks(basis, mat)

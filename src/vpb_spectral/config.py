@@ -145,6 +145,8 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
     for name in ("gamma", "kernel_c", "nu_bar"):
         if getattr(cfg, name) <= 0:
             bad(name, "kernel parameters must be positive")
+    if cfg.gamma > 1.0:
+        bad("gamma", "kernel exponent must lie in (0, 1], the hard-potential range")
     if not 0.0 < cfg.s_min < cfg.s_max:
         bad("s_min", f"need 0 < s_min < s_max, got [{cfg.s_min}, {cfg.s_max}]")
     if cfg.s_count < 2:

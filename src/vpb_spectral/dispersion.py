@@ -26,12 +26,7 @@ import scipy.optimize
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import (
-    FourierMode,
-    _v_matrices,
-    pushforward_from_axis,
-    rotation_to_axis,
-)
+from .mode_operator import FourierMode, pushforward_from_axis, rotation_to_axis
 from .transport import TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import VelocityBasis
 
@@ -41,6 +36,7 @@ R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
 
 FLUX_INDICES = (1, 2, 4)
+AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,48 +65,14 @@ class AsymptoticCoefficients:
     g: dict
 
 
-class _MicroBlocks:
-    """Collision and streaming matrices restricted to the micro subspace."""
-
-    def __init__(self, op: CollisionOperator):
-        basis = op.basis
-        inv = set(basis.invariant_indices)
-        self.micro = np.array([i for i in range(basis.dim) if i not in inv])
-        self.L = op.matrix[np.ix_(self.micro, self.micro)]
-        v1 = _v_matrices(basis)[0]
-        self.V = v1[np.ix_(self.micro, self.micro)]
-        flux = {}
-        for j in (1, 2, 3, 4):
-            full = basis.micro_project(v1 @ basis.chi(j))
-            flux[j] = full[self.micro]
-        self.flux = flux
-        self.dim = basis.dim
-        self.kappa_bar: float | None = None
-
-    def embed(self, micro_vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.micro] = micro_vec
-        return out
-
-
 def _kappa_bar(op: CollisionOperator) -> float:
     """Largest diagonal resolvent entry at the origin: the transport-coefficient
     scale of this backend, which sets how far the coupled roots can drift."""
-    blocks = _blocks(op)
+    blocks = op.micro_blocks
     if blocks.kappa_bar is None:
         vals, _ = _entries(op, 0.0, 0.0)
         blocks.kappa_bar = max(abs(vals[(j, j)]) for j in FLUX_INDICES)
     return blocks.kappa_bar
-
-
-_BLOCK_CACHE: dict[str, _MicroBlocks] = {}
-
-
-def _blocks(op: CollisionOperator) -> _MicroBlocks:
-    key = repr(sorted(op.descriptor().items(), key=lambda kv: kv[0]))
-    if key not in _BLOCK_CACHE:
-        _BLOCK_CACHE[key] = _MicroBlocks(op)
-    return _BLOCK_CACHE[key]
 
 
 class _Resolvent:
@@ -140,7 +102,7 @@ def _entries(op: CollisionOperator, beta: complex, y: float,
     d/dbeta of the resolvent is its square, so derivative entries cost one
     extra triangular solve each through the same factorization.
     """
-    blocks = _blocks(op)
+    blocks = op.micro_blocks
     res = _Resolvent(blocks, beta, y)
     sols = {j: res.solve(blocks.flux[j]) for j in FLUX_INDICES}
     vals = {(j, k): complex(sols[j] @ blocks.flux[k])
@@ -319,21 +281,30 @@ def _contraction_coupled(op, eta, s, eps, tol, max_iter: int = 400):
     return None
 
 
-def _axis_h_vectors(basis: VelocityBasis, s: float) -> dict:
-    """Leading-order macroscopic limit vectors on the axis, orthonormal in
-    the weighted pairing.  The acoustic velocity component carries sign -j,
-    which is what the defining 5x5 drift eigenproblem forces."""
+def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict:
+    """Leading-order macroscopic limit vectors h_j at s * direction.
+
+    They are orthonormal in the weighted pairing and free of transport
+    coefficients.  The acoustic velocity component carries sign -j, which is
+    what the defining 5x5 drift eigenproblem forces.  The transverse pair
+    uses the frame of the axis rotation, which is the identity on the axis.
+    """
+    rot = rotation_to_axis(direction)
+    chi_vec = [basis.chi(1), basis.chi(2), basis.chi(3)]
+
+    def along(w3: np.ndarray) -> np.ndarray:
+        return sum(w3[i] * chi_vec[i] for i in range(3))
+
     den = math.sqrt(3.0 + 5.0 * s * s)
-    h = {}
     a0 = math.sqrt(2.0) * s * s / (den * math.sqrt(1.0 + s * s))
     c0 = math.sqrt(3.0 + 3.0 * s * s) / den
-    h[0] = a0 * basis.chi(0) - c0 * basis.chi(4)
+    h = {0: a0 * basis.chi(0) - c0 * basis.chi(4)}
     q = math.sqrt(1.5) * s / den
     u = s / den
     for j in (-1, 1):
-        h[j] = q * basis.chi(0) - (j / math.sqrt(2.0)) * basis.chi(1) + u * basis.chi(4)
-    h[2] = basis.chi(2)
-    h[3] = basis.chi(3)
+        h[j] = q * basis.chi(0) - (j / math.sqrt(2.0)) * along(direction) + u * basis.chi(4)
+    h[2] = along(rot[1])
+    h[3] = along(rot[2])
     return h
 
 
@@ -354,22 +325,7 @@ def asymptotic_coefficients(basis: VelocityBasis, xi,
         direction = arr / s
     eta = {j: branch_frequency(j, s) for j in (-1, 0, 1, 2, 3)}
     b = {j: branch_decay(j, s, coeffs) for j in (-1, 0, 1, 2, 3)}
-    rot = rotation_to_axis(direction)
-    chi_vec = [basis.chi(1), basis.chi(2), basis.chi(3)]
-
-    def along(w3: np.ndarray) -> np.ndarray:
-        return sum(w3[i] * chi_vec[i] for i in range(3))
-
-    den = math.sqrt(3.0 + 5.0 * s * s)
-    a0 = math.sqrt(2.0) * s * s / (den * math.sqrt(1.0 + s * s))
-    c0 = math.sqrt(3.0 + 3.0 * s * s) / den
-    h = {0: a0 * basis.chi(0) - c0 * basis.chi(4)}
-    q = math.sqrt(1.5) * s / den
-    u = s / den
-    for j in (-1, 1):
-        h[j] = q * basis.chi(0) - (j / math.sqrt(2.0)) * along(direction) + u * basis.chi(4)
-    h[2] = along(rot[1])
-    h[3] = along(rot[2])
+    h = limit_vectors(basis, s, direction)
     g = dict(h)
     g[0] = -h[0]
     return AsymptoticCoefficients(s=s, direction=direction, eta=eta, b=b, h=h, g=g)
@@ -384,7 +340,7 @@ def _branch_eigenfunction(op: CollisionOperator, j: int, z: complex,
                           s: float, eps: float, h_axis: dict) -> np.ndarray:
     """Assemble, normalize and sign-align one axis eigenfunction."""
     basis = op.basis
-    blocks = _blocks(op)
+    blocks = op.micro_blocks
     if j in (2, 3):
         res = _Resolvent(blocks, z, eps * s)
         micro = res.solve(blocks.flux[j])
@@ -405,8 +361,7 @@ def _branch_eigenfunction(op: CollisionOperator, j: int, z: complex,
                                 f"sigma_min/sigma_max = {sing[-1] / sing[0]:.2e}")
         a, b, c = np.conj(vh[-1])
         macro = a * basis.chi(0) + b * basis.chi(1) + c * basis.chi(4)
-        v1 = _v_matrices(basis)[0]
-        rhs_full = basis.micro_project(v1 @ macro)
+        rhs_full = basis.micro_project(basis.v_matrices[0] @ macro)
         res = _Resolvent(blocks, beta, eps * s)
         micro = res.solve(rhs_full[blocks.micro])
         psi = macro + 1j * eps * s * blocks.embed(micro)
@@ -432,12 +387,12 @@ def hydrodynamic_spectrum(mode: FourierMode, r0: float = R0_DEFAULT,
     s, eps = mode.s, mode.eps
     _require_regime(eps * s, r0)
     basis = op.basis
-    h_axis = _axis_h_vectors(basis, s)
+    h_axis = limit_vectors(basis, s, AXIS)
 
     shear_z = solve_D0(op, s, eps, r0=r0, r1=r1)
     coupled = solve_D1(op, s, eps, r0=r0, r1=r1)
 
-    on_axis = abs(mode.direction @ np.array([1.0, 0.0, 0.0]) - 1.0) < 1e-14
+    on_axis = abs(mode.direction @ AXIS - 1.0) < 1e-14
     push = None if on_axis else pushforward_from_axis(basis, mode.direction)
 
     points = []
@@ -531,8 +486,8 @@ def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
 
     basis = op.basis
     s, j = bp.s, bp.branch
-    h_axis = _axis_h_vectors(basis, s)
-    v1 = _v_matrices(basis)[0]
+    h_axis = limit_vectors(basis, s, AXIS)
+    v1 = basis.v_matrices[0]
     lead_micro = op.micro_solve(basis.micro_project(v1 @ h_axis[j].astype(float)))
     i0, i1, i4 = (basis.invariant_indices[0], basis.invariant_indices[1],
                   basis.invariant_indices[4])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import AsymptoticCoefficients, asymptotic_coefficients
+from .dispersion import AXIS, asymptotic_coefficients, limit_vectors
 from .errors import BackendError, DataError, FitError
 from .mode_operator import mode_operator
 from .semigroup import compatible_initial_values, fluid_semigroup_V, propagate_kinetic
@@ -27,7 +27,7 @@ from .velocity_space import (
     VelocityBasis,
     bilinear_pair,
     macro_vector,
-    multiplication_matrices,
+    project_macro,
     weighted_norm,
 )
 
@@ -92,16 +92,9 @@ class InitialData:
         return self.profile[k]
 
 
-def _macro_of(basis: VelocityBasis, vec: np.ndarray, s: float) -> MacroState:
-    i0, i1, i2, i3, i4 = basis.invariant_indices
-    n = complex(vec[i0])
-    return MacroState(n=n, m=np.array([vec[i1], vec[i2], vec[i3]]),
-                      q=complex(vec[i4]), phi_factor=n / s ** 2)
-
-
 def _well_prepared_checks(basis: VelocityBasis, vec: np.ndarray, s: float) -> dict:
     """Residuals of the three preparation constraints at one shell."""
-    st = _macro_of(basis, vec, s)
+    st = project_macro(basis, vec, s)
     micro = float(np.linalg.norm(basis.micro_project(vec)))
     div = abs(s * st.m[0])
     bous = abs(st.n + st.n / s ** 2 + math.sqrt(2.0 / 3.0) * st.q)
@@ -130,8 +123,7 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
         grid = radial_grid()
     dim = basis.dim
     profile = np.zeros((grid.count, dim), dtype=complex)
-    micro_seed = basis.micro_project(
-        multiplication_matrices(basis)[0] @ basis.chi(2))
+    micro_seed = basis.micro_project(basis.v_matrices[0] @ basis.chi(2))
     micro_seed = micro_seed / np.linalg.norm(micro_seed)
     macro_states: list[MacroState] = []
     for k, s in enumerate(grid.nodes):
@@ -163,7 +155,7 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
         if kind == "generic":
             vec = vec + 0.5 * amp * micro_seed
         profile[k] = vec
-        macro_states.append(_macro_of(basis, vec, float(s)))
+        macro_states.append(project_macro(basis, vec, float(s)))
     data = InitialData(kind=kind, grid=grid, basis=basis, profile=profile,
                        macro_profile=macro_states)
     if kind == "well_prepared":
@@ -177,30 +169,13 @@ def _assert_well_prepared(data: InitialData) -> None:
         res = _well_prepared_checks(data.basis, data.profile[k], float(s))
         for key in res:
             worst[key] = max(worst[key], res[key])
-        hs = _bundle_cache(data.basis, float(s)).h
+        hs = limit_vectors(data.basis, float(s), AXIS)
         for j in (-1, 1):
             worst["acoustic"] = max(worst["acoustic"], abs(
                 bilinear_pair(data.basis, data.profile[k], hs[j], float(s))))
     bad = {k: v for k, v in worst.items() if v > CONSTRAINT_TOL}
     if bad:
         raise DataError(f"well-prepared invariants violated: {bad}")
-
-
-_H_CACHE: dict[tuple, AsymptoticCoefficients] = {}
-
-
-def _bundle_cache(basis: VelocityBasis, s: float,
-                  coeffs: TransportCoefficients | None = None) -> AsymptoticCoefficients:
-    key = (basis.descriptor_hash(), round(s, 14),
-           None if coeffs is None else (coeffs.kappa0, coeffs.kappa1))
-    if key not in _H_CACHE:
-        # the h vectors and frequencies are coefficient-free, so constraint
-        # checks may use a unit-coefficient stand-in
-        use = coeffs if coeffs is not None else TransportCoefficients(
-            kappa0=1.0, kappa1=1.0, kappa0_long=4.0 / 3.0,
-            backend="placeholder", max_degree=0, basis_hash="")
-        _H_CACHE[key] = asymptotic_coefficients(basis, s, use)
-    return _H_CACHE[key]
 
 
 def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray,
@@ -245,7 +220,7 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     out = np.zeros_like(data.profile)
     for k, s in enumerate(data.grid.nodes):
         s = float(s)
-        bundle = _bundle_cache(basis, s, coeffs)
+        bundle = asymptotic_coefficients(basis, s, coeffs)
         macro = basis.macro_project(data.profile[k])
         for j in (-1, 1):
             coef = bilinear_pair(basis, macro, bundle.h[j], s)
@@ -312,6 +287,9 @@ class ErrorTable:
         keys = list(zip(self.eps.tolist(), self.t.tolist()))
         if len(set(keys)) != len(keys):
             raise DataError("duplicate (eps, t) rows in error table")
+        for name in ERROR_COLUMNS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"non-finite entries in {name}")
         for name in ("err_Linf_P", "err_macro", "err_micro"):
             if np.any(getattr(self, name) < 0):
                 raise DataError(f"negative entries in {name}")
@@ -380,17 +358,17 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     times = np.asarray(time_grid, dtype=float)
     basis = data.basis
     grid = data.grid
+    bundles = [asymptotic_coefficients(basis, float(s), coeffs) for s in grid.nodes]
 
     def shell_task(args):
         eps, k = args
         s = float(grid.nodes[k])
         mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-        bundle = _bundle_cache(basis, s, coeffs)
         macro = basis.macro_project(data.profile[k])
         fluid = fluid_semigroup_V(basis, coeffs, macro, np.array([s, 0.0, 0.0]),
                                   times).states
         return _shell_errors(basis, mode, data.profile[k], fluid, times,
-                             subtract_layer and couple, bundle, eps, couple)
+                             subtract_layer and couple, bundles[k], eps, couple)
 
     tasks = [(eps, k) for eps in eps_list for k in range(grid.count)]
     if jobs > 1:
@@ -500,17 +478,14 @@ def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
     basis = op.basis
     if coeffs is None:
         coeffs = compute_kappas(op, allow_synthetic=True)
-    v1 = multiplication_matrices(basis)[0]
-    inv = set(basis.invariant_indices)
-    micro_idx = np.array([i for i in range(basis.dim) if i not in inv])
-    l_micro = op.matrix[np.ix_(micro_idx, micro_idx)]
+    v1 = basis.v_matrices[0]
+    blocks = op.micro_blocks
 
     def extract(j: int) -> float:
         # first-order correction from the restricted collision solve, fed
         # back through the streaming flux of the moment equations
-        streamed = basis.micro_project(v1 @ basis.chi(j))
         correction = np.zeros(basis.dim)
-        correction[micro_idx] = np.linalg.solve(l_micro, streamed[micro_idx])
+        correction[blocks.micro] = np.linalg.solve(blocks.L, blocks.flux[j])
         return -float((v1 @ correction) @ basis.chi(j))
 
     kappa0_ext = extract(2)

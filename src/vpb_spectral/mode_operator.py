@@ -24,21 +24,7 @@ import scipy.linalg
 
 from .collision import CollisionOperator
 from .errors import BasisError, RegimeError
-from .velocity_space import (
-    VelocityBasis,
-    bilinear_pair,
-    multiplication_matrices,
-    weighted_inner,
-)
-
-_V_CACHE: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _v_matrices(basis: VelocityBasis):
-    key = basis.descriptor_hash()
-    if key not in _V_CACHE:
-        _V_CACHE[key] = multiplication_matrices(basis)
-    return _V_CACHE[key]
+from .velocity_space import VelocityBasis, bilinear_pair, weighted_inner
 
 
 def _normalize_xi(xi) -> tuple[float, np.ndarray]:
@@ -151,8 +137,7 @@ def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
         raise RegimeError(f"scaling parameter eps={eps} outside (0, 1)")
     s, direction = _normalize_xi(xi)
     basis = collision.basis
-    v_mats = _v_matrices(basis)
-    v_dir = sum(d * v for d, v in zip(direction, v_mats))
+    v_dir = sum(d * v for d, v in zip(direction, basis.v_matrices))
     i0 = basis.density_index
     coupling = np.zeros((basis.dim, basis.dim))
     coupling[:, i0] = v_dir[:, i0] / s ** 2
@@ -183,9 +168,7 @@ def compose_rotation(basis: VelocityBasis, rot: np.ndarray) -> np.ndarray:
     The quadrature sees products of two degree-N polynomials, so the rule the
     basis carries is already exact for these integrals.
     """
-    from .collision import _poly_values
-
-    rotated = _poly_values(basis, basis.quad_nodes @ rot.T)
+    rotated = basis.poly_values(basis.quad_nodes @ rot.T)
     return basis.node_poly.T @ (basis.gauss_weights[:, None] * rotated)
 
 

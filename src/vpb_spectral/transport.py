@@ -18,7 +18,7 @@ import numpy as np
 from .collision import CollisionOperator, assemble_collision
 from .errors import AssemblyError, BackendError, BasisError, RegimeError
 from .mode_operator import mode_operator
-from .velocity_space import VelocityBasis, build_basis, multiplication_matrices
+from .velocity_space import VelocityBasis, build_basis
 
 BRANCHES = (-1, 0, 1, 2, 3)
 
@@ -51,8 +51,7 @@ def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
     j = 4 the heat flux.  The heat flux has degree 3, so it vanishes
     identically on a degree-2 basis.
     """
-    v1 = multiplication_matrices(basis)[0]
-    return basis.micro_project(v1 @ basis.chi(j))
+    return basis.micro_project(basis.v_matrices[0] @ basis.chi(j))
 
 
 def _dissipation_form(op: CollisionOperator, x: np.ndarray) -> float:

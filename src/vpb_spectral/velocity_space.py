@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import roots_hermitenorm
@@ -21,6 +22,8 @@ from scipy.special import roots_hermitenorm
 from .errors import BasisError
 
 _TWO_PI = 2.0 * np.pi
+_EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
+_PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -59,9 +62,7 @@ def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
     """
     dim = len(indices)
     rot = np.eye(dim)
-    i002 = indices.index((0, 0, 2))
-    i020 = indices.index((0, 2, 0))
-    i200 = indices.index((2, 0, 0))
+    i002, i020, i200 = (indices.index(a) for a in _PURE_SQUARES)
     rot[:, [i002, i020, i200]] = 0.0
     rot[i002, i002] = 1.0 / np.sqrt(2.0)
     rot[i020, i002] = -1.0 / np.sqrt(2.0)
@@ -85,7 +86,6 @@ class VelocityBasis:
     quad_nodes: np.ndarray        # (nq, 3)
     quad_weights: np.ndarray      # (nq,) folded: sum w f(v) g(v) = (f, g)
     gauss_weights: np.ndarray     # (nq,) weights for the N(0, I3) measure
-    node_poly: np.ndarray         # (nq, dim) polynomial parts at the nodes
     invariant_indices: tuple[int, int, int, int, int]
     rotation: np.ndarray          # (dim, dim) raw-tensor -> final basis
     tol_quad: float
@@ -102,6 +102,41 @@ class VelocityBasis:
     def descriptor_hash(self) -> str:
         payload = json.dumps(self.descriptor(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+    def poly_values(self, points: np.ndarray) -> np.ndarray:
+        """Polynomial parts of every basis function at arbitrary points, (npts, dim).
+
+        The energy rotation only mixes the three pure-square columns, so only
+        those are rotated in place, in ascending slot order (the order a dense
+        product sums them in); the result equals the tensor-product values
+        times the full rotation exactly.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        alpha = np.array(self.multi_indices)
+        out = np.empty((points.shape[0], self.dim))
+        for start in range(0, points.shape[0], _EVAL_ROWS):
+            block = points[start:start + _EVAL_ROWS]
+            tables = [hermite_polynomial_table(self.max_degree, block[:, k]) for k in range(3)]
+            out[start:start + _EVAL_ROWS] = (
+                tables[0][alpha[:, 0]] * tables[1][alpha[:, 1]] * tables[2][alpha[:, 2]]).T
+        cols = [self.multi_indices.index(a) for a in _PURE_SQUARES]
+        out[:, cols] = out[:, cols] @ self.rotation[np.ix_(cols, cols)]
+        return out
+
+    @cached_property
+    def node_poly(self) -> np.ndarray:
+        """(nq, dim) polynomial parts at the quadrature nodes; read-only."""
+        values = self.poly_values(self.quad_nodes)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def v_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """multiplication_matrices(self), built once per basis; read-only."""
+        mats = multiplication_matrices(self)
+        for mat in mats:
+            mat.setflags(write=False)
+        return mats
 
     def chi(self, k: int) -> np.ndarray:
         """Coefficient vector of the k-th collision invariant, k = 0..4."""
@@ -172,19 +207,7 @@ def build_basis(max_degree: int, quad_order: int | None = None,
     nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
     gauss_w = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
-    table = hermite_polynomial_table(max_degree, x)
-    alpha = np.array(indices)
-    # polynomial part of each basis function at each tensor node
-    ia, ib, ic = np.meshgrid(np.arange(quad_order), np.arange(quad_order),
-                             np.arange(quad_order), indexing="ij")
-    ia, ib, ic = ia.ravel(), ib.ravel(), ic.ravel()
-    node_poly = (table[alpha[:, 0]][:, ia]
-                 * table[alpha[:, 1]][:, ib]
-                 * table[alpha[:, 2]][:, ic]).T  # (nq, dim)
-
     rot = _energy_rotation(indices)
-    node_poly = node_poly @ rot
-
     maxwell = (_TWO_PI) ** (-1.5) * np.exp(-0.5 * np.sum(nodes ** 2, axis=1))
     folded_w = gauss_w / maxwell
 
@@ -202,17 +225,15 @@ def build_basis(max_degree: int, quad_order: int | None = None,
         quad_nodes=nodes,
         quad_weights=folded_w,
         gauss_weights=gauss_w,
-        node_poly=node_poly,
         invariant_indices=inv,
         rotation=rot,
         tol_quad=tol_quad,
     )
-    gram = node_poly.T @ (gauss_w[:, None] * node_poly)
+    gram = basis.node_poly.T @ (gauss_w[:, None] * basis.node_poly)
     err = np.max(np.abs(gram - np.eye(dim)))
     if err > tol_quad:
         raise BasisError(f"quadrature Gram check failed: max deviation {err:.3e} > {tol_quad:.1e}")
-    for arr in (basis.quad_nodes, basis.quad_weights, basis.gauss_weights,
-                basis.node_poly, basis.rotation):
+    for arr in (basis.quad_nodes, basis.quad_weights, basis.gauss_weights, basis.rotation):
         arr.setflags(write=False)
     return basis
 
@@ -220,10 +241,7 @@ def build_basis(max_degree: int, quad_order: int | None = None,
 def evaluate(basis: VelocityBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Pointwise values of the represented function, sqrt-Maxwellian included."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    tables = [hermite_polynomial_table(basis.max_degree, points[:, k]) for k in range(3)]
-    alpha = np.array(basis.multi_indices)
-    poly = (tables[0][alpha[:, 0]] * tables[1][alpha[:, 1]] * tables[2][alpha[:, 2]]).T
-    poly = poly @ basis.rotation
+    poly = basis.poly_values(points)
     sqrt_m = (_TWO_PI) ** (-0.75) * np.exp(-0.25 * np.sum(points ** 2, axis=1))
     return (poly @ np.asarray(coeffs)) * sqrt_m
 

@@ -95,6 +95,25 @@ class TestExitCodes:
         assert "field 't_max': non-finite value nan" in err
         assert out == "" and not (tmp_path / "a").exists()
 
+    def test_gamma_above_one_is_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text("backend = hard_sphere\ngamma = 1.5\n", encoding="utf-8")
+        code, out, err = run_cli(["transport", "--config", cfg,
+                                  "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert "field 'gamma'" in err
+        assert out == "" and not (tmp_path / "a").exists()
+
+    def test_empty_sweep_is_one_and_writes_nothing(self, tmp_path, capsys):
+        # every eps * s exceeds the 0.3 ball, so no mode is left to compute
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("eps_list = 0.9\ns_min = 0.5\ns_max = 0.6\n", encoding="utf-8")
+        for sub in ("spectrum", "dispersion"):
+            code, out, err = run_cli([sub, "--config", cfg, "--out", tmp_path / "a"], capsys)
+            assert code == 1
+            assert "RegimeError" in err
+            assert out == "" and not (tmp_path / "a").exists()
+
     def test_json_refuses_nan_and_writes_nothing(self, tmp_path):
         path = tmp_path / "x.json"
         with pytest.raises(ValueError):

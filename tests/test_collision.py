@@ -16,7 +16,7 @@ from vpb_spectral.collision import (
     one_point_integrals,
     synthetic_collision,
 )
-from vpb_spectral.errors import AssemblyError
+from vpb_spectral.errors import AssemblyError, VPBError
 from vpb_spectral.velocity_space import hermite_polynomial_table
 
 
@@ -147,6 +147,23 @@ def test_cache_roundtrip(tmp_path, basis_small, monkeypatch):
     assert np.array_equal(stored, first.matrix)
     again = assemble_collision(basis_small, gamma=0.5)
     assert np.array_equal(again.matrix, first.matrix)
+
+
+@pytest.mark.parametrize("size", [4, 12, 30])
+def test_truncated_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch, size):
+    # cut inside the magic, the header length and the JSON header
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    fresh = assemble_collision(basis_small, gamma=0.7)
+    (path,) = tmp_path.glob("L-*.vpbc")
+    intact = path.read_bytes()
+    path.write_bytes(intact[:size])
+    with pytest.raises(VPBError):
+        read_matrix(path)
+    with pytest.warns(UserWarning, match="rebuilding"):
+        again = assemble_collision(basis_small, gamma=0.7)
+    assert np.array_equal(again.matrix, fresh.matrix)
+    assert path.read_bytes() == intact
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_micro_solve(basis_small):

@@ -5,6 +5,8 @@ determinant roots, eigenpairs and asymptotic derivatives must all agree
 with it, not with each other alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +55,13 @@ class TestResolventEntries:
             direct = resolvent_entry(op_mid, j, k, np.conj(beta), -y)
             assert direct == pytest.approx(np.conj(resolvent_entry(op_mid, j, k, beta, y)),
                                            abs=1e-12)
+
+    def test_follows_the_operator_matrix(self, op_mid):
+        # (2L - 0.1i V)^-1 = (L - 0.05i V)^-1 / 2: the doubled operator must be
+        # resolved with its own matrix, not blocks built for the original
+        half = 0.5 * resolvent_entry(op_mid, 2, 2, 0.0, 0.05)
+        doubled = dataclasses.replace(op_mid, matrix=2 * op_mid.matrix)
+        assert resolvent_entry(doubled, 2, 2, 0.0, 0.1) == pytest.approx(half, rel=1e-12)
 
     def test_symmetric_in_indices(self, op_mid):
         beta, y = -0.03 + 0.01j, 0.2

@@ -7,6 +7,7 @@ radial integrand on [0.05, 0.6], Gaussian profile sigma = 0.2):
     weighted shell norm   5.170834648429e-01
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,21 @@ class TestOscillation:
         assert abs(c1) == pytest.approx(abs(c0) * math.exp(-bundle.b[1] * (t1 - t0)),
                                         rel=1e-10)
 
+    def test_decay_reads_kappa0_long(self, syn_small, gen_data, coeffs_small):
+        # b_{+-1} depends on kappa0_long, so coefficient sets that differ only
+        # there must give different layer fields
+        other = dataclasses.replace(coeffs_small, kappa0_long=2.0 * coeffs_small.kappa0_long)
+        t, eps, k = 1.0, 0.1, 6
+        first = oscillation_part(gen_data, coeffs_small, t, eps)
+        second = oscillation_part(gen_data, other, t, eps)
+        basis = syn_small.basis
+        s = float(gen_data.grid.nodes[k])
+        bundle = asymptotic_coefficients(basis, s, other)
+        c0 = bilinear_pair(basis, basis.macro_project(gen_data.profile[k]), bundle.h[1], s)
+        c1 = bilinear_pair(basis, second[k], bundle.h[1], s)
+        assert abs(c1) == pytest.approx(abs(c0) * math.exp(-bundle.b[1] * t), rel=1e-10)
+        assert not np.allclose(first, second)
+
     def test_frequency_matches_plasma_dispersion(self, syn_small):
         # measured 0.125% off at this probe; the contract allows 5%
         eps, s = 0.1, 0.5
@@ -309,10 +325,10 @@ class TestConvergenceStudy:
         grid = radial_grid(0.05, 0.6, 8)
         prof = np.zeros((grid.count, basis.dim), dtype=complex)
         states = []
-        from vpb_spectral.limit_lab import _macro_of
+        from vpb_spectral.velocity_space import project_macro
         for k, s in enumerate(grid.nodes):
             prof[k] = asymptotic_coefficients(basis, float(s), coeffs_small).h[2]
-            states.append(_macro_of(basis, prof[k], float(s)))
+            states.append(project_macro(basis, prof[k], float(s)))
         data = InitialData(kind="generic", grid=grid, basis=basis,
                            profile=prof, macro_profile=states)
         tg = layer_time_grid(0.2, 5.0, n_layer=4, n_bulk=8)
@@ -350,6 +366,16 @@ class TestConvergenceStudy:
             ErrorTable(eps=np.array([0.1, 0.1]), t=np.array([1.0, 2.0]),
                        err_Linf_P=np.array([1.0, -1.0]), err_macro=ones,
                        err_micro=ones)
+
+
+    @pytest.mark.parametrize("column", ["t", "err_Linf_P", "err_macro", "err_micro"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_table_rejects_non_finite(self, column, bad):
+        cols = {"eps": np.array([0.1, 0.1]), "t": np.array([1.0, 2.0])}
+        cols.update({name: np.ones(2) for name in ("err_Linf_P", "err_macro", "err_micro")})
+        cols[column][1] = bad
+        with pytest.raises(DataError, match=f"non-finite entries in {column}"):
+            ErrorTable(**cols)
 
 
 class TestHilbertExpansion:

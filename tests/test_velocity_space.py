@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vpb_spectral import (
     BasisError,
@@ -15,8 +18,43 @@ from vpb_spectral import (
     weighted_inner,
     weighted_norm,
 )
+from vpb_spectral.velocity_space import hermite_polynomial_table
 
 TWO_PI = 2.0 * np.pi
+
+
+@lru_cache(maxsize=None)
+def _basis(deg):
+    return build_basis(deg)
+
+
+def dense_reference(basis, pts):
+    """Unreduced evaluation: raw tensor-product table, then the dense rotation.
+
+    The points are stacked twice so the product always runs as a matrix-matrix
+    multiply; a single row would go to gemv, whose summation order differs in
+    the last bit from the one every multi-point call has always used.
+    """
+    pts = np.vstack([pts, pts])
+    tables = [hermite_polynomial_table(basis.max_degree, pts[:, k]) for k in range(3)]
+    raw = np.array([tables[0][a1] * tables[1][a2] * tables[2][a3]
+                    for a1, a2, a3 in basis.multi_indices]).T
+    return (raw @ basis.rotation)[:len(pts) // 2]
+
+
+@given(deg=st.integers(2, 8),
+       pts=arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+                  elements=st.floats(-8.0, 8.0, allow_nan=False)))
+def test_poly_values_equal_dense_rotation(deg, pts):
+    basis = _basis(deg)
+    np.testing.assert_array_equal(basis.poly_values(pts), dense_reference(basis, pts))
+
+
+@pytest.mark.parametrize("deg", [2, 3, 4, 6, 8])
+def test_node_poly_equals_dense_rotation(deg):
+    # 512 to 8000 nodes, so evaluation blocks of 1024 points meet and split here
+    basis = _basis(deg)
+    np.testing.assert_array_equal(basis.node_poly, dense_reference(basis, basis.quad_nodes))
 
 
 def test_dimension_counts():
