@@ -127,15 +127,14 @@ def _chunk_blocks(n_com: int, per_com: int) -> list[slice]:
 
 
 def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
-                              unit: np.ndarray, unit_w: np.ndarray,
-                              want_cross: bool = True):
+                              unit: np.ndarray, unit_w: np.ndarray):
     """Accumulate A = S^T W S over the (com, rho, sphere) grid and the
     sphere-reduced sums a[(com, rho), dim], with S = P(v) + P(v_*)."""
     dim = basis.dim
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
     per_com = n_rho * n_sphere
-    a_red = np.zeros((grid.com_nodes.shape[0] * n_rho, dim)) if want_cross else None
+    a_red = np.zeros((grid.com_nodes.shape[0] * n_rho, dim))
     acc = np.zeros((dim, dim))
     for blk in _chunk_blocks(grid.com_nodes.shape[0], per_com):
         com = grid.com_nodes[blk]
@@ -145,11 +144,10 @@ def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
         w_full = (grid.com_w[blk, None, None]
                   * grid.rho_w[None, :, None] * unit_w[None, None, :]).ravel()
         acc += s_vals.T @ (w_full[:, None] * s_vals)
-        if want_cross:
-            by_sphere = s_vals.reshape(com.shape[0] * n_rho, n_sphere, dim)
-            start = blk.start * n_rho
-            a_red[start:start + com.shape[0] * n_rho] = np.einsum(
-                "qsd,s->qd", by_sphere, unit_w)
+        by_sphere = s_vals.reshape(com.shape[0] * n_rho, n_sphere, dim)
+        start = blk.start * n_rho
+        a_red[start:start + com.shape[0] * n_rho] = np.einsum(
+            "qsd,s->qd", by_sphere, unit_w)
     return acc, a_red
 
 

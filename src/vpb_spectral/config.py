@@ -140,8 +140,9 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
                 bad(f.name, f"non-finite value {v}")
     if cfg.max_degree < 2:
         bad("max_degree", "must be at least 2 to span the invariants")
-    if cfg.quad_order < 0:
-        bad("quad_order", "must be 0 (default) or positive")
+    if cfg.quad_order < 0 or 0 < cfg.quad_order < cfg.max_degree + 2:
+        bad("quad_order", f"must be 0 (default) or at least max_degree + 2 = "
+            f"{cfg.max_degree + 2}, got {cfg.quad_order}")
     for name in ("gamma", "kernel_c", "nu_bar"):
         if getattr(cfg, name) <= 0:
             bad(name, "kernel parameters must be positive")
@@ -155,6 +156,8 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
         bad("s_spacing", f"{cfg.s_spacing!r} not one of {SPACINGS}")
     if not cfg.eps_list:
         bad("eps_list", "must not be empty")
+    if len(set(cfg.eps_list)) != len(cfg.eps_list):
+        bad("eps_list", f"repeated entries in {list(cfg.eps_list)}")
     for e in cfg.eps_list:
         if not 0.0 < e < 1.0:
             bad("eps_list", f"scaling parameter {e} outside the open interval (0, 1); "

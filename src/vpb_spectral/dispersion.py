@@ -28,12 +28,14 @@ from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
 from .mode_operator import FourierMode, pushforward_from_axis, rotation_to_axis
 from .transport import TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import VelocityBasis
+from .velocity_space import VelocityBasis, bilinear_pair
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
+_ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
+_MAX_ITER = 60     # Newton steps before a root solver falls back
 
 FLUX_INDICES = (1, 2, 4)
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -62,7 +64,21 @@ class AsymptoticCoefficients:
     eta: dict
     b: dict
     h: dict
-    g: dict
+
+    def evolve(self, basis: VelocityBasis, u: np.ndarray, times, branches,
+               eps: float = 1.0) -> np.ndarray:
+        """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
+
+        One row per time; the pairing is the weighted bilinear one.  The fluid
+        branches 0, 2, 3 do not oscillate, so eps only matters for -1 and 1.
+        """
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((times.size, basis.dim), dtype=complex)
+        for j in branches:
+            coef = bilinear_pair(basis, u, self.h[j], self.s)
+            phases = np.exp(self.eta[j] * times / eps - self.b[j] * times)
+            out += phases[:, None] * (coef * self.h[j])[None, :]
+        return out
 
 
 def _kappa_bar(op: CollisionOperator) -> float:
@@ -123,10 +139,10 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
     return _entries(op, beta, s)[0][(j, k)]
 
 
-def _require_regime(w: float, r0: float) -> None:
-    if abs(w) > r0:
+def _require_regime(w: float) -> None:
+    if abs(w) > R0_DEFAULT:
         raise RegimeError(f"eps*|xi| = {abs(w):.3f} outside the hydrodynamic ball "
-                          f"(r0 = {r0}); branch construction not valid there")
+                          f"(r0 = {R0_DEFAULT}); branch construction not valid there")
 
 
 def _eval_shear_det(op: CollisionOperator, z: complex, w: float,
@@ -160,46 +176,44 @@ def _eval_coupled_det(op: CollisionOperator, z: complex, s: float, eps: float,
     return val, der
 
 
-def solve_D0(op: CollisionOperator, s: float, eps: float,
-             r0: float = R0_DEFAULT, r1: float = R1_DEFAULT,
-             tol: float = 1e-13, max_iter: int = 60) -> complex:
+def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
     Newton from 0 with a bracketing fallback on the real line; the root is
     real and even in s, and both properties are enforced on exit.
     """
     w = eps * s
-    _require_regime(w, r0)
+    _require_regime(w)
     if w == 0.0:
         return 0.0j
     z = 0.0j
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         val, der = _eval_shear_det(op, z, w, derivative=True)
         if not np.isfinite(val) or abs(der) < 1e-14:
             break
         step = val / der
         z = z - step
-        if abs(z) > r1:
+        if abs(z) > R1_DEFAULT:
             break
-        if abs(step) < tol:
+        if abs(step) < _ROOT_TOL:
             converged = True
             break
     if not converged or abs(_eval_shear_det(op, z, w)[0]) > 1e-10:
-        z = complex(_bisect_shear(op, w, r1))
+        z = complex(_bisect_shear(op, w))
     if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
         raise RegimeError(f"shear root drifted off the real axis: {z:.3e}")
     return complex(z.real)
 
 
-def _bisect_shear(op: CollisionOperator, w: float, r1: float) -> float:
+def _bisect_shear(op: CollisionOperator, w: float) -> float:
     def f(zr: float) -> float:
         return _eval_shear_det(op, complex(zr), w)[0].real
 
     hi, fhi = 0.0, f(0.0)
     lo = None
     for k in range(1, 41):
-        cand = -r1 * k / 40.0
+        cand = -R1_DEFAULT * k / 40.0
         if f(cand) * fhi < 0:
             lo = cand
             break
@@ -208,9 +222,7 @@ def _bisect_shear(op: CollisionOperator, w: float, r1: float) -> float:
     return scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def solve_D1(op: CollisionOperator, s: float, eps: float,
-             r0: float = R0_DEFAULT, r1: float = R1_DEFAULT,
-             tol: float = 1e-13, max_iter: int = 60) -> dict:
+def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
     Damped Newton from the analytic seeds; on failure, the literal
@@ -218,7 +230,7 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
     basin by construction.  Root collision means the regime assumption
     failed, not that the solver did.
     """
-    _require_regime(eps * s, r0)
+    _require_regime(eps * s)
     roots: dict[int, complex] = {}
     for j in (-1, 0, 1):
         eta = branch_frequency(j, s)
@@ -228,10 +240,10 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
         # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
         # the certification radius must scale with the backend's coefficient
         # size or large-coefficient backends get rejected inside the ball
-        basin = max(r1 * abs(s), 3.0 * eps * s * s * _kappa_bar(op), 1e-12)
-        z = _newton_coupled(op, eta, s, eps, basin, tol, max_iter)
+        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * _kappa_bar(op), 1e-12)
+        z = _newton_coupled(op, eta, s, eps, basin)
         if z is None:
-            z = _contraction_coupled(op, eta, s, eps, tol)
+            z = _contraction_coupled(op, eta, s, eps)
         if z is None or abs(_eval_coupled_det(op, z, s, eps)[0]) > 1e-9:
             raise RegimeError(f"coupled-family root for branch {j} did not converge "
                               f"at (s, eps) = ({s:.3g}, {eps:.3g})")
@@ -249,9 +261,9 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
     return roots
 
 
-def _newton_coupled(op, eta, s, eps, basin, tol, max_iter):
+def _newton_coupled(op, eta, s, eps, basin):
     z = eta
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         val, der = _eval_coupled_det(op, z, s, eps, derivative=True)
         if not np.isfinite(val) or abs(der) < 1e-14:
             return None
@@ -262,12 +274,12 @@ def _newton_coupled(op, eta, s, eps, basin, tol, max_iter):
         z = z - t * step
         if abs(z - eta) > 2.0 * basin:
             return None
-        if t * abs(step) < tol:
+        if t * abs(step) < _ROOT_TOL:
             return z
     return None
 
 
-def _contraction_coupled(op, eta, s, eps, tol, max_iter: int = 400):
+def _contraction_coupled(op, eta, s, eps, max_iter: int = 400):
     denom = 3.0 * eta * eta + 1.0 + 5.0 / 3.0 * s * s
     z = eta
     for _ in range(max_iter):
@@ -275,7 +287,7 @@ def _contraction_coupled(op, eta, s, eps, tol, max_iter: int = 400):
         z_new = z - val / denom
         if not np.isfinite(z_new):
             return None
-        if abs(z_new - z) < tol:
+        if abs(z_new - z) < _ROOT_TOL:
             return z_new
         z = z_new
     return None
@@ -310,7 +322,7 @@ def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict
 
 def asymptotic_coefficients(basis: VelocityBasis, xi,
                             coeffs: TransportCoefficients) -> AsymptoticCoefficients:
-    """Frequencies eta_j, decay rates b_j and limit vectors h_j, g_j at xi.
+    """Frequencies eta_j, decay rates b_j and limit vectors h_j at xi.
 
     For off-axis xi the transverse pair uses the orthonormal frame
     perpendicular to xi delivered by the axis rotation; any frame choice
@@ -325,10 +337,8 @@ def asymptotic_coefficients(basis: VelocityBasis, xi,
         direction = arr / s
     eta = {j: branch_frequency(j, s) for j in (-1, 0, 1, 2, 3)}
     b = {j: branch_decay(j, s, coeffs) for j in (-1, 0, 1, 2, 3)}
-    h = limit_vectors(basis, s, direction)
-    g = dict(h)
-    g[0] = -h[0]
-    return AsymptoticCoefficients(s=s, direction=direction, eta=eta, b=b, h=h, g=g)
+    return AsymptoticCoefficients(s=s, direction=direction, eta=eta, b=b,
+                                  h=limit_vectors(basis, s, direction))
 
 
 def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> complex:
@@ -375,8 +385,7 @@ def _branch_eigenfunction(op: CollisionOperator, j: int, z: complex,
     return psi
 
 
-def hydrodynamic_spectrum(mode: FourierMode, r0: float = R0_DEFAULT,
-                          r1: float = R1_DEFAULT) -> list[BranchPoint]:
+def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     """The five labeled branch points of one mode, from the determinants.
 
     Labels come from continuation: each root is solved from its own
@@ -385,12 +394,12 @@ def hydrodynamic_spectrum(mode: FourierMode, r0: float = R0_DEFAULT,
     """
     op = mode.collision
     s, eps = mode.s, mode.eps
-    _require_regime(eps * s, r0)
+    _require_regime(eps * s)
     basis = op.basis
     h_axis = limit_vectors(basis, s, AXIS)
 
-    shear_z = solve_D0(op, s, eps, r0=r0, r1=r1)
-    coupled = solve_D1(op, s, eps, r0=r0, r1=r1)
+    shear_z = solve_D0(op, s, eps)
+    coupled = solve_D1(op, s, eps)
 
     on_axis = abs(mode.direction @ AXIS - 1.0) < 1e-14
     push = None if on_axis else pushforward_from_axis(basis, mode.direction)

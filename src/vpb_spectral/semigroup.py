@@ -23,8 +23,7 @@ from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
 from .errors import DataError, FitError, RegimeError
 from .mode_operator import FourierMode
 from .transport import TransportCoefficients, branch_decay
-from .velocity_space import MacroState, VelocityBasis, bilinear_pair, \
-    macro_vector, weighted_inner
+from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
 
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
@@ -35,8 +34,6 @@ COND_LIMIT = 1e12
 class ModeTrajectory:
     """Time samples of one Fourier mode, kinetic or fluid.
 
-    norm_track carries the weighted norm at each time; for the unforced
-    kinetic flow it must be non-increasing (the flow is a contraction).
     oracle_gap is the largest weighted distance between the primary states
     and the independent ODE integration, when that oracle was run.
     """
@@ -45,9 +42,16 @@ class ModeTrajectory:
     eps: float
     times: np.ndarray
     states: np.ndarray
-    norm_track: np.ndarray
+    basis: VelocityBasis
     method: str
     oracle_gap: float | None = None
+
+    @property
+    def norm_track(self) -> np.ndarray:
+        """Weighted norm at each time; for the unforced kinetic flow it must
+        be non-increasing (the flow is a contraction)."""
+        s = float(np.linalg.norm(self.xi))
+        return np.array([weighted_norm(self.basis, st, s) for st in self.states])
 
 
 @dataclass
@@ -147,29 +151,28 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
         ref = _ode_states(mode, f0, times)
         gap = max(mode.norm(states[i] - ref[i]) for i in range(times.size))
 
-    norms = np.array([mode.norm(states[i]) for i in range(times.size)])
     return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
-                          states=states, norm_track=norms, method=method,
+                          states=states, basis=mode.basis, method=method,
                           oracle_gap=gap)
 
 
 def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,
-                points: list[BranchPoint] | None = None,
-                r0: float = R0_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+                points: list[BranchPoint] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hydrodynamic part and remainder of the propagated mode at time(s) t.
 
     The first part sums the five branch contributions weighted by the
     conjugation-free pairing against the branch eigenfunctions, and is cut
-    off entirely outside the ball eps|xi| <= r0; the remainder is the full
-    propagation minus it, so the two reassemble exactly by construction.
+    off entirely outside the ball eps|xi| <= R0_DEFAULT; the remainder is
+    the full propagation minus it, so the two reassemble exactly by
+    construction.
     """
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     full = propagate_kinetic(mode, f0, tarr).states
     f0 = np.asarray(f0, dtype=complex)
     s1 = np.zeros_like(full)
-    if mode.eps * mode.s <= r0:
+    if mode.eps * mode.s <= R0_DEFAULT:
         if points is None:
-            points = hydrodynamic_spectrum(mode, r0=r0)
+            points = hydrodynamic_spectrum(mode)
         for bp in points:
             weight = mode.pair(f0, bp.psi)
             s1 += np.exp(tarr * bp.lam / mode.eps ** 2)[:, None] \
@@ -203,20 +206,11 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bundle = asymptotic_coefficients(basis, xi, coeffs)
-    s = bundle.s
     times = np.asarray(times, dtype=float)
-    u0vec = _macro_as_vector(basis, u0)
-
-    states = np.zeros((times.size, basis.dim), dtype=complex)
-    for j in (0, 2, 3):
-        h = bundle.h[j]
-        weight = bilinear_pair(basis, u0vec, h, s)
-        states += np.exp(-bundle.b[j] * times)[:, None] * (weight * h)[None, :]
-    norms = np.array([math.sqrt(weighted_inner(basis, st, st, s).real)
-                      for st in states])
-    full_xi = xi if xi.size == 3 else np.array([s, 0.0, 0.0])
+    states = bundle.evolve(basis, _macro_as_vector(basis, u0), times, (0, 2, 3))
+    full_xi = xi if xi.size == 3 else np.array([bundle.s, 0.0, 0.0])
     return ModeTrajectory(xi=full_xi, eps=0.0, times=times, states=states,
-                          norm_track=norms, method="fluid")
+                          basis=basis, method="fluid")
 
 
 def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,

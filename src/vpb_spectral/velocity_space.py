@@ -24,6 +24,7 @@ from .errors import BasisError
 _TWO_PI = 2.0 * np.pi
 _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
 _PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
+_GRAM_TOL = 1e-10  # largest entry of the quadrature Gram matrix minus the identity
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -88,7 +89,6 @@ class VelocityBasis:
     gauss_weights: np.ndarray     # (nq,) weights for the N(0, I3) measure
     invariant_indices: tuple[int, int, int, int, int]
     rotation: np.ndarray          # (dim, dim) raw-tensor -> final basis
-    tol_quad: float
 
     def descriptor(self) -> dict:
         return {
@@ -160,11 +160,6 @@ class VelocityBasis:
         out[..., list(self.invariant_indices)] = 0.0
         return out
 
-    def density_project(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(f)
-        out[..., self.density_index] = f[..., self.density_index]
-        return out
-
 
 @dataclass
 class MacroState:
@@ -175,18 +170,14 @@ class MacroState:
     q: complex
     phi_factor: complex | None = None  # n / |xi|^2, the Poisson coupling factor
 
-    def as_tuple(self) -> tuple:
-        return (self.n, tuple(self.m), self.q)
 
-
-def build_basis(max_degree: int, quad_order: int | None = None,
-                tol_quad: float = 1e-10) -> VelocityBasis:
+def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis:
     """Construct the truncated Hermite basis and its folded quadrature.
 
     quad_order counts Gauss-Hermite nodes per axis; the default 2*max_degree+4
     leaves margin beyond the max_degree+2 minimum needed for an exact Gram
     matrix.  Construction fails if the quadrature is degenerate or the Gram
-    check misses tol_quad.
+    check misses _GRAM_TOL.
     """
     if max_degree < 2:
         raise BasisError("max_degree must be >= 2 so all five invariants are in the span")
@@ -227,12 +218,11 @@ def build_basis(max_degree: int, quad_order: int | None = None,
         gauss_weights=gauss_w,
         invariant_indices=inv,
         rotation=rot,
-        tol_quad=tol_quad,
     )
     gram = basis.node_poly.T @ (gauss_w[:, None] * basis.node_poly)
     err = np.max(np.abs(gram - np.eye(dim)))
-    if err > tol_quad:
-        raise BasisError(f"quadrature Gram check failed: max deviation {err:.3e} > {tol_quad:.1e}")
+    if err > _GRAM_TOL:
+        raise BasisError(f"quadrature Gram check failed: max deviation {err:.3e} > {_GRAM_TOL:.1e}")
     for arr in (basis.quad_nodes, basis.quad_weights, basis.gauss_weights, basis.rotation):
         arr.setflags(write=False)
     return basis

@@ -1,13 +1,16 @@
 """Command-line driver: exit codes, artifact naming, reproducibility."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import vpb_spectral
 from vpb_spectral.cli import (
     CONVERGE_HEADER,
     DISPERSION_HEADER,
@@ -102,6 +105,27 @@ class TestExitCodes:
                                   "--out", tmp_path / "a"], capsys)
         assert code == 2
         assert "field 'gamma'" in err
+        assert out == "" and not (tmp_path / "a").exists()
+
+    def test_short_quad_order_is_two_and_writes_nothing(self, tmp_path, capsys):
+        # max_degree 4 needs at least 6 nodes per axis for an exact Gram matrix
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(TINY.replace("max_degree = 3", "max_degree = 4\nquad_order = 3"),
+                       encoding="utf-8")
+        code, out, err = run_cli(["converge", "--config", cfg,
+                                  "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert "field 'quad_order'" in err and "max_degree + 2 = 6" in err
+        assert out == "" and not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("sub", ["spectrum", "converge"])
+    def test_repeated_eps_is_two_and_writes_nothing(self, sub, tmp_path, capsys):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(TINY.replace("eps_list = 0.2, 0.1, 0.05",
+                                    "eps_list = 0.1, 0.1, 0.05"), encoding="utf-8")
+        code, out, err = run_cli([sub, "--config", cfg, "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert "field 'eps_list': repeated entries" in err
         assert out == "" and not (tmp_path / "a").exists()
 
     def test_empty_sweep_is_one_and_writes_nothing(self, tmp_path, capsys):
@@ -260,10 +284,14 @@ class TestCheck:
 
 class TestEntryPoint:
     def test_module_invocation(self, tiny_cfg, tmp_path):
+        # the child finds the package the way this process did, installed or not
+        src = str(Path(vpb_spectral.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "vpb_spectral", "transport",
              "--config", str(tiny_cfg), "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith(".json")
 

@@ -20,6 +20,7 @@ from vpb_spectral.errors import DataError, FitError
 from vpb_spectral.limit_lab import (
     ErrorTable,
     InitialData,
+    _shell_errors,
     hilbert_expansion_check,
     layer_bump_ratio,
     layer_frequency,
@@ -31,8 +32,10 @@ from vpb_spectral.limit_lab import (
     synth_norm_LinfP,
     weighted_sup,
 )
+from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.semigroup import closed_fluid_forms, propagate_kinetic
 from vpb_spectral.transport import compute_kappas
-from vpb_spectral.velocity_space import bilinear_pair, build_basis
+from vpb_spectral.velocity_space import bilinear_pair, build_basis, weighted_norm
 
 SIGMA = 0.2
 
@@ -338,6 +341,36 @@ class TestConvergenceStudy:
         assert float(np.max(tab.err_macro)) == 0.0
         assert float(np.max(tab.err_micro)) == 0.0
         assert tab.metadata["eps_slope"] is None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.floats(0.05, 0.6),
+           eps=st.floats(0.02, 0.3))
+    def test_one_propagation_equals_two(self, syn_small, coeffs_small, seed, s, eps):
+        # the layer-subtracted errors propagate macro(f0) once; written out
+        # directly they are S(f0) - S(micro f0) - fluid - layer
+        basis = syn_small.basis
+        rng = np.random.default_rng(seed)
+        f0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        mode = mode_operator(syn_small, eps, np.array([s, 0.0, 0.0]))
+        bundle = asymptotic_coefficients(basis, s, coeffs_small)
+        times = layer_time_grid(eps, 5.0, n_layer=4, n_bulk=6)
+        got = _shell_errors(mode, f0, bundle, times, True)
+
+        macro = basis.macro_project(f0)
+        diff = propagate_kinetic(mode, f0, times).states \
+            - propagate_kinetic(mode, basis.micro_project(f0), times).states
+        for i, t in enumerate(times):
+            diff[i] -= closed_fluid_forms(basis, coeffs_small, macro, s, t)["state"]
+        for j in (-1, 1):
+            coef = bilinear_pair(basis, macro, bundle.h[j], s)
+            diff -= np.exp(bundle.eta[j] * times / eps - bundle.b[j] * times)[:, None] \
+                * (coef * bundle.h[j])[None, :]
+        want = np.array([[weighted_norm(basis, d, s),
+                          weighted_norm(basis, basis.macro_project(d), s),
+                          np.linalg.norm(basis.micro_project(d))] for d in diff])
+        # the floor is the round-off of the two-propagation difference, which
+        # cancels terms of the size of f0 (measured up to 1.5e-16 of its norm)
+        floor = 1e-15 * weighted_norm(basis, f0, s)
+        assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0) + floor)
 
     def test_rerun_bit_identical(self, syn_small, wp_data, coeffs_small, wp_table):
         tg = layer_time_grid(max(self.EPS), 20.0)

@@ -232,6 +232,30 @@ class TestFluidSemigroup:
                 flux = traj.states[k][i0] / s2 * xi
                 assert np.max(np.abs(forms["field_flux"] - flux)) < 1e-12
 
+    def test_branch_sum_matches_closed_forms(self, op_mid, coeffs_mid):
+        from vpb_spectral.dispersion import asymptotic_coefficients
+
+        basis = op_mid.basis
+        u0 = MacroState(n=0.2 - 0.1j, m=np.array([0.1, -0.3, 0.7j]), q=-0.4)
+        u0vec = macro_vector(basis, u0.n, u0.m, u0.q)
+        times = [0.0, 0.3, 1.0, 4.0]
+        for xi in (np.array([0.5, 0.0, 0.0]), np.array([0.3, -0.4, 1.2])):
+            bundle = asymptotic_coefficients(basis, xi, coeffs_mid)
+            states = bundle.evolve(basis, u0vec, times, (0, 2, 3))
+            for k, t in enumerate(times):
+                ref = closed_fluid_forms(basis, coeffs_mid, u0, xi, t)["state"]
+                assert np.max(np.abs(states[k] - ref)) < 1e-12
+
+    def test_five_branch_sum_is_identity_at_zero(self, op_mid, coeffs_mid):
+        # the limit vectors are a pairing-orthonormal basis of the macro space
+        from vpb_spectral.dispersion import asymptotic_coefficients
+
+        basis = op_mid.basis
+        u0vec = macro_vector(basis, 0.3 + 0.2j, [0.1, -0.5, 0.4], -0.7)
+        bundle = asymptotic_coefficients(basis, np.array([0.2, 0.5, -0.1]), coeffs_mid)
+        states = bundle.evolve(basis, u0vec, [0.0], (0, 2, 3, -1, 1), 0.05)
+        assert np.max(np.abs(states[0] - u0vec)) < 1e-12
+
     def test_rejects_data_with_micro_part(self, op_mid, coeffs_mid):
         basis = op_mid.basis
         bad = np.zeros(basis.dim, dtype=complex)
