@@ -164,8 +164,10 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
                 "the expansion is only defined for eps in (0, 1)")
     if cfg.t_max <= 0:
         bad("t_max", "must be positive")
-    if cfg.n_layer < 1 or cfg.n_bulk < 2:
-        bad("n_layer", "need n_layer >= 1 and n_bulk >= 2")
+    if cfg.n_layer < 1:
+        bad("n_layer", "need n_layer >= 1")
+    if cfg.n_bulk < 2:
+        bad("n_bulk", "need n_bulk >= 2")
     if cfg.kind not in KINDS:
         bad("kind", f"{cfg.kind!r} not one of {KINDS}")
     if cfg.profile_sigma <= 0:

@@ -12,12 +12,19 @@ The natural geometry is the wavenumber-weighted metric: the streaming plus
 field part is skew-adjoint there, so the numerical range of B in that metric
 is exactly the (nonpositive) collision form.  All of this is axis-reducible:
 a velocity rotation intertwines the operator at xi with the one at s e1.
+
+On the axis the mode has more structure: scaling slot k by i^(a1 mod 2)
+makes B real, and the real matrix is block-diagonal in (a2 mod 2, a3 mod 2),
+because the collision operator commutes with every coordinate reflection.
+FourierMode.eigen_blocks() decomposes those four real blocks separately; the
+dense complex decomposition serves off-axis modes and is the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +32,30 @@ import scipy.linalg
 from .collision import CollisionOperator
 from .errors import BasisError, RegimeError
 from .velocity_space import VelocityBasis, bilinear_pair, weighted_inner
+
+
+STRUCTURE_TOL = 1e-13  # parity-block check, relative to max|B|
+
+
+class EigenBlock(NamedTuple):
+    """Eigenpairs of one diagonal block of the scaled mode matrix.
+
+    index lists the basis slots of the block and scale the parity scale on
+    them; the mode matrix's eigenvectors are scale[:, None] * vecs on those
+    slots and zero elsewhere.  All arrays are read-only.
+    """
+
+    index: np.ndarray
+    scale: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+def _eigen_block(index: np.ndarray, scale: np.ndarray, block: np.ndarray) -> EigenBlock:
+    vals, vecs = scipy.linalg.eig(block)
+    for arr in (index, scale, vals, vecs):
+        arr.setflags(write=False)
+    return EigenBlock(index, scale, vals, vecs)
 
 
 def _normalize_xi(xi) -> tuple[float, np.ndarray]:
@@ -81,16 +112,53 @@ class FourierMode:
         return float(np.real(self.inner(self.matrix @ f, f)))
 
     @cached_property
+    def _blocks(self) -> tuple[EigenBlock, ...]:
+        classes = self.basis.parity_classes
+        if not np.any(self.direction[1:]):
+            scaled = classes.scale.conj()[:, None] * self.matrix * classes.scale[None, :]
+            tol = STRUCTURE_TOL * np.max(np.abs(scaled))
+            cross = np.abs(scaled)
+            for idx in classes.blocks:
+                cross[np.ix_(idx, idx)] = 0.0
+            if np.max(np.abs(scaled.imag)) <= tol and np.max(cross) <= tol:
+                return tuple(_eigen_block(idx, classes.scale[idx],
+                                          scaled.real[np.ix_(idx, idx)])
+                             for idx in classes.blocks)
+        return (_eigen_block(np.arange(self.basis.dim), np.ones(self.basis.dim),
+                             self.matrix),)
+
+    def eigen_blocks(self) -> tuple[EigenBlock, ...]:
+        """The mode's eigendecomposition, one block at a time; decomposed once.
+
+        On the axis, the matrix conjugated by the basis's parity scale is real
+        and block-diagonal in the four parity classes.  When it passes that
+        structure check (imaginary part and cross-block entries at most
+        STRUCTURE_TOL * max|B|), each real block is decomposed on its own.
+        Off-axis modes, and matrices that fail the check, are one dense
+        complex block with unit scale.
+        """
+        return self._blocks
+
+    @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = scipy.linalg.eig(self.matrix)
+        blocks = self._blocks
+        vals = np.concatenate([b.vals for b in blocks])
+        vecs = np.zeros((self.basis.dim, vals.size), dtype=complex)
+        col = 0
+        for b in blocks:
+            vecs[b.index, col:col + b.vals.size] = b.scale[:, None] * b.vecs
+            col += b.vals.size
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense eigenvalues and right eigenvectors, decomposed once per mode.
+        """Eigenvalues and right eigenvectors of the mode matrix.
 
-        Both arrays are shared between callers and read-only.
+        Assembled from eigen_blocks(): the parity blocks rescaled back to the
+        basis, each eigenvector zero outside its block, or the dense complex
+        decomposition where the blocks do not apply.  Both arrays are
+        computed once per mode, shared between callers and read-only.
         """
         return self._eig
 

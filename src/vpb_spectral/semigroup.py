@@ -1,11 +1,13 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} per mode (dense eigendecomposition with a stiff ODE oracle),
-its splitting into the five-branch hydrodynamic part and an exponentially
-small remainder, the fluid semigroup on the three non-oscillatory branches,
-the forced fluid mode equations solved by exact Duhamel integration of
-piecewise-linear forcing, and least-squares decay-rate fitting.
+e^{(t/eps^2) B} per mode (eigendecompositions of the real parity blocks of
+an axis mode, the dense complex one off the axis and as the reference, and
+a stiff ODE oracle), its splitting into the five-branch hydrodynamic part
+and an exponentially small remainder, the fluid semigroup on the three
+non-oscillatory branches, the forced fluid mode equations solved by exact
+Duhamel integration of piecewise-linear forcing, and least-squares
+decay-rate fitting.
 """
 
 from __future__ import annotations
@@ -123,10 +125,12 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
                       oracle: bool = False) -> ModeTrajectory:
     """Evolve one mode under the scaled kinetic flow.
 
-    Primary path diagonalizes the mode matrix; if the eigenvector basis is
-    too ill-conditioned to trust, the trajectory is integrated instead and
-    flagged by method = "ode".  With oracle=True both paths run and the
-    largest weighted discrepancy is recorded.
+    Primary path: the mode's eigen_blocks(), solved block by block and only
+    in blocks where f0 is nonzero.  If any of those blocks has an eigenvector
+    basis too ill-conditioned to trust (condition number COND_LIMIT or
+    more), the trajectory is integrated instead and flagged by
+    method = "ode".  With oracle=True both paths run and the largest
+    weighted discrepancy is recorded.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -135,16 +139,20 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
         raise ValueError("times must be nondecreasing and start at t >= 0")
     f0 = np.asarray(f0, dtype=complex)
 
-    vals, vecs = mode.eigensystem()
-    cond = np.linalg.cond(vecs)
-    if np.isfinite(cond) and cond < COND_LIMIT:
-        method = "eig"
-        c = np.linalg.solve(vecs, f0)
-        phases = np.exp(np.outer(times, vals) / mode.eps ** 2)
-        states = phases * c[None, :] @ vecs.T
-    else:
-        method = "ode"
-        states = _ode_states(mode, f0, times)
+    method = "eig"
+    states = np.zeros((times.size, f0.size), dtype=complex)
+    for block in mode.eigen_blocks():
+        g0 = f0[block.index] * block.scale.conj()
+        if not np.any(g0):
+            continue
+        cond = np.linalg.cond(block.vecs)
+        if not (np.isfinite(cond) and cond < COND_LIMIT):
+            method = "ode"
+            states = _ode_states(mode, f0, times)
+            break
+        c = np.linalg.solve(block.vecs, g0)
+        phases = np.exp(np.outer(times, block.vals) / mode.eps ** 2)
+        states[:, block.index] = block.scale * (phases * c[None, :] @ block.vecs.T)
 
     gap = None
     if oracle and method == "eig":

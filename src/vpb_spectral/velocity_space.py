@@ -77,6 +77,22 @@ def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ParityClasses:
+    """Reflection-parity structure of the basis slots.
+
+    scale holds i^(a1 mod 2) per slot: conjugating an axis mode matrix by it,
+    conj(scale)[:, None] * B * scale[None, :], makes B real, because every v1
+    step flips the a1 parity.  blocks holds the slots of each (a2, a3 mod 2)
+    class in the order (even, even), (even, odd), (odd, even), (odd, odd);
+    the real matrix is block-diagonal in them.  The energy rotation only mixes
+    all-even slots, so it keeps every class.
+    """
+
+    scale: np.ndarray                 # (dim,) complex, read-only
+    blocks: tuple[np.ndarray, ...]    # four ascending index arrays, read-only
+
+
+@dataclass(frozen=True)
 class VelocityBasis:
     """Orthonormal truncated Hermite basis with its exact quadrature."""
 
@@ -137,6 +153,17 @@ class VelocityBasis:
         for mat in mats:
             mat.setflags(write=False)
         return mats
+
+    @cached_property
+    def parity_classes(self) -> ParityClasses:
+        """The i^(a1 mod 2) scale and the four (a2, a3 mod 2) slot classes."""
+        alpha = np.array(self.multi_indices) % 2
+        scale = np.where(alpha[:, 0] == 1, 1j, 1.0 + 0j)
+        label = 2 * alpha[:, 1] + alpha[:, 2]
+        blocks = tuple(np.flatnonzero(label == c) for c in range(4))
+        for arr in (scale, *blocks):
+            arr.setflags(write=False)
+        return ParityClasses(scale=scale, blocks=blocks)
 
     def chi(self, k: int) -> np.ndarray:
         """Coefficient vector of the k-th collision invariant, k = 0..4."""

@@ -57,5 +57,15 @@ def synthetic_prod(basis_prod):
     return synthetic_collision(basis_prod)
 
 
+@pytest.fixture(scope="session")
+def axis_operators(basis_mid, synthetic_prod):
+    """The operators the parity-block tests run on, by name."""
+    from vpb_spectral.collision import assemble_collision, synthetic_collision
+
+    return {"synthetic-4": synthetic_collision(basis_mid),
+            "synthetic-6": synthetic_prod,
+            "hard-sphere-4": assemble_collision(basis_mid)}
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert "field 'eps_list': repeated entries" in err
         assert out == "" and not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("old, new, field", [("n_bulk = 6", "n_bulk = 1", "n_bulk"),
+                                                 ("n_layer = 3", "n_layer = 0", "n_layer")])
+    def test_time_grid_counts_name_their_field(self, old, new, field, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY.replace(old, new), encoding="utf-8")
+        code, out, err = run_cli(["converge", "--config", cfg,
+                                  "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert f"field {field!r}" in err
+        other = "n_layer" if field == "n_bulk" else "n_bulk"
+        assert other not in err
+        assert out == "" and not (tmp_path / "a").exists()
+
     def test_empty_sweep_is_one_and_writes_nothing(self, tmp_path, capsys):
         # every eps * s exceeds the 0.3 ball, so no mode is left to compute
         cfg = tmp_path / "empty.cfg"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -146,3 +147,74 @@ def test_metric_matches_weighted_inner(op4):
     f = rng.standard_normal(op4.basis.dim) + 1j * rng.standard_normal(op4.basis.dim)
     g = rng.standard_normal(op4.basis.dim)
     assert mode.inner(f, g) == pytest.approx(complex(np.conj(g) @ (mode.metric @ f)), abs=1e-12)
+
+
+def _scaled(mode):
+    classes = mode.basis.parity_classes
+    return classes.scale.conj()[:, None] * mode.matrix * classes.scale[None, :]
+
+
+def test_parity_classes(basis_prod):
+    classes = basis_prod.parity_classes
+    assert [idx.size for idx in classes.blocks] == [30, 20, 20, 14]
+    assert np.array_equal(np.sort(np.concatenate(classes.blocks)), np.arange(basis_prod.dim))
+    for k, idx in enumerate(classes.blocks):
+        for i in idx:
+            a1, a2, a3 = basis_prod.multi_indices[i]
+            assert (a2 % 2, a3 % 2) == divmod(k, 2)
+            assert classes.scale[i] == (1j if a1 % 2 else 1.0)
+
+
+@pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])
+def test_axis_mode_is_real_and_block_diagonal(axis_operators, name):
+    mode = mode_operator(axis_operators[name], 0.1, 0.4)
+    scaled = _scaled(mode)
+    cross = np.abs(scaled)
+    for idx in mode.basis.parity_classes.blocks:
+        cross[np.ix_(idx, idx)] = 0.0
+    # exact on the synthetic operator; quadrature round-off on hard sphere
+    bound = 0.0 if name.startswith("synthetic") else 1e-13 * np.max(np.abs(mode.matrix))
+    assert np.max(np.abs(scaled.imag)) <= bound
+    assert np.max(cross) <= bound
+    assert len(mode.eigen_blocks()) == 4
+
+
+def test_tilted_mode_is_one_dense_block(op4):
+    d = np.array([0.48, -0.6, 0.64])
+    tilted = mode_operator(op4, 0.1, 0.7 * d / np.linalg.norm(d))
+    (block,) = tilted.eigen_blocks()
+    assert np.array_equal(block.index, np.arange(op4.basis.dim))
+    vals, vecs = scipy.linalg.eig(np.array(tilted.matrix))
+    assert np.array_equal(block.vals, vals) and np.array_equal(block.vecs, vecs)
+
+
+@pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])
+@given(s=st.floats(0.05, 0.6), eps=st.floats(0.02, 0.3))
+def test_block_eigenvalues_match_dense(axis_operators, name, s, eps):
+    mode = mode_operator(axis_operators[name], eps, s)
+    vals, vecs = mode.eigensystem()
+    dense = scipy.linalg.eigvals(np.array(mode.matrix))
+    cost = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    scale = np.max(np.abs(mode.matrix))
+    assert np.max(cost[rows, cols]) <= 1e-12 * scale
+    assert np.max(np.abs(mode.matrix @ vecs - vecs * vals)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("s, eps", [(0.1, 0.025), (0.35, 0.1), (0.6, 0.3)])
+def test_block_eigenvalues_against_40_digits(basis_mid, s, eps):
+    """Each block's five slowest eigenvalues lie within round-off of a 40-digit
+    eig of that block, and real ones come out exactly real."""
+    mpmath = pytest.importorskip("mpmath")
+    mode = mode_operator(synthetic_collision(basis_mid), eps, s)
+    scaled = _scaled(mode)
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(mode.matrix))
+    with mpmath.workdps(40):
+        for block in mode.eigen_blocks():
+            ref, _ = mpmath.eig(mpmath.matrix(scaled.real[np.ix_(block.index, block.index)].tolist()))
+            for z in sorted(ref, key=lambda z: -mpmath.re(z))[:5]:
+                err = min(float(abs(mpmath.mpc(v) - z)) for v in block.vals)
+                assert err <= bound
+                if abs(mpmath.im(z)) < 1e-30:
+                    nearest = block.vals[np.argmin(np.abs(block.vals - complex(z)))]
+                    assert nearest.imag == 0.0

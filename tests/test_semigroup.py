@@ -7,12 +7,15 @@ over a 64-node radial grid):
     micro eps-prefactor slope           0.9959
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
+from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import hydrodynamic_spectrum
 from vpb_spectral.errors import DataError, FitError
@@ -110,6 +113,54 @@ class TestPropagateKinetic:
         chained = propagate_kinetic(mode, first, [0.04]).states[0]
         direct = propagate_kinetic(mode, f0, [0.07]).states[0]
         assert mode.norm(chained - direct) < 1e-9 * max(1.0, mode.norm(f0))
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])
+    @given(s=st.floats(0.05, 0.6), eps=st.floats(0.02, 0.3),
+           seed=st.integers(0, 2 ** 16))
+    def test_blocks_propagate_like_the_dense_path(self, axis_operators, name, s, eps, seed):
+        mode = mode_operator(axis_operators[name], eps, s)
+        f0 = random_state(mode.basis.dim, seed=seed)
+        times = eps ** 2 * np.linspace(0.0, 50.0, 6)
+        traj = propagate_kinetic(mode, f0, times)
+        assert traj.method == "eig" and len(mode.eigen_blocks()) == 4
+        vals, vecs = scipy.linalg.eig(np.array(mode.matrix))
+        dense = np.exp(np.outer(times, vals) / eps ** 2) \
+            * np.linalg.solve(vecs, f0)[None, :] @ vecs.T
+        gap = max(mode.norm(a - b) for a, b in zip(traj.states, dense))
+        assert gap <= 1e-10 * mode.norm(f0)
+
+    def test_only_blocks_holding_data_are_solved(self, mode_mid, monkeypatch):
+        # macro data has no (odd, odd) slot, so that block is never conditioned
+        sizes = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: sizes.append(len(a)) or cond(a))
+        f0 = macro_vector(mode_mid.basis, 0.3, [0.2, -0.5, 0.1], -0.7).astype(complex)
+        traj = propagate_kinetic(mode_mid, f0, [0.0, 0.1])
+        blocks = mode_mid.basis.parity_classes.blocks
+        assert sizes == [idx.size for idx in blocks[:3]]
+        assert np.all(traj.states[:, blocks[3]] == 0.0)
+
+    def test_tiny_cond_limit_takes_the_ode_path(self, mode_mid, monkeypatch):
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
+        traj = propagate_kinetic(mode_mid, random_state(mode_mid.basis.dim),
+                                 [0.0, 0.01, 0.05])
+        assert traj.method == "ode"
+
+    def test_broken_structure_takes_the_dense_path(self, mode_mid):
+        assert len(mode_mid.eigen_blocks()) == 4
+        blocks = mode_mid.basis.parity_classes.blocks
+        mat = np.array(mode_mid.matrix)
+        mat[blocks[0][0], blocks[1][0]] += 1e-8
+        mat.setflags(write=False)
+        broken = dataclasses.replace(mode_mid, matrix=mat)
+        (block,) = broken.eigen_blocks()
+        assert block.index.size == broken.basis.dim
+        f0 = random_state(broken.basis.dim)
+        traj = propagate_kinetic(broken, f0, [0.0, 0.002, 0.01, 0.05, 0.2], oracle=True)
+        assert traj.method == "eig"
+        assert traj.oracle_gap < 1e-7
 
 
 class TestSplit:
