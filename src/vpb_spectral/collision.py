@@ -13,6 +13,16 @@ sphere into a plain surface measure, so the whole 8-d integral reduces to
 Every factor rule is sized to the polynomial degree of the integrand, which
 makes the assembled matrix exact up to roundoff: symmetric, negative
 semidefinite, with the five collision invariants as its exact kernel.
+
+Every factor rule is also mirror-symmetric, so each coordinate reflection,
+applied to the center-of-mass and sphere nodes together, maps the grid onto
+itself, and P_alpha(Rv) = +-P_alpha(v) with the sign of the reflected
+exponents.  The Dirichlet matrix and the collision-frequency matrix have
+reflection-invariant integrands, so they are summed over one center-of-mass
+node per orbit (the closed positive octant, weighted by the orbit size) and
+only within the eight (a1, a2, a3 mod 2) classes; the entries between
+classes are exact zeros.  The bilinear form and the one-point integrals have
+no such invariance and run on the full grid.
 """
 
 from __future__ import annotations
@@ -30,7 +40,8 @@ from .errors import AssemblyError, BackendError, BasisError, VPBError
 from .velocity_space import VelocityBasis
 
 _TWO_PI = 2.0 * np.pi
-_CHUNK_POINTS = 150_000
+_CHUNK_POINTS = 16_000  # quadrature points per evaluated block
+_MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,28 @@ class CollisionQuadrature:
         }
 
 
+def _check_mirror(x: np.ndarray, w: np.ndarray, rule: str) -> None:
+    """The reflection fold needs every 1-d factor rule symmetric about 0."""
+    gap = max(float(np.max(np.abs(x + x[::-1]))), float(np.max(np.abs(w - w[::-1]))))
+    if gap > _MIRROR_TOL:
+        raise AssemblyError(f"{rule} rule is not mirror-symmetric (mismatch {gap:.1e}); "
+                            "the reflection fold of the collision sums needs it")
+
+
+def _product_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product rule on R^3 from one 1-d rule."""
+    nodes = np.stack([a.ravel() for a in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    return nodes, weights
+
+
 def _sphere_rule(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule on S^2 with total weight 4*pi."""
+    """Product rule on S^2 with total weight 4*pi, mirror-symmetric in each axis."""
+    if n_azimuth % 2:
+        raise AssemblyError(f"n_azimuth={n_azimuth} is odd; the azimuthal rule is "
+                            "mirror-symmetric in v1 only for an even node count")
     cos_t, w_t = roots_legendre(n_polar)
+    _check_mirror(cos_t, w_t, "Gauss-Legendre polar")
     sin_t = np.sqrt(1.0 - cos_t ** 2)
     phi = _TWO_PI * (np.arange(n_azimuth) + 0.5) / n_azimuth
     nodes = np.empty((n_polar * n_azimuth, 3))
@@ -75,7 +105,11 @@ def _sphere_rule(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CollisionGrid:
-    """Factorized quadrature grid for the collision integral."""
+    """Factorized quadrature grid for the collision integral.
+
+    folded_com holds the center-of-mass nodes in the closed positive octant,
+    each weighted by its orbit size 2^(number of nonzero coordinates).
+    """
 
     def __init__(self, quad: CollisionQuadrature, gamma: float, kernel_c: float,
                  sigma_quad: CollisionQuadrature | None = None):
@@ -89,9 +123,12 @@ class _CollisionGrid:
 
         x, w = roots_hermitenorm(quad.n_gauss)
         w = w / np.sqrt(_TWO_PI)
-        self.com_nodes = np.stack(
-            [a.ravel() for a in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
-        self.com_w = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+        _check_mirror(x, w, "Gauss-Hermite center-of-mass")
+        self.com_nodes, self.com_w = _product_rule(x, w)
+        half = quad.n_gauss // 2
+        fold_w = w[half:].copy()
+        fold_w[quad.n_gauss % 2:] *= 2.0  # every node but a middle one has a mirror image
+        self.folded_com = _product_rule(x[half:], fold_w)
 
         # relative speed rho: Int rho^(2+gamma) e^(-rho^2/2) f(rho) drho via t = rho^2/2
         t, wt = roots_genlaguerre(quad.n_radial, (1.0 + gamma) / 2.0)
@@ -126,44 +163,83 @@ def _chunk_blocks(n_com: int, per_com: int) -> list[slice]:
     return [slice(i, min(i + step, n_com)) for i in range(0, n_com, step)]
 
 
+def _point_weights(com_w: np.ndarray, rho_w: np.ndarray, unit_w: np.ndarray) -> np.ndarray:
+    """Weights of the (com, rho, sphere) points in _pair_points order."""
+    return (com_w[:, None, None] * rho_w[None, :, None] * unit_w[None, None, :]).ravel()
+
+
+def _class_order(basis: VelocityBasis) -> tuple[np.ndarray, list[slice]]:
+    """Basis slots sorted by their (a1, a2, a3 mod 2) class, and each class's
+    range of positions in that order."""
+    label = (np.array(basis.multi_indices) % 2) @ np.array([4, 2, 1])
+    order = np.argsort(label, kind="stable")
+    ends = np.searchsorted(label[order], np.arange(9))
+    return order, [slice(ends[c], ends[c + 1]) for c in range(8)]
+
+
+def _add_class_products(acc: np.ndarray, left: np.ndarray, right: np.ndarray,
+                        ranges: list[slice]) -> None:
+    """acc[c, c] += left[c] right[c]^T for every class range c; nothing else.
+
+    left and right are class-major: one row per sorted slot, one column per
+    point, so each class is a contiguous block of rows.
+    """
+    for rng in ranges:
+        acc[rng, rng] += left[rng] @ right[rng].T
+
+
+def _unsort(mat: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """A matrix in sorted-slot order, back in basis-slot order."""
+    out = np.empty_like(mat)
+    out[np.ix_(order, order)] = mat
+    return out
+
+
 def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
                               unit: np.ndarray, unit_w: np.ndarray):
-    """Accumulate A = S^T W S over the (com, rho, sphere) grid and the
-    sphere-reduced sums a[(com, rho), dim], with S = P(v) + P(v_*)."""
-    dim = basis.dim
+    """Accumulate A = S^T W S within the classes over the folded (com, rho,
+    sphere) grid and the sphere-reduced sums a[dim, (com, rho)], with
+    S = P(v) + P(v_*); both in sorted-slot order."""
+    order, ranges = _class_order(basis)
+    com_nodes, com_w = grid.folded_com
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
-    per_com = n_rho * n_sphere
-    a_red = np.zeros((grid.com_nodes.shape[0] * n_rho, dim))
-    acc = np.zeros((dim, dim))
-    for blk in _chunk_blocks(grid.com_nodes.shape[0], per_com):
-        com = grid.com_nodes[blk]
-        v, v_star = _pair_points(com, grid.rho, unit)
+    a_red = np.zeros((basis.dim, com_nodes.shape[0] * n_rho))
+    acc = np.zeros((basis.dim, basis.dim))
+    for blk in _chunk_blocks(com_nodes.shape[0], n_rho * n_sphere):
+        v, v_star = _pair_points(com_nodes[blk], grid.rho, unit)
         s_vals = basis.poly_values(v)
         s_vals += basis.poly_values(v_star)
-        w_full = (grid.com_w[blk, None, None]
-                  * grid.rho_w[None, :, None] * unit_w[None, None, :]).ravel()
-        acc += s_vals.T @ (w_full[:, None] * s_vals)
-        by_sphere = s_vals.reshape(com.shape[0] * n_rho, n_sphere, dim)
-        start = blk.start * n_rho
-        a_red[start:start + com.shape[0] * n_rho] = np.einsum(
-            "qsd,s->qd", by_sphere, unit_w)
+        rows = s_vals.T[order]
+        _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, unit_w),
+                            ranges)
+        a_red[:, blk.start * n_rho:blk.stop * n_rho] = (
+            rows.reshape(basis.dim, -1, n_sphere) @ unit_w)
     return acc, a_red
 
 
 def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
-    """The exact Galerkin matrix of L from the symmetrized Dirichlet form."""
+    """The exact Galerkin matrix of L from the symmetrized Dirichlet form.
+
+    The raw sum is symmetric up to roundoff; a larger asymmetry means a
+    broken sum and raises before the result is symmetrized.
+    """
     a1, a_red = _pair_sums_and_reductions(basis, grid, grid.eta, grid.eta_w)
     if grid.same_spheres:
         a2, b_red = a1, a_red
     else:
         a2, b_red = _pair_sums_and_reductions(basis, grid, grid.sigma, grid.sigma_w)
-    w_com_rho = (grid.com_w[:, None] * grid.rho_w[None, :]).ravel()
-    cross = (a_red * w_com_rho[:, None]).T @ b_red
+    order, ranges = _class_order(basis)
+    w_com_rho = (grid.folded_com[1][:, None] * grid.rho_w[None, :]).ravel()
+    cross = np.zeros((basis.dim, basis.dim))
+    _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
     eta_total = float(np.sum(grid.eta_w))
     sigma_total = float(np.sum(grid.sigma_w))
     quad_form = sigma_total * a1 + eta_total * a2 - cross - cross.T
-    mat = -(grid.prefactor / 4.0) * quad_form
+    mat = _unsort(-(grid.prefactor / 4.0) * quad_form, order)
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > 1e-12 * max(float(np.max(np.abs(mat))), 1.0):
+        raise AssemblyError(f"collision matrix asymmetry {asym:.2e} before symmetrization")
     return 0.5 * (mat + mat.T)
 
 
@@ -186,21 +262,19 @@ def collision_frequency_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np
     """Galerkin matrix of multiplication by nu(v), via the collision grid.
 
     Exact for the truncation, because (nu f, g) is the one-point part of the
-    collision measure applied to the degree <= 2N polynomial F * G.
+    collision measure applied to the degree <= 2N polynomial F * G.  Summed
+    over the folded grid within the reflection classes.
     """
-    dim = basis.dim
-    n_rho = grid.rho.size
-    n_sphere = grid.eta.shape[0]
-    acc = np.zeros((dim, dim))
+    order, ranges = _class_order(basis)
+    com_nodes, com_w = grid.folded_com
+    acc = np.zeros((basis.dim, basis.dim))
     sigma_total = float(np.sum(grid.sigma_w))
-    for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * n_sphere):
-        com = grid.com_nodes[blk]
-        v, _ = _pair_points(com, grid.rho, grid.eta)
-        u_vals = basis.poly_values(v)
-        w_full = (grid.com_w[blk, None, None]
-                  * grid.rho_w[None, :, None] * grid.eta_w[None, None, :]).ravel()
-        acc += u_vals.T @ (w_full[:, None] * u_vals)
-    return grid.prefactor * sigma_total * acc
+    for blk in _chunk_blocks(com_nodes.shape[0], grid.rho.size * grid.eta.shape[0]):
+        v, _ = _pair_points(com_nodes[blk], grid.rho, grid.eta)
+        rows = basis.poly_values(v).T[order]
+        _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, grid.eta_w),
+                            ranges)
+    return _unsort(grid.prefactor * sigma_total * acc, order)
 
 
 def one_point_integrals(basis: VelocityBasis, grid: _CollisionGrid,
@@ -217,14 +291,13 @@ def one_point_integrals(basis: VelocityBasis, grid: _CollisionGrid,
     elif which in ("v_prime", "v_prime_star"):
         unit, unit_w, other_total = grid.sigma, grid.sigma_w, float(np.sum(grid.eta_w))
     else:
-        raise ValueError(f"unknown point label {which!r}")
+        raise AssemblyError(f"unknown point label {which!r}")
     acc = np.zeros(basis.dim)
     for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * unit.shape[0]):
         com = grid.com_nodes[blk]
         plus, minus = _pair_points(com, grid.rho, unit)
         pts = plus if which in ("v", "v_prime") else minus
-        w_full = (grid.com_w[blk, None, None]
-                  * grid.rho_w[None, :, None] * unit_w[None, None, :]).ravel()
+        w_full = _point_weights(grid.com_w[blk], grid.rho_w, unit_w)
         acc += basis.poly_values(pts).T @ w_full
     return grid.prefactor * other_total * acc
 
@@ -276,8 +349,7 @@ class GammaEvaluator:
             v, v_star = _pair_points(com, g.rho, g.eta)
             u_vals = basis.poly_values(v)
             us_vals = basis.poly_values(v_star)
-            w_full = (g.com_w[blk, None, None]
-                      * g.rho_w[None, :, None] * g.eta_w[None, None, :]).ravel()
+            w_full = _point_weights(g.com_w[blk], g.rho_w, g.eta_w)
             x = (u_vals @ f_mat) * (us_vals @ g_mat)  # (npts, npairs)
             term_local += (u_vals + us_vals).T @ (w_full[:, None] * x)
             start = blk.start * n_rho
@@ -381,9 +453,6 @@ def _structural_checks(basis: VelocityBasis, mat: np.ndarray) -> None:
     scale = float(np.max(np.abs(mat)))
     if not np.isfinite(mat).all():
         raise AssemblyError("collision matrix has non-finite entries")
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-12 * max(scale, 1.0):
-        raise AssemblyError(f"collision matrix asymmetry {asym:.2e}")
     for k in range(5):
         resid = float(np.linalg.norm(mat @ basis.chi(k)))
         if resid > 1e-10 * max(scale, 1.0):
@@ -401,7 +470,9 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
 
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
     refining it changes nothing but roundoff.  Matrices are cached on disk
-    under VPB_SPECTRAL_CACHE keyed by every assembly parameter.
+    under VPB_SPECTRAL_CACHE keyed by every assembly parameter, the
+    reflection fold included, so entries summed on the unfolded grid are
+    never read.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
@@ -412,6 +483,7 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
         "kernel_c": kernel_c,
         "basis": basis.descriptor(),
         "quad": quad.descriptor(),
+        "fold": "reflection-v1",
     }
     root = _cache.cache_dir() if use_cache else None
     path = None

@@ -10,7 +10,8 @@ class BasisError(VPBError):
 
 
 class AssemblyError(VPBError):
-    """Operator assembly failed a structural check (symmetry, coercivity, ...)."""
+    """Operator assembly was refused (bad kernel, rule or label) or failed a
+    structural check (symmetry, coercivity, ...)."""
 
 
 class BackendError(VPBError):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_hermitenorm
 
-from vpb_spectral import BackendError, build_basis, multiplication_matrices
-from vpb_spectral.cache import read_matrix
+from vpb_spectral import BackendError, build_basis, collision, multiplication_matrices
+from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
     CollisionQuadrature,
     GammaEvaluator,
     _CollisionGrid,
+    _dirichlet_matrix,
     assemble_collision,
     collision_frequency_matrix,
     collision_measure_total,
@@ -121,6 +123,120 @@ def test_collision_measure_preserves_velocity_law(basis_mid):
     assert np.max(np.abs(post - post_s)) < 1e-11
 
 
+def _cross_class_mask(basis):
+    """True where two slots differ in some exponent's parity."""
+    parity = np.array(basis.multi_indices) % 2
+    return np.any(parity[:, None, :] != parity[None, :, :], axis=-1)
+
+
+def _unfolded_sums(basis, grid, unit, unit_w):
+    """Reference: A = S^T W S over the full grid and the sphere-reduced sums."""
+    n_rho, n_sphere = grid.rho.size, unit.shape[0]
+    acc = np.zeros((basis.dim, basis.dim))
+    reduced = []
+    for com, com_w in zip(grid.com_nodes, grid.com_w):
+        shift = grid.rho[:, None, None] * unit[None, :, :]
+        v = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
+        v_star = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
+        s_vals = basis.poly_values(v) + basis.poly_values(v_star)
+        w = (com_w * grid.rho_w[:, None] * unit_w[None, :]).ravel()
+        acc += s_vals.T @ (w[:, None] * s_vals)
+        reduced.append(np.einsum("rsd,s->rd", s_vals.reshape(n_rho, n_sphere, -1), unit_w))
+    return acc, np.concatenate(reduced)
+
+
+def _unfolded_dirichlet(basis, grid):
+    a1, a_red = _unfolded_sums(basis, grid, grid.eta, grid.eta_w)
+    a2, b_red = _unfolded_sums(basis, grid, grid.sigma, grid.sigma_w)
+    w_com_rho = (grid.com_w[:, None] * grid.rho_w[None, :]).ravel()
+    cross = (a_red * w_com_rho[:, None]).T @ b_red
+    mat = -(grid.prefactor / 4.0) * (np.sum(grid.sigma_w) * a1 + np.sum(grid.eta_w) * a2
+                                     - cross - cross.T)
+    return 0.5 * (mat + mat.T)
+
+
+def _unfolded_frequency(basis, grid):
+    acc = np.zeros((basis.dim, basis.dim))
+    for com, com_w in zip(grid.com_nodes, grid.com_w):
+        v = ((com + grid.rho[:, None, None] * grid.eta[None, :, :]) / np.sqrt(2.0)).reshape(-1, 3)
+        u_vals = basis.poly_values(v)
+        w = (com_w * grid.rho_w[:, None] * grid.eta_w[None, :]).ravel()
+        acc += u_vals.T @ (w[:, None] * u_vals)
+    return grid.prefactor * np.sum(grid.sigma_w) * acc
+
+
+_INDEPENDENT_SIGMA = CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=7, n_azimuth=12)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 6])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("sigma_quad", [None, _INDEPENDENT_SIGMA], ids=["shared", "independent"])
+def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
+    basis = build_basis(degree)
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0,
+                          sigma_quad=sigma_quad)
+    cross = _cross_class_mask(basis)
+    for folded, ref in ((_dirichlet_matrix(basis, grid), _unfolded_dirichlet(basis, grid)),
+                        (collision_frequency_matrix(basis, grid), _unfolded_frequency(basis, grid))):
+        assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(folded[cross] == 0.0)
+
+
+@pytest.mark.parametrize("n_gauss", [1, 4, 7])
+def test_folded_com_rule(n_gauss):
+    grid = _CollisionGrid(CollisionQuadrature(n_gauss, 2, 3, 4), 1.0, 1.0)
+    nodes, weights = grid.folded_com
+    assert nodes.shape[0] == ((n_gauss + 1) // 2) ** 3
+    assert np.all(nodes >= 0.0)
+    # each node stands for its 2^(nonzero coordinates) mirror images
+    assert weights.sum() == pytest.approx(grid.com_w.sum(), rel=1e-14)
+    for node, weight in zip(nodes, weights):
+        (full,) = np.flatnonzero(np.all(grid.com_nodes == node, axis=1))
+        assert weight == pytest.approx(grid.com_w[full] * 2 ** np.count_nonzero(node), rel=1e-14)
+
+
+def test_assembled_matrix_has_exact_class_zeros(hard_sphere_prod):
+    assert np.all(hard_sphere_prod.matrix[_cross_class_mask(hard_sphere_prod.basis)] == 0.0)
+
+
+def test_odd_azimuth_count_is_refused():
+    with pytest.raises(AssemblyError, match="n_azimuth=7"):
+        _CollisionGrid(CollisionQuadrature(3, 2, 3, 7), 1.0, 1.0)
+    with pytest.raises(AssemblyError, match="n_azimuth=5"):
+        _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0,
+                       sigma_quad=CollisionQuadrature(3, 2, 3, 5))
+
+
+def test_asymmetric_center_of_mass_rule_is_refused(monkeypatch):
+    def skewed(n):
+        x, w = roots_hermitenorm(n)
+        return x + 1e-12 * np.arange(n), w
+
+    monkeypatch.setattr(collision, "roots_hermitenorm", skewed)
+    with pytest.raises(AssemblyError, match="mirror-symmetric"):
+        _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
+
+
+def test_unknown_point_label_is_typed(basis_small):
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
+    with pytest.raises(AssemblyError, match="unknown point label"):
+        one_point_integrals(basis_small, grid, "w")
+
+
+def test_raw_asymmetry_raises(basis_small, monkeypatch):
+    exact = collision._pair_sums_and_reductions
+
+    def perturbed(*args):
+        acc, reduced = exact(*args)
+        acc = acc.copy()
+        acc[0, 1] += 1e-9 * np.max(np.abs(acc))
+        return acc, reduced
+
+    monkeypatch.setattr(collision, "_pair_sums_and_reductions", perturbed)
+    with pytest.raises(AssemblyError, match="asymmetry"):
+        assemble_collision(basis_small, use_cache=False)
+
+
 def test_invalid_kernel_parameters():
     with pytest.raises(AssemblyError):
         _CollisionGrid(CollisionQuadrature.for_degree(4), -0.5, 1.0)
@@ -164,6 +280,43 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch, si
     assert np.array_equal(again.matrix, fresh.matrix)
     assert path.read_bytes() == intact
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _old_params(basis):
+    """Cache parameters as written before the reflection fold."""
+    quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
+    return {"kind": "collision", "backend": "boltzmann", "gamma": 0.3, "kernel_c": 1.0,
+            "basis": basis.descriptor(), "quad": quad.descriptor()}
+
+
+def test_unfolded_cache_entry_is_never_read(tmp_path, basis_small, monkeypatch):
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    old = _old_params(basis_small)
+    planted = np.full((basis_small.dim, basis_small.dim), 7.0)
+    old_path = tmp_path / f"L-{key_hash(old)}.vpbc"
+    write_matrix(old_path, {"params": old}, planted)
+    planted_bytes = old_path.read_bytes()
+    op = assemble_collision(basis_small, gamma=0.3)
+    cross = _cross_class_mask(basis_small)
+    assert np.all(op.matrix[cross] == 0.0)
+    assert old_path.read_bytes() == planted_bytes
+    (new_path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
+    header, stored = read_matrix(new_path)
+    assert header["params"] == dict(old, fold="reflection-v1")
+    assert np.array_equal(stored, op.matrix)
+
+
+def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    fresh = assemble_collision(basis_small, gamma=0.3)
+    (path,) = tmp_path.glob("L-*.vpbc")
+    write_matrix(path, {"params": _old_params(basis_small)}, np.full_like(fresh.matrix, 7.0))
+    with pytest.warns(UserWarning, match="rebuilding"):
+        again = assemble_collision(basis_small, gamma=0.3)
+    assert np.array_equal(again.matrix, fresh.matrix)
+    header, stored = read_matrix(path)
+    assert header["params"]["fold"] == "reflection-v1"
+    assert np.all(stored[_cross_class_mask(basis_small)] == 0.0)
 
 
 def test_micro_solve(basis_small):
