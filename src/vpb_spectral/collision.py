@@ -37,11 +37,12 @@ from scipy.special import erf, roots_genlaguerre, roots_hermitenorm, roots_legen
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, BasisError, VPBError
-from .velocity_space import VelocityBasis
+from .velocity_space import ParityClasses, VelocityBasis
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
+_MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
 
 
 @dataclass(frozen=True)
@@ -426,7 +427,11 @@ class CollisionOperator:
 
 
 class _MicroBlocks:
-    """Collision and streaming matrices restricted to the micro subspace."""
+    """Collision and streaming matrices restricted to the micro subspace.
+
+    parity is the basis's ParityClasses carried over to the micro slots:
+    every class loses only the invariants it held.
+    """
 
     def __init__(self, op: CollisionOperator):
         basis = op.basis
@@ -441,7 +446,26 @@ class _MicroBlocks:
             flux[j] = full[self.micro]
         self.flux = flux
         self.dim = basis.dim
-        self.kappa_bar: float | None = None
+        classes = basis.parity_classes
+        position = np.full(basis.dim, -1)
+        position[self.micro] = np.arange(self.micro.size)
+        slots = tuple(position[idx][position[idx] >= 0] for idx in classes.blocks)
+        scale = classes.scale[self.micro]
+        for arr in (scale, *slots):
+            arr.setflags(write=False)
+        self.parity = ParityClasses(scale=scale, blocks=slots)
+
+    @cached_property
+    def kappa_bar(self) -> float:
+        """max_j |f_j . L^-1 f_j| over the flux vectors: the transport-coefficient
+        scale of this backend, which sets how far the coupled roots can drift."""
+        fluxes = np.stack(list(self.flux.values()), axis=1)
+        sols = np.linalg.solve(self.L, fluxes)
+        resid = np.linalg.norm(self.L @ sols - fluxes) / np.linalg.norm(fluxes)
+        if not np.isfinite(resid) or resid > _MICRO_SOLVE_TOL:
+            raise AssemblyError(f"micro collision block solve residual {resid:.2e}; "
+                                "the collision matrix has no spectral gap")
+        return float(np.max(np.abs(np.sum(fluxes * sols, axis=0))))
 
     def embed(self, micro_vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)

@@ -13,20 +13,36 @@ by a velocity rotation for general directions.
 Scaling conventions: the shear root variable equals the eigenvalue itself,
 lam_{2,3} = z(eps*s); the coupled-family roots are rescaled, lam_j = eps*z_j
 for j in {-1, 0, 1}.
+
+Both determinants are built from the micro resolvent entries
+R_jk(beta) = f_k . (L - beta - i y V1)^-1 f_j, y = eps*s, f_j the flux
+vectors.  Scaled by i^(a1 mod 2), the micro block of L - i y V1 is real and
+block-diagonal in (a2, a3 mod 2), and each flux lies in one class: the shear
+determinant needs R_22 from the (odd, even) class, the coupled one R_11,
+R_14, R_41 and R_44 from the (even, even) class.  Per mode each of those two
+blocks is decomposed once, so every Newton, contraction or bisection step
+evaluates its entries as pole sums in O(n).  Each accepted root is then
+certified through one residual-guarded LU of its block, which also yields
+det_residual and the micro part of the branch eigenfunction.  A block
+without the parity structure, or with eigenvectors too ill-conditioned for
+pole sums (POLE_COND_LIMIT), takes one LU of the whole micro block per step
+instead, and its BranchPoints say so (path).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
-from .collision import CollisionOperator
+from .collision import CollisionOperator, _MicroBlocks
 from .errors import AssemblyError, RegimeError
-from .mode_operator import FourierMode, pushforward_from_axis, rotation_to_axis
+from .mode_operator import (FourierMode, _eigen_block, pushforward_from_axis,
+                            real_parity_matrix, rotation_to_axis)
 from .transport import TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import VelocityBasis, bilinear_pair
 
@@ -36,6 +52,9 @@ R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
 _ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver falls back
+# eigenvector condition (1-norm estimate) of a parity block at which its pole
+# sums give way to per-step LU; pole sums lose about log10(cond) digits
+POLE_COND_LIMIT = 1e4
 
 FLUX_INDICES = (1, 2, 4)
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -53,6 +72,7 @@ class BranchPoint:
     psi: np.ndarray
     det_residual: float
     eig_residual: float
+    path: str  # "pole-sum" or "lu": how the determinant's solver steps ran
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,54 +101,89 @@ class AsymptoticCoefficients:
         return out
 
 
-def _kappa_bar(op: CollisionOperator) -> float:
-    """Largest diagonal resolvent entry at the origin: the transport-coefficient
-    scale of this backend, which sets how far the coupled roots can drift."""
-    blocks = op.micro_blocks
-    if blocks.kappa_bar is None:
-        vals, _ = _entries(op, 0.0, 0.0)
-        blocks.kappa_bar = max(abs(vals[(j, j)]) for j in FLUX_INDICES)
-    return blocks.kappa_bar
+class _MicroSystem(NamedTuple):
+    """conj(S) (L - i y V1) S on the micro slots index, with S = diag(scale).
+
+    Either every micro slot with unit scale, or a union of parity classes with
+    their i^(a1 mod 2) scale, on which the matrix is real.  size is the
+    number of micro slots.
+    """
+
+    matrix: np.ndarray
+    index: np.ndarray
+    scale: np.ndarray
+    size: int
+
+
+def _full_system(blocks: _MicroBlocks, y: float) -> _MicroSystem:
+    n = blocks.micro.size
+    return _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
+                        np.arange(n), np.ones(n), n)
+
+
+def _class_system(blocks: _MicroBlocks, real: np.ndarray, vecs) -> _MicroSystem:
+    """The real scaled matrix on the parity classes where any of vecs is nonzero."""
+    parity = blocks.parity
+    index = np.sort(np.concatenate([idx for idx in parity.blocks
+                                    if any(np.any(v[idx]) for v in vecs)]))
+    return _MicroSystem(real[np.ix_(index, index)], index, parity.scale[index],
+                        blocks.micro.size)
 
 
 class _Resolvent:
-    """LU-factored (L - beta - i y V1) on the micro block, with a residual guard."""
+    """LU-factored (A - beta) for one micro system A, with a residual guard.
 
-    def __init__(self, blocks: _MicroBlocks, beta: complex, y: float):
-        a = blocks.L.astype(complex) - 1j * y * blocks.V
+    solve() takes and returns micro-space vectors; a right-hand side must
+    vanish off the system's slots.
+    """
+
+    def __init__(self, system: _MicroSystem, beta: complex):
+        a = system.matrix.astype(complex)
         a[np.diag_indices_from(a)] -= beta
+        self.system = system
         self.a = a
         self.lu = scipy.linalg.lu_factor(a)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.lu_solve(self.lu, rhs)
-        scale = np.linalg.norm(rhs)
+        system = self.system
+        if np.any(np.delete(rhs, system.index)):
+            raise ValueError("right-hand side leaves the slots of the micro system")
+        g = system.scale.conj() * rhs[system.index]
+        x = scipy.linalg.lu_solve(self.lu, g)
+        scale = np.linalg.norm(g)
         if scale > 0:
-            resid = np.linalg.norm(self.a @ x - rhs) / scale
+            resid = np.linalg.norm(self.a @ x - g) / scale
             if not np.isfinite(resid) or resid > _SOLVE_TOL:
                 raise RegimeError(f"micro resolvent solve residual {resid:.2e}; "
                                   "parameter too close to the essential spectrum")
-        return x
+        out = np.zeros(system.size, dtype=complex)
+        out[system.index] = system.scale * x
+        return out
 
 
-def _entries(op: CollisionOperator, beta: complex, y: float,
-             derivative: bool = False) -> tuple[dict, dict | None]:
-    """R_(jk) values (and optionally d/dbeta) at one (beta, y) point.
+def _flux_entries(res: _Resolvent, fluxes: dict,
+                  derivative: bool = False) -> tuple[dict, dict | None]:
+    """R_(jk) values (and optionally d/dbeta) through one factored resolvent.
 
     d/dbeta of the resolvent is its square, so derivative entries cost one
     extra triangular solve each through the same factorization.
     """
-    blocks = op.micro_blocks
-    res = _Resolvent(blocks, beta, y)
-    sols = {j: res.solve(blocks.flux[j]) for j in FLUX_INDICES}
-    vals = {(j, k): complex(sols[j] @ blocks.flux[k])
-            for j in FLUX_INDICES for k in FLUX_INDICES}
+    sols = {j: res.solve(f) for j, f in fluxes.items()}
+    vals = {(j, k): complex(sols[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
     ders = None
     if derivative:
-        sols2 = {j: res.solve(sols[j]) for j in FLUX_INDICES}
-        ders = {(j, k): complex(sols2[j] @ blocks.flux[k])
-                for j in FLUX_INDICES for k in FLUX_INDICES}
+        sols2 = {j: res.solve(sols[j]) for j in fluxes}
+        ders = {(j, k): complex(sols2[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
     return vals, ders
+
+
+def _entries(op: CollisionOperator, beta: complex, y: float,
+             derivative: bool = False) -> tuple[dict, dict | None]:
+    """All R_(jk) at one (beta, y) point through one LU of the whole micro
+    block: the reference the pole sums are tested against."""
+    blocks = op.micro_blocks
+    return _flux_entries(_Resolvent(_full_system(blocks, y), beta),
+                         {j: blocks.flux[j] for j in FLUX_INDICES}, derivative)
 
 
 def resolvent_entry(op: CollisionOperator, j: int, k: int,
@@ -139,24 +194,115 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
     return _entries(op, beta, s)[0][(j, k)]
 
 
+class _Family:
+    """The resolvent entries one determinant needs, at one y = eps*s.
+
+    path "pole-sum": the real parity block holding the determinant's fluxes
+    is decomposed once, B = X diag(mu) X^-1, and every solver step evaluates
+    R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with l_k = X^T S f_k and
+    r_j = X^-1 conj(S) f_j, and its beta-derivative (the same sum over
+    (mu_m - beta)^2) in O(n).  path "lu": every step factors the whole micro
+    block, because the parity structure is missing or the block's
+    eigenvectors are too ill-conditioned (EigenBlock.cond at POLE_COND_LIMIT
+    or more).  On either path certified() evaluates the entries through one
+    residual-guarded LU per root, on the classes that also hold the
+    right-hand sides of the branch eigenfunctions (solves).
+    """
+
+    def __init__(self, blocks: _MicroBlocks, y: float, real: np.ndarray | None,
+                 fluxes: tuple, solves: tuple):
+        self.fluxes = {j: blocks.flux[j] for j in fluxes}
+        self.path = "lu"
+        self._certs: dict = {}
+        if real is not None:
+            poles = _class_system(blocks, real, self.fluxes.values())
+            eb = _eigen_block(poles.index, poles.scale, poles.matrix)
+            if eb.cond < POLE_COND_LIMIT:
+                left = {k: eb.vecs.T @ (eb.scale * f[eb.index]) for k, f in self.fluxes.items()}
+                right = {j: eb.coefficients(eb.scale.conj() * f[eb.index])
+                         for j, f in self.fluxes.items()}
+                self._keys = [(j, k) for j in fluxes for k in fluxes]
+                self._weights = np.array([right[j] * left[k] for j, k in self._keys])
+                self._mu = eb.vals
+                self.system = _class_system(blocks, real, [blocks.flux[j] for j in solves])
+                self.path = "pole-sum"
+                return
+        self.system = _full_system(blocks, y)
+
+    def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
+        """R_jk(beta), and d/dbeta when asked, for one solver step."""
+        if self.path == "lu":
+            return _flux_entries(_Resolvent(self.system, beta), self.fluxes, derivative)
+        w = 1.0 / (self._mu - beta)
+        vals = dict(zip(self._keys, (self._weights @ w).tolist()))
+        ders = dict(zip(self._keys, (self._weights @ (w * w)).tolist())) if derivative else None
+        return vals, ders
+
+    def _cert(self, beta: complex) -> tuple[_Resolvent, dict]:
+        if beta not in self._certs:
+            res = _Resolvent(self.system, beta)
+            self._certs[beta] = (res, _flux_entries(res, self.fluxes)[0])
+        return self._certs[beta]
+
+    def certified(self, beta: complex) -> dict:
+        """R_jk(beta) through the LU at beta, factored once per beta."""
+        return self._cert(beta)[1]
+
+    def resolvent(self, beta: complex) -> _Resolvent:
+        """The residual-guarded LU behind certified(beta)."""
+        return self._cert(beta)[0]
+
+
+class _MicroResolvent:
+    """The micro resolvent of one axis mode at y = eps*s, one family per
+    determinant, each built on first use.  The root solvers and the branch
+    eigenfunctions of one mode share it, so each root is factored once."""
+
+    def __init__(self, op: CollisionOperator, y: float):
+        self.blocks = op.micro_blocks
+        self.y = y
+
+    @cached_property
+    def _real(self) -> np.ndarray | None:
+        blocks = self.blocks
+        return real_parity_matrix(blocks.parity, blocks.L - 1j * self.y * blocks.V)
+
+    @cached_property
+    def shear(self) -> _Family:
+        # the transverse eigenfunctions solve with f_2 and f_3
+        return _Family(self.blocks, self.y, self._real, fluxes=(2,), solves=(2, 3))
+
+    @cached_property
+    def coupled(self) -> _Family:
+        return _Family(self.blocks, self.y, self._real, fluxes=(1, 4), solves=(1, 4))
+
+
+def _micro_for(op: CollisionOperator, w: float,
+               micro: _MicroResolvent | None) -> _MicroResolvent:
+    if micro is None:
+        return _MicroResolvent(op, w)
+    if micro.y != w:
+        raise ValueError(f"micro resolvent built for eps*s = {micro.y}, not {w}")
+    return micro
+
+
 def _require_regime(w: float) -> None:
     if abs(w) > R0_DEFAULT:
         raise RegimeError(f"eps*|xi| = {abs(w):.3f} outside the hydrodynamic ball "
                           f"(r0 = {R0_DEFAULT}); branch construction not valid there")
 
 
-def _eval_shear_det(op: CollisionOperator, z: complex, w: float,
-                    derivative: bool = False) -> tuple[complex, complex | None]:
-    vals, ders = _entries(op, z, w, derivative)
+def _shear_det(z: complex, w: float, vals: dict,
+               ders: dict | None = None) -> tuple[complex, complex | None]:
     val = z - w * w * vals[(2, 2)]
     der = None if ders is None else 1.0 - w * w * ders[(2, 2)]
     return val, der
 
 
-def _eval_coupled_det(op: CollisionOperator, z: complex, s: float, eps: float,
-                      derivative: bool = False) -> tuple[complex, complex | None]:
-    """Cubic determinant of the density/momentum/temperature block."""
-    vals, ders = _entries(op, eps * z, eps * s, derivative)
+def _coupled_det(z: complex, s: float, eps: float, vals: dict,
+                 ders: dict | None = None) -> tuple[complex, complex | None]:
+    """Cubic determinant of the density/momentum/temperature block, from the
+    entries at beta = eps*z (and their beta-derivatives, for d/dz)."""
     r11, r44 = vals[(1, 1)], vals[(4, 4)]
     r14, r41 = vals[(1, 4)], vals[(4, 1)]
     s2 = s * s
@@ -164,7 +310,7 @@ def _eval_coupled_det(op: CollisionOperator, z: complex, s: float, eps: float,
     lin = 1.0 + 5.0 / 3.0 * s2 + 1j * eps * root23 * s2 * s * (r41 + r14) \
         + eps * eps * s2 * s2 * (r44 * r11 - r14 * r41)
     val = z ** 3 - z * z * eps * s2 * (r11 + r44) + z * lin - eps * (s2 + s2 * s2) * r44
-    if not derivative:
+    if ders is None:
         return val, None
     d11, d44 = ders[(1, 1)], ders[(4, 4)]
     d14, d41 = ders[(1, 4)], ders[(4, 1)]
@@ -176,20 +322,25 @@ def _eval_coupled_det(op: CollisionOperator, z: complex, s: float, eps: float,
     return val, der
 
 
-def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
+def solve_D0(op: CollisionOperator, s: float, eps: float,
+             micro: _MicroResolvent | None = None) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
     Newton from 0 with a bracketing fallback on the real line; the root is
-    real and even in s, and both properties are enforced on exit.
+    real and even in s, and both properties are enforced on exit.  The
+    steps run on pole sums (_Family); |D| <= 1e-10 is checked through one LU
+    at the root.  micro lets hydrodynamic_spectrum share the decomposition
+    and that LU; the root does not depend on it.
     """
     w = eps * s
     _require_regime(w)
     if w == 0.0:
         return 0.0j
+    fam = _micro_for(op, w, micro).shear
     z = 0.0j
     converged = False
     for _ in range(_MAX_ITER):
-        val, der = _eval_shear_det(op, z, w, derivative=True)
+        val, der = _shear_det(z, w, *fam.entries(z, derivative=True))
         if not np.isfinite(val) or abs(der) < 1e-14:
             break
         step = val / der
@@ -199,16 +350,20 @@ def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
         if abs(step) < _ROOT_TOL:
             converged = True
             break
-    if not converged or abs(_eval_shear_det(op, z, w)[0]) > 1e-10:
-        z = complex(_bisect_shear(op, w))
+    if converged and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
+        z = complex(z.real)  # certify the root that is returned
+    if not converged or abs(_shear_det(z, w, fam.certified(z))[0]) > 1e-10:
+        z = complex(_bisect_shear(fam, w))
     if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
         raise RegimeError(f"shear root drifted off the real axis: {z:.3e}")
     return complex(z.real)
 
 
-def _bisect_shear(op: CollisionOperator, w: float) -> float:
+def _bisect_shear(fam: _Family, w: float) -> float:
+    import scipy.optimize  # only this fallback path needs it
+
     def f(zr: float) -> float:
-        return _eval_shear_det(op, complex(zr), w)[0].real
+        return _shear_det(complex(zr), w, *fam.entries(complex(zr)))[0].real
 
     hi, fhi = 0.0, f(0.0)
     lo = None
@@ -222,29 +377,37 @@ def _bisect_shear(op: CollisionOperator, w: float) -> float:
     return scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
+def solve_D1(op: CollisionOperator, s: float, eps: float,
+             micro: _MicroResolvent | None = None) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
     Damped Newton from the analytic seeds; on failure, the literal
     contraction iterate from the existence proof, which has the correct
     basin by construction.  Root collision means the regime assumption
-    failed, not that the solver did.
+    failed, not that the solver did.  The steps run on pole sums
+    (_Family); |D| <= 1e-9 is checked through one LU per root.  micro is
+    as in solve_D0.
     """
     _require_regime(eps * s)
     roots: dict[int, complex] = {}
+    fam = None
     for j in (-1, 0, 1):
         eta = branch_frequency(j, s)
         if eps == 0.0:
             roots[j] = eta
             continue
+        if fam is None:
+            fam = _micro_for(op, eps * s, micro).coupled
         # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
         # the certification radius must scale with the backend's coefficient
         # size or large-coefficient backends get rejected inside the ball
-        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * _kappa_bar(op), 1e-12)
-        z = _newton_coupled(op, eta, s, eps, basin)
+        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * op.micro_blocks.kappa_bar, 1e-12)
+        z = _newton_coupled(fam, eta, s, eps, basin)
         if z is None:
-            z = _contraction_coupled(op, eta, s, eps)
-        if z is None or abs(_eval_coupled_det(op, z, s, eps)[0]) > 1e-9:
+            z = _contraction_coupled(fam, eta, s, eps)
+        if z is not None and j == 0 and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
+            z = complex(z.real)  # certify the root that is returned
+        if z is None or abs(_coupled_det(z, s, eps, fam.certified(eps * z))[0]) > 1e-9:
             raise RegimeError(f"coupled-family root for branch {j} did not converge "
                               f"at (s, eps) = ({s:.3g}, {eps:.3g})")
         if abs(z - eta) > max(basin, 1e-9):
@@ -261,10 +424,10 @@ def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
     return roots
 
 
-def _newton_coupled(op, eta, s, eps, basin):
+def _newton_coupled(fam, eta, s, eps, basin):
     z = eta
     for _ in range(_MAX_ITER):
-        val, der = _eval_coupled_det(op, z, s, eps, derivative=True)
+        val, der = _coupled_det(z, s, eps, *fam.entries(eps * z, derivative=True))
         if not np.isfinite(val) or abs(der) < 1e-14:
             return None
         step = val / der
@@ -279,11 +442,11 @@ def _newton_coupled(op, eta, s, eps, basin):
     return None
 
 
-def _contraction_coupled(op, eta, s, eps, max_iter: int = 400):
+def _contraction_coupled(fam, eta, s, eps, max_iter: int = 400):
     denom = 3.0 * eta * eta + 1.0 + 5.0 / 3.0 * s * s
     z = eta
     for _ in range(max_iter):
-        val = _eval_coupled_det(op, z, s, eps)[0]
+        val = _coupled_det(z, s, eps, *fam.entries(eps * z))[0]
         z_new = z - val / denom
         if not np.isfinite(z_new):
             return None
@@ -346,18 +509,18 @@ def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> 
     return complex(f @ g + (f[i0] * g[i0]) / (s * s))
 
 
-def _branch_eigenfunction(op: CollisionOperator, j: int, z: complex,
+def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: complex,
                           s: float, eps: float, h_axis: dict) -> np.ndarray:
-    """Assemble, normalize and sign-align one axis eigenfunction."""
+    """Assemble, normalize and sign-align one axis eigenfunction; the micro
+    parts are solved through the LU that certified the root."""
     basis = op.basis
     blocks = op.micro_blocks
     if j in (2, 3):
-        res = _Resolvent(blocks, z, eps * s)
-        micro = res.solve(blocks.flux[j])
+        micro = fam.resolvent(z).solve(blocks.flux[j])
         psi = basis.chi(j).astype(complex) + 1j * eps * s * blocks.embed(micro)
     else:
         beta = eps * z
-        vals, _ = _entries(op, beta, eps * s)
+        vals = fam.certified(beta)
         root23 = math.sqrt(2.0 / 3.0)
         es2 = eps * s * s
         m = np.array([
@@ -372,8 +535,7 @@ def _branch_eigenfunction(op: CollisionOperator, j: int, z: complex,
         a, b, c = np.conj(vh[-1])
         macro = a * basis.chi(0) + b * basis.chi(1) + c * basis.chi(4)
         rhs_full = basis.micro_project(basis.v_matrices[0] @ macro)
-        res = _Resolvent(blocks, beta, eps * s)
-        micro = res.solve(rhs_full[blocks.micro])
+        micro = fam.resolvent(beta).solve(rhs_full[blocks.micro])
         psi = macro + 1j * eps * s * blocks.embed(micro)
     pair = _axis_pair(basis, s, psi, psi)
     if abs(pair) < 1e-6:
@@ -398,8 +560,9 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     basis = op.basis
     h_axis = limit_vectors(basis, s, AXIS)
 
-    shear_z = solve_D0(op, s, eps)
-    coupled = solve_D1(op, s, eps)
+    micro = _MicroResolvent(op, eps * s)
+    shear_z = solve_D0(op, s, eps, micro)
+    coupled = solve_D1(op, s, eps, micro)
 
     on_axis = abs(mode.direction @ AXIS - 1.0) < 1e-14
     push = None if on_axis else pushforward_from_axis(basis, mode.direction)
@@ -407,14 +570,16 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     points = []
     for j in (-1, 0, 1, 2, 3):
         if j in (2, 3):
+            fam = micro.shear
             z = shear_z
             lam = complex(z)
-            det_res = abs(_eval_shear_det(op, z, eps * s)[0])
+            det_res = abs(_shear_det(z, eps * s, fam.certified(z))[0])
         else:
+            fam = micro.coupled
             z = coupled[j]
             lam = eps * z
-            det_res = abs(_eval_coupled_det(op, z, s, eps)[0])
-        psi = _branch_eigenfunction(op, j, z, s, eps, h_axis)
+            det_res = abs(_coupled_det(z, s, eps, fam.certified(eps * z))[0])
+        psi = _branch_eigenfunction(op, fam, j, z, s, eps, h_axis)
         if push is not None:
             psi = push @ psi
         scale = mode.norm(psi)
@@ -423,7 +588,8 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
             raise RegimeError(f"branch {j} eigenpair residual {eig_res:.2e}; "
                               "determinant root does not match the mode operator")
         points.append(BranchPoint(branch=j, s=s, eps=eps, lam=lam, z=complex(z),
-                                  psi=psi, det_residual=det_res, eig_residual=eig_res))
+                                  psi=psi, det_residual=det_res, eig_residual=eig_res,
+                                  path=fam.path))
     return points
 
 
@@ -435,6 +601,8 @@ def dense_comparison(mode: FourierMode, points: list[BranchPoint],
     the largest real part outside the strip, which must stay below the
     negative threshold for the splitting to make sense.
     """
+    import scipy.optimize  # only this check needs it
+
     vals = mode.eigensystem()[0]
     gap = mode.collision.spectral_gap()
     keep = np.where(vals.real > -fraction * gap)[0]

@@ -18,31 +18,36 @@ makes B real, and the real matrix is block-diagonal in (a2 mod 2, a3 mod 2),
 because the collision operator commutes with every coordinate reflection.
 FourierMode.eigen_blocks() decomposes those four real blocks separately; the
 dense complex decomposition serves off-axis modes and is the reference.
+real_parity_matrix is the structure check behind it, which dispersion applies
+to the micro block as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .collision import CollisionOperator
 from .errors import BasisError, RegimeError
-from .velocity_space import VelocityBasis, bilinear_pair, weighted_inner
+from .velocity_space import ParityClasses, VelocityBasis, bilinear_pair, weighted_inner
 
 
 STRUCTURE_TOL = 1e-13  # parity-block check, relative to max|B|
 
 
-class EigenBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class EigenBlock:
     """Eigenpairs of one diagonal block of the scaled mode matrix.
 
-    index lists the basis slots of the block and scale the parity scale on
-    them; the mode matrix's eigenvectors are scale[:, None] * vecs on those
-    slots and zero elsewhere.  All arrays are read-only.
+    index lists the basis slots of the block (micro slots, for the blocks
+    dispersion decomposes) and scale the parity scale on them; the mode
+    matrix's eigenvectors are scale[:, None] * vecs on those slots and zero
+    elsewhere.  All arrays are read-only.  The LU factors of vecs, which cond
+    and coefficients share, are computed on first use.
     """
 
     index: np.ndarray
@@ -50,12 +55,50 @@ class EigenBlock(NamedTuple):
     vals: np.ndarray
     vecs: np.ndarray
 
+    @cached_property
+    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
+        vecs = self.vecs.astype(complex)
+        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (vecs,))
+        lu, piv, _ = getrf(vecs, overwrite_a=True)
+        return lu, piv
+
+    @cached_property
+    def cond(self) -> float:
+        """1-norm condition number of vecs, estimated from its LU factors by
+        LAPACK ?gecon; inf when vecs is singular or not finite."""
+        lu, _ = self._lu
+        gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
+        anorm = float(np.max(np.sum(np.abs(self.vecs), axis=0)))
+        rcond, _ = gecon(lu, anorm, norm="1")
+        return 1.0 / rcond if rcond > 0.0 else math.inf
+
+    def coefficients(self, g: np.ndarray) -> np.ndarray:
+        """c with vecs @ c = g, through the LU factors of vecs."""
+        lu, piv = self._lu
+        getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+        return getrs(lu, piv, np.asarray(g, dtype=complex))[0]
+
 
 def _eigen_block(index: np.ndarray, scale: np.ndarray, block: np.ndarray) -> EigenBlock:
     vals, vecs = scipy.linalg.eig(block)
     for arr in (index, scale, vals, vecs):
         arr.setflags(write=False)
     return EigenBlock(index, scale, vals, vecs)
+
+
+def real_parity_matrix(classes: ParityClasses, matrix: np.ndarray) -> np.ndarray | None:
+    """conj(scale)[:, None] * matrix * scale[None, :] as a real matrix, when it
+    is real and block-diagonal in the classes: imaginary part and entries
+    between classes at most STRUCTURE_TOL times its largest entry.  None
+    when it is not."""
+    scaled = classes.scale.conj()[:, None] * matrix * classes.scale[None, :]
+    tol = STRUCTURE_TOL * np.max(np.abs(scaled))
+    cross = np.abs(scaled)
+    for idx in classes.blocks:
+        cross[np.ix_(idx, idx)] = 0.0
+    if np.max(np.abs(scaled.imag)) <= tol and np.max(cross) <= tol:
+        return scaled.real
+    return None
 
 
 def _normalize_xi(xi) -> tuple[float, np.ndarray]:
@@ -115,14 +158,9 @@ class FourierMode:
     def _blocks(self) -> tuple[EigenBlock, ...]:
         classes = self.basis.parity_classes
         if not np.any(self.direction[1:]):
-            scaled = classes.scale.conj()[:, None] * self.matrix * classes.scale[None, :]
-            tol = STRUCTURE_TOL * np.max(np.abs(scaled))
-            cross = np.abs(scaled)
-            for idx in classes.blocks:
-                cross[np.ix_(idx, idx)] = 0.0
-            if np.max(np.abs(scaled.imag)) <= tol and np.max(cross) <= tol:
-                return tuple(_eigen_block(idx, classes.scale[idx],
-                                          scaled.real[np.ix_(idx, idx)])
+            real = real_parity_matrix(classes, self.matrix)
+            if real is not None:
+                return tuple(_eigen_block(idx, classes.scale[idx], real[np.ix_(idx, idx)])
                              for idx in classes.blocks)
         return (_eigen_block(np.arange(self.basis.dim), np.ones(self.basis.dim),
                              self.matrix),)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
 
 from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
@@ -95,6 +94,8 @@ def hydrodynamic_projector(mode: FourierMode,
 
 def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Radau integration of the mode ODE, real-stacked; the independent path."""
+    import scipy.integrate  # only this fallback and oracle path needs it
+
     a = mode.matrix / mode.eps ** 2
     n = a.shape[0]
     big = np.block([[a.real, -a.imag], [a.imag, a.real]])
@@ -127,9 +128,9 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
 
     Primary path: the mode's eigen_blocks(), solved block by block and only
     in blocks where f0 is nonzero.  If any of those blocks has an eigenvector
-    basis too ill-conditioned to trust (condition number COND_LIMIT or
-    more), the trajectory is integrated instead and flagged by
-    method = "ode".  With oracle=True both paths run and the largest
+    basis too ill-conditioned to trust (EigenBlock.cond, a 1-norm estimate,
+    at COND_LIMIT or more), the trajectory is integrated instead and flagged
+    by method = "ode".  With oracle=True both paths run and the largest
     weighted discrepancy is recorded.
     """
     times = np.asarray(times, dtype=float)
@@ -145,12 +146,11 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
         g0 = f0[block.index] * block.scale.conj()
         if not np.any(g0):
             continue
-        cond = np.linalg.cond(block.vecs)
-        if not (np.isfinite(cond) and cond < COND_LIMIT):
+        if block.cond >= COND_LIMIT:
             method = "ode"
             states = _ode_states(mode, f0, times)
             break
-        c = np.linalg.solve(block.vecs, g0)
+        c = block.coefficients(g0)
         phases = np.exp(np.outer(times, block.vals) / mode.eps ** 2)
         states[:, block.index] = block.scale * (phases * c[None, :] @ block.vecs.T)
 

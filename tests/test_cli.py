@@ -308,6 +308,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith(".json")
 
+    def test_import_leaves_fallback_modules_out(self):
+        # scipy.optimize and scipy.integrate serve fallback, oracle and check
+        # paths only; importing them costs every command about 0.3 s
+        src = str(Path(vpb_spectral.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, vpb_spectral.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_subcommand_listing(self):
         assert SUBCOMMANDS == ("check", "spectrum", "dispersion", "transport",
                                "semigroup", "converge")

@@ -9,11 +9,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
+from vpb_spectral import dispersion
 from vpb_spectral.collision import assemble_collision
 from vpb_spectral.dispersion import (
+    FLUX_INDICES,
+    R0_DEFAULT,
+    R1_DEFAULT,
     BranchPoint,
+    _entries,
+    _MicroResolvent,
     asymptotic_coefficients,
     dense_comparison,
     eigenfunction_expansion_check,
@@ -68,6 +75,13 @@ class TestResolventEntries:
         a = resolvent_entry(op_mid, 1, 4, beta, y)
         b = resolvent_entry(op_mid, 4, 1, beta, y)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_kappa_bar_is_the_largest_origin_entry(self, op_mid):
+        vals = _entries(op_mid, 0.0, 0.0)[0]
+        blocks = op_mid.micro_blocks
+        assert blocks.kappa_bar == pytest.approx(
+            max(abs(vals[(j, j)]) for j in FLUX_INDICES), rel=1e-12)
+        assert blocks.kappa_bar is blocks.kappa_bar
 
     def test_invalid_indices(self, op_mid):
         with pytest.raises(ValueError):
@@ -139,6 +153,88 @@ class TestCoupledDeterminant:
     def test_regime_guard(self, op_mid):
         with pytest.raises(RegimeError):
             solve_D1(op_mid, 2.0, 0.2)
+
+
+AXIS_OPERATORS = ("synthetic-4", "synthetic-6", "hard-sphere-4")
+FAMILY_KEYS = {"shear": ((2, 2),), "coupled": ((1, 1), (1, 4), (4, 1), (4, 4))}
+
+
+class TestPoleSums:
+    @pytest.mark.parametrize("name", AXIS_OPERATORS)
+    @given(y=st.floats(-R0_DEFAULT, R0_DEFAULT, exclude_min=True),
+           re=st.floats(-R1_DEFAULT, R1_DEFAULT), im=st.floats(-1.2, 1.2))
+    def test_entries_match_lu(self, axis_operators, name, y, re, im):
+        # the root basins: real shear steps near 0 and coupled steps at
+        # beta = eps*z near eps*eta_j, |eta_+-1| <= sqrt(1 + 5/3 R0^2 / eps^2)
+        op = axis_operators[name]
+        micro = _MicroResolvent(op, y)
+        for beta in (complex(re), complex(re, im)):
+            ref_vals, ref_ders = _entries(op, beta, y, derivative=True)
+            for family, keys in FAMILY_KEYS.items():
+                fam = getattr(micro, family)
+                assert fam.path == "pole-sum"
+                vals, ders = fam.entries(beta, derivative=True)
+                for got, ref in ((vals, ref_vals), (ders, ref_ders)):
+                    scale = max(abs(ref[k]) for k in keys)
+                    for k in keys:
+                        assert abs(got[k] - ref[k]) <= 1e-12 * scale, (family, k)
+
+    def test_certified_entries_are_the_lu_entries(self, op_mid):
+        micro = _MicroResolvent(op_mid, 0.12)
+        beta = -0.01 + 0.3j
+        ref = _entries(op_mid, beta, 0.12)[0]
+        for family, keys in FAMILY_KEYS.items():
+            got = getattr(micro, family).certified(beta)
+            for k in keys:
+                assert got[k] == pytest.approx(ref[k], rel=1e-13)
+
+    def test_block_resolvent_refuses_foreign_rhs(self, op_mid):
+        # f_3 lies in the (even, odd) class, outside the coupled block
+        res = _MicroResolvent(op_mid, 0.1).coupled.resolvent(0.05j)
+        with pytest.raises(ValueError):
+            res.solve(op_mid.micro_blocks.flux[3])
+
+    def test_wrong_y_is_refused(self, op_mid):
+        with pytest.raises(ValueError):
+            solve_D0(op_mid, 0.5, 0.2, _MicroResolvent(op_mid, 0.2))
+
+    def test_tiny_cond_limit_takes_the_lu_path(self, hard_sphere_prod, monkeypatch):
+        mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
+        poles = hydrodynamic_spectrum(mode)
+        monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", 1.0)
+        lus = hydrodynamic_spectrum(mode)
+        assert [p.path for p in poles] == ["pole-sum"] * 5
+        assert [p.path for p in lus] == ["lu"] * 5
+        for p, q in zip(poles, lus):
+            assert p.lam == pytest.approx(q.lam, rel=1e-12, abs=1e-15)
+            assert q.det_residual <= 1e-10 and q.eig_residual <= 1e-8
+
+    def test_broken_structure_takes_the_lu_path(self, op_mid):
+        blocks = op_mid.micro_blocks
+        i, k = (blocks.micro[blocks.parity.blocks[c][0]] for c in (0, 2))
+        mat = np.array(op_mid.matrix)
+        mat[i, k] += 1e-9
+        mat[k, i] += 1e-9
+        mat.setflags(write=False)
+        broken = dataclasses.replace(op_mid, matrix=mat)
+        points = hydrodynamic_spectrum(mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0])))
+        assert [p.path for p in points] == ["lu"] * 5
+        assert max(p.eig_residual for p in points) <= 1e-8
+
+    def test_one_factorization_per_root(self, hard_sphere_prod, monkeypatch):
+        # the resolvent is factored once per accepted root (one shear, three
+        # coupled); the eigenvector factors of each block are part of its
+        # decomposition and are not lu_factor calls
+        calls = {"eig": 0, "lu_factor": 0}
+        for fn in calls:
+            orig = getattr(scipy.linalg, fn)
+
+            def spy(*args, _fn=fn, _orig=orig, **kwargs):
+                calls[_fn] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, fn, spy)
+        hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
+        assert calls["eig"] <= 2 and calls["lu_factor"] <= 4, calls
 
 
 class TestHydrodynamicSpectrum:

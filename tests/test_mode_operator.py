@@ -9,6 +9,7 @@ from vpb_spectral import build_basis
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.errors import BasisError, RegimeError
 from vpb_spectral.mode_operator import (
+    EigenBlock,
     compose_rotation,
     mode_operator,
     pushforward_from_axis,
@@ -195,6 +196,26 @@ def test_hard_sphere_axis_mode_blocks_are_exact(axis_operators, hard_sphere_prod
     assert np.max(np.abs(scaled.imag)) == 0.0
     assert np.max(cross) == 0.0
     assert len(mode.eigen_blocks()) == 4
+
+
+@pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
+def test_block_cond_and_coefficients_come_from_one_lu(axis_operators, name):
+    mode = mode_operator(axis_operators[name], 0.1, 0.4)
+    rng = np.random.default_rng(3)
+    for block in mode.eigen_blocks():
+        # ?gecon estimates the 1-norm condition number from below, within a
+        # small factor in practice
+        exact = np.linalg.cond(block.vecs, 1)
+        assert exact / 3.0 <= block.cond <= exact * (1.0 + 1e-12)
+        g = rng.standard_normal(block.vals.size) + 1j * rng.standard_normal(block.vals.size)
+        c = block.coefficients(g)
+        assert np.max(np.abs(c - np.linalg.solve(block.vecs, g))) <= 1e-12 * np.max(np.abs(c))
+
+
+def test_singular_eigenvectors_have_infinite_cond():
+    vecs = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    block = EigenBlock(np.arange(2), np.ones(2), np.zeros(2, dtype=complex), vecs)
+    assert block.cond == np.inf
 
 
 def test_tilted_mode_is_one_dense_block(op4):
