@@ -3,8 +3,10 @@
 Per-mode matrices have a few dozen to a few hundred rows; at that size
 OpenBLAS threads cost far more in synchronisation than they save.  The
 one_blas_thread() block pins every loaded OpenBLAS to one thread and gives
-each its previous count back on exit, so collision assembly (which does gain
-from threads) keeps whatever the user configured.  Libraries are found in
+each its previous count back on exit, so collision assembly and transport
+keep whatever the user configured.  They are left alone because they are not
+per-mode work, not because threads help them: on 2 vCPUs hard-sphere
+assembly is no faster on two threads than on one.  Libraries are found in
 /proc/self/maps and driven through ctypes; where none is found (another BLAS
 vendor, a system without /proc) the block runs unchanged.
 """

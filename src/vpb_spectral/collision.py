@@ -23,6 +23,14 @@ node per orbit (the closed positive octant, weighted by the orbit size) and
 only within the eight (a1, a2, a3 mod 2) classes; the entries between
 classes are exact zeros.  The bilinear form and the one-point integrals have
 no such invariance and run on the full grid.
+
+The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
+which is unchanged when the particles swap, u -> -u on the sphere.  Each
+sphere rule holds every node's antipode at the same weight, so the sums of S
+(the Dirichlet matrix and the sigma-reduced sums of the bilinear form) run
+over one node per antipodal pair at twice its weight.  The collision
+frequency, the bilinear form's pre-collisional product and the one-point
+integrals are not exchange-invariant and keep the whole sphere.
 """
 
 from __future__ import annotations
@@ -105,11 +113,32 @@ def _sphere_rule(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _exchange_fold(nodes: np.ndarray, weights: np.ndarray, n_azimuth: int,
+                   rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """One node per antipodal pair of a _sphere_rule grid, at twice its weight.
+
+    Node (i, k) has its antipode at (n_polar-1-i, k+n_azimuth/2); the nodes
+    with k < n_azimuth/2 are kept once that is checked.
+    """
+    half = n_azimuth // 2
+    grid_x = nodes.reshape(-1, n_azimuth, 3)
+    grid_w = weights.reshape(-1, n_azimuth)
+    keep_x, keep_w = grid_x[:, :half], grid_w[:, :half]
+    gap = max(float(np.max(np.abs(keep_x + grid_x[::-1, half:]))),
+              float(np.max(np.abs(keep_w - grid_w[::-1, half:]))))
+    if gap > _MIRROR_TOL:
+        raise AssemblyError(f"{rule} sphere rule is not antipodally symmetric (mismatch "
+                            f"{gap:.1e}); the exchange fold of the collision sums needs it")
+    return keep_x.reshape(-1, 3), 2.0 * keep_w.ravel()
+
+
 class _CollisionGrid:
     """Factorized quadrature grid for the collision integral.
 
     folded_com holds the center-of-mass nodes in the closed positive octant,
-    each weighted by its orbit size 2^(number of nonzero coordinates).
+    each weighted by its orbit size 2^(number of nonzero coordinates);
+    folded_eta and folded_sigma hold one sphere node per antipodal pair, each
+    weighted twice.
     """
 
     def __init__(self, quad: CollisionQuadrature, gamma: float, kernel_c: float,
@@ -137,8 +166,10 @@ class _CollisionGrid:
         self.rho_w = wt * 2.0 ** ((1.0 + gamma) / 2.0)
 
         self.eta, self.eta_w = _sphere_rule(quad.n_polar, quad.n_azimuth)
+        self.folded_eta = _exchange_fold(self.eta, self.eta_w, quad.n_azimuth, "eta")
         sq = sigma_quad if sigma_quad is not None else quad
         self.sigma, self.sigma_w = _sphere_rule(sq.n_polar, sq.n_azimuth)
+        self.folded_sigma = _exchange_fold(self.sigma, self.sigma_w, sq.n_azimuth, "sigma")
         self.same_spheres = sigma_quad is None
 
         self.prefactor = kernel_c * 2.0 ** (gamma / 2.0) / 2.0 * _TWO_PI ** (-1.5)
@@ -197,11 +228,11 @@ def _unsort(mat: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
-                              unit: np.ndarray, unit_w: np.ndarray):
+                              unit: np.ndarray, unit_w: np.ndarray,
+                              order: np.ndarray, ranges: list[slice]):
     """Accumulate A = S^T W S within the classes over the folded (com, rho,
     sphere) grid and the sphere-reduced sums a[dim, (com, rho)], with
-    S = P(v) + P(v_*); both in sorted-slot order."""
-    order, ranges = _class_order(basis)
+    S = P(v) + P(v_*); both in the sorted-slot order of _class_order."""
     com_nodes, com_w = grid.folded_com
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
@@ -209,9 +240,8 @@ def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
     acc = np.zeros((basis.dim, basis.dim))
     for blk in _chunk_blocks(com_nodes.shape[0], n_rho * n_sphere):
         v, v_star = _pair_points(com_nodes[blk], grid.rho, unit)
-        s_vals = basis.poly_values(v)
-        s_vals += basis.poly_values(v_star)
-        rows = s_vals.T[order]
+        rows = basis.poly_rows(v, order)
+        rows += basis.poly_rows(v_star, order)
         _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, unit_w),
                             ranges)
         a_red[:, blk.start * n_rho:blk.stop * n_rho] = (
@@ -225,12 +255,12 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
     The raw sum is symmetric up to roundoff; a larger asymmetry means a
     broken sum and raises before the result is symmetrized.
     """
-    a1, a_red = _pair_sums_and_reductions(basis, grid, grid.eta, grid.eta_w)
+    order, ranges = _class_order(basis)
+    a1, a_red = _pair_sums_and_reductions(basis, grid, *grid.folded_eta, order, ranges)
     if grid.same_spheres:
         a2, b_red = a1, a_red
     else:
-        a2, b_red = _pair_sums_and_reductions(basis, grid, grid.sigma, grid.sigma_w)
-    order, ranges = _class_order(basis)
+        a2, b_red = _pair_sums_and_reductions(basis, grid, *grid.folded_sigma, order, ranges)
     w_com_rho = (grid.folded_com[1][:, None] * grid.rho_w[None, :]).ravel()
     cross = np.zeros((basis.dim, basis.dim))
     _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
@@ -250,7 +280,6 @@ def nu_hard_sphere(speed, kernel_c: float = 1.0):
     nu(v) = 2 pi C * E|v - Z|, Z standard Gaussian; nu(0) = 4 C sqrt(2 pi).
     """
     r = np.asarray(speed, dtype=float)
-    out = np.empty_like(r)
     small = r < 1e-8
     rs = np.where(small, 1.0, r)
     out = (np.sqrt(2.0 / np.pi) * np.exp(-(rs ** 2) / 2.0)
@@ -272,7 +301,7 @@ def collision_frequency_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np
     sigma_total = float(np.sum(grid.sigma_w))
     for blk in _chunk_blocks(com_nodes.shape[0], grid.rho.size * grid.eta.shape[0]):
         v, _ = _pair_points(com_nodes[blk], grid.rho, grid.eta)
-        rows = basis.poly_values(v).T[order]
+        rows = basis.poly_rows(v, order)
         _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, grid.eta_w),
                             ranges)
     return _unsort(grid.prefactor * sigma_total * acc, order)
@@ -320,17 +349,15 @@ class GammaEvaluator:
         self.grid = _CollisionGrid(self.quad, gamma, kernel_c)
         g = self.grid
         n_rho = g.rho.size
-        # sigma-reduced post-collisional sums b[(com, rho), alpha]
-        self._b_primed = np.zeros((g.com_nodes.shape[0] * n_rho, basis.dim))
-        for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * g.sigma.shape[0]):
-            com = g.com_nodes[blk]
-            vp, vps = _pair_points(com, g.rho, g.sigma)
-            s_vals = basis.poly_values(vp)
-            s_vals += basis.poly_values(vps)
-            by_sphere = s_vals.reshape(com.shape[0] * n_rho, g.sigma.shape[0], basis.dim)
-            start = blk.start * n_rho
-            self._b_primed[start:start + com.shape[0] * n_rho] = np.einsum(
-                "qsd,s->qd", by_sphere, g.sigma_w)
+        sigma, sigma_w = g.folded_sigma
+        # sigma-reduced post-collisional sums b[alpha, (com, rho)], exchange-folded
+        self._b_primed = np.zeros((basis.dim, g.com_nodes.shape[0] * n_rho))
+        for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * sigma.shape[0]):
+            vp, vps = _pair_points(g.com_nodes[blk], g.rho, sigma)
+            rows = basis.poly_rows(vp)
+            rows += basis.poly_rows(vps)
+            self._b_primed[:, blk.start * n_rho:blk.stop * n_rho] = (
+                rows.reshape(basis.dim, -1, sigma.shape[0]) @ sigma_w)
         self._w_com_rho = (g.com_w[:, None] * g.rho_w[None, :]).ravel()
 
     def form_many(self, pairs) -> np.ndarray:
@@ -358,7 +385,7 @@ class GammaEvaluator:
                 "qsp,s->qp", x.reshape(com.shape[0] * n_rho, n_sphere, npairs), g.eta_w)
         sigma_total = float(np.sum(g.sigma_w))
         term_local *= sigma_total
-        term_cross = self._b_primed.T @ (self._w_com_rho[:, None] * c_red)
+        term_cross = self._b_primed @ (self._w_com_rho[:, None] * c_red)
         out = 0.5 * g.prefactor * (term_cross - term_local)
         return out.T
 
@@ -495,8 +522,8 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
     refining it changes nothing but roundoff.  Matrices are cached on disk
     under VPB_SPECTRAL_CACHE keyed by every assembly parameter, the
-    reflection fold included, so entries summed on the unfolded grid are
-    never read.
+    reflection and exchange folds included, so entries summed another way
+    are never read.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
@@ -507,7 +534,7 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
         "kernel_c": kernel_c,
         "basis": basis.descriptor(),
         "quad": quad.descriptor(),
-        "fold": "reflection-v1",
+        "fold": "reflection-exchange-v1",
     }
     root = _cache.cache_dir() if use_cache else None
     path = None

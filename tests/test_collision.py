@@ -19,7 +19,9 @@ from vpb_spectral.collision import (
     synthetic_collision,
 )
 from vpb_spectral.errors import AssemblyError, VPBError
-from vpb_spectral.velocity_space import hermite_polynomial_table
+from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
+
+_FOLD_TAG = "reflection-exchange-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -182,6 +184,69 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
         assert np.all(folded[cross] == 0.0)
 
 
+def test_dirichlet_sums_evaluate_half_the_sphere(monkeypatch):
+    # deg 6, shared spheres: 64 octant com nodes x 4 radii x 49 of 98 sphere
+    # nodes, at v and at v_star; the whole sphere would take 50,176 points
+    basis = build_basis(6)
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
+    kernel = VelocityBasis.poly_rows
+    counted = []
+
+    def spy(self, points, order=None):
+        counted.append(len(points))
+        return kernel(self, points, order)
+
+    monkeypatch.setattr(VelocityBasis, "poly_rows", spy)
+    _dirichlet_matrix(basis, grid)
+    assert sum(counted) == 25_088
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_b_primed_matches_full_sphere_reference(degree):
+    basis = build_basis(degree)
+    ge = GammaEvaluator(basis, 1.0, 1.0)
+    g = ge.grid
+    ref = []
+    for com in g.com_nodes:
+        shift = g.rho[:, None, None] * g.sigma[None, :, :]
+        vp = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
+        vps = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
+        s_vals = basis.poly_values(vp) + basis.poly_values(vps)
+        ref.append(np.einsum("rsd,s->dr", s_vals.reshape(g.rho.size, -1, basis.dim), g.sigma_w))
+    ref = np.concatenate(ref, axis=1)
+    assert ge._b_primed.shape == ref.shape
+    assert np.max(np.abs(ge._b_primed - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("node_skew, weight_skew", [(1e-12, 0.0), (0.0, 1e-12)])
+def test_skewed_antipode_is_refused(monkeypatch, node_skew, weight_skew):
+    exact = collision._sphere_rule
+
+    def skewed(n_polar, n_azimuth):
+        # the last node is the antipode of a kept one
+        nodes, weights = exact(n_polar, n_azimuth)
+        nodes[-1, 0] += node_skew
+        weights[-1] += weight_skew
+        return nodes, weights
+
+    monkeypatch.setattr(collision, "_sphere_rule", skewed)
+    with pytest.raises(AssemblyError, match="eta sphere rule is not antipodally symmetric"):
+        _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
+
+
+def test_exchange_fold_keeps_one_node_per_antipodal_pair():
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0,
+                          sigma_quad=_INDEPENDENT_SIGMA)
+    for (nodes, weights), full, full_w in ((grid.folded_eta, grid.eta, grid.eta_w),
+                                           (grid.folded_sigma, grid.sigma, grid.sigma_w)):
+        assert 2 * len(nodes) == len(full)
+        assert weights.sum() == pytest.approx(full_w.sum(), rel=1e-14)
+        both = np.concatenate([nodes, -nodes])
+        # every full-sphere node is a kept node or the antipode of one
+        gaps = np.min(np.max(np.abs(full[:, None, :] - both[None, :, :]), axis=-1), axis=1)
+        assert np.max(gaps) <= 1e-14
+
+
 @pytest.mark.parametrize("n_gauss", [1, 4, 7])
 def test_folded_com_rule(n_gauss):
     grid = _CollisionGrid(CollisionQuadrature(n_gauss, 2, 3, 4), 1.0, 1.0)
@@ -302,8 +367,28 @@ def test_unfolded_cache_entry_is_never_read(tmp_path, basis_small, monkeypatch):
     assert old_path.read_bytes() == planted_bytes
     (new_path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
     header, stored = read_matrix(new_path)
-    assert header["params"] == dict(old, fold="reflection-v1")
+    assert header["params"] == dict(old, fold=_FOLD_TAG)
     assert np.array_equal(stored, op.matrix)
+
+
+def test_reflection_only_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator summed before the exchange fold, under its own name and under the new one
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    old = dict(_old_params(basis_small), fold="reflection-v1")
+    old_path = tmp_path / f"L-{key_hash(old)}.vpbc"
+    write_matrix(old_path, {"params": old}, np.full((basis_small.dim, basis_small.dim), 7.0))
+    planted_bytes = old_path.read_bytes()
+    fresh = assemble_collision(basis_small, gamma=0.3)
+    assert np.all(fresh.matrix != 7.0)
+    assert old_path.read_bytes() == planted_bytes
+    (path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
+    write_matrix(path, {"params": old}, np.full_like(fresh.matrix, 7.0))
+    with pytest.warns(UserWarning, match="rebuilding"):
+        again = assemble_collision(basis_small, gamma=0.3)
+    assert np.array_equal(again.matrix, fresh.matrix)
+    header, stored = read_matrix(path)
+    assert header["params"] == dict(old, fold=_FOLD_TAG)
+    assert np.array_equal(stored, fresh.matrix)
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):
@@ -315,7 +400,7 @@ def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkey
         again = assemble_collision(basis_small, gamma=0.3)
     assert np.array_equal(again.matrix, fresh.matrix)
     header, stored = read_matrix(path)
-    assert header["params"]["fold"] == "reflection-v1"
+    assert header["params"]["fold"] == _FOLD_TAG
     assert np.all(stored[_cross_class_mask(basis_small)] == 0.0)
 
 
