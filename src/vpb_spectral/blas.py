@@ -8,7 +8,11 @@ keep whatever the user configured.  They are left alone because they are not
 per-mode work, not because threads help them: on 2 vCPUs hard-sphere
 assembly is no faster on two threads than on one.  Libraries are found in
 /proc/self/maps and driven through ctypes; where none is found (another BLAS
-vendor, a system without /proc) the block runs unchanged.
+vendor, a system without /proc) the block runs unchanged.  The benchmark
+paths run on numpy alone and load only numpy's OpenBLAS.  scipy's own copy
+is loaded when a fallback, oracle or check path first imports scipy, which
+can happen inside a block; the stiff ODE fallback, the one such path that
+does BLAS work, therefore pins again around its solve.
 """
 
 from __future__ import annotations

@@ -35,13 +35,14 @@ integrals are not exchange-invariant and keep the whole sphere.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import gamma as gamma_fn
 
 import numpy as np
-from scipy.special import erf, roots_genlaguerre, roots_hermitenorm, roots_legendre
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, BasisError, VPBError
@@ -51,6 +52,7 @@ _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
+_FOLD_TAG = "reflection-exchange-numpy-rules-v1"  # folds and factor rules behind a cached matrix
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,36 @@ class CollisionQuadrature:
         }
 
 
+def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_m^(alpha)(x), as binom(m + alpha, m) times the recurrence for
+    L_m^(alpha) / L_m^(alpha)(0)."""
+    if m == 0:
+        return np.ones_like(x)
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, m):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        p = d + p
+    return math.prod((i + alpha) / i for i in range(1, m + 1)) * p
+
+
+def genlaggauss(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight x^alpha e^(-x) on (0, inf).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre recurrence, polished by one Newton step; the weights are
+    1 / (L_(n-1)(x) L_n'(x)), scaled to the total Gamma(alpha + 1).
+    """
+    k = np.arange(n, dtype=float)
+    off = -np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
+    dy = (n * _genlaguerre(n, alpha, x) - (n + alpha) * _genlaguerre(n - 1, alpha, x)) / x
+    x = x - _genlaguerre(n, alpha, x) / dy
+    w = 1.0 / (_genlaguerre(n - 1, alpha, x) * dy)
+    return x, w * (math.gamma(alpha + 1.0) / w.sum())
+
+
 def _check_mirror(x: np.ndarray, w: np.ndarray, rule: str) -> None:
     """The reflection fold needs every 1-d factor rule symmetric about 0."""
     gap = max(float(np.max(np.abs(x + x[::-1]))), float(np.max(np.abs(w - w[::-1]))))
@@ -101,7 +133,7 @@ def _sphere_rule(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
     if n_azimuth % 2:
         raise AssemblyError(f"n_azimuth={n_azimuth} is odd; the azimuthal rule is "
                             "mirror-symmetric in v1 only for an even node count")
-    cos_t, w_t = roots_legendre(n_polar)
+    cos_t, w_t = leggauss(n_polar)
     _check_mirror(cos_t, w_t, "Gauss-Legendre polar")
     sin_t = np.sqrt(1.0 - cos_t ** 2)
     phi = _TWO_PI * (np.arange(n_azimuth) + 0.5) / n_azimuth
@@ -151,7 +183,7 @@ class _CollisionGrid:
         self.gamma = gamma
         self.kernel_c = kernel_c
 
-        x, w = roots_hermitenorm(quad.n_gauss)
+        x, w = hermegauss(quad.n_gauss)
         w = w / np.sqrt(_TWO_PI)
         _check_mirror(x, w, "Gauss-Hermite center-of-mass")
         self.com_nodes, self.com_w = _product_rule(x, w)
@@ -161,7 +193,7 @@ class _CollisionGrid:
         self.folded_com = _product_rule(x[half:], fold_w)
 
         # relative speed rho: Int rho^(2+gamma) e^(-rho^2/2) f(rho) drho via t = rho^2/2
-        t, wt = roots_genlaguerre(quad.n_radial, (1.0 + gamma) / 2.0)
+        t, wt = genlaggauss(quad.n_radial, (1.0 + gamma) / 2.0)
         self.rho = np.sqrt(2.0 * t)
         self.rho_w = wt * 2.0 ** ((1.0 + gamma) / 2.0)
 
@@ -282,8 +314,8 @@ def nu_hard_sphere(speed, kernel_c: float = 1.0):
     r = np.asarray(speed, dtype=float)
     small = r < 1e-8
     rs = np.where(small, 1.0, r)
-    out = (np.sqrt(2.0 / np.pi) * np.exp(-(rs ** 2) / 2.0)
-           + (rs + 1.0 / rs) * erf(rs / np.sqrt(2.0)))
+    erf = np.array([math.erf(t) for t in (rs / np.sqrt(2.0)).ravel()]).reshape(rs.shape)
+    out = (np.sqrt(2.0 / np.pi) * np.exp(-(rs ** 2) / 2.0) + (rs + 1.0 / rs) * erf)
     out = np.where(small, 2.0 * np.sqrt(2.0 / np.pi), out)
     return _TWO_PI * kernel_c * out
 
@@ -522,8 +554,8 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
     refining it changes nothing but roundoff.  Matrices are cached on disk
     under VPB_SPECTRAL_CACHE keyed by every assembly parameter, the
-    reflection and exchange folds included, so entries summed another way
-    are never read.
+    reflection and exchange folds and the source of the factor rules
+    included, so entries summed another way are never read.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
@@ -534,7 +566,7 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
         "kernel_c": kernel_c,
         "basis": basis.descriptor(),
         "quad": quad.descriptor(),
-        "fold": "reflection-exchange-v1",
+        "fold": _FOLD_TAG,
     }
     root = _cache.cache_dir() if use_cache else None
     path = None
@@ -586,5 +618,5 @@ def collision_measure_total(gamma: float = 1.0, kernel_c: float = 1.0) -> float:
     chi(3) law of |V - Z| / sqrt(2).
     """
     # |V - Z| = sqrt(2) * |W|, W standard; E|W|^gamma = 2^(gamma/2) Gamma((3+gamma)/2) / Gamma(3/2)
-    moment = 2.0 ** (gamma / 2.0) * gamma_fn((3.0 + gamma) / 2.0) / gamma_fn(1.5)
+    moment = 2.0 ** (gamma / 2.0) * math.gamma((3.0 + gamma) / 2.0) / math.gamma(1.5)
     return _TWO_PI * kernel_c * 2.0 ** (gamma / 2.0) * moment

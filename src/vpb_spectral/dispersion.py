@@ -22,11 +22,13 @@ determinant needs R_22 from the (odd, even) class, the coupled one R_11,
 R_14, R_41 and R_44 from the (even, even) class.  Per mode each of those two
 blocks is decomposed once, so every Newton, contraction or bisection step
 evaluates its entries as pole sums in O(n).  Each accepted root is then
-certified through one residual-guarded LU of its block, which also yields
+certified through one residual-guarded np.linalg.solve with its block, one
+factorization for a stack of flux right-hand sides, which also yields
 det_residual and the micro part of the branch eigenfunction.  A block
 without the parity structure, or with eigenvectors too ill-conditioned for
-pole sums (POLE_COND_LIMIT), takes one LU of the whole micro block per step
-instead, and its BranchPoints say so (path).
+pole sums (POLE_COND_LIMIT), takes one solve with the whole micro block per
+step instead (two for a Newton step), and its BranchPoints say so (path
+"lu").
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .collision import CollisionOperator, _MicroBlocks
 from .errors import AssemblyError, RegimeError
@@ -52,8 +53,8 @@ R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
 _ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver falls back
-# eigenvector condition (1-norm estimate) of a parity block at which its pole
-# sums give way to per-step LU; pole sums lose about log10(cond) digits
+# eigenvector condition (1-norm) of a parity block at which its pole sums
+# give way to per-step solves; pole sums lose about log10(cond) digits
 POLE_COND_LIMIT = 1e4
 
 FLUX_INDICES = (1, 2, 4)
@@ -131,58 +132,77 @@ def _class_system(blocks: _MicroBlocks, real: np.ndarray, vecs) -> _MicroSystem:
 
 
 class _Resolvent:
-    """LU-factored (A - beta) for one micro system A, with a residual guard.
+    """(A - beta)^-1 applied to one stack of right-hand sides, for one micro
+    system A: one np.linalg.solve, with a residual guard on every column.
 
-    solve() takes and returns micro-space vectors; a right-hand side must
-    vanish off the system's slots.
+    rhs maps keys to micro-space vectors, which must vanish off the system's
+    slots; solutions maps the same keys to the micro-space solutions.
     """
 
-    def __init__(self, system: _MicroSystem, beta: complex):
+    def __init__(self, system: _MicroSystem, beta: complex, rhs: dict):
+        for f in rhs.values():
+            if np.any(np.delete(f, system.index)):
+                raise ValueError("right-hand side leaves the slots of the micro system")
         a = system.matrix.astype(complex)
         a[np.diag_indices_from(a)] -= beta
+        g = system.scale.conj()[:, None] * np.stack([f[system.index] for f in rhs.values()],
+                                                    axis=1)
+        try:
+            x = np.linalg.solve(a, g)
+        except np.linalg.LinAlgError:
+            raise RegimeError(f"micro resolvent is singular at beta = {beta:.6g}; "
+                              "parameter on an eigenvalue of the micro block") from None
         self.system = system
-        self.a = a
-        self.lu = scipy.linalg.lu_factor(a)
+        self._a = a
+        self._g = dict(zip(rhs, g.T))
+        self._x = dict(zip(rhs, x.T))
+        self.solutions = dict(zip(rhs, self._guarded(x, g).T))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        system = self.system
-        if np.any(np.delete(rhs, system.index)):
-            raise ValueError("right-hand side leaves the slots of the micro system")
-        g = system.scale.conj() * rhs[system.index]
-        x = scipy.linalg.lu_solve(self.lu, g)
-        scale = np.linalg.norm(g)
-        if scale > 0:
-            resid = np.linalg.norm(self.a @ x - g) / scale
-            if not np.isfinite(resid) or resid > _SOLVE_TOL:
-                raise RegimeError(f"micro resolvent solve residual {resid:.2e}; "
-                                  "parameter too close to the essential spectrum")
-        out = np.zeros(system.size, dtype=complex)
-        out[system.index] = system.scale * x
+    def combine(self, coef: dict) -> np.ndarray:
+        """sum_j coef[j] (A - beta)^-1 rhs[j], residual-guarded as one vector."""
+        x = sum(c * self._x[j] for j, c in coef.items())
+        g = sum(c * self._g[j] for j, c in coef.items())
+        return self._guarded(x[:, None], g[:, None])[:, 0]
+
+    def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The micro-space vectors of the solution columns x, once each
+        relative residual against g is finite and at most _SOLVE_TOL."""
+        scale = np.linalg.norm(g, axis=0)
+        resid = np.linalg.norm(self._a @ x - g, axis=0)
+        bad = ~np.isfinite(resid) | (resid > _SOLVE_TOL * scale)
+        if np.any(bad):
+            worst = float(np.max(resid[bad] / scale[bad]))
+            raise RegimeError(f"micro resolvent solve residual {worst:.2e}; "
+                              "parameter too close to the essential spectrum")
+        out = np.zeros((self.system.size, x.shape[1]), dtype=complex)
+        out[self.system.index] = self.system.scale[:, None] * x
         return out
 
 
-def _flux_entries(res: _Resolvent, fluxes: dict,
-                  derivative: bool = False) -> tuple[dict, dict | None]:
-    """R_(jk) values (and optionally d/dbeta) through one factored resolvent.
+def _pairings(sols: dict, fluxes: dict) -> dict:
+    return {(j, k): complex(sols[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
 
-    d/dbeta of the resolvent is its square, so derivative entries cost one
-    extra triangular solve each through the same factorization.
+
+def _flux_entries(system: _MicroSystem, beta: complex, fluxes: dict,
+                  derivative: bool = False) -> tuple[dict, dict | None]:
+    """R_(jk) values (and optionally d/dbeta) at one beta, one solve each.
+
+    d/dbeta of the resolvent is its square, so the derivative entries solve
+    once more, with the first solutions as right-hand sides.
     """
-    sols = {j: res.solve(f) for j, f in fluxes.items()}
-    vals = {(j, k): complex(sols[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
+    sols = _Resolvent(system, beta, fluxes).solutions
     ders = None
     if derivative:
-        sols2 = {j: res.solve(sols[j]) for j in fluxes}
-        ders = {(j, k): complex(sols2[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
-    return vals, ders
+        ders = _pairings(_Resolvent(system, beta, sols).solutions, fluxes)
+    return _pairings(sols, fluxes), ders
 
 
 def _entries(op: CollisionOperator, beta: complex, y: float,
              derivative: bool = False) -> tuple[dict, dict | None]:
-    """All R_(jk) at one (beta, y) point through one LU of the whole micro
-    block: the reference the pole sums are tested against."""
+    """All R_(jk) at one (beta, y) point through one solve with the whole
+    micro block: the reference the pole sums are tested against."""
     blocks = op.micro_blocks
-    return _flux_entries(_Resolvent(_full_system(blocks, y), beta),
+    return _flux_entries(_full_system(blocks, y), beta,
                          {j: blocks.flux[j] for j in FLUX_INDICES}, derivative)
 
 
@@ -201,17 +221,19 @@ class _Family:
     is decomposed once, B = X diag(mu) X^-1, and every solver step evaluates
     R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with l_k = X^T S f_k and
     r_j = X^-1 conj(S) f_j, and its beta-derivative (the same sum over
-    (mu_m - beta)^2) in O(n).  path "lu": every step factors the whole micro
-    block, because the parity structure is missing or the block's
+    (mu_m - beta)^2) in O(n).  path "lu": every step solves with the whole
+    micro block, because the parity structure is missing or the block's
     eigenvectors are too ill-conditioned (EigenBlock.cond at POLE_COND_LIMIT
     or more).  On either path certified() evaluates the entries through one
-    residual-guarded LU per root, on the classes that also hold the
-    right-hand sides of the branch eigenfunctions (solves).
+    residual-guarded solve per root, with every flux in solves as a
+    right-hand side, on the classes that hold them; the branch
+    eigenfunctions read the same solutions.
     """
 
     def __init__(self, blocks: _MicroBlocks, y: float, real: np.ndarray | None,
                  fluxes: tuple, solves: tuple):
         self.fluxes = {j: blocks.flux[j] for j in fluxes}
+        self._solves = {j: blocks.flux[j] for j in solves}
         self.path = "lu"
         self._certs: dict = {}
         if real is not None:
@@ -224,7 +246,7 @@ class _Family:
                 self._keys = [(j, k) for j in fluxes for k in fluxes]
                 self._weights = np.array([right[j] * left[k] for j, k in self._keys])
                 self._mu = eb.vals
-                self.system = _class_system(blocks, real, [blocks.flux[j] for j in solves])
+                self.system = _class_system(blocks, real, self._solves.values())
                 self.path = "pole-sum"
                 return
         self.system = _full_system(blocks, y)
@@ -232,7 +254,7 @@ class _Family:
     def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
         """R_jk(beta), and d/dbeta when asked, for one solver step."""
         if self.path == "lu":
-            return _flux_entries(_Resolvent(self.system, beta), self.fluxes, derivative)
+            return _flux_entries(self.system, beta, self.fluxes, derivative)
         w = 1.0 / (self._mu - beta)
         vals = dict(zip(self._keys, (self._weights @ w).tolist()))
         ders = dict(zip(self._keys, (self._weights @ (w * w)).tolist())) if derivative else None
@@ -240,16 +262,16 @@ class _Family:
 
     def _cert(self, beta: complex) -> tuple[_Resolvent, dict]:
         if beta not in self._certs:
-            res = _Resolvent(self.system, beta)
-            self._certs[beta] = (res, _flux_entries(res, self.fluxes)[0])
+            res = _Resolvent(self.system, beta, self._solves)
+            self._certs[beta] = (res, _pairings(res.solutions, self.fluxes))
         return self._certs[beta]
 
     def certified(self, beta: complex) -> dict:
-        """R_jk(beta) through the LU at beta, factored once per beta."""
+        """R_jk(beta) through the solve at beta, made once per beta."""
         return self._cert(beta)[1]
 
     def resolvent(self, beta: complex) -> _Resolvent:
-        """The residual-guarded LU behind certified(beta)."""
+        """The residual-guarded solve behind certified(beta)."""
         return self._cert(beta)[0]
 
 
@@ -328,9 +350,9 @@ def solve_D0(op: CollisionOperator, s: float, eps: float,
 
     Newton from 0 with a bracketing fallback on the real line; the root is
     real and even in s, and both properties are enforced on exit.  The
-    steps run on pole sums (_Family); |D| <= 1e-10 is checked through one LU
-    at the root.  micro lets hydrodynamic_spectrum share the decomposition
-    and that LU; the root does not depend on it.
+    steps run on pole sums (_Family); |D| <= 1e-10 is checked through one
+    solve at the root.  micro lets hydrodynamic_spectrum share the
+    decomposition and that solve; the root does not depend on it.
     """
     w = eps * s
     _require_regime(w)
@@ -385,8 +407,8 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
     contraction iterate from the existence proof, which has the correct
     basin by construction.  Root collision means the regime assumption
     failed, not that the solver did.  The steps run on pole sums
-    (_Family); |D| <= 1e-9 is checked through one LU per root.  micro is
-    as in solve_D0.
+    (_Family); |D| <= 1e-9 is checked through one solve per root.  micro
+    is as in solve_D0.
     """
     _require_regime(eps * s)
     roots: dict[int, complex] = {}
@@ -512,11 +534,11 @@ def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> 
 def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: complex,
                           s: float, eps: float, h_axis: dict) -> np.ndarray:
     """Assemble, normalize and sign-align one axis eigenfunction; the micro
-    parts are solved through the LU that certified the root."""
+    parts are read from the solve that certified the root."""
     basis = op.basis
     blocks = op.micro_blocks
     if j in (2, 3):
-        micro = fam.resolvent(z).solve(blocks.flux[j])
+        micro = fam.resolvent(z).solutions[j]
         psi = basis.chi(j).astype(complex) + 1j * eps * s * blocks.embed(micro)
     else:
         beta = eps * z
@@ -534,8 +556,8 @@ def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: comple
                                 f"sigma_min/sigma_max = {sing[-1] / sing[0]:.2e}")
         a, b, c = np.conj(vh[-1])
         macro = a * basis.chi(0) + b * basis.chi(1) + c * basis.chi(4)
-        rhs_full = basis.micro_project(basis.v_matrices[0] @ macro)
-        micro = fam.resolvent(beta).solve(rhs_full[blocks.micro])
+        # the micro part of V1 @ macro is b f_1 + c f_4: V1 chi_0 = chi_1 is macro
+        micro = fam.resolvent(beta).combine({1: b, 4: c})
         psi = macro + 1j * eps * s * blocks.embed(micro)
     pair = _axis_pair(basis, s, psi, psi)
     if abs(pair) < 1e-6:

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .collision import CollisionOperator
-from .errors import BasisError, RegimeError
+from .errors import AssemblyError, BasisError, RegimeError
 from .velocity_space import ParityClasses, VelocityBasis, bilinear_pair, weighted_inner
 
 
@@ -46,8 +45,8 @@ class EigenBlock:
     index lists the basis slots of the block (micro slots, for the blocks
     dispersion decomposes) and scale the parity scale on them; the mode
     matrix's eigenvectors are scale[:, None] * vecs on those slots and zero
-    elsewhere.  All arrays are read-only.  The LU factors of vecs, which cond
-    and coefficients share, are computed on first use.
+    elsewhere.  All arrays are read-only.  The inverse of vecs, which cond
+    and coefficients share, is computed on first use.
     """
 
     index: np.ndarray
@@ -56,31 +55,38 @@ class EigenBlock:
     vecs: np.ndarray
 
     @cached_property
-    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
-        vecs = self.vecs.astype(complex)
-        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (vecs,))
-        lu, piv, _ = getrf(vecs, overwrite_a=True)
-        return lu, piv
+    def _inverse(self) -> np.ndarray | None:
+        try:
+            inv = np.linalg.inv(self.vecs)
+        except np.linalg.LinAlgError:
+            return None
+        return inv if np.all(np.isfinite(inv)) else None
 
     @cached_property
     def cond(self) -> float:
-        """1-norm condition number of vecs, estimated from its LU factors by
-        LAPACK ?gecon; inf when vecs is singular or not finite."""
-        lu, _ = self._lu
-        gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
-        anorm = float(np.max(np.sum(np.abs(self.vecs), axis=0)))
-        rcond, _ = gecon(lu, anorm, norm="1")
-        return 1.0 / rcond if rcond > 0.0 else math.inf
+        """1-norm condition number ||vecs||_1 ||vecs^-1||_1; inf when vecs is
+        singular or not finite."""
+        inv = self._inverse
+        if inv is None:
+            return math.inf
+        return float(np.linalg.norm(self.vecs, 1) * np.linalg.norm(inv, 1))
 
     def coefficients(self, g: np.ndarray) -> np.ndarray:
-        """c with vecs @ c = g, through the LU factors of vecs."""
-        lu, piv = self._lu
-        getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-        return getrs(lu, piv, np.asarray(g, dtype=complex))[0]
+        """c with vecs @ c = g, through the inverse of vecs."""
+        inv = self._inverse
+        if inv is None:
+            raise RegimeError(f"eigenvector basis of a {self.vals.size}-row block is "
+                              "singular; its eigen-expansion does not exist")
+        return inv @ np.asarray(g, dtype=complex)
 
 
 def _eigen_block(index: np.ndarray, scale: np.ndarray, block: np.ndarray) -> EigenBlock:
-    vals, vecs = scipy.linalg.eig(block)
+    try:
+        vals, vecs = np.linalg.eig(block)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"eigendecomposition of a {block.shape[0]}-row mode block "
+                            f"failed: {exc}") from None
+    vals, vecs = vals.astype(complex), vecs.astype(complex)
     for arr in (index, scale, vals, vecs):
         arr.setflags(write=False)
     return EigenBlock(index, scale, vals, vecs)

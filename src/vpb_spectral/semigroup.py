@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
@@ -113,9 +114,12 @@ def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndar
         rest = times
         base = 0
     if rest.size:
-        sol = scipy.integrate.solve_ivp(
-            rhs, (0.0, float(rest[-1])), y0, t_eval=rest, method="Radau",
-            jac=lambda t, y: big, rtol=ODE_RTOL, atol=ODE_ATOL)
+        # importing scipy may have loaded its own OpenBLAS only now, inside a
+        # caller's one_blas_thread() block that could not pin it
+        with one_blas_thread():
+            sol = scipy.integrate.solve_ivp(
+                rhs, (0.0, float(rest[-1])), y0, t_eval=rest, method="Radau",
+                jac=lambda t, y: big, rtol=ODE_RTOL, atol=ODE_ATOL)
         if not sol.success:
             raise RegimeError(f"stiff integration failed: {sol.message}")
         out[base:] = (sol.y[:n] + 1j * sol.y[n:]).T
@@ -128,7 +132,7 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
 
     Primary path: the mode's eigen_blocks(), solved block by block and only
     in blocks where f0 is nonzero.  If any of those blocks has an eigenvector
-    basis too ill-conditioned to trust (EigenBlock.cond, a 1-norm estimate,
+    basis too ill-conditioned to trust (EigenBlock.cond, in the 1-norm,
     at COND_LIMIT or more), the trajectory is integrated instead and flagged
     by method = "ode".  With oracle=True both paths run and the largest
     weighted discrepancy is recorded.

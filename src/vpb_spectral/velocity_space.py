@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_hermitenorm
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import BasisError
 
@@ -231,7 +231,7 @@ def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis
     indices = _multi_indices(max_degree)
     dim = len(indices)
 
-    x, w = roots_hermitenorm(quad_order)
+    x, w = hermegauss(quad_order)
     if not np.all(w > 0) or not np.all(np.isfinite(x)):
         raise BasisError("degenerate 1-d quadrature rule (non-positive weight)")
     w = w / np.sqrt(_TWO_PI)  # weights for the standard normal measure

@@ -111,3 +111,43 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     pinned = _artifacts(cfg, out, {"OPENBLAS_NUM_THREADS": "1"})
     assert len(inherited) == 3
     assert inherited == pinned
+
+
+ODE_THREADS = """
+import sys
+import numpy as np
+from vpb_spectral import build_basis, semigroup
+from vpb_spectral.blas import loaded_openblas, one_blas_thread
+from vpb_spectral.collision import synthetic_collision
+from vpb_spectral.mode_operator import mode_operator
+
+seen = []
+
+def spy(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "rhs" and not seen:
+        seen.append([lib.get_threads() for lib in loaded_openblas()])
+
+semigroup.COND_LIMIT = 0.0
+mode = mode_operator(synthetic_collision(build_basis(2)), 0.2, 0.5)
+f0 = np.ones(mode.basis.dim, dtype=complex)
+with one_blas_thread():
+    sys.setprofile(spy)
+    traj = semigroup.propagate_kinetic(mode, f0, np.linspace(0.0, 1.0, 3))
+    sys.setprofile(None)
+print(traj.method, seen)
+"""
+
+
+@needs_openblas
+def test_ode_fallback_pins_the_openblas_scipy_loads():
+    # the block starts with numpy's OpenBLAS alone; scipy's copy is loaded
+    # by the fallback's import, at the two threads the environment asks for
+    src = str(Path(vpb_spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ODE_THREADS], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    method, seen = proc.stdout.strip().split(" ", 1)
+    assert method == "ode"
+    assert seen == "[[1, 1]]"

@@ -295,32 +295,58 @@ class TestCheck:
         assert "OK" in out.splitlines()[-1]
 
 
+def _child_env() -> dict:
+    """Environment in which a child process finds the package the way this
+    process did, installed or not."""
+    src = str(Path(vpb_spectral.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tiny_cfg, tmp_path):
-        # the child finds the package the way this process did, installed or not
-        src = str(Path(vpb_spectral.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "vpb_spectral", "transport",
              "--config", str(tiny_cfg), "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120, env=env)
+            capture_output=True, text=True, timeout=120, env=_child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith(".json")
 
     def test_import_leaves_fallback_modules_out(self):
-        # scipy.optimize and scipy.integrate serve fallback, oracle and check
-        # paths only; importing them costs every command about 0.3 s
-        src = str(Path(vpb_spectral.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # scipy serves the fallback, oracle and check paths only; importing
+        # scipy.linalg and scipy.special alone costs every command about 0.4 s
         code = ("import sys, vpb_spectral.cli; "
-                "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-                "if m in sys.modules))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120, env=env)
+                              text=True, timeout=120, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"
+                     "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"
+                     "kind = generic\nsubtract_layer = true\njobs = 1\n"),
+        ("dispersion", "backend = hard_sphere\nmax_degree = 3\ns_count = 3\n"
+                       "eps_list = 0.2, 0.1\njobs = 1\n"),
+        ("transport", "backend = hard_sphere\nmax_degree = 3\njobs = 1\n"),
+    ])
+    def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
+        # the jobs the benchmark times, each assembling into an empty cache,
+        # run on numpy alone
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        env = _child_env()
+        env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
+        code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "sys.exit(rc)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, subcommand, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_subcommand_listing(self):
         assert SUBCOMMANDS == ("check", "spectrum", "dispersion", "transport",

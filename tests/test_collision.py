@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import roots_hermitenorm
 
 from vpb_spectral import BackendError, build_basis, collision, multiplication_matrices
 from vpb_spectral.cache import key_hash, read_matrix, write_matrix
@@ -21,7 +20,7 @@ from vpb_spectral.collision import (
 from vpb_spectral.errors import AssemblyError, VPBError
 from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
 
-_FOLD_TAG = "reflection-exchange-v1"  # the fold tag of the cache parameters
+_FOLD_TAG = "reflection-exchange-numpy-rules-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -273,11 +272,13 @@ def test_odd_azimuth_count_is_refused():
 
 
 def test_asymmetric_center_of_mass_rule_is_refused(monkeypatch):
+    exact = collision.hermegauss
+
     def skewed(n):
-        x, w = roots_hermitenorm(n)
+        x, w = exact(n)
         return x + 1e-12 * np.arange(n), w
 
-    monkeypatch.setattr(collision, "roots_hermitenorm", skewed)
+    monkeypatch.setattr(collision, "hermegauss", skewed)
     with pytest.raises(AssemblyError, match="mirror-symmetric"):
         _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
 
@@ -371,24 +372,36 @@ def test_unfolded_cache_entry_is_never_read(tmp_path, basis_small, monkeypatch):
     assert np.array_equal(stored, op.matrix)
 
 
-def test_reflection_only_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
-    # an operator summed before the exchange fold, under its own name and under the new one
-    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
-    old = dict(_old_params(basis_small), fold="reflection-v1")
+def _assert_rebuilt(tmp_path, basis, old):
+    """An entry written under the parameters old is never read, under its own
+    name or under the name the current parameters hash to."""
     old_path = tmp_path / f"L-{key_hash(old)}.vpbc"
-    write_matrix(old_path, {"params": old}, np.full((basis_small.dim, basis_small.dim), 7.0))
+    write_matrix(old_path, {"params": old}, np.full((basis.dim, basis.dim), 7.0))
     planted_bytes = old_path.read_bytes()
-    fresh = assemble_collision(basis_small, gamma=0.3)
+    fresh = assemble_collision(basis, gamma=0.3)
     assert np.all(fresh.matrix != 7.0)
     assert old_path.read_bytes() == planted_bytes
     (path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
     write_matrix(path, {"params": old}, np.full_like(fresh.matrix, 7.0))
     with pytest.warns(UserWarning, match="rebuilding"):
-        again = assemble_collision(basis_small, gamma=0.3)
+        again = assemble_collision(basis, gamma=0.3)
     assert np.array_equal(again.matrix, fresh.matrix)
     header, stored = read_matrix(path)
     assert header["params"] == dict(old, fold=_FOLD_TAG)
     assert np.array_equal(stored, fresh.matrix)
+
+
+def test_reflection_only_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator summed before the exchange fold
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    _assert_rebuilt(tmp_path, basis_small, dict(_old_params(basis_small), fold="reflection-v1"))
+
+
+def test_scipy_rule_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator summed on scipy.special's factor rules
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    _assert_rebuilt(tmp_path, basis_small,
+                    dict(_old_params(basis_small), fold="reflection-exchange-v1"))
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):

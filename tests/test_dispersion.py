@@ -9,11 +9,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, strategies as st
 
 from vpb_spectral import dispersion
-from vpb_spectral.collision import assemble_collision
+from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import (
     FLUX_INDICES,
     R0_DEFAULT,
@@ -21,6 +20,7 @@ from vpb_spectral.dispersion import (
     BranchPoint,
     _entries,
     _MicroResolvent,
+    _Resolvent,
     asymptotic_coefficients,
     dense_comparison,
     eigenfunction_expansion_check,
@@ -31,7 +31,7 @@ from vpb_spectral.dispersion import (
     solve_D1,
 )
 from vpb_spectral.errors import RegimeError
-from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis
 
@@ -190,9 +190,9 @@ class TestPoleSums:
 
     def test_block_resolvent_refuses_foreign_rhs(self, op_mid):
         # f_3 lies in the (even, odd) class, outside the coupled block
-        res = _MicroResolvent(op_mid, 0.1).coupled.resolvent(0.05j)
+        system = _MicroResolvent(op_mid, 0.1).coupled.system
         with pytest.raises(ValueError):
-            res.solve(op_mid.micro_blocks.flux[3])
+            _Resolvent(system, 0.05j, {3: op_mid.micro_blocks.flux[3]})
 
     def test_wrong_y_is_refused(self, op_mid):
         with pytest.raises(ValueError):
@@ -209,6 +209,30 @@ class TestPoleSums:
             assert p.lam == pytest.approx(q.lam, rel=1e-12, abs=1e-15)
             assert q.det_residual <= 1e-10 and q.eig_residual <= 1e-8
 
+    def test_singular_eigenvectors_take_the_lu_path(self, op_mid, monkeypatch):
+        exact = dispersion._eigen_block
+
+        def singular(index, scale, block):
+            eb = exact(index, scale, block)
+            vecs = np.array(eb.vecs)
+            vecs[:, 0] = 0.0
+            return EigenBlock(eb.index, eb.scale, eb.vals, vecs)
+
+        monkeypatch.setattr(dispersion, "_eigen_block", singular)
+        points = hydrodynamic_spectrum(mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0])))
+        assert [p.path for p in points] == ["lu"] * 5
+        assert max(p.eig_residual for p in points) <= 1e-8
+
+    def test_beta_on_a_micro_eigenvalue_is_a_regime_error(self, basis_mid):
+        # the synthetic micro block is -nu_bar I, so A - beta is exactly zero
+        op = synthetic_collision(basis_mid, nu_bar=2.0)
+        with pytest.raises(RegimeError, match="singular"):
+            _entries(op, -2.0, 0.0)
+        micro = _MicroResolvent(op, 0.0)
+        for family in FAMILY_KEYS:
+            with pytest.raises(RegimeError, match="singular"):
+                getattr(micro, family).certified(-2.0)
+
     def test_broken_structure_takes_the_lu_path(self, op_mid):
         blocks = op_mid.micro_blocks
         i, k = (blocks.micro[blocks.parity.blocks[c][0]] for c in (0, 2))
@@ -223,18 +247,20 @@ class TestPoleSums:
 
     def test_one_factorization_per_root(self, hard_sphere_prod, monkeypatch):
         # the resolvent is factored once per accepted root (one shear, three
-        # coupled); the eigenvector factors of each block are part of its
-        # decomposition and are not lu_factor calls
-        calls = {"eig": 0, "lu_factor": 0}
+        # coupled), and that one solve also gives the branch eigenfunctions;
+        # the inverse of each block's eigenvectors is part of its
+        # decomposition and is not a solve call
+        hard_sphere_prod.micro_blocks.kappa_bar  # one solve per operator, not per root
+        calls = {"eig": 0, "solve": 0}
         for fn in calls:
-            orig = getattr(scipy.linalg, fn)
+            orig = getattr(np.linalg, fn)
 
             def spy(*args, _fn=fn, _orig=orig, **kwargs):
                 calls[_fn] += 1
                 return _orig(*args, **kwargs)
-            monkeypatch.setattr(scipy.linalg, fn, spy)
+            monkeypatch.setattr(np.linalg, fn, spy)
         hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
-        assert calls["eig"] <= 2 and calls["lu_factor"] <= 4, calls
+        assert 1 <= calls["eig"] <= 2 and 1 <= calls["solve"] <= 4, calls
 
 
 class TestHydrodynamicSpectrum:

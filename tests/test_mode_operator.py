@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from vpb_spectral import build_basis
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.errors import BasisError, RegimeError
+from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.mode_operator import (
     EigenBlock,
     compose_rotation,
@@ -203,10 +205,9 @@ def test_block_cond_and_coefficients_come_from_one_lu(axis_operators, name):
     mode = mode_operator(axis_operators[name], 0.1, 0.4)
     rng = np.random.default_rng(3)
     for block in mode.eigen_blocks():
-        # ?gecon estimates the 1-norm condition number from below, within a
-        # small factor in practice
+        # the exact 1-norm condition number, from the one inverse of vecs
         exact = np.linalg.cond(block.vecs, 1)
-        assert exact / 3.0 <= block.cond <= exact * (1.0 + 1e-12)
+        assert block.cond == pytest.approx(exact, rel=1e-12)
         g = rng.standard_normal(block.vals.size) + 1j * rng.standard_normal(block.vals.size)
         c = block.coefficients(g)
         assert np.max(np.abs(c - np.linalg.solve(block.vecs, g))) <= 1e-12 * np.max(np.abs(c))
@@ -216,6 +217,18 @@ def test_singular_eigenvectors_have_infinite_cond():
     vecs = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     block = EigenBlock(np.arange(2), np.ones(2), np.zeros(2, dtype=complex), vecs)
     assert block.cond == np.inf
+    with pytest.raises(RegimeError, match="singular"):
+        block.coefficients(np.ones(2))
+
+
+def test_nan_mode_matrix_is_a_typed_error(op4):
+    mode = mode_operator(op4, 0.1, 0.4)
+    mat = np.array(mode.matrix)
+    mat[3, 5] = np.nan
+    mat.setflags(write=False)
+    poisoned = dataclasses.replace(mode, matrix=mat)
+    with pytest.raises(AssemblyError, match="eigendecomposition"):
+        poisoned.eigen_blocks()
 
 
 def test_tilted_mode_is_one_dense_block(op4):
