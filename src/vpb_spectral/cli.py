@@ -114,8 +114,10 @@ def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
         eps, s = pair
         return hydrodynamic_spectrum(mode_operator(op, eps, np.array([s, 0.0, 0.0])))
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(zip(pairs, pool.map(task, pairs)))
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            return list(zip(pairs, pool.map(task, pairs)))
+    return [(pair, task(pair)) for pair in pairs]
 
 
 SPECTRUM_HEADER = ("s", "eps", "branch", "re_lambda", "im_lambda",

@@ -39,6 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -46,13 +47,16 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, BasisError, VPBError
-from .velocity_space import ParityClasses, VelocityBasis
+from .velocity_space import Frame, VelocityBasis
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
 _FOLD_TAG = "reflection-exchange-numpy-rules-v1"  # folds and factor rules behind a cached matrix
+# sector check: entries between azimuthal sectors and the mismatch of the two
+# copies of a sector, relative to the largest entry
+STRUCTURE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -471,6 +475,12 @@ class CollisionOperator:
         """Collision and streaming blocks on the micro subspace, built once."""
         return _MicroBlocks(self)
 
+    @cached_property
+    def sector_blocks(self) -> "_SectorBlocks | None":
+        """The real blocks of the axis modes in the basis's azimuthal
+        sectors, built once; None when the operator fails the sector check."""
+        return _sector_blocks(self)
+
     def descriptor(self) -> dict:
         d = {
             "backend": self.backend,
@@ -486,11 +496,7 @@ class CollisionOperator:
 
 
 class _MicroBlocks:
-    """Collision and streaming matrices restricted to the micro subspace.
-
-    parity is the basis's ParityClasses carried over to the micro slots:
-    every class loses only the invariants it held.
-    """
+    """Collision and streaming matrices restricted to the micro subspace."""
 
     def __init__(self, op: CollisionOperator):
         basis = op.basis
@@ -505,14 +511,6 @@ class _MicroBlocks:
             flux[j] = full[self.micro]
         self.flux = flux
         self.dim = basis.dim
-        classes = basis.parity_classes
-        position = np.full(basis.dim, -1)
-        position[self.micro] = np.arange(self.micro.size)
-        slots = tuple(position[idx][position[idx] >= 0] for idx in classes.blocks)
-        scale = classes.scale[self.micro]
-        for arr in (scale, *slots):
-            arr.setflags(write=False)
-        self.parity = ParityClasses(scale=scale, blocks=slots)
 
     @cached_property
     def kappa_bar(self) -> float:
@@ -530,6 +528,66 @@ class _MicroBlocks:
         out = np.zeros(self.dim, dtype=complex)
         out[self.micro] = micro_vec
         return out
+
+
+class _SectorBlocks(NamedTuple):
+    """Collision and streaming blocks of the azimuthal sectors of an axis mode.
+
+    With S the parity scale, L[m] and W[m] are the blocks of conj(S) L S and
+    of conj(S) (-i V1) S on sector m (both copies carry the same blocks, in
+    the frames of frames[m]).  The axis mode at eps, s is L[m] + eps s W[m]
+    on every sector, plus the Poisson column eps s W[0][:, 0] / s^2 at the
+    density coordinate, which leads sector 0.  micro[m] holds the blocks
+    without the invariant coordinates, (L, W, frames), the frames in micro
+    slot numbering.
+    """
+
+    frames: tuple[tuple[Frame, ...], ...]
+    L: tuple[np.ndarray, ...]
+    W: tuple[np.ndarray, ...]
+    micro: tuple[tuple[np.ndarray, np.ndarray, tuple[Frame, ...]], ...]
+
+
+def _sector_blocks(op: CollisionOperator) -> _SectorBlocks | None:
+    """The operator's sector blocks, when they pass the structure check:
+    conj(S) L S and conj(S) (-i V1) S real, and in the sector frames no entry
+    between sectors and no difference between the two copies of a sector
+    above STRUCTURE_TOL times the largest entry.  None when they do not."""
+    basis = op.basis
+    sectors = basis.axis_sectors
+    scale, t, spans = sectors.scale, sectors.transform, sectors.spans
+    out = []
+    for mat in (op.matrix, -1j * basis.v_matrices[0]):
+        scaled = scale.conj()[:, None] * mat * scale[None, :]
+        if not np.max(np.abs(scaled.imag)) <= STRUCTURE_TOL * np.max(np.abs(scaled.real)):
+            return None
+        blocks = t.T @ scaled.real @ t
+        tol = STRUCTURE_TOL * np.max(np.abs(blocks))
+        cross = np.abs(blocks)
+        for copies in spans:
+            for sl in copies:
+                cross[sl, sl] = 0.0
+            if not all(np.max(np.abs(blocks[sl, sl] - blocks[copies[0], copies[0]])) <= tol
+                       for sl in copies[1:]):
+                return None
+        if not np.max(cross) <= tol:
+            return None
+        out.append(tuple(np.array(blocks[c[0], c[0]]) for c in spans))
+    position = np.full(basis.dim, -1)
+    micro_slots = ~np.isin(np.arange(basis.dim), basis.invariant_indices)
+    position[micro_slots] = np.arange(np.count_nonzero(micro_slots))
+    micro = []
+    for m, copies in enumerate(sectors.frames):
+        k = sectors.n_invariant[m]
+        frames = []
+        for fr in copies:
+            rows = position[fr.index] >= 0
+            frames.append(Frame(position[fr.index][rows], fr.scale[rows], fr.basis[rows, k:]))
+        micro.append((out[0][m][k:, k:], out[1][m][k:, k:], tuple(frames)))
+    for arr in (*out[0], *out[1], *(a for lw in micro for a in lw[:2]),
+                *(a for lw in micro for fr in lw[2] for a in fr)):
+        arr.setflags(write=False)
+    return _SectorBlocks(sectors.frames, out[0], out[1], tuple(micro))
 
 
 def _structural_checks(basis: VelocityBasis, mat: np.ndarray) -> None:

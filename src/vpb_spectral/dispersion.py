@@ -17,18 +17,20 @@ for j in {-1, 0, 1}.
 Both determinants are built from the micro resolvent entries
 R_jk(beta) = f_k . (L - beta - i y V1)^-1 f_j, y = eps*s, f_j the flux
 vectors.  Scaled by i^(a1 mod 2), the micro block of L - i y V1 is real and
-block-diagonal in (a2, a3 mod 2), and each flux lies in one class: the shear
-determinant needs R_22 from the (odd, even) class, the coupled one R_11,
-R_14, R_41 and R_44 from the (even, even) class.  Per mode each of those two
+block-diagonal in the azimuthal sectors about e1 (CollisionOperator.
+sector_blocks), and each flux lies in one sector: the coupled determinant
+needs R_11, R_14, R_41 and R_44 from the micro m = 0 block, the shear one
+R_22 from the cos copy of the micro m = 1 block.  Per mode each of those two
 blocks is decomposed once, so every Newton, contraction or bisection step
 evaluates its entries as pole sums in O(n).  Each accepted root is then
 certified through one residual-guarded np.linalg.solve with its block, one
 factorization for a stack of flux right-hand sides, which also yields
-det_residual and the micro part of the branch eigenfunction.  A block
-without the parity structure, or with eigenvectors too ill-conditioned for
-pole sums (POLE_COND_LIMIT), takes one solve with the whole micro block per
-step instead (two for a Newton step), and its BranchPoints say so (path
-"lu").
+det_residual and the micro part of the branch eigenfunction.  f_3 is the
+quarter-turn image of f_2, so its solution is the sin-copy image of f_2's
+and costs no solve.  An operator without the sector structure, or a block
+with eigenvectors too ill-conditioned for pole sums (POLE_COND_LIMIT),
+takes one solve with the whole micro block per step instead (two for a
+Newton step), and its BranchPoints say so (path "lu").
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ import numpy as np
 
 from .collision import CollisionOperator, _MicroBlocks
 from .errors import AssemblyError, RegimeError
-from .mode_operator import (FourierMode, _eigen_block, pushforward_from_axis,
-                            real_parity_matrix, rotation_to_axis)
+from .mode_operator import EigenBlock, FourierMode, pushforward_from_axis, rotation_to_axis
 from .transport import TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import VelocityBasis, bilinear_pair
+from .velocity_space import Frame, VelocityBasis, bilinear_pair
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -53,7 +54,7 @@ R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
 _ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver falls back
-# eigenvector condition (1-norm) of a parity block at which its pole sums
+# eigenvector condition (1-norm) of a sector block at which its pole sums
 # give way to per-step solves; pole sums lose about log10(cond) digits
 POLE_COND_LIMIT = 1e4
 
@@ -103,50 +104,50 @@ class AsymptoticCoefficients:
 
 
 class _MicroSystem(NamedTuple):
-    """conj(S) (L - i y V1) S on the micro slots index, with S = diag(scale).
+    """conj(S) (L - i y V1) S on the micro slots, in the coordinates of frame.
 
-    Either every micro slot with unit scale, or a union of parity classes with
-    their i^(a1 mod 2) scale, on which the matrix is real.  size is the
-    number of micro slots.
+    Either the whole micro block, complex, on an identity frame with unit
+    scale, or the real block of one azimuthal sector on its cos copy; copy
+    is then the frame of the sin copy, which carries the same matrix (None
+    for m = 0 and for the whole block).  size is the number of micro slots.
     """
 
     matrix: np.ndarray
-    index: np.ndarray
-    scale: np.ndarray
+    frame: Frame
     size: int
+    copy: Frame | None
 
 
 def _full_system(blocks: _MicroBlocks, y: float) -> _MicroSystem:
     n = blocks.micro.size
     return _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
-                        np.arange(n), np.ones(n), n)
+                        Frame(np.arange(n), np.ones(n), np.eye(n)), n, None)
 
 
-def _class_system(blocks: _MicroBlocks, real: np.ndarray, vecs) -> _MicroSystem:
-    """The real scaled matrix on the parity classes where any of vecs is nonzero."""
-    parity = blocks.parity
-    index = np.sort(np.concatenate([idx for idx in parity.blocks
-                                    if any(np.any(v[idx]) for v in vecs)]))
-    return _MicroSystem(real[np.ix_(index, index)], index, parity.scale[index],
-                        blocks.micro.size)
+def _sector_system(op: CollisionOperator, m: int, y: float) -> _MicroSystem:
+    """The micro block of azimuthal sector m; op must have sector blocks."""
+    lm, wm, frames = op.sector_blocks.micro[m]
+    return _MicroSystem(lm + y * wm, frames[0], op.micro_blocks.micro.size,
+                        frames[1] if len(frames) > 1 else None)
 
 
 class _Resolvent:
     """(A - beta)^-1 applied to one stack of right-hand sides, for one micro
     system A: one np.linalg.solve, with a residual guard on every column.
 
-    rhs maps keys to micro-space vectors, which must vanish off the system's
-    slots; solutions maps the same keys to the micro-space solutions.
+    rhs maps keys to micro-space vectors, which must vanish off the slots of
+    the system's frame; solutions maps the same keys to the micro-space
+    solutions.
     """
 
     def __init__(self, system: _MicroSystem, beta: complex, rhs: dict):
+        frame = system.frame
         for f in rhs.values():
-            if np.any(np.delete(f, system.index)):
+            if np.any(np.delete(f, frame.index)):
                 raise ValueError("right-hand side leaves the slots of the micro system")
         a = system.matrix.astype(complex)
         a[np.diag_indices_from(a)] -= beta
-        g = system.scale.conj()[:, None] * np.stack([f[system.index] for f in rhs.values()],
-                                                    axis=1)
+        g = np.stack([frame.coords(f) for f in rhs.values()], axis=1)
         try:
             x = np.linalg.solve(a, g)
         except np.linalg.LinAlgError:
@@ -164,6 +165,11 @@ class _Resolvent:
         g = sum(c * self._g[j] for j, c in coef.items())
         return self._guarded(x[:, None], g[:, None])[:, 0]
 
+    def image(self, key) -> np.ndarray:
+        """The micro-space solution for the sin-copy image of rhs[key]: the
+        coordinates of solutions[key], embedded in the copy's frame."""
+        return self.system.copy.embed(self._x[key], self.system.size)
+
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The micro-space vectors of the solution columns x, once each
         relative residual against g is finite and at most _SOLVE_TOL."""
@@ -172,10 +178,12 @@ class _Resolvent:
         bad = ~np.isfinite(resid) | (resid > _SOLVE_TOL * scale)
         if np.any(bad):
             worst = float(np.max(resid[bad] / scale[bad]))
-            raise RegimeError(f"micro resolvent solve residual {worst:.2e}; "
-                              "parameter too close to the essential spectrum")
+            raise RegimeError(f"micro resolvent solve has relative residual {worst:.2e}, "
+                              f"above the bound {_SOLVE_TOL:.0e}; only the residual is "
+                              "checked, not the distance to the spectrum")
+        frame = self.system.frame
         out = np.zeros((self.system.size, x.shape[1]), dtype=complex)
-        out[self.system.index] = self.system.scale[:, None] * x
+        out[frame.index] = frame.scale[:, None] * (frame.basis @ x)
         return out
 
 
@@ -217,39 +225,47 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
 class _Family:
     """The resolvent entries one determinant needs, at one y = eps*s.
 
-    path "pole-sum": the real parity block holding the determinant's fluxes
-    is decomposed once, B = X diag(mu) X^-1, and every solver step evaluates
-    R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with l_k = X^T S f_k and
-    r_j = X^-1 conj(S) f_j, and its beta-derivative (the same sum over
+    path "pole-sum": the real micro block of azimuthal sector m, which holds
+    the determinant's fluxes, is decomposed once, B = X diag(mu) X^-1, and
+    every solver step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta),
+    with l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the sector frame F
+    (parity scale included), and its beta-derivative (the same sum over
     (mu_m - beta)^2) in O(n).  path "lu": every step solves with the whole
-    micro block, because the parity structure is missing or the block's
+    micro block, because the operator has no sector blocks or the block's
     eigenvectors are too ill-conditioned (EigenBlock.cond at POLE_COND_LIMIT
     or more).  On either path certified() evaluates the entries through one
     residual-guarded solve per root, with every flux in solves as a
-    right-hand side, on the classes that hold them; the branch
-    eigenfunctions read the same solutions.
+    right-hand side; the branch eigenfunctions read the same solutions.
+    copies maps a flux to the flux whose sin-copy image it is, which the
+    sector path reads off that solution and the lu path solves for.
     """
 
-    def __init__(self, blocks: _MicroBlocks, y: float, real: np.ndarray | None,
-                 fluxes: tuple, solves: tuple):
+    def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple,
+                 solves: tuple, copies: dict | None = None):
+        blocks = op.micro_blocks
+        copies = copies or {}
         self.fluxes = {j: blocks.flux[j] for j in fluxes}
-        self._solves = {j: blocks.flux[j] for j in solves}
         self.path = "lu"
         self._certs: dict = {}
-        if real is not None:
-            poles = _class_system(blocks, real, self.fluxes.values())
-            eb = _eigen_block(poles.index, poles.scale, poles.matrix)
+        if op.sector_blocks is not None:
+            system = _sector_system(op, m, y)
+            frame = system.frame
+            eb = EigenBlock(system.matrix, (frame,))
             if eb.cond < POLE_COND_LIMIT:
-                left = {k: eb.vecs.T @ (eb.scale * f[eb.index]) for k, f in self.fluxes.items()}
-                right = {j: eb.coefficients(eb.scale.conj() * f[eb.index])
-                         for j, f in self.fluxes.items()}
+                left = {k: eb.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
+                        for k, f in self.fluxes.items()}
+                right = {j: eb.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
                 self._keys = [(j, k) for j in fluxes for k in fluxes]
                 self._weights = np.array([right[j] * left[k] for j, k in self._keys])
                 self._mu = eb.vals
-                self.system = _class_system(blocks, real, self._solves.values())
+                self.system = system
+                self._solves = {j: blocks.flux[j] for j in solves}
+                self._copies = copies
                 self.path = "pole-sum"
                 return
         self.system = _full_system(blocks, y)
+        self._solves = {j: blocks.flux[j] for j in (*solves, *copies)}
+        self._copies = {}
 
     def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
         """R_jk(beta), and d/dbeta when asked, for one solver step."""
@@ -274,6 +290,11 @@ class _Family:
         """The residual-guarded solve behind certified(beta)."""
         return self._cert(beta)[0]
 
+    def solution(self, beta: complex, j: int) -> np.ndarray:
+        """The micro-space solution for flux j from the solve at beta."""
+        res = self.resolvent(beta)
+        return res.image(self._copies[j]) if j in self._copies else res.solutions[j]
+
 
 class _MicroResolvent:
     """The micro resolvent of one axis mode at y = eps*s, one family per
@@ -281,22 +302,17 @@ class _MicroResolvent:
     eigenfunctions of one mode share it, so each root is factored once."""
 
     def __init__(self, op: CollisionOperator, y: float):
-        self.blocks = op.micro_blocks
+        self.op = op
         self.y = y
 
     @cached_property
-    def _real(self) -> np.ndarray | None:
-        blocks = self.blocks
-        return real_parity_matrix(blocks.parity, blocks.L - 1j * self.y * blocks.V)
-
-    @cached_property
     def shear(self) -> _Family:
-        # the transverse eigenfunctions solve with f_2 and f_3
-        return _Family(self.blocks, self.y, self._real, fluxes=(2,), solves=(2, 3))
+        # the transverse eigenfunctions need the solutions for f_2 and f_3
+        return _Family(self.op, self.y, 1, fluxes=(2,), solves=(2,), copies={3: 2})
 
     @cached_property
     def coupled(self) -> _Family:
-        return _Family(self.blocks, self.y, self._real, fluxes=(1, 4), solves=(1, 4))
+        return _Family(self.op, self.y, 0, fluxes=(1, 4), solves=(1, 4))
 
 
 def _micro_for(op: CollisionOperator, w: float,
@@ -538,7 +554,7 @@ def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: comple
     basis = op.basis
     blocks = op.micro_blocks
     if j in (2, 3):
-        micro = fam.resolvent(z).solutions[j]
+        micro = fam.solution(z, j)
         psi = basis.chi(j).astype(complex) + 1j * eps * s * blocks.embed(micro)
     else:
         beta = eps * z

@@ -13,13 +13,15 @@ field part is skew-adjoint there, so the numerical range of B in that metric
 is exactly the (nonpositive) collision form.  All of this is axis-reducible:
 a velocity rotation intertwines the operator at xi with the one at s e1.
 
-On the axis the mode has more structure: scaling slot k by i^(a1 mod 2)
-makes B real, and the real matrix is block-diagonal in (a2 mod 2, a3 mod 2),
-because the collision operator commutes with every coordinate reflection.
-FourierMode.eigen_blocks() decomposes those four real blocks separately; the
-dense complex decomposition serves off-axis modes and is the reference.
-real_parity_matrix is the structure check behind it, which dispersion applies
-to the micro block as well.
+On the axis the mode has more structure.  It commutes with every rotation
+about e1 and every coordinate reflection, so in the basis's azimuthal
+sectors (velocity_space.AxisSectors), with the parity scale i^(a1 mod 2)
+folded in, it is real and block-diagonal, one block per azimuthal number m
+that both copies of the sector share.  Each operator's sector blocks are
+computed and checked once (CollisionOperator.sector_blocks);
+FourierMode.eigen_blocks() forms a mode's blocks from them and decomposes
+each when it is first needed.  The dense complex decomposition serves
+off-axis modes and operators that fail the check, and is the reference.
 """
 
 from __future__ import annotations
@@ -30,29 +32,44 @@ from functools import cached_property
 
 import numpy as np
 
-from .collision import CollisionOperator
+from .collision import CollisionOperator, _SectorBlocks
 from .errors import AssemblyError, BasisError, RegimeError
-from .velocity_space import ParityClasses, VelocityBasis, bilinear_pair, weighted_inner
-
-
-STRUCTURE_TOL = 1e-13  # parity-block check, relative to max|B|
+from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_inner
 
 
 @dataclass(frozen=True, eq=False)
 class EigenBlock:
-    """Eigenpairs of one diagonal block of the scaled mode matrix.
+    """One diagonal block of a mode matrix, decomposed on first use.
 
-    index lists the basis slots of the block (micro slots, for the blocks
-    dispersion decomposes) and scale the parity scale on them; the mode
-    matrix's eigenvectors are scale[:, None] * vecs on those slots and zero
-    elsewhere.  All arrays are read-only.  The inverse of vecs, which cond
-    and coefficients share, is computed on first use.
+    frames lists the copies of the block: on each, the mode matrix's
+    eigenvectors are the embeddings of the columns of vecs (Frame.embed),
+    with eigenvalues vals.  A sector with m >= 1 has two copies, every other
+    block one.  vals and vecs are read-only.  The inverse of vecs, which cond
+    and coefficients share, is computed on first use as well.
     """
 
-    index: np.ndarray
-    scale: np.ndarray
-    vals: np.ndarray
-    vecs: np.ndarray
+    matrix: np.ndarray
+    frames: tuple[Frame, ...]
+
+    @cached_property
+    def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            vals, vecs = np.linalg.eig(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[0]}-row mode "
+                                f"block failed: {exc}") from None
+        vals, vecs = vals.astype(complex), vecs.astype(complex)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._decomposition[0]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        return self._decomposition[1]
 
     @cached_property
     def _inverse(self) -> np.ndarray | None:
@@ -72,39 +89,13 @@ class EigenBlock:
         return float(np.linalg.norm(self.vecs, 1) * np.linalg.norm(inv, 1))
 
     def coefficients(self, g: np.ndarray) -> np.ndarray:
-        """c with vecs @ c = g, through the inverse of vecs."""
+        """c with vecs @ c = g (g a vector or vectors as columns), through the
+        inverse of vecs."""
         inv = self._inverse
         if inv is None:
             raise RegimeError(f"eigenvector basis of a {self.vals.size}-row block is "
                               "singular; its eigen-expansion does not exist")
         return inv @ np.asarray(g, dtype=complex)
-
-
-def _eigen_block(index: np.ndarray, scale: np.ndarray, block: np.ndarray) -> EigenBlock:
-    try:
-        vals, vecs = np.linalg.eig(block)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"eigendecomposition of a {block.shape[0]}-row mode block "
-                            f"failed: {exc}") from None
-    vals, vecs = vals.astype(complex), vecs.astype(complex)
-    for arr in (index, scale, vals, vecs):
-        arr.setflags(write=False)
-    return EigenBlock(index, scale, vals, vecs)
-
-
-def real_parity_matrix(classes: ParityClasses, matrix: np.ndarray) -> np.ndarray | None:
-    """conj(scale)[:, None] * matrix * scale[None, :] as a real matrix, when it
-    is real and block-diagonal in the classes: imaginary part and entries
-    between classes at most STRUCTURE_TOL times its largest entry.  None
-    when it is not."""
-    scaled = classes.scale.conj()[:, None] * matrix * classes.scale[None, :]
-    tol = STRUCTURE_TOL * np.max(np.abs(scaled))
-    cross = np.abs(scaled)
-    for idx in classes.blocks:
-        cross[np.ix_(idx, idx)] = 0.0
-    if np.max(np.abs(scaled.imag)) <= tol and np.max(cross) <= tol:
-        return scaled.real
-    return None
 
 
 def _normalize_xi(xi) -> tuple[float, np.ndarray]:
@@ -131,11 +122,22 @@ class FourierMode:
     xi: np.ndarray
     s: float
     direction: np.ndarray
-    matrix: np.ndarray
 
     @property
     def basis(self) -> VelocityBasis:
         return self.collision.basis
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense complex mode matrix B, formed on first use; read-only."""
+        basis = self.basis
+        v_dir = sum(d * v for d, v in zip(self.direction, basis.v_matrices))
+        i0 = basis.density_index
+        coupling = np.zeros((basis.dim, basis.dim))
+        coupling[:, i0] = v_dir[:, i0] / self.s ** 2
+        mat = self.collision.matrix - 1j * self.eps * self.s * (v_dir + coupling)
+        mat.setflags(write=False)
+        return mat
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.matrix @ f
@@ -161,37 +163,55 @@ class FourierMode:
         return float(np.real(self.inner(self.matrix @ f, f)))
 
     @cached_property
+    def _sectors(self) -> _SectorBlocks | None:
+        return None if np.any(self.direction[1:]) else self.collision.sector_blocks
+
+    @cached_property
     def _blocks(self) -> tuple[EigenBlock, ...]:
-        classes = self.basis.parity_classes
-        if not np.any(self.direction[1:]):
-            real = real_parity_matrix(classes, self.matrix)
-            if real is not None:
-                return tuple(_eigen_block(idx, classes.scale[idx], real[np.ix_(idx, idx)])
-                             for idx in classes.blocks)
-        return (_eigen_block(np.arange(self.basis.dim), np.ones(self.basis.dim),
-                             self.matrix),)
+        sectors = self._sectors
+        if sectors is None:
+            dim = self.basis.dim
+            return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
+        y = self.eps * self.s
+        blocks = []
+        for m, (lm, wm, frames) in enumerate(zip(sectors.L, sectors.W, sectors.frames)):
+            if m == 0:
+                wm = np.array(wm)
+                wm[:, 0] += wm[:, 0] / self.s ** 2  # the Poisson column at the density
+            mat = lm + y * wm
+            mat.setflags(write=False)
+            blocks.append(EigenBlock(mat, frames))
+        return tuple(blocks)
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
-        """The mode's eigendecomposition, one block at a time; decomposed once.
+        """The mode's eigendecomposition, one block at a time.
 
-        On the axis, the matrix conjugated by the basis's parity scale is real
-        and block-diagonal in the four parity classes.  When it passes that
-        structure check (imaginary part and cross-block entries at most
-        STRUCTURE_TOL * max|B|), each real block is decomposed on its own.
-        Off-axis modes, and matrices that fail the check, are one dense
-        complex block with unit scale.
+        On the axis, one block per azimuthal sector, formed from the
+        operator's sector blocks; when the operator fails their structure
+        check, and off the axis, one dense complex block on an identity
+        frame.  Each block is decomposed when its vals, vecs or cond are
+        first read, so a caller that skips a block never pays for it.
         """
         return self._blocks
 
+    def coordinates(self, f: np.ndarray) -> list[list[np.ndarray]]:
+        """The coordinates of f in every copy of every block of eigen_blocks(),
+        in the same order."""
+        if self._sectors is None:
+            return [[np.asarray(f)]]
+        return self.basis.axis_sectors.coordinates(f)
+
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks = self._blocks
-        vals = np.concatenate([b.vals for b in blocks])
-        vecs = np.zeros((self.basis.dim, vals.size), dtype=complex)
+        dim = self.basis.dim
+        vals = np.concatenate([b.vals for b in self._blocks for _ in b.frames])
+        vecs = np.zeros((dim, vals.size), dtype=complex)
         col = 0
-        for b in blocks:
-            vecs[b.index, col:col + b.vals.size] = b.scale[:, None] * b.vecs
-            col += b.vals.size
+        for b in self._blocks:
+            for fr in b.frames:
+                n = b.vals.size
+                vecs[fr.index, col:col + n] = fr.scale[:, None] * (fr.basis @ b.vecs)
+                col += n
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs
@@ -199,10 +219,10 @@ class FourierMode:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and right eigenvectors of the mode matrix.
 
-        Assembled from eigen_blocks(): the parity blocks rescaled back to the
-        basis, each eigenvector zero outside its block, or the dense complex
-        decomposition where the blocks do not apply.  Both arrays are
-        computed once per mode, shared between callers and read-only.
+        Assembled from eigen_blocks(): every copy of every block embedded
+        back into the basis, each eigenvector zero outside its copy's slots.
+        Both arrays are computed once per mode, shared between callers and
+        read-only.
         """
         return self._eig
 
@@ -248,15 +268,8 @@ def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
     if not 0.0 < eps < 1.0:
         raise RegimeError(f"scaling parameter eps={eps} outside (0, 1)")
     s, direction = _normalize_xi(xi)
-    basis = collision.basis
-    v_dir = sum(d * v for d, v in zip(direction, basis.v_matrices))
-    i0 = basis.density_index
-    coupling = np.zeros((basis.dim, basis.dim))
-    coupling[:, i0] = v_dir[:, i0] / s ** 2
-    mat = collision.matrix - 1j * eps * s * (v_dir + coupling)
-    mat.setflags(write=False)
     return FourierMode(collision=collision, eps=eps, xi=s * direction, s=s,
-                       direction=direction, matrix=mat)
+                       direction=direction)
 
 
 def rotation_to_axis(direction: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} per mode (eigendecompositions of the real parity blocks of
-an axis mode, the dense complex one off the axis and as the reference, and
-a stiff ODE oracle), its splitting into the five-branch hydrodynamic part
-and an exponentially small remainder, the fluid semigroup on the three
-non-oscillatory branches, the forced fluid mode equations solved by exact
-Duhamel integration of piecewise-linear forcing, and least-squares
-decay-rate fitting.
+e^{(t/eps^2) B} per mode (eigendecompositions of the real azimuthal-sector
+blocks of an axis mode, the dense complex one off the axis and as the
+reference, and a stiff ODE oracle), its splitting into the five-branch
+hydrodynamic part and an exponentially small remainder, the fluid semigroup
+on the three non-oscillatory branches, the forced fluid mode equations
+solved by exact Duhamel integration of piecewise-linear forcing, and
+least-squares decay-rate fitting.
 """
 
 from __future__ import annotations
@@ -131,11 +131,12 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
     """Evolve one mode under the scaled kinetic flow.
 
     Primary path: the mode's eigen_blocks(), solved block by block and only
-    in blocks where f0 is nonzero.  If any of those blocks has an eigenvector
-    basis too ill-conditioned to trust (EigenBlock.cond, in the 1-norm,
-    at COND_LIMIT or more), the trajectory is integrated instead and flagged
-    by method = "ode".  With oracle=True both paths run and the largest
-    weighted discrepancy is recorded.
+    in blocks where f0 has coordinates; the copies of a sector that both hold
+    data are solved against its one decomposition.  If any of those blocks
+    has an eigenvector basis too ill-conditioned to trust (EigenBlock.cond,
+    in the 1-norm, at COND_LIMIT or more), the trajectory is integrated
+    instead and flagged by method = "ode".  With oracle=True both paths run
+    and the largest weighted discrepancy is recorded.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -146,17 +147,19 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
 
     method = "eig"
     states = np.zeros((times.size, f0.size), dtype=complex)
-    for block in mode.eigen_blocks():
-        g0 = f0[block.index] * block.scale.conj()
-        if not np.any(g0):
+    for block, coords in zip(mode.eigen_blocks(), mode.coordinates(f0)):
+        held = [(fr, g0) for fr, g0 in zip(block.frames, coords) if g0.any()]
+        if not held:
             continue
         if block.cond >= COND_LIMIT:
             method = "ode"
             states = _ode_states(mode, f0, times)
             break
-        c = block.coefficients(g0)
+        c = block.coefficients(np.stack([g0 for _, g0 in held], axis=1))
         phases = np.exp(np.outer(times, block.vals) / mode.eps ** 2)
-        states[:, block.index] = block.scale * (phases * c[None, :] @ block.vecs.T)
+        for k, (fr, _) in enumerate(held):
+            states[:, fr.index] += fr.scale * ((phases * c[None, :, k]) @ block.vecs.T
+                                               @ fr.basis.T)
 
     gap = None
     if oracle and method == "eig":

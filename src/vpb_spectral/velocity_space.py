@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -90,6 +91,58 @@ class ParityClasses:
 
     scale: np.ndarray                 # (dim,) complex, read-only
     blocks: tuple[np.ndarray, ...]    # four ascending index arrays, read-only
+
+
+class Frame(NamedTuple):
+    """Orthonormal coordinates on some slots: y stands for the vector that is
+    scale * (basis @ y) on the slots index and zero elsewhere.  basis is real
+    with orthonormal columns and scale has unit moduli, so coords inverts
+    embed on the frame's span."""
+
+    index: np.ndarray
+    scale: np.ndarray
+    basis: np.ndarray
+
+    def coords(self, f: np.ndarray) -> np.ndarray:
+        """Coordinates of f in the frame."""
+        return self.basis.T @ (self.scale.conj() * np.asarray(f)[self.index])
+
+    def embed(self, y: np.ndarray, size: int) -> np.ndarray:
+        """The length-size vector with coordinates y."""
+        out = np.zeros(size, dtype=complex)
+        out[self.index] = self.scale * (self.basis @ y)
+        return out
+
+
+@dataclass(frozen=True)
+class AxisSectors:
+    """Azimuthal sectors of the basis about e1, m = 0..max_degree.
+
+    Rotations about e1 act on sector m as rotations by m times the angle.
+    frames[m] holds the sector's cos copy, in the (even, even) class for even
+    m and the (odd, even) class for odd m, and for m >= 1 its sin copy,
+    -J1 Q / m with J1 the rotation generator and Q the cos basis.  Both
+    carry the parity scale, so an axis mode matrix is the same real block on
+    both copies.  The collision invariants are coordinate columns at the
+    front of their sectors: chi0, chi1, chi4 in m = 0, chi2 the cos and chi3
+    the sin copy of m = 1; n_invariant[m] counts them.
+
+    transform is the real orthogonal matrix whose columns are every copy of
+    every sector in that order, spans[m] the column ranges of sector m's
+    copies, and scale the parity scale: a vector f has the coordinates
+    transform^T (conj(scale) f), copy by copy.
+    """
+
+    frames: tuple[tuple[Frame, ...], ...]
+    n_invariant: tuple[int, ...]
+    transform: np.ndarray
+    spans: tuple[tuple[slice, ...], ...]
+    scale: np.ndarray
+
+    def coordinates(self, f: np.ndarray) -> list[list[np.ndarray]]:
+        """The coordinates of f in every copy of every sector."""
+        g = self.transform.T @ (self.scale.conj() * f)
+        return [[g[sl] for sl in spans] for spans in self.spans]
 
 
 @dataclass(frozen=True)
@@ -178,6 +231,61 @@ class VelocityBasis:
         for arr in (scale, *blocks):
             arr.setflags(write=False)
         return ParityClasses(scale=scale, blocks=blocks)
+
+    @cached_property
+    def axis_sectors(self) -> AxisSectors:
+        """The azimuthal sectors about e1, from the exact rotation generator.
+
+        Sector m is the m^2 eigenspace of J1^T J1 inside its parity class.
+        Only the micro slots go through eigh: J1 maps the span of the
+        invariants to itself, so the micro slots are invariant as well, and
+        the invariants stay coordinate vectors.
+        """
+        j1 = rotation_generator(self)
+        classes = self.parity_classes
+        inv = self.invariant_indices
+        front = {(0, 0): [inv[0], inv[1], inv[4]], (1, 2): [inv[2]]}
+        cos = {}
+        for c in (0, 2):
+            idx = classes.blocks[c]
+            micro = np.flatnonzero(~np.isin(idx, inv))
+            k = j1[:, idx[micro]].T @ j1[:, idx[micro]]
+            w, q = np.linalg.eigh(k)
+            m_of = np.rint(np.sqrt(np.maximum(w, 0.0))).astype(int)
+            if np.max(np.abs(w - m_of ** 2)) > 1e-8:
+                raise BasisError("rotation generator has a non-integer azimuthal spectrum")
+            for m in range(c // 2, self.max_degree + 1, 2):
+                head = [int(np.flatnonzero(idx == i)[0]) for i in front.get((m, c), [])]
+                basis = np.zeros((idx.size, len(head) + np.count_nonzero(m_of == m)))
+                basis[head, np.arange(len(head))] = 1.0
+                basis[micro, len(head):] = q[:, m_of == m]
+                cos[m] = (Frame(idx, classes.scale[idx], basis), len(head))
+        frames = []
+        for m in range(self.max_degree + 1):
+            first, _ = cos[m]
+            copies = [first]
+            if m:
+                sin_idx = classes.blocks[1 if m % 2 else 3]
+                image = -j1[np.ix_(sin_idx, first.index)] @ first.basis / m
+                copies.append(Frame(sin_idx, classes.scale[sin_idx], image))
+            for fr in copies:
+                for arr in fr:
+                    arr.setflags(write=False)
+            frames.append(tuple(copies))
+        transform = np.zeros((self.dim, self.dim))
+        spans, col = [], 0
+        for copies in frames:
+            spans.append([])
+            for fr in copies:
+                n = fr.basis.shape[1]
+                transform[fr.index, col:col + n] = fr.basis
+                spans[-1].append(slice(col, col + n))
+                col += n
+        transform.setflags(write=False)
+        return AxisSectors(frames=tuple(frames),
+                           n_invariant=tuple(cos[m][1] for m in range(self.max_degree + 1)),
+                           transform=transform, spans=tuple(tuple(sp) for sp in spans),
+                           scale=classes.scale)
 
     def chi(self, k: int) -> np.ndarray:
         """Coefficient vector of the k-th collision invariant, k = 0..4."""
@@ -372,3 +480,22 @@ def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarra
                 v[pos[tuple(dn)], i] = np.sqrt(a)
         mats.append(basis.rotation.T @ v @ basis.rotation)
     return tuple(mats)
+
+
+def rotation_generator(basis: VelocityBasis) -> np.ndarray:
+    """Galerkin matrix of J1 = v2 d/dv3 - v3 d/dv2, the generator of rotations
+    about e1: exp(theta J1) is the coefficient map of f -> f(R(theta) v).
+
+    Exact and skew-symmetric: J1 keeps the total degree, and on the Hermite
+    functions it moves (a2, a3) to (a2 + 1, a3 - 1) with sqrt((a2 + 1) a3) and
+    to (a2 - 1, a3 + 1) with -sqrt(a2 (a3 + 1)).
+    """
+    dim = basis.dim
+    pos = {alpha: i for i, alpha in enumerate(basis.multi_indices)}
+    j = np.zeros((dim, dim))
+    for i, (a1, a2, a3) in enumerate(basis.multi_indices):
+        if a3 > 0:
+            j[pos[(a1, a2 + 1, a3 - 1)], i] = np.sqrt((a2 + 1.0) * a3)
+        if a2 > 0:
+            j[pos[(a1, a2 - 1, a3 + 1)], i] = -np.sqrt(a2 * (a3 + 1.0))
+    return basis.rotation.T @ j @ basis.rotation

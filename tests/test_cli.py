@@ -273,6 +273,19 @@ class TestReproducibility:
         body4 = open(artifact_of(out4, ".csv"), encoding="utf-8").read()
         assert body1 == body4
 
+    def test_one_job_runs_without_a_pool(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+        import vpb_spectral.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was opened at jobs = 1")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        code, out, _ = run_cli(["dispersion", "--config", tiny_cfg,
+                                "--out", tmp_path, "--jobs", "1"], capsys)
+        assert code == 0
+        lines = open(artifact_of(out, ".csv"), encoding="utf-8").read().splitlines()
+        assert len(lines) - 1 == 6 * 3 * 5
+
 
 class TestCheck:
     def test_all_steps_pass_quickly(self, tiny_cfg, capsys):

@@ -210,15 +210,15 @@ class TestPoleSums:
             assert q.det_residual <= 1e-10 and q.eig_residual <= 1e-8
 
     def test_singular_eigenvectors_take_the_lu_path(self, op_mid, monkeypatch):
-        exact = dispersion._eigen_block
+        exact = np.linalg.eig
 
-        def singular(index, scale, block):
-            eb = exact(index, scale, block)
-            vecs = np.array(eb.vecs)
+        def singular(a):
+            vals, vecs = exact(a)
+            vecs = np.array(vecs)
             vecs[:, 0] = 0.0
-            return EigenBlock(eb.index, eb.scale, eb.vals, vecs)
+            return vals, vecs
 
-        monkeypatch.setattr(dispersion, "_eigen_block", singular)
+        monkeypatch.setattr(np.linalg, "eig", singular)
         points = hydrodynamic_spectrum(mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0])))
         assert [p.path for p in points] == ["lu"] * 5
         assert max(p.eig_residual for p in points) <= 1e-8
@@ -234,8 +234,9 @@ class TestPoleSums:
                 getattr(micro, family).certified(-2.0)
 
     def test_broken_structure_takes_the_lu_path(self, op_mid):
-        blocks = op_mid.micro_blocks
-        i, k = (blocks.micro[blocks.parity.blocks[c][0]] for c in (0, 2))
+        basis = op_mid.basis
+        i, k = (next(i for i in basis.parity_classes.blocks[c]
+                     if i not in basis.invariant_indices) for c in (0, 2))
         mat = np.array(op_mid.matrix)
         mat[i, k] += 1e-9
         mat[k, i] += 1e-9
@@ -261,6 +262,21 @@ class TestPoleSums:
             monkeypatch.setattr(np.linalg, fn, spy)
         hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
         assert 1 <= calls["eig"] <= 2 and 1 <= calls["solve"] <= 4, calls
+
+    def test_two_sector_eigs_per_mode(self, hard_sphere_prod, monkeypatch):
+        # the shear poles come from the micro m = 1 block, the coupled ones
+        # from the micro m = 0 block; nothing else is decomposed
+        hard_sphere_prod.micro_blocks.kappa_bar
+        sizes, solves = [], []
+        eig, solve = np.linalg.eig, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a.shape[0]) or eig(a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solves.append(a.shape[0]) or solve(a, b))
+        points = hydrodynamic_spectrum(
+            mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
+        assert [p.path for p in points] == ["pole-sum"] * 5
+        assert sizes == [11, 13]
+        assert len(solves) <= 4 and set(solves) == {11, 13}
 
 
 class TestHydrodynamicSpectrum:

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vpb_spectral import build_basis
-from vpb_spectral.collision import assemble_collision, synthetic_collision
+from vpb_spectral.collision import STRUCTURE_TOL, assemble_collision, synthetic_collision
+from vpb_spectral.dispersion import hydrodynamic_spectrum
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.mode_operator import (
     EigenBlock,
@@ -17,6 +18,8 @@ from vpb_spectral.mode_operator import (
     pushforward_from_axis,
     rotation_to_axis,
 )
+from vpb_spectral.semigroup import propagate_kinetic
+from vpb_spectral.velocity_space import Frame
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +186,7 @@ def test_axis_mode_is_real_and_block_diagonal(axis_operators, name):
     bound = 0.0 if name.startswith("synthetic") else 1e-13 * np.max(np.abs(mode.matrix))
     assert np.max(np.abs(scaled.imag)) <= bound
     assert np.max(cross) <= bound
-    assert len(mode.eigen_blocks()) == 4
+    assert len(mode.eigen_blocks()) == mode.basis.max_degree + 1
 
 
 @pytest.mark.parametrize("name", ["hard-sphere-4", "hard-sphere-6"])
@@ -197,7 +200,7 @@ def test_hard_sphere_axis_mode_blocks_are_exact(axis_operators, hard_sphere_prod
         cross[np.ix_(idx, idx)] = 0.0
     assert np.max(np.abs(scaled.imag)) == 0.0
     assert np.max(cross) == 0.0
-    assert len(mode.eigen_blocks()) == 4
+    assert len(mode.eigen_blocks()) == mode.basis.max_degree + 1
 
 
 @pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
@@ -213,29 +216,29 @@ def test_block_cond_and_coefficients_come_from_one_lu(axis_operators, name):
         assert np.max(np.abs(c - np.linalg.solve(block.vecs, g))) <= 1e-12 * np.max(np.abs(c))
 
 
-def test_singular_eigenvectors_have_infinite_cond():
+def test_singular_eigenvectors_have_infinite_cond(monkeypatch):
     vecs = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    block = EigenBlock(np.arange(2), np.ones(2), np.zeros(2, dtype=complex), vecs)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (np.zeros(2, dtype=complex), vecs))
+    block = EigenBlock(np.zeros((2, 2)), (Frame(np.arange(2), np.ones(2), np.eye(2)),))
     assert block.cond == np.inf
     with pytest.raises(RegimeError, match="singular"):
         block.coefficients(np.ones(2))
 
 
 def test_nan_mode_matrix_is_a_typed_error(op4):
-    mode = mode_operator(op4, 0.1, 0.4)
-    mat = np.array(mode.matrix)
+    mat = np.array(op4.matrix)
     mat[3, 5] = np.nan
     mat.setflags(write=False)
-    poisoned = dataclasses.replace(mode, matrix=mat)
+    poisoned = mode_operator(dataclasses.replace(op4, matrix=mat), 0.1, 0.4)
     with pytest.raises(AssemblyError, match="eigendecomposition"):
-        poisoned.eigen_blocks()
+        poisoned.eigensystem()
 
 
 def test_tilted_mode_is_one_dense_block(op4):
     d = np.array([0.48, -0.6, 0.64])
     tilted = mode_operator(op4, 0.1, 0.7 * d / np.linalg.norm(d))
     (block,) = tilted.eigen_blocks()
-    assert np.array_equal(block.index, np.arange(op4.basis.dim))
+    assert np.array_equal(block.frames[0].index, np.arange(op4.basis.dim))
     vals, vecs = scipy.linalg.eig(np.array(tilted.matrix))
     assert np.array_equal(block.vals, vals) and np.array_equal(block.vecs, vecs)
 
@@ -255,18 +258,69 @@ def test_block_eigenvalues_match_dense(axis_operators, name, s, eps):
 
 @pytest.mark.parametrize("s, eps", [(0.1, 0.025), (0.35, 0.1), (0.6, 0.3)])
 def test_block_eigenvalues_against_40_digits(basis_mid, s, eps):
-    """Each block's five slowest eigenvalues lie within round-off of a 40-digit
-    eig of that block, and real ones come out exactly real."""
+    """Each sector block's five slowest eigenvalues lie within round-off of a
+    40-digit eig of that block, and real ones come out exactly real."""
     mpmath = pytest.importorskip("mpmath")
     mode = mode_operator(synthetic_collision(basis_mid), eps, s)
-    scaled = _scaled(mode)
     bound = 8 * np.finfo(float).eps * np.max(np.abs(mode.matrix))
     with mpmath.workdps(40):
         for block in mode.eigen_blocks():
-            ref, _ = mpmath.eig(mpmath.matrix(scaled.real[np.ix_(block.index, block.index)].tolist()))
+            ref, _ = mpmath.eig(mpmath.matrix(block.matrix.tolist()))
             for z in sorted(ref, key=lambda z: -mpmath.re(z))[:5]:
                 err = min(float(abs(mpmath.mpc(v) - z)) for v in block.vals)
                 assert err <= bound
                 if abs(mpmath.im(z)) < 1e-30:
                     nearest = block.vals[np.argmin(np.abs(block.vals - complex(z)))]
                     assert nearest.imag == 0.0
+
+
+@pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4", "hard-sphere-6"])
+def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphere_prod, name):
+    op = hard_sphere_prod if name == "hard-sphere-6" else axis_operators[name]
+    basis = op.basis
+    scale = basis.parity_classes.scale
+    t, spans = basis.axis_sectors.transform, basis.axis_sectors.spans
+    for mat in (op.matrix, -1j * basis.v_matrices[0]):
+        scaled = (scale.conj()[:, None] * mat * scale[None, :]).real
+        blocks = t.T @ scaled @ t
+        cross = np.abs(blocks)
+        for copies in spans:
+            for sl in copies:
+                cross[sl, sl] = 0.0
+        assert np.max(cross) <= STRUCTURE_TOL * np.max(np.abs(blocks))
+    assert op.sector_blocks is not None
+
+
+def _even_sector_vector(basis, m):
+    """A real unit micro vector in the cos copy of sector m, on a1-even slots
+    only, so that the parity scale leaves it real."""
+    sectors = basis.axis_sectors
+    fr = sectors.frames[m][0]
+    even = np.array([basis.multi_indices[i][0] % 2 == 0 for i in fr.index])
+    for col in fr.basis[:, sectors.n_invariant[m]:].T:
+        w = np.where(even, col, 0.0)
+        if np.linalg.norm(w) > 0.1:
+            u = np.zeros(basis.dim)
+            u[fr.index] = w / np.linalg.norm(w)
+            return u
+    raise AssertionError(f"sector {m} has no a1-even micro vector")
+
+
+def test_operator_coupling_sectors_takes_the_dense_and_lu_paths(hard_sphere_prod):
+    # 1e-8 between the m = 0 and m = 2 sectors of the (even, even) class
+    basis = hard_sphere_prod.basis
+    u, w = _even_sector_vector(basis, 0), _even_sector_vector(basis, 2)
+    mat = hard_sphere_prod.matrix + 1e-8 * (np.outer(u, w) + np.outer(w, u))
+    mat.setflags(write=False)
+    broken = dataclasses.replace(hard_sphere_prod, matrix=mat)
+    assert broken.sector_blocks is None
+    mode = mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0]))
+    (block,) = mode.eigen_blocks()
+    assert block.frames[0].index.size == basis.dim
+    rng = np.random.default_rng(5)
+    f0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    traj = propagate_kinetic(mode, f0, [0.0, 0.002, 0.01, 0.05, 0.2], oracle=True)
+    assert traj.method == "eig" and traj.oracle_gap < 1e-7
+    points = hydrodynamic_spectrum(mode)
+    assert [p.path for p in points] == ["lu"] * 5
+    assert max(p.eig_residual for p in points) <= 1e-8

@@ -124,24 +124,25 @@ class TestParityBlocks:
         f0 = random_state(mode.basis.dim, seed=seed)
         times = eps ** 2 * np.linspace(0.0, 50.0, 6)
         traj = propagate_kinetic(mode, f0, times)
-        assert traj.method == "eig" and len(mode.eigen_blocks()) == 4
+        assert traj.method == "eig" and len(mode.eigen_blocks()) == mode.basis.max_degree + 1
         vals, vecs = scipy.linalg.eig(np.array(mode.matrix))
         dense = np.exp(np.outer(times, vals) / eps ** 2) \
             * np.linalg.solve(vecs, f0)[None, :] @ vecs.T
         gap = max(mode.norm(a - b) for a, b in zip(traj.states, dense))
         assert gap <= 1e-10 * mode.norm(f0)
 
-    def test_only_blocks_holding_data_are_solved(self, mode_mid, monkeypatch):
-        # macro data has no (odd, odd) slot, so that block is never conditioned
+    def test_only_blocks_holding_data_are_solved(self, hard_sphere_prod, monkeypatch):
+        # macro data lies in the m = 0 sector and both copies of m = 1: those
+        # two blocks are decomposed, once each, and the (odd, odd) class,
+        # which holds only sin copies of even m >= 2, is never touched
+        mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
         sizes = []
-        cond = EigenBlock.cond.func
-        monkeypatch.setattr(EigenBlock, "cond",
-                            property(lambda b: sizes.append(b.vals.size) or cond(b)))
-        f0 = macro_vector(mode_mid.basis, 0.3, [0.2, -0.5, 0.1], -0.7).astype(complex)
-        traj = propagate_kinetic(mode_mid, f0, [0.0, 0.1])
-        blocks = mode_mid.basis.parity_classes.blocks
-        assert sizes == [idx.size for idx in blocks[:3]]
-        assert np.all(traj.states[:, blocks[3]] == 0.0)
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a.shape[0]) or eig(a))
+        f0 = macro_vector(mode.basis, 0.3, [0.2, -0.5, 0.1], -0.7).astype(complex)
+        traj = propagate_kinetic(mode, f0, [0.0, 0.1])
+        assert sizes == [16, 12]
+        assert np.all(traj.states[:, mode.basis.parity_classes.blocks[3]] == 0.0)
 
     def test_tiny_cond_limit_takes_the_ode_path(self, mode_mid, monkeypatch):
         monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
@@ -149,15 +150,17 @@ class TestParityBlocks:
                                  [0.0, 0.01, 0.05])
         assert traj.method == "ode"
 
-    def test_broken_structure_takes_the_dense_path(self, mode_mid):
-        assert len(mode_mid.eigen_blocks()) == 4
-        blocks = mode_mid.basis.parity_classes.blocks
-        mat = np.array(mode_mid.matrix)
-        mat[blocks[0][0], blocks[1][0]] += 1e-8
+    def test_broken_structure_takes_the_dense_path(self, op_mid, mode_mid):
+        assert len(mode_mid.eigen_blocks()) == mode_mid.basis.max_degree + 1
+        basis = op_mid.basis
+        i, k = (next(i for i in basis.parity_classes.blocks[c]
+                     if i not in basis.invariant_indices) for c in (0, 1))
+        mat = np.array(op_mid.matrix)
+        mat[i, k] += 1e-8
         mat.setflags(write=False)
-        broken = dataclasses.replace(mode_mid, matrix=mat)
+        broken = mode_operator(dataclasses.replace(op_mid, matrix=mat), mode_mid.eps, mode_mid.xi)
         (block,) = broken.eigen_blocks()
-        assert block.index.size == broken.basis.dim
+        assert block.frames[0].index.size == broken.basis.dim
         f0 = random_state(broken.basis.dim)
         traj = propagate_kinetic(broken, f0, [0.0, 0.002, 0.01, 0.05, 0.2], oracle=True)
         assert traj.method == "eig"

@@ -18,7 +18,7 @@ from vpb_spectral import (
     weighted_inner,
     weighted_norm,
 )
-from vpb_spectral.velocity_space import hermite_polynomial_table
+from vpb_spectral.velocity_space import hermite_polynomial_table, rotation_generator
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,3 +208,72 @@ def test_metric_sandwich(c, s):
     wt = weighted_norm(b, f, s) ** 2
     assert wt >= plain - 1e-12
     assert wt <= (1.0 + s ** -2) * plain + 1e-9
+
+
+def _rot_e1(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+@pytest.mark.parametrize("deg", [4, 6, 8])
+def test_rotation_generator_exponentiates_to_axis_rotations(deg):
+    import scipy.linalg
+
+    from vpb_spectral.mode_operator import compose_rotation
+
+    basis = _basis(deg)
+    j1 = rotation_generator(basis)
+    assert np.max(np.abs(j1 + j1.T)) == 0.0
+    for theta in (0.3, -1.1, 2.5):
+        rot = compose_rotation(basis, _rot_e1(theta))
+        assert np.max(np.abs(scipy.linalg.expm(theta * j1) - rot)) <= 1e-13
+
+
+@pytest.mark.parametrize("deg, sizes", [
+    (6, (16, 12, 9, 6, 4, 2, 1)),
+    (8, (25, 20, 16, 12, 9, 6, 4, 2, 1)),
+])
+def test_axis_sector_sizes(deg, sizes):
+    sectors = _basis(deg).axis_sectors
+    assert tuple(copies[0].basis.shape[1] for copies in sectors.frames) == sizes
+    assert sectors.n_invariant == (3, 1) + (0,) * (deg - 1)
+    if deg == 8:
+        # the micro blocks the dispersion determinants decompose
+        assert (sizes[0] - 3, sizes[1] - 1) == (22, 19)
+
+
+@pytest.mark.parametrize("deg", [4, 6, 8])
+def test_axis_sector_frames(deg):
+    basis = _basis(deg)
+    sectors = basis.axis_sectors
+    j1 = rotation_generator(basis)
+    cols = []
+    for m, copies in enumerate(sectors.frames):
+        assert len(copies) == (1 if m == 0 else 2)
+        full = []
+        for fr in copies:
+            q = np.zeros((basis.dim, fr.basis.shape[1]))
+            q[fr.index] = fr.basis
+            full.append(q)
+            cols.append(q)
+        if m:
+            # the sin copy is -J1 Q / m of the cos copy, on every slot
+            assert np.max(np.abs(-j1 @ full[0] / m - full[1])) <= 1e-15
+    t = np.concatenate(cols, axis=1)
+    assert np.array_equal(t, sectors.transform)
+    assert np.max(np.abs(t.T @ t - np.eye(basis.dim))) <= 1e-14
+    # the invariants are exact coordinate columns at the front of their sectors
+    inv = basis.invariant_indices
+    fronts = [(sectors.frames[0][0], 0, inv[0]), (sectors.frames[0][0], 1, inv[1]),
+              (sectors.frames[0][0], 2, inv[4]), (sectors.frames[1][0], 0, inv[2]),
+              (sectors.frames[1][1], 0, inv[3])]
+    for fr, col, slot in fronts:
+        e = np.zeros(fr.index.size)
+        e[np.flatnonzero(fr.index == slot)] = 1.0
+        assert np.array_equal(fr.basis[:, col], e)
+    # and every other column vanishes exactly on the invariant slots
+    for m, copies in enumerate(sectors.frames):
+        for fr in copies:
+            rows = np.isin(fr.index, inv)
+            assert np.all(fr.basis[np.ix_(rows, np.arange(sectors.n_invariant[m],
+                                                          fr.basis.shape[1]))] == 0.0)
