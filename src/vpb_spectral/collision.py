@@ -535,14 +535,13 @@ class _SectorBlocks(NamedTuple):
 
     With S the parity scale, L[m] and W[m] are the blocks of conj(S) L S and
     of conj(S) (-i V1) S on sector m (both copies carry the same blocks, in
-    the frames of frames[m]).  The axis mode at eps, s is L[m] + eps s W[m]
-    on every sector, plus the Poisson column eps s W[0][:, 0] / s^2 at the
-    density coordinate, which leads sector 0.  micro[m] holds the blocks
-    without the invariant coordinates, (L, W, frames), the frames in micro
-    slot numbering.
+    the frames of basis.axis_sectors.frames[m]).  The axis mode at eps, s e1
+    is L[m] + eps s W[m] on every sector, plus the Poisson column
+    eps s W[0][:, 0] / s^2 at the density coordinate, which leads sector 0.
+    micro[m] holds the blocks without the invariant coordinates,
+    (L, W, frames), the frames in micro slot numbering.
     """
 
-    frames: tuple[tuple[Frame, ...], ...]
     L: tuple[np.ndarray, ...]
     W: tuple[np.ndarray, ...]
     micro: tuple[tuple[np.ndarray, np.ndarray, tuple[Frame, ...]], ...]
@@ -587,7 +586,7 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks | None:
     for arr in (*out[0], *out[1], *(a for lw in micro for a in lw[:2]),
                 *(a for lw in micro for fr in lw[2] for a in fr)):
         arr.setflags(write=False)
-    return _SectorBlocks(sectors.frames, out[0], out[1], tuple(micro))
+    return _SectorBlocks(out[0], out[1], tuple(micro))
 
 
 def _structural_checks(basis: VelocityBasis, mat: np.ndarray) -> None:

@@ -52,6 +52,7 @@ R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
+_SPAN_TOL = 1e-12  # relative part of a right-hand side allowed outside its system's span
 _ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver falls back
 # eigenvector condition (1-norm) of a sector block at which its pole sums
@@ -135,16 +136,17 @@ class _Resolvent:
     """(A - beta)^-1 applied to one stack of right-hand sides, for one micro
     system A: one np.linalg.solve, with a residual guard on every column.
 
-    rhs maps keys to micro-space vectors, which must vanish off the slots of
-    the system's frame; solutions maps the same keys to the micro-space
-    solutions.
+    rhs maps keys to micro-space vectors, which must lie in the span of the
+    system's frame; solutions maps the same keys to the micro-space
+    solutions, and coords to their coordinates in the frame.
     """
 
     def __init__(self, system: _MicroSystem, beta: complex, rhs: dict):
         frame = system.frame
         for f in rhs.values():
-            if np.any(np.delete(f, frame.index)):
-                raise ValueError("right-hand side leaves the slots of the micro system")
+            lost = np.linalg.norm(f - frame.embed(frame.coords(f), system.size))
+            if not lost <= _SPAN_TOL * np.linalg.norm(f):
+                raise ValueError("right-hand side leaves the span of the micro system")
         a = system.matrix.astype(complex)
         a[np.diag_indices_from(a)] -= beta
         g = np.stack([frame.coords(f) for f in rhs.values()], axis=1)
@@ -156,19 +158,14 @@ class _Resolvent:
         self.system = system
         self._a = a
         self._g = dict(zip(rhs, g.T))
-        self._x = dict(zip(rhs, x.T))
+        self.coords = dict(zip(rhs, x.T))
         self.solutions = dict(zip(rhs, self._guarded(x, g).T))
 
     def combine(self, coef: dict) -> np.ndarray:
         """sum_j coef[j] (A - beta)^-1 rhs[j], residual-guarded as one vector."""
-        x = sum(c * self._x[j] for j, c in coef.items())
+        x = sum(c * self.coords[j] for j, c in coef.items())
         g = sum(c * self._g[j] for j, c in coef.items())
         return self._guarded(x[:, None], g[:, None])[:, 0]
-
-    def image(self, key) -> np.ndarray:
-        """The micro-space solution for the sin-copy image of rhs[key]: the
-        coordinates of solutions[key], embedded in the copy's frame."""
-        return self.system.copy.embed(self._x[key], self.system.size)
 
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The micro-space vectors of the solution columns x, once each
@@ -234,16 +231,14 @@ class _Family:
     micro block, because the operator has no sector blocks or the block's
     eigenvectors are too ill-conditioned (EigenBlock.cond at POLE_COND_LIMIT
     or more).  On either path certified() evaluates the entries through one
-    residual-guarded solve per root, with every flux in solves as a
-    right-hand side; the branch eigenfunctions read the same solutions.
-    copies maps a flux to the flux whose sin-copy image it is, which the
-    sector path reads off that solution and the lu path solves for.
+    residual-guarded solve per root, with every flux as a right-hand side;
+    the branch eigenfunctions read the same solutions.  The sector path
+    reads the solution for f_3 off f_2's (_shear_solution), so for m = 1 the
+    lu path solves for f_3 as well.
     """
 
-    def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple,
-                 solves: tuple, copies: dict | None = None):
+    def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple):
         blocks = op.micro_blocks
-        copies = copies or {}
         self.fluxes = {j: blocks.flux[j] for j in fluxes}
         self.path = "lu"
         self._certs: dict = {}
@@ -259,13 +254,11 @@ class _Family:
                 self._weights = np.array([right[j] * left[k] for j, k in self._keys])
                 self._mu = eb.vals
                 self.system = system
-                self._solves = {j: blocks.flux[j] for j in solves}
-                self._copies = copies
+                self._solves = self.fluxes
                 self.path = "pole-sum"
                 return
         self.system = _full_system(blocks, y)
-        self._solves = {j: blocks.flux[j] for j in (*solves, *copies)}
-        self._copies = {}
+        self._solves = {j: blocks.flux[j] for j in (*fluxes, 3)} if m == 1 else self.fluxes
 
     def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
         """R_jk(beta), and d/dbeta when asked, for one solver step."""
@@ -290,11 +283,6 @@ class _Family:
         """The residual-guarded solve behind certified(beta)."""
         return self._cert(beta)[0]
 
-    def solution(self, beta: complex, j: int) -> np.ndarray:
-        """The micro-space solution for flux j from the solve at beta."""
-        res = self.resolvent(beta)
-        return res.image(self._copies[j]) if j in self._copies else res.solutions[j]
-
 
 class _MicroResolvent:
     """The micro resolvent of one axis mode at y = eps*s, one family per
@@ -307,12 +295,11 @@ class _MicroResolvent:
 
     @cached_property
     def shear(self) -> _Family:
-        # the transverse eigenfunctions need the solutions for f_2 and f_3
-        return _Family(self.op, self.y, 1, fluxes=(2,), solves=(2,), copies={3: 2})
+        return _Family(self.op, self.y, 1, fluxes=(2,))
 
     @cached_property
     def coupled(self) -> _Family:
-        return _Family(self.op, self.y, 0, fluxes=(1, 4), solves=(1, 4))
+        return _Family(self.op, self.y, 0, fluxes=(1, 4))
 
 
 def _micro_for(op: CollisionOperator, w: float,
@@ -547,6 +534,16 @@ def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> 
     return complex(f @ g + (f[i0] * g[i0]) / (s * s))
 
 
+def _shear_solution(fam: _Family, z: complex, j: int) -> np.ndarray:
+    """The micro-space solution for flux j in (2, 3) from the solve at z.
+    f_3 is the quarter-turn image of f_2, so on a sector system the solution
+    for f_3 is f_2's coordinates embedded in the sin copy."""
+    res = fam.resolvent(z)
+    if j in res.solutions:
+        return res.solutions[j]
+    return res.system.copy.embed(res.coords[2], res.system.size)
+
+
 def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: complex,
                           s: float, eps: float, h_axis: dict) -> np.ndarray:
     """Assemble, normalize and sign-align one axis eigenfunction; the micro
@@ -554,7 +551,7 @@ def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: comple
     basis = op.basis
     blocks = op.micro_blocks
     if j in (2, 3):
-        micro = fam.solution(z, j)
+        micro = _shear_solution(fam, z, j)
         psi = basis.chi(j).astype(complex) + 1j * eps * s * blocks.embed(micro)
     else:
         beta = eps * z

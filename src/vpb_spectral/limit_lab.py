@@ -262,9 +262,7 @@ def layer_time_grid(eps: float, t_max: float, n_layer: int = 12,
     edge = min(10.0 * eps, 0.5 * t_max)
     layer = np.linspace(0.0, edge, n_layer, endpoint=False)
     bulk = np.geomspace(edge, t_max, n_bulk)
-    # sorted and deduplicated without np.unique, which loads numpy.ma (~35 ms)
-    times = np.sort(np.concatenate([layer, bulk]))
-    return times[np.concatenate([[True], np.diff(times) > 0.0])]
+    return np.unique(np.concatenate([layer, bulk]))
 
 
 ERROR_COLUMNS = ("eps", "t", "err_Linf_P", "err_macro", "err_micro")

@@ -172,15 +172,17 @@ class FourierMode:
         if sectors is None:
             dim = self.basis.dim
             return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
-        y = self.eps * self.s
+        # on the axis the direction is +-e1, and B carries its sign on V1
+        y = self.eps * self.s * self.direction[0]
         blocks = []
-        for m, (lm, wm, frames) in enumerate(zip(sectors.L, sectors.W, sectors.frames)):
+        frames = self.basis.axis_sectors.frames
+        for m, (lm, wm, copies) in enumerate(zip(sectors.L, sectors.W, frames)):
             if m == 0:
                 wm = np.array(wm)
                 wm[:, 0] += wm[:, 0] / self.s ** 2  # the Poisson column at the density
             mat = lm + y * wm
             mat.setflags(write=False)
-            blocks.append(EigenBlock(mat, frames))
+            blocks.append(EigenBlock(mat, copies))
         return tuple(blocks)
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:

@@ -193,6 +193,13 @@ class TestPoleSums:
         system = _MicroResolvent(op_mid, 0.1).coupled.system
         with pytest.raises(ValueError):
             _Resolvent(system, 0.05j, {3: op_mid.micro_blocks.flux[3]})
+        # an m = 2 vector lies on the slots of the coupled block's class, the
+        # (even, even) one, but outside its m = 0 sector
+        m2 = op_mid.sector_blocks.micro[2][2][0]
+        foreign = m2.embed(np.ones(m2.basis.shape[1]), system.size)
+        assert set(np.flatnonzero(foreign)) <= set(system.frame.index)
+        with pytest.raises(ValueError):
+            _Resolvent(system, 0.05j, {1: op_mid.micro_blocks.flux[1] + 1e-6 * foreign})
 
     def test_wrong_y_is_refused(self, op_mid):
         with pytest.raises(ValueError):

@@ -243,6 +243,25 @@ def test_tilted_mode_is_one_dense_block(op4):
     assert np.array_equal(block.vals, vals) and np.array_equal(block.vecs, vecs)
 
 
+@pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
+def test_negative_axis_mode_matches_its_dense_matrix(axis_operators, name):
+    # -s e1 is on the axis too, but its streaming term has the opposite sign
+    mode = mode_operator(axis_operators[name], 0.1, np.array([-0.5, 0.0, 0.0]))
+    assert len(mode.eigen_blocks()) == mode.basis.max_degree + 1
+    vals, vecs = mode.eigensystem()
+    dense = np.linalg.eigvals(np.array(mode.matrix))
+    cost = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    scale = np.max(np.abs(mode.matrix))
+    assert np.max(cost[rows, cols]) <= 1e-12 * scale
+    assert np.max(np.abs(mode.matrix @ vecs - vecs * vals)) <= 1e-12 * scale
+    f0 = np.random.default_rng(5).standard_normal(mode.basis.dim).astype(complex)
+    times = np.array([0.0, 0.01, 0.05, 0.2])
+    traj = propagate_kinetic(mode, f0, times)
+    exact = [scipy.linalg.expm(t / mode.eps ** 2 * np.array(mode.matrix)) @ f0 for t in times]
+    assert max(mode.norm(a - b) for a, b in zip(traj.states, exact)) <= 1e-10 * mode.norm(f0)
+
+
 @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])
 @given(s=st.floats(0.05, 0.6), eps=st.floats(0.02, 0.3))
 def test_block_eigenvalues_match_dense(axis_operators, name, s, eps):
