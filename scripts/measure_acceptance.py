@@ -32,7 +32,7 @@ EPS4 = [0.2, 0.1, 0.05, 0.025]
 def c3_slopes():
     basis = build_basis(4)
     op = synthetic_collision(basis)
-    coeffs = compute_kappas(op, allow_synthetic=True)
+    coeffs = compute_kappas(op)
     print("== criterion 3: residual slopes per branch ==")
     for s in (0.2, 0.5):
         lam = {}
@@ -123,7 +123,7 @@ def c8_c9():
     t0 = time.perf_counter()
     basis = build_basis(6)
     op = synthetic_collision(basis)
-    coeffs = compute_kappas(op, allow_synthetic=True)
+    coeffs = compute_kappas(op)
     grid = radial_grid(0.05, 0.6, 32)
     sig2 = 2.0 * 0.2 ** 2
     prof = lambda s: np.exp(-s * s / sig2)

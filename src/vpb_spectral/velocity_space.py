@@ -420,6 +420,16 @@ def macro_vector(basis: VelocityBasis, n: complex, m, q: complex) -> np.ndarray:
     return f
 
 
+def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
+    """Microscopic part of v_1 * chi_j, Galerkin-truncated.
+
+    j = 2 gives the off-diagonal stress, j = 1 the longitudinal stress,
+    j = 4 the heat flux.  The heat flux has degree 3, so it vanishes
+    identically on a degree-2 basis.
+    """
+    return basis.micro_project(basis.v_matrices[0] @ basis.chi(j))
+
+
 def weighted_inner(basis: VelocityBasis, f: np.ndarray, g: np.ndarray,
                    xi_norm: float) -> complex:
     """Sesquilinear wavenumber-weighted inner product.

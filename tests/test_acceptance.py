@@ -67,7 +67,7 @@ def syn4():
 
 @pytest.fixture(scope="module")
 def coeffs4(syn4):
-    return compute_kappas(syn4, allow_synthetic=True)
+    return compute_kappas(syn4)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def syn6():
 
 @pytest.fixture(scope="module")
 def coeffs6(syn6):
-    return compute_kappas(syn6, allow_synthetic=True)
+    return compute_kappas(syn6)
 
 
 def _structure(op):

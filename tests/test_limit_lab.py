@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import asymptotic_coefficients
-from vpb_spectral.errors import DataError, FitError
+from vpb_spectral.errors import AssemblyError, DataError, FitError
 from vpb_spectral.limit_lab import (
     ErrorTable,
     InitialData,
@@ -51,7 +51,7 @@ def syn_small():
 
 @pytest.fixture(scope="module")
 def coeffs_small(syn_small):
-    return compute_kappas(syn_small, allow_synthetic=True)
+    return compute_kappas(syn_small)
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +430,37 @@ class TestHilbertExpansion:
         # quadratic product: macroscopic components cancel pointwise
         assert rep.gamma_micro_norm > 0.0
         assert rep.gamma_macro_leak <= 1e-10
+
+    def test_one_micro_solve_path(self, grid16, monkeypatch):
+        # every micro-space collision solve goes through micro_solve: no
+        # least squares, and one eigvalsh of L, for the spectral gap
+        op = assemble_collision(build_basis(4))
+        data = make_initial_data("well_prepared", gauss_profile, op.basis, grid16)
+        op.gamma_form()  # builds the bilinear form's own Gauss rules
+        calls = {"lstsq": 0, "eigvalsh": 0}
+        for fn in calls:
+            orig = getattr(np.linalg, fn)
+
+            def spy(*args, _fn=fn, _orig=orig, **kwargs):
+                calls[_fn] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, fn, spy)
+        coeffs = compute_kappas(op)
+        assert op.kappa_bar > 0.0
+        hilbert_expansion_check(op, data, coeffs)
+        assert calls == {"lstsq": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("backend", ["synthetic", "hard-sphere"])
+    def test_singular_micro_block_is_refused(self, grid16, coeffs_small, backend):
+        basis = build_basis(4)
+        op = synthetic_collision(basis) if backend == "synthetic" else assemble_collision(basis)
+        i = next(i for i in range(basis.dim) if i not in basis.invariant_indices)
+        mat = np.array(op.matrix)
+        mat[i, :] = 0.0
+        mat[:, i] = 0.0
+        singular = dataclasses.replace(op, matrix=mat)
+        data = make_initial_data("well_prepared", gauss_profile, basis, grid16)
+        for run in (lambda: compute_kappas(singular), lambda: singular.kappa_bar,
+                    lambda: hilbert_expansion_check(singular, data, coeffs_small)):
+            with pytest.raises(AssemblyError, match="spectral gap"):
+                run()

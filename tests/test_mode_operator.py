@@ -229,9 +229,12 @@ def test_nan_mode_matrix_is_a_typed_error(op4):
     mat = np.array(op4.matrix)
     mat[3, 5] = np.nan
     mat.setflags(write=False)
-    poisoned = mode_operator(dataclasses.replace(op4, matrix=mat), 0.1, 0.4)
+    poisoned = dataclasses.replace(op4, matrix=mat)
+    tilted = mode_operator(poisoned, 0.1, 0.4 * np.array([0.6, 0.0, 0.8]))
     with pytest.raises(AssemblyError, match="eigendecomposition"):
-        poisoned.eigensystem()
+        tilted.eigensystem()
+    with pytest.raises(AssemblyError, match="sector check"):
+        mode_operator(poisoned, 0.1, 0.4).eigensystem()
 
 
 def test_tilted_mode_is_one_dense_block(op4):
@@ -307,7 +310,7 @@ def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphe
             for sl in copies:
                 cross[sl, sl] = 0.0
         assert np.max(cross) <= STRUCTURE_TOL * np.max(np.abs(blocks))
-    assert op.sector_blocks is not None
+    assert len(op.sector_blocks.L) == basis.max_degree + 1  # the check passes
 
 
 def _even_sector_vector(basis, m):
@@ -332,14 +335,20 @@ def test_operator_coupling_sectors_takes_the_dense_and_lu_paths(hard_sphere_prod
     mat = hard_sphere_prod.matrix + 1e-8 * (np.outer(u, w) + np.outer(w, u))
     mat.setflags(write=False)
     broken = dataclasses.replace(hard_sphere_prod, matrix=mat)
-    assert broken.sector_blocks is None
+    # every axis consumer refuses the operator and names the failed check
     mode = mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0]))
-    (block,) = mode.eigen_blocks()
-    assert block.frames[0].index.size == basis.dim
-    rng = np.random.default_rng(5)
-    f0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    traj = propagate_kinetic(mode, f0, [0.0, 0.002, 0.01, 0.05, 0.2], oracle=True)
-    assert traj.method == "eig" and traj.oracle_gap < 1e-7
-    points = hydrodynamic_spectrum(mode)
-    assert [p.path for p in points] == ["lu"] * 5
-    assert max(p.eig_residual for p in points) <= 1e-8
+    f0 = np.random.default_rng(5).standard_normal(basis.dim).astype(complex)
+    for run in (mode.eigen_blocks, lambda: propagate_kinetic(mode, f0, [0.0, 0.01]),
+                lambda: hydrodynamic_spectrum(mode)):
+        with pytest.raises(AssemblyError, match="sector check: entry between sectors"):
+            run()
+
+
+def test_sector_copy_mismatch_is_refused(hard_sphere_prod):
+    # 1e-8 on the cos copy of sector 2 alone: no entry between sectors, but
+    # the two copies of the sector no longer carry the same block
+    u = _even_sector_vector(hard_sphere_prod.basis, 2)
+    mat = hard_sphere_prod.matrix + 1e-8 * np.outer(u, u)
+    broken = dataclasses.replace(hard_sphere_prod, matrix=mat)
+    with pytest.raises(AssemblyError, match="sector check: cos/sin copy mismatch"):
+        mode_operator(broken, 0.1, 0.5).eigen_blocks()

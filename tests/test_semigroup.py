@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import hydrodynamic_spectrum
-from vpb_spectral.errors import DataError, FitError
+from vpb_spectral.errors import AssemblyError, DataError, FitError
 from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.semigroup import (
     DecayFit,
@@ -159,12 +159,11 @@ class TestParityBlocks:
         mat[i, k] += 1e-8
         mat.setflags(write=False)
         broken = mode_operator(dataclasses.replace(op_mid, matrix=mat), mode_mid.eps, mode_mid.xi)
-        (block,) = broken.eigen_blocks()
-        assert block.frames[0].index.size == broken.basis.dim
-        f0 = random_state(broken.basis.dim)
-        traj = propagate_kinetic(broken, f0, [0.0, 0.002, 0.01, 0.05, 0.2], oracle=True)
-        assert traj.method == "eig"
-        assert traj.oracle_gap < 1e-7
+        # the axis mode of an operator coupling two parity classes is refused
+        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
+            broken.eigen_blocks()
+        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
+            propagate_kinetic(broken, random_state(broken.basis.dim), [0.0, 0.002, 0.01])
 
 
 class TestSplit:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.errors import AssemblyError, BackendError, BasisError
+from vpb_spectral.errors import AssemblyError, BasisError
 from vpb_spectral.transport import (
     BRANCHES,
     TransportCoefficients,
@@ -34,7 +34,7 @@ SYNTH_COEFFS = TransportCoefficients(kappa0=1.0, kappa1=5.0 / 3.0, kappa0_long=4
 
 
 def test_synthetic_explicit_inversion(synthetic_prod):
-    coeffs = compute_kappas(synthetic_prod, allow_synthetic=True)
+    coeffs = compute_kappas(synthetic_prod)
     # relaxation backend inverts to -1/nu_bar on the micro space, so each
     # kappa is the squared norm of its flux vector (nu_bar = 1 here)
     assert abs(coeffs.kappa0 - 1.0) < 1e-12
@@ -43,17 +43,18 @@ def test_synthetic_explicit_inversion(synthetic_prod):
     assert coeffs.backend == "synthetic"
 
 
-def test_synthetic_rejected_by_default(synthetic_prod):
-    with pytest.raises(BackendError):
-        compute_kappas(synthetic_prod)
-
-
 def test_degree_two_rejected(basis_small):
     op = synthetic_collision(basis_small)
     # the heat flux vector is identically zero on a degree-2 basis
     assert np.linalg.norm(flux_vector(basis_small, 4)) == 0.0
     with pytest.raises(BasisError):
-        compute_kappas(op, allow_synthetic=True)
+        compute_kappas(op)
+
+
+def test_micro_fluxes_are_the_flux_vectors(basis_mid):
+    blocks = synthetic_collision(basis_mid).micro_blocks
+    for j in (1, 2, 3, 4):
+        assert np.array_equal(blocks.flux[j], flux_vector(basis_mid, j)[blocks.micro])
 
 
 def test_hard_sphere_values_match_curvature_oracle(hard_sphere_prod):
@@ -161,7 +162,7 @@ def test_crosscheck_hard_sphere(hard_sphere_prod):
 
 
 def test_crosscheck_synthetic(synthetic_prod):
-    coeffs = compute_kappas(synthetic_prod, allow_synthetic=True)
+    coeffs = compute_kappas(synthetic_prod)
     report = crosscheck_b2(synthetic_prod, coeffs, [0.4], eps=0.04)
     # extraction residual is the next even order, ~eps^4 relative
     assert report["max_rel_err"] <= 5e-6
@@ -169,6 +170,6 @@ def test_crosscheck_synthetic(synthetic_prod):
 
 def test_positivity_guard(basis_mid):
     op = synthetic_collision(basis_mid, nu_bar=2.5)
-    coeffs = compute_kappas(op, allow_synthetic=True)
+    coeffs = compute_kappas(op)
     assert coeffs.kappa0 == pytest.approx(1.0 / 2.5, rel=1e-12)
     assert coeffs.kappa1 == pytest.approx(5.0 / 7.5, rel=1e-12)
