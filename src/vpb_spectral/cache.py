@@ -51,7 +51,8 @@ def write_matrix(path: Path, header: dict, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: Path) -> tuple[dict, np.ndarray]:
-    """Header and matrix of one cache file; VPBError if it is malformed."""
+    """Header and matrix of one cache file; VPBError if it is malformed or
+    its payload is not finite."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
@@ -63,6 +64,8 @@ def read_matrix(path: Path) -> tuple[dict, np.ndarray]:
         data = np.frombuffer(blob, dtype=np.float64, offset=16 + hlen)
         if data.size != int(np.prod(shape)):
             raise VPBError(f"{path}: truncated payload")
+        if not np.isfinite(data).all():
+            raise VPBError(f"{path}: payload has non-finite entries")
         return header, data.reshape(shape).copy()
     except (struct.error, ValueError, AttributeError, TypeError) as exc:
         raise VPBError(f"{path}: unreadable cache file: {exc}") from exc

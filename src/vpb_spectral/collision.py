@@ -566,7 +566,11 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
     conj(S) L S and conj(S) (-i V1) S real, and in the sector frames no entry
     between sectors and no difference between the two copies of a sector
     above STRUCTURE_TOL times the largest entry.  A failed check raises
-    AssemblyError naming the matrix, the check and its ratio to STRUCTURE_TOL."""
+    AssemblyError naming the matrix, the check and its ratio to STRUCTURE_TOL;
+    a non-finite entry is refused first, by name."""
+    if not np.isfinite(op.matrix).all():
+        raise AssemblyError("collision matrix has non-finite entries; it fails the axis "
+                            "sector check")
     basis = op.basis
     sectors = basis.axis_sectors
     scale, t, spans = sectors.scale, sectors.transform, sectors.spans

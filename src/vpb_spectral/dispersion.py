@@ -21,18 +21,18 @@ block-diagonal in the azimuthal sectors about e1 (CollisionOperator.
 sector_blocks), and each flux lies in one sector: the coupled determinant
 needs R_11, R_14, R_41 and R_44 from the micro m = 0 block, the shear one
 R_22 from the cos copy of the micro m = 1 block.  Per mode each of those two
-blocks is decomposed once, so every Newton, contraction or bisection step
-evaluates its entries as pole sums in O(n).  Each accepted root is then
-certified through one residual-guarded np.linalg.solve with its block, one
-factorization for a stack of flux right-hand sides, which also yields
-det_residual and the micro part of the branch eigenfunction.  f_3 is the
-quarter-turn image of f_2, so its solution is the sin-copy image of f_2's
-and costs no solve.  Every operator has the sector structure (the sector
-check raises AssemblyError otherwise).  A block with eigenvectors too
-ill-conditioned for pole sums (POLE_COND_LIMIT) takes one solve with the
-same sector block per step instead (two for a Newton step), and its
-BranchPoints say so (path "lu").  The solve with the whole micro block
-(_entries) is kept only as the reference for resolvent_entry and the tests.
+blocks is decomposed once, so every step of the one damped Newton both
+determinants share (_newton) evaluates its entries as pole sums in O(n).
+A root is returned only once one residual-guarded np.linalg.solve with its
+block certifies |D|, and it lies in its basin around the analytic seed and,
+for a real branch, on the real axis; else RegimeError names the failed
+check.  That solve takes every flux as a right-hand side and also yields
+det_residual and the micro part of the branch eigenfunction; f_3's solution
+is the sin-copy image of f_2's (a quarter turn) and costs no solve.  An
+operator without the sector structure raises AssemblyError, and a block
+whose eigenvectors are too ill-conditioned for pole sums (POLE_COND_LIMIT)
+RegimeError.  The solve with the whole micro block (_entries) is only the
+reference for resolvent_entry and the tests.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collision import CollisionOperator, _MicroBlocks
+from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import EigenBlock, FourierMode, pushforward_from_axis, rotation_to_axis
+from .mode_operator import (EigenBlock, FourierMode, _normalize_xi, pushforward_from_axis,
+                            rotation_to_axis)
 from .transport import TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import Frame, VelocityBasis, bilinear_pair
 
@@ -55,10 +56,10 @@ R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
 _SPAN_TOL = 1e-12  # relative part of a right-hand side allowed outside its system's span
-_ROOT_TOL = 1e-13  # Newton/contraction step size at which a root counts as converged
-_MAX_ITER = 60     # Newton steps before a root solver falls back
-# eigenvector condition (1-norm) of a sector block at which its pole sums
-# give way to per-step solves; pole sums lose about log10(cond) digits
+_ROOT_TOL = 1e-13  # Newton step size at which a root counts as converged
+_MAX_ITER = 60     # Newton steps before a root solver gives up
+# eigenvector condition (1-norm) of a sector block at which its pole sums are
+# refused; pole sums lose about log10(cond) digits
 POLE_COND_LIMIT = 1e4
 
 FLUX_INDICES = (1, 2, 4)
@@ -77,7 +78,6 @@ class BranchPoint:
     psi: np.ndarray
     det_residual: float
     eig_residual: float
-    path: str  # "pole-sum" or "lu": how the determinant's solver steps ran
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +119,6 @@ class _MicroSystem(NamedTuple):
     frame: Frame
     size: int
     copy: Frame | None
-
-
-def _full_system(blocks: _MicroBlocks, y: float) -> _MicroSystem:
-    """The whole micro block: the reference behind _entries."""
-    n = blocks.micro.size
-    return _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
-                        Frame(np.arange(n), np.ones(n), np.eye(n)), n, None)
-
-
-def _sector_system(op: CollisionOperator, m: int, y: float) -> _MicroSystem:
-    """The micro block of azimuthal sector m."""
-    lm, wm, frames = op.sector_blocks.micro[m]
-    return _MicroSystem(lm + y * wm, frames[0], op.micro_blocks.micro.size,
-                        frames[1] if len(frames) > 1 else None)
 
 
 class _Resolvent:
@@ -191,27 +177,23 @@ def _pairings(sols: dict, fluxes: dict) -> dict:
     return {(j, k): complex(sols[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
 
 
-def _flux_entries(system: _MicroSystem, beta: complex, fluxes: dict,
-                  derivative: bool = False) -> tuple[dict, dict | None]:
-    """R_(jk) values (and optionally d/dbeta) at one beta, one solve each.
-
-    d/dbeta of the resolvent is its square, so the derivative entries solve
-    once more, with the first solutions as right-hand sides.
-    """
+def _entries(op: CollisionOperator, beta: complex, y: float,
+             derivative: bool = False) -> tuple[dict, dict | None]:
+    """All R_(jk) at one (beta, y) point, and d/dbeta when asked, through
+    solves with the whole micro block: the reference the pole sums are
+    tested against.  d/dbeta of the resolvent is its square, so the
+    derivative entries solve once more, with the first solutions as
+    right-hand sides."""
+    blocks = op.micro_blocks
+    n = blocks.micro.size
+    system = _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
+                          Frame(np.arange(n), np.ones(n), np.eye(n)), n, None)
+    fluxes = {j: blocks.flux[j] for j in FLUX_INDICES}
     sols = _Resolvent(system, beta, fluxes).solutions
     ders = None
     if derivative:
         ders = _pairings(_Resolvent(system, beta, sols).solutions, fluxes)
     return _pairings(sols, fluxes), ders
-
-
-def _entries(op: CollisionOperator, beta: complex, y: float,
-             derivative: bool = False) -> tuple[dict, dict | None]:
-    """All R_(jk) at one (beta, y) point through one solve with the whole
-    micro block: the reference the pole sums are tested against."""
-    blocks = op.micro_blocks
-    return _flux_entries(_full_system(blocks, y), beta,
-                         {j: blocks.flux[j] for j in FLUX_INDICES}, derivative)
 
 
 def resolvent_entry(op: CollisionOperator, j: int, k: int,
@@ -225,45 +207,45 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
 class _Family:
     """The resolvent entries one determinant needs, at one y = eps*s.
 
-    Both paths run on the real micro block of the azimuthal sector m that
-    holds the determinant's fluxes, and hold its EigenBlock (block).  path
-    "pole-sum": the block is decomposed once, B = X diag(mu) X^-1, and every
-    solver step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with
-    l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the sector frame F (parity
-    scale included), and its beta-derivative (the same sum over
-    (mu_m - beta)^2) in O(n).  path "lu": the block's eigenvectors are too
-    ill-conditioned for pole sums (EigenBlock.cond at POLE_COND_LIMIT or
-    more), so every step solves with the block.  On either path certified()
-    evaluates the entries through one residual-guarded solve per root, with
-    every flux as a right-hand side; the branch eigenfunctions read the same
-    solutions, and _shear_solution reads the one for f_3 off f_2's.
+    They come from the real micro block of the azimuthal sector m that
+    holds the determinant's fluxes, decomposed once as B = X diag(mu) X^-1
+    (block, its EigenBlock).  Every Newton step evaluates
+    R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with l_k = X^T F^T f_k and
+    r_j = X^-1 F^H f_j for the sector frame F (parity scale included), and
+    its beta-derivative (the same sum over (mu_m - beta)^2) in O(n).  A
+    block whose eigenvectors are too ill-conditioned for pole sums
+    (EigenBlock.cond at POLE_COND_LIMIT or more) is refused with
+    RegimeError.  certified() evaluates the entries through one
+    residual-guarded solve per root, with every flux as a right-hand side;
+    the branch eigenfunctions read the same solutions, and _shear_solution
+    reads the one for f_3 off f_2's.
     """
 
     def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple):
         self.fluxes = {j: op.micro_blocks.flux[j] for j in fluxes}
-        self.system = _sector_system(op, m, y)
+        lm, wm, frames = op.sector_blocks.micro[m]
+        self.system = _MicroSystem(lm + y * wm, frames[0], op.micro_blocks.micro.size,
+                                   frames[1] if len(frames) > 1 else None)
         frame = self.system.frame
         self.block = EigenBlock(self.system.matrix, (frame,))
+        if not self.block.cond < POLE_COND_LIMIT:
+            raise RegimeError(f"micro m = {m} sector block has eigenvector cond "
+                              f"{self.block.cond:.3g}, not below POLE_COND_LIMIT = "
+                              f"{POLE_COND_LIMIT:.0e}; its pole sums would lose too "
+                              "many digits")
+        left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
+                for k, f in self.fluxes.items()}
+        right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
+        self._keys = [(j, k) for j in fluxes for k in fluxes]
+        self._weights = np.array([right[j] * left[k] for j, k in self._keys])
+        self._mu = self.block.vals
         self._certs: dict = {}
-        self.path = "lu"
-        if self.block.cond < POLE_COND_LIMIT:
-            left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
-                    for k, f in self.fluxes.items()}
-            right = {j: self.block.coefficients(frame.coords(f))
-                     for j, f in self.fluxes.items()}
-            self._keys = [(j, k) for j in fluxes for k in fluxes]
-            self._weights = np.array([right[j] * left[k] for j, k in self._keys])
-            self._mu = self.block.vals
-            self.path = "pole-sum"
 
-    def entries(self, beta: complex, derivative: bool = False) -> tuple[dict, dict | None]:
-        """R_jk(beta), and d/dbeta when asked, for one solver step."""
-        if self.path == "lu":
-            return _flux_entries(self.system, beta, self.fluxes, derivative)
+    def entries(self, beta: complex) -> tuple[dict, dict]:
+        """R_jk(beta) and d/dbeta, for one Newton step."""
         w = 1.0 / (self._mu - beta)
-        vals = dict(zip(self._keys, (self._weights @ w).tolist()))
-        ders = dict(zip(self._keys, (self._weights @ (w * w)).tolist())) if derivative else None
-        return vals, ders
+        return (dict(zip(self._keys, (self._weights @ w).tolist())),
+                dict(zip(self._keys, (self._weights @ (w * w)).tolist())))
 
     def _cert(self, beta: complex) -> tuple[_Resolvent, dict]:
         if beta not in self._certs:
@@ -343,14 +325,65 @@ def _coupled_det(z: complex, s: float, eps: float, vals: dict,
     return val, der
 
 
+def _newton(det, seed: complex, basin: float) -> complex:
+    """Damped Newton on det (z -> (D(z), D'(z))) from seed.
+
+    A step that would land more than 1.5 basins from the seed is halved,
+    down to 1/64 of itself.  RegimeError if an iterate leaves two basins, D
+    is not finite, D' vanishes, or _MAX_ITER steps do not converge.
+    """
+    z = seed
+    for _ in range(_MAX_ITER):
+        val, der = det(z)
+        if not np.isfinite(val) or abs(der) < 1e-14:
+            raise RegimeError(f"Newton met D = {val:.3e}, D' = {der:.3e} at z = {z:.6g}")
+        step = val / der
+        t = 1.0
+        while t > 1.0 / 64.0 and abs(z - t * step - seed) > 1.5 * basin:
+            t *= 0.5
+        z = z - t * step
+        if abs(z - seed) > 2.0 * basin:
+            raise RegimeError(f"Newton left two basins of the seed: |z - seed| = "
+                              f"{abs(z - seed):.3e}, basin {basin:.3e}")
+        if t * abs(step) < _ROOT_TOL:
+            return z
+    raise RegimeError(f"Newton did not converge in {_MAX_ITER} steps")
+
+
+def _root(det, certify, seed: complex, basin: float, tol: float, real: bool,
+          name: str) -> complex:
+    """The root _newton finds from seed, once it passes every check.
+
+    certify(z) is D(z) through the certification solve at z, and must be at
+    most tol; the root must lie within basin of the seed, and on the real
+    axis if real (then it is returned real).  A failed check raises
+    RegimeError naming the root and the check.
+    """
+    try:
+        z = _newton(det, seed, basin)
+    except RegimeError as exc:
+        raise RegimeError(f"{name} not found: {exc}") from None
+    if real and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
+        z = complex(z.real)  # certify the root that is returned
+    resid = abs(certify(z))
+    if not resid <= tol:
+        raise RegimeError(f"{name} fails its certificate: |D| = {resid:.2e} > {tol:.0e}")
+    if abs(z - seed) > max(basin, 1e-9):
+        raise RegimeError(f"{name} left its basin: |z - seed| = "
+                          f"{abs(z - seed):.3e} > {basin:.3e}")
+    if real and z.imag != 0.0:
+        raise RegimeError(f"{name} drifted off the real axis: {z:.3e}")
+    return z
+
+
 def solve_D0(op: CollisionOperator, s: float, eps: float,
              micro: _MicroResolvent | None = None) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
-    Newton from 0 with a bracketing fallback on the real line; the root is
-    real and even in s, and both properties are enforced on exit.  The
-    steps run on pole sums (_Family); |D| <= 1e-10 is checked through one
-    solve at the root.  micro lets hydrodynamic_spectrum share the
+    _newton from 0 on pole sums (_Family), in the basin |z| <= R1_DEFAULT.
+    The root is real and even in s; it is returned only once |D| <= 1e-10
+    through one solve at the root, inside the basin and on the real axis,
+    else RegimeError.  micro lets hydrodynamic_spectrum share the
     decomposition and that solve; the root does not depend on it.
     """
     w = eps * s
@@ -358,56 +391,20 @@ def solve_D0(op: CollisionOperator, s: float, eps: float,
     if w == 0.0:
         return 0.0j
     fam = _micro_for(op, w, micro).shear
-    z = 0.0j
-    converged = False
-    for _ in range(_MAX_ITER):
-        val, der = _shear_det(z, w, *fam.entries(z, derivative=True))
-        if not np.isfinite(val) or abs(der) < 1e-14:
-            break
-        step = val / der
-        z = z - step
-        if abs(z) > R1_DEFAULT:
-            break
-        if abs(step) < _ROOT_TOL:
-            converged = True
-            break
-    if converged and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
-        z = complex(z.real)  # certify the root that is returned
-    if not converged or abs(_shear_det(z, w, fam.certified(z))[0]) > 1e-10:
-        z = complex(_bisect_shear(fam, w))
-    if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
-        raise RegimeError(f"shear root drifted off the real axis: {z:.3e}")
-    return complex(z.real)
-
-
-def _bisect_shear(fam: _Family, w: float) -> float:
-    import scipy.optimize  # only this fallback path needs it
-
-    def f(zr: float) -> float:
-        return _shear_det(complex(zr), w, *fam.entries(complex(zr)))[0].real
-
-    hi, fhi = 0.0, f(0.0)
-    lo = None
-    for k in range(1, 41):
-        cand = -R1_DEFAULT * k / 40.0
-        if f(cand) * fhi < 0:
-            lo = cand
-            break
-    if lo is None:
-        raise RegimeError("no sign change for the shear determinant inside the basin")
-    return scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return _root(lambda z: _shear_det(z, w, *fam.entries(z)),
+                 lambda z: _shear_det(z, w, fam.certified(z))[0],
+                 0.0j, R1_DEFAULT, 1e-10, True, "shear root")
 
 
 def solve_D1(op: CollisionOperator, s: float, eps: float,
              micro: _MicroResolvent | None = None) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
-    Damped Newton from the analytic seeds; on failure, the literal
-    contraction iterate from the existence proof, which has the correct
-    basin by construction.  Root collision means the regime assumption
-    failed, not that the solver did.  The steps run on pole sums
-    (_Family); |D| <= 1e-9 is checked through one solve per root.  micro
-    is as in solve_D0.
+    _newton from each analytic seed eta_j on pole sums (_Family).  Each
+    root is returned only once |D| <= 1e-9 through one solve at the root,
+    it lies inside its basin and, for the thermal branch 0, on the real
+    axis, else RegimeError.  Root collision means the regime assumption
+    failed, not that the solver did.  micro is as in solve_D0.
     """
     _require_regime(eps * s)
     roots: dict[int, complex] = {}
@@ -423,58 +420,15 @@ def solve_D1(op: CollisionOperator, s: float, eps: float,
         # the certification radius must scale with the backend's coefficient
         # size or large-coefficient backends get rejected inside the ball
         basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * op.kappa_bar, 1e-12)
-        z = _newton_coupled(fam, eta, s, eps, basin)
-        if z is None:
-            z = _contraction_coupled(fam, eta, s, eps)
-        if z is not None and j == 0 and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
-            z = complex(z.real)  # certify the root that is returned
-        if z is None or abs(_coupled_det(z, s, eps, fam.certified(eps * z))[0]) > 1e-9:
-            raise RegimeError(f"coupled-family root for branch {j} did not converge "
-                              f"at (s, eps) = ({s:.3g}, {eps:.3g})")
-        if abs(z - eta) > max(basin, 1e-9):
-            raise RegimeError(f"branch {j} root left its basin: |z - seed| = "
-                              f"{abs(z - eta):.3e} > {basin:.3e}")
-        if j == 0 and abs(z.imag) > 1e-10 * max(1.0, abs(z)):
-            raise RegimeError(f"thermal root drifted off the real axis: {z:.3e}")
-        roots[j] = complex(z.real) if j == 0 else z
+        roots[j] = _root(lambda z: _coupled_det(z, s, eps, *fam.entries(eps * z)),
+                         lambda z: _coupled_det(z, s, eps, fam.certified(eps * z))[0],
+                         eta, basin, 1e-9, j == 0, f"branch {j} root")
     vals = list(roots.values())
     for a in range(3):
         for b in range(a + 1, 3):
             if abs(vals[a] - vals[b]) < 1e-8 * max(1.0, abs(vals[a])):
                 raise RegimeError("coupled-family roots collided; outside the regime")
     return roots
-
-
-def _newton_coupled(fam, eta, s, eps, basin):
-    z = eta
-    for _ in range(_MAX_ITER):
-        val, der = _coupled_det(z, s, eps, *fam.entries(eps * z, derivative=True))
-        if not np.isfinite(val) or abs(der) < 1e-14:
-            return None
-        step = val / der
-        t = 1.0
-        while t > 1.0 / 64.0 and abs(z - t * step - eta) > 1.5 * basin:
-            t *= 0.5
-        z = z - t * step
-        if abs(z - eta) > 2.0 * basin:
-            return None
-        if t * abs(step) < _ROOT_TOL:
-            return z
-    return None
-
-
-def _contraction_coupled(fam, eta, s, eps, max_iter: int = 400):
-    denom = 3.0 * eta * eta + 1.0 + 5.0 / 3.0 * s * s
-    z = eta
-    for _ in range(max_iter):
-        val = _coupled_det(z, s, eps, *fam.entries(eps * z))[0]
-        z_new = z - val / denom
-        if not np.isfinite(z_new):
-            return None
-        if abs(z_new - z) < _ROOT_TOL:
-            return z_new
-        z = z_new
-    return None
 
 
 def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict:
@@ -510,15 +464,10 @@ def asymptotic_coefficients(basis: VelocityBasis, xi,
 
     For off-axis xi the transverse pair uses the orthonormal frame
     perpendicular to xi delivered by the axis rotation; any frame choice
-    spans the same degenerate subspace.
+    spans the same degenerate subspace.  xi is parsed as for mode_operator:
+    a positive magnitude on the axis or a nonzero 3-vector, else BasisError.
     """
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if arr.size == 1:
-        s = float(arr[0])
-        direction = np.array([1.0, 0.0, 0.0])
-    else:
-        s = float(np.linalg.norm(arr))
-        direction = arr / s
+    s, direction = _normalize_xi(xi)
     eta = {j: branch_frequency(j, s) for j in (-1, 0, 1, 2, 3)}
     b = {j: branch_decay(j, s, coeffs) for j in (-1, 0, 1, 2, 3)}
     return AsymptoticCoefficients(s=s, direction=direction, eta=eta, b=b,
@@ -619,8 +568,7 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
             raise RegimeError(f"branch {j} eigenpair residual {eig_res:.2e}; "
                               "determinant root does not match the mode operator")
         points.append(BranchPoint(branch=j, s=s, eps=eps, lam=lam, z=complex(z),
-                                  psi=psi, det_residual=det_res, eig_residual=eig_res,
-                                  path=fam.path))
+                                  psi=psi, det_residual=det_res, eig_residual=eig_res))
     return points
 
 

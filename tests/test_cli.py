@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifact naming, reproducibility."""
 
+import ast
 import json
 import os
 import re
@@ -335,6 +336,31 @@ class TestEntryPoint:
                               text=True, timeout=120, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_scipy_is_imported_only_on_the_oracle_paths(self):
+        # every scipy import, at module level or local, sits directly in one
+        # of the two functions that need it: the dense-spectrum check and the
+        # ODE fallback that is also the propagation oracle
+        places = set()
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, where + (child.name,))
+                    continue
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    names = [child.module or ""] if child.level == 0 else []
+                else:
+                    names = []
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    places.add(".".join(where))
+                visit(child, where)
+
+        for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        assert places == {"dispersion.dense_comparison", "semigroup._ode_states"}
 
     @pytest.mark.parametrize("subcommand, config", [
         ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"

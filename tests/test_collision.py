@@ -348,6 +348,22 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch, si
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_non_finite_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    fresh = assemble_collision(basis_small, gamma=0.7)
+    (path,) = tmp_path.glob("L-*.vpbc")
+    intact = path.read_bytes()
+    header, stored = read_matrix(path)
+    stored[1, 2] = np.nan
+    write_matrix(path, header, stored)
+    with pytest.raises(VPBError, match="non-finite"):
+        read_matrix(path)
+    with pytest.warns(UserWarning, match="rebuilding"):
+        again = assemble_collision(basis_small, gamma=0.7)
+    assert np.array_equal(again.matrix, fresh.matrix)
+    assert path.read_bytes() == intact
+
+
 def _old_params(basis):
     """Cache parameters as written before the reflection fold."""
     quad = CollisionQuadrature.for_degree(2 * basis.max_degree)

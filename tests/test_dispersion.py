@@ -121,6 +121,19 @@ class TestShearDeterminant:
         with pytest.raises(RegimeError):
             solve_D0(op_mid, 2.0, 0.2)
 
+    def test_pole_of_the_determinant_is_no_root(self, basis_mid):
+        # Newton from 0 leaves the basin; the micro eigenvalue -nu_bar, a
+        # pole of D, must not come back as the shear root
+        op = synthetic_collision(basis_mid, nu_bar=0.1)
+        with pytest.raises(RegimeError):
+            solve_D0(op, 0.02 + 3 * 1.48 / 14, 0.2)
+
+    def test_root_outside_the_basin_is_refused(self, basis_mid):
+        # Newton converges to a real root near -0.1054, past R1_DEFAULT
+        op = synthetic_collision(basis_mid, nu_bar=0.5)
+        with pytest.raises(RegimeError, match="basin"):
+            solve_D0(op, 0.02 + 11 * 1.48 / 14, 0.2)
+
 
 class TestCoupledDeterminant:
     def test_eps_zero_exact_seeds(self, op_mid):
@@ -170,9 +183,7 @@ class TestPoleSums:
         for beta in (complex(re), complex(re, im)):
             ref_vals, ref_ders = _entries(op, beta, y, derivative=True)
             for family, keys in FAMILY_KEYS.items():
-                fam = getattr(micro, family)
-                assert fam.path == "pole-sum"
-                vals, ders = fam.entries(beta, derivative=True)
+                vals, ders = getattr(micro, family).entries(beta)
                 for got, ref in ((vals, ref_vals), (ders, ref_ders)):
                     scale = max(abs(ref[k]) for k in keys)
                     for k in keys:
@@ -204,18 +215,14 @@ class TestPoleSums:
         with pytest.raises(ValueError):
             solve_D0(op_mid, 0.5, 0.2, _MicroResolvent(op_mid, 0.2))
 
-    def test_tiny_cond_limit_takes_the_lu_path(self, hard_sphere_prod, monkeypatch):
+    def test_tiny_cond_limit_is_refused(self, hard_sphere_prod, monkeypatch):
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
-        poles = hydrodynamic_spectrum(mode)
+        assert max(p.det_residual for p in hydrodynamic_spectrum(mode)) <= 1e-10
         monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", 1.0)
-        lus = hydrodynamic_spectrum(mode)
-        assert [p.path for p in poles] == ["pole-sum"] * 5
-        assert [p.path for p in lus] == ["lu"] * 5
-        for p, q in zip(poles, lus):
-            assert p.lam == pytest.approx(q.lam, rel=1e-12, abs=1e-15)
-            assert q.det_residual <= 1e-10 and q.eig_residual <= 1e-8
+        with pytest.raises(RegimeError, match="POLE_COND_LIMIT"):
+            hydrodynamic_spectrum(mode)
 
-    def test_singular_eigenvectors_take_the_lu_path(self, op_mid, monkeypatch):
+    def test_singular_eigenvectors_are_refused(self, op_mid, monkeypatch):
         exact = np.linalg.eig
 
         def singular(a):
@@ -225,9 +232,8 @@ class TestPoleSums:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", singular)
-        points = hydrodynamic_spectrum(mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0])))
-        assert [p.path for p in points] == ["lu"] * 5
-        assert max(p.eig_residual for p in points) <= 1e-8
+        with pytest.raises(RegimeError, match="POLE_COND_LIMIT"):
+            hydrodynamic_spectrum(mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0])))
 
     def test_beta_on_a_micro_eigenvalue_is_a_regime_error(self, basis_mid):
         # the synthetic micro block is -nu_bar I, so A - beta is exactly zero
@@ -279,9 +285,7 @@ class TestPoleSums:
         monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a.shape[0]) or eig(a))
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: solves.append(a.shape[0]) or solve(a, b))
-        points = hydrodynamic_spectrum(
-            mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
-        assert [p.path for p in points] == ["pole-sum"] * 5
+        hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
         assert sizes == [11, 13]
         assert len(solves) <= 4 and set(solves) == {11, 13}
 

@@ -237,6 +237,15 @@ def test_nan_mode_matrix_is_a_typed_error(op4):
         mode_operator(poisoned, 0.1, 0.4).eigensystem()
 
 
+def test_nan_operator_is_refused_as_non_finite(op4):
+    # finiteness is checked first: a NaN is not reported as an imaginary-part ratio
+    mat = np.array(op4.matrix)
+    mat[3, 5] = np.nan
+    with pytest.raises(AssemblyError, match="non-finite entries") as info:
+        dataclasses.replace(op4, matrix=mat).sector_blocks
+    assert "imaginary" not in str(info.value)
+
+
 def test_tilted_mode_is_one_dense_block(op4):
     d = np.array([0.48, -0.6, 0.64])
     tilted = mode_operator(op4, 0.1, 0.7 * d / np.linalg.norm(d))

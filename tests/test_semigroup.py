@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import hydrodynamic_spectrum
-from vpb_spectral.errors import AssemblyError, DataError, FitError
+from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.semigroup import (
     DecayFit,
@@ -309,6 +309,21 @@ class TestFluidSemigroup:
         bundle = asymptotic_coefficients(basis, np.array([0.2, 0.5, -0.1]), coeffs_mid)
         states = bundle.evolve(basis, u0vec, [0.0], (0, 2, 3, -1, 1), 0.05)
         assert np.max(np.abs(states[0] - u0vec)) < 1e-12
+
+    @pytest.mark.parametrize("xi", [np.zeros(3), 0.0, np.array([0.3, 0.4])],
+                             ids=["zero-3-vector", "zero-scalar", "2-vector"])
+    def test_bad_wavevector_is_a_basis_error(self, op_mid, coeffs_mid, xi):
+        # one parser (mode_operator's) behind every fluid-side wavevector
+        from vpb_spectral.dispersion import asymptotic_coefficients
+
+        basis = op_mid.basis
+        u0 = macro_vector(basis, 0.3, [0.1, -0.5, 0.4], -0.7)
+        for call in (lambda: asymptotic_coefficients(basis, xi, coeffs_mid),
+                     lambda: fluid_semigroup_V(basis, coeffs_mid, u0, xi, [0.0, 1.0]),
+                     lambda: closed_fluid_forms(basis, coeffs_mid, u0, xi, 1.0),
+                     lambda: mode_operator(op_mid, 0.1, xi)):
+            with pytest.raises(BasisError):
+                call()
 
     def test_rejects_data_with_micro_part(self, op_mid, coeffs_mid):
         basis = op_mid.basis
