@@ -527,7 +527,7 @@ class CollisionOperator:
 
 
 class _MicroBlocks:
-    """Collision and streaming matrices restricted to the micro subspace."""
+    """Collision and streaming matrices restricted to the micro slots, micro."""
 
     def __init__(self, op: CollisionOperator):
         basis = op.basis
@@ -535,13 +535,6 @@ class _MicroBlocks:
         self.micro = np.array([i for i in range(basis.dim) if i not in inv])
         self.L = op.matrix[np.ix_(self.micro, self.micro)]
         self.V = basis.v_matrices[0][np.ix_(self.micro, self.micro)]
-        self.flux = {j: flux_vector(basis, j)[self.micro] for j in (1, 2, 3, 4)}
-        self.dim = basis.dim
-
-    def embed(self, micro_vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.micro] = micro_vec
-        return out
 
 
 class _SectorBlocks(NamedTuple):
@@ -553,7 +546,8 @@ class _SectorBlocks(NamedTuple):
     is L[m] + eps s W[m] on every sector, plus the Poisson column
     eps s W[0][:, 0] / s^2 at the density coordinate, which leads sector 0.
     micro[m] holds the blocks without the invariant coordinates,
-    (L, W, frames), the frames in micro slot numbering.
+    (L, W, frames): each frame is the copy's sector frame without the
+    invariant slots and columns, in basis slot numbering.
     """
 
     L: tuple[np.ndarray, ...]
@@ -594,16 +588,13 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
                                     f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
                                     "relative to its largest entry")
         out.append(tuple(np.array(blocks[c[0], c[0]]) for c in spans))
-    position = np.full(basis.dim, -1)
-    micro_slots = ~np.isin(np.arange(basis.dim), basis.invariant_indices)
-    position[micro_slots] = np.arange(np.count_nonzero(micro_slots))
     micro = []
     for m, copies in enumerate(sectors.frames):
         k = sectors.n_invariant[m]
         frames = []
         for fr in copies:
-            rows = position[fr.index] >= 0
-            frames.append(Frame(position[fr.index][rows], fr.scale[rows], fr.basis[rows, k:]))
+            rows = ~np.isin(fr.index, basis.invariant_indices)
+            frames.append(Frame(fr.index[rows], fr.scale[rows], fr.basis[rows, k:]))
         micro.append((out[0][m][k:, k:], out[1][m][k:, k:], tuple(frames)))
     for arr in (*out[0], *out[1], *(a for lw in micro for a in lw[:2]),
                 *(a for lw in micro for fr in lw[2] for a in fr)):

@@ -20,27 +20,27 @@ vectors.  Scaled by i^(a1 mod 2), the micro block of L - i y V1 is real and
 block-diagonal in the azimuthal sectors about e1 (CollisionOperator.
 sector_blocks), and each flux lies in one sector: the coupled determinant
 needs R_11, R_14, R_41 and R_44 from the micro m = 0 block, the shear one
-R_22 from the cos copy of the micro m = 1 block.  Per mode each of those two
-blocks is decomposed once, so every step of the one damped Newton both
-determinants share (_newton) evaluates its entries as pole sums in O(n).
-A root is returned only once one residual-guarded np.linalg.solve with its
-block certifies |D|, and it lies in its basin around the analytic seed and,
-for a real branch, on the real axis; else RegimeError names the failed
-check.  That solve takes every flux as a right-hand side and also yields
-det_residual and the micro part of the branch eigenfunction; f_3's solution
-is the sin-copy image of f_2's (a quarter turn) and costs no solve.  An
-operator without the sector structure raises AssemblyError, and a block
-whose eigenvectors are too ill-conditioned for pole sums (POLE_COND_LIMIT)
-RegimeError.  The solve with the whole micro block (_entries) is only the
-reference for resolvent_entry and the tests.
+R_22 from the cos copy of the micro m = 1 block.  Each micro block is an
+EigenBlock on frames in basis slot numbering, and every micro-space vector
+has basis length.  Per mode each of those two blocks is decomposed once
+(_Family), so every step of the one damped Newton both determinants share
+(_newton) evaluates its entries as pole sums in O(n).  A root is returned
+only once one guarded np.linalg.solve with its block (_Resolvent, which
+refuses a beta too near the block's spectrum) certifies |D|, and it lies in
+its basin around the analytic seed and, for a real branch, on the real
+axis; else RegimeError names the failed check.  That solve takes every flux
+as a right-hand side and also yields det_residual and the micro part of the
+branch eigenfunction; f_3's solution is the sin-copy image of f_2's (a
+quarter turn) and costs no solve.  An operator without the sector structure
+raises AssemblyError, and a block whose eigenvectors are too ill-conditioned
+for pole sums (POLE_COND_LIMIT) RegimeError.  The solve with the whole micro
+block (_entries) is only the reference for resolvent_entry and the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +49,21 @@ from .errors import AssemblyError, RegimeError
 from .mode_operator import (EigenBlock, FourierMode, _normalize_xi, pushforward_from_axis,
                             rotation_to_axis)
 from .transport import TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis, bilinear_pair
+from .velocity_space import Frame, VelocityBasis, bilinear_pair, flux_vector
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
-_SPAN_TOL = 1e-12  # relative part of a right-hand side allowed outside its system's span
+_SPAN_TOL = 1e-12  # relative part of a right-hand side allowed outside its block's span
 _ROOT_TOL = 1e-13  # Newton step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver gives up
 # eigenvector condition (1-norm) of a sector block at which its pole sums are
 # refused; pole sums lose about log10(cond) digits
 POLE_COND_LIMIT = 1e4
+# Bauer-Fike bound cond / min|mu - beta| on the norm of a micro resolvent at
+# which a certification solve is refused
+RESOLVENT_BOUND_LIMIT = 1e6
 
 FLUX_INDICES = (1, 2, 4)
 AXIS = np.array([1.0, 0.0, 0.0])
@@ -106,37 +109,32 @@ class AsymptoticCoefficients:
         return out
 
 
-class _MicroSystem(NamedTuple):
-    """conj(S) (L - i y V1) S on the micro slots, in the coordinates of frame.
-
-    Either the whole micro block, complex, on an identity frame with unit
-    scale, or the real block of one azimuthal sector on its cos copy; copy
-    is then the frame of the sin copy, which carries the same matrix (None
-    for m = 0 and for the whole block).  size is the number of micro slots.
-    """
-
-    matrix: np.ndarray
-    frame: Frame
-    size: int
-    copy: Frame | None
-
-
 class _Resolvent:
-    """(A - beta)^-1 applied to one stack of right-hand sides, for one micro
-    system A: one np.linalg.solve, with a residual guard on every column.
+    """(A - beta)^-1 applied to one stack of right-hand sides, A the matrix of
+    one micro EigenBlock on its first frame: one np.linalg.solve.
 
-    rhs maps keys to micro-space vectors, which must lie in the span of the
-    system's frame; solutions maps the same keys to the micro-space
-    solutions, and coords to their coordinates in the frame.
+    RegimeError when the Bauer-Fike bound cond / min|vals - beta| on its norm
+    exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue), or a column's
+    relative residual is not finite or above _SOLVE_TOL.  rhs maps keys to
+    basis-length vectors in the span of the frame; solutions maps them to the
+    basis-length solutions, coords to their coordinates in the frame, and
+    entries maps (j, k) to rhs[k] . solutions[j].
     """
 
-    def __init__(self, system: _MicroSystem, beta: complex, rhs: dict):
-        frame = system.frame
+    def __init__(self, block: EigenBlock, beta: complex, rhs: dict):
+        frame = block.frames[0]
+        self.size = len(next(iter(rhs.values())))
         for f in rhs.values():
-            lost = np.linalg.norm(f - frame.embed(frame.coords(f), system.size))
+            lost = np.linalg.norm(f - frame.embed(frame.coords(f), self.size))
             if not lost <= _SPAN_TOL * np.linalg.norm(f):
-                raise ValueError("right-hand side leaves the span of the micro system")
-        a = system.matrix.astype(complex)
+                raise ValueError("right-hand side leaves the span of the micro block")
+        dist = float(np.min(np.abs(block.vals - beta)))
+        bound = block.cond / dist if dist > 0.0 else math.inf
+        if not bound <= RESOLVENT_BOUND_LIMIT:
+            raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
+                              f"Bauer-Fike bound {bound:.3g} exceeds RESOLVENT_BOUND_LIMIT = "
+                              f"{RESOLVENT_BOUND_LIMIT:.0e}")
+        a = block.matrix.astype(complex)
         a[np.diag_indices_from(a)] -= beta
         g = np.stack([frame.coords(f) for f in rhs.values()], axis=1)
         try:
@@ -144,11 +142,12 @@ class _Resolvent:
         except np.linalg.LinAlgError:
             raise RegimeError(f"micro resolvent is singular at beta = {beta:.6g}; "
                               "parameter on an eigenvalue of the micro block") from None
-        self.system = system
+        self.frame = frame
         self._a = a
         self._g = dict(zip(rhs, g.T))
         self.coords = dict(zip(rhs, x.T))
         self.solutions = dict(zip(rhs, self._guarded(x, g).T))
+        self.entries = _pairings(self.solutions, rhs)
 
     def combine(self, coef: dict) -> np.ndarray:
         """sum_j coef[j] (A - beta)^-1 rhs[j], residual-guarded as one vector."""
@@ -157,7 +156,7 @@ class _Resolvent:
         return self._guarded(x[:, None], g[:, None])[:, 0]
 
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The micro-space vectors of the solution columns x, once each
+        """The basis-length vectors of the solution columns x, once each
         relative residual against g is finite and at most _SOLVE_TOL."""
         scale = np.linalg.norm(g, axis=0)
         resid = np.linalg.norm(self._a @ x - g, axis=0)
@@ -165,11 +164,10 @@ class _Resolvent:
         if np.any(bad):
             worst = float(np.max(resid[bad] / scale[bad]))
             raise RegimeError(f"micro resolvent solve has relative residual {worst:.2e}, "
-                              f"above the bound {_SOLVE_TOL:.0e}; only the residual is "
-                              "checked, not the distance to the spectrum")
-        frame = self.system.frame
-        out = np.zeros((self.system.size, x.shape[1]), dtype=complex)
-        out[frame.index] = frame.scale[:, None] * (frame.basis @ x)
+                              f"above the bound {_SOLVE_TOL:.0e}, although beta passed the "
+                              "spectral-distance guard")
+        out = np.zeros((self.size, x.shape[1]), dtype=complex)
+        out[self.frame.index] = self.frame.scale[:, None] * (self.frame.basis @ x)
         return out
 
 
@@ -180,113 +178,90 @@ def _pairings(sols: dict, fluxes: dict) -> dict:
 def _entries(op: CollisionOperator, beta: complex, y: float,
              derivative: bool = False) -> tuple[dict, dict | None]:
     """All R_(jk) at one (beta, y) point, and d/dbeta when asked, through
-    solves with the whole micro block: the reference the pole sums are
-    tested against.  d/dbeta of the resolvent is its square, so the
-    derivative entries solve once more, with the first solutions as
-    right-hand sides."""
+    solves with the whole micro block (an EigenBlock on a unit frame over
+    the micro slots): the reference the pole sums are tested against.
+    d/dbeta of the resolvent is its square, so the derivative entries solve
+    once more, with the first solutions as right-hand sides."""
     blocks = op.micro_blocks
     n = blocks.micro.size
-    system = _MicroSystem(blocks.L.astype(complex) - 1j * y * blocks.V,
-                          Frame(np.arange(n), np.ones(n), np.eye(n)), n, None)
-    fluxes = {j: blocks.flux[j] for j in FLUX_INDICES}
-    sols = _Resolvent(system, beta, fluxes).solutions
+    block = EigenBlock(blocks.L.astype(complex) - 1j * y * blocks.V,
+                       (Frame(blocks.micro, np.ones(n), np.eye(n)),))
+    fluxes = {j: flux_vector(op.basis, j) for j in FLUX_INDICES}
+    res = _Resolvent(block, beta, fluxes)
     ders = None
     if derivative:
-        ders = _pairings(_Resolvent(system, beta, sols).solutions, fluxes)
-    return _pairings(sols, fluxes), ders
+        ders = _pairings(_Resolvent(block, beta, res.solutions).solutions, fluxes)
+    return res.entries, ders
 
 
 def resolvent_entry(op: CollisionOperator, j: int, k: int,
-                    beta: complex, s: float) -> complex:
-    """Micro-resolvent matrix element between flux vectors j and k."""
+                    beta: complex, y: float) -> complex:
+    """Micro-resolvent matrix element between flux vectors j and k, at
+    y = eps*s: f_k . (L - beta - i y V1)^-1 f_j."""
     if j not in FLUX_INDICES or k not in FLUX_INDICES:
         raise ValueError(f"resolvent entries are defined for indices {FLUX_INDICES}")
-    return _entries(op, beta, s)[0][(j, k)]
+    return _entries(op, beta, y)[0][(j, k)]
 
 
 class _Family:
     """The resolvent entries one determinant needs, at one y = eps*s.
 
-    They come from the real micro block of the azimuthal sector m that
-    holds the determinant's fluxes, decomposed once as B = X diag(mu) X^-1
-    (block, its EigenBlock).  Every Newton step evaluates
-    R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with l_k = X^T F^T f_k and
-    r_j = X^-1 F^H f_j for the sector frame F (parity scale included), and
-    its beta-derivative (the same sum over (mu_m - beta)^2) in O(n).  A
-    block whose eigenvectors are too ill-conditioned for pole sums
-    (EigenBlock.cond at POLE_COND_LIMIT or more) is refused with
-    RegimeError.  certified() evaluates the entries through one
-    residual-guarded solve per root, with every flux as a right-hand side;
+    They come from the real micro block of the azimuthal sector m that holds
+    the determinant's fluxes (_FLUXES).  block is its EigenBlock on the
+    sector's micro frames, decomposed once as B = X diag(mu) X^-1.  Every
+    Newton step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with
+    l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the cos frame F (parity
+    scale included), and its beta-derivative (the same sum over
+    (mu_m - beta)^2) in O(n).  A block whose eigenvectors are too
+    ill-conditioned for pole sums (EigenBlock.cond at POLE_COND_LIMIT or
+    more) is refused with RegimeError.  certified() evaluates the entries
+    through one _Resolvent per root, with every flux as a right-hand side;
     the branch eigenfunctions read the same solutions, and _shear_solution
     reads the one for f_3 off f_2's.
     """
 
-    def __init__(self, op: CollisionOperator, y: float, m: int, fluxes: tuple):
-        self.fluxes = {j: op.micro_blocks.flux[j] for j in fluxes}
+    _FLUXES = {0: (1, 4), 1: (2,)}  # coupled fluxes in m = 0, the shear flux in m = 1
+
+    def __init__(self, op: CollisionOperator, y: float, m: int):
+        self.y, self.m = y, m
         lm, wm, frames = op.sector_blocks.micro[m]
-        self.system = _MicroSystem(lm + y * wm, frames[0], op.micro_blocks.micro.size,
-                                   frames[1] if len(frames) > 1 else None)
-        frame = self.system.frame
-        self.block = EigenBlock(self.system.matrix, (frame,))
+        self.block = EigenBlock(lm + y * wm, frames)
         if not self.block.cond < POLE_COND_LIMIT:
             raise RegimeError(f"micro m = {m} sector block has eigenvector cond "
                               f"{self.block.cond:.3g}, not below POLE_COND_LIMIT = "
                               f"{POLE_COND_LIMIT:.0e}; its pole sums would lose too "
                               "many digits")
+        frame = frames[0]
+        self.fluxes = {j: flux_vector(op.basis, j) for j in self._FLUXES[m]}
         left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
                 for k, f in self.fluxes.items()}
         right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
-        self._keys = [(j, k) for j in fluxes for k in fluxes]
+        self._keys = [(j, k) for j in self.fluxes for k in self.fluxes]
         self._weights = np.array([right[j] * left[k] for j, k in self._keys])
-        self._mu = self.block.vals
-        self._certs: dict = {}
+        self._solves: dict = {}
+
+    def built_for(self, y: float, m: int) -> _Family:
+        """self, when it was built at y for sector m; else ValueError."""
+        if (self.y, self.m) != (y, m):
+            raise ValueError(f"family built for eps*s = {self.y} and sector m = {self.m}, "
+                             f"not {y} and m = {m}")
+        return self
 
     def entries(self, beta: complex) -> tuple[dict, dict]:
         """R_jk(beta) and d/dbeta, for one Newton step."""
-        w = 1.0 / (self._mu - beta)
+        w = 1.0 / (self.block.vals - beta)
         return (dict(zip(self._keys, (self._weights @ w).tolist())),
                 dict(zip(self._keys, (self._weights @ (w * w)).tolist())))
 
-    def _cert(self, beta: complex) -> tuple[_Resolvent, dict]:
-        if beta not in self._certs:
-            res = _Resolvent(self.system, beta, self.fluxes)
-            self._certs[beta] = (res, _pairings(res.solutions, self.fluxes))
-        return self._certs[beta]
+    def resolvent(self, beta: complex) -> _Resolvent:
+        """The guarded solve at beta, made once per beta."""
+        if beta not in self._solves:
+            self._solves[beta] = _Resolvent(self.block, beta, self.fluxes)
+        return self._solves[beta]
 
     def certified(self, beta: complex) -> dict:
-        """R_jk(beta) through the solve at beta, made once per beta."""
-        return self._cert(beta)[1]
-
-    def resolvent(self, beta: complex) -> _Resolvent:
-        """The residual-guarded solve behind certified(beta)."""
-        return self._cert(beta)[0]
-
-
-class _MicroResolvent:
-    """The micro resolvent of one axis mode at y = eps*s, one family per
-    determinant, each built on first use.  The root solvers and the branch
-    eigenfunctions of one mode share it, so each root is factored once."""
-
-    def __init__(self, op: CollisionOperator, y: float):
-        self.op = op
-        self.y = y
-
-    @cached_property
-    def shear(self) -> _Family:
-        return _Family(self.op, self.y, 1, fluxes=(2,))
-
-    @cached_property
-    def coupled(self) -> _Family:
-        return _Family(self.op, self.y, 0, fluxes=(1, 4))
-
-
-def _micro_for(op: CollisionOperator, w: float,
-               micro: _MicroResolvent | None) -> _MicroResolvent:
-    if micro is None:
-        return _MicroResolvent(op, w)
-    if micro.y != w:
-        raise ValueError(f"micro resolvent built for eps*s = {micro.y}, not {w}")
-    return micro
+        """R_jk(beta) through the solve at beta."""
+        return self.resolvent(beta).entries
 
 
 def _require_regime(w: float) -> None:
@@ -377,45 +352,44 @@ def _root(det, certify, seed: complex, basin: float, tol: float, real: bool,
 
 
 def solve_D0(op: CollisionOperator, s: float, eps: float,
-             micro: _MicroResolvent | None = None) -> complex:
+             fam: _Family | None = None) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
     _newton from 0 on pole sums (_Family), in the basin |z| <= R1_DEFAULT.
     The root is real and even in s; it is returned only once |D| <= 1e-10
     through one solve at the root, inside the basin and on the real axis,
-    else RegimeError.  micro lets hydrodynamic_spectrum share the
-    decomposition and that solve; the root does not depend on it.
+    else RegimeError.  fam, the m = 1 _Family at eps*s, lets
+    hydrodynamic_spectrum share the decomposition and that solve; the root
+    does not depend on it, and a family built for another eps*s or sector
+    is a ValueError.
     """
     w = eps * s
     _require_regime(w)
     if w == 0.0:
         return 0.0j
-    fam = _micro_for(op, w, micro).shear
+    fam = _Family(op, w, 1) if fam is None else fam.built_for(w, 1)
     return _root(lambda z: _shear_det(z, w, *fam.entries(z)),
                  lambda z: _shear_det(z, w, fam.certified(z))[0],
                  0.0j, R1_DEFAULT, 1e-10, True, "shear root")
 
 
 def solve_D1(op: CollisionOperator, s: float, eps: float,
-             micro: _MicroResolvent | None = None) -> dict:
+             fam: _Family | None = None) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
     _newton from each analytic seed eta_j on pole sums (_Family).  Each
     root is returned only once |D| <= 1e-9 through one solve at the root,
     it lies inside its basin and, for the thermal branch 0, on the real
     axis, else RegimeError.  Root collision means the regime assumption
-    failed, not that the solver did.  micro is as in solve_D0.
+    failed, not that the solver did.  fam is as in solve_D0, for m = 0.
     """
     _require_regime(eps * s)
-    roots: dict[int, complex] = {}
-    fam = None
+    if eps == 0.0:
+        return {j: branch_frequency(j, s) for j in (-1, 0, 1)}
+    fam = _Family(op, eps * s, 0) if fam is None else fam.built_for(eps * s, 0)
+    roots = {}
     for j in (-1, 0, 1):
         eta = branch_frequency(j, s)
-        if eps == 0.0:
-            roots[j] = eta
-            continue
-        if fam is None:
-            fam = _micro_for(op, eps * s, micro).coupled
         # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
         # the certification radius must scale with the backend's coefficient
         # size or large-coefficient backends get rejected inside the ball
@@ -480,13 +454,13 @@ def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> 
 
 
 def _shear_solution(fam: _Family, z: complex, j: int) -> np.ndarray:
-    """The micro-space solution for flux j in (2, 3) from the solve at z.
-    f_3 is the quarter-turn image of f_2, so its solution is f_2's
-    coordinates embedded in the sin copy of the m = 1 sector."""
+    """The solution for flux j in (2, 3) from the solve at z.  f_3 is the
+    quarter-turn image of f_2, so its solution is f_2's coordinates
+    embedded in the sin copy of the m = 1 sector, block.frames[1]."""
     res = fam.resolvent(z)
     if j == 2:
         return res.solutions[2]
-    return res.system.copy.embed(res.coords[2], res.system.size)
+    return fam.block.frames[1].embed(res.coords[2], res.size)
 
 
 def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: complex,
@@ -494,10 +468,9 @@ def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: comple
     """Assemble, normalize and sign-align one axis eigenfunction; the micro
     parts are read from the solve that certified the root."""
     basis = op.basis
-    blocks = op.micro_blocks
     if j in (2, 3):
         micro = _shear_solution(fam, z, j)
-        psi = basis.chi(j).astype(complex) + 1j * eps * s * blocks.embed(micro)
+        psi = basis.chi(j).astype(complex) + 1j * eps * s * micro
     else:
         beta = eps * z
         vals = fam.certified(beta)
@@ -516,7 +489,7 @@ def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: comple
         macro = a * basis.chi(0) + b * basis.chi(1) + c * basis.chi(4)
         # the micro part of V1 @ macro is b f_1 + c f_4: V1 chi_0 = chi_1 is macro
         micro = fam.resolvent(beta).combine({1: b, 4: c})
-        psi = macro + 1j * eps * s * blocks.embed(micro)
+        psi = macro + 1j * eps * s * micro
     pair = _axis_pair(basis, s, psi, psi)
     if abs(pair) < 1e-6:
         raise AssemblyError(f"branch {j} eigenfunction is nearly isotropic-null; "
@@ -540,9 +513,10 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     basis = op.basis
     h_axis = limit_vectors(basis, s, AXIS)
 
-    micro = _MicroResolvent(op, eps * s)
-    shear_z = solve_D0(op, s, eps, micro)
-    coupled = solve_D1(op, s, eps, micro)
+    shear = _Family(op, eps * s, 1)
+    shear_z = solve_D0(op, s, eps, shear)
+    coupled = _Family(op, eps * s, 0)
+    coupled_z = solve_D1(op, s, eps, coupled)
 
     on_axis = abs(mode.direction @ AXIS - 1.0) < 1e-14
     push = None if on_axis else pushforward_from_axis(basis, mode.direction)
@@ -550,13 +524,13 @@ def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     points = []
     for j in (-1, 0, 1, 2, 3):
         if j in (2, 3):
-            fam = micro.shear
+            fam = shear
             z = shear_z
             lam = complex(z)
             det_res = abs(_shear_det(z, eps * s, fam.certified(z))[0])
         else:
-            fam = micro.coupled
-            z = coupled[j]
+            fam = coupled
+            z = coupled_z[j]
             lam = eps * z
             det_res = abs(_coupled_det(z, s, eps, fam.certified(eps * z))[0])
         psi = _branch_eigenfunction(op, fam, j, z, s, eps, h_axis)

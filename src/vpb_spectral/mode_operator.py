@@ -39,13 +39,14 @@ from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_inner
 
 @dataclass(frozen=True, eq=False)
 class EigenBlock:
-    """One diagonal block of a mode matrix, decomposed on first use.
+    """One diagonal block of a mode matrix, or of its micro part L - i y V1
+    in dispersion, decomposed on first use.
 
-    frames lists the copies of the block: on each, the mode matrix's
-    eigenvectors are the embeddings of the columns of vecs (Frame.embed),
-    with eigenvalues vals.  A sector with m >= 1 has two copies, every other
-    block one.  vals and vecs are read-only.  The inverse of vecs, which cond
-    and coefficients share, is computed on first use as well.
+    frames lists the copies of the block, in basis slot numbering: on each,
+    the matrix's eigenvectors are the embeddings of the columns of vecs
+    (Frame.embed), with eigenvalues vals.  A sector with m >= 1 has two
+    copies, every other block one.  vals and vecs are read-only.  The inverse
+    of vecs, which cond and coefficients share, is computed on first use.
     """
 
     matrix: np.ndarray
@@ -56,7 +57,7 @@ class EigenBlock:
         try:
             vals, vecs = np.linalg.eig(self.matrix)
         except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[0]}-row mode "
+            raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[0]}-row "
                                 f"block failed: {exc}") from None
         vals, vecs = vals.astype(complex), vecs.astype(complex)
         vals.setflags(write=False)

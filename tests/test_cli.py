@@ -309,6 +309,26 @@ class TestCheck:
         assert "OK" in out.splitlines()[-1]
 
 
+def _source_places(hit) -> set:
+    """The dotted names of the functions and classes in the package whose
+    own bodies, nested definitions left out, hold a node for which hit(node)
+    is true; module-level nodes count for the module."""
+    places = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + (child.name,))
+                continue
+            if hit(child):
+                places.add(".".join(where))
+            visit(child, where)
+
+    for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return places
+
+
 def _child_env() -> dict:
     """Environment in which a child process finds the package the way this
     process did, installed or not."""
@@ -341,26 +361,26 @@ class TestEntryPoint:
         # every scipy import, at module level or local, sits directly in one
         # of the two functions that need it: the dense-spectrum check and the
         # ODE fallback that is also the propagation oracle
-        places = set()
+        def imports_scipy(node):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                names = []
+            return any(name.split(".")[0] == "scipy" for name in names)
 
-        def visit(node, where):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    visit(child, where + (child.name,))
-                    continue
-                if isinstance(child, ast.Import):
-                    names = [alias.name for alias in child.names]
-                elif isinstance(child, ast.ImportFrom):
-                    names = [child.module or ""] if child.level == 0 else []
-                else:
-                    names = []
-                if any(name.split(".")[0] == "scipy" for name in names):
-                    places.add(".".join(where))
-                visit(child, where)
+        assert _source_places(imports_scipy) == {"dispersion.dense_comparison",
+                                                 "semigroup._ode_states"}
 
-        for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-        assert places == {"dispersion.dense_comparison", "semigroup._ode_states"}
+    def test_whole_micro_block_is_read_only_by_the_reference_solves(self):
+        # the whole micro block is the reference; the dispersion root solvers
+        # and eigenfunctions work on the sector blocks alone
+        def reads_micro_blocks(node):
+            return isinstance(node, ast.Attribute) and node.attr == "micro_blocks"
+
+        assert _source_places(reads_micro_blocks) == {
+            "collision.CollisionOperator.micro_solve", "dispersion._entries"}
 
     @pytest.mark.parametrize("subcommand, config", [
         ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"

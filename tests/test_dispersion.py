@@ -19,7 +19,7 @@ from vpb_spectral.dispersion import (
     R1_DEFAULT,
     BranchPoint,
     _entries,
-    _MicroResolvent,
+    _Family,
     _Resolvent,
     asymptotic_coefficients,
     dense_comparison,
@@ -33,7 +33,7 @@ from vpb_spectral.dispersion import (
 from vpb_spectral.errors import AssemblyError, RegimeError
 from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
-from vpb_spectral.velocity_space import build_basis
+from vpb_spectral.velocity_space import build_basis, flux_vector
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,8 @@ class TestCoupledDeterminant:
 
 
 AXIS_OPERATORS = ("synthetic-4", "synthetic-6", "hard-sphere-4")
-FAMILY_KEYS = {"shear": ((2, 2),), "coupled": ((1, 1), (1, 4), (4, 1), (4, 4))}
+# the entries each family holds, by its azimuthal sector m
+FAMILY_KEYS = {1: ((2, 2),), 0: ((1, 1), (1, 4), (4, 1), (4, 4))}
 
 
 class TestPoleSums:
@@ -179,41 +180,48 @@ class TestPoleSums:
         # the root basins: real shear steps near 0 and coupled steps at
         # beta = eps*z near eps*eta_j, |eta_+-1| <= sqrt(1 + 5/3 R0^2 / eps^2)
         op = axis_operators[name]
-        micro = _MicroResolvent(op, y)
+        families = {m: _Family(op, y, m) for m in FAMILY_KEYS}
         for beta in (complex(re), complex(re, im)):
             ref_vals, ref_ders = _entries(op, beta, y, derivative=True)
-            for family, keys in FAMILY_KEYS.items():
-                vals, ders = getattr(micro, family).entries(beta)
+            for m, keys in FAMILY_KEYS.items():
+                vals, ders = families[m].entries(beta)
                 for got, ref in ((vals, ref_vals), (ders, ref_ders)):
                     scale = max(abs(ref[k]) for k in keys)
                     for k in keys:
-                        assert abs(got[k] - ref[k]) <= 1e-12 * scale, (family, k)
+                        assert abs(got[k] - ref[k]) <= 1e-12 * scale, (m, k)
 
     def test_certified_entries_are_the_lu_entries(self, op_mid):
-        micro = _MicroResolvent(op_mid, 0.12)
         beta = -0.01 + 0.3j
         ref = _entries(op_mid, beta, 0.12)[0]
-        for family, keys in FAMILY_KEYS.items():
-            got = getattr(micro, family).certified(beta)
+        for m, keys in FAMILY_KEYS.items():
+            got = _Family(op_mid, 0.12, m).certified(beta)
             for k in keys:
                 assert got[k] == pytest.approx(ref[k], rel=1e-13)
 
     def test_block_resolvent_refuses_foreign_rhs(self, op_mid):
         # f_3 lies in the (even, odd) class, outside the coupled block
-        system = _MicroResolvent(op_mid, 0.1).coupled.system
+        block = _Family(op_mid, 0.1, 0).block
         with pytest.raises(ValueError):
-            _Resolvent(system, 0.05j, {3: op_mid.micro_blocks.flux[3]})
+            _Resolvent(block, 0.05j, {3: flux_vector(op_mid.basis, 3)})
         # an m = 2 vector lies on the slots of the coupled block's class, the
         # (even, even) one, but outside its m = 0 sector
         m2 = op_mid.sector_blocks.micro[2][2][0]
-        foreign = m2.embed(np.ones(m2.basis.shape[1]), system.size)
-        assert set(np.flatnonzero(foreign)) <= set(system.frame.index)
+        foreign = m2.embed(np.ones(m2.basis.shape[1]), op_mid.basis.dim)
+        assert set(np.flatnonzero(foreign)) <= set(block.frames[0].index)
         with pytest.raises(ValueError):
-            _Resolvent(system, 0.05j, {1: op_mid.micro_blocks.flux[1] + 1e-6 * foreign})
+            _Resolvent(block, 0.05j, {1: flux_vector(op_mid.basis, 1) + 1e-6 * foreign})
 
     def test_wrong_y_is_refused(self, op_mid):
         with pytest.raises(ValueError):
-            solve_D0(op_mid, 0.5, 0.2, _MicroResolvent(op_mid, 0.2))
+            solve_D0(op_mid, 0.5, 0.2, _Family(op_mid, 0.2, 1))
+        with pytest.raises(ValueError):
+            solve_D1(op_mid, 0.5, 0.2, _Family(op_mid, 0.2, 1))
+
+    def test_wrong_sector_is_refused(self, op_mid):
+        with pytest.raises(ValueError):
+            solve_D0(op_mid, 0.5, 0.2, _Family(op_mid, 0.1, 0))
+        with pytest.raises(ValueError):
+            solve_D1(op_mid, 0.5, 0.2, _Family(op_mid, 0.1, 1))
 
     def test_tiny_cond_limit_is_refused(self, hard_sphere_prod, monkeypatch):
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
@@ -240,10 +248,40 @@ class TestPoleSums:
         op = synthetic_collision(basis_mid, nu_bar=2.0)
         with pytest.raises(RegimeError, match="singular"):
             _entries(op, -2.0, 0.0)
-        micro = _MicroResolvent(op, 0.0)
-        for family in FAMILY_KEYS:
+        for m in FAMILY_KEYS:
             with pytest.raises(RegimeError, match="singular"):
-                getattr(micro, family).certified(-2.0)
+                _Family(op, 0.0, m).certified(-2.0)
+
+    @pytest.mark.parametrize("y", [0.0, 0.1])
+    def test_whole_block_eigenvalues_are_refused(self, op_mid, y):
+        # a backward-stable solve keeps its residual small however near beta
+        # is to the spectrum; only the spectral-distance guard refuses these
+        blocks = op_mid.micro_blocks
+        mus = np.linalg.eigvals(blocks.L - 1j * y * blocks.V)
+        assert mus.size == 30
+        for mu in mus:
+            with pytest.raises(RegimeError, match="RESOLVENT_BOUND_LIMIT"):
+                _entries(op_mid, mu, y)
+
+    def test_foreign_sector_eigenvalues_are_accepted(self, op_mid):
+        # the fluxes have no component in the m = 2 sector, so its poles are
+        # no poles of the families' entries
+        lm, wm, _ = op_mid.sector_blocks.micro[2]
+        mus = np.linalg.eigvals(lm + 0.1 * wm)
+        assert mus.size == 4
+        for m in FAMILY_KEYS:
+            fam = _Family(op_mid, 0.1, m)
+            for mu in mus:
+                got, ref = fam.certified(mu), fam.entries(mu)[0]
+                for k in FAMILY_KEYS[m]:
+                    assert got[k] == pytest.approx(ref[k], rel=1e-10)
+
+    def test_family_eigenvalues_are_refused(self, op_mid):
+        for m in FAMILY_KEYS:
+            fam = _Family(op_mid, 0.1, m)
+            for mu in fam.block.vals:
+                with pytest.raises(RegimeError, match="singular"):
+                    fam.certified(mu)
 
     def test_broken_structure_takes_the_lu_path(self, op_mid):
         # an operator coupling two parity classes fails the sector check, and

@@ -51,12 +51,6 @@ def test_degree_two_rejected(basis_small):
         compute_kappas(op)
 
 
-def test_micro_fluxes_are_the_flux_vectors(basis_mid):
-    blocks = synthetic_collision(basis_mid).micro_blocks
-    for j in (1, 2, 3, 4):
-        assert np.array_equal(blocks.flux[j], flux_vector(basis_mid, j)[blocks.micro])
-
-
 def test_hard_sphere_values_match_curvature_oracle(hard_sphere_prod):
     coeffs = compute_kappas(hard_sphere_prod)
     assert coeffs.kappa0 == pytest.approx(KAPPA0_ORACLE, rel=1e-6)
