@@ -31,6 +31,18 @@ sphere rule holds every node's antipode at the same weight, so the sums of S
 over one node per antipodal pair at twice its weight.  The collision
 frequency, the bilinear form's pre-collisional product and the one-point
 integrals are not exchange-invariant and keep the whole sphere.
+
+L commutes with rotations, so on the real Burnett functions
+phi_nlm = c_nl L_n^(l+1/2)(|v|^2/2) |v|^l Y_lm, 2n + l <= N, it is
+sum_l L_l (x) I_(2l+1).  The Dirichlet sums therefore run over the zonal
+functions phi_nl0 alone (25 rows at N = 8, not 165), evaluated in closed
+form, with the same grid and folds; the L_l are read off the l-diagonal
+blocks and mapped back with the orthogonal Hermite-Burnett transform
+(VelocityBasis.burnett_transform), class by class.  That reduction needs
+sums that commute with rotations, so a grid that does not resolve the
+degree-2N integrand sums every basis function instead.  The collision
+frequency matrix, the one-point integrals and the bilinear form stay on the
+basis polynomials.
 """
 
 from __future__ import annotations
@@ -47,13 +59,13 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, BasisError, VPBError
-from .velocity_space import Frame, VelocityBasis, flux_vector
+from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_rows
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
-_FOLD_TAG = "reflection-exchange-numpy-rules-v1"  # folds and factor rules behind a cached matrix
+_FOLD_TAG = "burnett-reflection-exchange-v1"  # folds, factor rules and Burnett reduction behind a cached matrix
 # sector check: entries between azimuthal sectors and the mismatch of the two
 # copies of a sector, relative to the largest entry
 STRUCTURE_TOL = 1e-13
@@ -85,19 +97,6 @@ class CollisionQuadrature:
             "n_polar": self.n_polar,
             "n_azimuth": self.n_azimuth,
         }
-
-
-def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_m^(alpha)(x), as binom(m + alpha, m) times the recurrence for
-    L_m^(alpha) / L_m^(alpha)(0)."""
-    if m == 0:
-        return np.ones_like(x)
-    d = -x / (alpha + 1.0)
-    p = d + 1.0
-    for k in range(1, m):
-        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
-        p = d + p
-    return math.prod((i + alpha) / i for i in range(1, m + 1)) * p
 
 
 def genlaggauss(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +205,19 @@ class _CollisionGrid:
         sq = sigma_quad if sigma_quad is not None else quad
         self.sigma, self.sigma_w = _sphere_rule(sq.n_polar, sq.n_azimuth)
         self.folded_sigma = _exchange_fold(self.sigma, self.sigma_w, sq.n_azimuth, "sigma")
+        self.sigma_quad = sq
         self.same_spheres = sigma_quad is None
 
         self.prefactor = kernel_c * 2.0 ** (gamma / 2.0) / 2.0 * _TWO_PI ** (-1.5)
+
+    def resolves(self, degree: int) -> bool:
+        """Whether every factor rule has at least the nodes of
+        CollisionQuadrature.for_degree(degree), so that the sums of a
+        degree-`degree` integrand are exact and commute with rotations."""
+        need = CollisionQuadrature.for_degree(degree)
+        return (self.quad.n_gauss >= need.n_gauss and self.quad.n_radial >= need.n_radial
+                and all(q.n_polar >= need.n_polar and q.n_azimuth >= need.n_azimuth
+                        for q in (self.quad, self.sigma_quad)))
 
     def total_mass(self) -> float:
         """The integral of 1 against the full collision measure."""
@@ -263,51 +272,94 @@ def _unsort(mat: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_sums_and_reductions(basis: VelocityBasis, grid: _CollisionGrid,
-                              unit: np.ndarray, unit_w: np.ndarray,
-                              order: np.ndarray, ranges: list[slice]):
-    """Accumulate A = S^T W S within the classes over the folded (com, rho,
-    sphere) grid and the sphere-reduced sums a[dim, (com, rho)], with
-    S = P(v) + P(v_*); both in the sorted-slot order of _class_order."""
+def _pair_sums_and_reductions(rows_at, n_rows: int, grid: _CollisionGrid,
+                              unit: np.ndarray, unit_w: np.ndarray, ranges: list[slice]):
+    """Accumulate A = S^T W S within the ranges over the folded (com, rho,
+    sphere) grid and the sphere-reduced sums a[row, (com, rho)], with
+    S = P(v) + P(v_*) for the n_rows functions P that rows_at evaluates, one
+    row per function, in class-major order."""
     com_nodes, com_w = grid.folded_com
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
-    a_red = np.zeros((basis.dim, com_nodes.shape[0] * n_rho))
-    acc = np.zeros((basis.dim, basis.dim))
+    a_red = np.zeros((n_rows, com_nodes.shape[0] * n_rho))
+    acc = np.zeros((n_rows, n_rows))
     for blk in _chunk_blocks(com_nodes.shape[0], n_rho * n_sphere):
         v, v_star = _pair_points(com_nodes[blk], grid.rho, unit)
-        rows = basis.poly_rows(v, order)
-        rows += basis.poly_rows(v_star, order)
+        rows = rows_at(v)
+        rows += rows_at(v_star)
         _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, unit_w),
                             ranges)
         a_red[:, blk.start * n_rho:blk.stop * n_rho] = (
-            rows.reshape(basis.dim, -1, n_sphere) @ unit_w)
+            rows.reshape(n_rows, -1, n_sphere) @ unit_w)
     return acc, a_red
+
+
+def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
+                      ranges: list[slice]) -> np.ndarray:
+    """The symmetrized Dirichlet form between the functions rows_at
+    evaluates, within the class ranges.
+
+    The raw sum is symmetric up to roundoff; a larger asymmetry means a
+    broken sum and raises before the result is symmetrized.
+    """
+    a1, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.folded_eta, ranges)
+    if grid.same_spheres:
+        a2, b_red = a1, a_red
+    else:
+        a2, b_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.folded_sigma, ranges)
+    w_com_rho = (grid.folded_com[1][:, None] * grid.rho_w[None, :]).ravel()
+    cross = np.zeros((n_rows, n_rows))
+    _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
+    eta_total = float(np.sum(grid.eta_w))
+    sigma_total = float(np.sum(grid.sigma_w))
+    mat = -(grid.prefactor / 4.0) * (sigma_total * a1 + eta_total * a2 - cross - cross.T)
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > 1e-12 * max(float(np.max(np.abs(mat))), 1.0):
+        raise AssemblyError(f"collision matrix asymmetry {asym:.2e} before symmetrization")
+    return 0.5 * (mat + mat.T)
+
+
+def _burnett_dirichlet(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
+    """L from the Dirichlet sums over the zonal Burnett functions phi_nl0.
+
+    L commutes with rotations, so on the Burnett functions it is
+    sum_l L_l (x) I_(2l+1) with L_l[n, n'] = (L phi_nl0, phi_n'l0).  The zonal
+    functions are even in v1 and v2 and have the parity of l in v3, so the
+    folds apply with two classes, even and odd l.  An entry between
+    different l above STRUCTURE_TOL times the largest raises AssemblyError;
+    the L_l are read off the l-diagonal blocks and mapped back through
+    basis.burnett_transform.
+    """
+    top = basis.max_degree
+    labels = np.array([(n, l, 0) for parity in (0, 1) for l in range(parity, top + 1, 2)
+                       for n in range((top - l) // 2 + 1)])
+    l = labels[:, 1]
+    n_even = int(np.count_nonzero(l % 2 == 0))
+    zonal = _folded_dirichlet(lambda pts: burnett_rows(pts, labels), len(labels), grid,
+                              [slice(0, n_even), slice(n_even, len(labels))])
+    ratio = np.max(np.abs(zonal[l[:, None] != l[None, :]])) / np.max(np.abs(zonal))
+    if not ratio <= STRUCTURE_TOL:
+        raise AssemblyError(f"collision matrix fails the Burnett check: zonal entry between "
+                            f"different l of {ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
+                            "relative to its largest entry")
+    mat = basis.burnett_transform.basis_matrix(
+        {k: zonal[np.ix_(l == k, l == k)] for k in range(top + 1)})
+    return 0.5 * (mat + mat.T)
 
 
 def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
     """The exact Galerkin matrix of L from the symmetrized Dirichlet form.
 
-    The raw sum is symmetric up to roundoff; a larger asymmetry means a
-    broken sum and raises before the result is symmetrized.
+    On a grid that resolves the degree-2N integrand the sums commute with
+    rotations and run over the zonal Burnett functions only
+    (_burnett_dirichlet).  A coarser sphere rule breaks that symmetry, so
+    there the sums run over every basis function.
     """
+    if grid.resolves(2 * basis.max_degree):
+        return _burnett_dirichlet(basis, grid)
     order, ranges = _class_order(basis)
-    a1, a_red = _pair_sums_and_reductions(basis, grid, *grid.folded_eta, order, ranges)
-    if grid.same_spheres:
-        a2, b_red = a1, a_red
-    else:
-        a2, b_red = _pair_sums_and_reductions(basis, grid, *grid.folded_sigma, order, ranges)
-    w_com_rho = (grid.folded_com[1][:, None] * grid.rho_w[None, :]).ravel()
-    cross = np.zeros((basis.dim, basis.dim))
-    _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
-    eta_total = float(np.sum(grid.eta_w))
-    sigma_total = float(np.sum(grid.sigma_w))
-    quad_form = sigma_total * a1 + eta_total * a2 - cross - cross.T
-    mat = _unsort(-(grid.prefactor / 4.0) * quad_form, order)
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-12 * max(float(np.max(np.abs(mat))), 1.0):
-        raise AssemblyError(f"collision matrix asymmetry {asym:.2e} before symmetrization")
-    return 0.5 * (mat + mat.T)
+    return _unsort(_folded_dirichlet(lambda pts: basis.poly_rows(pts, order), basis.dim,
+                                     grid, ranges), order)
 
 
 def nu_hard_sphere(speed, kernel_c: float = 1.0):
@@ -487,7 +539,7 @@ class CollisionOperator:
     def kappa_bar(self) -> float:
         """max_j |f_j . L^-1 f_j| over the flux vectors: the transport-coefficient
         scale of this backend, which sets how far the coupled roots can drift."""
-        fluxes = np.stack([flux_vector(self.basis, j) for j in (1, 2, 3, 4)], axis=1)
+        fluxes = self.basis.fluxes.T
         forms = np.einsum("ij,ij->j", self.micro_solve(fluxes), fluxes)
         return float(np.max(np.abs(forms)))
 
@@ -624,8 +676,9 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
     refining it changes nothing but roundoff.  Matrices are cached on disk
     under VPB_SPECTRAL_CACHE keyed by every assembly parameter, the
-    reflection and exchange folds and the source of the factor rules
-    included, so entries summed another way are never read.
+    reflection and exchange folds, the source of the factor rules and the
+    Burnett reduction included (_FOLD_TAG), so entries summed another way
+    are never read.  The Burnett transform is built only here, on a miss.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)

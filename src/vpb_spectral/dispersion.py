@@ -49,7 +49,7 @@ from .errors import AssemblyError, RegimeError
 from .mode_operator import (EigenBlock, FourierMode, _normalize_xi, pushforward_from_axis,
                             rotation_to_axis)
 from .transport import TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis, bilinear_pair, flux_vector
+from .velocity_space import Frame, VelocityBasis, bilinear_pair
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -97,15 +97,21 @@ class AsymptoticCoefficients:
                eps: float = 1.0) -> np.ndarray:
         """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
 
-        One row per time; the pairing is the weighted bilinear one.  The fluid
-        branches 0, 2, 3 do not oscillate, so eps only matters for -1 and 1.
+        One row per time; the pairing is the weighted bilinear one.  Every h_j
+        vanishes off basis.invariant_indices, so the sum runs on those five
+        slots.  The pairing keeps the whole length: summed over five slots it
+        would round differently.  The fluid branches 0, 2, 3 do not
+        oscillate, so eps only matters for -1 and 1.
         """
         times = np.asarray(times, dtype=float)
-        out = np.zeros((times.size, basis.dim), dtype=complex)
+        slots = list(basis.invariant_indices)
+        acc = np.zeros((times.size, len(slots)), dtype=complex)
         for j in branches:
             coef = bilinear_pair(basis, u, self.h[j], self.s)
             phases = np.exp(self.eta[j] * times / eps - self.b[j] * times)
-            out += phases[:, None] * (coef * self.h[j])[None, :]
+            acc += phases[:, None] * (coef * self.h[j][slots])[None, :]
+        out = np.zeros((times.size, basis.dim), dtype=complex)
+        out[:, slots] = acc
         return out
 
 
@@ -186,7 +192,7 @@ def _entries(op: CollisionOperator, beta: complex, y: float,
     n = blocks.micro.size
     block = EigenBlock(blocks.L.astype(complex) - 1j * y * blocks.V,
                        (Frame(blocks.micro, np.ones(n), np.eye(n)),))
-    fluxes = {j: flux_vector(op.basis, j) for j in FLUX_INDICES}
+    fluxes = {j: op.basis.fluxes[j - 1] for j in FLUX_INDICES}
     res = _Resolvent(block, beta, fluxes)
     ders = None
     if derivative:
@@ -232,7 +238,7 @@ class _Family:
                               f"{POLE_COND_LIMIT:.0e}; its pole sums would lose too "
                               "many digits")
         frame = frames[0]
-        self.fluxes = {j: flux_vector(op.basis, j) for j in self._FLUXES[m]}
+        self.fluxes = {j: op.basis.fluxes[j - 1] for j in self._FLUXES[m]}
         left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
                 for k, f in self.fluxes.items()}
         right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}

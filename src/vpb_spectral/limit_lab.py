@@ -26,7 +26,6 @@ from .velocity_space import (
     MacroState,
     VelocityBasis,
     bilinear_pair,
-    flux_vector,
     macro_vector,
     project_macro,
     weighted_norm,
@@ -477,7 +476,7 @@ def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
     # first-order corrections from the micro collision solve, fed back
     # through the streaming flux of the moment equations
     v1 = basis.v_matrices[0]
-    sols = op.micro_solve(np.stack([flux_vector(basis, j) for j in (2, 4)], axis=1))
+    sols = op.micro_solve(basis.fluxes[[1, 3]].T)
     kappa0_ext = -float((v1 @ sols[:, 0]) @ basis.chi(2))
     kappa1_ext = -float((v1 @ sols[:, 1]) @ basis.chi(4))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .collision import CollisionOperator, assemble_collision
 from .errors import AssemblyError, BasisError, RegimeError
 from .mode_operator import mode_operator
-from .velocity_space import build_basis, flux_vector
+from .velocity_space import build_basis, flux_vector  # flux_vector: re-exported for callers
 
 BRANCHES = (-1, 0, 1, 2, 3)
 
@@ -49,7 +49,7 @@ def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
     basis = op.basis
     if basis.max_degree < 3:
         raise BasisError("heat flux vanishes below degree 3; transport needs max_degree >= 3")
-    fluxes = np.stack([flux_vector(basis, j) for j in (2, 4, 1)], axis=1)
+    fluxes = basis.fluxes[[1, 3, 0]].T
     forms = -np.einsum("ij,ij->j", op.micro_solve(fluxes), fluxes)
     kappa0, kappa1, kappa0_long = (float(v) for v in forms)
     for name, val in (("kappa0", kappa0), ("kappa1", kappa1), ("kappa0_long", kappa0_long)):

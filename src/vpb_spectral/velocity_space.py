@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -20,12 +21,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import BasisError
+from .errors import AssemblyError, BasisError
 
 _TWO_PI = 2.0 * np.pi
 _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
 _PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
 _GRAM_TOL = 1e-10  # largest entry of the quadrature Gram matrix minus the identity
+_ORTHO_TOL = 1e-12  # largest entry of T T^T minus the identity, T the Burnett transform
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -54,6 +56,74 @@ def hermite_polynomial_table(nmax: int, x: np.ndarray) -> np.ndarray:
     for n in range(1, nmax):
         table[n + 1] = (x * table[n] - np.sqrt(n) * table[n - 1]) / np.sqrt(n + 1)
     return table
+
+
+def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_m^(alpha)(x), as binom(m + alpha, m) times the recurrence for
+    L_m^(alpha) / L_m^(alpha)(0)."""
+    if m == 0:
+        return np.ones_like(x)
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, m):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        p = d + p
+    return math.prod((i + alpha) / i for i in range(1, m + 1)) * p
+
+
+def burnett_labels(max_degree: int) -> np.ndarray:
+    """(n, l, m) of every real Burnett function with 2n + l <= max_degree,
+    ordered by (l, m, n); m < 0 labels the sin functions, one row each."""
+    return np.array([(n, l, m) for l in range(max_degree + 1) for m in range(-l, l + 1)
+                     for n in range((max_degree - l) // 2 + 1)])
+
+
+def _burnett_class(labels: np.ndarray) -> np.ndarray:
+    """The (a1, a2, a3 mod 2) reflection class of each Burnett function, as
+    4 a1 + 2 a2 + a3: Re (v1 + i v2)^m has a1 = m and a2 = 0, Im (v1 + i v2)^m
+    a1 = m - 1 and a2 = 1, and the rest of the function is even in v1 and v2
+    with the parity of l - m in v3."""
+    l, m = labels[:, 1], np.abs(labels[:, 2])
+    sin = labels[:, 2] < 0
+    return 4 * ((m - sin) % 2) + 2 * sin + (l - m) % 2
+
+
+def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Closed-form values of the real Burnett functions labels at points, one
+    row each:
+
+        phi_nlm(v) = c_nl L_n^(l+1/2)(|v|^2/2) N_lm Q_l^|m|(v3, |v|^2) A_m(v1, v2),
+
+    with A_m = Re (v1 + i v2)^m for m >= 0 and Im (v1 + i v2)^|m| for m < 0,
+    Q_m^m = (2m - 1)!! and (l - m + 1) Q_(l+1)^m = (2l + 1) v3 Q_l^m
+    - (l + m) |v|^2 Q_(l-1)^m (never dividing by |v|), so Q_l^m A_m is the
+    solid harmonic |v|^l P_l^m(v3 / |v|) cos or sin(m phi).  c_nl and N_lm make
+    every function a unit vector of L^2(M); N_l0 = sqrt(2l + 1).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    v1, v2, v3 = points.T
+    r2 = v1 * v1 + v2 * v2 + v3 * v3
+    out = np.empty((len(labels), points.shape[0]))
+    lmax = int(np.max(labels[:, 1]))
+    re, im = np.ones_like(v1), np.zeros_like(v1)
+    for am in range(int(np.max(np.abs(labels[:, 2]))) + 1):
+        if am:
+            re, im = re * v1 - im * v2, re * v2 + im * v1
+        solid, q_prev = {}, 0.0
+        q = np.full_like(v1, math.prod(range(1, 2 * am, 2)))
+        for l in range(am, lmax + 1):
+            solid[l] = q
+            q_prev, q = q, ((2 * l + 1) * v3 * q - (l + am) * r2 * q_prev) / (l - am + 1)
+        for row in np.flatnonzero(np.abs(labels[:, 2]) == am):
+            n, l, m = (int(a) for a in labels[row])
+            norm2 = ((2 - (m == 0)) * (2 * l + 1) * math.factorial(l - am)
+                     / math.factorial(l + am)
+                     * math.factorial(n) * math.sqrt(math.pi)
+                     / (2.0 ** (l + 1) * math.gamma(n + l + 1.5)))
+            out[row] = math.sqrt(norm2) * _genlaguerre(n, l + 0.5, 0.5 * r2) * solid[l]
+            if m:
+                out[row] *= re if m > 0 else im
+    return out
 
 
 def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
@@ -143,6 +213,33 @@ class AxisSectors:
         """The coordinates of f in every copy of every sector."""
         g = self.transform.T @ (self.scale.conj() * f)
         return [[g[sl] for sl in spans] for spans in self.spans]
+
+
+class BurnettTransform(NamedTuple):
+    """The real orthogonal map T between the basis and the real Burnett
+    functions of the same degree, one reflection class at a time.
+
+    blocks holds (slots, labels, t) for each nonempty (a1, a2, a3 mod 2)
+    class: the class's basis slots, the (n, l, m) of its Burnett functions in
+    (l, m, n) order, and t[i, k] = (phi_labels[i], basis function slots[k]).
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def basis_matrix(self, radial: dict) -> np.ndarray:
+        """T^T (sum_l radial[l] (x) I_(2l+1)) T in basis slot numbering: the
+        matrix of a rotation-invariant operator with radial[l][n, n'] its
+        entry between phi_nlm and phi_n'lm (the same for every m), built
+        class by class, so the entries between classes are exact zeros."""
+        dim = sum(slots.size for slots, _, _ in self.blocks)
+        out = np.zeros((dim, dim))
+        for slots, labels, t in self.blocks:
+            mid = np.zeros((slots.size, slots.size))
+            for start in np.flatnonzero(labels[:, 0] == 0):  # each (l, m) run starts at n = 0
+                block = radial[int(labels[start, 1])]
+                mid[start:start + block.shape[0], start:start + block.shape[0]] = block
+            out[np.ix_(slots, slots)] = t.T @ mid @ t
+        return out
 
 
 @dataclass(frozen=True)
@@ -286,6 +383,53 @@ class VelocityBasis:
                            n_invariant=tuple(cos[m][1] for m in range(self.max_degree + 1)),
                            transform=transform, spans=tuple(tuple(sp) for sp in spans),
                            scale=classes.scale)
+
+    @cached_property
+    def burnett_transform(self) -> BurnettTransform:
+        """The Burnett transform, by the smallest Gauss-Hermite product rule
+        exact for its degree-2N products ((N+1)^3 nodes).
+
+        Each class's t is checked to be orthogonal to _ORTHO_TOL, which the
+        operator the collision assembly maps back through it relies on;
+        AssemblyError names a failed check.
+        """
+        x, w = hermegauss(self.max_degree + 1)
+        w = w / np.sqrt(_TWO_PI)
+        nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
+        weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+        labels = burnett_labels(self.max_degree)
+        phi = burnett_rows(nodes, labels) * weights
+        herm = self.poly_rows(nodes)
+        label_class = _burnett_class(labels)
+        slot_class = (np.array(self.multi_indices) % 2) @ np.array([4, 2, 1])
+        blocks = []
+        for c in range(8):
+            slots, rows = np.flatnonzero(slot_class == c), np.flatnonzero(label_class == c)
+            if slots.size != rows.size:
+                raise AssemblyError(f"Burnett transform fails the orthogonality check: "
+                                    f"reflection class {c} holds {slots.size} basis slots "
+                                    f"but {rows.size} Burnett functions")
+            if slots.size == 0:
+                continue
+            t = phi[rows] @ herm[slots].T
+            gap = float(np.max(np.abs(t @ t.T - np.eye(slots.size))))
+            if not gap <= _ORTHO_TOL:
+                raise AssemblyError(f"Burnett transform fails the orthogonality check: "
+                                    f"|T T^T - I| = {gap:.2e} in reflection class {c}, "
+                                    f"above {_ORTHO_TOL:.0e}")
+            block = (slots, labels[rows], t)
+            for arr in block:
+                arr.setflags(write=False)
+            blocks.append(block)
+        return BurnettTransform(tuple(blocks))
+
+    @cached_property
+    def fluxes(self) -> np.ndarray:
+        """(4, dim) stack of flux_vector(self, j) for j = 1..4, row j - 1;
+        built once per basis, read-only."""
+        stack = np.stack([flux_vector(self, j) for j in (1, 2, 3, 4)])
+        stack.setflags(write=False)
+        return stack
 
     def chi(self, k: int) -> np.ndarray:
         """Coefficient vector of the k-th collision invariant, k = 0..4."""

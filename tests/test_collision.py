@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vpb_spectral import BackendError, build_basis, collision, multiplication_matrices
+from vpb_spectral import (BackendError, build_basis, collision, multiplication_matrices,
+                          velocity_space)
 from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
     CollisionQuadrature,
@@ -20,7 +21,7 @@ from vpb_spectral.collision import (
 from vpb_spectral.errors import AssemblyError, VPBError
 from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
 
-_FOLD_TAG = "reflection-exchange-numpy-rules-v1"  # the fold tag of the cache parameters
+_FOLD_TAG = "burnett-reflection-exchange-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -185,19 +186,88 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
 
 def test_dirichlet_sums_evaluate_half_the_sphere(monkeypatch):
     # deg 6, shared spheres: 64 octant com nodes x 4 radii x 49 of 98 sphere
-    # nodes, at v and at v_star; the whole sphere would take 50,176 points
+    # nodes, at v and at v_star; the whole sphere would take 50,176 points.
+    # The sums evaluate the zonal Burnett functions only; the basis
+    # polynomials are evaluated on the 7^3 nodes of the Burnett transform's
+    # rule alone
     basis = build_basis(6)
     grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
-    kernel = VelocityBasis.poly_rows
-    counted = []
+    zonal, poly = [], []
+    zonal_kernel, poly_kernel = collision.burnett_rows, VelocityBasis.poly_rows
 
-    def spy(self, points, order=None):
-        counted.append(len(points))
-        return kernel(self, points, order)
+    def zonal_spy(points, labels):
+        zonal.append(len(points))
+        assert np.all(labels[:, 2] == 0)
+        return zonal_kernel(points, labels)
 
-    monkeypatch.setattr(VelocityBasis, "poly_rows", spy)
+    def poly_spy(self, points, order=None):
+        poly.append(len(points))
+        return poly_kernel(self, points, order)
+
+    monkeypatch.setattr(collision, "burnett_rows", zonal_spy)
+    monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
     _dirichlet_matrix(basis, grid)
-    assert sum(counted) == 25_088
+    assert sum(zonal) == 25_088
+    assert poly == [7 ** 3]
+
+
+def test_under_resolved_sphere_rule_sums_every_basis_function():
+    # 12 azimuthal sigma nodes miss the degree-12 integrand: those sums do not
+    # commute with rotations, so no zonal reduction reproduces them
+    basis = build_basis(6)
+    exact = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
+    coarse = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0,
+                            sigma_quad=_INDEPENDENT_SIGMA)
+    assert exact.resolves(12) and not coarse.resolves(12) and coarse.resolves(11)
+    ref = _dirichlet_matrix(basis, exact)
+    gap = np.max(np.abs(_dirichlet_matrix(basis, coarse) - ref)) / np.max(np.abs(ref))
+    assert gap > 1e-3
+    assert np.max(np.abs(collision._burnett_dirichlet(basis, coarse) - ref)) <= (
+        1e-13 * np.max(np.abs(ref)))
+
+
+def test_cross_l_zonal_entry_raises(basis_small, monkeypatch):
+    # deg 2 zonal rows: (n, l) = (0, 0), (1, 0), (0, 2) in the even class, (0, 1)
+    exact = collision._pair_sums_and_reductions
+
+    def perturbed(*args):
+        acc, reduced = exact(*args)
+        acc = acc.copy()
+        acc[0, 2] += 1e-9 * np.max(np.abs(acc))
+        acc[2, 0] = acc[0, 2]
+        return acc, reduced
+
+    monkeypatch.setattr(collision, "_pair_sums_and_reductions", perturbed)
+    with pytest.raises(AssemblyError, match="Burnett check: zonal entry between different l"):
+        assemble_collision(basis_small, use_cache=False)
+
+
+def test_non_orthogonal_burnett_transform_raises(monkeypatch):
+    exact = velocity_space.burnett_rows
+    monkeypatch.setattr(velocity_space, "burnett_rows",
+                        lambda points, labels: exact(points, labels) * (1.0 + 1e-9))
+    with pytest.raises(AssemblyError, match="Burnett transform fails the orthogonality check"):
+        assemble_collision(build_basis(3), use_cache=False)
+
+
+def test_burnett_transform_is_built_only_on_a_cache_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    built = []
+    build = VelocityBasis.burnett_transform.func
+
+    def spy(self):
+        built.append(self.max_degree)
+        return build(self)
+
+    monkeypatch.setattr(VelocityBasis, "burnett_transform", property(spy))
+    miss = assemble_collision(build_basis(3))
+    assert built == [3]
+    hit = assemble_collision(build_basis(3))
+    assert np.array_equal(hit.matrix, miss.matrix)
+    synthetic = synthetic_collision(build_basis(3))
+    for op in (hit, synthetic):
+        op.kappa_bar, op.sector_blocks
+    assert built == [3]
 
 
 @pytest.mark.parametrize("degree", [2, 4])
@@ -418,6 +488,13 @@ def test_scipy_rule_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     _assert_rebuilt(tmp_path, basis_small,
                     dict(_old_params(basis_small), fold="reflection-exchange-v1"))
+
+
+def test_numpy_rule_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator summed over every basis function, before the Burnett reduction
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    _assert_rebuilt(tmp_path, basis_small,
+                    dict(_old_params(basis_small), fold="reflection-exchange-numpy-rules-v1"))
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):

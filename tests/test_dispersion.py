@@ -283,7 +283,7 @@ class TestPoleSums:
                 with pytest.raises(RegimeError, match="singular"):
                     fam.certified(mu)
 
-    def test_broken_structure_takes_the_lu_path(self, op_mid):
+    def test_parity_coupling_operator_is_refused_by_the_sector_check(self, op_mid):
         # an operator coupling two parity classes fails the sector check, and
         # the branch construction refuses it with the failed check's name
         basis = op_mid.basis

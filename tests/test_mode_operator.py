@@ -337,7 +337,7 @@ def _even_sector_vector(basis, m):
     raise AssertionError(f"sector {m} has no a1-even micro vector")
 
 
-def test_operator_coupling_sectors_takes_the_dense_and_lu_paths(hard_sphere_prod):
+def test_operator_coupling_sectors_is_refused_by_every_axis_consumer(hard_sphere_prod):
     # 1e-8 between the m = 0 and m = 2 sectors of the (even, even) class
     basis = hard_sphere_prod.basis
     u, w = _even_sector_vector(basis, 0), _even_sector_vector(basis, 2)

@@ -18,7 +18,8 @@ from vpb_spectral import (
     weighted_inner,
     weighted_norm,
 )
-from vpb_spectral.velocity_space import hermite_polynomial_table, rotation_generator
+from vpb_spectral.velocity_space import (burnett_labels, burnett_rows,
+                                         hermite_polynomial_table, rotation_generator)
 
 TWO_PI = 2.0 * np.pi
 
@@ -277,3 +278,51 @@ def test_axis_sector_frames(deg):
             rows = np.isin(fr.index, inv)
             assert np.all(fr.basis[np.ix_(rows, np.arange(sectors.n_invariant[m],
                                                           fr.basis.shape[1]))] == 0.0)
+
+
+def _dense_burnett_transform(basis):
+    """T as one (dim, dim) matrix, rows in burnett_labels order."""
+    labels = [tuple(a) for a in burnett_labels(basis.max_degree)]
+    t = np.zeros((basis.dim, basis.dim))
+    for slots, block_labels, block in basis.burnett_transform.blocks:
+        rows = [labels.index(tuple(a)) for a in block_labels]
+        t[np.ix_(rows, slots)] = block
+    return labels, t
+
+
+@pytest.mark.parametrize("deg", [2, 4, 6, 8])
+def test_burnett_transform_is_orthogonal_and_class_pure(deg):
+    basis = _basis(deg)
+    labels, t = _dense_burnett_transform(basis)
+    assert len(labels) == len(set(labels)) == basis.dim
+    assert np.max(np.abs(t @ t.T - np.eye(basis.dim))) <= 1e-12
+    # every Burnett function lies in one reflection class: its coefficients on
+    # the basis's own quadrature, over every slot, vanish outside the class
+    full = (burnett_rows(basis.quad_nodes, np.array(labels)) * basis.gauss_weights) @ basis.node_poly
+    assert np.max(np.abs(full - t)) <= 1e-13
+
+
+@pytest.mark.parametrize("deg", [2, 4, 6, 8])
+def test_burnett_functions_match_closed_form(deg):
+    # T^T maps each real Burnett function to basis coefficients; at random
+    # points that expansion must equal an independent closed form, built from
+    # scipy's Laguerre and associated Legendre functions
+    from math import factorial, gamma, pi, sqrt
+
+    from scipy.special import eval_genlaguerre, lpmv
+
+    basis = _basis(deg)
+    labels, t = _dense_burnett_transform(basis)
+    pts = 1.5 * np.random.default_rng(deg).standard_normal((200, 3))
+    r = np.linalg.norm(pts, axis=1)
+    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
+    expanded = t @ basis.poly_values(pts).T
+    for row, (n, l, m) in enumerate(labels):
+        radial = sqrt(factorial(n) * sqrt(pi) / (2.0 ** (l + 1) * gamma(n + l + 1.5)))
+        angular = sqrt((2 - (m == 0)) * (2 * l + 1) * factorial(l - abs(m)) / factorial(l + abs(m)))
+        # lpmv carries the Condon-Shortley phase (-1)^m
+        legendre = (-1) ** abs(m) * lpmv(abs(m), l, pts[:, 2] / r)
+        trig = np.cos(m * azimuth) if m >= 0 else np.sin(-m * azimuth)
+        ref = (radial * eval_genlaguerre(n, l + 0.5, r * r / 2) * angular * r ** l
+               * legendre * trig)
+        assert np.max(np.abs(expanded[row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
