@@ -43,7 +43,8 @@ from .transport import (
     compute_kappas,
     kappas_with_error,
 )
-from .velocity_space import MacroState, build_basis, macro_vector, weighted_norm
+from .velocity_space import (MacroState, _gram_deviation, build_basis, macro_vector,
+                             weighted_norm)
 
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
@@ -245,8 +246,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     rng = np.random.default_rng(cfg.seed)
 
     def basis_orthonormal():
-        gram = basis.node_poly.T @ (basis.gauss_weights[:, None] * basis.node_poly)
-        resid = float(np.max(np.abs(gram - np.eye(basis.dim))))
+        resid = _gram_deviation(basis.node_poly.T, basis.gauss_weights)
         assert resid <= 1e-10, f"gram residual {resid:.2e}"
 
     def collision_structure():

@@ -262,7 +262,8 @@ def layer_time_grid(eps: float, t_max: float, n_layer: int = 12,
     edge = min(10.0 * eps, 0.5 * t_max)
     layer = np.linspace(0.0, edge, n_layer, endpoint=False)
     bulk = np.geomspace(edge, t_max, n_bulk)
-    return np.unique(np.concatenate([layer, bulk]))
+    grid = np.sort(np.concatenate([layer, bulk]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 ERROR_COLUMNS = ("eps", "t", "err_Linf_P", "err_macro", "err_micro")

@@ -293,8 +293,10 @@ def rotation_to_axis(direction: np.ndarray) -> np.ndarray:
 def compose_rotation(basis: VelocityBasis, rot: np.ndarray) -> np.ndarray:
     """Matrix of f -> f(rot . v) on basis coefficients; orthogonal, exact.
 
-    The quadrature sees products of two degree-N polynomials, so the rule the
-    basis carries is already exact for these integrals.
+    The quadrature sees products of two degree-N polynomials, so the
+    quad_order rule the basis carries is exact for these integrals.  Its
+    first use evaluates node_poly, which runs that rule's Gram check and
+    raises BasisError above _GRAM_TOL.
     """
     rotated = basis.poly_values(basis.quad_nodes @ rot.T)
     return basis.node_poly.T @ (basis.gauss_weights[:, None] * rotated)

@@ -126,6 +126,33 @@ def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n^3-node Gauss-Hermite product rule for the N(0, I3) measure:
+    nodes (n^3, 3) and weights (n^3,).  BasisError if the 1-d rule has a
+    non-positive weight or a non-finite node."""
+    x, w = hermegauss(n)
+    if not np.all(w > 0) or not np.all(np.isfinite(x)):
+        raise BasisError("degenerate 1-d quadrature rule (non-positive weight)")
+    w = w / np.sqrt(_TWO_PI)  # weights for the standard normal measure
+    nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
+    return nodes, (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+
+
+def _gram_deviation(rows: np.ndarray, weights: np.ndarray) -> float:
+    """max |P W P^T - I| for basis rows P, (dim, npts), on a rule with weights W."""
+    gram = rows @ (weights[:, None] * rows.T)
+    return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
+
+
+def _check_gram(rows: np.ndarray, weights: np.ndarray, order: int) -> None:
+    """BasisError unless the basis is orthonormal to _GRAM_TOL on the rule
+    with order nodes per axis."""
+    err = _gram_deviation(rows, weights)
+    if not err <= _GRAM_TOL:
+        raise BasisError(f"quadrature Gram check failed on the {order}^3-node rule: "
+                         f"max deviation {err:.3e} > {_GRAM_TOL:.1e}")
+
+
 def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
     """Orthogonal change of basis making the energy invariant a basis column.
 
@@ -213,6 +240,16 @@ class AxisSectors:
         """The coordinates of f in every copy of every sector."""
         g = self.transform.T @ (self.scale.conj() * f)
         return [[g[sl] for sl in spans] for spans in self.spans]
+
+
+class ExactRule(NamedTuple):
+    """The smallest Gauss-Hermite product rule exact for every product of two
+    basis functions, (N+1)^3 nodes: nodes (npts, 3), weights for the N(0, I3)
+    measure, and poly, the basis poly_rows on the nodes (dim, npts)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    poly: np.ndarray
 
 
 class BurnettTransform(NamedTuple):
@@ -305,10 +342,27 @@ class VelocityBasis:
 
     @cached_property
     def node_poly(self) -> np.ndarray:
-        """(nq, dim) polynomial parts at the quadrature nodes; read-only."""
+        """(nq, dim) polynomial parts at the quadrature nodes; read-only.
+
+        The first evaluation checks the Gram matrix on this quad_order rule
+        and raises BasisError above _GRAM_TOL, so every reader of the
+        configured rule reads a checked one.
+        """
         values = self.poly_values(self.quad_nodes)
+        _check_gram(values.T, self.gauss_weights, self.quad_order)
         values.setflags(write=False)
         return values
+
+    @cached_property
+    def exact_rule(self) -> ExactRule:
+        """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
+        exact for the degree-2N products of the Gram check and of the Burnett
+        transform, which both read it."""
+        nodes, weights = _gauss_product_rule(self.max_degree + 1)
+        rule = ExactRule(nodes, weights, self.poly_rows(nodes))
+        for arr in rule:
+            arr.setflags(write=False)
+        return rule
 
     @cached_property
     def v_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,19 +441,15 @@ class VelocityBasis:
     @cached_property
     def burnett_transform(self) -> BurnettTransform:
         """The Burnett transform, by the smallest Gauss-Hermite product rule
-        exact for its degree-2N products ((N+1)^3 nodes).
+        exact for its degree-2N products (exact_rule, (N+1)^3 nodes).
 
         Each class's t is checked to be orthogonal to _ORTHO_TOL, which the
         operator the collision assembly maps back through it relies on;
         AssemblyError names a failed check.
         """
-        x, w = hermegauss(self.max_degree + 1)
-        w = w / np.sqrt(_TWO_PI)
-        nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
-        weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+        rule = self.exact_rule
         labels = burnett_labels(self.max_degree)
-        phi = burnett_rows(nodes, labels) * weights
-        herm = self.poly_rows(nodes)
+        phi = burnett_rows(rule.nodes, labels) * rule.weights
         label_class = _burnett_class(labels)
         slot_class = (np.array(self.multi_indices) % 2) @ np.array([4, 2, 1])
         blocks = []
@@ -411,7 +461,7 @@ class VelocityBasis:
                                     f"but {rows.size} Burnett functions")
             if slots.size == 0:
                 continue
-            t = phi[rows] @ herm[slots].T
+            t = phi[rows] @ rule.poly[slots].T
             gap = float(np.max(np.abs(t @ t.T - np.eye(slots.size))))
             if not gap <= _ORTHO_TOL:
                 raise AssemblyError(f"Burnett transform fails the orthogonality check: "
@@ -468,9 +518,12 @@ def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis
     """Construct the truncated Hermite basis and its folded quadrature.
 
     quad_order counts Gauss-Hermite nodes per axis; the default 2*max_degree+4
-    leaves margin beyond the max_degree+2 minimum needed for an exact Gram
-    matrix.  Construction fails if the quadrature is degenerate or the Gram
-    check misses _GRAM_TOL.
+    leaves margin beyond the max_degree+2 minimum.  Construction fails if the
+    quadrature is degenerate or if the Gram matrix on exact_rule, the
+    (max_degree+1)^3 rule that makes it exact, misses _GRAM_TOL.  The
+    quad_order rule is evaluated only when something reads node_poly
+    (coeffs_from_callable, off-axis mode_operator.compose_rotation, the check
+    subcommand), and its own Gram check runs then.
     """
     if max_degree < 2:
         raise BasisError("max_degree must be >= 2 so all five invariants are in the span")
@@ -481,19 +534,8 @@ def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis
             f"quad_order {quad_order} too small for max_degree {max_degree}; need >= {max_degree + 2}")
 
     indices = _multi_indices(max_degree)
-    dim = len(indices)
-
-    x, w = hermegauss(quad_order)
-    if not np.all(w > 0) or not np.all(np.isfinite(x)):
-        raise BasisError("degenerate 1-d quadrature rule (non-positive weight)")
-    w = w / np.sqrt(_TWO_PI)  # weights for the standard normal measure
-
-    nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
-    gauss_w = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-
-    rot = _energy_rotation(indices)
+    nodes, gauss_w = _gauss_product_rule(quad_order)
     maxwell = (_TWO_PI) ** (-1.5) * np.exp(-0.5 * np.sum(nodes ** 2, axis=1))
-    folded_w = gauss_w / maxwell
 
     inv = (indices.index((0, 0, 0)),
            indices.index((1, 0, 0)),
@@ -504,20 +546,18 @@ def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis
     basis = VelocityBasis(
         max_degree=max_degree,
         quad_order=quad_order,
-        dim=dim,
+        dim=len(indices),
         multi_indices=tuple(indices),
         quad_nodes=nodes,
-        quad_weights=folded_w,
+        quad_weights=gauss_w / maxwell,
         gauss_weights=gauss_w,
         invariant_indices=inv,
-        rotation=rot,
+        rotation=_energy_rotation(indices),
     )
-    gram = basis.node_poly.T @ (gauss_w[:, None] * basis.node_poly)
-    err = np.max(np.abs(gram - np.eye(dim)))
-    if err > _GRAM_TOL:
-        raise BasisError(f"quadrature Gram check failed: max deviation {err:.3e} > {_GRAM_TOL:.1e}")
     for arr in (basis.quad_nodes, basis.quad_weights, basis.gauss_weights, basis.rotation):
         arr.setflags(write=False)
+    rule = basis.exact_rule
+    _check_gram(rule.poly, rule.weights, max_degree + 1)
     return basis
 
 
@@ -632,7 +672,7 @@ def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarra
                 dn = list(alpha)
                 dn[k] -= 1
                 v[pos[tuple(dn)], i] = np.sqrt(a)
-        mats.append(basis.rotation.T @ v @ basis.rotation)
+        mats.append(_rotate_pure_squares(basis, v))
     return tuple(mats)
 
 
@@ -652,4 +692,16 @@ def rotation_generator(basis: VelocityBasis) -> np.ndarray:
             j[pos[(a1, a2 + 1, a3 - 1)], i] = np.sqrt((a2 + 1.0) * a3)
         if a2 > 0:
             j[pos[(a1, a2 - 1, a3 + 1)], i] = -np.sqrt(a2 * (a3 + 1.0))
-    return basis.rotation.T @ j @ basis.rotation
+    return _rotate_pure_squares(basis, j)
+
+
+def _rotate_pure_squares(basis: VelocityBasis, mat: np.ndarray) -> np.ndarray:
+    """rotation^T mat rotation, computed in place on mat.  The energy rotation is
+    the identity outside the three pure-square slots, so only those columns and then
+    those rows are multiplied.  v_k and J1 vanish between pure-square slots, and
+    for them the result equals the dense product exactly."""
+    cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
+    r = basis.rotation[np.ix_(cols, cols)]
+    mat[:, cols] = mat[:, cols] @ r
+    mat[cols, :] = r.T @ mat[cols, :]
+    return mat

@@ -373,6 +373,24 @@ class TestEntryPoint:
         assert _source_places(imports_scipy) == {"dispersion.dense_comparison",
                                                  "semigroup._ode_states"}
 
+    def test_converge_leaves_numpy_ma_out(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; the converge time grid
+        # is built without it
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("backend = synthetic\nmax_degree = 3\ns_count = 4\n"
+                       "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"
+                       "kind = generic\nsubtract_layer = true\n", encoding="utf-8")
+        env = _child_env()
+        env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
+        code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
+                "print('numpy.ma' in sys.modules); sys.exit(rc)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "converge", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
     def test_whole_micro_block_is_read_only_by_the_reference_solves(self):
         # the whole micro block is the reference; the dispersion root solvers
         # and eigenfunctions work on the sector blocks alone

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +19,9 @@ from vpb_spectral import (
     weighted_inner,
     weighted_norm,
 )
-from vpb_spectral.velocity_space import (burnett_labels, burnett_rows,
+from vpb_spectral import velocity_space
+from vpb_spectral.mode_operator import compose_rotation
+from vpb_spectral.velocity_space import (VelocityBasis, burnett_labels, burnett_rows,
                                          hermite_polynomial_table, rotation_generator)
 
 TWO_PI = 2.0 * np.pi
@@ -220,8 +223,6 @@ def _rot_e1(theta):
 def test_rotation_generator_exponentiates_to_axis_rotations(deg):
     import scipy.linalg
 
-    from vpb_spectral.mode_operator import compose_rotation
-
     basis = _basis(deg)
     j1 = rotation_generator(basis)
     assert np.max(np.abs(j1 + j1.T)) == 0.0
@@ -326,3 +327,82 @@ def test_burnett_functions_match_closed_form(deg):
         ref = (radial * eval_genlaguerre(n, l + 0.5, r * r / 2) * angular * r ** l
                * legendre * trig)
         assert np.max(np.abs(expanded[row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _spy_poly_rows(monkeypatch):
+    """Record the point count of every VelocityBasis.poly_rows call."""
+    calls, kernel = [], VelocityBasis.poly_rows
+
+    def spy(self, points, order=None, out=None):
+        calls.append(len(points))
+        return kernel(self, points, order, out)
+
+    monkeypatch.setattr(VelocityBasis, "poly_rows", spy)
+    return calls
+
+
+def _skew_weights(monkeypatch, n_skewed):
+    """Scale the 1-d Gauss-Hermite weights of the n_skewed-node rule by 1 + 1e-6."""
+    exact = velocity_space.hermegauss
+
+    def skewed(n):
+        x, w = exact(n)
+        return (x, w * (1.0 + 1e-6)) if n == n_skewed else (x, w)
+
+    monkeypatch.setattr(velocity_space, "hermegauss", skewed)
+
+
+@pytest.mark.parametrize("deg", [4, 6, 8])
+def test_build_basis_evaluates_only_the_exact_rule(monkeypatch, deg):
+    # the Gram check reads the (N+1)^3 rule; the (2N+4)^3 quad_order rule is
+    # left for whoever reads node_poly
+    calls = _spy_poly_rows(monkeypatch)
+    basis = build_basis(deg)
+    assert calls == [(deg + 1) ** 3]
+    assert basis.exact_rule.poly.shape == (basis.dim, (deg + 1) ** 3)
+
+
+def test_burnett_transform_reuses_the_exact_rule(monkeypatch):
+    basis = build_basis(6)
+    calls = _spy_poly_rows(monkeypatch)
+    assert basis.burnett_transform.blocks
+    assert calls == []
+
+
+def test_exact_rule_is_read_only():
+    rule = _basis(4).exact_rule
+    assert rule.nodes.shape == (125, 3) and rule.weights.shape == (125,)
+    for arr in rule:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_skewed_exact_rule_fails_build_basis(monkeypatch):
+    _skew_weights(monkeypatch, 7)
+    with pytest.raises(BasisError, match=r"Gram check failed on the 7\^3-node rule"):
+        build_basis(6)
+
+
+def test_skewed_configured_rule_fails_its_first_reader(monkeypatch):
+    # build_basis never reads the quad_order rule; each reader of node_poly
+    # runs its Gram check (a failed cached_property is not stored)
+    _skew_weights(monkeypatch, 12)
+    basis = build_basis(4)
+    with pytest.raises(BasisError, match=r"Gram check failed on the 12\^3-node rule"):
+        basis.node_poly
+    with pytest.raises(BasisError, match="Gram check"):
+        coeffs_from_callable(basis, lambda v: np.exp(-0.25 * np.sum(v ** 2, axis=1)))
+    with pytest.raises(BasisError, match="Gram check"):
+        compose_rotation(basis, _rot_e1(0.3))
+
+
+@pytest.mark.parametrize("deg", [2, 4, 6, 8, 12])
+def test_pure_square_rotation_equals_the_dense_product(deg):
+    basis = build_basis(deg)
+    raw = dataclasses.replace(basis, rotation=np.eye(basis.dim))
+    rot = basis.rotation
+    for mat, tensor in zip(multiplication_matrices(basis), multiplication_matrices(raw)):
+        np.testing.assert_array_equal(mat, rot.T @ tensor @ rot)
+    np.testing.assert_array_equal(rotation_generator(basis),
+                                  rot.T @ rotation_generator(raw) @ rot)
