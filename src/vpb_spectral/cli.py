@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .collision import CollisionOperator, assemble_collision, synthetic_collision
-from .config import ExperimentConfig, apply_overrides, parse_config, validate_config
+from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
+                     validate_subcommand)
 from .blas import describe_policy, one_blas_thread
 from .dispersion import R0_DEFAULT, hydrodynamic_spectrum
 from .errors import ConfigError, RegimeError, VPBError
@@ -405,6 +406,7 @@ def main(argv=None) -> int:
             validate_config(cfg, source="defaults")
         cfg = apply_overrides(cfg, backend=args.backend, jobs=args.jobs,
                               out_dir=args.out)
+        validate_subcommand(cfg, args.subcommand, source=args.config or "defaults")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

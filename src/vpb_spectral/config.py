@@ -178,6 +178,15 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
         bad("jobs", "must be at least 1")
 
 
+def validate_subcommand(cfg: ExperimentConfig, subcommand: str,
+                        source: str = "config") -> None:
+    """What one subcommand needs beyond validate_config: converge fits its eps
+    slope, which takes at least three eps values."""
+    if subcommand == "converge" and len(cfg.eps_list) < 3:
+        raise ConfigError(f"{source}: field 'eps_list': converge fits the eps slope "
+                          f"through at least three values, got {len(cfg.eps_list)}")
+
+
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     """Replace fields from CLI flags (None means keep) and re-validate."""
     updates = {k: v for k, v in overrides.items() if v is not None}

@@ -94,24 +94,27 @@ class AsymptoticCoefficients:
     h: dict
 
     def evolve(self, basis: VelocityBasis, u: np.ndarray, times, branches,
-               eps: float = 1.0) -> np.ndarray:
+               eps=1.0) -> np.ndarray:
         """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
 
         One row per time; the pairing is the weighted bilinear one.  Every h_j
         vanishes off basis.invariant_indices, so the sum runs on those five
         slots.  The pairing keeps the whole length: summed over five slots it
         would round differently.  The fluid branches 0, 2, 3 do not
-        oscillate, so eps only matters for -1 and 1.
+        oscillate, so eps only matters for -1 and 1.  For an array of E eps
+        values the result is (E, T, dim), one slice per eps, and each pairing
+        is formed once for all of them.
         """
         times = np.asarray(times, dtype=float)
+        eps = np.asarray(eps, dtype=float)[..., None]
         slots = list(basis.invariant_indices)
-        acc = np.zeros((times.size, len(slots)), dtype=complex)
+        acc = np.zeros(eps.shape[:-1] + (times.size, len(slots)), dtype=complex)
         for j in branches:
             coef = bilinear_pair(basis, u, self.h[j], self.s)
             phases = np.exp(self.eta[j] * times / eps - self.b[j] * times)
-            acc += phases[:, None] * (coef * self.h[j][slots])[None, :]
-        out = np.zeros((times.size, basis.dim), dtype=complex)
-        out[:, slots] = acc
+            acc += phases[..., None] * (coef * self.h[j][slots])
+        out = np.zeros(acc.shape[:-1] + (basis.dim,), dtype=complex)
+        out[..., slots] = acc
         return out
 
 

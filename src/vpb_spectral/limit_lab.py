@@ -4,7 +4,10 @@ Every spatial quantity here is synthesized from per-shell Fourier modes:
 the spectra depend only on |xi|, so a radial grid with the axis
 representative xi = s*e1 per shell carries all the information, and the
 L-infinity norms in x are bounded through the L1-in-xi synthesis
-4*pi * sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.
+4*pi * sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.  The convergence study takes
+one shell at a time and all its eps values at once: the shell's modes share
+their sector frames, data coordinates and fluid pairings, so the kinetic
+flow is one stacked eigen-expansion per sector (semigroup.propagate_axis_modes).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from .collision import CollisionOperator
 from .dispersion import AXIS, asymptotic_coefficients, limit_vectors
 from .errors import BackendError, DataError, FitError
-from .mode_operator import mode_operator
-from .semigroup import compatible_initial_values, propagate_kinetic
+from .mode_operator import check_eps, mode_operator
+from .semigroup import compatible_initial_values, propagate_axis_modes, propagate_kinetic
 from .transport import TransportCoefficients, compute_kappas
 from .velocity_space import (
     MacroState,
@@ -303,8 +306,9 @@ class ErrorTable:
                 for name in ("t", "err_Linf_P", "err_macro", "err_micro")}
 
 
-def _shell_errors(mode, f0_vec, bundle, times, subtract, couple=True):
-    """Per-time (total, macro, micro) kinetic-minus-fluid norms at one shell.
+def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract, couple=True):
+    """Per-eps, per-time (total, macro, micro) kinetic-minus-fluid norms at one
+    shell, (E, T, 3) for the E values of eps_list.
 
     The columns are the weighted norm, the weighted norm of the macro
     projection and the plain norm of the micro projection.
@@ -312,14 +316,15 @@ def _shell_errors(mode, f0_vec, bundle, times, subtract, couple=True):
     The fluid semigroup acts on the macro part of the data.  With subtract
     the acoustic layer is removed as well, and so is the kinetic flow of the
     micro part: the flow is linear, so S(f0) - S(micro f0) = S(macro f0) and
-    one propagation of the macro part does both.
+    one propagation of the macro part does both.  The kinetic states of all
+    E axis modes come from one stack per sector (propagate_axis_modes).
     """
-    basis = mode.basis
+    basis = op.basis
     macro = basis.macro_project(f0_vec)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
-    limit = bundle.evolve(basis, macro, times, branches, mode.eps)
+    limit = bundle.evolve(basis, macro, times, branches, eps_list)
     if couple:
-        states = propagate_kinetic(mode, macro if subtract else f0_vec, times).states
+        states = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
     else:
         # decoupled consistency mode: the kinetic solver is replaced by the
         # fluid one, so the assembled errors must come out exactly zero
@@ -328,9 +333,9 @@ def _shell_errors(mode, f0_vec, bundle, times, subtract, couple=True):
     sq = diff.real ** 2 + diff.imag ** 2
     is_macro = np.zeros(basis.dim, dtype=bool)
     is_macro[list(basis.invariant_indices)] = True
-    macro_sq = sq[:, is_macro].sum(axis=1) + sq[:, basis.density_index] / mode.s ** 2
-    micro_sq = sq[:, ~is_macro].sum(axis=1)
-    return np.sqrt(np.column_stack([macro_sq + micro_sq, macro_sq, micro_sq]))
+    macro_sq = sq[..., is_macro].sum(axis=-1) + sq[..., basis.density_index] / s ** 2
+    micro_sq = sq[..., ~is_macro].sum(axis=-1)
+    return np.sqrt(np.stack([macro_sq + micro_sq, macro_sq, micro_sq], axis=-1))
 
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
@@ -347,31 +352,38 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     uniformly down to t = 0.  couple=False replaces the kinetic solver by
     the fluid one (a pipeline identity check: errors must vanish).
 
+    One task per shell serves every eps: the shell's axis modes share their
+    sector frames, data coordinates and fluid pairings, and each sector
+    block holding data is decomposed once for all eps values, as one stack
+    (semigroup.propagate_axis_modes).  jobs > 1 maps the shells over a
+    thread pool; the reduction order, and so every bit, stays the same.
+
     Weighted-sup slopes over eps land in metadata; fewer than three eps
-    values cannot support the fit and are refused.
+    values cannot support the fit and are refused (FitError), and so is an
+    eps outside (0, 1) (RegimeError).
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise FitError("slope fit refused: need at least three eps values")
+    for eps in eps_list:
+        check_eps(eps)
     if coeffs is None:
         coeffs = compute_kappas(op)
     times = np.asarray(time_grid, dtype=float)
     basis = data.basis
     grid = data.grid
-    bundles = [asymptotic_coefficients(basis, float(s), coeffs) for s in grid.nodes]
 
-    def shell_task(args):
-        eps, k = args
-        mode = mode_operator(op, eps, np.array([float(grid.nodes[k]), 0.0, 0.0]))
-        return _shell_errors(mode, data.profile[k], bundles[k], times,
+    def shell_task(k):
+        s = float(grid.nodes[k])
+        bundle = asymptotic_coefficients(basis, s, coeffs)
+        return _shell_errors(op, eps_list, s, data.profile[k], bundle, times,
                              subtract_layer and couple, couple)
 
-    tasks = [(eps, k) for eps in eps_list for k in range(grid.count)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(shell_task, tasks))
+            results = list(pool.map(shell_task, range(grid.count)))
     else:
-        results = [shell_task(t) for t in tasks]
+        results = [shell_task(k) for k in range(grid.count)]
 
     rows_eps, rows_t = [], []
     err_tot, err_mac, err_mic = [], [], []
@@ -379,7 +391,7 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
         acc = np.zeros((times.size, 3))
         for k in range(grid.count):
             s, w = float(grid.nodes[k]), float(grid.weights[k])
-            acc += 4.0 * math.pi * s * s * w * results[i_eps * grid.count + k]
+            acc += 4.0 * math.pi * s * s * w * results[k][i_eps]
         for i_t, t in enumerate(times):
             rows_eps.append(eps)
             rows_t.append(float(t))

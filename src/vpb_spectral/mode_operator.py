@@ -19,14 +19,14 @@ sectors (velocity_space.AxisSectors), with the parity scale i^(a1 mod 2)
 folded in, it is real and block-diagonal, one block per azimuthal number m
 that both copies of the sector share.  Each operator's sector blocks are
 computed and checked once (CollisionOperator.sector_blocks, AssemblyError
-for an operator that fails the check); FourierMode.eigen_blocks() forms a
-mode's blocks from them and decomposes each when it is first needed.  The
-dense complex decomposition serves off-axis modes and is the reference.
+for an operator that fails the check); axis_eigen_blocks forms a mode's
+blocks from them, or one stack of blocks for several eps at one s, and
+EigenBlock decomposes each when it is first needed.  The dense complex
+decomposition serves off-axis modes and is the reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,16 +37,27 @@ from .errors import AssemblyError, BasisError, RegimeError
 from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_inner
 
 
+def _norm1(x: np.ndarray) -> np.ndarray:
+    """The matrix 1-norm over the last two axes; on one 2-D matrix it equals
+    np.linalg.norm(x, 1) bit for bit."""
+    return np.abs(x).sum(-2).max(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenBlock:
     """One diagonal block of a mode matrix, or of its micro part L - i y V1
-    in dispersion, decomposed on first use.
+    in dispersion, decomposed on first use; or a stack of such blocks.
 
     frames lists the copies of the block, in basis slot numbering: on each,
     the matrix's eigenvectors are the embeddings of the columns of vecs
     (Frame.embed), with eigenvalues vals.  A sector with m >= 1 has two
     copies, every other block one.  vals and vecs are read-only.  The inverse
     of vecs, which cond and coefficients share, is computed on first use.
+
+    matrix may carry a leading stack axis, (E, n, n): E blocks on the same
+    frames, such as one sector of the axis modes of one shell at E values of
+    eps.  Each attribute then carries that axis too, and one eig and one inv
+    serve all E members.
     """
 
     matrix: np.ndarray
@@ -57,7 +68,7 @@ class EigenBlock:
         try:
             vals, vecs = np.linalg.eig(self.matrix)
         except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[0]}-row "
+            raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[-1]}-row "
                                 f"block failed: {exc}") from None
         vals, vecs = vals.astype(complex), vecs.astype(complex)
         vals.setflags(write=False)
@@ -73,28 +84,48 @@ class EigenBlock:
         return self._decomposition[1]
 
     @cached_property
-    def _inverse(self) -> np.ndarray | None:
+    def _inverse(self) -> np.ndarray:
+        """The inverse of vecs, member by member; NaN throughout a member whose
+        vecs is singular or whose inverse is not finite."""
+        vecs = self.vecs
         try:
-            inv = np.linalg.inv(self.vecs)
+            inv = np.linalg.inv(vecs)
         except np.linalg.LinAlgError:
-            return None
-        return inv if np.all(np.isfinite(inv)) else None
+            # one singular member fails the stacked call: invert one by one
+            inv = np.full_like(vecs, np.nan)
+            for i in np.ndindex(vecs.shape[:-2]):
+                try:
+                    inv[i] = np.linalg.inv(vecs[i])
+                except np.linalg.LinAlgError:
+                    pass
+        inv[~np.isfinite(inv).all(axis=(-2, -1))] = np.nan
+        return inv
 
     @cached_property
-    def cond(self) -> float:
-        """1-norm condition number ||vecs||_1 ||vecs^-1||_1; inf when vecs is
-        singular or not finite."""
-        inv = self._inverse
-        if inv is None:
-            return math.inf
-        return float(np.linalg.norm(self.vecs, 1) * np.linalg.norm(inv, 1))
+    def cond(self) -> float | np.ndarray:
+        """1-norm condition number ||vecs||_1 ||vecs^-1||_1, per member; inf
+        for a member whose vecs is singular or not finite."""
+        c = _norm1(self.vecs) * _norm1(self._inverse)
+        c = np.where(np.isnan(c), np.inf, c)
+        return c if c.ndim else float(c)
+
+    @cached_property
+    def residual(self) -> float | np.ndarray:
+        """Eigenpair residual ||B vecs - vecs diag(vals)||_1 / (||B||_1
+        ||vecs||_1), per member, B the matrix."""
+        vecs = self.vecs
+        r = _norm1(self.matrix @ vecs - vecs * self.vals[..., None, :]) \
+            / (_norm1(self.matrix) * _norm1(vecs))
+        return r if r.ndim else float(r)
 
     def coefficients(self, g: np.ndarray) -> np.ndarray:
-        """c with vecs @ c = g (g a vector or vectors as columns), through the
-        inverse of vecs."""
+        """c with vecs @ c = g (g a vector or vectors as columns, shared by
+        every member), through the inverse of vecs.  A member whose vecs is
+        singular has no expansion and gets NaN; RegimeError if no member has
+        one."""
         inv = self._inverse
-        if inv is None:
-            raise RegimeError(f"eigenvector basis of a {self.vals.size}-row block is "
+        if np.isinf(self.cond).all():
+            raise RegimeError(f"eigenvector basis of a {self.vals.shape[-1]}-row block is "
                               "singular; its eigen-expansion does not exist")
         return inv @ np.asarray(g, dtype=complex)
 
@@ -169,22 +200,11 @@ class FourierMode:
 
     @cached_property
     def _blocks(self) -> tuple[EigenBlock, ...]:
-        sectors = self._sectors
-        if sectors is None:
+        if self._sectors is None:
             dim = self.basis.dim
             return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
         # on the axis the direction is +-e1, and B carries its sign on V1
-        y = self.eps * self.s * self.direction[0]
-        blocks = []
-        frames = self.basis.axis_sectors.frames
-        for m, (lm, wm, copies) in enumerate(zip(sectors.L, sectors.W, frames)):
-            if m == 0:
-                wm = np.array(wm)
-                wm[:, 0] += wm[:, 0] / self.s ** 2  # the Poisson column at the density
-            mat = lm + y * wm
-            mat.setflags(write=False)
-            blocks.append(EigenBlock(mat, copies))
-        return tuple(blocks)
+        return axis_eigen_blocks(self.collision, self.eps * self.s * self.direction[0], self.s)
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
         """The mode's eigendecomposition, one block at a time.
@@ -267,9 +287,38 @@ class FourierMode:
         }
 
 
-def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
+def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> tuple[EigenBlock, ...]:
+    """The sector EigenBlocks of the axis mode at s with y = eps s d1, d1 = +-1
+    its direction; for an array y, of the stack of axis modes at one s, one
+    member per entry.
+
+    Sector m holds L[m] + y W[m], and sector 0 also the Poisson column
+    y W[0][:, 0] / s^2 at the density, which leads it.  The sector blocks are
+    the operator's (CollisionOperator.sector_blocks, AssemblyError if they
+    fail their check).
+    """
+    sectors = collision.sector_blocks
+    y = np.asarray(y, dtype=float)[..., None, None]
+    blocks = []
+    frames = collision.basis.axis_sectors.frames
+    for m, (lm, wm, copies) in enumerate(zip(sectors.L, sectors.W, frames)):
+        if m == 0:
+            wm = np.array(wm)
+            wm[:, 0] += wm[:, 0] / s ** 2  # the Poisson column at the density
+        mat = lm + y * wm
+        mat.setflags(write=False)
+        blocks.append(EigenBlock(mat, copies))
+    return tuple(blocks)
+
+
+def check_eps(eps: float) -> None:
+    """RegimeError unless the scaling parameter lies in (0, 1)."""
     if not 0.0 < eps < 1.0:
         raise RegimeError(f"scaling parameter eps={eps} outside (0, 1)")
+
+
+def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
+    check_eps(eps)
     s, direction = _normalize_xi(xi)
     return FourierMode(collision=collision, eps=eps, xi=s * direction, s=s,
                        direction=direction)

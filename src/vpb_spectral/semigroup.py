@@ -1,9 +1,11 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} per mode (eigendecompositions of the real azimuthal-sector
-blocks of an axis mode, the dense complex one off the axis and as the
-reference, and a stiff ODE oracle), its splitting into the five-branch
+e^{(t/eps^2) B} (one eigen-expansion kernel, stacked over eps: one mode for
+propagate_kinetic, every eps of an axis shell for propagate_axis_modes; the
+real azimuthal-sector blocks on the axis, the dense complex block off it;
+each decomposition certified by its residuals, with a stiff ODE path for a
+member that fails), its splitting into the five-branch
 hydrodynamic part and an exponentially small remainder, the fluid semigroup
 on the three non-oscillatory branches, the forced fluid mode equations
 solved by exact Duhamel integration of piecewise-linear forcing, and
@@ -23,13 +25,17 @@ from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
 from .errors import DataError, FitError, RegimeError
-from .mode_operator import FourierMode
+from .mode_operator import FourierMode, _normalize_xi, axis_eigen_blocks, mode_operator
 from .transport import TransportCoefficients, branch_decay
 from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
 
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 COND_LIMIT = 1e12
+# the eig path is refused above this propagation bound; the ODE path's own gap
+# to the eig path is 6e-10 to 1.8e-9, so the refusal never trades the eig
+# path for a less accurate one
+PROPAGATION_BOUND_LIMIT = 1e-8
 
 
 @dataclass
@@ -126,40 +132,80 @@ def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndar
     return out
 
 
-def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
-                      oracle: bool = False) -> ModeTrajectory:
-    """Evolve one mode under the scaled kinetic flow.
-
-    Primary path: the mode's eigen_blocks(), solved block by block and only
-    in blocks where f0 has coordinates; the copies of a sector that both hold
-    data are solved against its one decomposition.  If any of those blocks
-    has an eigenvector basis too ill-conditioned to trust (EigenBlock.cond,
-    in the 1-norm, at COND_LIMIT or more), the trajectory is integrated
-    instead and flagged by method = "ode".  With oracle=True both paths run
-    and the largest weighted discrepancy is recorded.
-    """
+def _checked_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be nondecreasing and start at t >= 0")
-    f0 = np.asarray(f0, dtype=complex)
+    return times
 
-    method = "eig"
-    states = np.zeros((times.size, f0.size), dtype=complex)
-    for block, coords in zip(mode.eigen_blocks(), mode.coordinates(f0)):
-        held = [(fr, g0) for fr, g0 in zip(block.frames, coords) if g0.any()]
+
+def _eig_expansion(blocks, coords, times: np.ndarray, eps2: np.ndarray,
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eig path of the kinetic flow for E modes that share their frames and
+    their data: states[e] = e^{(t/eps_e^2) B_e} f0 through the eigenvectors.
+
+    blocks are EigenBlocks with E members (a 2-D block is a stack of one),
+    coords the coordinates of f0 in each copy of each block
+    (FourierMode.coordinates), eps2 the members' eps^2 and dim the length of
+    f0.  Only the blocks where f0 has coordinates are decomposed and solved,
+    all E members at once; the copies of a sector that both hold data share
+    its decomposition.
+
+    Returns the (E, T, dim) states and the mask of members whose states the
+    eig path cannot be trusted for: in some block, cond (in the 1-norm) at
+    COND_LIMIT or more, or the propagation bound cond * (eigenpair residual +
+    worst copy's solve residual ||vecs c - g0||_1 / ||g0||_1) above
+    PROPAGATION_BOUND_LIMIT.  With Re vals <= 0 the error of the eigenvector
+    method is governed by cond times these residuals (Moler and Van Loan,
+    SIAM Review 2003).  The states of a masked member are meaningless; the
+    caller integrates it instead.
+    """
+    # slot-major, so that each copy's slots are whole rows to add into
+    states = np.zeros((dim, eps2.size, times.size), dtype=complex)
+    ode = np.zeros(eps2.size, dtype=bool)
+    for block, copies in zip(blocks, coords):
+        held = [(fr, g0) for fr, g0 in zip(block.frames, copies) if g0.any()]
         if not held:
             continue
-        if block.cond >= COND_LIMIT:
-            method = "ode"
-            states = _ode_states(mode, f0, times)
+        cond = np.reshape(block.cond, -1)
+        ode |= ~(cond < COND_LIMIT)
+        if ode.all():
             break
-        c = block.coefficients(np.stack([g0 for _, g0 in held], axis=1))
-        phases = np.exp(np.outer(times, block.vals) / mode.eps ** 2)
+        n = block.vals.shape[-1]
+        vals, vecs = block.vals.reshape(-1, n), block.vecs.reshape(-1, n, n)
+        g = np.stack([g0 for _, g0 in held], axis=1)
+        c = block.coefficients(g).reshape(-1, n, len(held))
+        solve = (np.abs(vecs @ c - g).sum(-2) / np.abs(g).sum(0)).max(-1)
+        ode |= ~(cond * (np.reshape(block.residual, -1) + solve) <= PROPAGATION_BOUND_LIMIT)
+        if ode.all():
+            break
+        phases = np.exp(times[:, None] * vals[:, None, :] / eps2[:, None, None])
         for k, (fr, _) in enumerate(held):
-            states[:, fr.index] += fr.scale * ((phases * c[None, :, k]) @ block.vecs.T
-                                               @ fr.basis.T)
+            part = (phases * c[:, None, :, k]) @ vecs.swapaxes(-1, -2) @ fr.basis.T
+            states[fr.index] += (fr.scale * part).transpose(2, 0, 1)
+    return np.ascontiguousarray(states.transpose(1, 2, 0)), ode
+
+
+def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
+                      oracle: bool = False) -> ModeTrajectory:
+    """Evolve one mode under the scaled kinetic flow.
+
+    Primary path: the mode's eigen_blocks() through _eig_expansion, as a
+    stack of one.  If that path cannot be trusted for the mode (a block's
+    cond at COND_LIMIT or more, or its propagation bound above
+    PROPAGATION_BOUND_LIMIT), the trajectory is integrated instead and
+    flagged by method = "ode".  With oracle=True both paths run and the
+    largest weighted discrepancy is recorded.
+    """
+    times = _checked_times(times)
+    f0 = np.asarray(f0, dtype=complex)
+
+    states, ode = _eig_expansion(mode.eigen_blocks(), mode.coordinates(f0), times,
+                                 np.array([mode.eps ** 2]), f0.size)
+    method = "ode" if ode[0] else "eig"
+    states = _ode_states(mode, f0, times) if ode[0] else states[0]
 
     gap = None
     if oracle and method == "eig":
@@ -169,6 +215,29 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
     return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
                           states=states, basis=mode.basis, method=method,
                           oracle_gap=gap)
+
+
+def propagate_axis_modes(op: CollisionOperator, eps_list, s: float, f0: np.ndarray,
+                         times) -> np.ndarray:
+    """The (E, T, dim) states of the axis modes at s e1 and each eps of
+    eps_list from one f0: states[e] is propagate_kinetic(mode_operator(op,
+    eps_list[e], s), f0, times).states, bit for bit.
+
+    The E modes share their sector frames and the coordinates of f0, so each
+    sector block that holds data is one stack of E members, decomposed by one
+    eig (_eig_expansion).  A member that the eig path cannot be trusted for
+    is integrated on its own.
+    """
+    s, _ = _normalize_xi(s)  # BasisError unless s > 0, as for mode_operator
+    times = _checked_times(times)
+    f0 = np.asarray(f0, dtype=complex)
+    blocks = axis_eigen_blocks(op, np.array([eps * s for eps in eps_list]), s)
+    states, ode = _eig_expansion(blocks, op.basis.axis_sectors.coordinates(f0), times,
+                                 np.array([eps ** 2 for eps in eps_list]), f0.size)
+    for e in np.flatnonzero(ode):
+        mode = mode_operator(op, eps_list[e], np.array([s, 0.0, 0.0]))
+        states[e] = _ode_states(mode, f0, times)
+    return states
 
 
 def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,

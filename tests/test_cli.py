@@ -81,14 +81,30 @@ class TestExitCodes:
         assert f"{bad.name}:2" in err
 
     def test_runtime_error_is_one(self, tmp_path, capsys):
-        # two eps values pass validation but are too few to fit a slope
+        # a valid config whose every (eps, s) pair lies outside the eps*s ball
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(TINY.replace("eps_list = 0.2, 0.1, 0.05",
+                                    "eps_list = 0.9, 0.8\ns_min = 0.5"), encoding="utf-8")
+        code, _, err = run_cli(["spectrum", "--config", cfg,
+                                "--out", tmp_path / "a"], capsys)
+        assert code == 1
+        assert "RegimeError" in err
+
+    def test_two_eps_values_are_two_for_converge_only(self, tmp_path, capsys):
+        # converge fits a slope over eps and needs three values; the branch
+        # sweeps do not
         cfg = tmp_path / "short.cfg"
         cfg.write_text(TINY.replace("eps_list = 0.2, 0.1, 0.05",
                                     "eps_list = 0.2, 0.1"), encoding="utf-8")
-        code, _, err = run_cli(["converge", "--config", cfg,
-                                "--out", tmp_path / "a"], capsys)
-        assert code == 1
-        assert "FitError" in err
+        code, out, err = run_cli(["converge", "--config", cfg,
+                                  "--out", tmp_path / "a"], capsys)
+        assert code == 2
+        assert "field 'eps_list'" in err and "at least three" in err
+        assert out == "" and not (tmp_path / "a").exists()
+        code, out, _ = run_cli(["dispersion", "--config", cfg,
+                                "--out", tmp_path / "b"], capsys)
+        assert code == 0
+        assert NAME_RE.match(Path(artifact_of(out, ".csv")).name)
 
     def test_nan_t_max_is_two_and_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"

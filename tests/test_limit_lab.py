@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import asymptotic_coefficients
-from vpb_spectral.errors import AssemblyError, DataError, FitError
+from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
 from vpb_spectral.limit_lab import (
     ErrorTable,
     InitialData,
@@ -353,7 +353,7 @@ class TestConvergenceStudy:
         mode = mode_operator(syn_small, eps, np.array([s, 0.0, 0.0]))
         bundle = asymptotic_coefficients(basis, s, coeffs_small)
         times = layer_time_grid(eps, 5.0, n_layer=4, n_bulk=6)
-        got = _shell_errors(mode, f0, bundle, times, True)
+        got = _shell_errors(syn_small, [eps], s, f0, bundle, times, True)[0]
 
         macro = basis.macro_project(f0)
         diff = propagate_kinetic(mode, f0, times).states \
@@ -384,6 +384,24 @@ class TestConvergenceStudy:
         par = run_convergence_study(syn_small, wp_data, self.EPS, tg,
                                     coeffs_small, jobs=4)
         assert np.array_equal(wp_table.err_Linf_P, par.err_Linf_P)
+
+    def test_one_eig_per_held_sector_per_shell(self, syn_small, gen_data, coeffs_small,
+                                               monkeypatch):
+        # generic data holds the m = 0 and m = 1 sectors: two decompositions
+        # per shell, each one stack over every eps
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        run_convergence_study(syn_small, gen_data, self.EPS, layer_time_grid(0.2, 5.0),
+                              coeffs_small, subtract_layer=True)
+        sectors = syn_small.sector_blocks
+        sizes = [sectors.L[0].shape[0], sectors.L[1].shape[0]]
+        assert shapes == [(len(self.EPS), n, n) for _ in gen_data.grid.nodes for n in sizes]
+
+    def test_eps_outside_the_unit_interval_refused(self, syn_small, wp_data, coeffs_small):
+        with pytest.raises(RegimeError, match="eps=1.5 outside"):
+            run_convergence_study(syn_small, wp_data, [1.5, 0.1, 0.05],
+                                  layer_time_grid(0.2, 5.0), coeffs_small)
 
     def test_short_eps_list_refused(self, syn_small, wp_data, coeffs_small):
         with pytest.raises(FitError):

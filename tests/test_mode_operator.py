@@ -216,6 +216,14 @@ def test_block_cond_and_coefficients_come_from_one_lu(axis_operators, name):
         assert np.max(np.abs(c - np.linalg.solve(block.vecs, g))) <= 1e-12 * np.max(np.abs(c))
 
 
+@pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
+def test_block_cond_is_the_1_norm_product_exactly(axis_operators, name):
+    # the stack-ready column-sum form gives np.linalg.norm's bits on one block
+    for block in mode_operator(axis_operators[name], 0.1, 0.4).eigen_blocks():
+        inv = np.linalg.inv(block.vecs)
+        assert block.cond == np.linalg.norm(block.vecs, 1) * np.linalg.norm(inv, 1)
+
+
 def test_singular_eigenvectors_have_infinite_cond(monkeypatch):
     vecs = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     monkeypatch.setattr(np.linalg, "eig", lambda a: (np.zeros(2, dtype=complex), vecs))

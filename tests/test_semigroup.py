@@ -19,7 +19,8 @@ from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import hydrodynamic_spectrum
 from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
-from vpb_spectral.mode_operator import EigenBlock, mode_operator
+from vpb_spectral.limit_lab import layer_time_grid
+from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks, mode_operator
 from vpb_spectral.semigroup import (
     DecayFit,
     FluidModeState,
@@ -30,11 +31,13 @@ from vpb_spectral.semigroup import (
     fluid_semigroup_V,
     hydrodynamic_projector,
     nspf_mode_solve,
+    propagate_axis_modes,
     propagate_kinetic,
     split_S1_S2,
 )
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import (
+    Frame,
     MacroState,
     build_basis,
     macro_vector,
@@ -164,6 +167,135 @@ class TestParityBlocks:
             broken.eigen_blocks()
         with pytest.raises(AssemblyError, match="sector check: imaginary part"):
             propagate_kinetic(broken, random_state(broken.basis.dim), [0.0, 0.002, 0.01])
+
+
+class TestStackedPropagation:
+    EPS = [0.2, 0.1, 0.05, 0.025]
+
+    @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4",
+                                      "hard-sphere-6"])
+    def test_each_member_is_its_own_propagation(self, axis_operators, hard_sphere_prod,
+                                                name):
+        op = hard_sphere_prod if name == "hard-sphere-6" else axis_operators[name]
+        f0 = random_state(op.basis.dim, seed=11)
+        times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
+        for s in (0.05, 0.37):
+            stack = propagate_axis_modes(op, self.EPS, s, f0, times)
+            assert stack.shape == (len(self.EPS), times.size, op.basis.dim)
+            for e, eps in enumerate(self.EPS):
+                want = propagate_kinetic(mode_operator(op, eps, np.array([s, 0.0, 0.0])),
+                                         f0, times).states
+                assert np.array_equal(stack[e], want)
+
+    def test_stacked_block_attributes_are_the_members(self, axis_operators):
+        op = axis_operators["hard-sphere-4"]
+        s = 0.3
+        blocks = axis_eigen_blocks(op, np.array([eps * s for eps in self.EPS]), s)
+        for e, eps in enumerate(self.EPS):
+            one = mode_operator(op, eps, np.array([s, 0.0, 0.0])).eigen_blocks()
+            for stacked, block in zip(blocks, one):
+                assert np.array_equal(stacked.matrix[e], block.matrix)
+                assert np.array_equal(stacked.vecs[e], block.vecs)
+                assert stacked.cond[e] == block.cond
+                assert stacked.residual[e] == block.residual
+
+    def test_one_singular_member_is_integrated_alone(self, op_mid, monkeypatch):
+        s, times = 0.4, np.array([0.0, 0.002, 0.01])
+        f0 = random_state(op_mid.basis.dim, seed=5)
+        want = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        eig = np.linalg.eig
+
+        def spoiled(a):
+            vals, vecs = eig(a)
+            if a.ndim == 3 and a.shape[-1] > 1:
+                vecs = np.array(vecs)
+                vecs[1][:, 0] = 0.0  # exactly singular: the stacked inv fails
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", spoiled)
+        got = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        mode = mode_operator(op_mid, self.EPS[1], np.array([s, 0.0, 0.0]))
+        assert np.array_equal(got[1], semigroup._ode_states(mode, f0, times))
+        for e in (0, 2, 3):
+            assert np.array_equal(got[e], want[e])
+
+    def test_cond_limit_sends_only_its_members_to_the_ode_path(self, op_mid, monkeypatch):
+        s, times = 0.4, np.array([0.0, 0.002, 0.01])
+        f0 = random_state(op_mid.basis.dim, seed=7)
+        want = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        blocks = axis_eigen_blocks(op_mid, np.array([eps * s for eps in self.EPS]), s)
+        worst = np.max([b.cond for b in blocks], axis=0)  # f0 fills every sector
+        limit = np.sort(worst)[1:3].mean()
+        monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
+        got = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        for e, eps in enumerate(self.EPS):
+            if worst[e] >= limit:
+                mode = mode_operator(op_mid, eps, np.array([s, 0.0, 0.0]))
+                assert np.array_equal(got[e], semigroup._ode_states(mode, f0, times))
+            else:
+                assert np.array_equal(got[e], want[e])
+        assert 0 < np.sum(worst >= limit) < len(self.EPS)
+
+    def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, monkeypatch):
+        f0 = random_state(op_mid.basis.dim)
+        basis = op_mid.basis
+        i, k = (next(i for i in basis.parity_classes.blocks[c]
+                     if i not in basis.invariant_indices) for c in (0, 1))
+        mat = np.array(op_mid.matrix)
+        mat[i, k] += 1e-8
+        mat.setflags(write=False)
+        broken = dataclasses.replace(op_mid, matrix=mat)
+        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
+            propagate_axis_modes(broken, self.EPS, 0.3, f0, [0.0, 0.01])
+        with pytest.raises(BasisError, match="nonzero"):
+            propagate_axis_modes(op_mid, self.EPS, 0.0, f0, [0.0, 0.01])
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(AssemblyError, match="eigendecomposition of a 9-row block failed"):
+            propagate_axis_modes(op_mid, self.EPS, 0.3, f0, [0.0, 0.01])
+
+    def test_perturbed_eigenvectors_take_the_ode_path(self, op_mid, monkeypatch):
+        # vectors off by 1e-6 at cond below 100 pass COND_LIMIT by ten
+        # orders; only the eigenpair residual sees them
+        mode = mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0]))
+        rng = np.random.default_rng(2)
+        eig = np.linalg.eig
+
+        def perturbed(a):
+            vals, vecs = eig(a)
+            return vals, vecs + 1e-6 * rng.standard_normal(vecs.shape)
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        f0 = random_state(mode.basis.dim)
+        times = np.array([0.0, 0.002, 0.01])
+        traj = propagate_kinetic(mode, f0, times)
+        assert all(b.cond < 100.0 for b in mode.eigen_blocks())
+        assert max(b.residual for b in mode.eigen_blocks()) > 1e-8
+        assert traj.method == "ode"
+        assert np.array_equal(traj.states, semigroup._ode_states(mode, f0, times))
+
+    def test_exact_eigenpairs_at_cond_1e11_pass_only_within_the_bound(self, monkeypatch):
+        # B v = lambda v holds exactly in floating point for these pairs, and
+        # cond_1(V) = 2 / delta = 1.5e11 stays below COND_LIMIT
+        delta = 2.0 ** -37
+        vals = np.array([-1.0, -0.5], dtype=complex)
+        vecs = np.array([[1.0, 1.0], [0.0, delta]], dtype=complex)
+        mat = np.array([[-1.0, 0.5 / delta], [0.0, -0.5]])
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (vals, vecs))
+        frame = Frame(np.arange(2), np.ones(2), np.eye(2))
+        times = np.array([0.0, 0.5])
+        for g0, refused in (([1.0, 0.0], False), ([0.1, 0.3], True)):
+            block = EigenBlock(mat, (frame,))
+            assert 1e11 < block.cond < semigroup.COND_LIMIT and block.residual == 0.0
+            g0 = np.array(g0, dtype=complex)
+            states, ode = semigroup._eig_expansion([block], [[g0]], times,
+                                                   np.array([1.0]), 2)
+            assert ode[0] == refused
+            if not refused:
+                assert np.array_equal(states[0, 0], g0)
 
 
 class TestSplit:
