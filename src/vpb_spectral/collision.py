@@ -17,12 +17,12 @@ semidefinite, with the five collision invariants as its exact kernel.
 Every factor rule is also mirror-symmetric, so each coordinate reflection,
 applied to the center-of-mass and sphere nodes together, maps the grid onto
 itself, and P_alpha(Rv) = +-P_alpha(v) with the sign of the reflected
-exponents.  The Dirichlet matrix and the collision-frequency matrix have
-reflection-invariant integrands, so they are summed over one center-of-mass
-node per orbit (the closed positive octant, weighted by the orbit size) and
-only within the eight (a1, a2, a3 mod 2) classes; the entries between
-classes are exact zeros.  The bilinear form and the one-point integrals have
-no such invariance and run on the full grid.
+exponents.  The collision-frequency matrix has a reflection-invariant
+integrand, so it is summed over one center-of-mass node per orbit (the closed
+positive octant, weighted by the orbit size) and only within the eight
+(a1, a2, a3 mod 2) classes; the entries between classes are exact zeros.  The
+bilinear form and the one-point integrals have no such invariance and run on
+the full grid.
 
 The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
 which is unchanged when the particles swap, u -> -u on the sphere.  Each
@@ -36,13 +36,22 @@ L commutes with rotations, so on the real Burnett functions
 phi_nlm = c_nl L_n^(l+1/2)(|v|^2/2) |v|^l Y_lm, 2n + l <= N, it is
 sum_l L_l (x) I_(2l+1).  The Dirichlet sums therefore run over the zonal
 functions phi_nl0 alone (25 rows at N = 8, not 165), evaluated in closed
-form, with the same grid and folds; the L_l are read off the l-diagonal
-blocks and mapped back with the orthogonal Hermite-Burnett transform
-(VelocityBasis.burnett_transform), class by class.  That reduction needs
-sums that commute with rotations, so a grid that does not resolve the
-degree-2N integrand sums every basis function instead.  The collision
-frequency matrix, the one-point integrals and the bilinear form stay on the
-basis polynomials.
+form; the L_l are read off the l-diagonal blocks and mapped back with the
+orthogonal Hermite-Burnett transform (VelocityBasis.burnett_transform), class
+by class.  Zonal functions are unchanged by every rotation about e3 and by
+v2 -> -v2, and the grid must resolve the degree-2N integrand (an
+under-resolved grid raises AssemblyError), so the sphere sums are exact and
+the summed S S^T, a and b at a center of mass c are polynomials of degree
+<= 2N in c that are invariant under rotations of c about e3: polynomials in
+c3 and x = |c_perp|^2 / 2 of degree <= N in x.  Their Gaussian average is
+exact on the axial rule, Gauss-Laguerre in x (weight e^(-x), (n_gauss + 1) // 2
+nodes) times the folded Gauss-Hermite rule in c3, at the nodes
+(sqrt(2x), 0, c3): 25 nodes at n_gauss = 9, where the octant has 125.  At
+c2 = 0, v2 -> -v2 fixes c, and composed with the exchange it maps each sphere
+node u to (-u1, u2, -u3) with the same integrand, so the sphere sums keep one
+node per such pair as well.  The collision frequency matrix, the one-point
+integrals and the bilinear form stay on the basis polynomials and the
+Cartesian grid.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
-_FOLD_TAG = "burnett-reflection-exchange-v1"  # folds, factor rules and Burnett reduction behind a cached matrix
+_FOLD_TAG = "burnett-axisymmetric-v1"  # folds, factor rules and Burnett reduction behind a cached matrix
 # sector check: entries between azimuthal sectors and the mismatch of the two
 # copies of a sector, relative to the largest entry
 STRUCTURE_TOL = 1e-13
@@ -167,13 +176,37 @@ def _exchange_fold(nodes: np.ndarray, weights: np.ndarray, n_azimuth: int,
     return keep_x.reshape(-1, 3), 2.0 * keep_w.ravel()
 
 
+def _axial_fold(nodes: np.ndarray, weights: np.ndarray,
+                rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """One node per pair u, (-u1, u2, -u3) of an _exchange_fold rule: the
+    first half at twice its weight and a middle node once.
+
+    In _exchange_fold's (n_polar, n_azimuth/2) order node (i, k) has its image
+    at (n_polar-1-i, n_azimuth/2-1-k), which is the reversed ravel; the nodes
+    are kept once that is checked.
+    """
+    gap = max(float(np.max(np.abs(nodes - nodes[::-1] * np.array([-1.0, 1.0, -1.0])))),
+              float(np.max(np.abs(weights - weights[::-1]))))
+    if gap > _MIRROR_TOL:
+        raise AssemblyError(f"{rule} sphere rule is not symmetric under u -> (-u1, u2, -u3) "
+                            f"(mismatch {gap:.1e}); the axial fold of the zonal sums needs it")
+    half = weights.size // 2
+    keep = weights.size - half
+    fold_w = weights[:keep].copy()
+    fold_w[:half] *= 2.0  # every node but a middle one stands for its image too
+    return nodes[:keep], fold_w
+
+
 class _CollisionGrid:
     """Factorized quadrature grid for the collision integral.
 
     folded_com holds the center-of-mass nodes in the closed positive octant,
     each weighted by its orbit size 2^(number of nonzero coordinates);
-    folded_eta and folded_sigma hold one sphere node per antipodal pair, each
-    weighted twice.
+    axial_com holds the axial rule for integrands invariant under rotations
+    about e3, Gauss-Laguerre in |c_perp|^2 / 2 times the folded Gauss-Hermite
+    rule in c3, at nodes (c1, 0, c3) with c1, c3 >= 0.  folded_eta and
+    folded_sigma hold one sphere node per antipodal pair, each weighted twice;
+    axial_eta and axial_sigma fold those once more, by u -> (-u1, u2, -u3).
     """
 
     def __init__(self, quad: CollisionQuadrature, gamma: float, kernel_c: float,
@@ -194,6 +227,12 @@ class _CollisionGrid:
         fold_w = w[half:].copy()
         fold_w[quad.n_gauss % 2:] *= 2.0  # every node but a middle one has a mirror image
         self.folded_com = _product_rule(x[half:], fold_w)
+        # |c_perp|^2 / 2 is Exp(1) under the Gaussian: Gauss-Laguerre with alpha = 0
+        t, wt = genlaggauss((quad.n_gauss + 1) // 2, 0.0)
+        axial = np.zeros((t.size, fold_w.size, 3))
+        axial[..., 0] = np.sqrt(2.0 * t)[:, None]
+        axial[..., 2] = x[half:]
+        self.axial_com = axial.reshape(-1, 3), np.outer(wt, fold_w).ravel()
 
         # relative speed rho: Int rho^(2+gamma) e^(-rho^2/2) f(rho) drho via t = rho^2/2
         t, wt = genlaggauss(quad.n_radial, (1.0 + gamma) / 2.0)
@@ -202,22 +241,24 @@ class _CollisionGrid:
 
         self.eta, self.eta_w = _sphere_rule(quad.n_polar, quad.n_azimuth)
         self.folded_eta = _exchange_fold(self.eta, self.eta_w, quad.n_azimuth, "eta")
+        self.axial_eta = _axial_fold(*self.folded_eta, "eta")
         sq = sigma_quad if sigma_quad is not None else quad
         self.sigma, self.sigma_w = _sphere_rule(sq.n_polar, sq.n_azimuth)
         self.folded_sigma = _exchange_fold(self.sigma, self.sigma_w, sq.n_azimuth, "sigma")
+        self.axial_sigma = _axial_fold(*self.folded_sigma, "sigma")
         self.sigma_quad = sq
         self.same_spheres = sigma_quad is None
 
         self.prefactor = kernel_c * 2.0 ** (gamma / 2.0) / 2.0 * _TWO_PI ** (-1.5)
 
-    def resolves(self, degree: int) -> bool:
-        """Whether every factor rule has at least the nodes of
-        CollisionQuadrature.for_degree(degree), so that the sums of a
-        degree-`degree` integrand are exact and commute with rotations."""
-        need = CollisionQuadrature.for_degree(degree)
-        return (self.quad.n_gauss >= need.n_gauss and self.quad.n_radial >= need.n_radial
-                and all(q.n_polar >= need.n_polar and q.n_azimuth >= need.n_azimuth
-                        for q in (self.quad, self.sigma_quad)))
+    def resolved_degrees(self) -> dict[str, int]:
+        """The largest integrand degree each factor rule sums exactly: the
+        largest degree whose CollisionQuadrature.for_degree it has the nodes of."""
+        degrees = {"Gauss-Hermite center-of-mass": 2 * self.quad.n_gauss - 1,
+                   "Gauss-Laguerre radial": 4 * self.quad.n_radial - 1}
+        for rule, q in (("eta", self.quad), ("sigma", self.sigma_quad)):
+            degrees[f"{rule} sphere"] = min(2 * q.n_polar, q.n_azimuth) - 1
+        return degrees
 
     def total_mass(self) -> float:
         """The integral of 1 against the full collision measure."""
@@ -274,11 +315,11 @@ def _unsort(mat: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def _pair_sums_and_reductions(rows_at, n_rows: int, grid: _CollisionGrid,
                               unit: np.ndarray, unit_w: np.ndarray, ranges: list[slice]):
-    """Accumulate A = S^T W S within the ranges over the folded (com, rho,
+    """Accumulate A = S^T W S within the ranges over the axial (com, rho,
     sphere) grid and the sphere-reduced sums a[row, (com, rho)], with
-    S = P(v) + P(v_*) for the n_rows functions P that rows_at evaluates, one
-    row per function, in class-major order."""
-    com_nodes, com_w = grid.folded_com
+    S = P(v) + P(v_*) for the n_rows zonal functions P that rows_at
+    evaluates, one row per function, in class-major order."""
+    com_nodes, com_w = grid.axial_com
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
     a_red = np.zeros((n_rows, com_nodes.shape[0] * n_rho))
@@ -296,18 +337,18 @@ def _pair_sums_and_reductions(rows_at, n_rows: int, grid: _CollisionGrid,
 
 def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
                       ranges: list[slice]) -> np.ndarray:
-    """The symmetrized Dirichlet form between the functions rows_at
-    evaluates, within the class ranges.
+    """The symmetrized Dirichlet form between the zonal functions rows_at
+    evaluates, within the class ranges, on the axial grid.
 
     The raw sum is symmetric up to roundoff; a larger asymmetry means a
     broken sum and raises before the result is symmetrized.
     """
-    a1, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.folded_eta, ranges)
+    a1, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_eta, ranges)
     if grid.same_spheres:
         a2, b_red = a1, a_red
     else:
-        a2, b_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.folded_sigma, ranges)
-    w_com_rho = (grid.folded_com[1][:, None] * grid.rho_w[None, :]).ravel()
+        a2, b_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_sigma, ranges)
+    w_com_rho = (grid.axial_com[1][:, None] * grid.rho_w[None, :]).ravel()
     cross = np.zeros((n_rows, n_rows))
     _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
     eta_total = float(np.sum(grid.eta_w))
@@ -319,18 +360,25 @@ def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
     return 0.5 * (mat + mat.T)
 
 
-def _burnett_dirichlet(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
-    """L from the Dirichlet sums over the zonal Burnett functions phi_nl0.
+def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
+    """The exact Galerkin matrix of L from the Dirichlet sums over the zonal
+    Burnett functions phi_nl0.
 
     L commutes with rotations, so on the Burnett functions it is
     sum_l L_l (x) I_(2l+1) with L_l[n, n'] = (L phi_nl0, phi_n'l0).  The zonal
     functions are even in v1 and v2 and have the parity of l in v3, so the
-    folds apply with two classes, even and odd l.  An entry between
-    different l above STRUCTURE_TOL times the largest raises AssemblyError;
-    the L_l are read off the l-diagonal blocks and mapped back through
-    basis.burnett_transform.
+    folds apply with two classes, even and odd l.  A grid that does not
+    resolve the degree-2N integrand raises AssemblyError naming each short
+    rule, and so does an entry between different l above STRUCTURE_TOL times
+    the largest; the L_l are read off the l-diagonal blocks and mapped back
+    through basis.burnett_transform.
     """
     top = basis.max_degree
+    short = [f"the {rule} rule resolves degree {deg}"
+             for rule, deg in grid.resolved_degrees().items() if deg < 2 * top]
+    if short:
+        raise AssemblyError(f"collision grid does not resolve the degree-{2 * top} Dirichlet "
+                            f"integrand of a degree-{top} basis: {'; '.join(short)}")
     labels = np.array([(n, l, 0) for parity in (0, 1) for l in range(parity, top + 1, 2)
                        for n in range((top - l) // 2 + 1)])
     l = labels[:, 1]
@@ -345,21 +393,6 @@ def _burnett_dirichlet(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray
     mat = basis.burnett_transform.basis_matrix(
         {k: zonal[np.ix_(l == k, l == k)] for k in range(top + 1)})
     return 0.5 * (mat + mat.T)
-
-
-def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
-    """The exact Galerkin matrix of L from the symmetrized Dirichlet form.
-
-    On a grid that resolves the degree-2N integrand the sums commute with
-    rotations and run over the zonal Burnett functions only
-    (_burnett_dirichlet).  A coarser sphere rule breaks that symmetry, so
-    there the sums run over every basis function.
-    """
-    if grid.resolves(2 * basis.max_degree):
-        return _burnett_dirichlet(basis, grid)
-    order, ranges = _class_order(basis)
-    return _unsort(_folded_dirichlet(lambda pts: basis.poly_rows(pts, order), basis.dim,
-                                     grid, ranges), order)
 
 
 def nu_hard_sphere(speed, kernel_c: float = 1.0):
@@ -674,11 +707,11 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     """Assemble the hard-potential collision matrix on the given basis.
 
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
-    refining it changes nothing but roundoff.  Matrices are cached on disk
-    under VPB_SPECTRAL_CACHE keyed by every assembly parameter, the
-    reflection and exchange folds, the source of the factor rules and the
-    Burnett reduction included (_FOLD_TAG), so entries summed another way
-    are never read.  The Burnett transform is built only here, on a miss.
+    refining it changes nothing but roundoff; a coarser one raises
+    AssemblyError.  Matrices are cached on disk under VPB_SPECTRAL_CACHE
+    keyed by every assembly parameter, the reflection, exchange and axial
+    folds, the source of the factor rules and the Burnett reduction included
+    (_FOLD_TAG), so entries summed another way are never read.  The Burnett transform is built only here, on a miss.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,7 @@ from vpb_spectral.collision import (
 from vpb_spectral.errors import AssemblyError, VPBError
 from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
 
-_FOLD_TAG = "burnett-reflection-exchange-v1"  # the fold tag of the cache parameters
+_FOLD_TAG = "burnett-axisymmetric-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -167,7 +169,8 @@ def _unfolded_frequency(basis, grid):
     return grid.prefactor * np.sum(grid.sigma_w) * acc
 
 
-_INDEPENDENT_SIGMA = CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=7, n_azimuth=12)
+# a sigma rule unlike every eta rule below that still resolves degree 12
+_INDEPENDENT_SIGMA = CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=8, n_azimuth=16)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 6])
@@ -184,12 +187,13 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
         assert np.all(folded[cross] == 0.0)
 
 
-def test_dirichlet_sums_evaluate_half_the_sphere(monkeypatch):
-    # deg 6, shared spheres: 64 octant com nodes x 4 radii x 49 of 98 sphere
-    # nodes, at v and at v_star; the whole sphere would take 50,176 points.
-    # The sums evaluate the zonal Burnett functions only; the basis
-    # polynomials are not evaluated at all: the Burnett transform reads the
-    # exact rule that build_basis already evaluated for its Gram check
+def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
+    # deg 6, shared spheres: 16 axial com nodes x 4 radii x 25 of 98 sphere
+    # nodes, at v and at v_star; the octant and the half sphere took 25,088
+    # points, the whole grid 343 x 4 x 98 x 2.  The sums evaluate the zonal
+    # Burnett functions only; the basis polynomials are not evaluated at all:
+    # the Burnett transform reads the exact rule that build_basis already
+    # evaluated for its Gram check
     basis = build_basis(6)
     grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
     zonal, poly = [], []
@@ -207,23 +211,72 @@ def test_dirichlet_sums_evaluate_half_the_sphere(monkeypatch):
     monkeypatch.setattr(collision, "burnett_rows", zonal_spy)
     monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
     _dirichlet_matrix(basis, grid)
-    assert sum(zonal) == 25_088
+    assert sum(zonal) == 3_200
     assert poly == []
 
 
-def test_under_resolved_sphere_rule_sums_every_basis_function():
-    # 12 azimuthal sigma nodes miss the degree-12 integrand: those sums do not
-    # commute with rotations, so no zonal reduction reproduces them
-    basis = build_basis(6)
-    exact = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
+def test_under_resolved_grid_is_refused():
+    # the degree-8 rule sums a degree-6 basis's degree-12 integrand 4.6% off
+    # the exact matrix, and that matrix passes every structural check
+    with pytest.raises(AssemblyError) as err:
+        assemble_collision(build_basis(6), quad=CollisionQuadrature.for_degree(8),
+                           use_cache=False)
+    assert str(err.value) == (
+        "collision grid does not resolve the degree-12 Dirichlet integrand of a degree-6 "
+        "basis: the Gauss-Hermite center-of-mass rule resolves degree 9; the Gauss-Laguerre "
+        "radial rule resolves degree 11; the eta sphere rule resolves degree 9; the sigma "
+        "sphere rule resolves degree 9")
+    # one short rule is named alone: 12 azimuthal sigma nodes resolve degree 11
     coarse = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0,
-                            sigma_quad=_INDEPENDENT_SIGMA)
-    assert exact.resolves(12) and not coarse.resolves(12) and coarse.resolves(11)
-    ref = _dirichlet_matrix(basis, exact)
-    gap = np.max(np.abs(_dirichlet_matrix(basis, coarse) - ref)) / np.max(np.abs(ref))
-    assert gap > 1e-3
-    assert np.max(np.abs(collision._burnett_dirichlet(basis, coarse) - ref)) <= (
-        1e-13 * np.max(np.abs(ref)))
+                            sigma_quad=CollisionQuadrature(5, 3, 7, 12))
+    with pytest.raises(AssemblyError,
+                       match=r"Dirichlet integrand of a degree-6 basis: the sigma sphere rule "
+                             r"resolves degree 11$"):
+        _dirichlet_matrix(build_basis(6), coarse)
+
+
+def _zonal_labels(top):
+    """The zonal Burnett labels (n, l, 0), even l first, in the assembly's order."""
+    return np.array([(n, l, 0) for parity in (0, 1) for l in range(parity, top + 1, 2)
+                     for n in range((top - l) // 2 + 1)])
+
+
+def _octant_zonal_dirichlet(grid, labels):
+    """Reference: the zonal Dirichlet form summed on the Cartesian octant
+    rule and the whole sphere rules, kept to the even- and odd-l classes."""
+    com_nodes, com_w = grid.folded_com
+
+    def sums(unit, unit_w):
+        acc, reduced = 0.0, []
+        for com, w_com in zip(com_nodes, com_w):
+            shift = grid.rho[:, None, None] * unit[None, :, :]
+            s_vals = sum(velocity_space.burnett_rows(
+                ((com + sign * shift) / np.sqrt(2.0)).reshape(-1, 3), labels) for sign in (1, -1))
+            w = (w_com * grid.rho_w[:, None] * unit_w[None, :]).ravel()
+            acc = acc + (s_vals * w) @ s_vals.T
+            reduced.append(s_vals.reshape(len(labels), grid.rho.size, -1) @ unit_w)
+        return acc, np.concatenate(reduced, axis=1)
+
+    a1, a_red = sums(grid.eta, grid.eta_w)
+    a2, b_red = (a1, a_red) if grid.same_spheres else sums(grid.sigma, grid.sigma_w)
+    cross = (a_red * (com_w[:, None] * grid.rho_w[None, :]).ravel()) @ b_red.T
+    mat = -(grid.prefactor / 4.0) * (np.sum(grid.sigma_w) * a1 + np.sum(grid.eta_w) * a2
+                                     - cross - cross.T)
+    parity = labels[:, 1] % 2
+    return np.where(parity[:, None] == parity[None, :], 0.5 * (mat + mat.T), 0.0)
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_zonal_sums_match_octant_reference(degree, gamma):
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0)
+    labels = _zonal_labels(degree)
+    n_even = int(np.count_nonzero(labels[:, 1] % 2 == 0))
+    axial = collision._folded_dirichlet(lambda pts: velocity_space.burnett_rows(pts, labels),
+                                        len(labels), grid,
+                                        [slice(0, n_even), slice(n_even, len(labels))])
+    ref = _octant_zonal_dirichlet(grid, labels)
+    assert np.max(np.abs(axial - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cross_l_zonal_entry_raises(basis_small, monkeypatch):
@@ -303,6 +356,25 @@ def test_skewed_antipode_is_refused(monkeypatch, node_skew, weight_skew):
         _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("rule", ["eta", "sigma"])
+@pytest.mark.parametrize("node_skew, weight_skew", [(1e-12, 0.0), (0.0, 1e-12)])
+def test_skewed_axial_image_is_refused(monkeypatch, rule, node_skew, weight_skew):
+    exact = collision._exchange_fold
+
+    def skewed(nodes, weights, n_azimuth, name):
+        # antipodally symmetric still; the last kept node is the image of the first
+        kept, kept_w = exact(nodes, weights, n_azimuth, name)
+        if name == rule:
+            kept[-1, 0] += node_skew
+            kept_w[-1] += weight_skew
+        return kept, kept_w
+
+    monkeypatch.setattr(collision, "_exchange_fold", skewed)
+    with pytest.raises(AssemblyError, match=rf"{rule} sphere rule is not symmetric under "
+                                            r"u -> \(-u1, u2, -u3\)"):
+        _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
+
+
 def test_exchange_fold_keeps_one_node_per_antipodal_pair():
     grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0,
                           sigma_quad=_INDEPENDENT_SIGMA)
@@ -314,6 +386,38 @@ def test_exchange_fold_keeps_one_node_per_antipodal_pair():
         # every full-sphere node is a kept node or the antipode of one
         gaps = np.min(np.max(np.abs(full[:, None, :] - both[None, :, :]), axis=-1), axis=1)
         assert np.max(gaps) <= 1e-14
+
+
+def test_axial_fold_keeps_one_node_per_mirror_pair():
+    # 25 exchange-folded eta nodes: 12 pairs and the middle node (0, 1, 0);
+    # 64 sigma nodes: 32 pairs
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0,
+                          sigma_quad=_INDEPENDENT_SIGMA)
+    for (nodes, weights), (full, full_w) in ((grid.axial_eta, grid.folded_eta),
+                                             (grid.axial_sigma, grid.folded_sigma)):
+        assert len(nodes) == (len(full) + 1) // 2
+        assert weights.sum() == pytest.approx(full_w.sum(), rel=1e-14)
+        both = np.concatenate([nodes, nodes * np.array([-1.0, 1.0, -1.0])])
+        gaps = np.min(np.max(np.abs(full[:, None, :] - both[None, :, :]), axis=-1), axis=1)
+        assert np.max(gaps) <= 1e-14
+    assert grid.axial_eta[0][-1] == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
+    assert grid.axial_eta[1][-1] == pytest.approx(grid.folded_eta[1][12], rel=1e-15)
+
+
+@pytest.mark.parametrize("n_gauss", range(1, 10))
+def test_axial_com_rule(n_gauss):
+    grid = _CollisionGrid(CollisionQuadrature(n_gauss, 2, 3, 4), 1.0, 1.0)
+    nodes, weights = grid.axial_com
+    assert nodes.shape == (((n_gauss + 1) // 2) ** 2, 3)
+    assert np.all(nodes[:, 1] == 0.0)
+    assert np.all(nodes[:, [0, 2]] >= 0.0)
+    assert weights.sum() == pytest.approx(grid.com_w.sum(), rel=1e-14)
+    # E |c_perp|^(2a) c3^(2b) = 2^a a! (2b - 1)!! for 2a + 2b <= 2 n_gauss - 1
+    for a in range(n_gauss):
+        for b in range(n_gauss - a):
+            exact = 2.0 ** a * math.factorial(a) * math.prod(range(1, 2 * b, 2))
+            moment = weights @ (nodes[:, 0] ** (2 * a) * nodes[:, 2] ** (2 * b))
+            assert moment == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("n_gauss", [1, 4, 7])
@@ -495,6 +599,13 @@ def test_numpy_rule_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     _assert_rebuilt(tmp_path, basis_small,
                     dict(_old_params(basis_small), fold="reflection-exchange-numpy-rules-v1"))
+
+
+def test_burnett_exchange_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator summed on the octant rule, before the axial fold
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    _assert_rebuilt(tmp_path, basis_small,
+                    dict(_old_params(basis_small), fold="burnett-reflection-exchange-v1"))
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):
