@@ -41,17 +41,17 @@ orthogonal Hermite-Burnett transform (VelocityBasis.burnett_transform), class
 by class.  Zonal functions are unchanged by every rotation about e3 and by
 v2 -> -v2, and the grid must resolve the degree-2N integrand (an
 under-resolved grid raises AssemblyError), so the sphere sums are exact and
-the summed S S^T, a and b at a center of mass c are polynomials of degree
-<= 2N in c that are invariant under rotations of c about e3: polynomials in
-c3 and x = |c_perp|^2 / 2 of degree <= N in x.  Their Gaussian average is
-exact on the axial rule, Gauss-Laguerre in x (weight e^(-x), (n_gauss + 1) // 2
-nodes) times the folded Gauss-Hermite rule in c3, at the nodes
-(sqrt(2x), 0, c3): 25 nodes at n_gauss = 9, where the octant has 125.  At
-c2 = 0, v2 -> -v2 fixes c, and composed with the exchange it maps each sphere
-node u to (-u1, u2, -u3) with the same integrand, so the sphere sums keep one
-node per such pair as well.  The collision frequency matrix, the one-point
-integrals and the bilinear form stay on the basis polynomials and the
-Cartesian grid.
+the summed S S^T and the products of the sphere-reduced sums of S at a
+center of mass c are polynomials of degree <= 2N in c that are invariant
+under rotations of c about e3: polynomials in c3 and x = |c_perp|^2 / 2 of
+degree <= N in x.  Their Gaussian average is exact on the axial rule,
+Gauss-Laguerre in x (weight e^(-x), (n_gauss + 1) // 2 nodes) times the
+folded Gauss-Hermite rule in c3, at the nodes (sqrt(2x), 0, c3): 25 nodes at
+n_gauss = 9, where the octant has 125.  At c2 = 0, v2 -> -v2 fixes c, and
+composed with the exchange it maps each sphere node u to (-u1, u2, -u3) with
+the same integrand, so the sphere sums keep one node per such pair as well.
+The collision frequency matrix, the one-point integrals and the bilinear
+form stay on the basis polynomials and the Cartesian grid.
 """
 
 from __future__ import annotations
@@ -711,7 +711,8 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     AssemblyError.  Matrices are cached on disk under VPB_SPECTRAL_CACHE
     keyed by every assembly parameter, the reflection, exchange and axial
     folds, the source of the factor rules and the Burnett reduction included
-    (_FOLD_TAG), so entries summed another way are never read.  The Burnett transform is built only here, on a miss.
+    (_FOLD_TAG), so entries summed another way are never read.  The Burnett
+    transform is built only here, on a miss.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
