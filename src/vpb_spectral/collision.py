@@ -34,11 +34,13 @@ integrals are not exchange-invariant and keep the whole sphere.
 
 L commutes with rotations, so on the real Burnett functions
 phi_nlm = c_nl L_n^(l+1/2)(|v|^2/2) |v|^l Y_lm, 2n + l <= N, it is
-sum_l L_l (x) I_(2l+1).  The Dirichlet sums therefore run over the zonal
-functions phi_nl0 alone (25 rows at N = 8, not 165), evaluated in closed
-form; the L_l are read off the l-diagonal blocks and mapped back with the
-orthogonal Hermite-Burnett transform (VelocityBasis.burnett_transform), class
-by class.  Zonal functions are unchanged by every rotation about e3 and by
+sum_l L_l (x) I_(2l+1), and the radial blocks L_l do not depend on the axis
+the Y_lm are taken about.  The Dirichlet sums therefore run over the zonal
+functions phi_nl0 about e3 alone (25 rows at N = 8, not 165), evaluated in
+closed form; the L_l are read off the l-diagonal blocks and mapped back
+through the Burnett frames about e1 that also hold the azimuthal sectors
+(VelocityBasis.axis_sectors).  Zonal functions are unchanged by every
+rotation about e3 and by
 v2 -> -v2, and the grid must resolve the degree-2N integrand (an
 under-resolved grid raises AssemblyError), so the sphere sums are exact and
 the summed S S^T and the products of the sphere-reduced sums of S at a
@@ -74,7 +76,8 @@ _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
-_FOLD_TAG = "burnett-axisymmetric-v1"  # folds, factor rules and Burnett reduction behind a cached matrix
+# folds, factor rules and Burnett reduction behind a cached matrix
+_FOLD_TAG = "burnett-axisymmetric-e1-v1"
 # sector check: entries between azimuthal sectors and the mismatch of the two
 # copies of a sector, relative to the largest entry
 STRUCTURE_TOL = 1e-13
@@ -371,7 +374,7 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
     resolve the degree-2N integrand raises AssemblyError naming each short
     rule, and so does an entry between different l above STRUCTURE_TOL times
     the largest; the L_l are read off the l-diagonal blocks and mapped back
-    through basis.burnett_transform.
+    through the Burnett frames of basis.axis_sectors.
     """
     top = basis.max_degree
     short = [f"the {rule} rule resolves degree {deg}"
@@ -390,7 +393,7 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
         raise AssemblyError(f"collision matrix fails the Burnett check: zonal entry between "
                             f"different l of {ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
                             "relative to its largest entry")
-    mat = basis.burnett_transform.basis_matrix(
+    mat = basis.axis_sectors.basis_matrix(
         {k: zonal[np.ix_(l == k, l == k)] for k in range(top + 1)})
     return 0.5 * (mat + mat.T)
 
@@ -711,8 +714,9 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     AssemblyError.  Matrices are cached on disk under VPB_SPECTRAL_CACHE
     keyed by every assembly parameter, the reflection, exchange and axial
     folds, the source of the factor rules and the Burnett reduction included
-    (_FOLD_TAG), so entries summed another way are never read.  The Burnett
-    transform is built only here, on a miss.
+    (_FOLD_TAG), so entries summed another way are never read.  A hit builds
+    no Burnett frames (VelocityBasis.axis_sectors); a miss builds them once
+    per basis, for the assembly and the sector blocks alike.
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)

@@ -15,9 +15,10 @@ a velocity rotation intertwines the operator at xi with the one at s e1.
 
 On the axis the mode has more structure.  It commutes with every rotation
 about e1 and every coordinate reflection, so in the basis's azimuthal
-sectors (velocity_space.AxisSectors), with the parity scale i^(a1 mod 2)
-folded in, it is real and block-diagonal, one block per azimuthal number m
-that both copies of the sector share.  Each operator's sector blocks are
+sectors (velocity_space.AxisSectors, spanned by the real Burnett functions
+about e1), with the parity scale i^(a1 mod 2) folded in, it is real and
+block-diagonal, one block per azimuthal number m that both copies of the
+sector share.  Each operator's sector blocks are
 computed and checked once (CollisionOperator.sector_blocks, AssemblyError
 for an operator that fails the check); axis_eigen_blocks forms a mode's
 blocks from them, or one stack of blocks for several eps at one s, and

@@ -7,6 +7,13 @@ at a total degree, with one orthogonal rotation applied inside the degree-2
 block so that the energy invariant (|v|^2 - 3) sqrt(M) / sqrt(6) is itself a
 basis element.  All inner products of basis functions are then computed
 exactly by a folded Gauss-Hermite product rule.
+
+The real Burnett functions about e1 split the basis into azimuthal sectors
+(AxisSectors): rotations about e1 act on sector m as rotations by m times
+the angle, and every rotation-invariant operator, such as the linearized
+collision operator, is a direct sum of radial blocks on them.  One set of
+frames, built once per basis, serves both the axis modes and the collision
+assembly.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ _TWO_PI = 2.0 * np.pi
 _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
 _PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
 _GRAM_TOL = 1e-10  # largest entry of the quadrature Gram matrix minus the identity
-_ORTHO_TOL = 1e-12  # largest entry of T T^T minus the identity, T the Burnett transform
+_ORTHO_TOL = 1e-12  # largest entry of T T^T minus the identity, T a class of Burnett frames
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -79,13 +86,13 @@ def burnett_labels(max_degree: int) -> np.ndarray:
 
 
 def _burnett_class(labels: np.ndarray) -> np.ndarray:
-    """The (a1, a2, a3 mod 2) reflection class of each Burnett function, as
-    4 a1 + 2 a2 + a3: Re (v1 + i v2)^m has a1 = m and a2 = 0, Im (v1 + i v2)^m
-    a1 = m - 1 and a2 = 1, and the rest of the function is even in v1 and v2
-    with the parity of l - m in v3."""
+    """The (a1, a2, a3 mod 2) reflection class of each Burnett function about
+    e1, as 4 a1 + 2 a2 + a3: Re (v2 + i v3)^m has a2 = m and a3 = 0,
+    Im (v2 + i v3)^m a2 = m - 1 and a3 = 1, and the rest of the function is
+    even in v2 and v3 with the parity of l - m in v1."""
     l, m = labels[:, 1], np.abs(labels[:, 2])
     sin = labels[:, 2] < 0
-    return 4 * ((m - sin) % 2) + 2 * sin + (l - m) % 2
+    return 4 * ((l - m) % 2) + 2 * ((m - sin) % 2) + sin
 
 
 def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -174,22 +181,6 @@ def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
     return rot
 
 
-@dataclass(frozen=True)
-class ParityClasses:
-    """Reflection-parity structure of the basis slots.
-
-    scale holds i^(a1 mod 2) per slot: conjugating an axis mode matrix by it,
-    conj(scale)[:, None] * B * scale[None, :], makes B real, because every v1
-    step flips the a1 parity.  blocks holds the slots of each (a2, a3 mod 2)
-    class in the order (even, even), (even, odd), (odd, even), (odd, odd);
-    the real matrix is block-diagonal in them.  The energy rotation only mixes
-    all-even slots, so it keeps every class.
-    """
-
-    scale: np.ndarray                 # (dim,) complex, read-only
-    blocks: tuple[np.ndarray, ...]    # four ascending index arrays, read-only
-
-
 class Frame(NamedTuple):
     """Orthonormal coordinates on some slots: y stands for the vector that is
     scale * (basis @ y) on the slots index and zero elsewhere.  basis is real
@@ -213,21 +204,26 @@ class Frame(NamedTuple):
 
 @dataclass(frozen=True)
 class AxisSectors:
-    """Azimuthal sectors of the basis about e1, m = 0..max_degree.
+    """Azimuthal sectors of the basis about e1, m = 0..max_degree, spanned by
+    the real Burnett functions about e1.
 
     Rotations about e1 act on sector m as rotations by m times the angle.
-    frames[m] holds the sector's cos copy, in the (even, even) class for even
-    m and the (odd, even) class for odd m, and for m >= 1 its sin copy,
-    -J1 Q / m with J1 the rotation generator and Q the cos basis.  Both
-    carry the parity scale, so an axis mode matrix is the same real block on
-    both copies.  The collision invariants are coordinate columns at the
-    front of their sectors: chi0, chi1, chi4 in m = 0, chi2 the cos and chi3
-    the sin copy of m = 1; n_invariant[m] counts them.
+    frames[m] holds the sector's cos copy, the phi_nl(+m) in (l, n) order on
+    the slots of the (even, even) class for even m and the (odd, even) class
+    for odd m, and for m >= 1 its sin copy, the phi_nl(-m) = -J1 phi_nl(+m) / m
+    (J1 = v2 d/dv3 - v3 d/dv2) on the (odd, odd) or (even, odd) class.  Both
+    carry the parity scale i^(a1 mod 2), so an axis mode matrix is the same
+    real block on both copies.  The collision invariants phi_000, phi_010,
+    -phi_100 (chi0, chi1, chi4) lead m = 0 and phi_0,1,+1 (chi2) and
+    phi_0,1,-1 (chi3) the two copies of m = 1, as exact coordinate columns;
+    n_invariant[m] counts them, and every other column is an exact zero on
+    their slots.
 
     transform is the real orthogonal matrix whose columns are every copy of
     every sector in that order, spans[m] the column ranges of sector m's
     copies, and scale the parity scale: a vector f has the coordinates
-    transform^T (conj(scale) f), copy by copy.
+    transform^T (conj(scale) f), copy by copy.  Column k of transform is
+    signs[k] times the Burnett function labels[k] = (n, l, m), m < 0 for sin.
     """
 
     frames: tuple[tuple[Frame, ...], ...]
@@ -235,11 +231,34 @@ class AxisSectors:
     transform: np.ndarray
     spans: tuple[tuple[slice, ...], ...]
     scale: np.ndarray
+    labels: np.ndarray
+    signs: np.ndarray
 
     def coordinates(self, f: np.ndarray) -> list[list[np.ndarray]]:
         """The coordinates of f in every copy of every sector."""
         g = self.transform.T @ (self.scale.conj() * f)
         return [[g[sl] for sl in spans] for spans in self.spans]
+
+    def basis_matrix(self, radial) -> np.ndarray:
+        """The matrix, in basis slot numbering, of a rotation-invariant
+        operator with radial[l][n, n'] its entry between phi_nlm and phi_n'lm
+        (the same for every m): each copy's block is the direct sum of
+        radial[l] over l >= m, mapped through the copy's frame.  Columns of
+        different l have no common class, so the entries between classes are
+        exact zeros."""
+        n, l = self.labels[:, 0], self.labels[:, 1]
+        size = max(len(block) for block in radial.values())
+        stack = np.zeros((max(radial) + 1, size, size))
+        for k, block in radial.items():
+            stack[k, :len(block), :len(block)] = block
+        out = np.zeros((self.scale.size, self.scale.size))
+        for copies, spans in zip(self.frames, self.spans):
+            for fr, sl in zip(copies, spans):
+                block = np.where(l[sl, None] == l[None, sl],
+                                 stack[l[sl, None], n[sl, None], n[None, sl]], 0.0)
+                phi = fr.basis * self.signs[sl]  # the copy's Burnett functions
+                out[np.ix_(fr.index, fr.index)] += phi @ block @ phi.T
+        return out
 
 
 class ExactRule(NamedTuple):
@@ -250,33 +269,6 @@ class ExactRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
     poly: np.ndarray
-
-
-class BurnettTransform(NamedTuple):
-    """The real orthogonal map T between the basis and the real Burnett
-    functions of the same degree, one reflection class at a time.
-
-    blocks holds (slots, labels, t) for each nonempty (a1, a2, a3 mod 2)
-    class: the class's basis slots, the (n, l, m) of its Burnett functions in
-    (l, m, n) order, and t[i, k] = (phi_labels[i], basis function slots[k]).
-    """
-
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def basis_matrix(self, radial: dict) -> np.ndarray:
-        """T^T (sum_l radial[l] (x) I_(2l+1)) T in basis slot numbering: the
-        matrix of a rotation-invariant operator with radial[l][n, n'] its
-        entry between phi_nlm and phi_n'lm (the same for every m), built
-        class by class, so the entries between classes are exact zeros."""
-        dim = sum(slots.size for slots, _, _ in self.blocks)
-        out = np.zeros((dim, dim))
-        for slots, labels, t in self.blocks:
-            mid = np.zeros((slots.size, slots.size))
-            for start in np.flatnonzero(labels[:, 0] == 0):  # each (l, m) run starts at n = 0
-                block = radial[int(labels[start, 1])]
-                mid[start:start + block.shape[0], start:start + block.shape[0]] = block
-            out[np.ix_(slots, slots)] = t.T @ mid @ t
-        return out
 
 
 @dataclass(frozen=True)
@@ -373,105 +365,76 @@ class VelocityBasis:
         return mats
 
     @cached_property
-    def parity_classes(self) -> ParityClasses:
-        """The i^(a1 mod 2) scale and the four (a2, a3 mod 2) slot classes."""
-        alpha = np.array(self.multi_indices) % 2
-        scale = np.where(alpha[:, 0] == 1, 1j, 1.0 + 0j)
-        label = 2 * alpha[:, 1] + alpha[:, 2]
-        blocks = tuple(np.flatnonzero(label == c) for c in range(4))
-        for arr in (scale, *blocks):
-            arr.setflags(write=False)
-        return ParityClasses(scale=scale, blocks=blocks)
-
-    @cached_property
     def axis_sectors(self) -> AxisSectors:
-        """The azimuthal sectors about e1, from the exact rotation generator.
+        """The azimuthal sectors about e1, from the real Burnett functions
+        about e1 on the smallest Gauss-Hermite product rule exact for their
+        degree-2N products (exact_rule, (N+1)^3 nodes).
 
-        Sector m is the m^2 eigenspace of J1^T J1 inside its parity class.
-        Only the micro slots go through eigh: J1 maps the span of the
-        invariants to itself, so the micro slots are invariant as well, and
-        the invariants stay coordinate vectors.
-        """
-        j1 = rotation_generator(self)
-        classes = self.parity_classes
-        inv = self.invariant_indices
-        front = {(0, 0): [inv[0], inv[1], inv[4]], (1, 2): [inv[2]]}
-        cos = {}
-        for c in (0, 2):
-            idx = classes.blocks[c]
-            micro = np.flatnonzero(~np.isin(idx, inv))
-            k = j1[:, idx[micro]].T @ j1[:, idx[micro]]
-            w, q = np.linalg.eigh(k)
-            m_of = np.rint(np.sqrt(np.maximum(w, 0.0))).astype(int)
-            if np.max(np.abs(w - m_of ** 2)) > 1e-8:
-                raise BasisError("rotation generator has a non-integer azimuthal spectrum")
-            for m in range(c // 2, self.max_degree + 1, 2):
-                head = [int(np.flatnonzero(idx == i)[0]) for i in front.get((m, c), [])]
-                basis = np.zeros((idx.size, len(head) + np.count_nonzero(m_of == m)))
-                basis[head, np.arange(len(head))] = 1.0
-                basis[micro, len(head):] = q[:, m_of == m]
-                cos[m] = (Frame(idx, classes.scale[idx], basis), len(head))
-        frames = []
-        for m in range(self.max_degree + 1):
-            first, _ = cos[m]
-            copies = [first]
-            if m:
-                sin_idx = classes.blocks[1 if m % 2 else 3]
-                image = -j1[np.ix_(sin_idx, first.index)] @ first.basis / m
-                copies.append(Frame(sin_idx, classes.scale[sin_idx], image))
-            for fr in copies:
-                for arr in fr:
-                    arr.setflags(write=False)
-            frames.append(tuple(copies))
-        transform = np.zeros((self.dim, self.dim))
-        spans, col = [], 0
-        for copies in frames:
-            spans.append([])
-            for fr in copies:
-                n = fr.basis.shape[1]
-                transform[fr.index, col:col + n] = fr.basis
-                spans[-1].append(slice(col, col + n))
-                col += n
-        transform.setflags(write=False)
-        return AxisSectors(frames=tuple(frames),
-                           n_invariant=tuple(cos[m][1] for m in range(self.max_degree + 1)),
-                           transform=transform, spans=tuple(tuple(sp) for sp in spans),
-                           scale=classes.scale)
-
-    @cached_property
-    def burnett_transform(self) -> BurnettTransform:
-        """The Burnett transform, by the smallest Gauss-Hermite product rule
-        exact for its degree-2N products (exact_rule, (N+1)^3 nodes).
-
-        Each class's t is checked to be orthogonal to _ORTHO_TOL, which the
-        operator the collision assembly maps back through it relies on;
-        AssemblyError names a failed check.
+        Each (a1, a2, a3 mod 2) reflection class must hold as many Burnett
+        functions as basis slots, and once the invariants are set as exact
+        coordinate columns its block of the transform must be orthogonal to
+        _ORTHO_TOL, which the collision assembly and the sector check rely
+        on; AssemblyError names a failed check.
         """
         rule = self.exact_rule
         labels = burnett_labels(self.max_degree)
-        phi = burnett_rows(rule.nodes, labels) * rule.weights
+        # burnett_rows takes its axis along its third coordinate: put v1 there
+        phi = burnett_rows(rule.nodes[:, [1, 2, 0]], labels) * rule.weights
         label_class = _burnett_class(labels)
-        slot_class = (np.array(self.multi_indices) % 2) @ np.array([4, 2, 1])
-        blocks = []
-        for c in range(8):
-            slots, rows = np.flatnonzero(slot_class == c), np.flatnonzero(label_class == c)
+        alpha = np.array(self.multi_indices) % 2
+        slot_class = alpha @ np.array([4, 2, 1])
+        classes = [(np.flatnonzero(slot_class == c), np.flatnonzero(label_class == c))
+                   for c in range(8)]
+        coef = np.zeros((self.dim, self.dim))  # coef[k]: phi_labels[k] on the basis
+        for c, (slots, rows) in enumerate(classes):
             if slots.size != rows.size:
                 raise AssemblyError(f"Burnett transform fails the orthogonality check: "
                                     f"reflection class {c} holds {slots.size} basis slots "
                                     f"but {rows.size} Burnett functions")
-            if slots.size == 0:
-                continue
-            t = phi[rows] @ rule.poly[slots].T
-            gap = float(np.max(np.abs(t @ t.T - np.eye(slots.size))))
+            coef[np.ix_(rows, slots)] = phi[rows] @ rule.poly[slots].T
+        # chi0, chi1, chi4 | chi2 | chi3 are phi_000, phi_010, -phi_100 | phi_0,1,+1 | phi_0,1,-1
+        row_of = {tuple(a): k for k, a in enumerate(labels.tolist())}
+        front = [row_of[a] for a in ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1))]
+        inv = self.invariant_indices
+        signs = np.ones(self.dim)
+        signs[front[2]] = -1.0
+        coef[:, inv] = 0.0
+        coef[front] = 0.0
+        coef[front, [inv[0], inv[1], inv[4], inv[2], inv[3]]] = signs[front]
+        for c, (slots, rows) in enumerate(classes):
+            t = coef[np.ix_(rows, slots)]
+            gap = float(np.max(np.abs(t @ t.T - np.eye(slots.size)), initial=0.0))
             if not gap <= _ORTHO_TOL:
                 raise AssemblyError(f"Burnett transform fails the orthogonality check: "
                                     f"|T T^T - I| = {gap:.2e} in reflection class {c}, "
                                     f"above {_ORTHO_TOL:.0e}")
-            block = (slots, labels[rows], t)
-            for arr in block:
-                arr.setflags(write=False)
-            blocks.append(block)
-        return BurnettTransform(tuple(blocks))
+        order, spans, n_invariant = [], [], []
+        for m in range(self.max_degree + 1):
+            spans.append([])
+            for signed in ((m, -m) if m else (0,)):
+                head = [k for k in front if labels[k, 2] == signed]
+                rows = head + [k for k in np.flatnonzero(labels[:, 2] == signed)
+                               if k not in front]
+                spans[-1].append(slice(len(order), len(order) + len(rows)))
+                order.extend(rows)
+            n_invariant.append(len(head))
+        transform = (coef[order] * signs[order, None]).T
+        scale = np.where(alpha[:, 0] == 1, 1j, 1.0 + 0j)
+        pair_class = 2 * alpha[:, 1] + alpha[:, 2]
+        frames = []
+        for m, copies in enumerate(spans):
+            frames.append([])
+            for sin, sl in enumerate(copies):
+                idx = np.flatnonzero(pair_class == 2 * ((m - sin) % 2) + sin)
+                frames[-1].append(Frame(idx, scale[idx], transform[idx, sl]))
+        sectors = AxisSectors(frames=tuple(tuple(copies) for copies in frames),
+                              n_invariant=tuple(n_invariant), transform=transform,
+                              spans=tuple(tuple(copies) for copies in spans), scale=scale,
+                              labels=labels[order], signs=signs[order])
+        for arr in (transform, scale, sectors.labels, sectors.signs,
+                    *(a for copies in frames for fr in copies for a in fr)):
+            arr.setflags(write=False)
+        return sectors
 
     @cached_property
     def fluxes(self) -> np.ndarray:
@@ -676,30 +639,11 @@ def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarra
     return tuple(mats)
 
 
-def rotation_generator(basis: VelocityBasis) -> np.ndarray:
-    """Galerkin matrix of J1 = v2 d/dv3 - v3 d/dv2, the generator of rotations
-    about e1: exp(theta J1) is the coefficient map of f -> f(R(theta) v).
-
-    Exact and skew-symmetric: J1 keeps the total degree, and on the Hermite
-    functions it moves (a2, a3) to (a2 + 1, a3 - 1) with sqrt((a2 + 1) a3) and
-    to (a2 - 1, a3 + 1) with -sqrt(a2 (a3 + 1)).
-    """
-    dim = basis.dim
-    pos = {alpha: i for i, alpha in enumerate(basis.multi_indices)}
-    j = np.zeros((dim, dim))
-    for i, (a1, a2, a3) in enumerate(basis.multi_indices):
-        if a3 > 0:
-            j[pos[(a1, a2 + 1, a3 - 1)], i] = np.sqrt((a2 + 1.0) * a3)
-        if a2 > 0:
-            j[pos[(a1, a2 - 1, a3 + 1)], i] = -np.sqrt(a2 * (a3 + 1.0))
-    return _rotate_pure_squares(basis, j)
-
-
 def _rotate_pure_squares(basis: VelocityBasis, mat: np.ndarray) -> np.ndarray:
     """rotation^T mat rotation, computed in place on mat.  The energy rotation is
     the identity outside the three pure-square slots, so only those columns and then
-    those rows are multiplied.  v_k and J1 vanish between pure-square slots, and
-    for them the result equals the dense product exactly."""
+    those rows are multiplied.  v_k vanishes between pure-square slots, and for
+    it the result equals the dense product exactly."""
     cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
     r = basis.rotation[np.ix_(cols, cols)]
     mat[:, cols] = mat[:, cols] @ r

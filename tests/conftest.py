@@ -67,5 +67,15 @@ def axis_operators(basis_mid, synthetic_prod):
             "hard-sphere-4": assemble_collision(basis_mid)}
 
 
+@pytest.fixture(scope="session")
+def parity_blocks():
+    """blocks(basis): the slots of each (a2, a3 mod 2) class, in the order
+    (even, even), (even, odd), (odd, even), (odd, odd)."""
+    def blocks(basis):
+        label = (np.array(basis.multi_indices) % 2) @ np.array([0, 2, 1])
+        return [np.flatnonzero(label == c) for c in range(4)]
+    return blocks
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)

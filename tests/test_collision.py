@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from vpb_spectral.collision import (
 from vpb_spectral.errors import AssemblyError, VPBError
 from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
 
-_FOLD_TAG = "burnett-axisymmetric-v1"  # the fold tag of the cache parameters
+_FOLD_TAG = "burnett-axisymmetric-e1-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -192,7 +193,7 @@ def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
     # nodes, at v and at v_star; the octant and the half sphere took 25,088
     # points, the whole grid 343 x 4 x 98 x 2.  The sums evaluate the zonal
     # Burnett functions only; the basis polynomials are not evaluated at all:
-    # the Burnett transform reads the exact rule that build_basis already
+    # the Burnett frames read the exact rule that build_basis already
     # evaluated for its Gram check
     basis = build_basis(6)
     grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
@@ -304,23 +305,29 @@ def test_non_orthogonal_burnett_transform_raises(monkeypatch):
 
 
 def test_burnett_transform_is_built_only_on_a_cache_miss(tmp_path, monkeypatch):
+    # a cache hit and the transport path (kappa_bar) build no Burnett frames;
+    # the assembly on a miss and sector_blocks build them once per basis
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     built = []
-    build = VelocityBasis.burnett_transform.func
+    build = VelocityBasis.axis_sectors.func
 
     def spy(self):
         built.append(self.max_degree)
         return build(self)
 
-    monkeypatch.setattr(VelocityBasis, "burnett_transform", property(spy))
+    frames = cached_property(spy)
+    frames.__set_name__(VelocityBasis, "axis_sectors")
+    monkeypatch.setattr(VelocityBasis, "axis_sectors", frames)
     miss = assemble_collision(build_basis(3))
+    miss.sector_blocks
     assert built == [3]
-    hit = assemble_collision(build_basis(3))
+    basis = build_basis(3)
+    hit = assemble_collision(basis)
     assert np.array_equal(hit.matrix, miss.matrix)
-    synthetic = synthetic_collision(build_basis(3))
-    for op in (hit, synthetic):
-        op.kappa_bar, op.sector_blocks
+    hit.kappa_bar
     assert built == [3]
+    hit.sector_blocks, synthetic_collision(basis).sector_blocks
+    assert built == [3, 3]
 
 
 @pytest.mark.parametrize("degree", [2, 4])
@@ -606,6 +613,13 @@ def test_burnett_exchange_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypa
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     _assert_rebuilt(tmp_path, basis_small,
                     dict(_old_params(basis_small), fold="burnett-reflection-exchange-v1"))
+
+
+def test_burnett_e3_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
+    # an operator mapped back through the Burnett functions about e3
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    _assert_rebuilt(tmp_path, basis_small,
+                    dict(_old_params(basis_small), fold="burnett-axisymmetric-v1"))
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):

@@ -283,11 +283,12 @@ class TestPoleSums:
                 with pytest.raises(RegimeError, match="singular"):
                     fam.certified(mu)
 
-    def test_parity_coupling_operator_is_refused_by_the_sector_check(self, op_mid):
+    def test_parity_coupling_operator_is_refused_by_the_sector_check(self, op_mid,
+                                                                     parity_blocks):
         # an operator coupling two parity classes fails the sector check, and
         # the branch construction refuses it with the failed check's name
         basis = op_mid.basis
-        i, k = (next(i for i in basis.parity_classes.blocks[c]
+        i, k = (next(i for i in parity_blocks(basis)[c]
                      if i not in basis.invariant_indices) for c in (0, 2))
         mat = np.array(op_mid.matrix)
         mat[i, k] += 1e-9

@@ -160,27 +160,33 @@ def test_metric_matches_weighted_inner(op4):
 
 
 def _scaled(mode):
-    classes = mode.basis.parity_classes
-    return classes.scale.conj()[:, None] * mode.matrix * classes.scale[None, :]
+    scale = mode.basis.axis_sectors.scale
+    return scale.conj()[:, None] * mode.matrix * scale[None, :]
 
 
-def test_parity_classes(basis_prod):
-    classes = basis_prod.parity_classes
-    assert [idx.size for idx in classes.blocks] == [30, 20, 20, 14]
-    assert np.array_equal(np.sort(np.concatenate(classes.blocks)), np.arange(basis_prod.dim))
-    for k, idx in enumerate(classes.blocks):
+def test_parity_classes(basis_prod, parity_blocks):
+    blocks = parity_blocks(basis_prod)
+    assert [idx.size for idx in blocks] == [30, 20, 20, 14]
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(basis_prod.dim))
+    sectors = basis_prod.axis_sectors
+    for k, idx in enumerate(blocks):
         for i in idx:
             a1, a2, a3 = basis_prod.multi_indices[i]
             assert (a2 % 2, a3 % 2) == divmod(k, 2)
-            assert classes.scale[i] == (1j if a1 % 2 else 1.0)
+            assert sectors.scale[i] == (1j if a1 % 2 else 1.0)
+    # every sector copy lies on one class and carries its slots' scale
+    for copies in sectors.frames:
+        for fr in copies:
+            assert any(np.array_equal(fr.index, idx) for idx in blocks)
+            assert np.array_equal(fr.scale, sectors.scale[fr.index])
 
 
 @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])
-def test_axis_mode_is_real_and_block_diagonal(axis_operators, name):
+def test_axis_mode_is_real_and_block_diagonal(axis_operators, parity_blocks, name):
     mode = mode_operator(axis_operators[name], 0.1, 0.4)
     scaled = _scaled(mode)
     cross = np.abs(scaled)
-    for idx in mode.basis.parity_classes.blocks:
+    for idx in parity_blocks(mode.basis):
         cross[np.ix_(idx, idx)] = 0.0
     # exact on the synthetic operator; quadrature round-off on hard sphere
     bound = 0.0 if name.startswith("synthetic") else 1e-13 * np.max(np.abs(mode.matrix))
@@ -190,13 +196,14 @@ def test_axis_mode_is_real_and_block_diagonal(axis_operators, name):
 
 
 @pytest.mark.parametrize("name", ["hard-sphere-4", "hard-sphere-6"])
-def test_hard_sphere_axis_mode_blocks_are_exact(axis_operators, hard_sphere_prod, name):
+def test_hard_sphere_axis_mode_blocks_are_exact(axis_operators, hard_sphere_prod,
+                                                parity_blocks, name):
     # the reflection-folded assembly leaves exact zeros between parity classes
     op = hard_sphere_prod if name == "hard-sphere-6" else axis_operators[name]
     mode = mode_operator(op, 0.1, 0.4)
     scaled = _scaled(mode)
     cross = np.abs(scaled)
-    for idx in mode.basis.parity_classes.blocks:
+    for idx in parity_blocks(mode.basis):
         cross[np.ix_(idx, idx)] = 0.0
     assert np.max(np.abs(scaled.imag)) == 0.0
     assert np.max(cross) == 0.0
@@ -317,7 +324,7 @@ def test_block_eigenvalues_against_40_digits(basis_mid, s, eps):
 def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphere_prod, name):
     op = hard_sphere_prod if name == "hard-sphere-6" else axis_operators[name]
     basis = op.basis
-    scale = basis.parity_classes.scale
+    scale = basis.axis_sectors.scale
     t, spans = basis.axis_sectors.transform, basis.axis_sectors.spans
     for mat in (op.matrix, -1j * basis.v_matrices[0]):
         scaled = (scale.conj()[:, None] * mat * scale[None, :]).real

@@ -134,7 +134,8 @@ class TestParityBlocks:
         gap = max(mode.norm(a - b) for a, b in zip(traj.states, dense))
         assert gap <= 1e-10 * mode.norm(f0)
 
-    def test_only_blocks_holding_data_are_solved(self, hard_sphere_prod, monkeypatch):
+    def test_only_blocks_holding_data_are_solved(self, hard_sphere_prod, parity_blocks,
+                                                  monkeypatch):
         # macro data lies in the m = 0 sector and both copies of m = 1: those
         # two blocks are decomposed, once each, and the (odd, odd) class,
         # which holds only sin copies of even m >= 2, is never touched
@@ -145,7 +146,7 @@ class TestParityBlocks:
         f0 = macro_vector(mode.basis, 0.3, [0.2, -0.5, 0.1], -0.7).astype(complex)
         traj = propagate_kinetic(mode, f0, [0.0, 0.1])
         assert sizes == [16, 12]
-        assert np.all(traj.states[:, mode.basis.parity_classes.blocks[3]] == 0.0)
+        assert np.all(traj.states[:, parity_blocks(mode.basis)[3]] == 0.0)
 
     def test_tiny_cond_limit_takes_the_ode_path(self, mode_mid, monkeypatch):
         monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
@@ -153,10 +154,10 @@ class TestParityBlocks:
                                  [0.0, 0.01, 0.05])
         assert traj.method == "ode"
 
-    def test_broken_structure_takes_the_dense_path(self, op_mid, mode_mid):
+    def test_broken_structure_takes_the_dense_path(self, op_mid, mode_mid, parity_blocks):
         assert len(mode_mid.eigen_blocks()) == mode_mid.basis.max_degree + 1
         basis = op_mid.basis
-        i, k = (next(i for i in basis.parity_classes.blocks[c]
+        i, k = (next(i for i in parity_blocks(basis)[c]
                      if i not in basis.invariant_indices) for c in (0, 1))
         mat = np.array(op_mid.matrix)
         mat[i, k] += 1e-8
@@ -236,10 +237,11 @@ class TestStackedPropagation:
                 assert np.array_equal(got[e], want[e])
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
 
-    def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, monkeypatch):
+    def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, parity_blocks,
+                                                                 monkeypatch):
         f0 = random_state(op_mid.basis.dim)
         basis = op_mid.basis
-        i, k = (next(i for i in basis.parity_classes.blocks[c]
+        i, k = (next(i for i in parity_blocks(basis)[c]
                      if i not in basis.invariant_indices) for c in (0, 1))
         mat = np.array(op_mid.matrix)
         mat[i, k] += 1e-8

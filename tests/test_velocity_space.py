@@ -21,8 +21,7 @@ from vpb_spectral import (
 )
 from vpb_spectral import velocity_space
 from vpb_spectral.mode_operator import compose_rotation
-from vpb_spectral.velocity_space import (VelocityBasis, burnett_labels, burnett_rows,
-                                         hermite_polynomial_table, rotation_generator)
+from vpb_spectral.velocity_space import VelocityBasis, burnett_rows, hermite_polynomial_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,15 +219,22 @@ def _rot_e1(theta):
 
 
 @pytest.mark.parametrize("deg", [4, 6, 8])
-def test_rotation_generator_exponentiates_to_axis_rotations(deg):
-    import scipy.linalg
-
+def test_axis_rotations_turn_each_sector_copy_pair(deg):
+    # f -> f(R v), R the rotation about e1 through theta, turns the (cos, sin)
+    # copies of sector m through m theta, and leaves sector 0 in place
     basis = _basis(deg)
-    j1 = rotation_generator(basis)
-    assert np.max(np.abs(j1 + j1.T)) == 0.0
+    sectors = basis.axis_sectors
     for theta in (0.3, -1.1, 2.5):
         rot = compose_rotation(basis, _rot_e1(theta))
-        assert np.max(np.abs(scipy.linalg.expm(theta * j1) - rot)) <= 1e-13
+        for m, spans in enumerate(sectors.spans):
+            copies = [sectors.transform[:, sl] for sl in spans]
+            if m == 0:
+                assert np.max(np.abs(rot @ copies[0] - copies[0])) <= 1e-13
+                continue
+            c, s = np.cos(m * theta), np.sin(m * theta)
+            cos, sin = copies
+            assert np.max(np.abs(rot @ cos - (c * cos - s * sin))) <= 1e-13
+            assert np.max(np.abs(rot @ sin - (s * cos + c * sin))) <= 1e-13
 
 
 @pytest.mark.parametrize("deg, sizes", [
@@ -248,19 +254,13 @@ def test_axis_sector_sizes(deg, sizes):
 def test_axis_sector_frames(deg):
     basis = _basis(deg)
     sectors = basis.axis_sectors
-    j1 = rotation_generator(basis)
     cols = []
     for m, copies in enumerate(sectors.frames):
         assert len(copies) == (1 if m == 0 else 2)
-        full = []
         for fr in copies:
             q = np.zeros((basis.dim, fr.basis.shape[1]))
             q[fr.index] = fr.basis
-            full.append(q)
             cols.append(q)
-        if m:
-            # the sin copy is -J1 Q / m of the cos copy, on every slot
-            assert np.max(np.abs(-j1 @ full[0] / m - full[1])) <= 1e-15
     t = np.concatenate(cols, axis=1)
     assert np.array_equal(t, sectors.transform)
     assert np.max(np.abs(t.T @ t - np.eye(basis.dim))) <= 1e-14
@@ -282,13 +282,10 @@ def test_axis_sector_frames(deg):
 
 
 def _dense_burnett_transform(basis):
-    """T as one (dim, dim) matrix, rows in burnett_labels order."""
-    labels = [tuple(a) for a in burnett_labels(basis.max_degree)]
-    t = np.zeros((basis.dim, basis.dim))
-    for slots, block_labels, block in basis.burnett_transform.blocks:
-        rows = [labels.index(tuple(a)) for a in block_labels]
-        t[np.ix_(rows, slots)] = block
-    return labels, t
+    """T as one (dim, dim) matrix, one row per Burnett function about e1, in
+    the order of the sector frames, with their labels."""
+    sectors = basis.axis_sectors
+    return [tuple(a) for a in sectors.labels.tolist()], (sectors.transform * sectors.signs).T
 
 
 @pytest.mark.parametrize("deg", [2, 4, 6, 8])
@@ -299,15 +296,17 @@ def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     assert np.max(np.abs(t @ t.T - np.eye(basis.dim))) <= 1e-12
     # every Burnett function lies in one reflection class: its coefficients on
     # the basis's own quadrature, over every slot, vanish outside the class
-    full = (burnett_rows(basis.quad_nodes, np.array(labels)) * basis.gauss_weights) @ basis.node_poly
+    axis_last = basis.quad_nodes[:, [1, 2, 0]]
+    full = (burnett_rows(axis_last, np.array(labels)) * basis.gauss_weights) @ basis.node_poly
     assert np.max(np.abs(full - t)) <= 1e-13
 
 
 @pytest.mark.parametrize("deg", [2, 4, 6, 8])
 def test_burnett_functions_match_closed_form(deg):
-    # T^T maps each real Burnett function to basis coefficients; at random
-    # points that expansion must equal an independent closed form, built from
-    # scipy's Laguerre and associated Legendre functions
+    # T^T maps each real Burnett function about e1 to basis coefficients; at
+    # random points that expansion must equal an independent closed form,
+    # built from scipy's Laguerre and associated Legendre functions of the
+    # polar angle from v1 and the azimuth atan2(v3, v2)
     from math import factorial, gamma, pi, sqrt
 
     from scipy.special import eval_genlaguerre, lpmv
@@ -316,13 +315,13 @@ def test_burnett_functions_match_closed_form(deg):
     labels, t = _dense_burnett_transform(basis)
     pts = 1.5 * np.random.default_rng(deg).standard_normal((200, 3))
     r = np.linalg.norm(pts, axis=1)
-    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
+    azimuth = np.arctan2(pts[:, 2], pts[:, 1])
     expanded = t @ basis.poly_values(pts).T
     for row, (n, l, m) in enumerate(labels):
         radial = sqrt(factorial(n) * sqrt(pi) / (2.0 ** (l + 1) * gamma(n + l + 1.5)))
         angular = sqrt((2 - (m == 0)) * (2 * l + 1) * factorial(l - abs(m)) / factorial(l + abs(m)))
         # lpmv carries the Condon-Shortley phase (-1)^m
-        legendre = (-1) ** abs(m) * lpmv(abs(m), l, pts[:, 2] / r)
+        legendre = (-1) ** abs(m) * lpmv(abs(m), l, pts[:, 0] / r)
         trig = np.cos(m * azimuth) if m >= 0 else np.sin(-m * azimuth)
         ref = (radial * eval_genlaguerre(n, l + 0.5, r * r / 2) * angular * r ** l
                * legendre * trig)
@@ -365,7 +364,7 @@ def test_build_basis_evaluates_only_the_exact_rule(monkeypatch, deg):
 def test_burnett_transform_reuses_the_exact_rule(monkeypatch):
     basis = build_basis(6)
     calls = _spy_poly_rows(monkeypatch)
-    assert basis.burnett_transform.blocks
+    assert basis.axis_sectors.frames
     assert calls == []
 
 
@@ -404,5 +403,3 @@ def test_pure_square_rotation_equals_the_dense_product(deg):
     rot = basis.rotation
     for mat, tensor in zip(multiplication_matrices(basis), multiplication_matrices(raw)):
         np.testing.assert_array_equal(mat, rot.T @ tensor @ rot)
-    np.testing.assert_array_equal(rotation_generator(basis),
-                                  rot.T @ rotation_generator(raw) @ rot)
