@@ -16,21 +16,17 @@ semidefinite, with the five collision invariants as its exact kernel.
 
 Every factor rule is also mirror-symmetric, so each coordinate reflection,
 applied to the center-of-mass and sphere nodes together, maps the grid onto
-itself, and P_alpha(Rv) = +-P_alpha(v) with the sign of the reflected
-exponents.  The collision-frequency matrix has a reflection-invariant
-integrand, so it is summed over one center-of-mass node per orbit (the closed
-positive octant, weighted by the orbit size) and only within the eight
-(a1, a2, a3 mod 2) classes; the entries between classes are exact zeros.  The
-bilinear form and the one-point integrals have no such invariance and run on
-the full grid.
+itself, and a function of definite parity at most changes its sign.  The
+Dirichlet sums therefore run only within parity classes, and the entries
+between classes are exact zeros.  The bilinear form has no such invariance
+and runs on the full grid.
 
 The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
 which is unchanged when the particles swap, u -> -u on the sphere.  Each
 sphere rule holds every node's antipode at the same weight, so the sums of S
 (the Dirichlet matrix and the sigma-reduced sums of the bilinear form) run
-over one node per antipodal pair at twice its weight.  The collision
-frequency, the bilinear form's pre-collisional product and the one-point
-integrals are not exchange-invariant and keep the whole sphere.
+over one node per antipodal pair at twice its weight.  The bilinear form's
+pre-collisional product is not exchange-invariant and keeps the whole sphere.
 
 L commutes with rotations, so on the real Burnett functions
 phi_nlm = c_nl L_n^(l+1/2)(|v|^2/2) |v|^l Y_lm, 2n + l <= N, it is
@@ -40,9 +36,9 @@ functions phi_nl0 about e3 alone (25 rows at N = 8, not 165), evaluated in
 closed form; the L_l are read off the l-diagonal blocks and mapped back
 through the Burnett frames about e1 that also hold the azimuthal sectors
 (VelocityBasis.axis_sectors).  Zonal functions are unchanged by every
-rotation about e3 and by
-v2 -> -v2, and the grid must resolve the degree-2N integrand (an
-under-resolved grid raises AssemblyError), so the sphere sums are exact and
+rotation about e3 and by v2 -> -v2, and the grid must resolve the degree-2N
+integrand (an under-resolved grid raises AssemblyError), so the sphere sums
+are exact and
 the summed S S^T and the products of the sphere-reduced sums of S at a
 center of mass c are polynomials of degree <= 2N in c that are invariant
 under rotations of c about e3: polynomials in c3 and x = |c_perp|^2 / 2 of
@@ -52,8 +48,7 @@ folded Gauss-Hermite rule in c3, at the nodes (sqrt(2x), 0, c3): 25 nodes at
 n_gauss = 9, where the octant has 125.  At c2 = 0, v2 -> -v2 fixes c, and
 composed with the exchange it maps each sphere node u to (-u1, u2, -u3) with
 the same integrand, so the sphere sums keep one node per such pair as well.
-The collision frequency matrix, the one-point integrals and the bilinear
-form stay on the basis polynomials and the Cartesian grid.
+The bilinear form stays on the basis polynomials and the Cartesian grid.
 """
 
 from __future__ import annotations
@@ -203,8 +198,6 @@ def _axial_fold(nodes: np.ndarray, weights: np.ndarray,
 class _CollisionGrid:
     """Factorized quadrature grid for the collision integral.
 
-    folded_com holds the center-of-mass nodes in the closed positive octant,
-    each weighted by its orbit size 2^(number of nonzero coordinates);
     axial_com holds the axial rule for integrands invariant under rotations
     about e3, Gauss-Laguerre in |c_perp|^2 / 2 times the folded Gauss-Hermite
     rule in c3, at nodes (c1, 0, c3) with c1, c3 >= 0.  folded_eta and
@@ -229,7 +222,6 @@ class _CollisionGrid:
         half = quad.n_gauss // 2
         fold_w = w[half:].copy()
         fold_w[quad.n_gauss % 2:] *= 2.0  # every node but a middle one has a mirror image
-        self.folded_com = _product_rule(x[half:], fold_w)
         # |c_perp|^2 / 2 is Exp(1) under the Gaussian: Gauss-Laguerre with alpha = 0
         t, wt = genlaggauss((quad.n_gauss + 1) // 2, 0.0)
         axial = np.zeros((t.size, fold_w.size, 3))
@@ -263,12 +255,6 @@ class _CollisionGrid:
             degrees[f"{rule} sphere"] = min(2 * q.n_polar, q.n_azimuth) - 1
         return degrees
 
-    def total_mass(self) -> float:
-        """The integral of 1 against the full collision measure."""
-        radial = float(np.sum(self.rho_w))
-        return (self.prefactor * float(np.sum(self.com_w)) * radial
-                * float(np.sum(self.eta_w)) * float(np.sum(self.sigma_w)))
-
 
 def _pair_points(com: np.ndarray, rho: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v, v_*) or (v', v'_*) for a block of center-of-mass nodes."""
@@ -289,15 +275,6 @@ def _point_weights(com_w: np.ndarray, rho_w: np.ndarray, unit_w: np.ndarray) -> 
     return (com_w[:, None, None] * rho_w[None, :, None] * unit_w[None, None, :]).ravel()
 
 
-def _class_order(basis: VelocityBasis) -> tuple[np.ndarray, list[slice]]:
-    """Basis slots sorted by their (a1, a2, a3 mod 2) class, and each class's
-    range of positions in that order."""
-    label = (np.array(basis.multi_indices) % 2) @ np.array([4, 2, 1])
-    order = np.argsort(label, kind="stable")
-    ends = np.searchsorted(label[order], np.arange(9))
-    return order, [slice(ends[c], ends[c + 1]) for c in range(8)]
-
-
 def _add_class_products(acc: np.ndarray, left: np.ndarray, right: np.ndarray,
                         ranges: list[slice]) -> None:
     """acc[c, c] += left[c] right[c]^T for every class range c; nothing else.
@@ -307,13 +284,6 @@ def _add_class_products(acc: np.ndarray, left: np.ndarray, right: np.ndarray,
     """
     for rng in ranges:
         acc[rng, rng] += left[rng] @ right[rng].T
-
-
-def _unsort(mat: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """A matrix in sorted-slot order, back in basis-slot order."""
-    out = np.empty_like(mat)
-    out[np.ix_(order, order)] = mat
-    return out
 
 
 def _pair_sums_and_reductions(rows_at, n_rows: int, grid: _CollisionGrid,
@@ -396,64 +366,6 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
     mat = basis.axis_sectors.basis_matrix(
         {k: zonal[np.ix_(l == k, l == k)] for k in range(top + 1)})
     return 0.5 * (mat + mat.T)
-
-
-def nu_hard_sphere(speed, kernel_c: float = 1.0):
-    """Collision frequency for gamma = 1 in closed form.
-
-    nu(v) = 2 pi C * E|v - Z|, Z standard Gaussian; nu(0) = 4 C sqrt(2 pi).
-    """
-    r = np.asarray(speed, dtype=float)
-    small = r < 1e-8
-    rs = np.where(small, 1.0, r)
-    erf = np.array([math.erf(t) for t in (rs / np.sqrt(2.0)).ravel()]).reshape(rs.shape)
-    out = (np.sqrt(2.0 / np.pi) * np.exp(-(rs ** 2) / 2.0) + (rs + 1.0 / rs) * erf)
-    out = np.where(small, 2.0 * np.sqrt(2.0 / np.pi), out)
-    return _TWO_PI * kernel_c * out
-
-
-def collision_frequency_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
-    """Galerkin matrix of multiplication by nu(v), via the collision grid.
-
-    Exact for the truncation, because (nu f, g) is the one-point part of the
-    collision measure applied to the degree <= 2N polynomial F * G.  Summed
-    over the folded grid within the reflection classes.
-    """
-    order, ranges = _class_order(basis)
-    com_nodes, com_w = grid.folded_com
-    acc = np.zeros((basis.dim, basis.dim))
-    sigma_total = float(np.sum(grid.sigma_w))
-    for blk in _chunk_blocks(com_nodes.shape[0], grid.rho.size * grid.eta.shape[0]):
-        v, _ = _pair_points(com_nodes[blk], grid.rho, grid.eta)
-        rows = basis.poly_rows(v, order)
-        _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, grid.eta_w),
-                            ranges)
-    return _unsort(grid.prefactor * sigma_total * acc, order)
-
-
-def one_point_integrals(basis: VelocityBasis, grid: _CollisionGrid,
-                        which: str) -> np.ndarray:
-    """I[P_alpha(x)] for x one of v, v_star, v_prime, v_prime_star.
-
-    With independent sphere rules for eta and sigma this checks that the
-    collision measure pushes pre- and post-collisional velocities to the same
-    law.
-    """
-    n_rho = grid.rho.size
-    if which in ("v", "v_star"):
-        unit, unit_w, other_total = grid.eta, grid.eta_w, float(np.sum(grid.sigma_w))
-    elif which in ("v_prime", "v_prime_star"):
-        unit, unit_w, other_total = grid.sigma, grid.sigma_w, float(np.sum(grid.eta_w))
-    else:
-        raise AssemblyError(f"unknown point label {which!r}")
-    acc = np.zeros(basis.dim)
-    for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * unit.shape[0]):
-        com = grid.com_nodes[blk]
-        plus, minus = _pair_points(com, grid.rho, unit)
-        pts = plus if which in ("v", "v_prime") else minus
-        w_full = _point_weights(grid.com_w[blk], grid.rho_w, unit_w)
-        acc += basis.poly_values(pts).T @ w_full
-    return grid.prefactor * other_total * acc
 
 
 class GammaEvaluator:
@@ -770,14 +682,3 @@ def synthetic_collision(basis: VelocityBasis, nu_bar: float = 1.0) -> CollisionO
     mat.setflags(write=False)
     return CollisionOperator(basis=basis, matrix=mat, backend="synthetic",
                              gamma=1.0, kernel_c=1.0, nu_bar=nu_bar)
-
-
-def collision_measure_total(gamma: float = 1.0, kernel_c: float = 1.0) -> float:
-    """Closed form of the full collision measure: 2 pi C E|V - Z|^gamma.
-
-    For gamma = 1 this is 8 C sqrt(pi); general gamma uses the moments of the
-    chi(3) law of |V - Z| / sqrt(2).
-    """
-    # |V - Z| = sqrt(2) * |W|, W standard; E|W|^gamma = 2^(gamma/2) Gamma((3+gamma)/2) / Gamma(3/2)
-    moment = 2.0 ** (gamma / 2.0) * math.gamma((3.0 + gamma) / 2.0) / math.gamma(1.5)
-    return _TWO_PI * kernel_c * 2.0 ** (gamma / 2.0) * moment

@@ -4,6 +4,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 from hypothesis import given
+from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import strategies as st
 
 from vpb_spectral import (BackendError, build_basis, collision, multiplication_matrices,
@@ -12,13 +13,14 @@ from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
     CollisionQuadrature,
     GammaEvaluator,
+    _add_class_products,
+    _chunk_blocks,
     _CollisionGrid,
     _dirichlet_matrix,
+    _pair_points,
+    _point_weights,
+    _product_rule,
     assemble_collision,
-    collision_frequency_matrix,
-    collision_measure_total,
-    nu_hard_sphere,
-    one_point_integrals,
     synthetic_collision,
 )
 from vpb_spectral.errors import AssemblyError, VPBError
@@ -30,7 +32,7 @@ _FOLD_TAG = "burnett-axisymmetric-e1-v1"  # the fold tag of the cache parameters
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_measure_total_matches_closed_form(gamma):
     grid = _CollisionGrid(CollisionQuadrature.for_degree(6), gamma, 1.0)
-    assert grid.total_mass() == pytest.approx(collision_measure_total(gamma), rel=1e-13)
+    assert _total_mass(grid) == pytest.approx(collision_measure_total(gamma), rel=1e-13)
 
 
 def test_measure_total_hard_sphere_value():
@@ -170,6 +172,108 @@ def _unfolded_frequency(basis, grid):
     return grid.prefactor * np.sum(grid.sigma_w) * acc
 
 
+def _folded_com(grid):
+    """The center-of-mass nodes in the closed positive octant, each weighted
+    by its orbit size 2^(number of nonzero coordinates)."""
+    n = grid.quad.n_gauss
+    x, w = hermegauss(n)
+    w = w / np.sqrt(2.0 * np.pi)
+    fold_w = w[n // 2:].copy()
+    fold_w[n % 2:] *= 2.0  # every node but a middle one has a mirror image
+    return _product_rule(x[n // 2:], fold_w)
+
+
+def _total_mass(grid):
+    """The integral of 1 against the full collision measure."""
+    radial = float(np.sum(grid.rho_w))
+    return (grid.prefactor * float(np.sum(grid.com_w)) * radial
+            * float(np.sum(grid.eta_w)) * float(np.sum(grid.sigma_w)))
+
+
+def _class_order(basis):
+    """Basis slots sorted by their (a1, a2, a3 mod 2) class, and each class's
+    range of positions in that order."""
+    label = (np.array(basis.multi_indices) % 2) @ np.array([4, 2, 1])
+    order = np.argsort(label, kind="stable")
+    ends = np.searchsorted(label[order], np.arange(9))
+    return order, [slice(ends[c], ends[c + 1]) for c in range(8)]
+
+
+def _unsort(mat, order):
+    """A matrix in sorted-slot order, back in basis-slot order."""
+    out = np.empty_like(mat)
+    out[np.ix_(order, order)] = mat
+    return out
+
+
+def nu_hard_sphere(speed, kernel_c=1.0):
+    """Collision frequency for gamma = 1 in closed form.
+
+    nu(v) = 2 pi C * E|v - Z|, Z standard Gaussian; nu(0) = 4 C sqrt(2 pi).
+    """
+    r = np.asarray(speed, dtype=float)
+    small = r < 1e-8
+    rs = np.where(small, 1.0, r)
+    erf = np.array([math.erf(t) for t in (rs / np.sqrt(2.0)).ravel()]).reshape(rs.shape)
+    out = (np.sqrt(2.0 / np.pi) * np.exp(-(rs ** 2) / 2.0) + (rs + 1.0 / rs) * erf)
+    out = np.where(small, 2.0 * np.sqrt(2.0 / np.pi), out)
+    return 2.0 * np.pi * kernel_c * out
+
+
+def collision_frequency_matrix(basis, grid):
+    """Galerkin matrix of multiplication by nu(v), via the collision grid.
+
+    Exact for the truncation, because (nu f, g) is the one-point part of the
+    collision measure applied to the degree <= 2N polynomial F * G.  Summed
+    over the folded grid within the reflection classes.
+    """
+    order, ranges = _class_order(basis)
+    com_nodes, com_w = _folded_com(grid)
+    acc = np.zeros((basis.dim, basis.dim))
+    sigma_total = float(np.sum(grid.sigma_w))
+    for blk in _chunk_blocks(com_nodes.shape[0], grid.rho.size * grid.eta.shape[0]):
+        v, _ = _pair_points(com_nodes[blk], grid.rho, grid.eta)
+        rows = basis.poly_rows(v, order)
+        _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, grid.eta_w),
+                            ranges)
+    return _unsort(grid.prefactor * sigma_total * acc, order)
+
+
+def one_point_integrals(basis, grid, which):
+    """I[P_alpha(x)] for x one of v, v_star, v_prime, v_prime_star.
+
+    With independent sphere rules for eta and sigma this checks that the
+    collision measure pushes pre- and post-collisional velocities to the same
+    law.
+    """
+    n_rho = grid.rho.size
+    if which in ("v", "v_star"):
+        unit, unit_w, other_total = grid.eta, grid.eta_w, float(np.sum(grid.sigma_w))
+    elif which in ("v_prime", "v_prime_star"):
+        unit, unit_w, other_total = grid.sigma, grid.sigma_w, float(np.sum(grid.eta_w))
+    else:
+        raise AssemblyError(f"unknown point label {which!r}")
+    acc = np.zeros(basis.dim)
+    for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * unit.shape[0]):
+        com = grid.com_nodes[blk]
+        plus, minus = _pair_points(com, grid.rho, unit)
+        pts = plus if which in ("v", "v_prime") else minus
+        w_full = _point_weights(grid.com_w[blk], grid.rho_w, unit_w)
+        acc += basis.poly_values(pts).T @ w_full
+    return grid.prefactor * other_total * acc
+
+
+def collision_measure_total(gamma=1.0, kernel_c=1.0):
+    """Closed form of the full collision measure: 2 pi C E|V - Z|^gamma.
+
+    For gamma = 1 this is 8 C sqrt(pi); general gamma uses the moments of the
+    chi(3) law of |V - Z| / sqrt(2).
+    """
+    # |V - Z| = sqrt(2) * |W|, W standard; E|W|^gamma = 2^(gamma/2) Gamma((3+gamma)/2) / Gamma(3/2)
+    moment = 2.0 ** (gamma / 2.0) * math.gamma((3.0 + gamma) / 2.0) / math.gamma(1.5)
+    return 2.0 * np.pi * kernel_c * 2.0 ** (gamma / 2.0) * moment
+
+
 # a sigma rule unlike every eta rule below that still resolves degree 12
 _INDEPENDENT_SIGMA = CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=8, n_azimuth=16)
 
@@ -245,7 +349,7 @@ def _zonal_labels(top):
 def _octant_zonal_dirichlet(grid, labels):
     """Reference: the zonal Dirichlet form summed on the Cartesian octant
     rule and the whole sphere rules, kept to the even- and odd-l classes."""
-    com_nodes, com_w = grid.folded_com
+    com_nodes, com_w = _folded_com(grid)
 
     def sums(unit, unit_w):
         acc, reduced = 0.0, []
@@ -430,7 +534,7 @@ def test_axial_com_rule(n_gauss):
 @pytest.mark.parametrize("n_gauss", [1, 4, 7])
 def test_folded_com_rule(n_gauss):
     grid = _CollisionGrid(CollisionQuadrature(n_gauss, 2, 3, 4), 1.0, 1.0)
-    nodes, weights = grid.folded_com
+    nodes, weights = _folded_com(grid)
     assert nodes.shape[0] == ((n_gauss + 1) // 2) ** 3
     assert np.all(nodes >= 0.0)
     # each node stands for its 2^(nonzero coordinates) mirror images
