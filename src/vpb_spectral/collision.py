@@ -38,16 +38,16 @@ through the Burnett frames about e1 that also hold the azimuthal sectors
 (VelocityBasis.axis_sectors).  Zonal functions are unchanged by every
 rotation about e3 and by v2 -> -v2, and the grid must resolve the degree-2N
 integrand (an under-resolved grid raises AssemblyError), so the sphere sums
-are exact and
-the summed S S^T and the products of the sphere-reduced sums of S at a
-center of mass c are polynomials of degree <= 2N in c that are invariant
-under rotations of c about e3: polynomials in c3 and x = |c_perp|^2 / 2 of
-degree <= N in x.  Their Gaussian average is exact on the axial rule,
-Gauss-Laguerre in x (weight e^(-x), (n_gauss + 1) // 2 nodes) times the
-folded Gauss-Hermite rule in c3, at the nodes (sqrt(2x), 0, c3): 25 nodes at
-n_gauss = 9, where the octant has 125.  At c2 = 0, v2 -> -v2 fixes c, and
-composed with the exchange it maps each sphere node u to (-u1, u2, -u3) with
-the same integrand, so the sphere sums keep one node per such pair as well.
+are exact and the summed S S^T and the products of the sphere-reduced sums
+of S at a center of mass c are polynomials of degree <= 2N in c that are
+invariant under rotations of c about e3: polynomials in c3 and
+x = |c_perp|^2 / 2 of degree <= N in x.  Their Gaussian average is exact on
+the axial rule, Gauss-Laguerre in x (weight e^(-x), (n_gauss + 1) // 2
+nodes) times the folded Gauss-Hermite rule in c3, at the nodes
+(sqrt(2x), 0, c3): 25 nodes at n_gauss = 9, where the octant has 125.  At
+c2 = 0, v2 -> -v2 fixes c, and composed with the exchange it maps each
+sphere node u to (-u1, u2, -u3) with the same integrand, so the sphere sums
+keep one node per such pair as well.
 The bilinear form stays on the basis polynomials and the Cartesian grid.
 """
 

@@ -379,7 +379,8 @@ class VelocityBasis:
         rule = self.exact_rule
         labels = burnett_labels(self.max_degree)
         # burnett_rows takes its axis along its third coordinate: put v1 there
-        phi = burnett_rows(rule.nodes[:, [1, 2, 0]], labels) * rule.weights
+        phi = burnett_rows(rule.nodes[:, [1, 2, 0]], labels)
+        phi *= rule.weights
         label_class = _burnett_class(labels)
         alpha = np.array(self.multi_indices) % 2
         slot_class = alpha @ np.array([4, 2, 1])

@@ -328,6 +328,23 @@ def test_burnett_functions_match_closed_form(deg):
         assert np.max(np.abs(expanded[row] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("deg", [2, 4, 6, 8])
+def test_basis_matrix_is_the_direct_sum_of_radial_blocks(deg):
+    # between phi_nlm and phi_n'l'm' the matrix holds radial[l][n, n'] when
+    # (l, m) = (l', m') and nothing else, and it is an exact zero between
+    # slots of different reflection classes
+    basis = _basis(deg)
+    gen = np.random.default_rng(deg)
+    radial = {l: gen.standard_normal(((deg - l) // 2 + 1,) * 2) for l in range(deg + 1)}
+    mat = basis.axis_sectors.basis_matrix(radial)
+    labels, t = _dense_burnett_transform(basis)
+    want = np.array([[radial[l][n, k] if (l, m) == (lk, mk) else 0.0 for k, lk, mk in labels]
+                     for n, l, m in labels])
+    assert np.max(np.abs(t @ mat @ t.T - want)) <= 1e-13
+    parity = np.array(basis.multi_indices) % 2
+    assert np.all(mat[np.any(parity[:, None] != parity[None], axis=-1)] == 0.0)
+
+
 def _spy_poly_rows(monkeypatch):
     """Record the point count of every VelocityBasis.poly_rows call."""
     calls, kernel = [], VelocityBasis.poly_rows
