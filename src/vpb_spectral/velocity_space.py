@@ -239,7 +239,7 @@ class AxisSectors:
         g = self.transform.T @ (self.scale.conj() * f)
         return [[g[sl] for sl in spans] for spans in self.spans]
 
-    def basis_matrix(self, radial) -> np.ndarray:
+    def basis_matrix(self, radial: dict) -> np.ndarray:
         """The matrix, in basis slot numbering, of a rotation-invariant
         operator with radial[l][n, n'] its entry between phi_nlm and phi_n'lm
         (the same for every m): each copy's block is the direct sum of
