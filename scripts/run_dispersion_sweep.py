@@ -11,8 +11,7 @@ import numpy as np
 
 from vpb_spectral.blas import describe_policy, one_blas_thread
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_spectrum
-from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_sweep
 from vpb_spectral.transport import asymptotic_eigenvalue, compute_kappas
 from vpb_spectral.velocity_space import build_basis
 
@@ -37,17 +36,17 @@ def main() -> int:
     print(f"# {describe_policy()}")
     print(f"{'s':>8} {'eps':>6} {'branch':>6} {'re(lambda)':>14} "
           f"{'im(lambda)':>14} {'model gap':>11}")
+    # the modes outside the certified branch ball are left out
+    modes = [(eps, s) for eps in args.eps for s in np.linspace(args.s_min, args.s_max, args.count)
+             if eps * s <= R0_DEFAULT]
     with one_blas_thread():
-        for eps in args.eps:
-            for s in np.linspace(args.s_min, args.s_max, args.count):
-                if eps * s > R0_DEFAULT:
-                    continue  # outside the certified branch ball
-                mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-                for bp in hydrodynamic_spectrum(mode):
-                    model = asymptotic_eigenvalue(bp.branch, s, eps, coeffs)
-                    print(f"{s:8.4f} {eps:6.3f} {bp.branch:+6d} "
-                          f"{bp.lam.real:14.6e} {bp.lam.imag:14.6e} "
-                          f"{abs(bp.lam - model):11.3e}")
+        sweep = hydrodynamic_sweep(op, modes)
+    for (eps, s), points in zip(modes, sweep):
+        for bp in points:
+            model = asymptotic_eigenvalue(bp.branch, s, eps, coeffs)
+            print(f"{s:8.4f} {eps:6.3f} {bp.branch:+6d} "
+                  f"{bp.lam.real:14.6e} {bp.lam.imag:14.6e} "
+                  f"{abs(bp.lam - model):11.3e}")
     return 0
 
 

@@ -3,7 +3,8 @@
 Artifacts are named <subcommand>-<confighash>.<ext> so a changed config can
 never silently overwrite another run, while an unchanged config reproduces
 its files byte for byte (floats are written with %.17g, reductions are
-ordered, and the worker pool preserves submission order).
+ordered, and the convergence study's worker pool preserves submission
+order).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .collision import CollisionOperator, assemble_collision, synthetic_collisio
 from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
                      validate_subcommand)
 from .blas import describe_policy, one_blas_thread
-from .dispersion import R0_DEFAULT, hydrodynamic_spectrum
+from .dispersion import R0_DEFAULT, hydrodynamic_spectrum, hydrodynamic_sweep
 from .errors import ConfigError, RegimeError, VPBError
 from .limit_lab import (
     layer_time_grid,
@@ -44,8 +44,7 @@ from .transport import (
     compute_kappas,
     kappas_with_error,
 )
-from .velocity_space import (MacroState, _gram_deviation, build_basis, macro_vector,
-                             weighted_norm)
+from .velocity_space import MacroState, _gram_deviation, build_basis, weighted_norm
 
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
@@ -112,14 +111,7 @@ def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
         print(f"note: {skipped} (eps, s) pairs outside the eps*s <= {R0_DEFAULT} "
               "ball were skipped", file=sys.stderr)
 
-    def task(pair):
-        eps, s = pair
-        return hydrodynamic_spectrum(mode_operator(op, eps, np.array([s, 0.0, 0.0])))
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(zip(pairs, pool.map(task, pairs)))
-    return [(pair, task(pair)) for pair in pairs]
+    return list(zip(pairs, hydrodynamic_sweep(op, pairs)))
 
 
 SPECTRUM_HEADER = ("s", "eps", "branch", "re_lambda", "im_lambda",
@@ -390,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default=None,
                        help="override the collision backend")
         p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker threads for parameter sweeps")
+                       help="worker threads for the convergence study's shells")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="artifact output directory")
     return parser

@@ -64,7 +64,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
-from .errors import AssemblyError, BackendError, BasisError, VPBError
+from .errors import AssemblyError, BackendError, VPBError
 from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_rows
 
 _TWO_PI = 2.0 * np.pi

@@ -20,27 +20,21 @@ vectors.  Scaled by i^(a1 mod 2), the micro block of L - i y V1 is real and
 block-diagonal in the azimuthal sectors about e1 (CollisionOperator.
 sector_blocks), and each flux lies in one sector: the coupled determinant
 needs R_11, R_14, R_41 and R_44 from the micro m = 0 block, the shear one
-R_22 from the cos copy of the micro m = 1 block.  Each micro block is an
-EigenBlock on frames in basis slot numbering, and every micro-space vector
-has basis length.  Per mode each of those two blocks is decomposed once
-(_Family), so every step of the one damped Newton both determinants share
-(_newton) evaluates its entries as pole sums in O(n).  A root is returned
-only once one guarded np.linalg.solve with its block (_Resolvent, which
-refuses a beta too near the block's spectrum) certifies |D|, and it lies in
-its basin around the analytic seed and, for a real branch, on the real
-axis; else RegimeError names the failed check.  That solve takes every flux
-as a right-hand side and also yields det_residual and the micro part of the
-branch eigenfunction; f_3's solution is the sin-copy image of f_2's (a
-quarter turn) and costs no solve.  An operator without the sector structure
-raises AssemblyError, and a block whose eigenvectors are too ill-conditioned
-for pole sums (POLE_COND_LIMIT) RegimeError.  The solve with the whole micro
-block (_entries) is only the reference for resolvent_entry and the tests.
+R_22 from the cos copy of the micro m = 1 block.  hydrodynamic_sweep takes
+every axis mode (eps, s) at once: each of those blocks is one stack over
+the modes, decomposed by one eig (_Family), on whose pole sums one damped
+Newton (_newton) finds every root; one guarded, stacked np.linalg.solve
+per block (_Resolvent) certifies all its roots (_certified_roots) and gives
+det_residual and the micro parts of the eigenfunctions.  The solve with
+the whole micro block (_entries) is only the reference for resolvent_entry
+and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,8 +42,8 @@ from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
 from .mode_operator import (EigenBlock, FourierMode, _normalize_xi, pushforward_from_axis,
                             rotation_to_axis)
-from .transport import TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis, bilinear_pair
+from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
+from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_norm
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -119,69 +113,77 @@ class AsymptoticCoefficients:
 
 
 class _Resolvent:
-    """(A - beta)^-1 applied to one stack of right-hand sides, A the matrix of
-    one micro EigenBlock on its first frame: one np.linalg.solve.
+    """(A_r - beta_r)^-1 applied to the right-hand sides rhs (basis-length
+    vectors in the span of the frame), A_r member members[r] of a stack of
+    micro EigenBlocks on its first frame: one np.linalg.solve for every r.
 
-    RegimeError when the Bauer-Fike bound cond / min|vals - beta| on its norm
-    exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue), or a column's
-    relative residual is not finite or above _SOLVE_TOL.  rhs maps keys to
-    basis-length vectors in the span of the frame; solutions maps them to the
-    basis-length solutions, coords to their coordinates in the frame, and
-    entries maps (j, k) to rhs[k] . solutions[j].
+    RegimeError when a Bauer-Fike bound cond / min|vals - beta_r| on the
+    resolvent norm exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue), or a
+    solution's relative residual is not finite or above _SOLVE_TOL.
+    coords[r] and solutions[r] hold the solutions' frame coordinates and
+    basis-length vectors as columns in rhs order; entries[r] maps (j, k) to
+    rhs[k] . (the solution for rhs[j]).
     """
 
-    def __init__(self, block: EigenBlock, beta: complex, rhs: dict):
+    def __init__(self, block: EigenBlock, members, betas, rhs: dict):
         frame = block.frames[0]
         self.size = len(next(iter(rhs.values())))
         for f in rhs.values():
             lost = np.linalg.norm(f - frame.embed(frame.coords(f), self.size))
             if not lost <= _SPAN_TOL * np.linalg.norm(f):
                 raise ValueError("right-hand side leaves the span of the micro block")
-        dist = float(np.min(np.abs(block.vals - beta)))
-        bound = block.cond / dist if dist > 0.0 else math.inf
-        if not bound <= RESOLVENT_BOUND_LIMIT:
-            raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
-                              f"Bauer-Fike bound {bound:.3g} exceeds RESOLVENT_BOUND_LIMIT = "
-                              f"{RESOLVENT_BOUND_LIMIT:.0e}")
-        a = block.matrix.astype(complex)
-        a[np.diag_indices_from(a)] -= beta
+        betas = np.asarray(betas, dtype=complex)
+        dist = np.min(np.abs(block.vals[members] - betas[:, None]), axis=-1)
+        bound = np.divide(block.cond[members], dist, out=np.full(dist.shape, math.inf),
+                          where=dist > 0.0)
+        for beta, b in zip(betas, bound):
+            if not b <= RESOLVENT_BOUND_LIMIT:
+                raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
+                                  f"Bauer-Fike bound {b:.3g} exceeds RESOLVENT_BOUND_LIMIT = "
+                                  f"{RESOLVENT_BOUND_LIMIT:.0e}")
+        a = block.matrix[members].astype(complex)
+        diag = np.arange(a.shape[-1])
+        a[:, diag, diag] -= betas[:, None]
         g = np.stack([frame.coords(f) for f in rhs.values()], axis=1)
         try:
             x = np.linalg.solve(a, g)
         except np.linalg.LinAlgError:
-            raise RegimeError(f"micro resolvent is singular at beta = {beta:.6g}; "
+            raise RegimeError(f"micro resolvent is singular at one of beta = {betas}; "
                               "parameter on an eigenvalue of the micro block") from None
-        self.frame = frame
-        self._a = a
-        self._g = dict(zip(rhs, g.T))
-        self.coords = dict(zip(rhs, x.T))
-        self.solutions = dict(zip(rhs, self._guarded(x, g).T))
-        self.entries = _pairings(self.solutions, rhs)
+        self.frame, self._a, self._g, self.coords = frame, a, g, x
+        self.solutions = self._guarded(x, g)
+        self.entries = [_pairings(sols, rhs) for sols in self.solutions]
 
-    def combine(self, coef: dict) -> np.ndarray:
-        """sum_j coef[j] (A - beta)^-1 rhs[j], residual-guarded as one vector."""
-        x = sum(c * self.coords[j] for j, c in coef.items())
-        g = sum(c * self._g[j] for j, c in coef.items())
-        return self._guarded(x[:, None], g[:, None])[:, 0]
+    def combine(self, coef: np.ndarray) -> np.ndarray:
+        """sum_j coef[r, j] (A_r - beta_r)^-1 rhs[j] for every r, j in rhs
+        order, residual-guarded as one vector per r: (R, size)."""
+        coef = coef[..., None]
+        return self._guarded(self.coords @ coef, self._g @ coef)[..., 0]
 
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The basis-length vectors of the solution columns x, once each
         relative residual against g is finite and at most _SOLVE_TOL."""
-        scale = np.linalg.norm(g, axis=0)
-        resid = np.linalg.norm(self._a @ x - g, axis=0)
+        scale = np.linalg.norm(g, axis=-2)
+        resid = np.linalg.norm(self._a @ x - g, axis=-2)
         bad = ~np.isfinite(resid) | (resid > _SOLVE_TOL * scale)
         if np.any(bad):
-            worst = float(np.max(resid[bad] / scale[bad]))
+            worst = float(np.max((resid / scale)[bad]))
             raise RegimeError(f"micro resolvent solve has relative residual {worst:.2e}, "
                               f"above the bound {_SOLVE_TOL:.0e}, although beta passed the "
                               "spectral-distance guard")
-        out = np.zeros((self.size, x.shape[1]), dtype=complex)
-        out[self.frame.index] = self.frame.scale[:, None] * (self.frame.basis @ x)
+        return self.embed(x, self.frame)
+
+    def embed(self, x: np.ndarray, frame: Frame) -> np.ndarray:
+        """The basis-length vectors of the coordinate columns x on frame."""
+        out = np.zeros(x.shape[:-2] + (self.size, x.shape[-1]), dtype=complex)
+        out[..., frame.index, :] = frame.scale[:, None] * (frame.basis @ x)
         return out
 
 
-def _pairings(sols: dict, fluxes: dict) -> dict:
-    return {(j, k): complex(sols[j] @ fk) for j in fluxes for k, fk in fluxes.items()}
+def _pairings(sols: np.ndarray, fluxes: dict) -> dict:
+    """(j, k) -> fluxes[k] . sols[:, a], column a the solution for fluxes[j]."""
+    return {(j, k): complex(sols[:, a] @ fk)
+            for a, j in enumerate(fluxes) for k, fk in fluxes.items()}
 
 
 def _entries(op: CollisionOperator, beta: complex, y: float,
@@ -193,14 +195,14 @@ def _entries(op: CollisionOperator, beta: complex, y: float,
     once more, with the first solutions as right-hand sides."""
     blocks = op.micro_blocks
     n = blocks.micro.size
-    block = EigenBlock(blocks.L.astype(complex) - 1j * y * blocks.V,
+    block = EigenBlock((blocks.L.astype(complex) - 1j * y * blocks.V)[None],
                        (Frame(blocks.micro, np.ones(n), np.eye(n)),))
     fluxes = {j: op.basis.fluxes[j - 1] for j in FLUX_INDICES}
-    res = _Resolvent(block, beta, fluxes)
-    ders = None
-    if derivative:
-        ders = _pairings(_Resolvent(block, beta, res.solutions).solutions, fluxes)
-    return res.entries, ders
+    res = _Resolvent(block, [0], [beta], fluxes)
+    if not derivative:
+        return res.entries[0], None
+    again = _Resolvent(block, [0], [beta], dict(zip(fluxes, res.solutions[0].T)))
+    return res.entries[0], _pairings(again.solutions[0], fluxes)
 
 
 def resolvent_entry(op: CollisionOperator, j: int, k: int,
@@ -213,64 +215,56 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
 
 
 class _Family:
-    """The resolvent entries one determinant needs, at one y = eps*s.
+    """The resolvent entries one determinant needs, for a stack of y = eps*s.
 
     They come from the real micro block of the azimuthal sector m that holds
-    the determinant's fluxes (_FLUXES).  block is its EigenBlock on the
-    sector's micro frames, decomposed once as B = X diag(mu) X^-1.  Every
-    Newton step evaluates R_jk(beta) = sum_m l_km r_jm / (mu_m - beta), with
-    l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the cos frame F (parity
-    scale included), and its beta-derivative (the same sum over
-    (mu_m - beta)^2) in O(n).  A block whose eigenvectors are too
-    ill-conditioned for pole sums (EigenBlock.cond at POLE_COND_LIMIT or
-    more) is refused with RegimeError.  certified() evaluates the entries
-    through one _Resolvent per root, with every flux as a right-hand side;
-    the branch eigenfunctions read the same solutions, and _shear_solution
-    reads the one for f_3 off f_2's.
+    the determinant's fluxes (_FLUXES): block, one stack member per y on the
+    sector's micro frames, decomposed by one eig as B = X diag(mu) X^-1.
+    Every Newton step evaluates member i's R_jk(beta) = sum_m l_km r_jm /
+    (mu_m - beta), with l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the cos
+    frame F (parity scale included), and d/dbeta (over (mu_m - beta)^2), in O(n).
     """
 
     _FLUXES = {0: (1, 4), 1: (2,)}  # coupled fluxes in m = 0, the shear flux in m = 1
 
-    def __init__(self, op: CollisionOperator, y: float, m: int):
-        self.y, self.m = y, m
+    def __init__(self, op: CollisionOperator, y, m: int):
+        self.y, self.m = np.atleast_1d(np.asarray(y, dtype=float)), m
         lm, wm, frames = op.sector_blocks.micro[m]
-        self.block = EigenBlock(lm + y * wm, frames)
-        if not self.block.cond < POLE_COND_LIMIT:
-            raise RegimeError(f"micro m = {m} sector block has eigenvector cond "
-                              f"{self.block.cond:.3g}, not below POLE_COND_LIMIT = "
-                              f"{POLE_COND_LIMIT:.0e}; its pole sums would lose too "
-                              "many digits")
-        frame = frames[0]
+        self.block = EigenBlock(lm + self.y[:, None, None] * wm, frames)
         self.fluxes = {j: op.basis.fluxes[j - 1] for j in self._FLUXES[m]}
-        left = {k: self.block.vecs.T @ (frame.basis.T @ (frame.scale * f[frame.index]))
-                for k, f in self.fluxes.items()}
-        right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
         self._keys = [(j, k) for j in self.fluxes for k in self.fluxes]
-        self._weights = np.array([right[j] * left[k] for j, k in self._keys])
-        self._solves: dict = {}
 
-    def built_for(self, y: float, m: int) -> _Family:
-        """self, when it was built at y for sector m; else ValueError."""
-        if (self.y, self.m) != (y, m):
-            raise ValueError(f"family built for eps*s = {self.y} and sector m = {self.m}, "
-                             f"not {y} and m = {m}")
+    def built_for(self, eps, s, m: int) -> _Family:
+        """self, when built at y = eps*s for sector m, else ValueError;
+        RegimeError naming the first mode (eps, s) whose block's eigenvectors
+        are too ill-conditioned for pole sums (cond >= POLE_COND_LIMIT)."""
+        y = np.multiply(eps, s)
+        if self.m != m or not np.array_equal(self.y, y):
+            raise ValueError(f"family built for eps*s = {self.y.tolist()} and sector "
+                             f"m = {self.m}, not {y.tolist()} and m = {m}")
+        for e, x, cond in zip(eps, s, self.block.cond):
+            if not cond < POLE_COND_LIMIT:
+                raise RegimeError(f"micro m = {m} sector block at eps = {e:.6g}, s = {x:.6g} "
+                                  f"has eigenvector cond {cond:.3g}, not below "
+                                  f"POLE_COND_LIMIT = {POLE_COND_LIMIT:.0e}; its pole sums "
+                                  "would lose too many digits")
         return self
 
-    def entries(self, beta: complex) -> tuple[dict, dict]:
-        """R_jk(beta) and d/dbeta, for one Newton step."""
-        w = 1.0 / (self.block.vals - beta)
-        return (dict(zip(self._keys, (self._weights @ w).tolist())),
-                dict(zip(self._keys, (self._weights @ (w * w)).tolist())))
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """(member, (j, k), pole) weights r_jm l_km of the pole sums."""
+        frame = self.block.frames[0]
+        vecs_t = self.block.vecs.swapaxes(-1, -2)
+        left = {k: vecs_t @ (frame.basis.T @ (frame.scale * f[frame.index]))
+                for k, f in self.fluxes.items()}
+        right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
+        return np.stack([right[j] * left[k] for j, k in self._keys], axis=1)
 
-    def resolvent(self, beta: complex) -> _Resolvent:
-        """The guarded solve at beta, made once per beta."""
-        if beta not in self._solves:
-            self._solves[beta] = _Resolvent(self.block, beta, self.fluxes)
-        return self._solves[beta]
-
-    def certified(self, beta: complex) -> dict:
-        """R_jk(beta) through the solve at beta."""
-        return self.resolvent(beta).entries
+    def entries(self, i: int, beta: complex) -> tuple[dict, dict]:
+        """Member i's R_jk(beta) and d/dbeta, for one Newton step."""
+        w = 1.0 / (self.block.vals[i] - beta)
+        return (dict(zip(self._keys, (self._weights[i] @ w).tolist())),
+                dict(zip(self._keys, (self._weights[i] @ (w * w)).tolist())))
 
 
 def _require_regime(w: float) -> None:
@@ -279,14 +273,14 @@ def _require_regime(w: float) -> None:
                           f"(r0 = {R0_DEFAULT}); branch construction not valid there")
 
 
-def _shear_det(z: complex, w: float, vals: dict,
+def _shear_det(w: float, z: complex, vals: dict,
                ders: dict | None = None) -> tuple[complex, complex | None]:
     val = z - w * w * vals[(2, 2)]
     der = None if ders is None else 1.0 - w * w * ders[(2, 2)]
     return val, der
 
 
-def _coupled_det(z: complex, s: float, eps: float, vals: dict,
+def _coupled_det(s: float, eps: float, z: complex, vals: dict,
                  ders: dict | None = None) -> tuple[complex, complex | None]:
     """Cubic determinant of the density/momentum/temperature block, from the
     entries at beta = eps*z (and their beta-derivatives, for d/dz)."""
@@ -334,84 +328,99 @@ def _newton(det, seed: complex, basin: float) -> complex:
     raise RegimeError(f"Newton did not converge in {_MAX_ITER} steps")
 
 
-def _root(det, certify, seed: complex, basin: float, tol: float, real: bool,
-          name: str) -> complex:
-    """The root _newton finds from seed, once it passes every check.
+def _certified_roots(fam: _Family, specs: list) -> tuple[list, list, _Resolvent]:
+    """The root of each spec (i, det, scale, seed, basin, tol, real, name):
+    _newton from seed on det(z, R, R') -> (D, D'), member i's pole sums at
+    beta = scale * z, put on the real axis if real and within 1e-10 of it.
+    One _Resolvent at every root then certifies each: |D| at most tol, within
+    basin of the seed and, if real, on the real axis, else RegimeError naming
+    the root and the check.  Returns the roots, their |D| and the solve."""
+    roots = []
+    for i, det, scale, seed, basin, _, real, name in specs:
+        try:
+            z = _newton(lambda z: det(z, *fam.entries(i, scale * z)), seed, basin)
+        except RegimeError as exc:
+            raise RegimeError(f"{name} not found: {exc}") from None
+        if real and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
+            z = complex(z.real)  # certify the root that is returned
+        roots.append(z)
+    res = _Resolvent(fam.block, [sp[0] for sp in specs],
+                     [sp[2] * z for sp, z in zip(specs, roots)], fam.fluxes)
+    dets = []
+    for (_, det, _, seed, basin, tol, real, name), z, vals in zip(specs, roots, res.entries):
+        resid = abs(det(z, vals)[0])
+        if not resid <= tol:
+            raise RegimeError(f"{name} fails its certificate: |D| = {resid:.2e} > {tol:.0e}")
+        if abs(z - seed) > max(basin, 1e-9):
+            raise RegimeError(f"{name} left its basin: |z - seed| = "
+                              f"{abs(z - seed):.3e} > {basin:.3e}")
+        if real and z.imag != 0.0:
+            raise RegimeError(f"{name} drifted off the real axis: {z:.3e}")
+        dets.append(resid)
+    return roots, dets, res
 
-    certify(z) is D(z) through the certification solve at z, and must be at
-    most tol; the root must lie within basin of the seed, and on the real
-    axis if real (then it is returned real).  A failed check raises
-    RegimeError naming the root and the check.
-    """
-    try:
-        z = _newton(det, seed, basin)
-    except RegimeError as exc:
-        raise RegimeError(f"{name} not found: {exc}") from None
-    if real and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
-        z = complex(z.real)  # certify the root that is returned
-    resid = abs(certify(z))
-    if not resid <= tol:
-        raise RegimeError(f"{name} fails its certificate: |D| = {resid:.2e} > {tol:.0e}")
-    if abs(z - seed) > max(basin, 1e-9):
-        raise RegimeError(f"{name} left its basin: |z - seed| = "
-                          f"{abs(z - seed):.3e} > {basin:.3e}")
-    if real and z.imag != 0.0:
-        raise RegimeError(f"{name} drifted off the real axis: {z:.3e}")
-    return z
+
+def _shear_roots(fam: _Family, eps: list, s: list) -> tuple[list, list, _Resolvent]:
+    """The shear root of every mode (eps, s) from the m = 1 family: seed 0,
+    basin R1_DEFAULT, |D| <= 1e-10, real (_certified_roots)."""
+    fam.built_for(eps, s, 1)
+    return _certified_roots(fam, [
+        (i, partial(_shear_det, e * x), 1.0, 0.0j, R1_DEFAULT, 1e-10, True,
+         f"shear root at eps = {e:.6g}, s = {x:.6g}") for i, (e, x) in enumerate(zip(eps, s))])
 
 
-def solve_D0(op: CollisionOperator, s: float, eps: float,
-             fam: _Family | None = None) -> complex:
+def _coupled_roots(fam: _Family, eps: list, s: list,
+                   kappa_bar: float) -> tuple[list, list, _Resolvent]:
+    """The roots of branches -1, 0, 1 of every mode (eps, s) from the m = 0
+    family: seeds eta_j, |D| <= 1e-9, branch 0 real (_certified_roots).
+    Colliding roots mean the regime assumption failed: RegimeError."""
+    fam.built_for(eps, s, 0)
+    specs = []
+    for i, (e, x) in enumerate(zip(eps, s)):
+        # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
+        # the certification radius must scale with the backend's coefficient
+        # size or large-coefficient backends get rejected inside the ball
+        basin = max(R1_DEFAULT * abs(x), 3.0 * e * x * x * kappa_bar, 1e-12)
+        specs += [(i, partial(_coupled_det, x, e), e, branch_frequency(j, x), basin, 1e-9,
+                   j == 0, f"branch {j} root at eps = {e:.6g}, s = {x:.6g}") for j in (-1, 0, 1)]
+    roots, dets, res = _certified_roots(fam, specs)
+    for i, (e, x) in enumerate(zip(eps, s)):
+        z = roots[3 * i:3 * i + 3]
+        if any(abs(z[a] - z[b]) < 1e-8 * max(1.0, abs(z[a])) for a, b in ((0, 1), (0, 2), (1, 2))):
+            raise RegimeError(f"coupled-family roots collided at eps = {e:.6g}, s = {x:.6g}; "
+                              "outside the regime")
+    return roots, dets, res
+
+
+def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
     _newton from 0 on pole sums (_Family), in the basin |z| <= R1_DEFAULT.
     The root is real and even in s; it is returned only once |D| <= 1e-10
     through one solve at the root, inside the basin and on the real axis,
-    else RegimeError.  fam, the m = 1 _Family at eps*s, lets
-    hydrodynamic_spectrum share the decomposition and that solve; the root
-    does not depend on it, and a family built for another eps*s or sector
-    is a ValueError.
+    else RegimeError.
     """
     w = eps * s
     _require_regime(w)
     if w == 0.0:
         return 0.0j
-    fam = _Family(op, w, 1) if fam is None else fam.built_for(w, 1)
-    return _root(lambda z: _shear_det(z, w, *fam.entries(z)),
-                 lambda z: _shear_det(z, w, fam.certified(z))[0],
-                 0.0j, R1_DEFAULT, 1e-10, True, "shear root")
+    return _shear_roots(_Family(op, w, 1), [eps], [s])[0][0]
 
 
-def solve_D1(op: CollisionOperator, s: float, eps: float,
-             fam: _Family | None = None) -> dict:
+def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
     _newton from each analytic seed eta_j on pole sums (_Family).  Each
     root is returned only once |D| <= 1e-9 through one solve at the root,
     it lies inside its basin and, for the thermal branch 0, on the real
     axis, else RegimeError.  Root collision means the regime assumption
-    failed, not that the solver did.  fam is as in solve_D0, for m = 0.
+    failed, not that the solver did.
     """
     _require_regime(eps * s)
     if eps == 0.0:
         return {j: branch_frequency(j, s) for j in (-1, 0, 1)}
-    fam = _Family(op, eps * s, 0) if fam is None else fam.built_for(eps * s, 0)
-    roots = {}
-    for j in (-1, 0, 1):
-        eta = branch_frequency(j, s)
-        # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
-        # the certification radius must scale with the backend's coefficient
-        # size or large-coefficient backends get rejected inside the ball
-        basin = max(R1_DEFAULT * abs(s), 3.0 * eps * s * s * op.kappa_bar, 1e-12)
-        roots[j] = _root(lambda z: _coupled_det(z, s, eps, *fam.entries(eps * z)),
-                         lambda z: _coupled_det(z, s, eps, fam.certified(eps * z))[0],
-                         eta, basin, 1e-9, j == 0, f"branch {j} root")
-    vals = list(roots.values())
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if abs(vals[a] - vals[b]) < 1e-8 * max(1.0, abs(vals[a])):
-                raise RegimeError("coupled-family roots collided; outside the regime")
-    return roots
+    return dict(zip((-1, 0, 1), _coupled_roots(_Family(op, eps * s, 0), [eps], [s],
+                                               op.kappa_bar)[0]))
 
 
 def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict:
@@ -457,102 +466,107 @@ def asymptotic_coefficients(basis: VelocityBasis, xi,
                                   h=limit_vectors(basis, s, direction))
 
 
-def _axis_pair(basis: VelocityBasis, s: float, f: np.ndarray, g: np.ndarray) -> complex:
-    i0 = basis.invariant_indices[0]
-    return complex(f @ g + (f[i0] * g[i0]) / (s * s))
+def _axis_pairs(basis: VelocityBasis, s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The weighted bilinear pairing of the columns of f and g, at s per column."""
+    i0 = basis.density_index
+    return (f * g).sum(0) + f[i0] * g[i0] / (s * s)
 
 
-def _shear_solution(fam: _Family, z: complex, j: int) -> np.ndarray:
-    """The solution for flux j in (2, 3) from the solve at z.  f_3 is the
-    quarter-turn image of f_2, so its solution is f_2's coordinates
-    embedded in the sin copy of the m = 1 sector, block.frames[1]."""
-    res = fam.resolvent(z)
-    if j == 2:
-        return res.solutions[2]
-    return fam.block.frames[1].embed(res.coords[2], res.size)
+def _eig_residuals(basis: VelocityBasis, eps: list, s: list, r: np.ndarray,
+                   psi: np.ndarray) -> np.ndarray:
+    """||r|| / ||psi|| per column in the weighted norm, r = B psi - lam psi,
+    five columns (branches) per mode (eps, s); RegimeError above 1e-6."""
+    s_col = np.repeat(s, 5)
+    res = np.sqrt(_axis_pairs(basis, s_col, r, r.conj()).real
+                  / _axis_pairs(basis, s_col, psi, psi.conj()).real)
+    for c in np.flatnonzero(~(res <= 1e-6)):
+        raise RegimeError(f"branch {BRANCHES[c % 5]} eigenpair residual {res[c]:.2e} at "
+                          f"eps = {eps[c // 5]:.6g}, s = {s[c // 5]:.6g}; determinant root "
+                          "does not match the mode operator")
+    return res
 
 
-def _branch_eigenfunction(op: CollisionOperator, fam: _Family, j: int, z: complex,
-                          s: float, eps: float, h_axis: dict) -> np.ndarray:
-    """Assemble, normalize and sign-align one axis eigenfunction; the micro
-    parts are read from the solve that certified the root."""
+def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
+    """The five labeled branch points of every axis mode (eps, s) in modes.
+
+    Labels come from continuation: each root is solved from its own analytic
+    seed.  Eigenfunctions are normalized in the weighted pairing and
+    sign-aligned against the limit vectors.  eig_residual applies the mode
+    matrix through the dense L and V1, not through the sector blocks."""
+    if not modes:
+        return []
+    eps = [float(e) for e, _ in modes]
+    s = [float(x) for _, x in modes]
+    for e, x in zip(eps, s):
+        _require_regime(e * x)
     basis = op.basis
-    if j in (2, 3):
-        micro = _shear_solution(fam, z, j)
-        psi = basis.chi(j).astype(complex) + 1j * eps * s * micro
-    else:
-        beta = eps * z
-        vals = fam.certified(beta)
-        root23 = math.sqrt(2.0 / 3.0)
-        es2 = eps * s * s
-        m = np.array([
-            [z, 1j * s, 0.0],
-            [1j * (s + 1.0 / s), z - es2 * vals[(1, 1)], 1j * s * root23 - es2 * vals[(4, 1)]],
-            [0.0, 1j * s * root23 - es2 * vals[(1, 4)], z - es2 * vals[(4, 4)]],
-        ], dtype=complex)
-        _, sing, vh = np.linalg.svd(m)
-        if sing[-1] > 1e-6 * sing[0]:
-            raise AssemblyError(f"macro system at branch {j} is not singular: "
-                                f"sigma_min/sigma_max = {sing[-1] / sing[0]:.2e}")
-        a, b, c = np.conj(vh[-1])
-        macro = a * basis.chi(0) + b * basis.chi(1) + c * basis.chi(4)
-        # the micro part of V1 @ macro is b f_1 + c f_4: V1 chi_0 = chi_1 is macro
-        micro = fam.resolvent(beta).combine({1: b, 4: c})
-        psi = macro + 1j * eps * s * micro
-    pair = _axis_pair(basis, s, psi, psi)
-    if abs(pair) < 1e-6:
-        raise AssemblyError(f"branch {j} eigenfunction is nearly isotropic-null; "
-                            "cannot normalize in the weighted pairing")
+    y = np.multiply(eps, s)
+    shear, coupled = _Family(op, y, 1), _Family(op, y, 0)
+    shear_z, shear_det, shear_res = _shear_roots(shear, eps, s)
+    coupled_z, coupled_det, coupled_res = _coupled_roots(coupled, eps, s, op.kappa_bar)
+
+    # coupled eigenfunctions: the null vector (a, b, c) of the macro system on
+    # chi_0, chi_1, chi_4, and the micro part of V1 @ macro, b f_1 + c f_4
+    # (V1 chi_0 = chi_1 is macro), through the certifying solve
+    root23 = math.sqrt(2.0 / 3.0)
+    mats = []
+    for r, (z, v) in enumerate(zip(coupled_z, coupled_res.entries)):
+        x, es2 = s[r // 3], eps[r // 3] * s[r // 3] ** 2
+        mats.append([[z, 1j * x, 0.0],
+                     [1j * (x + 1.0 / x), z - es2 * v[(1, 1)], 1j * x * root23 - es2 * v[(4, 1)]],
+                     [0.0, 1j * x * root23 - es2 * v[(1, 4)], z - es2 * v[(4, 4)]]])
+    _, sing, vh = np.linalg.svd(np.array(mats, dtype=complex))
+    for r in np.flatnonzero(sing[:, -1] > 1e-6 * sing[:, 0]):
+        raise AssemblyError(f"macro system at branch {r % 3 - 1}, eps = {eps[r // 3]:.6g}, "
+                            f"s = {s[r // 3]:.6g} is not singular: sigma_min/sigma_max = "
+                            f"{sing[r, -1] / sing[r, 0]:.2e}")
+    abc = np.conj(vh[:, -1])
+    coupled_psi = np.stack([basis.chi(0), basis.chi(1), basis.chi(4)], axis=1) @ abc.T \
+        + 1j * np.repeat(y, 3) * coupled_res.combine(abc[:, 1:]).T
+    # f_3 is the quarter-turn image of f_2, so its solution is f_2's
+    # coordinates embedded in the sin copy of m = 1
+    shear_3 = shear_res.embed(shear_res.coords, shear.block.frames[1])[:, :, 0].T
+    psi = np.dstack([coupled_psi.reshape(basis.dim, -1, 3),
+                     basis.chi(2)[:, None] + 1j * y * shear_res.solutions[:, :, 0].T,
+                     basis.chi(3)[:, None] + 1j * y * shear_3]).reshape(basis.dim, -1)
+    s_col = np.repeat(s, 5)
+    pair = _axis_pairs(basis, s_col, psi, psi)
+    for c in np.flatnonzero(np.abs(pair) < 1e-6):
+        raise AssemblyError(f"branch {BRANCHES[c % 5]} eigenfunction at eps = {eps[c // 5]:.6g}, "
+                            f"s = {s[c // 5]:.6g} is nearly isotropic-null; cannot normalize "
+                            "in the weighted pairing")
     psi = psi / np.sqrt(pair)
-    if _axis_pair(basis, s, psi, h_axis[j]).real < 0:
-        psi = -psi
-    return psi
+    h_axis = {x: limit_vectors(basis, x, AXIS) for x in set(s)}
+    h = np.stack([h_axis[x][j] for x in s for j in BRANCHES], axis=1)
+    psi = psi * np.where(_axis_pairs(basis, s_col, psi, h).real < 0, -1.0, 1.0)
+
+    z = np.column_stack([np.reshape(coupled_z, (-1, 3)), shear_z, shear_z])
+    lam = z * np.array([[e, e, e, 1.0, 1.0] for e in eps])
+    dets = np.column_stack([np.reshape(coupled_det, (-1, 3)), shear_det, shear_det])
+    v1_psi, l_psi = (a @ psi.real + 1j * (a @ psi.imag) for a in (basis.v_matrices[0], op.matrix))
+    i0 = basis.density_index
+    v1_psi += np.outer(basis.v_matrices[0][:, i0], psi[i0] / (s_col * s_col))
+    eig = _eig_residuals(basis, eps, s, l_psi - 1j * np.repeat(y, 5) * v1_psi - psi * lam.ravel(),
+                         psi).reshape(-1, 5)
+    return [[BranchPoint(branch=j, s=s[i], eps=eps[i], lam=complex(lam[i, k]), z=complex(z[i, k]),
+                         psi=psi[:, 5 * i + k], det_residual=float(dets[i, k]),
+                         eig_residual=float(eig[i, k])) for k, j in enumerate(BRANCHES)]
+            for i in range(len(s))]
 
 
 def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
-    """The five labeled branch points of one mode, from the determinants.
-
-    Labels come from continuation: each root is solved from its own
-    analytic seed.  Eigenfunctions are built on the axis, sign-aligned
-    against the limit vectors, then rotated to the actual direction.
-    """
-    op = mode.collision
-    s, eps = mode.s, mode.eps
-    _require_regime(eps * s)
-    basis = op.basis
-    h_axis = limit_vectors(basis, s, AXIS)
-
-    shear = _Family(op, eps * s, 1)
-    shear_z = solve_D0(op, s, eps, shear)
-    coupled = _Family(op, eps * s, 0)
-    coupled_z = solve_D1(op, s, eps, coupled)
-
-    on_axis = abs(mode.direction @ AXIS - 1.0) < 1e-14
-    push = None if on_axis else pushforward_from_axis(basis, mode.direction)
-
-    points = []
-    for j in (-1, 0, 1, 2, 3):
-        if j in (2, 3):
-            fam = shear
-            z = shear_z
-            lam = complex(z)
-            det_res = abs(_shear_det(z, eps * s, fam.certified(z))[0])
-        else:
-            fam = coupled
-            z = coupled_z[j]
-            lam = eps * z
-            det_res = abs(_coupled_det(z, s, eps, fam.certified(eps * z))[0])
-        psi = _branch_eigenfunction(op, fam, j, z, s, eps, h_axis)
-        if push is not None:
-            psi = push @ psi
-        scale = mode.norm(psi)
-        eig_res = mode.norm(mode.apply(psi) - lam * psi) / scale
-        if eig_res > 1e-6:
-            raise RegimeError(f"branch {j} eigenpair residual {eig_res:.2e}; "
-                              "determinant root does not match the mode operator")
-        points.append(BranchPoint(branch=j, s=s, eps=eps, lam=lam, z=complex(z),
-                                  psi=psi, det_residual=det_res, eig_residual=eig_res))
-    return points
+    """The five labeled branch points of one mode: hydrodynamic_sweep's stack
+    of one on the axis, pushed forward by the velocity rotation off it,
+    where eig_residual is taken against the dense mode matrix."""
+    points = hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0]
+    if abs(mode.direction @ AXIS - 1.0) < 1e-14:
+        return points
+    psi = pushforward_from_axis(mode.basis, mode.direction) @ np.stack(
+        [p.psi for p in points], axis=1)
+    lam = np.array([p.lam for p in points])
+    eig = _eig_residuals(mode.basis, [mode.eps], [mode.s], mode.matrix @ psi - psi * lam, psi)
+    return [replace(p, psi=psi[:, k], eig_residual=float(e))
+            for k, (p, e) in enumerate(zip(points, eig))]
 
 
 def dense_comparison(mode: FourierMode, points: list[BranchPoint],
@@ -591,25 +605,17 @@ def fd_branch_derivatives(op: CollisionOperator, s: float,
     -2*kappa0) and the eps-derivative of each coupled root at eps = 0
     (expected -b_j(s)), Richardson-extrapolated central differences.
     """
-    def shear_root(w: float) -> float:
-        return solve_D0(op, w, 1.0).real
-
     # five-point second derivative; the root function is even with f(0) = 0
-    curv = (32.0 * shear_root(h) - 2.0 * shear_root(2.0 * h)) / (12.0 * h * h)
-
+    curv = (32.0 * solve_D0(op, h, 1.0).real - 2.0 * solve_D0(op, 2.0 * h, 1.0).real) \
+        / (12.0 * h * h)
+    # central differences in eps at hs and hs / 2, all four modes in one stack
     hs = h * max(s, 1e-6)
-
-    def coupled_slope(j: int, step: float) -> complex:
-        zp = solve_D1(op, s, step)[j]
-        zm = solve_D1(op, s, -step)[j]
-        return (zp - zm) / (2.0 * step)
-
-    slopes = {}
-    for j in (-1, 0, 1):
-        d1 = coupled_slope(j, hs)
-        d2 = coupled_slope(j, 0.5 * hs)
-        slopes[j] = (4.0 * d2 - d1) / 3.0
-    return {"shear_curvature": curv, "eps_slope": slopes}
+    steps = [hs, -hs, 0.5 * hs, -0.5 * hs]
+    z = np.reshape(_coupled_roots(_Family(op, np.multiply(steps, s), 0), steps, [s] * 4,
+                                  op.kappa_bar)[0], (4, 3))
+    d1, d2 = (z[0] - z[1]) / (2.0 * hs), (z[2] - z[3]) / hs
+    return {"shear_curvature": curv,
+            "eps_slope": {j: complex(d) for j, d in zip((-1, 0, 1), (4.0 * d2 - d1) / 3.0)}}
 
 
 def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
@@ -621,33 +627,27 @@ def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
     of the micro part from its explicit leading term (second order); also
     tracks the quadratic normalization of the macro coefficients.
     """
-    from .mode_operator import mode_operator
-
     basis = op.basis
     s, j = bp.s, bp.branch
     h_axis = limit_vectors(basis, s, AXIS)
     v1 = basis.v_matrices[0]
     lead_micro = op.micro_solve(basis.micro_project(v1 @ h_axis[j].astype(float)))
-    i0, i1, i4 = (basis.invariant_indices[0], basis.invariant_indices[1],
-                  basis.invariant_indices[4])
+    i0, i1, _, _, i4 = basis.invariant_indices
 
-    eps_levels, macro_res, micro_res, quad_norms = [], [], [], []
-    for k in range(levels):
-        eps_k = bp.eps / 2.0 ** k
-        mode = mode_operator(op, eps_k, np.array([s, 0.0, 0.0]))
-        point = next(p for p in hydrodynamic_spectrum(mode) if p.branch == j)
-        psi = point.psi
+    eps_levels = [bp.eps / 2.0 ** k for k in range(levels)]
+    macro_res, micro_res, quad_norms = [], [], []
+    for eps_k, points in zip(eps_levels, hydrodynamic_sweep(op, [(e, s) for e in eps_levels])):
+        psi = next(p for p in points if p.branch == j).psi
         macro = basis.macro_project(psi)
         micro = psi - macro
-        macro_res.append(mode.norm(macro - h_axis[j]))
-        micro_res.append(mode.norm(micro - 1j * eps_k * s * lead_micro))
+        macro_res.append(weighted_norm(basis, macro - h_axis[j], s))
+        micro_res.append(weighted_norm(basis, micro - 1j * eps_k * s * lead_micro, s))
         if j in (-1, 0, 1):
             a, b, c = psi[i0], psi[i1], psi[i4]
             quad = a * a * (1.0 + 1.0 / (s * s)) + b * b + c * c
         else:
             quad = psi[basis.invariant_indices[j]] ** 2
         quad_norms.append(complex(quad))
-        eps_levels.append(eps_k)
 
     def fitted_slope(res: list[float]) -> float:
         xs = np.log(eps_levels)

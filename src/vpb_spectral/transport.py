@@ -18,7 +18,7 @@ import numpy as np
 from .collision import CollisionOperator, assemble_collision
 from .errors import AssemblyError, BasisError, RegimeError
 from .mode_operator import mode_operator
-from .velocity_space import build_basis, flux_vector  # flux_vector: re-exported for callers
+from .velocity_space import build_basis
 
 BRANCHES = (-1, 0, 1, 2, 3)
 

@@ -76,6 +76,3 @@ def parity_blocks():
         return [np.flatnonzero(label == c) for c in range(4)]
     return blocks
 
-
-def rng(seed: int = 0) -> np.random.Generator:
-    return np.random.default_rng(seed)

@@ -290,16 +290,19 @@ class TestReproducibility:
         body4 = open(artifact_of(out4, ".csv"), encoding="utf-8").read()
         assert body1 == body4
 
-    def test_one_job_runs_without_a_pool(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+    def test_dispersion_runs_one_stacked_sweep(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+        # every mode of the sweep goes to one hydrodynamic_sweep call, at any
+        # jobs; no mode is solved on its own
         import vpb_spectral.cli as cli
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was opened at jobs = 1")
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        calls = []
+        sweep = cli.hydrodynamic_sweep
+        monkeypatch.setattr(cli, "hydrodynamic_sweep",
+                            lambda op, modes: calls.append(len(modes)) or sweep(op, modes))
+        monkeypatch.setattr(cli, "hydrodynamic_spectrum", None)
         code, out, _ = run_cli(["dispersion", "--config", tiny_cfg,
-                                "--out", tmp_path, "--jobs", "1"], capsys)
-        assert code == 0
+                                "--out", tmp_path, "--jobs", "4"], capsys)
+        assert code == 0 and calls == [6 * 3]
         lines = open(artifact_of(out, ".csv"), encoding="utf-8").read().splitlines()
         assert len(lines) - 1 == 6 * 3 * 5
 
@@ -406,6 +409,25 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    def test_every_module_level_import_is_read(self):
+        # an imported name that its module never reads is dead code no other
+        # check reports; the package's __init__ imports to re-export
+        unread = []
+        for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unread += [f"{path.stem}: {name}" for name in
+                               (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                               if name not in read]
+        assert unread == []
 
     def test_whole_micro_block_is_read_only_by_the_reference_solves(self):
         # the whole micro block is the reference; the dispersion root solvers

@@ -6,6 +6,7 @@ with it, not with each other alone.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from vpb_spectral.dispersion import (
     R1_DEFAULT,
     BranchPoint,
     _entries,
+    _coupled_roots,
     _Family,
     _Resolvent,
+    _shear_roots,
     asymptotic_coefficients,
     dense_comparison,
     eigenfunction_expansion_check,
     fd_branch_derivatives,
     hydrodynamic_spectrum,
+    hydrodynamic_sweep,
     resolvent_entry,
     solve_D0,
     solve_D1,
@@ -170,6 +174,14 @@ class TestCoupledDeterminant:
 AXIS_OPERATORS = ("synthetic-4", "synthetic-6", "hard-sphere-4")
 # the entries each family holds, by its azimuthal sector m
 FAMILY_KEYS = {1: ((2, 2),), 0: ((1, 1), (1, 4), (4, 1), (4, 4))}
+# the axis modes of a small sweep: three eps values at eight s values
+SWEEP = [(eps, s) for eps in (0.2, 0.1, 0.05) for s in np.linspace(0.05, 0.6, 8)]
+
+
+def certified(fam, beta):
+    """The entries of the family's stack of one at beta, through the
+    certification solve."""
+    return _Resolvent(fam.block, [0], [beta], fam.fluxes).entries[0]
 
 
 class TestPoleSums:
@@ -184,7 +196,7 @@ class TestPoleSums:
         for beta in (complex(re), complex(re, im)):
             ref_vals, ref_ders = _entries(op, beta, y, derivative=True)
             for m, keys in FAMILY_KEYS.items():
-                vals, ders = families[m].entries(beta)
+                vals, ders = families[m].entries(0, beta)
                 for got, ref in ((vals, ref_vals), (ders, ref_ders)):
                     scale = max(abs(ref[k]) for k in keys)
                     for k in keys:
@@ -194,7 +206,7 @@ class TestPoleSums:
         beta = -0.01 + 0.3j
         ref = _entries(op_mid, beta, 0.12)[0]
         for m, keys in FAMILY_KEYS.items():
-            got = _Family(op_mid, 0.12, m).certified(beta)
+            got = certified(_Family(op_mid, 0.12, m), beta)
             for k in keys:
                 assert got[k] == pytest.approx(ref[k], rel=1e-13)
 
@@ -202,26 +214,27 @@ class TestPoleSums:
         # f_3 lies in the (even, odd) class, outside the coupled block
         block = _Family(op_mid, 0.1, 0).block
         with pytest.raises(ValueError):
-            _Resolvent(block, 0.05j, {3: flux_vector(op_mid.basis, 3)})
+            _Resolvent(block, [0], [0.05j], {3: flux_vector(op_mid.basis, 3)})
         # an m = 2 vector lies on the slots of the coupled block's class, the
         # (even, even) one, but outside its m = 0 sector
         m2 = op_mid.sector_blocks.micro[2][2][0]
         foreign = m2.embed(np.ones(m2.basis.shape[1]), op_mid.basis.dim)
         assert set(np.flatnonzero(foreign)) <= set(block.frames[0].index)
         with pytest.raises(ValueError):
-            _Resolvent(block, 0.05j, {1: flux_vector(op_mid.basis, 1) + 1e-6 * foreign})
+            _Resolvent(block, [0], [0.05j], {1: flux_vector(op_mid.basis, 1) + 1e-6 * foreign})
 
     def test_wrong_y_is_refused(self, op_mid):
+        # the mode (eps, s) = (0.2, 0.5) needs a family at y = 0.1
         with pytest.raises(ValueError):
-            solve_D0(op_mid, 0.5, 0.2, _Family(op_mid, 0.2, 1))
+            _shear_roots(_Family(op_mid, 0.2, 1), [0.2], [0.5])
         with pytest.raises(ValueError):
-            solve_D1(op_mid, 0.5, 0.2, _Family(op_mid, 0.2, 1))
+            _coupled_roots(_Family(op_mid, 0.2, 0), [0.2], [0.5], op_mid.kappa_bar)
 
     def test_wrong_sector_is_refused(self, op_mid):
         with pytest.raises(ValueError):
-            solve_D0(op_mid, 0.5, 0.2, _Family(op_mid, 0.1, 0))
+            _shear_roots(_Family(op_mid, 0.1, 0), [0.2], [0.5])
         with pytest.raises(ValueError):
-            solve_D1(op_mid, 0.5, 0.2, _Family(op_mid, 0.1, 1))
+            _coupled_roots(_Family(op_mid, 0.1, 1), [0.2], [0.5], op_mid.kappa_bar)
 
     def test_tiny_cond_limit_is_refused(self, hard_sphere_prod, monkeypatch):
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
@@ -250,7 +263,7 @@ class TestPoleSums:
             _entries(op, -2.0, 0.0)
         for m in FAMILY_KEYS:
             with pytest.raises(RegimeError, match="singular"):
-                _Family(op, 0.0, m).certified(-2.0)
+                certified(_Family(op, 0.0, m), -2.0)
 
     @pytest.mark.parametrize("y", [0.0, 0.1])
     def test_whole_block_eigenvalues_are_refused(self, op_mid, y):
@@ -272,16 +285,40 @@ class TestPoleSums:
         for m in FAMILY_KEYS:
             fam = _Family(op_mid, 0.1, m)
             for mu in mus:
-                got, ref = fam.certified(mu), fam.entries(mu)[0]
+                got, ref = certified(fam, mu), fam.entries(0, mu)[0]
                 for k in FAMILY_KEYS[m]:
                     assert got[k] == pytest.approx(ref[k], rel=1e-10)
 
     def test_family_eigenvalues_are_refused(self, op_mid):
         for m in FAMILY_KEYS:
             fam = _Family(op_mid, 0.1, m)
-            for mu in fam.block.vals:
+            for mu in fam.block.vals[0]:
                 with pytest.raises(RegimeError, match="singular"):
-                    fam.certified(mu)
+                    certified(fam, mu)
+
+    def test_stacked_solve_guards_every_root(self, op_mid):
+        # a stack of roots over two members: each root is checked against
+        # its own member's spectrum, wherever it sits in the stack, and the
+        # accepted stack gives each member's own entries
+        beta = -0.01 + 0.3j
+        for m in FAMILY_KEYS:
+            fam = _Family(op_mid, [0.12, 0.2], m)
+            stacked = _Resolvent(fam.block, [0, 1, 1], [beta, beta, 0.5 * beta], fam.fluxes)
+            for got, (y, b) in zip(stacked.entries, ((0.12, beta), (0.2, beta),
+                                                     (0.2, 0.5 * beta))):
+                assert got == certified(_Family(op_mid, y, m), b)
+            for mu in fam.block.vals[1]:
+                with pytest.raises(RegimeError, match="singular"):
+                    _Resolvent(fam.block, [0, 1], [beta, mu], fam.fluxes)
+
+    def test_colliding_roots_name_their_mode(self, op_mid, monkeypatch):
+        # seeding branch 1 of one mode at branch -1's frequency makes both
+        # roots converge to one; that mode alone is refused, by name
+        exact = dispersion.branch_frequency
+        monkeypatch.setattr(dispersion, "branch_frequency",
+                            lambda j, x: exact(-1 if (j, x) == (1, 0.45) else j, x))
+        with pytest.raises(RegimeError, match="roots collided at eps = 0.1, s = 0.45;"):
+            hydrodynamic_sweep(op_mid, [(0.2, 0.3), (0.1, 0.45), (0.05, 0.6)])
 
     def test_parity_coupling_operator_is_refused_by_the_sector_check(self, op_mid,
                                                                      parity_blocks):
@@ -298,35 +335,61 @@ class TestPoleSums:
         with pytest.raises(AssemblyError, match="sector check: imaginary part"):
             hydrodynamic_spectrum(mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0])))
 
-    def test_one_factorization_per_root(self, hard_sphere_prod, monkeypatch):
-        # the resolvent is factored once per accepted root (one shear, three
-        # coupled), and that one solve also gives the branch eigenfunctions;
-        # the inverse of each block's eigenvectors is part of its
-        # decomposition and is not a solve call
-        hard_sphere_prod.kappa_bar  # one solve per operator, not per root
-        calls = {"eig": 0, "solve": 0}
-        for fn in calls:
-            orig = getattr(np.linalg, fn)
+    def test_one_refused_member_is_named(self, hard_sphere_prod, monkeypatch):
+        # a limit at the largest member cond refuses that member alone, and
+        # the refusal names its mode
+        y = [eps * s for eps, s in SWEEP]
+        conds = sorted((c, m, mode) for m in (1, 0)
+                       for c, mode in zip(_Family(hard_sphere_prod, y, m).block.cond, SWEEP))
+        (second, *_), (worst, m, (eps, s)) = conds[-2:]
+        assert second < worst
+        monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", worst)
+        with pytest.raises(RegimeError, match=re.escape(
+                f"micro m = {m} sector block at eps = {eps:.6g}, s = {s:.6g} has")):
+            hydrodynamic_sweep(hard_sphere_prod, SWEEP)
 
-            def spy(*args, _fn=fn, _orig=orig, **kwargs):
-                calls[_fn] += 1
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, fn, spy)
-        hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
-        assert 1 <= calls["eig"] <= 2 and 1 <= calls["solve"] <= 4, calls
-
-    def test_two_sector_eigs_per_mode(self, hard_sphere_prod, monkeypatch):
-        # the shear poles come from the micro m = 1 block, the coupled ones
-        # from the micro m = 0 block; nothing else is decomposed
-        hard_sphere_prod.kappa_bar
-        sizes, solves = [], []
-        eig, solve = np.linalg.eig, np.linalg.solve
-        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a.shape[0]) or eig(a))
+    def test_one_certification_solve_per_family(self, hard_sphere_prod, monkeypatch):
+        # every root of a family (one shear root, three coupled roots per
+        # mode) is certified by one stacked solve, which also gives the branch
+        # eigenfunctions; the inverse of each block's eigenvectors is part of
+        # its decomposition and is not a solve call
+        hard_sphere_prod.kappa_bar  # one solve per operator, not per sweep
+        solves = []
+        solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: solves.append(a.shape[0]) or solve(a, b))
-        hydrodynamic_spectrum(mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0])))
-        assert sizes == [11, 13]
-        assert len(solves) <= 4 and set(solves) == {11, 13}
+                            lambda a, b: solves.append(a.shape) or solve(a, b))
+        for modes in (SWEEP[:1], SWEEP):
+            solves.clear()
+            hydrodynamic_sweep(hard_sphere_prod, modes)
+            assert solves == [(len(modes), 11, 11), (3 * len(modes), 13, 13)], solves
+
+    def test_two_sector_eigs_per_sweep(self, hard_sphere_prod, monkeypatch):
+        # the shear poles come from the micro m = 1 block, the coupled ones
+        # from the micro m = 0 block, each one stack over every mode of the
+        # sweep; nothing else is decomposed
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        for modes in (SWEEP[:1], SWEEP):
+            shapes.clear()
+            hydrodynamic_sweep(hard_sphere_prod, modes)
+            assert shapes == [(len(modes), 11, 11), (len(modes), 13, 13)]
+
+    def test_empty_sweep_has_no_points(self, op_mid):
+        # a sweep whose modes all lie outside the ball is empty, not an error
+        assert hydrodynamic_sweep(op_mid, []) == []
+
+    @pytest.mark.parametrize("name", ["hard-sphere-4", "synthetic-6"])
+    def test_sweep_matches_the_stack_of_one(self, axis_operators, name):
+        op = axis_operators[name]
+        for (eps, s), points in zip(SWEEP, hydrodynamic_sweep(op, SWEEP)):
+            one = hydrodynamic_spectrum(mode_operator(op, eps, np.array([s, 0.0, 0.0])))
+            for p, q in zip(points, one):
+                assert (p.branch, p.s, p.eps) == (q.branch, q.s, q.eps)
+                for got, ref in ((p.lam, q.lam), (p.z, q.z), (p.det_residual, q.det_residual),
+                                 (p.eig_residual, q.eig_residual)):
+                    assert abs(got - ref) <= 1e-13 * abs(ref)
+                assert np.max(np.abs(p.psi - q.psi)) <= 1e-13 * np.max(np.abs(q.psi))
 
 
 class TestHydrodynamicSpectrum:

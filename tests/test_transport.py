@@ -20,10 +20,9 @@ from vpb_spectral.transport import (
     branch_frequency,
     compute_kappas,
     crosscheck_b2,
-    flux_vector,
     kappas_with_error,
 )
-from vpb_spectral.velocity_space import build_basis, multiplication_matrices
+from vpb_spectral.velocity_space import build_basis, flux_vector, multiplication_matrices
 
 # oracle values, degree 6 hard sphere (see module docstring)
 KAPPA0_ORACLE = 0.089554422334
