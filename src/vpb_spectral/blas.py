@@ -1,18 +1,18 @@
-"""Scoped BLAS thread policy: per-mode linear algebra runs on one thread.
+"""Scoped BLAS thread policy: every job runs on one thread.
 
 Per-mode matrices have a few dozen to a few hundred rows; at that size
-OpenBLAS threads cost far more in synchronisation than they save.  The
+OpenBLAS threads cost far more in synchronisation than they save, and on 2
+vCPUs hard-sphere assembly is no faster on two threads than on one.  The
 one_blas_thread() block pins every loaded OpenBLAS to one thread and gives
-each its previous count back on exit, so collision assembly and transport
-keep whatever the user configured.  They are left alone because they are not
-per-mode work, not because threads help them: on 2 vCPUs hard-sphere
-assembly is no faster on two threads than on one.  Libraries are found in
-/proc/self/maps and driven through ctypes; where none is found (another BLAS
-vendor, a system without /proc) the block runs unchanged.  The benchmark
-paths run on numpy alone and load only numpy's OpenBLAS.  scipy's own copy
-is loaded when a fallback, oracle or check path first imports scipy, which
-can happen inside a block; the stiff ODE fallback, the one such path that
-does BLAS work, therefore pins again around its solve.
+each its previous count back on exit.  Each command-line job runs inside it,
+operator assembly included, so an operator and every artifact computed from
+it do not depend on the thread count or the cache state.  Libraries are
+found in /proc/self/maps and driven through ctypes; where none is found
+(another BLAS vendor, a system without /proc) the block runs unchanged.  The
+benchmark paths run on numpy alone and load only numpy's OpenBLAS.  scipy's
+own copy is loaded when a fallback, oracle or check path first imports
+scipy, which can happen inside a block; the stiff ODE fallback, the one such
+path that does BLAS work, therefore pins again around its solve.
 """
 
 from __future__ import annotations
@@ -85,4 +85,4 @@ def describe_policy() -> str:
         return "no OpenBLAS found; BLAS threads not managed"
     found = ", ".join(f"{os.path.basename(lib.path)} ({lib.get_threads()} threads)"
                       for lib in libs)
-    return f"BLAS: {found}; per-mode stages run at 1 thread"
+    return f"BLAS: {found}; every job runs at 1 thread"

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import CollisionOperator, assemble_collision, synthetic_collision
+from .collision import (CollisionOperator, _structural_checks, assemble_collision,
+                        synthetic_collision)
 from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
                      validate_subcommand)
 from .blas import describe_policy, one_blas_thread
@@ -92,10 +93,6 @@ def _artifact(cfg: ExperimentConfig, subcommand: str, ext: str) -> Path:
     return out / f"{subcommand}-{cfg.digest()}.{ext}"
 
 
-def _coeffs(op: CollisionOperator):
-    return compute_kappas(op)
-
-
 # ------------------------------------------------------ spectrum, dispersion
 
 def _branch_sweep(cfg: ExperimentConfig, op: CollisionOperator):
@@ -122,9 +119,9 @@ DISPERSION_HEADER = ("branch", "s", "eps", "re_lambda", "im_lambda",
 
 def run_branches(cfg: ExperimentConfig, subcommand: str) -> int:
     """The spectrum table, or with the asymptotic model's gap the dispersion table."""
-    op = build_operator(cfg)
     with one_blas_thread():
-        coeffs = _coeffs(op) if subcommand == "dispersion" else None
+        op = build_operator(cfg)
+        coeffs = compute_kappas(op) if subcommand == "dispersion" else None
         sweep = _branch_sweep(cfg, op)
     rows = []
     for (eps, s), points in sweep:
@@ -145,11 +142,12 @@ def run_branches(cfg: ExperimentConfig, subcommand: str) -> int:
 # ---------------------------------------------------------------- transport
 
 def run_transport(cfg: ExperimentConfig) -> int:
-    if cfg.backend == "hard_sphere":
-        coeffs = kappas_with_error(cfg.max_degree, gamma=cfg.gamma,
-                                   kernel_c=cfg.kernel_c)
-    else:
-        coeffs = _coeffs(build_operator(cfg))
+    with one_blas_thread():
+        if cfg.backend == "hard_sphere":
+            coeffs = kappas_with_error(cfg.max_degree, gamma=cfg.gamma,
+                                       kernel_c=cfg.kernel_c)
+        else:
+            coeffs = compute_kappas(build_operator(cfg))
     payload = {
         "schema": cfg.schema,
         "config": cfg.digest(),
@@ -173,9 +171,9 @@ SEMIGROUP_HEADER = ("t", "norm_xi", "norm_macro", "norm_micro", "norm_s2")
 
 
 def run_semigroup(cfg: ExperimentConfig) -> int:
-    op = build_operator(cfg)
-    basis = op.basis
     with one_blas_thread():
+        op = build_operator(cfg)
+        basis = op.basis
         grid = _grid(cfg)
         data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
         eps = cfg.eps_list[0]
@@ -208,9 +206,9 @@ CONVERGE_HEADER = ("eps", "t", "err_Linf_P", "err_macro", "err_micro")
 
 
 def run_converge(cfg: ExperimentConfig) -> int:
-    op = build_operator(cfg)
     with one_blas_thread():
-        coeffs = _coeffs(op)
+        op = build_operator(cfg)
+        coeffs = compute_kappas(op)
         grid = _grid(cfg)
         data = make_initial_data(cfg.kind, _profile(cfg), op.basis, grid)
         times = layer_time_grid(max(cfg.eps_list), cfg.t_max, cfg.n_layer, cfg.n_bulk)
@@ -243,16 +241,8 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         assert resid <= 1e-10, f"gram residual {resid:.2e}"
 
     def collision_structure():
-        mat = op.matrix
-        scale = float(np.max(np.abs(mat)))
-        asym = float(np.max(np.abs(mat - mat.T)))
-        assert asym <= 1e-10 * scale, f"asymmetry {asym:.2e}"
-        for k in range(5):
-            r = float(np.linalg.norm(mat @ basis.chi(k)))
-            assert r <= 1e-10 * scale, f"invariant {k} residual {r:.2e}"
-        vals = np.sort(np.linalg.eigvalsh(-mat))
-        assert np.all(vals[:5] <= 1e-8 * scale), "null space short of five dims"
-        assert vals[5] > 0.0, "no spectral gap"
+        _structural_checks(op.radial)
+        assert op.spectral_gap() > 0.0, "no spectral gap"
 
     def mode_dissipation():
         mode = mode_operator(op, cfg.eps_list[0], np.array([0.4, 0.0, 0.0]))
@@ -273,7 +263,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
             assert gap <= 1e-8, f"branch {bp.branch} misses dense spectrum by {gap:.2e}"
 
     def transport_positive():
-        coeffs = _coeffs(op)
+        coeffs = compute_kappas(op)
         assert coeffs.kappa0 > 0 and coeffs.kappa1 > 0, "nonpositive coefficient"
         iso = abs(coeffs.kappa0_long - 4.0 / 3.0 * coeffs.kappa0)
         assert iso <= 1e-10 * coeffs.kappa0, f"isotropy broken by {iso:.2e}"
@@ -292,7 +282,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         assert resid <= 1e-12, f"split reassembly off by {resid:.2e}"
 
     def fluid_consistency():
-        coeffs = _coeffs(op)
+        coeffs = compute_kappas(op)
         s = 0.5
         xi = np.array([s, 0.0, 0.0])
         u0 = MacroState(n=0.0, m=np.array([0.0, 1.0, 0.0]), q=0.0)
@@ -310,7 +300,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     def prepared_data():
         grid = radial_grid(cfg.s_min, cfg.s_max, min(cfg.s_count, 8), cfg.s_spacing)
         data = make_initial_data("well_prepared", _profile(cfg), basis, grid)
-        coeffs = _coeffs(op)
+        coeffs = compute_kappas(op)
         osc = oscillation_part(data, coeffs, 0.3, cfg.eps_list[0])
         assert np.max(np.abs(osc)) <= 1e-12, "well-prepared data oscillates"
         norm = synth_norm_LinfP(basis, grid, data.profile)
@@ -321,8 +311,8 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
         eps3 = (list(cfg.eps_list) + [0.2, 0.1, 0.05])[:3]
         times = layer_time_grid(max(eps3), min(cfg.t_max, 5.0), 4, 6)
-        one = run_convergence_study(op, data, eps3, times, _coeffs(op))
-        two = run_convergence_study(op, data, eps3, times, _coeffs(op))
+        one = run_convergence_study(op, data, eps3, times, compute_kappas(op))
+        two = run_convergence_study(op, data, eps3, times, compute_kappas(op))
         assert np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted"
 
     yield "basis orthonormality", basis_orthonormal
@@ -340,8 +330,8 @@ def run_check(cfg: ExperimentConfig) -> int:
     print(describe_policy())
     failures = 0
     t_start = time.perf_counter()
-    op = build_operator(cfg)
     with one_blas_thread():
+        op = build_operator(cfg)
         for name, step in _check_steps(cfg, op):
             t0 = time.perf_counter()
             try:

@@ -33,9 +33,8 @@ phi_nlm = c_nl L_n^(l+1/2)(|v|^2/2) |v|^l Y_lm, 2n + l <= N, it is
 sum_l L_l (x) I_(2l+1), and the radial blocks L_l do not depend on the axis
 the Y_lm are taken about.  The Dirichlet sums therefore run over the zonal
 functions phi_nl0 about e3 alone (25 rows at N = 8, not 165), evaluated in
-closed form; the L_l are read off the l-diagonal blocks and mapped back
-through the Burnett frames about e1 that also hold the azimuthal sectors
-(VelocityBasis.axis_sectors).  Zonal functions are unchanged by every
+closed form, and the L_l they give are all the operator keeps
+(CollisionOperator.radial).  Zonal functions are unchanged by every
 rotation about e3 and by v2 -> -v2, and the grid must resolve the degree-2N
 integrand (an under-resolved grid raises AssemblyError), so the sphere sums
 are exact and the summed S S^T and the products of the sphere-reduced sums
@@ -65,17 +64,18 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, VPBError
-from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_rows
+from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_labels, burnett_rows
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
 _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weights
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
-# folds, factor rules and Burnett reduction behind a cached matrix
-_FOLD_TAG = "burnett-axisymmetric-e1-v1"
+# folds, factor rules and Burnett reduction behind cached radial blocks
+_FOLD_TAG = "burnett-radial-blocks-v1"
 # sector check: entries between azimuthal sectors and the mismatch of the two
 # copies of a sector, relative to the largest entry
 STRUCTURE_TOL = 1e-13
+_INVARIANTS = ((0, 0), (0, 1), (1, 0))  # (l, n) of density, energy and momentum
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,8 @@ def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
 
 
 def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
-    """The exact Galerkin matrix of L from the Dirichlet sums over the zonal
-    Burnett functions phi_nl0.
+    """The radial blocks of L (the stack CollisionOperator.radial holds) from
+    the Dirichlet sums over the zonal Burnett functions phi_nl0.
 
     L commutes with rotations, so on the Burnett functions it is
     sum_l L_l (x) I_(2l+1) with L_l[n, n'] = (L phi_nl0, phi_n'l0).  The zonal
@@ -343,8 +343,7 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
     folds apply with two classes, even and odd l.  A grid that does not
     resolve the degree-2N integrand raises AssemblyError naming each short
     rule, and so does an entry between different l above STRUCTURE_TOL times
-    the largest; the L_l are read off the l-diagonal blocks and mapped back
-    through the Burnett frames of basis.axis_sectors.
+    the largest.
     """
     top = basis.max_degree
     short = [f"the {rule} rule resolves degree {deg}"
@@ -363,9 +362,16 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
         raise AssemblyError(f"collision matrix fails the Burnett check: zonal entry between "
                             f"different l of {ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
                             "relative to its largest entry")
-    mat = basis.axis_sectors.basis_matrix(
-        {k: zonal[np.ix_(l == k, l == k)] for k in range(top + 1)})
-    return 0.5 * (mat + mat.T)
+    radial = np.zeros((top + 1, top // 2 + 1, top // 2 + 1))
+    i, j = np.nonzero(l[:, None] == l[None, :])
+    radial[l[i], labels[i, 0], labels[j, 0]] = zonal[i, j]
+    return radial
+
+
+def _blocks(radial: np.ndarray) -> list[np.ndarray]:
+    """The radial blocks L_l of an (N+1, K, K) stack, without the zeros around them."""
+    top = len(radial) - 1
+    return [radial[l, :(top - l) // 2 + 1, :(top - l) // 2 + 1] for l in range(top + 1)]
 
 
 class GammaEvaluator:
@@ -431,18 +437,27 @@ class GammaEvaluator:
 
 @dataclass(frozen=True)
 class CollisionOperator:
-    """Assembled collision operator on a velocity basis."""
+    """Collision operator on a velocity basis, held as its radial blocks.
+
+    radial, the only stored form of L, is a read-only (N+1, K, K) stack,
+    K = N // 2 + 1: slab l holds L_l[n, n'] = (L phi_nlm, phi_n'lm) in its
+    leading ((N - l) // 2 + 1)-square and zeros around it.
+    """
 
     basis: VelocityBasis
-    matrix: np.ndarray
+    radial: np.ndarray
     backend: str                  # "boltzmann" or "synthetic"
     gamma: float
     kernel_c: float
-    nu_bar: float | None = None   # synthetic relaxation rate
-    quad: CollisionQuadrature | None = None
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense Galerkin matrix in basis slot numbering, symmetrized;
+        formed through basis.axis_sectors on first use, read-only."""
+        mat = self.basis.axis_sectors.basis_matrix(self.radial)
+        mat = 0.5 * (mat + mat.T)
+        mat.setflags(write=False)
+        return mat
 
     def spectral_gap(self) -> float:
         """Distance from zero to the rest of the spectrum of -L, computed once."""
@@ -450,15 +465,17 @@ class CollisionOperator:
 
     @cached_property
     def _spectral_gap(self) -> float:
-        return float(np.sort(np.linalg.eigvalsh(-self.matrix))[5])
+        vals = [np.repeat(np.linalg.eigvalsh(-block), 2 * l + 1)
+                for l, block in enumerate(_blocks(self.radial))]
+        return float(np.sort(np.concatenate(vals))[5])
 
     def micro_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs on the microscopic subspace, for one vector or a
         stack of them as columns; every right-hand side must be microscopic.
 
-        One np.linalg.solve with the micro block of L.  The spectral gap is
-        checked once per operator, and a solution column whose relative
-        residual is not finite or exceeds _MICRO_SOLVE_TOL is refused.
+        One np.linalg.solve with the micro block of the dense matrix, the
+        reference for transport_forms; the spectral gap is checked first and
+        the solve is residual-guarded (_guarded_solve).
         """
         rhs = np.asarray(rhs)
         macro = np.linalg.norm(rhs[list(self.basis.invariant_indices)], axis=0)
@@ -468,28 +485,34 @@ class CollisionOperator:
             raise AssemblyError("collision matrix has no spectral gap")
         blocks = self.micro_blocks
         g = rhs[blocks.micro]
-        try:
-            x = np.linalg.solve(blocks.L, g)
-        except np.linalg.LinAlgError:
-            raise AssemblyError("micro collision block is singular; "
-                                "the collision matrix has no spectral gap") from None
-        scale = np.linalg.norm(g, axis=0)
-        resid = np.linalg.norm(blocks.L @ x - g, axis=0) / np.where(scale > 0.0, scale, 1.0)
-        if not np.all(resid <= _MICRO_SOLVE_TOL):
-            raise AssemblyError(f"micro collision block solve has relative residual "
-                                f"{np.max(resid):.2e}, above the bound {_MICRO_SOLVE_TOL:.0e}; "
-                                "the collision matrix has no spectral gap")
+        x = _guarded_solve(blocks.L, g)
         out = np.zeros(rhs.shape, dtype=x.dtype)
         out[blocks.micro] = x
         return out
 
     @cached_property
+    def transport_forms(self) -> tuple[float, float, float]:
+        """(kappa0_long, kappa0, kappa1) = -f_j . L^-1 f_j, j = 1, 2, 4: f_1 and
+        f_2 lie on phi_02m and f_4 on phi_11m, so the forms are |f_j|^2 (from
+        basis.fluxes) times (-L_2^-1)_00 and the (n = 1) entry of the inverse
+        micro block of L_1.  Spectral gap checked first, solves residual-guarded;
+        below degree 3 the heat flux and its form vanish."""
+        if not self.spectral_gap() > 0:
+            raise AssemblyError("collision matrix has no spectral gap")
+        blocks = _blocks(self.radial)
+        corners = []
+        for block in (blocks[2], blocks[1][1:, 1:]):
+            e0 = np.eye(len(block), 1)
+            corners.append(-float(_guarded_solve(block, e0)[0, 0]) if len(block) else 0.0)
+        fluxes = self.basis.fluxes[[0, 1, 3]]
+        norms = np.einsum("ij,ij->i", fluxes, fluxes)
+        return tuple(float(a * b) for a, b in zip(norms, (corners[0], corners[0], corners[1])))
+
+    @cached_property
     def kappa_bar(self) -> float:
-        """max_j |f_j . L^-1 f_j| over the flux vectors: the transport-coefficient
-        scale of this backend, which sets how far the coupled roots can drift."""
-        fluxes = self.basis.fluxes.T
-        forms = np.einsum("ij,ij->j", self.micro_solve(fluxes), fluxes)
-        return float(np.max(np.abs(forms)))
+        """The largest transport form: the transport-coefficient scale of this
+        backend, which sets how far the coupled roots can drift."""
+        return max(self.transport_forms)
 
     def gamma_form(self) -> GammaEvaluator:
         if self.backend != "boltzmann":
@@ -508,22 +531,27 @@ class CollisionOperator:
     @cached_property
     def sector_blocks(self) -> "_SectorBlocks":
         """The real blocks of the axis modes in the basis's azimuthal
-        sectors, built and checked once; AssemblyError when the operator
-        fails the sector check."""
+        sectors, built and checked once; AssemblyError when they fail the
+        sector check."""
         return _sector_blocks(self)
 
-    def descriptor(self) -> dict:
-        d = {
-            "backend": self.backend,
-            "gamma": self.gamma,
-            "kernel_c": self.kernel_c,
-            "basis": self.basis.descriptor(),
-        }
-        if self.nu_bar is not None:
-            d["nu_bar"] = self.nu_bar
-        if self.quad is not None:
-            d["quad"] = self.quad.descriptor()
-        return d
+
+def _guarded_solve(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve with a micro collision block; AssemblyError when the
+    block is singular or a column's relative residual is not finite or
+    exceeds _MICRO_SOLVE_TOL."""
+    try:
+        x = np.linalg.solve(block, rhs)
+    except np.linalg.LinAlgError:
+        raise AssemblyError("micro collision block is singular; "
+                            "the collision matrix has no spectral gap") from None
+    scale = np.linalg.norm(rhs, axis=0)
+    resid = np.linalg.norm(block @ x - rhs, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    if not np.all(resid <= _MICRO_SOLVE_TOL):
+        raise AssemblyError(f"micro collision block solve has relative residual "
+                            f"{np.max(resid):.2e}, above the bound {_MICRO_SOLVE_TOL:.0e}; "
+                            "the collision matrix has no spectral gap")
+    return x
 
 
 class _MicroBlocks:
@@ -540,9 +568,10 @@ class _MicroBlocks:
 class _SectorBlocks(NamedTuple):
     """Collision and streaming blocks of the azimuthal sectors of an axis mode.
 
-    With S the parity scale, L[m] and W[m] are the blocks of conj(S) L S and
-    of conj(S) (-i V1) S on sector m (both copies carry the same blocks, in
-    the frames of basis.axis_sectors.frames[m]).  The axis mode at eps, s e1
+    L[m] is the direct sum of the radial blocks L_l over l >= m
+    (AxisSectors.radial_blocks) and W[m] the block of conj(S) (-i V1) S on
+    sector m, S the parity scale; both copies carry the same blocks, in the
+    frames of basis.axis_sectors.frames[m].  The axis mode at eps, s e1
     is L[m] + eps s W[m] on every sector, plus the Poisson column
     eps s W[0][:, 0] / s^2 at the density coordinate, which leads sector 0.
     micro[m] holds the blocks without the invariant coordinates,
@@ -556,38 +585,40 @@ class _SectorBlocks(NamedTuple):
 
 
 def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
-    """The operator's sector blocks, once they pass the structure check:
-    conj(S) L S and conj(S) (-i V1) S real, and in the sector frames no entry
-    between sectors and no difference between the two copies of a sector
-    above STRUCTURE_TOL times the largest entry.  A failed check raises
-    AssemblyError naming the matrix, the check and its ratio to STRUCTURE_TOL;
-    a non-finite entry is refused first, by name."""
-    if not np.isfinite(op.matrix).all():
+    """The operator's sector blocks: the collision blocks read off the radial
+    blocks, the streaming blocks once they pass the structure check, conj(S)
+    (-i V1) S real and in the sector frames no entry between sectors and no
+    difference between the two copies of a sector above STRUCTURE_TOL times
+    the largest entry.  A failed check raises AssemblyError naming it and its
+    ratio to STRUCTURE_TOL; non-finite entries are refused first, by name."""
+    if not np.isfinite(op.radial).all():
         raise AssemblyError("collision matrix has non-finite entries; it fails the axis "
                             "sector check")
     basis = op.basis
     sectors = basis.axis_sectors
     scale, t, spans = sectors.scale, sectors.transform, sectors.spans
-    out = []
-    for name, mat in (("collision", op.matrix), ("streaming", -1j * basis.v_matrices[0])):
-        scaled = scale.conj()[:, None] * mat * scale[None, :]
-        blocks = t.T @ scaled.real @ t
-        cross = np.abs(blocks)
-        for copies in spans:
-            for sl in copies:
-                cross[sl, sl] = 0.0
-        copy_gap = max((np.max(np.abs(blocks[sl, sl] - blocks[c[0], c[0]]))
-                        for c in spans for sl in c[1:]), default=0.0)
-        size = np.max(np.abs(blocks))
-        for check, ratio in (
-                ("imaginary part", np.max(np.abs(scaled.imag)) / np.max(np.abs(scaled.real))),
-                ("entry between sectors", np.max(cross) / size),
-                ("cos/sin copy mismatch", copy_gap / size)):
-            if not ratio <= STRUCTURE_TOL:
-                raise AssemblyError(f"{name} matrix fails the axis sector check: {check} of "
-                                    f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
-                                    "relative to its largest entry")
-        out.append(tuple(np.array(blocks[c[0], c[0]]) for c in spans))
+    scaled = scale.conj()[:, None] * (-1j * basis.v_matrices[0]) * scale[None, :]
+    blocks = t.T @ scaled.real @ t
+    if not np.isfinite(blocks).all():
+        raise AssemblyError("streaming matrix has non-finite entries in the sector frames; "
+                            "it fails the axis sector check")
+    cross = np.abs(blocks)
+    for copies in spans:
+        for sl in copies:
+            cross[sl, sl] = 0.0
+    copy_gap = max((np.max(np.abs(blocks[sl, sl] - blocks[c[0], c[0]]))
+                    for c in spans for sl in c[1:]), default=0.0)
+    size = np.max(np.abs(blocks))
+    for check, ratio in (
+            ("imaginary part", np.max(np.abs(scaled.imag)) / np.max(np.abs(scaled.real))),
+            ("entry between sectors", np.max(cross) / size),
+            ("cos/sin copy mismatch", copy_gap / size)):
+        if not ratio <= STRUCTURE_TOL:
+            raise AssemblyError(f"streaming matrix fails the axis sector check: {check} of "
+                                f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
+                                "relative to its largest entry")
+    coll = sectors.radial_blocks(op.radial)
+    stream = tuple(np.array(blocks[c[0], c[0]]) for c in spans)
     micro = []
     for m, copies in enumerate(sectors.frames):
         k = sectors.n_invariant[m]
@@ -595,23 +626,26 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
         for fr in copies:
             rows = ~np.isin(fr.index, basis.invariant_indices)
             frames.append(Frame(fr.index[rows], fr.scale[rows], fr.basis[rows, k:]))
-        micro.append((out[0][m][k:, k:], out[1][m][k:, k:], tuple(frames)))
-    for arr in (*out[0], *out[1], *(a for lw in micro for a in lw[:2]),
+        micro.append((coll[m][k:, k:], stream[m][k:, k:], tuple(frames)))
+    for arr in (*coll, *stream, *(a for lw in micro for a in lw[:2]),
                 *(a for lw in micro for fr in lw[2] for a in fr)):
         arr.setflags(write=False)
-    return _SectorBlocks(out[0], out[1], tuple(micro))
+    return _SectorBlocks(coll, stream, tuple(micro))
 
 
-def _structural_checks(basis: VelocityBasis, mat: np.ndarray) -> None:
-    scale = float(np.max(np.abs(mat)))
-    if not np.isfinite(mat).all():
+def _structural_checks(radial: np.ndarray) -> None:
+    """Finite radial blocks, zero rows at the invariants and no positive
+    eigenvalue, relative to the largest entry; AssemblyError otherwise."""
+    if not np.isfinite(radial).all():
         raise AssemblyError("collision matrix has non-finite entries")
-    for k in range(5):
-        resid = float(np.linalg.norm(mat @ basis.chi(k)))
-        if resid > 1e-10 * max(scale, 1.0):
-            raise AssemblyError(f"collision invariant {k} not annihilated: {resid:.2e}")
-    top = float(np.max(np.linalg.eigvalsh(mat)))
-    if top > 1e-10 * max(scale, 1.0):
+    scale = max(float(np.max(np.abs(radial))), 1.0)
+    for l, n in _INVARIANTS:
+        resid = float(np.linalg.norm(radial[l, n]))
+        if resid > 1e-10 * scale:
+            raise AssemblyError(f"collision invariant (l, n) = ({l}, {n}) not annihilated: "
+                                f"{resid:.2e}")
+    top = max(float(np.max(np.linalg.eigvalsh(block))) for block in _blocks(radial))
+    if top > 1e-10 * scale:
         raise AssemblyError(f"collision matrix not negative semidefinite: {top:.2e}")
 
 
@@ -619,16 +653,16 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
                        kernel_c: float = 1.0,
                        quad: CollisionQuadrature | None = None,
                        use_cache: bool = True) -> CollisionOperator:
-    """Assemble the hard-potential collision matrix on the given basis.
+    """Assemble the radial blocks of the hard-potential collision operator.
 
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
     refining it changes nothing but roundoff; a coarser one raises
-    AssemblyError.  Matrices are cached on disk under VPB_SPECTRAL_CACHE
+    AssemblyError.  The blocks are cached on disk under VPB_SPECTRAL_CACHE
     keyed by every assembly parameter, the reflection, exchange and axial
     folds, the source of the factor rules and the Burnett reduction included
-    (_FOLD_TAG), so entries summed another way are never read.  A hit builds
-    no Burnett frames (VelocityBasis.axis_sectors); a miss builds them once
-    per basis, for the assembly and the sector blocks alike.
+    (_FOLD_TAG), so entries summed another way are never read, and an entry
+    of another shape is rebuilt.  Neither a hit nor a miss builds Burnett
+    frames (VelocityBasis.axis_sectors).
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
@@ -641,33 +675,36 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
         "quad": quad.descriptor(),
         "fold": _FOLD_TAG,
     }
+    top = basis.max_degree
     root = _cache.cache_dir() if use_cache else None
     path = None
     if root is not None:
         path = root / f"L-{_cache.key_hash(params)}.vpbc"
         if path.exists():
             try:
-                header, mat = _cache.read_matrix(path)
+                header, radial = _cache.read_matrix(path)
             except VPBError:
-                header, mat = {}, None
-            if header.get("params") == params and mat.shape == (basis.dim, basis.dim):
-                mat.setflags(write=False)
-                return CollisionOperator(basis=basis, matrix=mat, backend="boltzmann",
-                                         gamma=gamma, kernel_c=kernel_c, quad=quad)
+                header, radial = {}, None
+            if header.get("params") == params and radial.shape == (top + 1, top // 2 + 1,
+                                                                   top // 2 + 1):
+                radial.setflags(write=False)
+                return CollisionOperator(basis=basis, radial=radial, backend="boltzmann",
+                                         gamma=gamma, kernel_c=kernel_c)
             warnings.warn(f"cached operator {path.name} is unreadable or does not match "
                           "the requested assembly parameters; rebuilding", stacklevel=2)
     grid = _CollisionGrid(quad, gamma, kernel_c)
-    mat = _dirichlet_matrix(basis, grid)
-    _structural_checks(basis, mat)
+    radial = _dirichlet_matrix(basis, grid)
+    _structural_checks(radial)
     if path is not None:
-        _cache.write_matrix(path, {"params": params}, mat)
-    mat.setflags(write=False)
-    return CollisionOperator(basis=basis, matrix=mat, backend="boltzmann",
-                             gamma=gamma, kernel_c=kernel_c, quad=quad)
+        _cache.write_matrix(path, {"params": params}, radial)
+    radial.setflags(write=False)
+    return CollisionOperator(basis=basis, radial=radial, backend="boltzmann",
+                             gamma=gamma, kernel_c=kernel_c)
 
 
 def synthetic_collision(basis: VelocityBasis, nu_bar: float = 1.0) -> CollisionOperator:
-    """Relaxation model -nu_bar * (microscopic projection).
+    """Relaxation model -nu_bar * (microscopic projection): every radial
+    block is -nu_bar * I, with zeros at the invariants.
 
     Same kernel and sign structure as the assembled operator, with every
     transport integral available in closed form; used to cross-check the
@@ -675,10 +712,12 @@ def synthetic_collision(basis: VelocityBasis, nu_bar: float = 1.0) -> CollisionO
     """
     if nu_bar <= 0:
         raise AssemblyError("synthetic relaxation rate must be positive")
-    mat = -nu_bar * np.eye(basis.dim)
-    for k in range(5):
-        i = basis.invariant_indices[k]
-        mat[i, i] = 0.0
-    mat.setflags(write=False)
-    return CollisionOperator(basis=basis, matrix=mat, backend="synthetic",
-                             gamma=1.0, kernel_c=1.0, nu_bar=nu_bar)
+    top = basis.max_degree
+    labels = burnett_labels(top)
+    radial = np.zeros((top + 1, top // 2 + 1, top // 2 + 1))
+    radial[labels[:, 1], labels[:, 0], labels[:, 0]] = -nu_bar
+    for l, n in _INVARIANTS:
+        radial[l, n, n] = 0.0
+    radial.setflags(write=False)
+    return CollisionOperator(basis=basis, radial=radial, backend="synthetic",
+                             gamma=1.0, kernel_c=1.0)

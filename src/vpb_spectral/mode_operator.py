@@ -172,9 +172,6 @@ class FourierMode:
         mat.setflags(write=False)
         return mat
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         return weighted_inner(self.basis, f, g, self.s)
 
@@ -279,13 +276,6 @@ class FourierMode:
         gram = vectors.T @ (self.metric @ vectors)
         dual = np.linalg.solve(gram.T, (self.metric @ vectors).T)
         return vectors @ dual
-
-    def descriptor(self) -> dict:
-        return {
-            "collision": self.collision.descriptor(),
-            "eps": self.eps,
-            "xi": [float(x) for x in self.xi],
-        }
 
 
 def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> tuple[EigenBlock, ...]:

@@ -40,18 +40,14 @@ class TransportCoefficients:
     basis_hash: str
     error_bar: float | None = None
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
-    """Viscosity/conductivity from one stacked micro-space collision solve."""
+    """Viscosity/conductivity: the operator's transport forms, read off its
+    radial blocks (CollisionOperator.transport_forms)."""
     basis = op.basis
     if basis.max_degree < 3:
         raise BasisError("heat flux vanishes below degree 3; transport needs max_degree >= 3")
-    fluxes = basis.fluxes[[1, 3, 0]].T
-    forms = -np.einsum("ij,ij->j", op.micro_solve(fluxes), fluxes)
-    kappa0, kappa1, kappa0_long = (float(v) for v in forms)
+    kappa0_long, kappa0, kappa1 = op.transport_forms
     for name, val in (("kappa0", kappa0), ("kappa1", kappa1), ("kappa0_long", kappa0_long)):
         if not val > 0.0:
             raise AssemblyError(f"{name} = {val:.3e} not positive; collision solve is inconsistent")

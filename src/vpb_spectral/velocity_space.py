@@ -12,8 +12,8 @@ The real Burnett functions about e1 split the basis into azimuthal sectors
 (AxisSectors): rotations about e1 act on sector m as rotations by m times
 the angle, and every rotation-invariant operator, such as the linearized
 collision operator, is a direct sum of radial blocks on them.  One set of
-frames, built once per basis, serves both the axis modes and the collision
-assembly.
+frames, built once per basis, serves both the axis modes and the dense
+matrix of such an operator.
 """
 
 from __future__ import annotations
@@ -239,25 +239,29 @@ class AxisSectors:
         g = self.transform.T @ (self.scale.conj() * f)
         return [[g[sl] for sl in spans] for spans in self.spans]
 
-    def basis_matrix(self, radial: dict) -> np.ndarray:
-        """The matrix, in basis slot numbering, of a rotation-invariant
-        operator with radial[l][n, n'] its entry between phi_nlm and phi_n'lm
-        (the same for every m): each copy's block is the direct sum of
-        radial[l] over l >= m, mapped through the copy's frame.  Columns of
-        different l have no common class, so the entries between classes are
-        exact zeros."""
-        n, l = self.labels[:, 0], self.labels[:, 1]
-        size = max(len(block) for block in radial.values())
-        stack = np.zeros((max(radial) + 1, size, size))
-        for k, block in radial.items():
-            stack[k, :len(block), :len(block)] = block
+    def radial_blocks(self, radial: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Sector m's block, in either copy's frame, of the rotation-invariant
+        operator with radial[l, n, n'] its entry between phi_nlm and phi_n'lm
+        for every m: the direct sum of radial[l] over l >= m, read off
+        exactly, with the frame columns' signs (the same in both copies)."""
+        out = []
+        for spans in self.spans:
+            sl = spans[0]
+            n, l, sign = self.labels[sl, 0], self.labels[sl, 1], self.signs[sl]
+            block = np.where(l[:, None] == l[None, :],
+                             radial[l[:, None], n[:, None], n[None, :]], 0.0)
+            out.append(block * np.outer(sign, sign))
+        return tuple(out)
+
+    def basis_matrix(self, radial: np.ndarray) -> np.ndarray:
+        """The matrix, in basis slot numbering, of the rotation-invariant
+        operator with radial blocks radial: each copy's radial_blocks block
+        mapped through the copy's frame.  Columns of different l have no
+        common class, so the entries between classes are exact zeros."""
         out = np.zeros((self.scale.size, self.scale.size))
-        for copies, spans in zip(self.frames, self.spans):
-            for fr, sl in zip(copies, spans):
-                block = np.where(l[sl, None] == l[None, sl],
-                                 stack[l[sl, None], n[sl, None], n[None, sl]], 0.0)
-                phi = fr.basis * self.signs[sl]  # the copy's Burnett functions
-                out[np.ix_(fr.index, fr.index)] += phi @ block @ phi.T
+        for copies, block in zip(self.frames, self.radial_blocks(radial)):
+            for fr in copies:
+                out[np.ix_(fr.index, fr.index)] += fr.basis @ block @ fr.basis.T
         return out
 
 
@@ -373,8 +377,8 @@ class VelocityBasis:
         Each (a1, a2, a3 mod 2) reflection class must hold as many Burnett
         functions as basis slots, and once the invariants are set as exact
         coordinate columns its block of the transform must be orthogonal to
-        _ORTHO_TOL, which the collision assembly and the sector check rely
-        on; AssemblyError names a failed check.
+        _ORTHO_TOL, which the dense collision matrix and the sector blocks
+        rely on; AssemblyError names a failed check.
         """
         rule = self.exact_rule
         labels = burnett_labels(self.max_degree)

@@ -68,6 +68,38 @@ def axis_operators(basis_mid, synthetic_prod):
 
 
 @pytest.fixture(scope="session")
+def broken_frames():
+    """operator(kind): a degree-4 hard-sphere operator on a fresh basis whose
+    Burnett frames (VelocityBasis.axis_sectors) are planted broken before
+    anything else reads them, so the streaming half of the sector check
+    fails by kind: "imaginary part" (one a1-odd slot without its parity
+    scale), "entry between sectors" (a sector 2 column picks up 1e-8 of a
+    sector 0 column), "cos/sin copy mismatch" (one column of the cos copy
+    of sector 1 flips its sign) or "non-finite" (a NaN in the transform)."""
+    import dataclasses
+
+    from vpb_spectral import build_basis
+    from vpb_spectral.collision import assemble_collision
+
+    def operator(kind):
+        basis = build_basis(4)
+        sectors = basis.axis_sectors
+        scale, t = np.array(sectors.scale), np.array(sectors.transform)
+        if kind == "imaginary part":
+            scale[np.flatnonzero(scale.imag)[0]] = 1.0
+        elif kind == "entry between sectors":
+            zero, two = sectors.spans[0][0], sectors.spans[2][0]
+            t[:, two.start] += 1e-8 * t[:, zero.start + sectors.n_invariant[0]]
+        elif kind == "cos/sin copy mismatch":
+            t[:, sectors.spans[1][0].start + sectors.n_invariant[1]] *= -1.0
+        else:
+            t[0, -1] = np.nan
+        vars(basis)["axis_sectors"] = dataclasses.replace(sectors, scale=scale, transform=t)
+        return assemble_collision(basis)
+    return operator
+
+
+@pytest.fixture(scope="session")
 def parity_blocks():
     """blocks(basis): the slots of each (a2, a3 mod 2) class, in the order
     (even, even), (even, odd), (odd, even), (odd, odd)."""

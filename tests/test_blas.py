@@ -60,7 +60,7 @@ def test_fake_libraries_pinned_and_restored(monkeypatch):
         assert counts == {"a": 1, "b": 1}
     assert counts == {"a": 3, "b": 5}
     assert describe_policy() == ("BLAS: libaopenblas.so (3 threads), libbopenblas.so "
-                                 "(5 threads); per-mode stages run at 1 thread")
+                                 "(5 threads); every job runs at 1 thread")
 
 
 def test_nothing_found_is_a_silent_noop(monkeypatch, capsys):
@@ -86,12 +86,12 @@ SWEEP = "\n".join([
 ])
 
 
-def _artifacts(cfg, out, extra_env):
-    """Bytes of every converge and spectrum artifact; out is removed after."""
+def _artifacts(cfg, out, extra_env, subcommands=("converge", "spectrum")):
+    """Bytes of every artifact the subcommands write; out is removed after."""
     src = str(Path(vpb_spectral.__file__).resolve().parents[1])
     env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for sub in ("converge", "spectrum"):
+    for sub in subcommands:
         proc = subprocess.run(
             [sys.executable, "-m", "vpb_spectral", sub, "--config", str(cfg),
              "--out", str(out)],
@@ -111,6 +111,38 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     pinned = _artifacts(cfg, out, {"OPENBLAS_NUM_THREADS": "1"})
     assert len(inherited) == 3
     assert inherited == pinned
+
+
+HARD_SPHERE = "backend = hard_sphere\nmax_degree = 8\ns_count = 3\neps_list = 0.2, 0.1\n"
+
+
+def test_cold_and_warm_cache_runs_write_the_same_bytes(tmp_path):
+    # the run that assembles into an empty cache and the run that reads the
+    # entry back write one CSV, at two BLAS threads
+    cfg = tmp_path / "hs.cfg"
+    cfg.write_text(HARD_SPHERE, encoding="utf-8")
+    env = {"OPENBLAS_NUM_THREADS": "2", "VPB_SPECTRAL_CACHE": str(tmp_path / "cache")}
+    cold = _artifacts(cfg, tmp_path / "out", env, ("dispersion",))
+    warm = _artifacts(cfg, tmp_path / "out", env, ("dispersion",))
+    assert len(cold) == 1
+    assert cold == warm
+
+
+def test_hard_sphere_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # each thread count assembles into its own empty cache; the CSV, the
+    # transport JSON and the cached operators agree byte for byte
+    cfg = tmp_path / "hs.cfg"
+    cfg.write_text(HARD_SPHERE, encoding="utf-8")
+    runs = []
+    for threads in ("1", "2"):
+        cache = tmp_path / f"cache-{threads}"
+        env = {"OPENBLAS_NUM_THREADS": threads, "VPB_SPECTRAL_CACHE": str(cache)}
+        files = _artifacts(cfg, tmp_path / "out", env, ("dispersion", "transport"))
+        files.update((p.name, p.read_bytes()) for p in cache.iterdir())
+        runs.append(files)
+    assert sorted(Path(name).suffix for name in runs[0]) == [".csv", ".json", ".vpbc",
+                                                             ".vpbc"]
+    assert runs[0] == runs[1]
 
 
 ODE_THREADS = """

@@ -1,5 +1,5 @@
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from vpb_spectral import (BackendError, build_basis, collision, multiplication_m
                           velocity_space)
 from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
+    STRUCTURE_TOL,
     CollisionQuadrature,
     GammaEvaluator,
     _add_class_products,
@@ -24,9 +25,10 @@ from vpb_spectral.collision import (
     synthetic_collision,
 )
 from vpb_spectral.errors import AssemblyError, VPBError
+from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import VelocityBasis, hermite_polynomial_table
 
-_FOLD_TAG = "burnett-axisymmetric-e1-v1"  # the fold tag of the cache parameters
+_FOLD_TAG = "burnett-radial-blocks-v1"  # the fold tag of the cache parameters
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -286,7 +288,8 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
     grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0,
                           sigma_quad=sigma_quad)
     cross = _cross_class_mask(basis)
-    for folded, ref in ((_dirichlet_matrix(basis, grid), _unfolded_dirichlet(basis, grid)),
+    dirichlet = basis.axis_sectors.basis_matrix(_dirichlet_matrix(basis, grid))
+    for folded, ref in ((dirichlet, _unfolded_dirichlet(basis, grid)),
                         (collision_frequency_matrix(basis, grid), _unfolded_frequency(basis, grid))):
         assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.all(folded[cross] == 0.0)
@@ -405,12 +408,13 @@ def test_non_orthogonal_burnett_transform_raises(monkeypatch):
     monkeypatch.setattr(velocity_space, "burnett_rows",
                         lambda points, labels: exact(points, labels) * (1.0 + 1e-9))
     with pytest.raises(AssemblyError, match="Burnett transform fails the orthogonality check"):
-        assemble_collision(build_basis(3), use_cache=False)
+        assemble_collision(build_basis(3), use_cache=False).matrix
 
 
-def test_burnett_transform_is_built_only_on_a_cache_miss(tmp_path, monkeypatch):
-    # a cache hit and the transport path (kappa_bar) build no Burnett frames;
-    # the assembly on a miss and sector_blocks build them once per basis
+def test_burnett_frames_are_built_only_by_the_dense_view_and_sector_blocks(tmp_path,
+                                                                           monkeypatch):
+    # assembly on a miss or a hit, compute_kappas and kappa_bar build no
+    # Burnett frames; the dense matrix and sector_blocks build them once per basis
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     built = []
     build = VelocityBasis.axis_sectors.func
@@ -423,14 +427,15 @@ def test_burnett_transform_is_built_only_on_a_cache_miss(tmp_path, monkeypatch):
     frames.__set_name__(VelocityBasis, "axis_sectors")
     monkeypatch.setattr(VelocityBasis, "axis_sectors", frames)
     miss = assemble_collision(build_basis(3))
-    miss.sector_blocks
-    assert built == [3]
     basis = build_basis(3)
     hit = assemble_collision(basis)
-    assert np.array_equal(hit.matrix, miss.matrix)
-    hit.kappa_bar
+    assert np.array_equal(hit.radial, miss.radial)
+    for op in (miss, hit, synthetic_collision(basis)):
+        compute_kappas(op), op.kappa_bar
+    assert built == []
+    miss.matrix, miss.sector_blocks
     assert built == [3]
-    hit.sector_blocks, synthetic_collision(basis).sector_blocks
+    hit.sector_blocks, hit.matrix, synthetic_collision(basis).sector_blocks
     assert built == [3, 3]
 
 
@@ -611,9 +616,9 @@ def test_cache_roundtrip(tmp_path, basis_small, monkeypatch):
     assert len(files) == 1
     header, stored = read_matrix(files[0])
     assert header["params"]["gamma"] == 0.5
-    assert np.array_equal(stored, first.matrix)
+    assert np.array_equal(stored, first.radial)
     again = assemble_collision(basis_small, gamma=0.5)
-    assert np.array_equal(again.matrix, first.matrix)
+    assert np.array_equal(again.radial, first.radial)
 
 
 @pytest.mark.parametrize("size", [4, 12, 30])
@@ -639,7 +644,7 @@ def test_non_finite_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
     (path,) = tmp_path.glob("L-*.vpbc")
     intact = path.read_bytes()
     header, stored = read_matrix(path)
-    stored[1, 2] = np.nan
+    stored[1, 0, 0] = np.nan
     write_matrix(path, header, stored)
     with pytest.raises(VPBError, match="non-finite"):
         read_matrix(path)
@@ -670,7 +675,7 @@ def test_unfolded_cache_entry_is_never_read(tmp_path, basis_small, monkeypatch):
     (new_path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
     header, stored = read_matrix(new_path)
     assert header["params"] == dict(old, fold=_FOLD_TAG)
-    assert np.array_equal(stored, op.matrix)
+    assert np.array_equal(stored, op.radial)
 
 
 def _assert_rebuilt(tmp_path, basis, old):
@@ -683,13 +688,13 @@ def _assert_rebuilt(tmp_path, basis, old):
     assert np.all(fresh.matrix != 7.0)
     assert old_path.read_bytes() == planted_bytes
     (path,) = set(tmp_path.glob("L-*.vpbc")) - {old_path}
-    write_matrix(path, {"params": old}, np.full_like(fresh.matrix, 7.0))
+    write_matrix(path, {"params": old}, np.full_like(fresh.radial, 7.0))
     with pytest.warns(UserWarning, match="rebuilding"):
         again = assemble_collision(basis, gamma=0.3)
-    assert np.array_equal(again.matrix, fresh.matrix)
+    assert np.array_equal(again.radial, fresh.radial)
     header, stored = read_matrix(path)
     assert header["params"] == dict(old, fold=_FOLD_TAG)
-    assert np.array_equal(stored, fresh.matrix)
+    assert np.array_equal(stored, fresh.radial)
 
 
 def test_reflection_only_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
@@ -720,23 +725,41 @@ def test_burnett_exchange_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypa
 
 
 def test_burnett_e3_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
-    # an operator mapped back through the Burnett functions about e3
+    # dense operators mapped back through the Burnett functions about e3, and
+    # about e1 (assembled at the configured BLAS thread count)
+    for fold in ("burnett-axisymmetric-v1", "burnett-axisymmetric-e1-v1"):
+        root = tmp_path / fold
+        root.mkdir()
+        monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(root))
+        _assert_rebuilt(root, basis_small, dict(_old_params(basis_small), fold=fold))
+
+
+def test_dense_payload_under_current_parameters_is_rebuilt(tmp_path, basis_small,
+                                                           monkeypatch):
+    # a dim x dim payload under the current parameters and name is not a
+    # stack of radial blocks
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
-    _assert_rebuilt(tmp_path, basis_small,
-                    dict(_old_params(basis_small), fold="burnett-axisymmetric-v1"))
+    fresh = assemble_collision(basis_small, gamma=0.3)
+    (path,) = tmp_path.glob("L-*.vpbc")
+    header, _ = read_matrix(path)
+    write_matrix(path, header, np.array(fresh.matrix))
+    with pytest.warns(UserWarning, match="rebuilding"):
+        again = assemble_collision(basis_small, gamma=0.3)
+    assert np.array_equal(again.radial, fresh.radial)
+    assert read_matrix(path)[1].shape == fresh.radial.shape
 
 
 def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkeypatch):
     monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
     fresh = assemble_collision(basis_small, gamma=0.3)
     (path,) = tmp_path.glob("L-*.vpbc")
-    write_matrix(path, {"params": _old_params(basis_small)}, np.full_like(fresh.matrix, 7.0))
+    write_matrix(path, {"params": _old_params(basis_small)}, np.full_like(fresh.radial, 7.0))
     with pytest.warns(UserWarning, match="rebuilding"):
         again = assemble_collision(basis_small, gamma=0.3)
-    assert np.array_equal(again.matrix, fresh.matrix)
+    assert np.array_equal(again.radial, fresh.radial)
     header, stored = read_matrix(path)
     assert header["params"]["fold"] == _FOLD_TAG
-    assert np.all(stored[_cross_class_mask(basis_small)] == 0.0)
+    assert np.array_equal(stored, fresh.radial)
 
 
 def test_micro_solve(basis_small):
@@ -758,6 +781,44 @@ def test_synthetic_backend(basis_small):
         op.gamma_form()
     with pytest.raises(AssemblyError):
         synthetic_collision(basis_small, nu_bar=0.0)
+
+
+@lru_cache(maxsize=None)
+def _radial_operator(backend, degree):
+    basis = build_basis(degree)
+    return assemble_collision(basis) if backend == "hard-sphere" else synthetic_collision(
+        basis, nu_bar=1.3)
+
+
+RADIAL_CASES = pytest.mark.parametrize("backend, degree", [
+    (backend, degree) for backend in ("hard-sphere", "synthetic") for degree in range(3, 9)])
+
+
+@RADIAL_CASES
+def test_transport_forms_match_the_dense_micro_solve(backend, degree):
+    op = _radial_operator(backend, degree)
+    fluxes = op.basis.fluxes[[0, 1, 3]].T
+    ref = -np.einsum("ij,ij->j", op.micro_solve(fluxes), fluxes)
+    assert np.max(np.abs(np.array(op.transport_forms) - ref) / ref) <= 1e-13
+
+
+@RADIAL_CASES
+def test_sector_blocks_are_the_frames_of_the_dense_view(backend, degree):
+    op = _radial_operator(backend, degree)
+    sectors = op.basis.axis_sectors
+    scaled = (sectors.scale.conj()[:, None] * op.matrix * sectors.scale[None, :]).real
+    blocks = sectors.transform.T @ scaled @ sectors.transform
+    size = np.max(np.abs(blocks))
+    for m, copies in enumerate(sectors.spans):
+        for sl in copies:
+            assert np.max(np.abs(op.sector_blocks.L[m] - blocks[sl, sl])) <= STRUCTURE_TOL * size
+
+
+@RADIAL_CASES
+def test_spectral_gap_matches_the_dense_view(backend, degree):
+    op = _radial_operator(backend, degree)
+    dense = np.sort(np.linalg.eigvalsh(-op.matrix))[5]
+    assert op.spectral_gap() == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

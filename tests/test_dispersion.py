@@ -34,7 +34,7 @@ from vpb_spectral.dispersion import (
     solve_D0,
     solve_D1,
 )
-from vpb_spectral.errors import AssemblyError, RegimeError
+from vpb_spectral.errors import RegimeError
 from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, flux_vector
@@ -71,7 +71,7 @@ class TestResolventEntries:
         # (2L - 0.1i V)^-1 = (L - 0.05i V)^-1 / 2: the doubled operator must be
         # resolved with its own matrix, not blocks built for the original
         half = 0.5 * resolvent_entry(op_mid, 2, 2, 0.0, 0.05)
-        doubled = dataclasses.replace(op_mid, matrix=2 * op_mid.matrix)
+        doubled = dataclasses.replace(op_mid, radial=2 * op_mid.radial)
         assert resolvent_entry(doubled, 2, 2, 0.0, 0.1) == pytest.approx(half, rel=1e-12)
 
     def test_symmetric_in_indices(self, op_mid):
@@ -319,21 +319,6 @@ class TestPoleSums:
                             lambda j, x: exact(-1 if (j, x) == (1, 0.45) else j, x))
         with pytest.raises(RegimeError, match="roots collided at eps = 0.1, s = 0.45;"):
             hydrodynamic_sweep(op_mid, [(0.2, 0.3), (0.1, 0.45), (0.05, 0.6)])
-
-    def test_parity_coupling_operator_is_refused_by_the_sector_check(self, op_mid,
-                                                                     parity_blocks):
-        # an operator coupling two parity classes fails the sector check, and
-        # the branch construction refuses it with the failed check's name
-        basis = op_mid.basis
-        i, k = (next(i for i in parity_blocks(basis)[c]
-                     if i not in basis.invariant_indices) for c in (0, 2))
-        mat = np.array(op_mid.matrix)
-        mat[i, k] += 1e-9
-        mat[k, i] += 1e-9
-        mat.setflags(write=False)
-        broken = dataclasses.replace(op_mid, matrix=mat)
-        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
-            hydrodynamic_spectrum(mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0])))
 
     def test_one_refused_member_is_named(self, hard_sphere_prod, monkeypatch):
         # a limit at the largest member cond refuses that member alone, and

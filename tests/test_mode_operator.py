@@ -241,10 +241,10 @@ def test_singular_eigenvectors_have_infinite_cond(monkeypatch):
 
 
 def test_nan_mode_matrix_is_a_typed_error(op4):
-    mat = np.array(op4.matrix)
-    mat[3, 5] = np.nan
-    mat.setflags(write=False)
-    poisoned = dataclasses.replace(op4, matrix=mat)
+    radial = np.array(op4.radial)
+    radial[2, 0, 1] = np.nan
+    radial.setflags(write=False)
+    poisoned = dataclasses.replace(op4, radial=radial)
     tilted = mode_operator(poisoned, 0.1, 0.4 * np.array([0.6, 0.0, 0.8]))
     with pytest.raises(AssemblyError, match="eigendecomposition"):
         tilted.eigensystem()
@@ -254,11 +254,17 @@ def test_nan_mode_matrix_is_a_typed_error(op4):
 
 def test_nan_operator_is_refused_as_non_finite(op4):
     # finiteness is checked first: a NaN is not reported as an imaginary-part ratio
-    mat = np.array(op4.matrix)
-    mat[3, 5] = np.nan
-    with pytest.raises(AssemblyError, match="non-finite entries") as info:
-        dataclasses.replace(op4, matrix=mat).sector_blocks
+    radial = np.array(op4.radial)
+    radial[2, 0, 1] = np.nan
+    with pytest.raises(AssemblyError, match="collision matrix has non-finite entries") as info:
+        dataclasses.replace(op4, radial=radial).sector_blocks
     assert "imaginary" not in str(info.value)
+
+
+def test_non_finite_frames_are_refused_as_non_finite(broken_frames):
+    with pytest.raises(AssemblyError, match="streaming matrix has non-finite entries") as info:
+        broken_frames("non-finite").sector_blocks
+    assert "times STRUCTURE_TOL" not in str(info.value)
 
 
 def test_tilted_mode_is_one_dense_block(op4):
@@ -337,42 +343,21 @@ def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphe
     assert len(op.sector_blocks.L) == basis.max_degree + 1  # the check passes
 
 
-def _even_sector_vector(basis, m):
-    """A real unit micro vector in the cos copy of sector m, on a1-even slots
-    only, so that the parity scale leaves it real."""
-    sectors = basis.axis_sectors
-    fr = sectors.frames[m][0]
-    even = np.array([basis.multi_indices[i][0] % 2 == 0 for i in fr.index])
-    for col in fr.basis[:, sectors.n_invariant[m]:].T:
-        w = np.where(even, col, 0.0)
-        if np.linalg.norm(w) > 0.1:
-            u = np.zeros(basis.dim)
-            u[fr.index] = w / np.linalg.norm(w)
-            return u
-    raise AssertionError(f"sector {m} has no a1-even micro vector")
-
-
-def test_operator_coupling_sectors_is_refused_by_every_axis_consumer(hard_sphere_prod):
-    # 1e-8 between the m = 0 and m = 2 sectors of the (even, even) class
-    basis = hard_sphere_prod.basis
-    u, w = _even_sector_vector(basis, 0), _even_sector_vector(basis, 2)
-    mat = hard_sphere_prod.matrix + 1e-8 * (np.outer(u, w) + np.outer(w, u))
-    mat.setflags(write=False)
-    broken = dataclasses.replace(hard_sphere_prod, matrix=mat)
-    # every axis consumer refuses the operator and names the failed check
+def test_frames_coupling_sectors_are_refused_by_every_axis_consumer(broken_frames):
+    # 1e-8 of a sector 0 frame column in a sector 2 one: every axis consumer
+    # refuses the operator and names the failed check
+    broken = broken_frames("entry between sectors")
     mode = mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0]))
-    f0 = np.random.default_rng(5).standard_normal(basis.dim).astype(complex)
+    f0 = np.random.default_rng(5).standard_normal(broken.basis.dim).astype(complex)
     for run in (mode.eigen_blocks, lambda: propagate_kinetic(mode, f0, [0.0, 0.01]),
                 lambda: hydrodynamic_spectrum(mode)):
         with pytest.raises(AssemblyError, match="sector check: entry between sectors"):
             run()
 
 
-def test_sector_copy_mismatch_is_refused(hard_sphere_prod):
-    # 1e-8 on the cos copy of sector 2 alone: no entry between sectors, but
-    # the two copies of the sector no longer carry the same block
-    u = _even_sector_vector(hard_sphere_prod.basis, 2)
-    mat = hard_sphere_prod.matrix + 1e-8 * np.outer(u, u)
-    broken = dataclasses.replace(hard_sphere_prod, matrix=mat)
+def test_sector_copy_mismatch_is_refused(broken_frames):
+    # one cos-copy column of sector 1 with the wrong sign: no entry between
+    # sectors, but the two copies of the sector no longer carry the same block
+    broken = broken_frames("cos/sin copy mismatch")
     with pytest.raises(AssemblyError, match="sector check: cos/sin copy mismatch"):
         mode_operator(broken, 0.1, 0.5).eigen_blocks()

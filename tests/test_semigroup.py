@@ -7,7 +7,6 @@ over a 64-node radial grid):
     micro eps-prefactor slope           0.9959
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -154,21 +153,6 @@ class TestParityBlocks:
                                  [0.0, 0.01, 0.05])
         assert traj.method == "ode"
 
-    def test_broken_structure_takes_the_dense_path(self, op_mid, mode_mid, parity_blocks):
-        assert len(mode_mid.eigen_blocks()) == mode_mid.basis.max_degree + 1
-        basis = op_mid.basis
-        i, k = (next(i for i in parity_blocks(basis)[c]
-                     if i not in basis.invariant_indices) for c in (0, 1))
-        mat = np.array(op_mid.matrix)
-        mat[i, k] += 1e-8
-        mat.setflags(write=False)
-        broken = mode_operator(dataclasses.replace(op_mid, matrix=mat), mode_mid.eps, mode_mid.xi)
-        # the axis mode of an operator coupling two parity classes is refused
-        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
-            broken.eigen_blocks()
-        with pytest.raises(AssemblyError, match="sector check: imaginary part"):
-            propagate_kinetic(broken, random_state(broken.basis.dim), [0.0, 0.002, 0.01])
-
 
 class TestStackedPropagation:
     EPS = [0.2, 0.1, 0.05, 0.025]
@@ -237,16 +221,10 @@ class TestStackedPropagation:
                 assert np.array_equal(got[e], want[e])
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
 
-    def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, parity_blocks,
+    def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, broken_frames,
                                                                  monkeypatch):
         f0 = random_state(op_mid.basis.dim)
-        basis = op_mid.basis
-        i, k = (next(i for i in parity_blocks(basis)[c]
-                     if i not in basis.invariant_indices) for c in (0, 1))
-        mat = np.array(op_mid.matrix)
-        mat[i, k] += 1e-8
-        mat.setflags(write=False)
-        broken = dataclasses.replace(op_mid, matrix=mat)
+        broken = broken_frames("imaginary part")
         with pytest.raises(AssemblyError, match="sector check: imaginary part"):
             propagate_axis_modes(broken, self.EPS, 0.3, f0, [0.0, 0.01])
         with pytest.raises(BasisError, match="nonzero"):

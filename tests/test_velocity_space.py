@@ -335,7 +335,10 @@ def test_basis_matrix_is_the_direct_sum_of_radial_blocks(deg):
     # slots of different reflection classes
     basis = _basis(deg)
     gen = np.random.default_rng(deg)
-    radial = {l: gen.standard_normal(((deg - l) // 2 + 1,) * 2) for l in range(deg + 1)}
+    radial = np.zeros((deg + 1, deg // 2 + 1, deg // 2 + 1))
+    for l in range(deg + 1):
+        size = (deg - l) // 2 + 1
+        radial[l, :size, :size] = gen.standard_normal((size, size))
     mat = basis.axis_sectors.basis_matrix(radial)
     labels, t = _dense_burnett_transform(basis)
     want = np.array([[radial[l][n, k] if (l, m) == (lk, mk) else 0.0 for k, lk, mk in labels]
