@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -71,8 +72,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def build_operator(cfg: ExperimentConfig) -> CollisionOperator:
-    basis = build_basis(cfg.max_degree,
-                        quad_order=cfg.quad_order if cfg.quad_order else None)
+    basis = build_basis(cfg.max_degree)
     if cfg.backend == "synthetic":
         return synthetic_collision(basis, nu_bar=cfg.nu_bar)
     return assemble_collision(basis, gamma=cfg.gamma, kernel_c=cfg.kernel_c)
@@ -237,7 +237,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     rng = np.random.default_rng(cfg.seed)
 
     def basis_orthonormal():
-        resid = _gram_deviation(basis.node_poly.T, basis.gauss_weights)
+        resid = _gram_deviation(basis.exact_rule.poly, basis.exact_rule.weights)
         assert resid <= 1e-10, f"gram residual {resid:.2e}"
 
     def collision_structure():
@@ -396,4 +396,9 @@ def main(argv=None) -> int:
         return RUNNERS[args.subcommand](cfg)
     except VPBError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is left to devnull so the
+        # interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

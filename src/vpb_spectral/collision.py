@@ -64,7 +64,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, BackendError, VPBError
-from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_labels, burnett_rows
+from .velocity_space import (Frame, VelocityBasis, _genlaguerre, _product_rule, burnett_labels,
+                             burnett_rows)
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
@@ -129,13 +130,6 @@ def _check_mirror(x: np.ndarray, w: np.ndarray, rule: str) -> None:
     if gap > _MIRROR_TOL:
         raise AssemblyError(f"{rule} rule is not mirror-symmetric (mismatch {gap:.1e}); "
                             "the reflection fold of the collision sums needs it")
-
-
-def _product_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product rule on R^3 from one 1-d rule."""
-    nodes = np.stack([a.ravel() for a in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
-    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return nodes, weights
 
 
 def _sphere_rule(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:

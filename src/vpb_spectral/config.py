@@ -30,7 +30,6 @@ class ExperimentConfig:
     schema: int = SCHEMA_VERSION
     backend: str = "synthetic"
     max_degree: int = 4
-    quad_order: int = 0            # 0 means the basis default
     gamma: float = 1.0
     kernel_c: float = 1.0
     nu_bar: float = 1.0
@@ -140,9 +139,6 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
                 bad(f.name, f"non-finite value {v}")
     if cfg.max_degree < 2:
         bad("max_degree", "must be at least 2 to span the invariants")
-    if cfg.quad_order < 0 or 0 < cfg.quad_order < cfg.max_degree + 2:
-        bad("quad_order", f"must be 0 (default) or at least max_degree + 2 = "
-            f"{cfg.max_degree + 2}, got {cfg.quad_order}")
     for name in ("gamma", "kernel_c", "nu_bar"):
         if getattr(cfg, name) <= 0:
             bad(name, "kernel parameters must be positive")

@@ -333,13 +333,12 @@ def rotation_to_axis(direction: np.ndarray) -> np.ndarray:
 def compose_rotation(basis: VelocityBasis, rot: np.ndarray) -> np.ndarray:
     """Matrix of f -> f(rot . v) on basis coefficients; orthogonal, exact.
 
-    The quadrature sees products of two degree-N polynomials, so the
-    quad_order rule the basis carries is exact for these integrals.  Its
-    first use evaluates node_poly, which runs that rule's Gram check and
-    raises BasisError above _GRAM_TOL.
+    A rotation keeps the total degree, so the quadrature sees products of
+    two degree-N polynomials, and the basis's (N+1)^3-node exact_rule, whose
+    Gram check build_basis ran, is exact for these integrals.
     """
-    rotated = basis.poly_values(basis.quad_nodes @ rot.T)
-    return basis.node_poly.T @ (basis.gauss_weights[:, None] * rotated)
+    rule = basis.exact_rule
+    return rule.poly @ (rule.weights[:, None] * basis.poly_values(rule.nodes @ rot.T))
 
 
 def pushforward_from_axis(basis: VelocityBasis, direction: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ weight: every function is p(v) * sqrt(M), M the standard Gaussian.  The basis
 is the tensor product of normalized probabilists' Hermite functions, truncated
 at a total degree, with one orthogonal rotation applied inside the degree-2
 block so that the energy invariant (|v|^2 - 3) sqrt(M) / sqrt(6) is itself a
-basis element.  All inner products of basis functions are then computed
-exactly by a folded Gauss-Hermite product rule.
+basis element.  Every inner product of two basis functions integrates a
+polynomial of degree <= 2N against the Gaussian, so the (N+1)^3-node
+Gauss-Hermite product rule (VelocityBasis.exact_rule) computes all of them
+exactly; it is the basis's only quadrature rule.
 
 The real Burnett functions about e1 split the basis into azimuthal sectors
 (AxisSectors): rotations about e1 act on sector m as rotations by m times
@@ -133,6 +135,13 @@ def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product rule on R^3 from one 1-d rule."""
+    nodes = np.stack([a.ravel() for a in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    return nodes, weights
+
+
 def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n^3-node Gauss-Hermite product rule for the N(0, I3) measure:
     nodes (n^3, 3) and weights (n^3,).  BasisError if the 1-d rule has a
@@ -140,24 +149,13 @@ def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = hermegauss(n)
     if not np.all(w > 0) or not np.all(np.isfinite(x)):
         raise BasisError("degenerate 1-d quadrature rule (non-positive weight)")
-    w = w / np.sqrt(_TWO_PI)  # weights for the standard normal measure
-    nodes = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
-    return nodes, (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    return _product_rule(x, w / np.sqrt(_TWO_PI))  # weights for the standard normal measure
 
 
 def _gram_deviation(rows: np.ndarray, weights: np.ndarray) -> float:
     """max |P W P^T - I| for basis rows P, (dim, npts), on a rule with weights W."""
     gram = rows @ (weights[:, None] * rows.T)
     return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
-
-
-def _check_gram(rows: np.ndarray, weights: np.ndarray, order: int) -> None:
-    """BasisError unless the basis is orthonormal to _GRAM_TOL on the rule
-    with order nodes per axis."""
-    err = _gram_deviation(rows, weights)
-    if not err <= _GRAM_TOL:
-        raise BasisError(f"quadrature Gram check failed on the {order}^3-node rule: "
-                         f"max deviation {err:.3e} > {_GRAM_TOL:.1e}")
 
 
 def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
@@ -280,12 +278,8 @@ class VelocityBasis:
     """Orthonormal truncated Hermite basis with its exact quadrature."""
 
     max_degree: int
-    quad_order: int
     dim: int
     multi_indices: tuple[tuple[int, int, int], ...]
-    quad_nodes: np.ndarray        # (nq, 3)
-    quad_weights: np.ndarray      # (nq,) folded: sum w f(v) g(v) = (f, g)
-    gauss_weights: np.ndarray     # (nq,) weights for the N(0, I3) measure
     invariant_indices: tuple[int, int, int, int, int]
     rotation: np.ndarray          # (dim, dim) raw-tensor -> final basis
 
@@ -293,7 +287,6 @@ class VelocityBasis:
         return {
             "schema": 1,
             "max_degree": self.max_degree,
-            "quad_order": self.quad_order,
             "index_order": "graded-lex-ascending",
             "energy_rotation": "pure-squares-v1",
         }
@@ -337,23 +330,11 @@ class VelocityBasis:
         return out
 
     @cached_property
-    def node_poly(self) -> np.ndarray:
-        """(nq, dim) polynomial parts at the quadrature nodes; read-only.
-
-        The first evaluation checks the Gram matrix on this quad_order rule
-        and raises BasisError above _GRAM_TOL, so every reader of the
-        configured rule reads a checked one.
-        """
-        values = self.poly_values(self.quad_nodes)
-        _check_gram(values.T, self.gauss_weights, self.quad_order)
-        values.setflags(write=False)
-        return values
-
-    @cached_property
     def exact_rule(self) -> ExactRule:
         """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
-        exact for the degree-2N products of the Gram check and of the Burnett
-        transform, which both read it."""
+        exact for every degree-2N product of two basis functions: the Gram
+        check, the Burnett transform, compose_rotation and
+        coeffs_from_callable all read it."""
         nodes, weights = _gauss_product_rule(self.max_degree + 1)
         rule = ExactRule(nodes, weights, self.poly_rows(nodes))
         for arr in rule:
@@ -482,29 +463,17 @@ class MacroState:
     phi_factor: complex | None = None  # n / |xi|^2, the Poisson coupling factor
 
 
-def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis:
-    """Construct the truncated Hermite basis and its folded quadrature.
+def build_basis(max_degree: int) -> VelocityBasis:
+    """Construct the truncated Hermite basis and check it on its quadrature.
 
-    quad_order counts Gauss-Hermite nodes per axis; the default 2*max_degree+4
-    leaves margin beyond the max_degree+2 minimum.  Construction fails if the
-    quadrature is degenerate or if the Gram matrix on exact_rule, the
-    (max_degree+1)^3 rule that makes it exact, misses _GRAM_TOL.  The
-    quad_order rule is evaluated only when something reads node_poly
-    (coeffs_from_callable, off-axis mode_operator.compose_rotation, the check
-    subcommand), and its own Gram check runs then.
+    Construction fails if the quadrature is degenerate or if the Gram matrix
+    on exact_rule, the (max_degree+1)^3 rule that makes it exact, misses
+    _GRAM_TOL.
     """
     if max_degree < 2:
         raise BasisError("max_degree must be >= 2 so all five invariants are in the span")
-    if quad_order is None:
-        quad_order = 2 * max_degree + 4
-    if quad_order < max_degree + 2:
-        raise BasisError(
-            f"quad_order {quad_order} too small for max_degree {max_degree}; need >= {max_degree + 2}")
 
     indices = _multi_indices(max_degree)
-    nodes, gauss_w = _gauss_product_rule(quad_order)
-    maxwell = (_TWO_PI) ** (-1.5) * np.exp(-0.5 * np.sum(nodes ** 2, axis=1))
-
     inv = (indices.index((0, 0, 0)),
            indices.index((1, 0, 0)),
            indices.index((0, 1, 0)),
@@ -513,19 +482,17 @@ def build_basis(max_degree: int, quad_order: int | None = None) -> VelocityBasis
 
     basis = VelocityBasis(
         max_degree=max_degree,
-        quad_order=quad_order,
         dim=len(indices),
         multi_indices=tuple(indices),
-        quad_nodes=nodes,
-        quad_weights=gauss_w / maxwell,
-        gauss_weights=gauss_w,
         invariant_indices=inv,
         rotation=_energy_rotation(indices),
     )
-    for arr in (basis.quad_nodes, basis.quad_weights, basis.gauss_weights, basis.rotation):
-        arr.setflags(write=False)
+    basis.rotation.setflags(write=False)
     rule = basis.exact_rule
-    _check_gram(rule.poly, rule.weights, max_degree + 1)
+    err = _gram_deviation(rule.poly, rule.weights)
+    if not err <= _GRAM_TOL:
+        raise BasisError(f"quadrature Gram check failed on the {max_degree + 1}^3-node rule: "
+                         f"max deviation {err:.3e} > {_GRAM_TOL:.1e}")
     return basis
 
 
@@ -538,11 +505,12 @@ def evaluate(basis: VelocityBasis, coeffs: np.ndarray, points: np.ndarray) -> np
 
 
 def coeffs_from_callable(basis: VelocityBasis, fn) -> np.ndarray:
-    """Galerkin coefficients of a pointwise function v -> f(v) (f carries sqrt(M))."""
-    vals = fn(basis.quad_nodes)
-    return basis.node_poly.T @ (basis.quad_weights * vals
-                                * np.exp(-0.25 * np.sum(basis.quad_nodes ** 2, axis=1))
-                                * (_TWO_PI) ** (-0.75))
+    """Galerkin coefficients of a pointwise function v -> f(v) (f carries
+    sqrt(M)) on exact_rule: exact when f / sqrt(M) is a polynomial of degree
+    <= N + 1."""
+    rule = basis.exact_rule
+    sqrt_m = (_TWO_PI) ** (-0.75) * np.exp(-0.25 * np.sum(rule.nodes ** 2, axis=1))
+    return rule.poly @ (rule.weights * fn(rule.nodes) / sqrt_m)
 
 
 def project_macro(basis: VelocityBasis, f: np.ndarray,

@@ -26,7 +26,7 @@ def _operator_cache(tmp_path_factory):
 def basis_small():
     from vpb_spectral import build_basis
 
-    return build_basis(2, 8)
+    return build_basis(2)
 
 
 @pytest.fixture(scope="session")

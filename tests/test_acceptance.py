@@ -87,7 +87,8 @@ def coeffs6(syn6):
 
 def _structure(op):
     basis, mat = op.basis, op.matrix
-    gram = basis.node_poly.T @ (basis.gauss_weights[:, None] * basis.node_poly)
+    rule = basis.exact_rule
+    gram = rule.poly @ (rule.weights[:, None] * rule.poly.T)
     assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-10
     scale = float(np.max(np.abs(mat)))
     assert np.max(np.abs(mat - mat.T)) <= 1e-10 * scale

@@ -124,15 +124,14 @@ class TestExitCodes:
         assert "field 'gamma'" in err
         assert out == "" and not (tmp_path / "a").exists()
 
-    def test_short_quad_order_is_two_and_writes_nothing(self, tmp_path, capsys):
-        # max_degree 4 needs at least 6 nodes per axis for an exact Gram matrix
+    def test_quad_order_is_an_unknown_field_and_writes_nothing(self, tmp_path, capsys):
+        # the basis has one quadrature rule, sized by max_degree alone
         cfg = tmp_path / "quad.cfg"
-        cfg.write_text(TINY.replace("max_degree = 3", "max_degree = 4\nquad_order = 3"),
-                       encoding="utf-8")
+        cfg.write_text(TINY + "quad_order = 12\n", encoding="utf-8")
         code, out, err = run_cli(["converge", "--config", cfg,
                                   "--out", tmp_path / "a"], capsys)
         assert code == 2
-        assert "field 'quad_order'" in err and "max_degree + 2 = 6" in err
+        assert "unknown field 'quad_order'" in err
         assert out == "" and not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("sub", ["spectrum", "converge"])
@@ -414,7 +413,9 @@ class TestEntryPoint:
         # an imported name that its module never reads is dead code no other
         # check reports; the package's __init__ imports to re-export
         unread = []
-        for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
+        paths = [*Path(vpb_spectral.__file__).parent.glob("*.py"),
+                 *Path(__file__).parent.glob("*.py")]
+        for path in sorted(paths):
             if path.name == "__init__.py":
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -462,6 +463,25 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_closed_stdout_pipe_exits_one_without_a_traceback(self, tiny_cfg):
+        # unbuffered, so each line is written as it is printed; the pause
+        # after the policy line lets the reader close the pipe before the
+        # next print
+        env = _child_env()
+        env["PYTHONUNBUFFERED"] = "1"
+        code = ("import sys, time; from vpb_spectral import cli; build = cli.build_operator; "
+                "cli.build_operator = lambda cfg: time.sleep(0.5) or build(cfg); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.Popen([sys.executable, "-c", code, "check", "--config", str(tiny_cfg)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=env)
+        assert "BLAS" in proc.stdout.readline()  # the policy line
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_subcommand_listing(self):
         assert SUBCOMMANDS == ("check", "spectrum", "dispersion", "transport",

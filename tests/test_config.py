@@ -1,6 +1,9 @@
 """Config parsing, validation, and digest stability."""
 
 import dataclasses
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +215,16 @@ class TestOverrides:
 
     def test_backends_tuple_fixed(self):
         assert BACKENDS == ("synthetic", "hard_sphere")
+
+
+class TestReadme:
+    def test_config_table_names_every_field_once(self):
+        # the key column of README's config table, one or more `key` per row
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        keys = Counter()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert keys == Counter(f.name for f in dataclasses.fields(ExperimentConfig))

@@ -18,7 +18,6 @@ from vpb_spectral.dispersion import (
     FLUX_INDICES,
     R0_DEFAULT,
     R1_DEFAULT,
-    BranchPoint,
     _entries,
     _coupled_roots,
     _Family,
@@ -35,7 +34,7 @@ from vpb_spectral.dispersion import (
     solve_D1,
 )
 from vpb_spectral.errors import RegimeError
-from vpb_spectral.mode_operator import EigenBlock, mode_operator
+from vpb_spectral.mode_operator import mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, flux_vector
 

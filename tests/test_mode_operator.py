@@ -19,7 +19,7 @@ from vpb_spectral.mode_operator import (
     rotation_to_axis,
 )
 from vpb_spectral.semigroup import propagate_kinetic
-from vpb_spectral.velocity_space import Frame
+from vpb_spectral.velocity_space import Frame, _gauss_product_rule
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def test_mode_matrix_shape_and_rejections(op4):
 
 @given(st.floats(0.01, 0.9), st.floats(0.1, 2.0), st.integers(0, 2 ** 32 - 1))
 def test_numerical_range_is_the_collision_form(eps, s, seed):
-    basis = build_basis(2, 8)
+    basis = build_basis(2)
     op = synthetic_collision(basis)
     mode = mode_operator(op, eps, s)
     rng = np.random.default_rng(seed)
@@ -133,6 +133,21 @@ def test_rotation_invariance_of_collision(op4):
     t = compose_rotation(op4.basis, rotation_to_axis(d))
     assert np.max(np.abs(t @ t.T - np.eye(op4.basis.dim))) < 1e-12
     assert np.max(np.abs(t @ op4.matrix @ t.T - op4.matrix)) < 1e-11
+
+
+@pytest.mark.parametrize("deg", range(2, 9))
+def test_compose_rotation_matches_a_finer_rule(deg):
+    # the integrands have degree 2N, so the basis's (N+1)^3 rule gives what
+    # the same product gives on a (2N+4)^3 rule; the second direction has
+    # d1 < 0, where rotation_to_axis takes its half-turn first
+    basis = build_basis(deg)
+    nodes, weights = _gauss_product_rule(2 * deg + 4)
+    for d in (np.array([2.0, -1.0, 2.0]) / 3.0, np.array([-0.48, 0.6, -0.64])):
+        rot = rotation_to_axis(d)
+        fine = basis.poly_values(nodes).T @ (weights[:, None] * basis.poly_values(nodes @ rot.T))
+        t = compose_rotation(basis, rot)
+        assert np.max(np.abs(t - fine)) <= 1e-13
+        assert np.max(np.abs(t @ t.T - np.eye(basis.dim))) <= 1e-13
 
 
 def test_axis_reduction_intertwines(op4):

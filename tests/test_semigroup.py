@@ -21,9 +21,6 @@ from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.limit_lab import layer_time_grid
 from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks, mode_operator
 from vpb_spectral.semigroup import (
-    DecayFit,
-    FluidModeState,
-    ModeTrajectory,
     closed_fluid_forms,
     compatible_initial_values,
     fit_decay,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.errors import AssemblyError, BasisError
+from vpb_spectral.errors import BasisError
 from vpb_spectral.transport import (
     BRANCHES,
     TransportCoefficients,

@@ -67,14 +67,18 @@ def test_poly_rows_in_any_order_equal_gathered_poly_values(deg):
 
 
 @pytest.mark.parametrize("deg", [2, 3, 4, 6, 8])
-def test_node_poly_equals_dense_rotation(deg):
-    # 512 to 8000 nodes, so evaluation blocks of 1024 points meet and split here
+def test_rows_on_product_rules_equal_dense_rotation(deg):
+    # the exact rule's rows, and the values on a (2N+4)^3 rule: 512 to 8000
+    # nodes, so evaluation blocks of 1024 points meet and split here
     basis = _basis(deg)
-    np.testing.assert_array_equal(basis.node_poly, dense_reference(basis, basis.quad_nodes))
+    rule = basis.exact_rule
+    np.testing.assert_array_equal(rule.poly, dense_reference(basis, rule.nodes).T)
+    nodes, _ = velocity_space._gauss_product_rule(2 * deg + 4)
+    np.testing.assert_array_equal(basis.poly_values(nodes), dense_reference(basis, nodes))
 
 
 def test_dimension_counts():
-    assert build_basis(2, 8).dim == 10
+    assert build_basis(2).dim == 10
     assert build_basis(3).dim == 20
     assert build_basis(4).dim == 35
 
@@ -82,22 +86,21 @@ def test_dimension_counts():
 def test_rejects_bad_construction():
     with pytest.raises(BasisError):
         build_basis(1)
-    with pytest.raises(BasisError):
-        build_basis(4, 5)
 
 
 def test_gram_is_identity(basis_mid):
+    rule = basis_mid.exact_rule
+    gram = rule.poly @ (rule.weights[:, None] * rule.poly.T)
+    assert np.max(np.abs(gram - np.eye(basis_mid.dim))) < 1e-12
+
+
+def test_coeffs_from_callable_inverts_evaluate(basis_mid):
+    # every basis function, evaluated with its sqrt(M), comes back as its own
+    # unit coefficient vector: exact_rule is exact for the degree-2N products
     b = basis_mid
-    gram = b.node_poly.T @ (b.gauss_weights[:, None] * b.node_poly)
-    assert np.max(np.abs(gram - np.eye(b.dim))) < 1e-12
-
-
-def test_folded_weights_reproduce_gram(basis_small):
-    b = basis_small
-    sqrt_m = TWO_PI ** (-0.75) * np.exp(-0.25 * np.sum(b.quad_nodes ** 2, axis=1))
-    vals = b.node_poly * sqrt_m[:, None]
-    gram = vals.T @ (b.quad_weights[:, None] * vals)
-    assert np.max(np.abs(gram - np.eye(b.dim))) < 1e-12
+    recovered = np.column_stack([coeffs_from_callable(b, lambda v, e=e: evaluate(b, e, v))
+                                 for e in np.eye(b.dim)])
+    assert np.max(np.abs(recovered - np.eye(b.dim))) < 1e-12
 
 
 def test_invariant_values_at_origin(basis_small):
@@ -193,7 +196,7 @@ coeff_arrays = st.lists(st.floats(-5, 5, allow_nan=False), min_size=10, max_size
 
 @given(coeff_arrays)
 def test_macro_micro_split_is_orthogonal(c):
-    b = build_basis(2, 8)
+    b = build_basis(2)
     f = np.array(c)
     pf = b.macro_project(f)
     qf = b.micro_project(f)
@@ -205,7 +208,7 @@ def test_macro_micro_split_is_orthogonal(c):
 
 @given(coeff_arrays, st.floats(0.05, 10.0))
 def test_metric_sandwich(c, s):
-    b = build_basis(2, 8)
+    b = build_basis(2)
     f = np.array(c)
     plain = float(np.sum(f * f))
     wt = weighted_norm(b, f, s) ** 2
@@ -295,9 +298,11 @@ def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     assert len(labels) == len(set(labels)) == basis.dim
     assert np.max(np.abs(t @ t.T - np.eye(basis.dim))) <= 1e-12
     # every Burnett function lies in one reflection class: its coefficients on
-    # the basis's own quadrature, over every slot, vanish outside the class
-    axis_last = basis.quad_nodes[:, [1, 2, 0]]
-    full = (burnett_rows(axis_last, np.array(labels)) * basis.gauss_weights) @ basis.node_poly
+    # a (2N+4)^3 rule finer than the basis's own, over every slot, vanish
+    # outside the class
+    nodes, weights = velocity_space._gauss_product_rule(2 * deg + 4)
+    phi = burnett_rows(nodes[:, [1, 2, 0]], np.array(labels))
+    full = (phi * weights) @ basis.poly_values(nodes)
     assert np.max(np.abs(full - t)) <= 1e-13
 
 
@@ -373,8 +378,7 @@ def _skew_weights(monkeypatch, n_skewed):
 
 @pytest.mark.parametrize("deg", [4, 6, 8])
 def test_build_basis_evaluates_only_the_exact_rule(monkeypatch, deg):
-    # the Gram check reads the (N+1)^3 rule; the (2N+4)^3 quad_order rule is
-    # left for whoever reads node_poly
+    # the Gram check reads the (N+1)^3 rule, the basis's only one
     calls = _spy_poly_rows(monkeypatch)
     basis = build_basis(deg)
     assert calls == [(deg + 1) ** 3]
@@ -401,19 +405,6 @@ def test_skewed_exact_rule_fails_build_basis(monkeypatch):
     _skew_weights(monkeypatch, 7)
     with pytest.raises(BasisError, match=r"Gram check failed on the 7\^3-node rule"):
         build_basis(6)
-
-
-def test_skewed_configured_rule_fails_its_first_reader(monkeypatch):
-    # build_basis never reads the quad_order rule; each reader of node_poly
-    # runs its Gram check (a failed cached_property is not stored)
-    _skew_weights(monkeypatch, 12)
-    basis = build_basis(4)
-    with pytest.raises(BasisError, match=r"Gram check failed on the 12\^3-node rule"):
-        basis.node_poly
-    with pytest.raises(BasisError, match="Gram check"):
-        coeffs_from_callable(basis, lambda v: np.exp(-0.25 * np.sum(v ** 2, axis=1)))
-    with pytest.raises(BasisError, match="Gram check"):
-        compose_rotation(basis, _rot_e1(0.3))
 
 
 @pytest.mark.parametrize("deg", [2, 4, 6, 8, 12])
