@@ -15,18 +15,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import VPBError
+from .errors import ConfigError, VPBError
 
 _MAGIC = b"VPBSPEC1"
 
 
 def cache_dir() -> Path | None:
-    """Cache root from VPB_SPECTRAL_CACHE; None disables caching."""
+    """Cache root from VPB_SPECTRAL_CACHE, made if missing; None disables
+    caching.  ConfigError when the directory cannot be made."""
     root = os.environ.get("VPB_SPECTRAL_CACHE", "").strip()
     if not root:
         return None
     path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"VPB_SPECTRAL_CACHE={root!r} is not a usable cache "
+                          f"directory: {exc.strerror}") from None
     return path
 
 

@@ -9,10 +9,11 @@ with F, G the polynomial parts of f, g.  In center-of-mass coordinates
 p = (v + v_*)/sqrt(2), rel = (v - v_*)/sqrt(2) the Gaussian weight factorizes,
 and the angular-cutoff kernel C |cos(theta)| |u|^gamma turns the collision
 sphere into a plain surface measure, so the whole 8-d integral reduces to
-(Gauss-Hermite)^3 x generalized Gauss-Laguerre x two product sphere rules.
-Every factor rule is sized to the polynomial degree of the integrand, which
-makes the assembled matrix exact up to roundoff: symmetric, negative
-semidefinite, with the five collision invariants as its exact kernel.
+(Gauss-Hermite)^3 x generalized Gauss-Laguerre x one product sphere rule,
+which serves both sphere variables, eta and sigma.  Every factor rule is
+sized to the polynomial degree of the integrand, which makes the assembled
+matrix exact up to roundoff: symmetric, negative semidefinite, with the five
+collision invariants as its exact kernel.
 
 Every factor rule is also mirror-symmetric, so each coordinate reflection,
 applied to the center-of-mass and sphere nodes together, maps the grid onto
@@ -22,7 +23,7 @@ between classes are exact zeros.  The bilinear form has no such invariance
 and runs on the full grid.
 
 The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
-which is unchanged when the particles swap, u -> -u on the sphere.  Each
+which is unchanged when the particles swap, u -> -u on the sphere.  The
 sphere rule holds every node's antipode at the same weight, so the sums of S
 (the Dirichlet matrix and the sigma-reduced sums of the bilinear form) run
 over one node per antipodal pair at twice its weight.  The bilinear form's
@@ -194,13 +195,13 @@ class _CollisionGrid:
 
     axial_com holds the axial rule for integrands invariant under rotations
     about e3, Gauss-Laguerre in |c_perp|^2 / 2 times the folded Gauss-Hermite
-    rule in c3, at nodes (c1, 0, c3) with c1, c3 >= 0.  folded_eta and
-    folded_sigma hold one sphere node per antipodal pair, each weighted twice;
-    axial_eta and axial_sigma fold those once more, by u -> (-u1, u2, -u3).
+    rule in c3, at nodes (c1, 0, c3) with c1, c3 >= 0.  eta is the one sphere
+    rule, for eta and sigma alike; folded_eta holds one of its nodes per
+    antipodal pair, each weighted twice, and axial_eta folds those once more,
+    by u -> (-u1, u2, -u3).
     """
 
-    def __init__(self, quad: CollisionQuadrature, gamma: float, kernel_c: float,
-                 sigma_quad: CollisionQuadrature | None = None):
+    def __init__(self, quad: CollisionQuadrature, gamma: float, kernel_c: float):
         if not 0.0 <= gamma <= 1.0:
             raise AssemblyError(f"kernel exponent gamma={gamma} outside the hard range [0, 1]")
         if kernel_c <= 0:
@@ -231,23 +232,16 @@ class _CollisionGrid:
         self.eta, self.eta_w = _sphere_rule(quad.n_polar, quad.n_azimuth)
         self.folded_eta = _exchange_fold(self.eta, self.eta_w, quad.n_azimuth, "eta")
         self.axial_eta = _axial_fold(*self.folded_eta, "eta")
-        sq = sigma_quad if sigma_quad is not None else quad
-        self.sigma, self.sigma_w = _sphere_rule(sq.n_polar, sq.n_azimuth)
-        self.folded_sigma = _exchange_fold(self.sigma, self.sigma_w, sq.n_azimuth, "sigma")
-        self.axial_sigma = _axial_fold(*self.folded_sigma, "sigma")
-        self.sigma_quad = sq
-        self.same_spheres = sigma_quad is None
 
         self.prefactor = kernel_c * 2.0 ** (gamma / 2.0) / 2.0 * _TWO_PI ** (-1.5)
 
     def resolved_degrees(self) -> dict[str, int]:
         """The largest integrand degree each factor rule sums exactly: the
         largest degree whose CollisionQuadrature.for_degree it has the nodes of."""
-        degrees = {"Gauss-Hermite center-of-mass": 2 * self.quad.n_gauss - 1,
-                   "Gauss-Laguerre radial": 4 * self.quad.n_radial - 1}
-        for rule, q in (("eta", self.quad), ("sigma", self.sigma_quad)):
-            degrees[f"{rule} sphere"] = min(2 * q.n_polar, q.n_azimuth) - 1
-        return degrees
+        q = self.quad
+        return {"Gauss-Hermite center-of-mass": 2 * q.n_gauss - 1,
+                "Gauss-Laguerre radial": 4 * q.n_radial - 1,
+                "eta sphere": min(2 * q.n_polar, q.n_azimuth) - 1}
 
 
 def _pair_points(com: np.ndarray, rho: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,17 +304,13 @@ def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
     The raw sum is symmetric up to roundoff; a larger asymmetry means a
     broken sum and raises before the result is symmetrized.
     """
-    a1, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_eta, ranges)
-    if grid.same_spheres:
-        a2, b_red = a1, a_red
-    else:
-        a2, b_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_sigma, ranges)
+    acc, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_eta, ranges)
     w_com_rho = (grid.axial_com[1][:, None] * grid.rho_w[None, :]).ravel()
     cross = np.zeros((n_rows, n_rows))
-    _add_class_products(cross, a_red * w_com_rho, b_red, ranges)
-    eta_total = float(np.sum(grid.eta_w))
-    sigma_total = float(np.sum(grid.sigma_w))
-    mat = -(grid.prefactor / 4.0) * (sigma_total * a1 + eta_total * a2 - cross - cross.T)
+    _add_class_products(cross, a_red * w_com_rho, a_red, ranges)
+    # eta and sigma share the sphere rule, so the two S S^T terms are one sum
+    total = float(np.sum(grid.eta_w))
+    mat = -(grid.prefactor / 4.0) * (2.0 * total * acc - cross - cross.T)
     asym = float(np.max(np.abs(mat - mat.T)))
     if asym > 1e-12 * max(float(np.max(np.abs(mat))), 1.0):
         raise AssemblyError(f"collision matrix asymmetry {asym:.2e} before symmetrization")
@@ -385,7 +375,7 @@ class GammaEvaluator:
         self.grid = _CollisionGrid(self.quad, gamma, kernel_c)
         g = self.grid
         n_rho = g.rho.size
-        sigma, sigma_w = g.folded_sigma
+        sigma, sigma_w = g.folded_eta  # sigma runs over the same sphere rule as eta
         # sigma-reduced post-collisional sums b[alpha, (com, rho)], exchange-folded
         self._b_primed = np.zeros((basis.dim, g.com_nodes.shape[0] * n_rho))
         for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * sigma.shape[0]):
@@ -419,8 +409,7 @@ class GammaEvaluator:
             start = blk.start * n_rho
             c_red[start:start + com.shape[0] * n_rho] = np.einsum(
                 "qsp,s->qp", x.reshape(com.shape[0] * n_rho, n_sphere, npairs), g.eta_w)
-        sigma_total = float(np.sum(g.sigma_w))
-        term_local *= sigma_total
+        term_local *= float(np.sum(g.eta_w))
         term_cross = self._b_primed @ (self._w_com_rho[:, None] * c_red)
         out = 0.5 * g.prefactor * (term_cross - term_local)
         return out.T
@@ -645,8 +634,7 @@ def _structural_checks(radial: np.ndarray) -> None:
 
 def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
                        kernel_c: float = 1.0,
-                       quad: CollisionQuadrature | None = None,
-                       use_cache: bool = True) -> CollisionOperator:
+                       quad: CollisionQuadrature | None = None) -> CollisionOperator:
     """Assemble the radial blocks of the hard-potential collision operator.
 
     The default quadrature is exact for the degree-2N Dirichlet integrand, so
@@ -670,7 +658,7 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
         "fold": _FOLD_TAG,
     }
     top = basis.max_degree
-    root = _cache.cache_dir() if use_cache else None
+    root = _cache.cache_dir()
     path = None
     if root is not None:
         path = root / f"L-{_cache.key_hash(params)}.vpbc"

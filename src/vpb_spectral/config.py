@@ -177,10 +177,16 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
 def validate_subcommand(cfg: ExperimentConfig, subcommand: str,
                         source: str = "config") -> None:
     """What one subcommand needs beyond validate_config: converge fits its eps
-    slope, which takes at least three eps values."""
+    slope, which takes at least three eps values, and every subcommand but
+    check writes artifacts, which takes an out_dir that no file blocks."""
     if subcommand == "converge" and len(cfg.eps_list) < 3:
         raise ConfigError(f"{source}: field 'eps_list': converge fits the eps slope "
                           f"through at least three values, got {len(cfg.eps_list)}")
+    out = Path(cfg.out_dir)
+    blocked = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if subcommand != "check" and blocked is not None:
+        raise ConfigError(f"{str(blocked)!r} is a file, so no artifact can be written "
+                          f"under {cfg.out_dir!r}", field="out_dir")
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

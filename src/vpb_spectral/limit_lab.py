@@ -13,7 +13,6 @@ flow is one stacked eigen-expansion per sector (semigroup.propagate_axis_modes).
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .collision import CollisionOperator
 from .dispersion import AXIS, asymptotic_coefficients, limit_vectors
 from .errors import BackendError, DataError, FitError
 from .mode_operator import check_eps, mode_operator
-from .semigroup import compatible_initial_values, propagate_axis_modes, propagate_kinetic
+from .semigroup import propagate_axis_modes, propagate_kinetic
 from .transport import TransportCoefficients, compute_kappas
 from .velocity_space import (
     MacroState,
@@ -51,9 +50,6 @@ class RadialGrid:
     @property
     def count(self) -> int:
         return self.nodes.size
-
-    def refined(self) -> "RadialGrid":
-        return radial_grid(self.s_min, self.s_max, 2 * self.count, self.spacing)
 
     def descriptor(self) -> dict:
         return {"s_min": self.s_min, "s_max": self.s_max,
@@ -105,20 +101,16 @@ def _well_prepared_checks(basis: VelocityBasis, vec: np.ndarray, s: float) -> di
 
 
 def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
-                      grid: RadialGrid | None = None, macro_profile=None,
-                      auto_correct: bool = True) -> InitialData:
+                      grid: RadialGrid | None = None) -> InitialData:
     """Build per-shell initial data from a decaying amplitude profile.
 
     generic data carries density, parallel and transverse momentum, energy
     and a microscopic component, so both acoustic projections and the
     initial layer are present.  well_prepared data lives in the null space
     with divergence-free momentum and the Poisson-compatible density, which
-    kills the acoustic projections identically.
-
-    macro_profile optionally overrides the shell moments: a callable
-    s -> (n, m, q).  An incompatible override under well_prepared is either
-    repaired through the canonical compatibility formulas (auto_correct) or
-    rejected with the repaired values attached.
+    kills the acoustic projections identically; its moments satisfy both
+    preparation constraints by construction, and _assert_well_prepared
+    checks them to CONSTRAINT_TOL.
     """
     if kind not in ("generic", "well_prepared"):
         raise DataError(f"unknown initial-data kind {kind!r}")
@@ -131,10 +123,7 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
     macro_states: list[MacroState] = []
     for k, s in enumerate(grid.nodes):
         amp = complex(spectral_profile(s))
-        if macro_profile is not None:
-            n0, m0, q0 = macro_profile(s)
-            m0 = np.asarray(m0, dtype=complex)
-        elif kind == "generic":
+        if kind == "generic":
             n0 = 0.4 * amp
             m0 = amp * np.array([0.8, 0.5, -0.3])
             q0 = -0.6 * amp
@@ -142,18 +131,6 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
             q0 = amp
             n0 = -math.sqrt(2.0 / 3.0) * s * s / (1.0 + s * s) * q0
             m0 = amp * np.array([0.0, 0.7, -0.4])
-        if kind == "well_prepared":
-            n_fix, q_fix = compatible_initial_values(n0, q0, s)
-            m_fix = m0.copy()
-            m_fix[0] = 0.0
-            drift = max(abs(n_fix - n0), abs(q_fix - q0),
-                        float(np.max(np.abs(m_fix - m0))))
-            if drift > CONSTRAINT_TOL * max(1.0, abs(amp)):
-                if not auto_correct:
-                    raise DataError(
-                        f"macro profile violates the preparation constraints at s={s:.4g}",
-                        suggestion={"n_hat": n_fix, "m_hat": m_fix, "q_hat": q_fix})
-                n0, m0, q0 = n_fix, m_fix, q_fix
         vec = macro_vector(basis, n0, m0, q0).astype(complex)
         if kind == "generic":
             vec = vec + 0.5 * amp * micro_seed
@@ -181,14 +158,10 @@ def _assert_well_prepared(data: InitialData) -> None:
         raise DataError(f"well-prepared invariants violated: {bad}")
 
 
-def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray,
-                     field_fn=None, refine_tol: float = 0.05) -> float:
+def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray) -> float:
     """Radial L1 synthesis 4*pi sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.
 
     Upper bound surrogate for the sup-in-x norm of the inverse transform.
-    With field_fn (a callable s -> coefficient vector) the value is checked
-    against a doubled grid and a coarseness warning is emitted when the two
-    disagree by more than refine_tol.
     """
     fld = np.asarray(fld)
     if fld.shape != (grid.count, basis.dim):
@@ -197,17 +170,6 @@ def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray,
     total = 0.0
     for k, (s, w) in enumerate(zip(grid.nodes, grid.weights)):
         total += 4.0 * math.pi * s * s * w * weighted_norm(basis, fld[k], float(s))
-    if field_fn is not None:
-        fine = grid.refined()
-        fine_total = 0.0
-        for s, w in zip(fine.nodes, fine.weights):
-            fine_total += 4.0 * math.pi * s * s * w * weighted_norm(
-                basis, np.asarray(field_fn(float(s))), float(s))
-        if abs(fine_total - total) > refine_tol * max(abs(fine_total), 1e-300):
-            warnings.warn(
-                f"radial grid too coarse: refinement moves the norm by "
-                f"{abs(fine_total - total) / max(abs(fine_total), 1e-300):.2%}",
-                stacklevel=2)
     return total
 
 
@@ -306,7 +268,7 @@ class ErrorTable:
                 for name in ("t", "err_Linf_P", "err_macro", "err_micro")}
 
 
-def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract, couple=True):
+def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract):
     """Per-eps, per-time (total, macro, micro) kinetic-minus-fluid norms at one
     shell, (E, T, 3) for the E values of eps_list.
 
@@ -323,12 +285,7 @@ def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract, couple=True)
     macro = basis.macro_project(f0_vec)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = bundle.evolve(basis, macro, times, branches, eps_list)
-    if couple:
-        states = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
-    else:
-        # decoupled consistency mode: the kinetic solver is replaced by the
-        # fluid one, so the assembled errors must come out exactly zero
-        states = limit
+    states = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
     diff = states - limit
     sq = diff.real ** 2 + diff.imag ** 2
     is_macro = np.zeros(basis.dim, dtype=bool)
@@ -340,8 +297,7 @@ def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract, couple=True)
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
                           time_grid, coeffs: TransportCoefficients | None = None,
-                          subtract_layer: bool = False, couple: bool = True,
-                          jobs: int = 1) -> ErrorTable:
+                          subtract_layer: bool = False, jobs: int = 1) -> ErrorTable:
     """Kinetic-versus-fluid error synthesis over an (eps, shell) sweep.
 
     Per shell the kinetic mode is propagated from the full data while the
@@ -349,8 +305,7 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     gaps are synthesized into radial norms.  subtract_layer removes the
     oscillation part and the microscopic kinetic propagation before taking
     norms, which is the combination whose gap stays first order in eps
-    uniformly down to t = 0.  couple=False replaces the kinetic solver by
-    the fluid one (a pipeline identity check: errors must vanish).
+    uniformly down to t = 0.
 
     One task per shell serves every eps: the shell's axis modes share their
     sector frames, data coordinates and fluid pairings, and each sector
@@ -377,7 +332,7 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
         s = float(grid.nodes[k])
         bundle = asymptotic_coefficients(basis, s, coeffs)
         return _shell_errors(op, eps_list, s, data.profile[k], bundle, times,
-                             subtract_layer and couple, couple)
+                             subtract_layer)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -410,7 +365,6 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
             "s_grid": grid.descriptor(),
             "eps_list": eps_list,
             "subtract_layer": subtract_layer,
-            "couple": couple,
         })
     exponent = 0.5 if subtract_layer else 0.75
     table.metadata["weight_exponent"] = exponent

@@ -40,11 +40,8 @@ PROPAGATION_BOUND_LIMIT = 1e-8
 
 @dataclass
 class ModeTrajectory:
-    """Time samples of one Fourier mode, kinetic or fluid.
-
-    oracle_gap is the largest weighted distance between the primary states
-    and the independent ODE integration, when that oracle was run.
-    """
+    """Time samples of one Fourier mode, kinetic or fluid; method names the
+    path that computed the states: "eig", "ode" or "fluid"."""
 
     xi: np.ndarray
     eps: float
@@ -52,7 +49,6 @@ class ModeTrajectory:
     states: np.ndarray
     basis: VelocityBasis
     method: str
-    oracle_gap: float | None = None
 
     @property
     def norm_track(self) -> np.ndarray:
@@ -101,7 +97,7 @@ def hydrodynamic_projector(mode: FourierMode,
 
 def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Radau integration of the mode ODE, real-stacked; the independent path."""
-    import scipy.integrate  # only this fallback and oracle path needs it
+    import scipy.integrate  # only this fallback needs it
 
     a = mode.matrix / mode.eps ** 2
     n = a.shape[0]
@@ -188,33 +184,24 @@ def _eig_expansion(blocks, coords, times: np.ndarray, eps2: np.ndarray,
     return np.ascontiguousarray(states.transpose(1, 2, 0)), ode
 
 
-def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times,
-                      oracle: bool = False) -> ModeTrajectory:
+def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajectory:
     """Evolve one mode under the scaled kinetic flow.
 
     Primary path: the mode's eigen_blocks() through _eig_expansion, as a
     stack of one.  If that path cannot be trusted for the mode (a block's
     cond at COND_LIMIT or more, or its propagation bound above
     PROPAGATION_BOUND_LIMIT), the trajectory is integrated instead and
-    flagged by method = "ode".  With oracle=True both paths run and the
-    largest weighted discrepancy is recorded.
+    flagged by method = "ode".
     """
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
 
     states, ode = _eig_expansion(mode.eigen_blocks(), mode.coordinates(f0), times,
                                  np.array([mode.eps ** 2]), f0.size)
-    method = "ode" if ode[0] else "eig"
     states = _ode_states(mode, f0, times) if ode[0] else states[0]
-
-    gap = None
-    if oracle and method == "eig":
-        ref = _ode_states(mode, f0, times)
-        gap = max(mode.norm(states[i] - ref[i]) for i in range(times.size))
-
     return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
-                          states=states, basis=mode.basis, method=method,
-                          oracle_gap=gap)
+                          states=states, basis=mode.basis,
+                          method="ode" if ode[0] else "eig")
 
 
 def propagate_axis_modes(op: CollisionOperator, eps_list, s: float, f0: np.ndarray,

@@ -56,8 +56,8 @@ def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
                                  basis_hash=basis.descriptor_hash())
 
 
-def kappas_with_error(max_degree: int, gamma: float = 1.0, kernel_c: float = 1.0,
-                      use_cache: bool = True) -> TransportCoefficients:
+def kappas_with_error(max_degree: int, gamma: float = 1.0,
+                      kernel_c: float = 1.0) -> TransportCoefficients:
     """Two-level truncation study at max_degree and max_degree + 2.
 
     Reports the finer-level coefficients; the error bar is the worst
@@ -66,8 +66,7 @@ def kappas_with_error(max_degree: int, gamma: float = 1.0, kernel_c: float = 1.0
     """
     levels = []
     for degree in (max_degree, max_degree + 2):
-        op = assemble_collision(build_basis(degree), gamma=gamma, kernel_c=kernel_c,
-                                use_cache=use_cache)
+        op = assemble_collision(build_basis(degree), gamma=gamma, kernel_c=kernel_c)
         levels.append(compute_kappas(op))
     coarse, fine = levels
     bar = max(abs(fine.kappa0 - coarse.kappa0), abs(fine.kappa1 - coarse.kappa1),

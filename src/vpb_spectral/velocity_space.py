@@ -295,31 +295,27 @@ class VelocityBasis:
         payload = json.dumps(self.descriptor(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
-    def poly_rows(self, points: np.ndarray, order: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """Polynomial parts of the basis functions at arbitrary points, (dim, npts):
-        row r holds slot order[r], order a permutation of the slots (the
-        identity when None).  Written into out when given.
+    def poly_rows(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Polynomial parts of the basis functions at arbitrary points, (dim, npts),
+        one row per slot.  Written into out when given.
 
         The energy rotation only mixes the three pure-square slots, so only
         those rows are rotated, in ascending slot order (the order a dense
         product sums them in); the result equals the tensor-product values
-        times the full rotation exactly, in any slot order.
+        times the full rotation exactly.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        slots = np.arange(self.dim) if order is None else np.asarray(order)
-        alpha = np.array(self.multi_indices)[slots]
+        alpha = np.array(self.multi_indices)
         if out is None:
-            out = np.empty((slots.size, points.shape[0]))
+            out = np.empty((self.dim, points.shape[0]))
         for start in range(0, points.shape[0], _EVAL_ROWS):
             block = points[start:start + _EVAL_ROWS]
             tables = [hermite_polynomial_table(self.max_degree, block[:, k]) for k in range(3)]
             out[:, start:start + _EVAL_ROWS] = (
                 tables[0][alpha[:, 0]] * tables[1][alpha[:, 1]] * tables[2][alpha[:, 2]])
         cols = [self.multi_indices.index(a) for a in _PURE_SQUARES]
-        rows = np.argsort(slots)[cols]
         # an (npts, 3) by (3, 3) product, so each point sums in the same order
-        out[rows] = (out[rows].T @ self.rotation[np.ix_(cols, cols)]).T
+        out[cols] = (out[cols].T @ self.rotation[np.ix_(cols, cols)]).T
         return out
 
     def poly_values(self, points: np.ndarray) -> np.ndarray:

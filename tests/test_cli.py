@@ -315,7 +315,7 @@ class TestCheck:
         assert elapsed < 60.0
         assert "FAIL" not in out
         assert len([line for line in out.splitlines()
-                    if line.startswith("PASS ")]) == 9
+                    if line.startswith("PASS ")]) == 8
         assert out.splitlines()[-1].startswith("OK (0 failure(s)")
         # the thread policy is stated once, before the steps
         assert out.splitlines()[0] == describe_policy()
@@ -482,6 +482,45 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("where", ["flag", "config", "parent"])
+    def test_out_dir_blocked_by_a_file_is_two_before_any_work(self, where, tmp_path):
+        # the directory check runs before the operator is built; the file is
+        # left as it was
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / "sub" if where == "parent" else blocker
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(TINY + (f"out_dir = {out}\n" if where == "config" else ""),
+                       encoding="utf-8")
+        code = ("import sys; from vpb_spectral import cli; "
+                "cli.build_operator = lambda cfg: sys.exit('work started'); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        args = ["converge", "--config", str(cfg)]
+        if where != "config":
+            args += ["--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and "'out_dir'" in proc.stderr
+        assert proc.stdout == "" and blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_cache_dir_naming_a_file_is_one_typed_error(self, tmp_path):
+        blocker = tmp_path / "cache"
+        blocker.write_text("keep\n", encoding="utf-8")
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("backend = hard_sphere\nmax_degree = 3\n", encoding="utf-8")
+        env = _child_env()
+        env["VPB_SPECTRAL_CACHE"] = str(blocker)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vpb_spectral", "transport", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: ConfigError: VPB_SPECTRAL_CACHE={str(blocker)!r} is not a usable "
+            "cache directory: File exists"]
+        assert not (tmp_path / "out").exists()
 
     def test_subcommand_listing(self):
         assert SUBCOMMANDS == ("check", "spectrum", "dispersion", "transport",

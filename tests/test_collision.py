@@ -109,24 +109,24 @@ def test_truncation_gives_exact_restriction(basis_mid, hard_sphere_prod):
     assert np.max(np.abs(sub - op4.matrix)) < 1e-12
 
 
-def test_quadrature_refinement_is_inert(basis_small):
-    base = assemble_collision(basis_small, use_cache=False).matrix
+def test_quadrature_refinement_is_inert(basis_small, monkeypatch):
+    monkeypatch.delenv("VPB_SPECTRAL_CACHE")
+    base = assemble_collision(basis_small).matrix
     fine = assemble_collision(
-        basis_small, use_cache=False,
+        basis_small,
         quad=CollisionQuadrature(n_gauss=9, n_radial=6, n_polar=8, n_azimuth=18)).matrix
     assert np.max(np.abs(base - fine)) < 1e-12
 
 
 def test_collision_measure_preserves_velocity_law(basis_mid):
     # eta and sigma rules deliberately different, so agreement is not structural
-    grid = _CollisionGrid(
-        CollisionQuadrature.for_degree(2 * basis_mid.max_degree), 1.0, 1.0,
-        sigma_quad=CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=7, n_azimuth=12))
-    pre = one_point_integrals(basis_mid, grid, "v")
-    post = one_point_integrals(basis_mid, grid, "v_prime")
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * basis_mid.max_degree), 1.0, 1.0)
+    sigma = collision._sphere_rule(7, 12)
+    pre = one_point_integrals(basis_mid, grid, sigma, "v")
+    post = one_point_integrals(basis_mid, grid, sigma, "v_prime")
     assert np.max(np.abs(pre - post)) < 1e-11
-    pre_s = one_point_integrals(basis_mid, grid, "v_star")
-    post_s = one_point_integrals(basis_mid, grid, "v_prime_star")
+    pre_s = one_point_integrals(basis_mid, grid, sigma, "v_star")
+    post_s = one_point_integrals(basis_mid, grid, sigma, "v_prime_star")
     assert np.max(np.abs(pre - pre_s)) < 1e-11
     assert np.max(np.abs(post - post_s)) < 1e-11
 
@@ -153,12 +153,14 @@ def _unfolded_sums(basis, grid, unit, unit_w):
     return acc, np.concatenate(reduced)
 
 
-def _unfolded_dirichlet(basis, grid):
+def _unfolded_dirichlet(basis, grid, sigma):
+    """Reference Dirichlet form on the full grid, with the eta sums on the
+    grid's sphere rule and the sigma sums on the rule sigma, (nodes, weights)."""
     a1, a_red = _unfolded_sums(basis, grid, grid.eta, grid.eta_w)
-    a2, b_red = _unfolded_sums(basis, grid, grid.sigma, grid.sigma_w)
+    a2, b_red = _unfolded_sums(basis, grid, *sigma)
     w_com_rho = (grid.com_w[:, None] * grid.rho_w[None, :]).ravel()
     cross = (a_red * w_com_rho[:, None]).T @ b_red
-    mat = -(grid.prefactor / 4.0) * (np.sum(grid.sigma_w) * a1 + np.sum(grid.eta_w) * a2
+    mat = -(grid.prefactor / 4.0) * (np.sum(sigma[1]) * a1 + np.sum(grid.eta_w) * a2
                                      - cross - cross.T)
     return 0.5 * (mat + mat.T)
 
@@ -170,7 +172,7 @@ def _unfolded_frequency(basis, grid):
         u_vals = basis.poly_values(v)
         w = (com_w * grid.rho_w[:, None] * grid.eta_w[None, :]).ravel()
         acc += u_vals.T @ (w[:, None] * u_vals)
-    return grid.prefactor * np.sum(grid.sigma_w) * acc
+    return grid.prefactor * np.sum(grid.eta_w) * acc
 
 
 def _folded_com(grid):
@@ -188,7 +190,7 @@ def _total_mass(grid):
     """The integral of 1 against the full collision measure."""
     radial = float(np.sum(grid.rho_w))
     return (grid.prefactor * float(np.sum(grid.com_w)) * radial
-            * float(np.sum(grid.eta_w)) * float(np.sum(grid.sigma_w)))
+            * float(np.sum(grid.eta_w)) ** 2)
 
 
 def _class_order(basis):
@@ -231,27 +233,28 @@ def collision_frequency_matrix(basis, grid):
     order, ranges = _class_order(basis)
     com_nodes, com_w = _folded_com(grid)
     acc = np.zeros((basis.dim, basis.dim))
-    sigma_total = float(np.sum(grid.sigma_w))
+    sigma_total = float(np.sum(grid.eta_w))
     for blk in _chunk_blocks(com_nodes.shape[0], grid.rho.size * grid.eta.shape[0]):
         v, _ = _pair_points(com_nodes[blk], grid.rho, grid.eta)
-        rows = basis.poly_rows(v, order)
+        rows = basis.poly_rows(v)[order]
         _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, grid.eta_w),
                             ranges)
     return _unsort(grid.prefactor * sigma_total * acc, order)
 
 
-def one_point_integrals(basis, grid, which):
-    """I[P_alpha(x)] for x one of v, v_star, v_prime, v_prime_star.
+def one_point_integrals(basis, grid, sigma, which):
+    """I[P_alpha(x)] for x one of v, v_star, v_prime, v_prime_star, with the
+    eta sums on the grid's sphere rule and the sigma sums on the rule sigma,
+    (nodes, weights).
 
-    With independent sphere rules for eta and sigma this checks that the
-    collision measure pushes pre- and post-collisional velocities to the same
-    law.
+    With a sigma rule unlike the grid's this checks that the collision measure
+    pushes pre- and post-collisional velocities to the same law.
     """
     n_rho = grid.rho.size
     if which in ("v", "v_star"):
-        unit, unit_w, other_total = grid.eta, grid.eta_w, float(np.sum(grid.sigma_w))
+        unit, unit_w, other_total = grid.eta, grid.eta_w, float(np.sum(sigma[1]))
     elif which in ("v_prime", "v_prime_star"):
-        unit, unit_w, other_total = grid.sigma, grid.sigma_w, float(np.sum(grid.eta_w))
+        unit, unit_w, other_total = *sigma, float(np.sum(grid.eta_w))
     else:
         raise AssemblyError(f"unknown point label {which!r}")
     acc = np.zeros(basis.dim)
@@ -275,20 +278,23 @@ def collision_measure_total(gamma=1.0, kernel_c=1.0):
     return 2.0 * np.pi * kernel_c * 2.0 ** (gamma / 2.0) * moment
 
 
-# a sigma rule unlike every eta rule below that still resolves degree 12
-_INDEPENDENT_SIGMA = CollisionQuadrature(n_gauss=5, n_radial=3, n_polar=8, n_azimuth=16)
+# a sphere rule unlike every grid's below that still resolves degree 12
+_INDEPENDENT_SIGMA = collision._sphere_rule(8, 16)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 6])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("sigma_quad", [None, _INDEPENDENT_SIGMA], ids=["shared", "independent"])
-def test_folded_sums_match_unfolded_reference(degree, gamma, sigma_quad):
+@pytest.mark.parametrize("reference_sigma", ["shared", "independent"])
+def test_folded_sums_match_unfolded_reference(degree, gamma, reference_sigma):
+    # the folded sums run eta and sigma on the grid's one sphere rule; the
+    # reference sums sigma on that rule too, or on a rule unlike it, and both
+    # rules are exact for the integrand, so agreement is not structural
     basis = build_basis(degree)
-    grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0,
-                          sigma_quad=sigma_quad)
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0)
+    sigma = (grid.eta, grid.eta_w) if reference_sigma == "shared" else _INDEPENDENT_SIGMA
     cross = _cross_class_mask(basis)
     dirichlet = basis.axis_sectors.basis_matrix(_dirichlet_matrix(basis, grid))
-    for folded, ref in ((dirichlet, _unfolded_dirichlet(basis, grid)),
+    for folded, ref in ((dirichlet, _unfolded_dirichlet(basis, grid, sigma)),
                         (collision_frequency_matrix(basis, grid), _unfolded_frequency(basis, grid))):
         assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.all(folded[cross] == 0.0)
@@ -311,9 +317,9 @@ def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
         assert np.all(labels[:, 2] == 0)
         return zonal_kernel(points, labels)
 
-    def poly_spy(self, points, order=None):
+    def poly_spy(self, points, out=None):
         poly.append(len(points))
-        return poly_kernel(self, points, order)
+        return poly_kernel(self, points, out)
 
     monkeypatch.setattr(collision, "burnett_rows", zonal_spy)
     monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
@@ -326,18 +332,15 @@ def test_under_resolved_grid_is_refused():
     # the degree-8 rule sums a degree-6 basis's degree-12 integrand 4.6% off
     # the exact matrix, and that matrix passes every structural check
     with pytest.raises(AssemblyError) as err:
-        assemble_collision(build_basis(6), quad=CollisionQuadrature.for_degree(8),
-                           use_cache=False)
+        assemble_collision(build_basis(6), quad=CollisionQuadrature.for_degree(8))
     assert str(err.value) == (
         "collision grid does not resolve the degree-12 Dirichlet integrand of a degree-6 "
         "basis: the Gauss-Hermite center-of-mass rule resolves degree 9; the Gauss-Laguerre "
-        "radial rule resolves degree 11; the eta sphere rule resolves degree 9; the sigma "
-        "sphere rule resolves degree 9")
-    # one short rule is named alone: 12 azimuthal sigma nodes resolve degree 11
-    coarse = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0,
-                            sigma_quad=CollisionQuadrature(5, 3, 7, 12))
+        "radial rule resolves degree 11; the eta sphere rule resolves degree 9")
+    # one short rule is named alone: 12 azimuthal sphere nodes resolve degree 11
+    coarse = _CollisionGrid(CollisionQuadrature(7, 4, 7, 12), 1.0, 1.0)
     with pytest.raises(AssemblyError,
-                       match=r"Dirichlet integrand of a degree-6 basis: the sigma sphere rule "
+                       match=r"Dirichlet integrand of a degree-6 basis: the eta sphere rule "
                              r"resolves degree 11$"):
         _dirichlet_matrix(build_basis(6), coarse)
 
@@ -365,9 +368,9 @@ def _octant_zonal_dirichlet(grid, labels):
         return acc, np.concatenate(reduced, axis=1)
 
     a1, a_red = sums(grid.eta, grid.eta_w)
-    a2, b_red = (a1, a_red) if grid.same_spheres else sums(grid.sigma, grid.sigma_w)
+    a2, b_red = a1, a_red  # sigma runs over the same sphere rule as eta
     cross = (a_red * (com_w[:, None] * grid.rho_w[None, :]).ravel()) @ b_red.T
-    mat = -(grid.prefactor / 4.0) * (np.sum(grid.sigma_w) * a1 + np.sum(grid.eta_w) * a2
+    mat = -(grid.prefactor / 4.0) * (np.sum(grid.eta_w) * a1 + np.sum(grid.eta_w) * a2
                                      - cross - cross.T)
     parity = labels[:, 1] % 2
     return np.where(parity[:, None] == parity[None, :], 0.5 * (mat + mat.T), 0.0)
@@ -387,6 +390,7 @@ def test_zonal_sums_match_octant_reference(degree, gamma):
 
 
 def test_cross_l_zonal_entry_raises(basis_small, monkeypatch):
+    monkeypatch.delenv("VPB_SPECTRAL_CACHE")
     # deg 2 zonal rows: (n, l) = (0, 0), (1, 0), (0, 2) in the even class, (0, 1)
     exact = collision._pair_sums_and_reductions
 
@@ -399,15 +403,16 @@ def test_cross_l_zonal_entry_raises(basis_small, monkeypatch):
 
     monkeypatch.setattr(collision, "_pair_sums_and_reductions", perturbed)
     with pytest.raises(AssemblyError, match="Burnett check: zonal entry between different l"):
-        assemble_collision(basis_small, use_cache=False)
+        assemble_collision(basis_small)
 
 
 def test_non_orthogonal_burnett_transform_raises(monkeypatch):
+    monkeypatch.delenv("VPB_SPECTRAL_CACHE")
     exact = velocity_space.burnett_rows
     monkeypatch.setattr(velocity_space, "burnett_rows",
                         lambda points, labels: exact(points, labels) * (1.0 + 1e-9))
     with pytest.raises(AssemblyError, match="Burnett transform fails the orthogonality check"):
-        assemble_collision(build_basis(3), use_cache=False).matrix
+        assemble_collision(build_basis(3)).matrix
 
 
 def test_burnett_frames_are_built_only_by_the_dense_view_and_sector_blocks(tmp_path,
@@ -445,11 +450,11 @@ def test_b_primed_matches_full_sphere_reference(degree):
     g = ge.grid
     ref = []
     for com in g.com_nodes:
-        shift = g.rho[:, None, None] * g.sigma[None, :, :]
+        shift = g.rho[:, None, None] * g.eta[None, :, :]
         vp = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
         vps = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
         s_vals = basis.poly_values(vp) + basis.poly_values(vps)
-        ref.append(np.einsum("rsd,s->dr", s_vals.reshape(g.rho.size, -1, basis.dim), g.sigma_w))
+        ref.append(np.einsum("rsd,s->dr", s_vals.reshape(g.rho.size, -1, basis.dim), g.eta_w))
     ref = np.concatenate(ref, axis=1)
     assert ge._b_primed.shape == ref.shape
     assert np.max(np.abs(ge._b_primed - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -471,7 +476,7 @@ def test_skewed_antipode_is_refused(monkeypatch, node_skew, weight_skew):
         _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("rule", ["eta", "sigma"])
+@pytest.mark.parametrize("rule", ["eta"])
 @pytest.mark.parametrize("node_skew, weight_skew", [(1e-12, 0.0), (0.0, 1e-12)])
 def test_skewed_axial_image_is_refused(monkeypatch, rule, node_skew, weight_skew):
     exact = collision._exchange_fold
@@ -479,9 +484,8 @@ def test_skewed_axial_image_is_refused(monkeypatch, rule, node_skew, weight_skew
     def skewed(nodes, weights, n_azimuth, name):
         # antipodally symmetric still; the last kept node is the image of the first
         kept, kept_w = exact(nodes, weights, n_azimuth, name)
-        if name == rule:
-            kept[-1, 0] += node_skew
-            kept_w[-1] += weight_skew
+        kept[-1, 0] += node_skew
+        kept_w[-1] += weight_skew
         return kept, kept_w
 
     monkeypatch.setattr(collision, "_exchange_fold", skewed)
@@ -491,10 +495,10 @@ def test_skewed_axial_image_is_refused(monkeypatch, rule, node_skew, weight_skew
 
 
 def test_exchange_fold_keeps_one_node_per_antipodal_pair():
-    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0,
-                          sigma_quad=_INDEPENDENT_SIGMA)
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0)
+    other = collision._exchange_fold(*_INDEPENDENT_SIGMA, 16, "other")
     for (nodes, weights), full, full_w in ((grid.folded_eta, grid.eta, grid.eta_w),
-                                           (grid.folded_sigma, grid.sigma, grid.sigma_w)):
+                                           (other, *_INDEPENDENT_SIGMA)):
         assert 2 * len(nodes) == len(full)
         assert weights.sum() == pytest.approx(full_w.sum(), rel=1e-14)
         both = np.concatenate([nodes, -nodes])
@@ -505,11 +509,11 @@ def test_exchange_fold_keeps_one_node_per_antipodal_pair():
 
 def test_axial_fold_keeps_one_node_per_mirror_pair():
     # 25 exchange-folded eta nodes: 12 pairs and the middle node (0, 1, 0);
-    # 64 sigma nodes: 32 pairs
-    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0,
-                          sigma_quad=_INDEPENDENT_SIGMA)
+    # 64 exchange-folded nodes of the 8 x 16 rule: 32 pairs
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(8), 1.0, 1.0)
+    other = collision._exchange_fold(*_INDEPENDENT_SIGMA, 16, "other")
     for (nodes, weights), (full, full_w) in ((grid.axial_eta, grid.folded_eta),
-                                             (grid.axial_sigma, grid.folded_sigma)):
+                                             (collision._axial_fold(*other, "other"), other)):
         assert len(nodes) == (len(full) + 1) // 2
         assert weights.sum() == pytest.approx(full_w.sum(), rel=1e-14)
         both = np.concatenate([nodes, nodes * np.array([-1.0, 1.0, -1.0])])
@@ -555,9 +559,6 @@ def test_assembled_matrix_has_exact_class_zeros(hard_sphere_prod):
 def test_odd_azimuth_count_is_refused():
     with pytest.raises(AssemblyError, match="n_azimuth=7"):
         _CollisionGrid(CollisionQuadrature(3, 2, 3, 7), 1.0, 1.0)
-    with pytest.raises(AssemblyError, match="n_azimuth=5"):
-        _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0,
-                       sigma_quad=CollisionQuadrature(3, 2, 3, 5))
 
 
 def test_asymmetric_center_of_mass_rule_is_refused(monkeypatch):
@@ -575,10 +576,11 @@ def test_asymmetric_center_of_mass_rule_is_refused(monkeypatch):
 def test_unknown_point_label_is_typed(basis_small):
     grid = _CollisionGrid(CollisionQuadrature.for_degree(4), 1.0, 1.0)
     with pytest.raises(AssemblyError, match="unknown point label"):
-        one_point_integrals(basis_small, grid, "w")
+        one_point_integrals(basis_small, grid, (grid.eta, grid.eta_w), "w")
 
 
 def test_raw_asymmetry_raises(basis_small, monkeypatch):
+    monkeypatch.delenv("VPB_SPECTRAL_CACHE")
     exact = collision._pair_sums_and_reductions
 
     def perturbed(*args):
@@ -589,7 +591,7 @@ def test_raw_asymmetry_raises(basis_small, monkeypatch):
 
     monkeypatch.setattr(collision, "_pair_sums_and_reductions", perturbed)
     with pytest.raises(AssemblyError, match="asymmetry"):
-        assemble_collision(basis_small, use_cache=False)
+        assemble_collision(basis_small)
 
 
 def test_invalid_kernel_parameters():

@@ -53,19 +53,6 @@ def test_poly_values_equal_dense_rotation(deg, pts):
     np.testing.assert_array_equal(basis.poly_values(pts), dense_reference(basis, pts))
 
 
-@pytest.mark.parametrize("deg", [2, 4, 6, 8])
-def test_poly_rows_in_any_order_equal_gathered_poly_values(deg):
-    basis = _basis(deg)
-    gen = np.random.default_rng(deg)
-    pts = 3.0 * gen.standard_normal((2500, 3))  # three evaluation blocks
-    class_order = np.argsort((np.array(basis.multi_indices) % 2) @ [4, 2, 1], kind="stable")
-    for order in (None, gen.permutation(basis.dim), class_order):
-        gathered = basis.poly_values(pts).T
-        if order is not None:
-            gathered = gathered[order]
-        np.testing.assert_array_equal(basis.poly_rows(pts, order), gathered)
-
-
 @pytest.mark.parametrize("deg", [2, 3, 4, 6, 8])
 def test_rows_on_product_rules_equal_dense_rotation(deg):
     # the exact rule's rows, and the values on a (2N+4)^3 rule: 512 to 8000
@@ -357,9 +344,9 @@ def _spy_poly_rows(monkeypatch):
     """Record the point count of every VelocityBasis.poly_rows call."""
     calls, kernel = [], VelocityBasis.poly_rows
 
-    def spy(self, points, order=None, out=None):
+    def spy(self, points, out=None):
         calls.append(len(points))
-        return kernel(self, points, order, out)
+        return kernel(self, points, out)
 
     monkeypatch.setattr(VelocityBasis, "poly_rows", spy)
     return calls
