@@ -92,12 +92,12 @@ class AsymptoticCoefficients:
         """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
 
         One row per time; the pairing is the weighted bilinear one.  Every h_j
-        vanishes off basis.invariant_indices, so the sum runs on those five
-        slots.  The pairing keeps the whole length: summed over five slots it
-        would round differently.  The fluid branches 0, 2, 3 do not
-        oscillate, so eps only matters for -1 and 1.  For an array of E eps
-        values the result is (E, T, dim), one slice per eps, and each pairing
-        is formed once for all of them.
+        vanishes off basis.invariant_indices, so the sum holds only those five
+        slots, in that order.  The pairing keeps the whole length: summed over
+        five slots it would round differently.  The fluid branches 0, 2, 3 do
+        not oscillate, so eps only matters for -1 and 1.  For an array of E
+        eps values the result is (E, T, 5), one slice per eps, and each
+        pairing is formed once for all of them.
         """
         times = np.asarray(times, dtype=float)
         eps = np.asarray(eps, dtype=float)[..., None]
@@ -107,9 +107,7 @@ class AsymptoticCoefficients:
             coef = bilinear_pair(basis, u, self.h[j], self.s)
             phases = np.exp(self.eta[j] * times / eps - self.b[j] * times)
             acc += phases[..., None] * (coef * self.h[j][slots])
-        out = np.zeros(acc.shape[:-1] + (basis.dim,), dtype=complex)
-        out[..., slots] = acc
-        return out
+        return acc
 
 
 class _Resolvent:

@@ -7,13 +7,13 @@ L-infinity norms in x are bounded through the L1-in-xi synthesis
 4*pi * sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.  The convergence study takes
 one shell at a time and all its eps values at once: the shell's modes share
 their sector frames, data coordinates and fluid pairings, so the kinetic
-flow is one stacked eigen-expansion per sector (semigroup.propagate_axis_modes).
+flow is one stacked eigen-expansion per sector, and the errors are read off
+its sector coordinates (semigroup.propagate_axis_modes).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,19 +110,22 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
     with divergence-free momentum and the Poisson-compatible density, which
     kills the acoustic projections identically; its moments satisfy both
     preparation constraints by construction, and _assert_well_prepared
-    checks them to CONSTRAINT_TOL.
+    checks them to CONSTRAINT_TOL.  The profile must be finite on every shell and nonzero on one.
     """
     if kind not in ("generic", "well_prepared"):
         raise DataError(f"unknown initial-data kind {kind!r}")
     if grid is None:
         grid = radial_grid()
+    with np.errstate(all="ignore"):  # the values are checked below
+        amps = [complex(spectral_profile(s)) for s in grid.nodes]
+    if not (np.isfinite(amps).all() and any(amps)):
+        raise DataError("the spectral profile must be finite on every shell and nonzero on one")
     dim = basis.dim
     profile = np.zeros((grid.count, dim), dtype=complex)
     micro_seed = basis.micro_project(basis.v_matrices[0] @ basis.chi(2))
     micro_seed = micro_seed / np.linalg.norm(micro_seed)
     macro_states: list[MacroState] = []
-    for k, s in enumerate(grid.nodes):
-        amp = complex(spectral_profile(s))
+    for k, (s, amp) in enumerate(zip(grid.nodes, amps)):
         if kind == "generic":
             n0 = 0.4 * amp
             m0 = amp * np.array([0.8, 0.5, -0.3])
@@ -185,8 +188,8 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     out = np.zeros_like(data.profile)
     for k, s in enumerate(data.grid.nodes):
         bundle = asymptotic_coefficients(basis, float(s), coeffs)
-        out[k] = bundle.evolve(basis, basis.macro_project(data.profile[k]), [t],
-                               (-1, 1), eps)[0]
+        out[k, list(basis.invariant_indices)] = bundle.evolve(
+            basis, basis.macro_project(data.profile[k]), [t], (-1, 1), eps)[0]
     return out
 
 
@@ -268,6 +271,28 @@ class ErrorTable:
                 for name in ("t", "err_Linf_P", "err_macro", "err_micro")}
 
 
+def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s: float) -> np.ndarray:
+    """_shell_errors' norms from the kinetic states' axis sector coordinates
+    (AxisSectors.coordinates, None for zeros) and the fluid limit (evolve).
+    The transform is orthogonal, and its rows at the invariant slots are exact
+    unit vectors on the leading n_invariant[m] columns of sectors 0 and 1: they
+    pick out those coordinates exactly, and the rest make up the micro part.
+    """
+    sectors, slots = basis.axis_sectors, list(basis.invariant_indices)
+    unit = sectors.scale[slots, None] * sectors.transform[slots]
+    kinetic, micro_sq = np.zeros_like(limit), np.zeros(limit.shape[:-1])
+    for spans, xs, head in zip(sectors.spans, coords, sectors.n_invariant):
+        for sl, x in zip(spans, xs):
+            if x is not None:
+                kinetic += x @ unit[:, sl].T
+                micro_sq += (x.real[..., head:] ** 2 + x.imag[..., head:] ** 2).sum(axis=-1)
+    diff = kinetic - limit
+    sq = diff.real ** 2 + diff.imag ** 2
+    # in ascending slot order, as a slot-space sum; the density leads evolve's order
+    macro_sq = sq[..., np.argsort(slots)].sum(axis=-1) + sq[..., 0] / s ** 2
+    return np.sqrt(np.stack([macro_sq + micro_sq, macro_sq, micro_sq], axis=-1))
+
+
 def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract):
     """Per-eps, per-time (total, macro, micro) kinetic-minus-fluid norms at one
     shell, (E, T, 3) for the E values of eps_list.
@@ -283,16 +308,13 @@ def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract):
     """
     basis = op.basis
     macro = basis.macro_project(f0_vec)
+    coords, integrated = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = bundle.evolve(basis, macro, times, branches, eps_list)
-    states = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
-    diff = states - limit
-    sq = diff.real ** 2 + diff.imag ** 2
-    is_macro = np.zeros(basis.dim, dtype=bool)
-    is_macro[list(basis.invariant_indices)] = True
-    macro_sq = sq[..., is_macro].sum(axis=-1) + sq[..., basis.density_index] / s ** 2
-    micro_sq = sq[..., ~is_macro].sum(axis=-1)
-    return np.sqrt(np.stack([macro_sq + micro_sq, macro_sq, micro_sq], axis=-1))
+    out = _gap_norms(basis, coords, limit, s)
+    for e, ys in integrated.items():
+        out[e] = _gap_norms(basis, ys, limit[e], s)
+    return out
 
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
@@ -335,6 +357,7 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
                              subtract_layer)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(shell_task, range(grid.count)))
     else:

@@ -28,6 +28,7 @@ decomposition serves off-axis modes and is the reference.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,7 +203,8 @@ class FourierMode:
             dim = self.basis.dim
             return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
         # on the axis the direction is +-e1, and B carries its sign on V1
-        return axis_eigen_blocks(self.collision, self.eps * self.s * self.direction[0], self.s)
+        return tuple(axis_eigen_blocks(self.collision, self.eps * self.s * self.direction[0],
+                                       self.s))
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
         """The mode's eigendecomposition, one block at a time.
@@ -278,10 +280,10 @@ class FourierMode:
         return vectors @ dual
 
 
-def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> tuple[EigenBlock, ...]:
+def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> Iterator[EigenBlock]:
     """The sector EigenBlocks of the axis mode at s with y = eps s d1, d1 = +-1
     its direction; for an array y, of the stack of axis modes at one s, one
-    member per entry.
+    member per entry; yielded one by one, so a caller can hold one at a time.
 
     Sector m holds L[m] + y W[m], and sector 0 also the Poisson column
     y W[0][:, 0] / s^2 at the density, which leads it.  The sector blocks are
@@ -290,7 +292,6 @@ def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> tuple[EigenB
     """
     sectors = collision.sector_blocks
     y = np.asarray(y, dtype=float)[..., None, None]
-    blocks = []
     frames = collision.basis.axis_sectors.frames
     for m, (lm, wm, copies) in enumerate(zip(sectors.L, sectors.W, frames)):
         if m == 0:
@@ -298,8 +299,7 @@ def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> tuple[EigenB
             wm[:, 0] += wm[:, 0] / s ** 2  # the Poisson column at the density
         mat = lm + y * wm
         mat.setflags(write=False)
-        blocks.append(EigenBlock(mat, copies))
-    return tuple(blocks)
+        yield EigenBlock(mat, copies)
 
 
 def check_eps(eps: float) -> None:

@@ -1,15 +1,15 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} (one eigen-expansion kernel, stacked over eps: one mode for
-propagate_kinetic, every eps of an axis shell for propagate_axis_modes; the
-real azimuthal-sector blocks on the axis, the dense complex block off it;
-each decomposition certified by its residuals, with a stiff ODE path for a
-member that fails), its splitting into the five-branch
-hydrodynamic part and an exponentially small remainder, the fluid semigroup
-on the three non-oscillatory branches, the forced fluid mode equations
-solved by exact Duhamel integration of piecewise-linear forcing, and
-least-squares decay-rate fitting.
+e^{(t/eps^2) B} (one eigen-expansion kernel in the blocks' coordinates,
+stacked over eps: propagate_kinetic embeds one mode's, propagate_axis_modes
+hands over those of every eps of an axis shell; the real azimuthal-sector
+blocks on the axis, the dense complex block off it; each decomposition
+certified by its residuals, with a stiff ODE path for a member that fails),
+its splitting into the five-branch hydrodynamic part and an exponentially
+small remainder, the fluid semigroup on the three non-oscillatory branches,
+the forced fluid mode equations solved by exact Duhamel integration of
+piecewise-linear forcing, and least-squares decay-rate fitting.
 """
 
 from __future__ import annotations
@@ -137,32 +137,30 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _eig_expansion(blocks, coords, times: np.ndarray, eps2: np.ndarray,
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _eig_coordinates(blocks, coords, times: np.ndarray, eps2: np.ndarray):
     """The eig path of the kinetic flow for E modes that share their frames and
     their data: states[e] = e^{(t/eps_e^2) B_e} f0 through the eigenvectors.
 
     blocks are EigenBlocks with E members (a 2-D block is a stack of one),
     coords the coordinates of f0 in each copy of each block
-    (FourierMode.coordinates), eps2 the members' eps^2 and dim the length of
-    f0.  Only the blocks where f0 has coordinates are decomposed and solved,
-    all E members at once; the copies of a sector that both hold data share
-    its decomposition.
+    (FourierMode.coordinates) and eps2 the members' eps^2.  Only the blocks
+    where f0 has coordinates are decomposed and solved, all E members at
+    once; the copies of a sector that both hold data share its decomposition.
 
-    Returns the (E, T, dim) states and the mask of members whose states the
-    eig path cannot be trusted for: in some block, cond (in the 1-norm) at
-    COND_LIMIT or more, or the propagation bound cond * (eigenpair residual +
-    worst copy's solve residual ||vecs c - g0||_1 / ||g0||_1) above
-    PROPAGATION_BOUND_LIMIT.  With Re vals <= 0 the error of the eigenvector
-    method is governed by cond times these residuals (Moler and Van Loan,
-    SIAM Review 2003).  The states of a masked member are meaningless; the
-    caller integrates it instead.
+    Returns, nested as coords, the states' (E, T, n) coordinates (phases c)
+    vecs^T in each copy where f0 has some (None elsewhere, where they stay
+    zero), and the mask of members the eig path cannot be trusted for: in
+    some block, cond (in the 1-norm) at COND_LIMIT or more, or the
+    propagation bound cond * (eigenpair residual + worst copy's solve
+    residual ||vecs c - g0||_1 / ||g0||_1) above PROPAGATION_BOUND_LIMIT.
+    With Re vals <= 0 the error of the eigenvector method is governed by cond
+    times these residuals (Moler and Van Loan, SIAM Review 2003).  A masked
+    member's coordinates are meaningless; the caller integrates it instead.
     """
-    # slot-major, so that each copy's slots are whole rows to add into
-    states = np.zeros((dim, eps2.size, times.size), dtype=complex)
-    ode = np.zeros(eps2.size, dtype=bool)
+    out, ode = [], np.zeros(eps2.size, dtype=bool)
     for block, copies in zip(blocks, coords):
-        held = [(fr, g0) for fr, g0 in zip(block.frames, copies) if g0.any()]
+        out.append([None] * len(copies))
+        held = [k for k, g0 in enumerate(copies) if g0.any()]
         if not held:
             continue
         cond = np.reshape(block.cond, -1)
@@ -171,60 +169,64 @@ def _eig_expansion(blocks, coords, times: np.ndarray, eps2: np.ndarray,
             break
         n = block.vals.shape[-1]
         vals, vecs = block.vals.reshape(-1, n), block.vecs.reshape(-1, n, n)
-        g = np.stack([g0 for _, g0 in held], axis=1)
+        g = np.stack([copies[k] for k in held], axis=1)
         c = block.coefficients(g).reshape(-1, n, len(held))
         solve = (np.abs(vecs @ c - g).sum(-2) / np.abs(g).sum(0)).max(-1)
         ode |= ~(cond * (np.reshape(block.residual, -1) + solve) <= PROPAGATION_BOUND_LIMIT)
         if ode.all():
             break
         phases = np.exp(times[:, None] * vals[:, None, :] / eps2[:, None, None])
-        for k, (fr, _) in enumerate(held):
-            part = (phases * c[:, None, :, k]) @ vecs.swapaxes(-1, -2) @ fr.basis.T
-            states[fr.index] += (fr.scale * part).transpose(2, 0, 1)
-    return np.ascontiguousarray(states.transpose(1, 2, 0)), ode
+        for i, k in enumerate(held):
+            out[-1][k] = (phases * c[:, None, :, i]) @ vecs.swapaxes(-1, -2)
+        del phases  # not to be held while the next block's are formed
+    return out, ode
 
 
 def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajectory:
     """Evolve one mode under the scaled kinetic flow.
 
-    Primary path: the mode's eigen_blocks() through _eig_expansion, as a
-    stack of one.  If that path cannot be trusted for the mode (a block's
-    cond at COND_LIMIT or more, or its propagation bound above
-    PROPAGATION_BOUND_LIMIT), the trajectory is integrated instead and
-    flagged by method = "ode".
+    Primary path: the mode's eigen_blocks() through _eig_coordinates, as a
+    stack of one; each copy adds scale * (x @ basis^T) on its slots, x its
+    coordinates.  If that path cannot be trusted (a block's cond at
+    COND_LIMIT or more, or its propagation bound above
+    PROPAGATION_BOUND_LIMIT), the trajectory is integrated: method = "ode".
     """
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
 
-    states, ode = _eig_expansion(mode.eigen_blocks(), mode.coordinates(f0), times,
-                                 np.array([mode.eps ** 2]), f0.size)
-    states = _ode_states(mode, f0, times) if ode[0] else states[0]
+    blocks = mode.eigen_blocks()
+    coords, ode = _eig_coordinates(blocks, mode.coordinates(f0), times, np.array([mode.eps ** 2]))
+    states = np.zeros((times.size, f0.size), dtype=complex)
+    for fr, x in zip([fr for b in blocks for fr in b.frames], [x for xs in coords for x in xs]):
+        if x is not None:
+            states[:, fr.index] += fr.scale * (x[0] @ fr.basis.T)
     return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
-                          states=states, basis=mode.basis,
-                          method="ode" if ode[0] else "eig")
+                          states=_ode_states(mode, f0, times) if ode[0] else states,
+                          basis=mode.basis, method="ode" if ode[0] else "eig")
 
 
 def propagate_axis_modes(op: CollisionOperator, eps_list, s: float, f0: np.ndarray,
-                         times) -> np.ndarray:
-    """The (E, T, dim) states of the axis modes at s e1 and each eps of
-    eps_list from one f0: states[e] is propagate_kinetic(mode_operator(op,
-    eps_list[e], s), f0, times).states, bit for bit.
-
-    The E modes share their sector frames and the coordinates of f0, so each
-    sector block that holds data is one stack of E members, decomposed by one
-    eig (_eig_expansion).  A member that the eig path cannot be trusted for
-    is integrated on its own.
+                         times) -> tuple[list, dict]:
+    """(coords, integrated) for the axis modes at s e1 and each eps of eps_list
+    from one f0: the modes share their sector frames and the coordinates of
+    f0, so each sector block that holds data is one stack of E members,
+    decomposed by one eig (_eig_coordinates).  Embedded as by
+    propagate_kinetic, coords[m][k][e] gives propagate_kinetic(mode_operator(
+    op, eps_list[e], s), f0, times).states bit for bit.  A member that the eig
+    path cannot be trusted for is integrated on its own, and integrated maps
+    its index to its states' AxisSectors.coordinates.
     """
     s, _ = _normalize_xi(s)  # BasisError unless s > 0, as for mode_operator
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
     blocks = axis_eigen_blocks(op, np.array([eps * s for eps in eps_list]), s)
-    states, ode = _eig_expansion(blocks, op.basis.axis_sectors.coordinates(f0), times,
-                                 np.array([eps ** 2 for eps in eps_list]), f0.size)
+    coords, ode = _eig_coordinates(blocks, op.basis.axis_sectors.coordinates(f0), times,
+                                   np.array([eps ** 2 for eps in eps_list]))
+    integrated = {}
     for e in np.flatnonzero(ode):
         mode = mode_operator(op, eps_list[e], np.array([s, 0.0, 0.0]))
-        states[e] = _ode_states(mode, f0, times)
-    return states
+        integrated[int(e)] = op.basis.axis_sectors.coordinates(_ode_states(mode, f0, times))
+    return coords, integrated
 
 
 def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,
@@ -278,7 +280,9 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bundle = asymptotic_coefficients(basis, xi, coeffs)
     times = np.asarray(times, dtype=float)
-    states = bundle.evolve(basis, _macro_as_vector(basis, u0), times, (0, 2, 3))
+    states = np.zeros((times.size, basis.dim), dtype=complex)
+    states[:, list(basis.invariant_indices)] = bundle.evolve(
+        basis, _macro_as_vector(basis, u0), times, (0, 2, 3))
     full_xi = xi if xi.size == 3 else np.array([bundle.s, 0.0, 0.0])
     return ModeTrajectory(xi=full_xi, eps=0.0, times=times, states=states,
                           basis=basis, method="fluid")

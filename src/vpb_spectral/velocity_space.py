@@ -233,9 +233,9 @@ class AxisSectors:
     signs: np.ndarray
 
     def coordinates(self, f: np.ndarray) -> list[list[np.ndarray]]:
-        """The coordinates of f in every copy of every sector."""
-        g = self.transform.T @ (self.scale.conj() * f)
-        return [[g[sl] for sl in spans] for spans in self.spans]
+        """The coordinates of f, or of each row of f, in every copy of every sector."""
+        g = self.transform.T @ (self.scale.conj() * f).T
+        return [[g[sl].T for sl in spans] for spans in self.spans]
 
     def radial_blocks(self, radial: np.ndarray) -> tuple[np.ndarray, ...]:
         """Sector m's block, in either copy's frame, of the rotation-invariant

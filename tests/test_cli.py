@@ -106,6 +106,21 @@ class TestExitCodes:
         assert code == 0
         assert NAME_RE.match(Path(artifact_of(out, ".csv")).name)
 
+    @pytest.mark.parametrize("sigma", ["0.001", "1e-300"])
+    @pytest.mark.parametrize("sub", ["converge", "semigroup"])
+    def test_profile_zero_on_every_shell_is_one_and_writes_nothing(self, sub, sigma, tmp_path,
+                                                                   capsys, recwarn):
+        # exp(-s^2 / 2 sigma^2) underflows to zero at every s >= s_min, and at
+        # 1e-300 the exponent divides by a zero 2 sigma^2
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(TINY + f"profile_sigma = {sigma}\n", encoding="utf-8")
+        code, out, err = run_cli([sub, "--config", cfg, "--out", tmp_path / "a"], capsys)
+        assert code == 1
+        assert err == ("error: DataError: the spectral profile must be finite on every "
+                       "shell and nonzero on one\n")
+        assert out == "" and not (tmp_path / "a").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_nan_t_max_is_two_and_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(TINY.replace("t_max = 4.0", "t_max = nan"), encoding="utf-8")
@@ -408,6 +423,24 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    def test_one_job_leaves_the_thread_pool_out(self, tmp_path):
+        # only jobs > 1 imports concurrent.futures, with logging and queue
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("backend = synthetic\nmax_degree = 3\ns_count = 4\n"
+                       "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n",
+                       encoding="utf-8")
+        env = _child_env()
+        env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
+        code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
+                "print('concurrent.futures' in sys.modules); sys.exit(rc)")
+        for jobs, loaded in (("1", "False"), ("2", "True")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "converge", "--config", str(cfg), "--jobs", jobs,
+                 "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().splitlines()[-1] == loaded
 
     def test_every_module_level_import_is_read(self):
         # an imported name that its module never reads is dead code no other

@@ -9,12 +9,13 @@ radial integrand on [0.05, 0.6], Gaussian profile sigma = 0.2):
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpb_spectral import limit_lab
+from vpb_spectral import limit_lab, semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import asymptotic_coefficients
 from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
@@ -33,7 +34,7 @@ from vpb_spectral.limit_lab import (
     synth_norm_LinfP,
     weighted_sup,
 )
-from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.mode_operator import axis_eigen_blocks, mode_operator
 from vpb_spectral.semigroup import closed_fluid_forms, propagate_kinetic
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import bilinear_pair, build_basis, weighted_norm
@@ -68,6 +69,22 @@ def wp_data(syn_small, grid16):
 @pytest.fixture(scope="module")
 def gen_data(syn_small, grid16):
     return make_initial_data("generic", gauss_profile, syn_small.basis, grid16)
+
+
+class TestInitialDataProfile:
+    @pytest.mark.parametrize("profile", [lambda s: 0.0, lambda s: math.exp(-s * s / 2e-6),
+                                         lambda s: float("nan") if s < 0.3 else 1.0,
+                                         lambda s: float("inf")],
+                             ids=["zero", "underflow", "nan-on-some", "inf"])
+    def test_profile_not_finite_or_zero_everywhere_is_refused(self, syn_small, profile):
+        with pytest.raises(DataError, match="finite on every shell and nonzero on one"):
+            make_initial_data("generic", profile, syn_small.basis, radial_grid(0.05, 0.6, 8))
+
+    def test_profile_zero_on_some_shells_is_kept(self, syn_small):
+        grid = radial_grid(0.05, 0.6, 8)
+        data = make_initial_data("generic", lambda s: 1.0 if s < 0.3 else 0.0,
+                                 syn_small.basis, grid)
+        assert np.all((np.abs(data.profile).max(axis=1) > 0) == (grid.nodes < 0.3))
 
 
 class TestRadialGrid:
@@ -288,14 +305,19 @@ class TestConvergenceStudy:
 
     def test_decoupled_single_branch_is_exactly_zero(self, syn_small, coeffs_small,
                                                      monkeypatch):
-        # the kinetic states replaced by the fluid ones: the pipeline must
-        # assemble exactly zero errors
-        def fluid_states(op, eps_list, s, f0, times):
-            bundle = asymptotic_coefficients(op.basis, s, coeffs_small)
-            return bundle.evolve(op.basis, op.basis.macro_project(f0), times, (0, 2, 3),
-                                 eps_list)
+        # the kinetic coordinates replaced by those of the fluid states: the
+        # pipeline must assemble exactly zero errors
+        def fluid_coordinates(op, eps_list, s, f0, times):
+            basis = op.basis
+            bundle = asymptotic_coefficients(basis, s, coeffs_small)
+            states = np.zeros((len(eps_list), len(times), basis.dim), dtype=complex)
+            states[..., list(basis.invariant_indices)] = bundle.evolve(
+                basis, basis.macro_project(f0), times, (0, 2, 3), eps_list)
+            rows = [basis.axis_sectors.coordinates(st) for st in states]
+            return [[np.stack([r[m][k] for r in rows]) for k in range(len(copies))]
+                    for m, copies in enumerate(rows[0])], {}
 
-        monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_states)
+        monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
         basis = syn_small.basis
         grid = radial_grid(0.05, 0.6, 8)
         prof = np.zeros((grid.count, basis.dim), dtype=complex)
@@ -342,6 +364,65 @@ class TestConvergenceStudy:
         # cancels terms of the size of f0 (measured up to 1.5e-16 of its norm)
         floor = 1e-15 * weighted_norm(basis, f0, s)
         assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0) + floor)
+
+    def test_integrated_members_take_the_same_norms(self, syn_small, gen_data, coeffs_small,
+                                                    monkeypatch):
+        # a COND_LIMIT between the members' worst conds sends some of them to
+        # the ODE path: their errors are the slot-space norms of the integrated
+        # states, and every other member keeps its bits
+        basis = syn_small.basis
+        k = 5
+        s, f0 = float(gen_data.grid.nodes[k]), gen_data.profile[k]
+        bundle = asymptotic_coefficients(basis, s, coeffs_small)
+        times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
+        want = _shell_errors(syn_small, self.EPS, s, f0, bundle, times, False)
+        blocks = axis_eigen_blocks(syn_small, np.array([eps * s for eps in self.EPS]), s)
+        held = [b for b, g in zip(blocks, basis.axis_sectors.coordinates(f0))
+                if any(g0.any() for g0 in g)]
+        worst = np.max([b.cond for b in held], axis=0)
+        limit = np.sort(worst)[1:3].mean()
+        monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
+        got = _shell_errors(syn_small, self.EPS, s, f0, bundle, times, False)
+        fluid = np.zeros((len(self.EPS), times.size, basis.dim), dtype=complex)
+        fluid[..., list(basis.invariant_indices)] = bundle.evolve(
+            basis, basis.macro_project(f0), times, (0, 2, 3), self.EPS)
+        assert 0 < np.sum(worst >= limit) < len(self.EPS)
+        for e, eps in enumerate(self.EPS):
+            if worst[e] < limit:
+                assert np.array_equal(got[e], want[e])
+                continue
+            mode = mode_operator(syn_small, eps, np.array([s, 0.0, 0.0]))
+            diff = semigroup._ode_states(mode, f0, times) - fluid[e]
+            slot = np.array([[weighted_norm(basis, d, s),
+                              weighted_norm(basis, basis.macro_project(d), s),
+                              np.linalg.norm(basis.micro_project(d))] for d in diff])
+            assert np.all(np.abs(got[e] - slot) <= 1e-13 * slot.max(axis=0))
+
+    def test_one_shell_holds_no_state_sized_array(self):
+        # degree 6, 4 eps values and 36 times, as in the benchmark's converge
+        # job: the shell's largest arrays are sector-sized, (E, T, 16)
+        op = synthetic_collision(build_basis(6))
+        coeffs = compute_kappas(op)
+        grid = radial_grid(0.05, 0.6, 8)
+        data = make_initial_data("generic", gauss_profile, op.basis, grid)
+        times = layer_time_grid(max(self.EPS), 20.0)
+        assert times.size == 36
+        s = float(grid.nodes[3])
+        bundle = asymptotic_coefficients(op.basis, s, coeffs)
+        _shell_errors(op, self.EPS, s, data.profile[3], bundle, times, True)  # warm caches
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _shell_errors(op, self.EPS, s, data.profile[3], bundle, times, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        state_bytes = len(self.EPS) * times.size * op.basis.dim * 16
+        assert state_bytes == 193_536
+        assert peak < state_bytes
 
     def test_rerun_bit_identical(self, syn_small, wp_data, coeffs_small, wp_table):
         tg = layer_time_grid(max(self.EPS), 20.0)
