@@ -93,11 +93,11 @@ class AsymptoticCoefficients:
 
         One row per time; the pairing is the weighted bilinear one.  Every h_j
         vanishes off basis.invariant_indices, so the sum holds only those five
-        slots, in that order.  The pairing keeps the whole length: summed over
-        five slots it would round differently.  The fluid branches 0, 2, 3 do
-        not oscillate, so eps only matters for -1 and 1.  For an array of E
-        eps values the result is (E, T, 5), one slice per eps, and each
-        pairing is formed once for all of them.
+        slots, in that order (basis.embed_invariants places them).  The pairing
+        keeps the whole length: summed over five slots it would round
+        differently.  The fluid branches 0, 2, 3 do not oscillate, so eps only
+        matters for -1 and 1.  For an array of E eps values the result is
+        (E, T, 5), one slice per eps, and each pairing is formed once for all.
         """
         times = np.asarray(times, dtype=float)
         eps = np.asarray(eps, dtype=float)[..., None]

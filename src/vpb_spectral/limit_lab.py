@@ -188,8 +188,8 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     out = np.zeros_like(data.profile)
     for k, s in enumerate(data.grid.nodes):
         bundle = asymptotic_coefficients(basis, float(s), coeffs)
-        out[k, list(basis.invariant_indices)] = bundle.evolve(
-            basis, basis.macro_project(data.profile[k]), [t], (-1, 1), eps)[0]
+        out[k] = basis.embed_invariants(bundle.evolve(
+            basis, basis.macro_project(data.profile[k]), [t], (-1, 1), eps)[0])
     return out
 
 
@@ -272,12 +272,10 @@ class ErrorTable:
 
 
 def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s: float) -> np.ndarray:
-    """_shell_errors' norms from the kinetic states' axis sector coordinates
-    (AxisSectors.coordinates, None for zeros) and the fluid limit (evolve).
-    The transform is orthogonal, and its rows at the invariant slots are exact
-    unit vectors on the leading n_invariant[m] columns of sectors 0 and 1: they
-    pick out those coordinates exactly, and the rest make up the micro part.
-    """
+    """_shell_errors' norms from the kinetic states' AxisSectors.coordinates
+    (None for zeros) and the fluid limit (evolve).  The transform is orthogonal,
+    and its rows at the invariant slots are exact unit vectors on the leading
+    n_invariant[m] columns of sectors 0 and 1; the other columns are micro."""
     sectors, slots = basis.axis_sectors, list(basis.invariant_indices)
     unit = sectors.scale[slots, None] * sectors.transform[slots]
     kinetic, micro_sq = np.zeros_like(limit), np.zeros(limit.shape[:-1])

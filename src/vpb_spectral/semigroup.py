@@ -144,18 +144,15 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2: np.ndarray):
     blocks are EigenBlocks with E members (a 2-D block is a stack of one),
     coords the coordinates of f0 in each copy of each block
     (FourierMode.coordinates) and eps2 the members' eps^2.  Only the blocks
-    where f0 has coordinates are decomposed and solved, all E members at
-    once; the copies of a sector that both hold data share its decomposition.
+    where f0 has coordinates are decomposed and solved, all E members at once.
 
     Returns, nested as coords, the states' (E, T, n) coordinates (phases c)
-    vecs^T in each copy where f0 has some (None elsewhere, where they stay
-    zero), and the mask of members the eig path cannot be trusted for: in
-    some block, cond (in the 1-norm) at COND_LIMIT or more, or the
-    propagation bound cond * (eigenpair residual + worst copy's solve
-    residual ||vecs c - g0||_1 / ||g0||_1) above PROPAGATION_BOUND_LIMIT.
-    With Re vals <= 0 the error of the eigenvector method is governed by cond
-    times these residuals (Moler and Van Loan, SIAM Review 2003).  A masked
-    member's coordinates are meaningless; the caller integrates it instead.
+    vecs^T in each copy where f0 has some (None elsewhere: zero), and the mask
+    of members the eig path cannot be trusted for: in some block, cond (in the
+    1-norm) at COND_LIMIT or more, or the propagation bound cond * (eigenpair
+    residual + worst copy's solve residual ||vecs c - g0||_1 / ||g0||_1) above
+    PROPAGATION_BOUND_LIMIT, which governs the method's error when Re vals <= 0
+    (Moler and Van Loan, SIAM Review 2003).  The caller integrates those.
     """
     out, ode = [], np.zeros(eps2.size, dtype=bool)
     for block, copies in zip(blocks, coords):
@@ -177,8 +174,9 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2: np.ndarray):
             break
         phases = np.exp(times[:, None] * vals[:, None, :] / eps2[:, None, None])
         for i, k in enumerate(held):
-            out[-1][k] = (phases * c[:, None, :, i]) @ vecs.swapaxes(-1, -2)
-        del phases  # not to be held while the next block's are formed
+            last = phases if i + 1 == len(held) else None  # the last copy scales phases itself
+            out[-1][k] = np.multiply(phases, c[:, None, :, i], out=last) @ vecs.swapaxes(-1, -2)
+        del phases, last  # not to be held while the next block's are formed
     return out, ode
 
 
@@ -193,7 +191,6 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajector
     """
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
-
     blocks = mode.eigen_blocks()
     coords, ode = _eig_coordinates(blocks, mode.coordinates(f0), times, np.array([mode.eps ** 2]))
     states = np.zeros((times.size, f0.size), dtype=complex)
@@ -280,9 +277,8 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bundle = asymptotic_coefficients(basis, xi, coeffs)
     times = np.asarray(times, dtype=float)
-    states = np.zeros((times.size, basis.dim), dtype=complex)
-    states[:, list(basis.invariant_indices)] = bundle.evolve(
-        basis, _macro_as_vector(basis, u0), times, (0, 2, 3))
+    states = basis.embed_invariants(bundle.evolve(basis, _macro_as_vector(basis, u0), times,
+                                                  (0, 2, 3)))
     full_xi = xi if xi.size == 3 else np.array([bundle.s, 0.0, 0.0])
     return ModeTrajectory(xi=full_xi, eps=0.0, times=times, states=states,
                           basis=basis, method="fluid")

@@ -443,6 +443,12 @@ class VelocityBasis:
         out[..., idx] = f[..., idx]
         return out
 
+    def embed_invariants(self, x: np.ndarray) -> np.ndarray:
+        """The (..., dim) vectors holding x's last axis on invariant_indices."""
+        out = np.zeros(x.shape[:-1] + (self.dim,), dtype=x.dtype)
+        out[..., list(self.invariant_indices)] = x
+        return out
+
     def micro_project(self, f: np.ndarray) -> np.ndarray:
         out = np.array(f, copy=True)
         out[..., list(self.invariant_indices)] = 0.0

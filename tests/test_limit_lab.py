@@ -310,9 +310,8 @@ class TestConvergenceStudy:
         def fluid_coordinates(op, eps_list, s, f0, times):
             basis = op.basis
             bundle = asymptotic_coefficients(basis, s, coeffs_small)
-            states = np.zeros((len(eps_list), len(times), basis.dim), dtype=complex)
-            states[..., list(basis.invariant_indices)] = bundle.evolve(
-                basis, basis.macro_project(f0), times, (0, 2, 3), eps_list)
+            states = basis.embed_invariants(bundle.evolve(
+                basis, basis.macro_project(f0), times, (0, 2, 3), eps_list))
             rows = [basis.axis_sectors.coordinates(st) for st in states]
             return [[np.stack([r[m][k] for r in rows]) for k in range(len(copies))]
                     for m, copies in enumerate(rows[0])], {}
@@ -383,9 +382,8 @@ class TestConvergenceStudy:
         limit = np.sort(worst)[1:3].mean()
         monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
         got = _shell_errors(syn_small, self.EPS, s, f0, bundle, times, False)
-        fluid = np.zeros((len(self.EPS), times.size, basis.dim), dtype=complex)
-        fluid[..., list(basis.invariant_indices)] = bundle.evolve(
-            basis, basis.macro_project(f0), times, (0, 2, 3), self.EPS)
+        fluid = basis.embed_invariants(bundle.evolve(
+            basis, basis.macro_project(f0), times, (0, 2, 3), self.EPS))
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
         for e, eps in enumerate(self.EPS):
             if worst[e] < limit:
@@ -420,6 +418,11 @@ class TestConvergenceStudy:
         finally:
             if not tracing:
                 tracemalloc.stop()
+        # the bound is one (E, T, dim) complex array, of which the parent formed
+        # several per shell (peak 873,800 B).  What the shell must hold is the
+        # held copies' coordinates, 40 of the 84 columns (92,592 B), and the
+        # fluid limit; on top come one sector's working arrays and numpy's
+        # buffers for broadcast operands (172,944 B in all with numpy 2.4)
         state_bytes = len(self.EPS) * times.size * op.basis.dim * 16
         assert state_bytes == 193_536
         assert peak < state_bytes

@@ -198,9 +198,10 @@ class TestStackedPropagation:
     def test_stacked_block_attributes_are_the_members(self, axis_operators):
         op = axis_operators["hard-sphere-4"]
         s = 0.3
-        blocks = axis_eigen_blocks(op, np.array([eps * s for eps in self.EPS]), s)
+        blocks = tuple(axis_eigen_blocks(op, np.array([eps * s for eps in self.EPS]), s))
         for e, eps in enumerate(self.EPS):
             one = mode_operator(op, eps, np.array([s, 0.0, 0.0])).eigen_blocks()
+            assert len(blocks) == len(one)
             for stacked, block in zip(blocks, one):
                 assert np.array_equal(stacked.matrix[e], block.matrix)
                 assert np.array_equal(stacked.vecs[e], block.vecs)
