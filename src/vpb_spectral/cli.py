@@ -2,9 +2,9 @@
 
 Artifacts are named <subcommand>-<confighash>.<ext> so a changed config can
 never silently overwrite another run, while an unchanged config reproduces
-its files byte for byte (floats are written with %.17g, reductions are
-ordered, and the convergence study's worker pool preserves submission
-order).
+its files byte for byte (floats are written with %.17g, and reductions are
+ordered: the convergence study sums its shells in order, whatever the stack
+size and the number of workers).
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default=None,
                        help="override the collision backend")
         p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker threads for the convergence study's shells")
+                       help="worker threads for the convergence study's stacks of shells")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="artifact output directory")
     return parser

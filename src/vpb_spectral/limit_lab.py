@@ -5,10 +5,10 @@ the spectra depend only on |xi|, so a radial grid with the axis
 representative xi = s*e1 per shell carries all the information, and the
 L-infinity norms in x are bounded through the L1-in-xi synthesis
 4*pi * sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.  The convergence study takes
-one shell at a time and all its eps values at once: the shell's modes share
-their sector frames, data coordinates and fluid pairings, so the kinetic
-flow is one stacked eigen-expansion per sector, and the errors are read off
-its sector coordinates (semigroup.propagate_axis_modes).
+a stack of shells at a time and all their eps values at once: the modes
+share their sector frames, so the kinetic flow is one stacked
+eigen-expansion per sector, and the errors are read off its sector
+coordinates (semigroup.propagate_axis_modes).
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ from .velocity_space import (
 
 S_MIN_DEFAULT = 0.05  # zero mode excluded: the Poisson factor diverges there
 CONSTRAINT_TOL = 1e-12
+# shells per task of the convergence study; every size gives the same bits.  The
+# benchmark's study took 89/57/41/36/37 ms at 1/2/4/8/32 shells per stack (2-vCPU Xeon,
+# one BLAS thread), and 8 adds 0.6 MB to the job's peak RSS
+SHELLS_PER_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -271,11 +275,12 @@ class ErrorTable:
                 for name in ("t", "err_Linf_P", "err_macro", "err_micro")}
 
 
-def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s: float) -> np.ndarray:
-    """_shell_errors' norms from the kinetic states' AxisSectors.coordinates
-    (None for zeros) and the fluid limit (evolve).  The transform is orthogonal,
-    and its rows at the invariant slots are exact unit vectors on the leading
-    n_invariant[m] columns of sectors 0 and 1; the other columns are micro."""
+def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s2) -> np.ndarray:
+    """(weighted, weighted macro, plain micro) norms of the kinetic states
+    (their AxisSectors.coordinates, None for zeros) minus the fluid limit
+    (evolve), s2 = s^2 broadcast against limit[..., 0].  The transform is
+    orthogonal, and its rows at the invariant slots are exact unit vectors on
+    the leading n_invariant[m] columns of sectors 0 and 1; the rest is micro."""
     sectors, slots = basis.axis_sectors, list(basis.invariant_indices)
     unit = sectors.scale[slots, None] * sectors.transform[slots]
     kinetic, micro_sq = np.zeros_like(limit), np.zeros(limit.shape[:-1])
@@ -287,31 +292,29 @@ def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s: float) -> np.
     diff = kinetic - limit
     sq = diff.real ** 2 + diff.imag ** 2
     # in ascending slot order, as a slot-space sum; the density leads evolve's order
-    macro_sq = sq[..., np.argsort(slots)].sum(axis=-1) + sq[..., 0] / s ** 2
+    macro_sq = sq[..., np.argsort(slots)].sum(axis=-1) + sq[..., 0] / s2
     return np.sqrt(np.stack([macro_sq + micro_sq, macro_sq, micro_sq], axis=-1))
 
 
-def _shell_errors(op, eps_list, s, f0_vec, bundle, times, subtract):
-    """Per-eps, per-time (total, macro, micro) kinetic-minus-fluid norms at one
-    shell, (E, T, 3) for the E values of eps_list.
-
-    The columns are the weighted norm, the weighted norm of the macro
-    projection and the plain norm of the micro projection.
+def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
+    """The _gap_norms (K, E, T, 3) at the K shells s (floats), the E values of
+    eps_list and each time, from the shells' data f0 (K, dim) and g, its
+    AxisSectors.coordinates; the kinetic flow is one stack per sector.
 
     The fluid semigroup acts on the macro part of the data.  With subtract
     the acoustic layer is removed as well, and so is the kinetic flow of the
-    micro part: the flow is linear, so S(f0) - S(micro f0) = S(macro f0) and
-    one propagation of the macro part does both.  The kinetic states of all
-    E axis modes come from one stack per sector (propagate_axis_modes).
+    micro part: the flow is linear, so S(f0) - S(micro f0) = S(macro f0), and
+    the caller passes the macro part as f0.
     """
     basis = op.basis
-    macro = basis.macro_project(f0_vec)
-    coords, integrated = propagate_axis_modes(op, eps_list, s, macro if subtract else f0_vec, times)
+    coords, integrated = propagate_axis_modes(op, eps_list, s, f0, g, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
-    limit = bundle.evolve(basis, macro, times, branches, eps_list)
-    out = _gap_norms(basis, coords, limit, s)
-    for e, ys in integrated.items():
-        out[e] = _gap_norms(basis, ys, limit[e], s)
+    limit = np.stack([asymptotic_coefficients(basis, sk, coeffs).evolve(
+        basis, basis.macro_project(f0[k]), times, branches, eps_list) for k, sk in enumerate(s)])
+    s2 = [sk ** 2 for sk in s]
+    out = _gap_norms(basis, coords, limit, np.reshape(s2, (-1, 1, 1)))
+    for (k, e), ys in integrated.items():
+        out[k, e] = _gap_norms(basis, ys, limit[k, e], s2[k])
     return out
 
 
@@ -327,11 +330,11 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     norms, which is the combination whose gap stays first order in eps
     uniformly down to t = 0.
 
-    One task per shell serves every eps: the shell's axis modes share their
-    sector frames, data coordinates and fluid pairings, and each sector
-    block holding data is decomposed once for all eps values, as one stack
-    (semigroup.propagate_axis_modes).  jobs > 1 maps the shells over a
-    thread pool; the reduction order, and so every bit, stays the same.
+    One task per stack of SHELLS_PER_STACK shells serves every eps: each
+    sector block holding data is decomposed once for all (shell, eps)
+    modes, and the data's sector coordinates are one product for every shell
+    (_stack_errors).  jobs > 1 maps the stacks over a thread pool; the
+    reduction order, and so every bit, stays the same.
 
     Weighted-sup slopes over eps land in metadata; fewer than three eps
     values cannot support the fit and are refused (FitError), and so is an
@@ -347,19 +350,21 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     times = np.asarray(time_grid, dtype=float)
     basis = data.basis
     grid = data.grid
+    f0 = basis.macro_project(data.profile) if subtract_layer else data.profile
+    g = basis.axis_sectors.coordinates(f0)
 
-    def shell_task(k):
-        s = float(grid.nodes[k])
-        bundle = asymptotic_coefficients(basis, s, coeffs)
-        return _shell_errors(op, eps_list, s, data.profile[k], bundle, times,
-                             subtract_layer)
+    def stack_task(k):
+        sl = slice(k, k + SHELLS_PER_STACK)
+        return _stack_errors(op, coeffs, eps_list, grid.nodes[sl].tolist(), f0[sl],
+                             [[x[sl] for x in xs] for xs in g], times, subtract_layer)
 
+    stacks = range(0, grid.count, SHELLS_PER_STACK)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(shell_task, range(grid.count)))
+            results = [r for rs in pool.map(stack_task, stacks) for r in rs]
     else:
-        results = [shell_task(k) for k in range(grid.count)]
+        results = [r for k in stacks for r in stack_task(k)]
 
     rows_eps, rows_t = [], []
     err_tot, err_mac, err_mic = [], [], []

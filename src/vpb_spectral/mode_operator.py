@@ -21,8 +21,8 @@ block-diagonal, one block per azimuthal number m that both copies of the
 sector share.  Each operator's sector blocks are
 computed and checked once (CollisionOperator.sector_blocks, AssemblyError
 for an operator that fails the check); axis_eigen_blocks forms a mode's
-blocks from them, or one stack of blocks for several eps at one s, and
-EigenBlock decomposes each when it is first needed.  The dense complex
+blocks from them, or one stack of blocks for axis modes at several eps and
+s, and EigenBlock decomposes each when it is first needed.  The dense complex
 decomposition serves off-axis modes and is the reference.
 """
 
@@ -56,10 +56,10 @@ class EigenBlock:
     copies, every other block one.  vals and vecs are read-only.  The inverse
     of vecs, which cond and coefficients share, is computed on first use.
 
-    matrix may carry a leading stack axis, (E, n, n): E blocks on the same
-    frames, such as one sector of the axis modes of one shell at E values of
-    eps.  Each attribute then carries that axis too, and one eig and one inv
-    serve all E members.
+    matrix may carry leading stack axes, (K, E, n, n): blocks on the same
+    frames, such as one sector of the axis modes of K shells at E values of
+    eps.  Each attribute then carries those axes too, and one eig and one inv
+    serve all members.
     """
 
     matrix: np.ndarray
@@ -121,8 +121,8 @@ class EigenBlock:
         return r if r.ndim else float(r)
 
     def coefficients(self, g: np.ndarray) -> np.ndarray:
-        """c with vecs @ c = g (g a vector or vectors as columns, shared by
-        every member), through the inverse of vecs.  A member whose vecs is
+        """c with vecs @ c = g (vectors as columns, broadcast against the
+        members), through the inverse of vecs.  A member whose vecs is
         singular has no expansion and gets NaN; RegimeError if no member has
         one."""
         inv = self._inverse
@@ -204,7 +204,7 @@ class FourierMode:
             return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
         # on the axis the direction is +-e1, and B carries its sign on V1
         return tuple(axis_eigen_blocks(self.collision, self.eps * self.s * self.direction[0],
-                                       self.s))
+                                       self.s, [True] * len(self._sectors.L)))
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
         """The mode's eigendecomposition, one block at a time.
@@ -280,10 +280,11 @@ class FourierMode:
         return vectors @ dual
 
 
-def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> Iterator[EigenBlock]:
+def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[EigenBlock | None]:
     """The sector EigenBlocks of the axis mode at s with y = eps s d1, d1 = +-1
-    its direction; for an array y, of the stack of axis modes at one s, one
-    member per entry; yielded one by one, so a caller can hold one at a time.
+    its direction; for arrays y and s, of the stack of axis modes, one member
+    per entry of their broadcast; yielded one by one, so a caller can hold one
+    at a time, and None for a sector m not held[m], which is never formed.
 
     Sector m holds L[m] + y W[m], and sector 0 also the Poisson column
     y W[0][:, 0] / s^2 at the density, which leads it.  The sector blocks are
@@ -292,11 +293,16 @@ def axis_eigen_blocks(collision: CollisionOperator, y, s: float) -> Iterator[Eig
     """
     sectors = collision.sector_blocks
     y = np.asarray(y, dtype=float)[..., None, None]
+    # C pow per entry, as one mode squares its float s (numpy's s * s rounds some apart)
+    s2 = np.reshape([v ** 2 for v in np.ravel(s).tolist()], np.shape(s))[..., None]
     frames = collision.basis.axis_sectors.frames
-    for m, (lm, wm, copies) in enumerate(zip(sectors.L, sectors.W, frames)):
+    for m, (lm, wm, copies, hold) in enumerate(zip(sectors.L, sectors.W, frames, held)):
+        if not hold:
+            yield None
+            continue
         if m == 0:
-            wm = np.array(wm)
-            wm[:, 0] += wm[:, 0] / s ** 2  # the Poisson column at the density
+            wm = np.array(np.broadcast_to(wm, s2.shape[:-1] + wm.shape))
+            wm[..., 0] += wm[..., 0] / s2  # the Poisson column at the density
         mat = lm + y * wm
         mat.setflags(write=False)
         yield EigenBlock(mat, copies)

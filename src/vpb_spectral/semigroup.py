@@ -2,8 +2,8 @@
 
 One module covers the whole time side of the theory: the kinetic flow
 e^{(t/eps^2) B} (one eigen-expansion kernel in the blocks' coordinates,
-stacked over eps: propagate_kinetic embeds one mode's, propagate_axis_modes
-hands over those of every eps of an axis shell; the real azimuthal-sector
+stacked over modes: propagate_kinetic embeds one mode's, propagate_axis_modes
+hands over those of every eps of several axis shells; the real azimuthal-sector
 blocks on the axis, the dense complex block off it; each decomposition
 certified by its residuals, with a stiff ODE path for a member that fails),
 its splitting into the five-branch hydrodynamic part and an exponentially
@@ -137,45 +137,52 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _eig_coordinates(blocks, coords, times: np.ndarray, eps2: np.ndarray):
-    """The eig path of the kinetic flow for E modes that share their frames and
-    their data: states[e] = e^{(t/eps_e^2) B_e} f0 through the eigenvectors.
+def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
+    """The eig path of the kinetic flow for modes that share their frames:
+    states = e^{(t/eps^2) B} f0 through the eigenvectors, member by member.
 
-    blocks are EigenBlocks with E members (a 2-D block is a stack of one),
-    coords the coordinates of f0 in each copy of each block
-    (FourierMode.coordinates) and eps2 the members' eps^2.  Only the blocks
-    where f0 has coordinates are decomposed and solved, all E members at once.
+    blocks are EigenBlocks whose leading axes hold the members (none for one
+    mode; None where no member has data), coords the coordinates of f0 in each
+    copy of each block (FourierMode.coordinates) and eps2 the eps^2, both
+    broadcast against the members.  Only the blocks where some member has
+    coordinates are decomposed and solved, all members at once.
 
-    Returns, nested as coords, the states' (E, T, n) coordinates (phases c)
-    vecs^T in each copy where f0 has some (None elsewhere: zero), and the mask
-    of members the eig path cannot be trusted for: in some block, cond (in the
-    1-norm) at COND_LIMIT or more, or the propagation bound cond * (eigenpair
-    residual + worst copy's solve residual ||vecs c - g0||_1 / ||g0||_1) above
-    PROPAGATION_BOUND_LIMIT, which governs the method's error when Re vals <= 0
-    (Moler and Van Loan, SIAM Review 2003).  The caller integrates those.
+    Returns, nested as coords, the states' (..., T, n) coordinates (phases c)
+    vecs^T in each copy where some member has some (None elsewhere: zero;
+    exact zeros for the other members), and the mask of members the eig path
+    cannot be trusted for: in some block where the member has data, cond (in
+    the 1-norm) at COND_LIMIT or more, or the propagation bound cond *
+    (eigenpair residual + worst solve residual ||vecs c - g0||_1 / ||g0||_1 of
+    its copies) above PROPAGATION_BOUND_LIMIT, which governs the method's
+    error when Re vals <= 0 (Moler and Van Loan, SIAM Review 2003).
     """
-    out, ode = [], np.zeros(eps2.size, dtype=bool)
+    out, ode = [], False
     for block, copies in zip(blocks, coords):
         out.append([None] * len(copies))
-        held = [k for k, g0 in enumerate(copies) if g0.any()]
-        if not held:
+        if block is None:  # no member has data here
             continue
-        cond = np.reshape(block.cond, -1)
-        ode |= ~(cond < COND_LIMIT)
-        if ode.all():
+        has = np.stack([g0.any(-1) for g0 in copies], axis=-1)
+        held = np.flatnonzero(has.reshape(-1, len(copies)).any(0))
+        if not held.size:
+            continue
+        has = has[..., held]
+        ode = ode | has.any(-1) & ~np.less(block.cond, COND_LIMIT)
+        if np.all(ode):
             break
-        n = block.vals.shape[-1]
-        vals, vecs = block.vals.reshape(-1, n), block.vecs.reshape(-1, n, n)
-        g = np.stack([copies[k] for k in held], axis=1)
-        c = block.coefficients(g).reshape(-1, n, len(held))
-        solve = (np.abs(vecs @ c - g).sum(-2) / np.abs(g).sum(0)).max(-1)
-        ode |= ~(cond * (np.reshape(block.residual, -1) + solve) <= PROPAGATION_BOUND_LIMIT)
-        if ode.all():
+        g = np.stack([copies[k] for k in held], axis=-1)
+        c = block.coefficients(g)
+        error = np.abs(block.vecs @ c - g).sum(-2)
+        solve = np.divide(error, np.abs(g).sum(-2), out=np.zeros(error.shape), where=has)
+        bound = block.cond * (block.residual + solve.max(-1))
+        ode = ode | has.any(-1) & ~np.less_equal(bound, PROPAGATION_BOUND_LIMIT)
+        if np.all(ode):
             break
-        phases = np.exp(times[:, None] * vals[:, None, :] / eps2[:, None, None])
+        phases = np.exp(times[:, None] * block.vals[..., None, :] / eps2[..., None, None])
         for i, k in enumerate(held):
-            last = phases if i + 1 == len(held) else None  # the last copy scales phases itself
-            out[-1][k] = np.multiply(phases, c[:, None, :, i], out=last) @ vecs.swapaxes(-1, -2)
+            last = phases if i + 1 == held.size else None  # the last copy scales phases itself
+            out[-1][k] = x = np.multiply(phases, c[..., None, :, i], out=last) \
+                @ block.vecs.swapaxes(-1, -2)
+            np.copyto(x, 0.0, where=~has[..., i, None, None])
         del phases, last  # not to be held while the next block's are formed
     return out, ode
 
@@ -192,37 +199,39 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajector
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
     blocks = mode.eigen_blocks()
-    coords, ode = _eig_coordinates(blocks, mode.coordinates(f0), times, np.array([mode.eps ** 2]))
+    coords, ode = _eig_coordinates(blocks, mode.coordinates(f0), times, np.array(mode.eps ** 2))
     states = np.zeros((times.size, f0.size), dtype=complex)
     for fr, x in zip([fr for b in blocks for fr in b.frames], [x for xs in coords for x in xs]):
         if x is not None:
-            states[:, fr.index] += fr.scale * (x[0] @ fr.basis.T)
+            states[:, fr.index] += fr.scale * (x @ fr.basis.T)
     return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
-                          states=_ode_states(mode, f0, times) if ode[0] else states,
-                          basis=mode.basis, method="ode" if ode[0] else "eig")
+                          states=_ode_states(mode, f0, times) if ode else states,
+                          basis=mode.basis, method="ode" if ode else "eig")
 
 
-def propagate_axis_modes(op: CollisionOperator, eps_list, s: float, f0: np.ndarray,
+def propagate_axis_modes(op: CollisionOperator, eps_list, s, f0: np.ndarray, g,
                          times) -> tuple[list, dict]:
-    """(coords, integrated) for the axis modes at s e1 and each eps of eps_list
-    from one f0: the modes share their sector frames and the coordinates of
-    f0, so each sector block that holds data is one stack of E members,
-    decomposed by one eig (_eig_coordinates).  Embedded as by
-    propagate_kinetic, coords[m][k][e] gives propagate_kinetic(mode_operator(
-    op, eps_list[e], s), f0, times).states bit for bit.  A member that the eig
-    path cannot be trusted for is integrated on its own, and integrated maps
-    its index to its states' AxisSectors.coordinates.
+    """(coords, integrated) for the axis modes at each eps of eps_list on each
+    shell s[k] e1 from its data f0[k], g the AxisSectors.coordinates of f0: each
+    sector block where some shell has data is one stack, decomposed by one
+    eig (_eig_coordinates), and no other is formed.  Embedded as by
+    propagate_kinetic, coords[m][j][k, e] gives propagate_kinetic(mode_operator(
+    op, eps_list[e], s[k]), f0[k], times).states bit for bit if row k of g has
+    the bits of f0[k]'s own coordinates.  A member that the eig path cannot be
+    trusted for is integrated on its own, and integrated maps its (k, e) to
+    its states' AxisSectors.coordinates.
     """
-    s, _ = _normalize_xi(s)  # BasisError unless s > 0, as for mode_operator
+    s = np.asarray(s, dtype=float)[:, None]
+    _normalize_xi(np.min(s))  # BasisError unless every s > 0, as for mode_operator
     times = _checked_times(times)
-    f0 = np.asarray(f0, dtype=complex)
-    blocks = axis_eigen_blocks(op, np.array([eps * s for eps in eps_list]), s)
-    coords, ode = _eig_coordinates(blocks, op.basis.axis_sectors.coordinates(f0), times,
+    y = s * np.array(eps_list, dtype=float)
+    blocks = axis_eigen_blocks(op, y, s, [any(x.any() for x in xs) for xs in g])
+    coords, ode = _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,
                                    np.array([eps ** 2 for eps in eps_list]))
     integrated = {}
-    for e in np.flatnonzero(ode):
-        mode = mode_operator(op, eps_list[e], np.array([s, 0.0, 0.0]))
-        integrated[int(e)] = op.basis.axis_sectors.coordinates(_ode_states(mode, f0, times))
+    for k, e in np.argwhere(np.broadcast_to(ode, y.shape)).tolist():
+        mode = mode_operator(op, float(eps_list[e]), np.array([s[k, 0], 0.0, 0.0]))
+        integrated[k, e] = op.basis.axis_sectors.coordinates(_ode_states(mode, f0[k], times))
     return coords, integrated
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -319,6 +320,37 @@ class TestReproducibility:
         assert code == 0 and calls == [6 * 3]
         lines = open(artifact_of(out, ".csv"), encoding="utf-8").read().splitlines()
         assert len(lines) - 1 == 6 * 3 * 5
+
+
+    def test_shells_without_data_inside_a_stack_keep_the_bytes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # on the benchmark's grid, profile_sigma = 0.01 underflows to exact
+        # zeros on the upper shells, and one stack holds zero and nonzero
+        # shells: the zero members must add exact zeros, never be refused,
+        # never be integrated, and leave the bytes of one shell per task
+        import vpb_spectral.limit_lab as limit_lab
+        import vpb_spectral.semigroup as semigroup
+
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text("\n".join([
+            "backend = synthetic", "max_degree = 6", "s_count = 32",
+            "eps_list = 0.2, 0.1, 0.05, 0.025", "t_max = 20", "n_layer = 12",
+            "n_bulk = 24", "kind = generic", "subtract_layer = true",
+            "profile_sigma = 0.01", ""]), encoding="utf-8")
+        nodes = limit_lab.radial_grid(0.05, 0.6, 32).nodes
+        held = [math.exp(-s * s / 2e-4) != 0.0 for s in nodes]
+        first_zero = held.index(False)
+        assert first_zero % limit_lab.SHELLS_PER_STACK != 0 and not any(held[first_zero:])
+        monkeypatch.setattr(semigroup, "_ode_states", None)  # no member is integrated
+        runs = []
+        for size in (1, limit_lab.SHELLS_PER_STACK):
+            monkeypatch.setattr(limit_lab, "SHELLS_PER_STACK", size)
+            code, out, _ = run_cli(["converge", "--config", cfg, "--out", tmp_path / "out"],
+                                   capsys)
+            assert code == 0
+            runs.append({ext: open(artifact_of(out, ext), "rb").read()
+                         for ext in (".csv", ".json")})
+        assert runs[0] == runs[1]
 
 
 class TestCheck:

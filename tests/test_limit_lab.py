@@ -22,7 +22,7 @@ from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
 from vpb_spectral.limit_lab import (
     ErrorTable,
     InitialData,
-    _shell_errors,
+    _stack_errors,
     hilbert_expansion_check,
     layer_bump_ratio,
     layer_frequency,
@@ -44,6 +44,15 @@ SIGMA = 0.2
 
 def gauss_profile(s: float) -> float:
     return math.exp(-s * s / (2.0 * SIGMA * SIGMA))
+
+
+def stack_errors(op, coeffs, eps_list, shells, data, times, subtract):
+    """_stack_errors as run_convergence_study calls it, for the shells
+    shells (floats) with the data rows data[k]."""
+    f0 = np.asarray(data, dtype=complex)
+    f0 = op.basis.macro_project(f0) if subtract else f0
+    return _stack_errors(op, coeffs, eps_list, [float(s) for s in shells], f0,
+                         op.basis.axis_sectors.coordinates(f0), times, subtract)
 
 
 @pytest.fixture(scope="module")
@@ -305,16 +314,17 @@ class TestConvergenceStudy:
 
     def test_decoupled_single_branch_is_exactly_zero(self, syn_small, coeffs_small,
                                                      monkeypatch):
-        # the kinetic coordinates replaced by those of the fluid states: the
-        # pipeline must assemble exactly zero errors
-        def fluid_coordinates(op, eps_list, s, f0, times):
+        # the kinetic coordinates replaced, member by member, by those of the
+        # fluid states: the pipeline must assemble exactly zero errors
+        def fluid_coordinates(op, eps_list, s, f0, g, times):
             basis = op.basis
-            bundle = asymptotic_coefficients(basis, s, coeffs_small)
-            states = basis.embed_invariants(bundle.evolve(
-                basis, basis.macro_project(f0), times, (0, 2, 3), eps_list))
-            rows = [basis.axis_sectors.coordinates(st) for st in states]
-            return [[np.stack([r[m][k] for r in rows]) for k in range(len(copies))]
-                    for m, copies in enumerate(rows[0])], {}
+            rows = [[basis.axis_sectors.coordinates(st) for st in basis.embed_invariants(
+                asymptotic_coefficients(basis, sk, coeffs_small).evolve(
+                    basis, basis.macro_project(fk), times, (0, 2, 3), eps_list))]
+                for sk, fk in zip(s, f0)]
+            return [[np.array([[r[m][j] for r in shell] for shell in rows])
+                     for j in range(len(copies))]
+                    for m, copies in enumerate(rows[0][0])], {}
 
         monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
         basis = syn_small.basis
@@ -345,7 +355,7 @@ class TestConvergenceStudy:
         mode = mode_operator(syn_small, eps, np.array([s, 0.0, 0.0]))
         bundle = asymptotic_coefficients(basis, s, coeffs_small)
         times = layer_time_grid(eps, 5.0, n_layer=4, n_bulk=6)
-        got = _shell_errors(syn_small, [eps], s, f0, bundle, times, True)[0]
+        got = stack_errors(syn_small, coeffs_small, [eps], [s], [f0], times, True)[0, 0]
 
         macro = basis.macro_project(f0)
         diff = propagate_kinetic(mode, f0, times).states \
@@ -366,66 +376,87 @@ class TestConvergenceStudy:
 
     def test_integrated_members_take_the_same_norms(self, syn_small, gen_data, coeffs_small,
                                                     monkeypatch):
-        # a COND_LIMIT between the members' worst conds sends some of them to
-        # the ODE path: their errors are the slot-space norms of the integrated
-        # states, and every other member keeps its bits
+        # a COND_LIMIT between the members' worst conds sends some (shell, eps)
+        # members of one cross-shell stack to the ODE path: their errors are
+        # the slot-space norms of the integrated states, and every other
+        # member keeps its bits
         basis = syn_small.basis
-        k = 5
-        s, f0 = float(gen_data.grid.nodes[k]), gen_data.profile[k]
-        bundle = asymptotic_coefficients(basis, s, coeffs_small)
+        ks = [4, 5, 6]
+        shells, data = gen_data.grid.nodes[ks], gen_data.profile[ks]
         times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
-        want = _shell_errors(syn_small, self.EPS, s, f0, bundle, times, False)
-        blocks = axis_eigen_blocks(syn_small, np.array([eps * s for eps in self.EPS]), s)
-        held = [b for b, g in zip(blocks, basis.axis_sectors.coordinates(f0))
-                if any(g0.any() for g0 in g)]
-        worst = np.max([b.cond for b in held], axis=0)
-        limit = np.sort(worst)[1:3].mean()
+        want = stack_errors(syn_small, coeffs_small, self.EPS, shells, data, times, False)
+        eps, s = np.tile(self.EPS, len(ks)), np.repeat(shells, len(self.EPS))
+        held = [any(g0.any() for g0 in g) for g in basis.axis_sectors.coordinates(data[0])]
+        worst = np.max([b.cond for b in axis_eigen_blocks(syn_small, eps * s, s, held)
+                        if b is not None], axis=0).reshape(len(ks), len(self.EPS))
+        limit = np.sort(worst, axis=None)[worst.size // 2 - 1:worst.size // 2 + 1].mean()
         monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
-        got = _shell_errors(syn_small, self.EPS, s, f0, bundle, times, False)
-        fluid = basis.embed_invariants(bundle.evolve(
-            basis, basis.macro_project(f0), times, (0, 2, 3), self.EPS))
-        assert 0 < np.sum(worst >= limit) < len(self.EPS)
-        for e, eps in enumerate(self.EPS):
-            if worst[e] < limit:
-                assert np.array_equal(got[e], want[e])
-                continue
-            mode = mode_operator(syn_small, eps, np.array([s, 0.0, 0.0]))
-            diff = semigroup._ode_states(mode, f0, times) - fluid[e]
-            slot = np.array([[weighted_norm(basis, d, s),
-                              weighted_norm(basis, basis.macro_project(d), s),
-                              np.linalg.norm(basis.micro_project(d))] for d in diff])
-            assert np.all(np.abs(got[e] - slot) <= 1e-13 * slot.max(axis=0))
+        got = stack_errors(syn_small, coeffs_small, self.EPS, shells, data, times, False)
+        refused = worst >= limit
+        assert 0 < refused.sum() < refused.size and refused.any(axis=1).sum() > 1
+        for k, sk in enumerate(shells):
+            bundle = asymptotic_coefficients(basis, float(sk), coeffs_small)
+            fluid = basis.embed_invariants(bundle.evolve(
+                basis, basis.macro_project(data[k]), times, (0, 2, 3), self.EPS))
+            for e, ek in enumerate(self.EPS):
+                if not refused[k, e]:
+                    assert np.array_equal(got[k, e], want[k, e])
+                    continue
+                mode = mode_operator(syn_small, ek, np.array([sk, 0.0, 0.0]))
+                diff = semigroup._ode_states(mode, data[k], times) - fluid[e]
+                slot = np.array([[weighted_norm(basis, d, sk),
+                                  weighted_norm(basis, basis.macro_project(d), sk),
+                                  np.linalg.norm(basis.micro_project(d))] for d in diff])
+                assert np.all(np.abs(got[k, e] - slot) <= 1e-13 * slot.max(axis=0))
 
-    def test_one_shell_holds_no_state_sized_array(self):
-        # degree 6, 4 eps values and 36 times, as in the benchmark's converge
-        # job: the shell's largest arrays are sector-sized, (E, T, 16)
+    @staticmethod
+    def stack_peak(count, shells):
+        """The tracemalloc peak of one _stack_errors call over the given shells of
+        a count-shell grid, as in the benchmark's converge job (degree 6, 4 eps
+        values, 36 times), with the data's coordinates taken before, as the
+        study takes them once for every shell."""
         op = synthetic_collision(build_basis(6))
         coeffs = compute_kappas(op)
-        grid = radial_grid(0.05, 0.6, 8)
+        grid = radial_grid(0.05, 0.6, count)
         data = make_initial_data("generic", gauss_profile, op.basis, grid)
-        times = layer_time_grid(max(self.EPS), 20.0)
+        times = layer_time_grid(0.2, 20.0)
         assert times.size == 36
-        s = float(grid.nodes[3])
-        bundle = asymptotic_coefficients(op.basis, s, coeffs)
-        _shell_errors(op, self.EPS, s, data.profile[3], bundle, times, True)  # warm caches
+        f0 = op.basis.macro_project(data.profile[shells])
+        g = op.basis.axis_sectors.coordinates(f0)
+        s = grid.nodes[shells].tolist()
+        eps_list = TestConvergenceStudy.EPS
+        _stack_errors(op, coeffs, eps_list, s, f0, g, times, True)  # warm caches
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _shell_errors(op, self.EPS, s, data.profile[3], bundle, times, True)
+            _stack_errors(op, coeffs, eps_list, s, f0, g, times, True)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        # the bound is one (E, T, dim) complex array, of which the parent formed
-        # several per shell (peak 873,800 B).  What the shell must hold is the
-        # held copies' coordinates, 40 of the 84 columns (92,592 B), and the
-        # fluid limit; on top come one sector's working arrays and numpy's
-        # buffers for broadcast operands (172,944 B in all with numpy 2.4)
-        state_bytes = len(self.EPS) * times.size * op.basis.dim * 16
+        state_bytes = len(eps_list) * times.size * op.basis.dim * 16
         assert state_bytes == 193_536
+        return peak, state_bytes
+
+    def test_one_shell_holds_no_state_sized_array(self):
+        # the bound is one (E, T, dim) complex array, of which the per-shell
+        # study before sector coordinates formed several (peak 873,800 B).
+        # What a shell must hold is the held copies' coordinates, 40 of the 84
+        # columns (92,592 B), and the fluid limit; on top come one sector's
+        # working arrays and numpy's buffers for broadcast operands (about 172,250 B
+        # in all with numpy 2.4)
+        peak, state_bytes = self.stack_peak(8, [3])
         assert peak < state_bytes
+
+    def test_one_stack_holds_no_state_sized_array(self):
+        # a stack of the study's SHELLS_PER_STACK shells holds less than one
+        # (E, T, dim) array per shell: no basis-length state forms for any
+        # stack (1,300,968 B for 8 shells with numpy 2.4, against 1,548,288 B)
+        size = limit_lab.SHELLS_PER_STACK
+        peak, state_bytes = self.stack_peak(max(8, size), list(range(size)))
+        assert peak < size * state_bytes
 
     def test_rerun_bit_identical(self, syn_small, wp_data, coeffs_small, wp_table):
         tg = layer_time_grid(max(self.EPS), 20.0)
@@ -440,10 +471,11 @@ class TestConvergenceStudy:
                                     coeffs_small, jobs=4)
         assert np.array_equal(wp_table.err_Linf_P, par.err_Linf_P)
 
-    def test_one_eig_per_held_sector_per_shell(self, syn_small, gen_data, coeffs_small,
+    def test_one_eig_per_held_sector_per_stack(self, syn_small, gen_data, coeffs_small,
                                                monkeypatch):
         # generic data holds the m = 0 and m = 1 sectors: two decompositions
-        # per shell, each one stack over every eps
+        # per stack of shells, each one stack over every (shell, eps)
+        monkeypatch.setattr(limit_lab, "SHELLS_PER_STACK", 6)
         shapes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
@@ -451,7 +483,35 @@ class TestConvergenceStudy:
                               coeffs_small, subtract_layer=True)
         sectors = syn_small.sector_blocks
         sizes = [sectors.L[0].shape[0], sectors.L[1].shape[0]]
-        assert shapes == [(len(self.EPS), n, n) for _ in gen_data.grid.nodes for n in sizes]
+        assert gen_data.grid.count == 16
+        assert shapes == [(k, len(self.EPS), n, n) for k in (6, 6, 4) for n in sizes]
+
+    def test_stack_boundaries_move_no_bits(self, syn_small, coeffs_small, monkeypatch):
+        grid = radial_grid(0.05, 0.6, 7)
+        data = make_initial_data("generic", gauss_profile, syn_small.basis, grid)
+        tg = layer_time_grid(max(self.EPS), 5.0)
+        tables = []
+        for size in (1, 3, 7):
+            monkeypatch.setattr(limit_lab, "SHELLS_PER_STACK", size)
+            tables.append(run_convergence_study(syn_small, data, self.EPS, tg, coeffs_small,
+                                                subtract_layer=True))
+        for other in tables[1:]:
+            assert list(other.rows()) == list(tables[0].rows())
+
+    def test_one_coordinate_product_is_each_shells_own(self, syn_small):
+        # the study takes the data's sector coordinates in one product for
+        # every shell; on make_initial_data's rows, which share their few
+        # nonzero slots, each row keeps the bits of its own product
+        basis = syn_small.basis
+        grid = radial_grid(0.05, 0.6, 32)
+        for kind in ("generic", "well_prepared"):
+            data = make_initial_data(kind, gauss_profile, basis, grid)
+            for rows in (data.profile, basis.macro_project(data.profile)):
+                together = basis.axis_sectors.coordinates(rows)
+                for k, row in enumerate(rows):
+                    for xs, ys in zip(together, basis.axis_sectors.coordinates(row)):
+                        for x, y in zip(xs, ys):
+                            assert np.array_equal(x[k], y)
 
     def test_eps_outside_the_unit_interval_refused(self, syn_small, wp_data, coeffs_small):
         with pytest.raises(RegimeError, match="eps=1.5 outside"):

@@ -152,26 +152,37 @@ class TestParityBlocks:
         assert traj.method == "ode"
 
 
-def embed(basis, coords, e, times):
-    """Member e of propagate_axis_modes' coordinates, embedded as propagate_kinetic
-    embeds its own: each copy adds scale * (x @ basis^T) on its slots."""
+def embed(basis, coords, member, times):
+    """Member (k, e) of propagate_axis_modes' coordinates, embedded as
+    propagate_kinetic embeds its own: each copy adds scale * (x @ basis^T) on
+    its slots."""
     states = np.zeros((times.size, basis.dim), dtype=complex)
     for copies, xs in zip(basis.axis_sectors.frames, coords):
         for fr, x in zip(copies, xs):
             if x is not None:
-                states[:, fr.index] += fr.scale * (x[e] @ fr.basis.T)
+                states[:, fr.index] += fr.scale * (x[member] @ fr.basis.T)
     return states
 
 
-def same_coordinates(got, want, e=None):
-    """Bitwise equality of two sector coordinate nestings, of member e only if given."""
+def same_coordinates(got, want, member=None):
+    """Bitwise equality of two sector coordinate nestings, of one member only if given."""
     assert len(got) == len(want)
     for xs, ys in zip(got, want):
         assert len(xs) == len(ys)
         for x, y in zip(xs, ys):
             assert (x is None) == (y is None)
             if x is not None:
-                assert np.array_equal(x if e is None else x[e], y if e is None else y[e])
+                assert np.array_equal(x if member is None else x[member],
+                                      y if member is None else y[member])
+
+
+def shells_data(basis, data):
+    """propagate_axis_modes' f0 and g for the data rows data[k], one per
+    shell; g is taken row by row, as propagate_kinetic takes it."""
+    f0 = np.asarray(data, dtype=complex)
+    rows = [basis.axis_sectors.coordinates(f) for f in f0]
+    return f0, [[np.stack([r[m][j] for r in rows]) for j in range(len(xs))]
+                for m, xs in enumerate(rows[0])]
 
 
 class TestStackedPropagation:
@@ -181,89 +192,134 @@ class TestStackedPropagation:
                                       "hard-sphere-6"])
     def test_each_member_is_its_own_propagation(self, axis_operators, hard_sphere_prod,
                                                 name):
+        # one stack over two shells, each with its own data: every (shell, eps)
+        # member is its own propagate_kinetic, bit for bit
         op = hard_sphere_prod if name == "hard-sphere-6" else axis_operators[name]
-        f0 = random_state(op.basis.dim, seed=11)
+        shells = [0.05, 0.37]
+        data = [random_state(op.basis.dim, seed=11), random_state(op.basis.dim, seed=12)]
         times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
-        for s in (0.05, 0.37):
-            coords, integrated = propagate_axis_modes(op, self.EPS, s, f0, times)
-            assert integrated == {}
-            for xs, copies in zip(coords, op.basis.axis_sectors.frames):
-                for x, fr in zip(xs, copies):
-                    assert x.shape == (len(self.EPS), times.size, fr.basis.shape[1])
+        coords, integrated = propagate_axis_modes(op, self.EPS, shells,
+                                                  *shells_data(op.basis, data), times)
+        assert integrated == {}
+        for xs, copies in zip(coords, op.basis.axis_sectors.frames):
+            for x, fr in zip(xs, copies):
+                assert x.shape == (len(shells), len(self.EPS), times.size, fr.basis.shape[1])
+        for k, s in enumerate(shells):
             for e, eps in enumerate(self.EPS):
                 want = propagate_kinetic(mode_operator(op, eps, np.array([s, 0.0, 0.0])),
-                                         f0, times).states
-                assert np.array_equal(embed(op.basis, coords, e, times), want)
+                                         data[k], times).states
+                assert np.array_equal(embed(op.basis, coords, (k, e), times), want)
+
+    def test_members_without_data_hold_exact_zeros(self, op_mid, monkeypatch):
+        # a shell whose data is zero, or fills one copy of a sector whose other
+        # copy holds data elsewhere, inside a stack: its members are never
+        # refused nor integrated for copies without data (their solve residual
+        # would be 0/0), and hold exact zeros there
+        basis, times = op_mid.basis, np.array([0.0, 0.002, 0.01])
+        shells = [0.3, 0.4, 0.5]
+        data = [random_state(basis.dim, seed=13), np.zeros(basis.dim),
+                0.7 * basis.chi(2)]  # the cos copy of sector 1 only
+        coords, integrated = propagate_axis_modes(op_mid, self.EPS, shells,
+                                                  *shells_data(basis, data), times)
+        assert integrated == {}
+        for m, xs in enumerate(coords):
+            for j, x in enumerate(xs):
+                assert np.all(x[1] == 0.0)
+                assert np.all(x[2] == 0.0) == ((m, j) != (1, 0))
+        for k, s in enumerate(shells):
+            for e, eps in enumerate(self.EPS):
+                want = propagate_kinetic(mode_operator(op_mid, eps, np.array([s, 0.0, 0.0])),
+                                         data[k], times).states
+                assert np.array_equal(embed(basis, coords, (k, e), times), want)
+        # with every cond refused, only the members with data are integrated
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
+        _, integrated = propagate_axis_modes(op_mid, self.EPS[:2], shells,
+                                             *shells_data(basis, data), times)
+        assert sorted(integrated) == [(k, e) for k in (0, 2) for e in range(2)]
 
     def test_stacked_block_attributes_are_the_members(self, axis_operators):
         op = axis_operators["hard-sphere-4"]
-        s = 0.3
-        blocks = tuple(axis_eigen_blocks(op, np.array([eps * s for eps in self.EPS]), s))
-        for e, eps in enumerate(self.EPS):
-            one = mode_operator(op, eps, np.array([s, 0.0, 0.0])).eigen_blocks()
+        s = np.array([[0.3], [0.45]])
+        held = [True] * len(op.basis.axis_sectors.frames)
+        blocks = tuple(axis_eigen_blocks(op, s * np.array(self.EPS), s, held))
+        for k, e in np.ndindex(len(s), len(self.EPS)):
+            one = mode_operator(op, self.EPS[e], np.array([s[k, 0], 0.0, 0.0])).eigen_blocks()
             assert len(blocks) == len(one)
             for stacked, block in zip(blocks, one):
-                assert np.array_equal(stacked.matrix[e], block.matrix)
-                assert np.array_equal(stacked.vecs[e], block.vecs)
-                assert stacked.cond[e] == block.cond
-                assert stacked.residual[e] == block.residual
+                assert np.array_equal(stacked.matrix[k, e], block.matrix)
+                assert np.array_equal(stacked.vecs[k, e], block.vecs)
+                assert stacked.cond[k, e] == block.cond
+                assert stacked.residual[k, e] == block.residual
+
+    def test_only_the_sectors_asked_for_are_formed(self, op_mid):
+        held = [m in (0, 2) for m in range(len(op_mid.basis.axis_sectors.frames))]
+        blocks = list(axis_eigen_blocks(op_mid, np.array([0.02, 0.04]),
+                                        np.array([0.2, 0.4]), held))
+        assert [b is not None for b in blocks] == held
+        assert blocks[0].matrix.shape[0] == 2
 
     def test_one_singular_member_is_integrated_alone(self, op_mid, monkeypatch):
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=5)
-        want, _ = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        shell = shells_data(op_mid.basis, [f0])
+        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
         eig = np.linalg.eig
 
         def spoiled(a):
             vals, vecs = eig(a)
-            if a.ndim == 3 and a.shape[-1] > 1:
+            if a.ndim == 4 and a.shape[-1] > 1:
                 vecs = np.array(vecs)
-                vecs[1][:, 0] = 0.0  # exactly singular: the stacked inv fails
+                vecs[0, 1][:, 0] = 0.0  # exactly singular: the stacked inv fails
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", spoiled)
-        got, integrated = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
+        got, integrated = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
         mode = mode_operator(op_mid, self.EPS[1], np.array([s, 0.0, 0.0]))
-        assert list(integrated) == [1]
-        same_coordinates(integrated[1], op_mid.basis.axis_sectors.coordinates(
+        assert list(integrated) == [(0, 1)]
+        same_coordinates(integrated[0, 1], op_mid.basis.axis_sectors.coordinates(
             semigroup._ode_states(mode, f0, times)))
         for e in (0, 2, 3):
-            same_coordinates(got, want, e)
+            same_coordinates(got, want, (0, e))
 
     def test_cond_limit_sends_only_its_members_to_the_ode_path(self, op_mid, monkeypatch):
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=7)
-        want, _ = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
-        blocks = axis_eigen_blocks(op_mid, np.array([eps * s for eps in self.EPS]), s)
-        worst = np.max([b.cond for b in blocks], axis=0)  # f0 fills every sector
+        shell = shells_data(op_mid.basis, [f0])
+        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
+        held = [True] * len(op_mid.basis.axis_sectors.frames)  # f0 fills every sector
+        blocks = axis_eigen_blocks(op_mid, np.array([eps * s for eps in self.EPS]), s, held)
+        worst = np.max([b.cond for b in blocks], axis=0)
         limit = np.sort(worst)[1:3].mean()
         monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
-        got, integrated = propagate_axis_modes(op_mid, self.EPS, s, f0, times)
-        assert sorted(integrated) == [e for e in range(len(self.EPS)) if worst[e] >= limit]
+        got, integrated = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
+        assert sorted(integrated) == [(0, e) for e in range(len(self.EPS)) if worst[e] >= limit]
         for e, eps in enumerate(self.EPS):
             if worst[e] >= limit:
                 mode = mode_operator(op_mid, eps, np.array([s, 0.0, 0.0]))
-                same_coordinates(integrated[e], op_mid.basis.axis_sectors.coordinates(
+                same_coordinates(integrated[0, e], op_mid.basis.axis_sectors.coordinates(
                     semigroup._ode_states(mode, f0, times)))
             else:
-                same_coordinates(got, want, e)
+                same_coordinates(got, want, (0, e))
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
 
     def test_bad_operator_wavenumber_and_failed_eig_are_refused(self, op_mid, broken_frames,
                                                                  monkeypatch):
-        f0 = random_state(op_mid.basis.dim)
+        f0 = [random_state(op_mid.basis.dim)]
         broken = broken_frames("imaginary part")
         with pytest.raises(AssemblyError, match="sector check: imaginary part"):
-            propagate_axis_modes(broken, self.EPS, 0.3, f0, [0.0, 0.01])
+            propagate_axis_modes(broken, self.EPS, [0.3], *shells_data(broken.basis, f0),
+                                 [0.0, 0.01])
         with pytest.raises(BasisError, match="nonzero"):
-            propagate_axis_modes(op_mid, self.EPS, 0.0, f0, [0.0, 0.01])
+            propagate_axis_modes(op_mid, self.EPS, [0.3, 0.0],
+                                 *shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
 
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
         with pytest.raises(AssemblyError, match="eigendecomposition of a 9-row block failed"):
-            propagate_axis_modes(op_mid, self.EPS, 0.3, f0, [0.0, 0.01])
+            propagate_axis_modes(op_mid, self.EPS, [0.3], *shells_data(op_mid.basis, f0),
+                                 [0.0, 0.01])
 
     def test_perturbed_eigenvectors_take_the_ode_path(self, op_mid, monkeypatch):
         # vectors off by 1e-6 at cond below 100 pass COND_LIMIT by ten
@@ -300,10 +356,10 @@ class TestStackedPropagation:
             assert 1e11 < block.cond < semigroup.COND_LIMIT and block.residual == 0.0
             g0 = np.array(g0, dtype=complex)
             coords, ode = semigroup._eig_coordinates([block], [[g0]], times,
-                                                     np.array([1.0]))
-            assert ode[0] == refused
+                                                     np.array(1.0))
+            assert ode == refused
             if not refused:
-                assert np.array_equal(coords[0][0][0, 0], g0)
+                assert np.array_equal(coords[0][0][0], g0)
 
 
 class TestSplit:
