@@ -1,7 +1,7 @@
 """Time the package layer by layer and end to end, and write BENCH_<n>.json.
 
-    python3 scripts/bench.py BENCH_26.json
-    python3 scripts/bench.py BENCH_26.json --src parent=../old/src --src change=src
+    python3 scripts/bench.py BENCH_27.json
+    python3 scripts/bench.py BENCH_27.json --src parent=../old/src --src change=src
     python3 scripts/bench.py smoke.json --tiny
 
 Run from the root of a source checkout.  Each --src tree (default: this
@@ -11,8 +11,10 @@ checkout's src, labelled "change") is timed in fresh processes:
   build_basis and hard-sphere assembly (into an empty cache) at degrees 6
   and 8, sector_blocks, one axis mode's eigen_blocks decomposed,
   hydrodynamic_sweep over the dispersion workload's modes, propagate_kinetic
-  on one mode, propagate_axis_modes over one stack of 8 converge shells, and
-  the GammaEvaluator build; each the median of --repeats calls;
+  on one mode, propagate_axis_modes over one stack of 8 converge shells, the
+  fluid limit of the converge workload (its 32 shells in stacks, generic data,
+  five branches, four eps values, 36 times), and the GammaEvaluator build;
+  each the median of --repeats calls;
 - end to end: the criterion-08 convergence study in that process, and
   `vpb-spectral check` and the three perfbench configurations as fresh
   command-line processes (wall time, interpreter start included); the
@@ -77,7 +79,7 @@ def child(tiny: bool, repeats: int) -> dict:
     """The in-process figures of the tree on sys.path, and its environment."""
     import numpy as np
 
-    from vpb_spectral import blas
+    from vpb_spectral import blas, dispersion, limit_lab
     from vpb_spectral.collision import GammaEvaluator, assemble_collision, synthetic_collision
     from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_sweep
     from vpb_spectral.limit_lab import (layer_time_grid, make_initial_data, radial_grid,
@@ -130,6 +132,17 @@ def child(tiny: bool, repeats: int) -> dict:
             axis = lambda _: [propagate_axis_modes(syn, EPS4, sk, fk, times)
                               for sk, fk in zip(s, f0)]
         out["propagate_axis_modes"] = _median(axis, repeats)
+        u, branches = syn.basis.macro_project(generic.profile), (0, 2, 3, -1, 1)
+        if hasattr(dispersion, "shell_coefficients"):
+            size = limit_lab.SHELLS_PER_STACK
+            fluid = lambda _: [dispersion.shell_coefficients(
+                syn.basis, grid.nodes[k:k + size], dispersion.AXIS, coeffs).evolve(
+                syn.basis, u[k:k + size], times, branches, EPS4) for k in range(0, shells, size)]
+        else:  # a tree that evolves one shell per call
+            fluid = lambda _: [dispersion.asymptotic_coefficients(
+                syn.basis, float(sk), coeffs).evolve(syn.basis, uk, times, branches, EPS4)
+                for sk, uk in zip(grid.nodes, u)]
+        out["fluid_limit"] = _median(fluid, repeats)
         gamma_basis = build_basis(3 if tiny else 4)
         out["gamma_evaluator"] = _median(lambda _: GammaEvaluator(gamma_basis, 1.0, 1.0),
                                          repeats)
@@ -204,7 +217,7 @@ def _revision(src: Path):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_26.json")
+    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_27.json")
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable); default change=src")
     ap.add_argument("--repeats", type=int, default=5, help="calls per layer and round")

@@ -40,10 +40,10 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import (EigenBlock, FourierMode, _normalize_xi, pushforward_from_axis,
-                            rotation_to_axis)
+from .mode_operator import (EigenBlock, FourierMode, _checked_times, _normalize_xi,
+                            pushforward_from_axis, rotation_to_axis)
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_norm
+from .velocity_space import Frame, VelocityBasis, weighted_norm
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -79,9 +79,9 @@ class BranchPoint:
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticCoefficients:
-    """Closed-form leading frequencies, decay rates and limit vectors at one xi."""
+    """Closed-form leading frequencies, decay rates and limit vectors at one xi or K shells."""
 
-    s: float
+    s: float | np.ndarray
     direction: np.ndarray
     eta: dict
     b: dict
@@ -91,22 +91,25 @@ class AsymptoticCoefficients:
                eps=1.0) -> np.ndarray:
         """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
 
-        One row per time; the pairing is the weighted bilinear one.  Every h_j
-        vanishes off basis.invariant_indices, so the sum holds only those five
-        slots, in that order (basis.embed_invariants places them).  The pairing
-        keeps the whole length: summed over five slots it would round
-        differently.  The fluid branches 0, 2, 3 do not oscillate, so eps only
-        matters for -1 and 1.  For an array of E eps values the result is
-        (E, T, 5), one slice per eps, and each pairing is formed once for all.
+        One row per time, the times checked as for the kinetic flow; the pairing
+        is bilinear_pair's, bit for bit: each row is summed over its whole length,
+        and s ** 2 taken on Python floats.  Every h_j vanishes off
+        basis.invariant_indices, so the sum holds only those five slots, in that
+        order (embed_invariants places them).  Branches 0, 2, 3 do not oscillate,
+        so eps only matters for -1 and 1.  E eps values give (E, T, 5), each pairing
+        formed once for all; at K shells, u (K, dim) gives (K, E, T, 5), bit for bit.
         """
-        times = np.asarray(times, dtype=float)
+        times = _checked_times(times)
         eps = np.asarray(eps, dtype=float)[..., None]
-        slots = list(basis.invariant_indices)
-        acc = np.zeros(eps.shape[:-1] + (times.size, len(slots)), dtype=complex)
+        lead = np.shape(self.s) + (1,) * eps.ndim  # the shells against (eps, time)
+        s2 = np.reshape([x ** 2 for x in np.ravel(self.s).tolist()], np.shape(self.s))
+        i0, slots = basis.density_index, list(basis.invariant_indices)
+        acc = np.zeros(np.shape(self.s) + eps.shape[:-1] + (times.size, 5), dtype=complex)
         for j in branches:
-            coef = bilinear_pair(basis, u, self.h[j], self.s)
-            phases = np.exp(self.eta[j] * times / eps - self.b[j] * times)
-            acc += phases[..., None] * (coef * self.h[j][slots])
+            coef = ((u * self.h[j]).sum(axis=-1) + u[..., i0] * self.h[j][..., i0] / s2)[..., None]
+            eta, b = (np.reshape(x[j], lead) for x in (self.eta, self.b))
+            phases = np.exp(eta * times / eps - b * times)
+            acc += phases[..., None] * (coef * self.h[j][..., slots]).reshape(lead + (5,))
         return acc
 
 
@@ -428,24 +431,26 @@ def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict
     coefficients.  The acoustic velocity component carries sign -j, which is
     what the defining 5x5 drift eigenproblem forces.  The transverse pair
     uses the frame of the axis rotation, which is the identity on the axis.
+    s is a float, or K shells, which give each h_j a leading shell axis.
     """
     rot = rotation_to_axis(direction)
-    chi_vec = [basis.chi(1), basis.chi(2), basis.chi(3)]
+    s = np.asarray(s, dtype=float)[..., None]  # shells, if any, lead the five slots
+    chi = np.eye(5)  # chi_0..chi_4 on the slots, which basis.embed_invariants places
 
     def along(w3: np.ndarray) -> np.ndarray:
-        return sum(w3[i] * chi_vec[i] for i in range(3))
+        return sum(w3[i] * chi[1 + i] for i in range(3))
 
-    den = math.sqrt(3.0 + 5.0 * s * s)
-    a0 = math.sqrt(2.0) * s * s / (den * math.sqrt(1.0 + s * s))
-    c0 = math.sqrt(3.0 + 3.0 * s * s) / den
-    h = {0: a0 * basis.chi(0) - c0 * basis.chi(4)}
+    den = np.sqrt(3.0 + 5.0 * s * s)
+    a0 = math.sqrt(2.0) * s * s / (den * np.sqrt(1.0 + s * s))
+    c0 = np.sqrt(3.0 + 3.0 * s * s) / den
+    h = {0: a0 * chi[0] - c0 * chi[4]}
     q = math.sqrt(1.5) * s / den
     u = s / den
     for j in (-1, 1):
-        h[j] = q * basis.chi(0) - (j / math.sqrt(2.0)) * along(direction) + u * basis.chi(4)
+        h[j] = q * chi[0] - (j / math.sqrt(2.0)) * along(direction) + u * chi[4]
     h[2] = along(rot[1])
     h[3] = along(rot[2])
-    return h
+    return {j: basis.embed_invariants(np.broadcast_to(v, h[0].shape)) for j, v in h.items()}
 
 
 def asymptotic_coefficients(basis: VelocityBasis, xi,
@@ -455,12 +460,18 @@ def asymptotic_coefficients(basis: VelocityBasis, xi,
     For off-axis xi the transverse pair uses the orthonormal frame
     perpendicular to xi delivered by the axis rotation; any frame choice
     spans the same degenerate subspace.  xi is parsed as for mode_operator:
-    a positive magnitude on the axis or a nonzero 3-vector, else BasisError.
+    a positive magnitude on the axis or a nonzero 3-vector, else BasisError;
+    shell_coefficients takes the shell axis that _normalize_xi would misread.
     """
-    s, direction = _normalize_xi(xi)
-    eta = {j: branch_frequency(j, s) for j in (-1, 0, 1, 2, 3)}
-    b = {j: branch_decay(j, s, coeffs) for j in (-1, 0, 1, 2, 3)}
-    return AsymptoticCoefficients(s=s, direction=direction, eta=eta, b=b,
+    return shell_coefficients(basis, *_normalize_xi(xi), coeffs)
+
+
+def shell_coefficients(basis: VelocityBasis, s, direction: np.ndarray,
+                       coeffs: TransportCoefficients) -> AsymptoticCoefficients:
+    """asymptotic_coefficients at s along a unit direction, s a float or K shells."""
+    return AsymptoticCoefficients(s=s, direction=direction,
+                                  eta={j: branch_frequency(j, s) for j in BRANCHES},
+                                  b={j: branch_decay(j, s, coeffs) for j in BRANCHES},
                                   h=limit_vectors(basis, s, direction))
 
 
@@ -534,8 +545,8 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
                             f"s = {s[c // 5]:.6g} is nearly isotropic-null; cannot normalize "
                             "in the weighted pairing")
     psi = psi / np.sqrt(pair)
-    h_axis = {x: limit_vectors(basis, x, AXIS) for x in set(s)}
-    h = np.stack([h_axis[x][j] for x in s for j in BRANCHES], axis=1)
+    hs = limit_vectors(basis, s, AXIS)
+    h = np.stack([hs[j] for j in BRANCHES], axis=1).reshape(-1, basis.dim).T
     psi = psi * np.where(_axis_pairs(basis, s_col, psi, h).real < 0, -1.0, 1.0)
 
     z = np.column_stack([np.reshape(coupled_z, (-1, 3)), shear_z, shear_z])

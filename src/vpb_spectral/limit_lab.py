@@ -7,8 +7,8 @@ L-infinity norms in x are bounded through the L1-in-xi synthesis
 4*pi * sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.  The convergence study takes
 a stack of shells at a time and all their eps values at once: the modes
 share their sector frames, so the kinetic flow is one stacked
-eigen-expansion per sector, and the errors are read off its sector
-coordinates (semigroup.propagate_axis_modes).
+eigen-expansion per sector (semigroup.propagate_axis_modes), the fluid limit
+one evolve over the shell axis, and the errors are read off sector coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import AXIS, asymptotic_coefficients, limit_vectors
+from .dispersion import AXIS, limit_vectors, shell_coefficients
 from .errors import BackendError, DataError, FitError
 from .mode_operator import check_eps, mode_operator
 from .semigroup import propagate_axis_modes, propagate_kinetic
@@ -152,14 +152,14 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
 
 def _assert_well_prepared(data: InitialData) -> None:
     worst = {"micro": 0.0, "divergence": 0.0, "boussinesq": 0.0, "acoustic": 0.0}
+    hs = limit_vectors(data.basis, data.grid.nodes, AXIS)
     for k, s in enumerate(data.grid.nodes):
         res = _well_prepared_checks(data.basis, data.profile[k], float(s))
         for key in res:
             worst[key] = max(worst[key], res[key])
-        hs = limit_vectors(data.basis, float(s), AXIS)
         for j in (-1, 1):
             worst["acoustic"] = max(worst["acoustic"], abs(
-                bilinear_pair(data.basis, data.profile[k], hs[j], float(s))))
+                bilinear_pair(data.basis, data.profile[k], hs[j][k], float(s))))
     bad = {k: v for k, v in worst.items() if v > CONSTRAINT_TOL}
     if bad:
         raise DataError(f"well-prepared invariants violated: {bad}")
@@ -185,16 +185,14 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     """Acoustic-branch layer field at time t, one row per shell.
 
     Each shell evolves its two acoustic projections with the closed-form
-    phase exp(eta_j t / eps - b_j t); well-prepared data has no acoustic
-    content, so the result vanishes identically there.
+    phase exp(eta_j t / eps - b_j t), all in one evolve; well-prepared data has no
+    acoustic content, so the result vanishes identically there.  eps in (0, 1).
     """
+    check_eps(eps)
     basis = data.basis
-    out = np.zeros_like(data.profile)
-    for k, s in enumerate(data.grid.nodes):
-        bundle = asymptotic_coefficients(basis, float(s), coeffs)
-        out[k] = basis.embed_invariants(bundle.evolve(
-            basis, basis.macro_project(data.profile[k]), [t], (-1, 1), eps)[0])
-    return out
+    bundle = shell_coefficients(basis, data.grid.nodes, AXIS, coeffs)
+    return basis.embed_invariants(bundle.evolve(
+        basis, basis.macro_project(data.profile), [t], (-1, 1), eps)[:, 0])
 
 
 def layer_frequency(op: CollisionOperator, eps: float, s_probe: float,
@@ -297,9 +295,9 @@ def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s2) -> np.ndarra
 
 
 def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
-    """The _gap_norms (K, E, T, 3) at the K shells s (floats), the E values of
-    eps_list and each time, from the shells' data f0 (K, dim) and g, its
-    AxisSectors.coordinates; the kinetic flow is one stack per sector.
+    """The _gap_norms (K, E, T, 3) at the K shells s (floats), the E values of eps_list
+    and each time, from the shells' data f0 (K, dim) and g, its AxisSectors.coordinates;
+    the kinetic flow is one stack per sector, the fluid limit one evolve of every shell.
 
     The fluid semigroup acts on the macro part of the data.  With subtract
     the acoustic layer is removed as well, and so is the kinetic flow of the
@@ -309,8 +307,8 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     basis = op.basis
     coords, integrated = propagate_axis_modes(op, eps_list, s, f0, g, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
-    limit = np.stack([asymptotic_coefficients(basis, sk, coeffs).evolve(
-        basis, basis.macro_project(f0[k]), times, branches, eps_list) for k, sk in enumerate(s)])
+    limit = shell_coefficients(basis, np.array(s), AXIS, coeffs).evolve(
+        basis, basis.macro_project(f0), times, branches, eps_list)
     s2 = [sk ** 2 for sk in s]
     out = _gap_norms(basis, coords, limit, np.reshape(s2, (-1, 1, 1)))
     for (k, e), ys in integrated.items():

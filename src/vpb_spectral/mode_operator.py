@@ -314,6 +314,16 @@ def check_eps(eps: float) -> None:
         raise RegimeError(f"scaling parameter eps={eps} outside (0, 1)")
 
 
+def _checked_times(times) -> np.ndarray:
+    """times as floats; ValueError unless 1-D, nonempty, finite, nondecreasing, from t >= 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-D array")
+    if not (np.isfinite(times).all() and times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
+        raise ValueError("times must be finite, nondecreasing and start at t >= 0")
+    return times
+
+
 def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
     check_eps(eps)
     s, direction = _normalize_xi(xi)

@@ -25,7 +25,8 @@ from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
 from .errors import DataError, FitError, RegimeError
-from .mode_operator import FourierMode, _normalize_xi, axis_eigen_blocks, mode_operator
+from .mode_operator import (FourierMode, _checked_times, _normalize_xi, axis_eigen_blocks,
+                            mode_operator)
 from .transport import TransportCoefficients, branch_decay
 from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
 
@@ -126,15 +127,6 @@ def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndar
             raise RegimeError(f"stiff integration failed: {sol.message}")
         out[base:] = (sol.y[:n] + 1j * sol.y[n:]).T
     return out
-
-
-def _checked_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D array")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be nondecreasing and start at t >= 0")
-    return times
 
 
 def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):

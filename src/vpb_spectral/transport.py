@@ -10,7 +10,6 @@ curvatures extracted from dense spectra must reproduce the quadratic forms.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +77,13 @@ def branch_frequency(j: int, s: float) -> complex:
     """Leading-order frequency eta_j(s); eigenvalue ~ eps*eta_j - eps^2*b_j.
 
     Only the acoustic pair oscillates; its frequency never drops below 1
-    because the electrostatic coupling stiffens the sound speed.
+    because the electrostatic coupling stiffens the sound speed; s may be an array.
     """
     if j not in BRANCHES:
         raise ValueError(f"branch index {j} not in {BRANCHES}")
     if j in (-1, 1):
-        return 1j * j * math.sqrt(1.0 + (5.0 / 3.0) * s * s)
-    return 0.0j
+        return 1j * j * np.sqrt(1.0 + (5.0 / 3.0) * s * s)
+    return 0.0j * s
 
 
 def branch_decay(j: int, s: float, coeffs: TransportCoefficients) -> float:

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpb_spectral import limit_lab, semigroup
+from vpb_spectral import dispersion, limit_lab, semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import asymptotic_coefficients
+from vpb_spectral.dispersion import AXIS, asymptotic_coefficients, shell_coefficients
 from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
 from vpb_spectral.limit_lab import (
     ErrorTable,
@@ -242,6 +242,12 @@ class TestOscillation:
         c1 = bilinear_pair(basis, second[k], bundle.h[1], s)
         assert abs(c1) == pytest.approx(abs(c0) * math.exp(-bundle.b[1] * t), rel=1e-10)
         assert not np.allclose(first, second)
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0])
+    def test_eps_outside_the_unit_interval_refused(self, gen_data, coeffs_small, eps):
+        # eps = 0 gave a NaN field, and eps = 2 was accepted
+        with pytest.raises(RegimeError, match="outside"):
+            oscillation_part(gen_data, coeffs_small, 0.3, eps)
 
     def test_frequency_matches_plasma_dispersion(self, syn_small):
         # measured 0.125% off at this probe; the contract allows 5%
@@ -486,6 +492,24 @@ class TestConvergenceStudy:
         assert gen_data.grid.count == 16
         assert shapes == [(k, len(self.EPS), n, n) for k in (6, 6, 4) for n in sizes]
 
+    def test_one_fluid_limit_per_stack(self, syn_small, gen_data, coeffs_small, monkeypatch):
+        # the fluid limit of a stack of shells is one evolve over all of them,
+        # from one limit_vectors call: none is made per shell
+        monkeypatch.setattr(limit_lab, "SHELLS_PER_STACK", 6)
+        vectors, pairs = [], []
+        lv, evolve = dispersion.limit_vectors, dispersion.AsymptoticCoefficients.evolve
+        monkeypatch.setattr(dispersion, "limit_vectors",
+                            lambda basis, s, d: vectors.append(np.shape(s)) or lv(basis, s, d))
+        monkeypatch.setattr(dispersion.AsymptoticCoefficients, "evolve",
+                            lambda self, basis, u, *args: pairs.append(np.shape(u))
+                            or evolve(self, basis, u, *args))
+        run_convergence_study(syn_small, gen_data, self.EPS, layer_time_grid(0.2, 5.0),
+                              coeffs_small, subtract_layer=True)
+        dim = syn_small.basis.dim
+        assert gen_data.grid.count == 16
+        assert vectors == [(6,), (6,), (4,)]
+        assert pairs == [(6, dim), (6, dim), (4, dim)]
+
     def test_stack_boundaries_move_no_bits(self, syn_small, coeffs_small, monkeypatch):
         grid = radial_grid(0.05, 0.6, 7)
         data = make_initial_data("generic", gauss_profile, syn_small.basis, grid)
@@ -597,3 +621,47 @@ class TestHilbertExpansion:
                     lambda: hilbert_expansion_check(singular, data, coeffs_small)):
             with pytest.raises(AssemblyError, match="spectral gap"):
                 run()
+
+
+def written_out(basis, bundle, u, times, branches, eps):
+    """One shell's evolve written out with bilinear_pair, the pairing that the
+    study's artifacts were made with, branch by branch in the given order."""
+    eps = np.asarray(eps, dtype=float)[..., None]
+    slots = list(basis.invariant_indices)
+    acc = np.zeros(eps.shape[:-1] + (times.size, 5), dtype=complex)
+    for j in branches:
+        coef = bilinear_pair(basis, u, bundle.h[j], bundle.s)
+        acc += np.exp(bundle.eta[j] * times / eps - bundle.b[j] * times)[..., None] \
+            * (coef * bundle.h[j][slots])
+    return acc
+
+
+class TestStackedFluidLimit:
+    @pytest.fixture(scope="class")
+    def bases(self):
+        # degree 8 (dim 165) rows are longer than numpy's 128-entry pairwise
+        # block, so the row sums split as bilinear_pair's do
+        return {deg: build_basis(deg) for deg in (3, 8)}
+
+    @pytest.mark.parametrize("deg", [3, 8])
+    @pytest.mark.parametrize("kind", ["generic", "well_prepared"])
+    @pytest.mark.parametrize("eps", [[0.1], STUDY_EPS], ids=["E1", "E4"])
+    @pytest.mark.parametrize("branches", [(0, 2, 3), (0, 2, 3, -1, 1)], ids=["fluid", "all"])
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_each_shell_is_its_own_evolve(self, bases, coeffs_small, deg, kind, eps,
+                                          branches, count):
+        # three shells are an explicit shell axis, never a 3-vector xi
+        basis = bases[deg]
+        grid = radial_grid(0.05, 0.6, 8)
+        data = make_initial_data(kind, gauss_profile, basis, grid)
+        shells = slice(8 - count, 8)
+        u = basis.macro_project(data.profile[shells])
+        times = layer_time_grid(max(eps), 20.0)
+        got = shell_coefficients(basis, grid.nodes[shells], AXIS, coeffs_small).evolve(
+            basis, u, times, branches, eps)
+        for k, s in enumerate(grid.nodes[shells]):
+            bundle = asymptotic_coefficients(basis, float(s), coeffs_small)
+            one = bundle.evolve(basis, u[k], times, branches, eps)
+            assert np.array_equal(got[k], one)
+            assert np.array_equal(one, written_out(basis, bundle, u[k], times, branches, eps))
+        assert got.shape == (count, len(eps), times.size, 5)

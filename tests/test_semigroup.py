@@ -105,6 +105,13 @@ class TestPropagateKinetic:
         with pytest.raises(ValueError):
             propagate_kinetic(mode_mid, f0, [-0.1, 0.2])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, mode_mid, t):
+        # every comparison with NaN is false: without a finiteness test the
+        # eig path returned all-NaN states under method "eig"
+        with pytest.raises(ValueError, match="finite"):
+            propagate_kinetic(mode_mid, random_state(mode_mid.basis.dim), [t])
+
     @given(seed=st.integers(0, 2 ** 16))
     def test_semigroup_property(self, syn_small, seed):
         mode = mode_operator(syn_small, 0.2, np.array([0.4, 0.0, 0.0]))
@@ -187,6 +194,12 @@ def shells_data(basis, data):
 
 class TestStackedPropagation:
     EPS = [0.2, 0.1, 0.05, 0.025]
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, syn_small, t):
+        f0, g = shells_data(syn_small.basis, [random_state(syn_small.basis.dim)])
+        with pytest.raises(ValueError, match="finite"):
+            propagate_axis_modes(syn_small, self.EPS, [0.3], f0, g, [t])
 
     @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4",
                                       "hard-sphere-6"])
@@ -529,6 +542,15 @@ class TestFluidSemigroup:
         bad[-1] = 1.0
         with pytest.raises(DataError):
             fluid_semigroup_V(basis, coeffs_mid, bad, np.array([0.5, 0.0, 0.0]), [0.0])
+
+    @pytest.mark.parametrize("times", [[math.nan], [math.inf], [-1.0], [0.0, -5.0]],
+                             ids=["nan", "inf", "negative", "backwards"])
+    def test_rejects_the_kinetic_flows_bad_times(self, op_mid, coeffs_mid, times):
+        # the fluid kernel checks its times as the kinetic flow does: before,
+        # NaN gave NaN states, and a negative time ran the semigroup backwards
+        u0 = MacroState(n=0.2, m=np.array([0.1, -0.3, 0.7]), q=-0.4)
+        with pytest.raises(ValueError, match="finite, nondecreasing"):
+            fluid_semigroup_V(op_mid.basis, coeffs_mid, u0, np.array([0.5, 0.0, 0.0]), times)
 
 
 class TestNSPF:
