@@ -1,7 +1,7 @@
 """Time the package layer by layer and end to end, and write BENCH_<n>.json.
 
-    python3 scripts/bench.py BENCH_27.json
-    python3 scripts/bench.py BENCH_27.json --src parent=../old/src --src change=src
+    python3 scripts/bench.py BENCH_28.json
+    python3 scripts/bench.py BENCH_28.json --src parent=../old/src --src change=src
     python3 scripts/bench.py smoke.json --tiny
 
 Run from the root of a source checkout.  Each --src tree (default: this
@@ -135,8 +135,11 @@ def child(tiny: bool, repeats: int) -> dict:
         u, branches = syn.basis.macro_project(generic.profile), (0, 2, 3, -1, 1)
         if hasattr(dispersion, "shell_coefficients"):
             size = limit_lab.SHELLS_PER_STACK
+            # a tree whose library modes may lie off the axis takes their direction
+            axis = ([1.0, 0.0, 0.0],) if "direction" in inspect.signature(
+                dispersion.shell_coefficients).parameters else ()
             fluid = lambda _: [dispersion.shell_coefficients(
-                syn.basis, grid.nodes[k:k + size], dispersion.AXIS, coeffs).evolve(
+                syn.basis, grid.nodes[k:k + size], *axis, coeffs).evolve(
                 syn.basis, u[k:k + size], times, branches, EPS4) for k in range(0, shells, size)]
         else:  # a tree that evolves one shell per call
             fluid = lambda _: [dispersion.asymptotic_coefficients(
@@ -217,11 +220,11 @@ def _revision(src: Path):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_27.json")
+    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_28.json")
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable); default change=src")
     ap.add_argument("--repeats", type=int, default=5, help="calls per layer and round")
-    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--tiny", action="store_true", help="degree-3 problems, one call each")
     ap.add_argument("--tier1", action="store_true", help="also time each tree's Tier-1 suite")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)

@@ -545,7 +545,7 @@ class _MicroBlocks:
         inv = set(basis.invariant_indices)
         self.micro = np.array([i for i in range(basis.dim) if i not in inv])
         self.L = op.matrix[np.ix_(self.micro, self.micro)]
-        self.V = basis.v_matrices[0][np.ix_(self.micro, self.micro)]
+        self.V = basis.v1[np.ix_(self.micro, self.micro)]
 
 
 class _SectorBlocks(NamedTuple):
@@ -580,7 +580,7 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
     basis = op.basis
     sectors = basis.axis_sectors
     scale, t, spans = sectors.scale, sectors.transform, sectors.spans
-    scaled = scale.conj()[:, None] * (-1j * basis.v_matrices[0]) * scale[None, :]
+    scaled = scale.conj()[:, None] * (-1j * basis.v1) * scale[None, :]
     blocks = t.T @ scaled.real @ t
     if not np.isfinite(blocks).all():
         raise AssemblyError("streaming matrix has non-finite entries in the sector frames; "

@@ -7,8 +7,8 @@ determinant coupling density, longitudinal momentum and temperature
 (solve_D1, with the electrostatic term entering through the 1/s factor).
 Roots are tracked from their analytic eps -> 0 seeds, converted into
 eigenpairs of the full mode operator, and cross-validated against dense
-spectra.  Everything is computed on the axis xi = s e1 and pushed forward
-by a velocity rotation for general directions.
+spectra.  Everything is computed on the axis xi = s e1, which carries the
+whole spectrum: the operator is rotation invariant.
 
 Scaling conventions: the shear root variable equals the eigenvalue itself,
 lam_{2,3} = z(eps*s); the coupled-family roots are rescaled, lam_j = eps*z_j
@@ -33,15 +33,14 @@ and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import (EigenBlock, FourierMode, _checked_times, _normalize_xi,
-                            pushforward_from_axis, rotation_to_axis)
+from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import Frame, VelocityBasis, weighted_norm
 
@@ -60,7 +59,6 @@ POLE_COND_LIMIT = 1e4
 RESOLVENT_BOUND_LIMIT = 1e6
 
 FLUX_INDICES = (1, 2, 4)
-AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +77,9 @@ class BranchPoint:
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticCoefficients:
-    """Closed-form leading frequencies, decay rates and limit vectors at one xi or K shells."""
+    """Closed-form leading frequencies, decay rates and limit vectors at one s or K shells."""
 
     s: float | np.ndarray
-    direction: np.ndarray
     eta: dict
     b: dict
     h: dict
@@ -424,22 +421,17 @@ def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
                                                op.kappa_bar)[0]))
 
 
-def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict:
-    """Leading-order macroscopic limit vectors h_j at s * direction.
+def limit_vectors(basis: VelocityBasis, s) -> dict:
+    """Leading-order macroscopic limit vectors h_j at s e1.
 
     They are orthonormal in the weighted pairing and free of transport
     coefficients.  The acoustic velocity component carries sign -j, which is
-    what the defining 5x5 drift eigenproblem forces.  The transverse pair
-    uses the frame of the axis rotation, which is the identity on the axis.
-    s is a float, or K shells, which give each h_j a leading shell axis.
+    what the defining 5x5 drift eigenproblem forces; the transverse pair is
+    chi_2, chi_3.  s is a float, or K shells, which give each h_j a leading
+    shell axis.
     """
-    rot = rotation_to_axis(direction)
     s = np.asarray(s, dtype=float)[..., None]  # shells, if any, lead the five slots
     chi = np.eye(5)  # chi_0..chi_4 on the slots, which basis.embed_invariants places
-
-    def along(w3: np.ndarray) -> np.ndarray:
-        return sum(w3[i] * chi[1 + i] for i in range(3))
-
     den = np.sqrt(3.0 + 5.0 * s * s)
     a0 = math.sqrt(2.0) * s * s / (den * np.sqrt(1.0 + s * s))
     c0 = np.sqrt(3.0 + 3.0 * s * s) / den
@@ -447,32 +439,26 @@ def limit_vectors(basis: VelocityBasis, s: float, direction: np.ndarray) -> dict
     q = math.sqrt(1.5) * s / den
     u = s / den
     for j in (-1, 1):
-        h[j] = q * chi[0] - (j / math.sqrt(2.0)) * along(direction) + u * chi[4]
-    h[2] = along(rot[1])
-    h[3] = along(rot[2])
+        h[j] = q * chi[0] - (j / math.sqrt(2.0)) * chi[1] + u * chi[4]
+    h[2] = chi[2]
+    h[3] = chi[3]
     return {j: basis.embed_invariants(np.broadcast_to(v, h[0].shape)) for j, v in h.items()}
 
 
 def asymptotic_coefficients(basis: VelocityBasis, xi,
                             coeffs: TransportCoefficients) -> AsymptoticCoefficients:
-    """Frequencies eta_j, decay rates b_j and limit vectors h_j at xi.
-
-    For off-axis xi the transverse pair uses the orthonormal frame
-    perpendicular to xi delivered by the axis rotation; any frame choice
-    spans the same degenerate subspace.  xi is parsed as for mode_operator:
-    a positive magnitude on the axis or a nonzero 3-vector, else BasisError;
-    shell_coefficients takes the shell axis that _normalize_xi would misread.
-    """
-    return shell_coefficients(basis, *_normalize_xi(xi), coeffs)
+    """Frequencies eta_j, decay rates b_j and limit vectors h_j at xi, parsed
+    as for mode_operator (axis_wavenumber); shell_coefficients takes K shells."""
+    return shell_coefficients(basis, axis_wavenumber(xi), coeffs)
 
 
-def shell_coefficients(basis: VelocityBasis, s, direction: np.ndarray,
+def shell_coefficients(basis: VelocityBasis, s,
                        coeffs: TransportCoefficients) -> AsymptoticCoefficients:
-    """asymptotic_coefficients at s along a unit direction, s a float or K shells."""
-    return AsymptoticCoefficients(s=s, direction=direction,
+    """asymptotic_coefficients at s e1, s a float or K shells."""
+    return AsymptoticCoefficients(s=s,
                                   eta={j: branch_frequency(j, s) for j in BRANCHES},
                                   b={j: branch_decay(j, s, coeffs) for j in BRANCHES},
-                                  h=limit_vectors(basis, s, direction))
+                                  h=limit_vectors(basis, s))
 
 
 def _axis_pairs(basis: VelocityBasis, s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -545,16 +531,16 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
                             f"s = {s[c // 5]:.6g} is nearly isotropic-null; cannot normalize "
                             "in the weighted pairing")
     psi = psi / np.sqrt(pair)
-    hs = limit_vectors(basis, s, AXIS)
+    hs = limit_vectors(basis, s)
     h = np.stack([hs[j] for j in BRANCHES], axis=1).reshape(-1, basis.dim).T
     psi = psi * np.where(_axis_pairs(basis, s_col, psi, h).real < 0, -1.0, 1.0)
 
     z = np.column_stack([np.reshape(coupled_z, (-1, 3)), shear_z, shear_z])
     lam = z * np.array([[e, e, e, 1.0, 1.0] for e in eps])
     dets = np.column_stack([np.reshape(coupled_det, (-1, 3)), shear_det, shear_det])
-    v1_psi, l_psi = (a @ psi.real + 1j * (a @ psi.imag) for a in (basis.v_matrices[0], op.matrix))
+    v1_psi, l_psi = (a @ psi.real + 1j * (a @ psi.imag) for a in (basis.v1, op.matrix))
     i0 = basis.density_index
-    v1_psi += np.outer(basis.v_matrices[0][:, i0], psi[i0] / (s_col * s_col))
+    v1_psi += np.outer(basis.v1[:, i0], psi[i0] / (s_col * s_col))
     eig = _eig_residuals(basis, eps, s, l_psi - 1j * np.repeat(y, 5) * v1_psi - psi * lam.ravel(),
                          psi).reshape(-1, 5)
     return [[BranchPoint(branch=j, s=s[i], eps=eps[i], lam=complex(lam[i, k]), z=complex(z[i, k]),
@@ -564,18 +550,8 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
 
 
 def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
-    """The five labeled branch points of one mode: hydrodynamic_sweep's stack
-    of one on the axis, pushed forward by the velocity rotation off it,
-    where eig_residual is taken against the dense mode matrix."""
-    points = hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0]
-    if abs(mode.direction @ AXIS - 1.0) < 1e-14:
-        return points
-    psi = pushforward_from_axis(mode.basis, mode.direction) @ np.stack(
-        [p.psi for p in points], axis=1)
-    lam = np.array([p.lam for p in points])
-    eig = _eig_residuals(mode.basis, [mode.eps], [mode.s], mode.matrix @ psi - psi * lam, psi)
-    return [replace(p, psi=psi[:, k], eig_residual=float(e))
-            for k, (p, e) in enumerate(zip(points, eig))]
+    """The five labeled branch points of one mode: hydrodynamic_sweep's stack of one."""
+    return hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0]
 
 
 def dense_comparison(mode: FourierMode, points: list[BranchPoint],
@@ -638,9 +614,9 @@ def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
     """
     basis = op.basis
     s, j = bp.s, bp.branch
-    h_axis = limit_vectors(basis, s, AXIS)
-    v1 = basis.v_matrices[0]
-    lead_micro = op.micro_solve(basis.micro_project(v1 @ h_axis[j].astype(float)))
+    hs = limit_vectors(basis, s)
+    v1 = basis.v1
+    lead_micro = op.micro_solve(basis.micro_project(v1 @ hs[j].astype(float)))
     i0, i1, _, _, i4 = basis.invariant_indices
 
     eps_levels = [bp.eps / 2.0 ** k for k in range(levels)]
@@ -649,7 +625,7 @@ def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
         psi = next(p for p in points if p.branch == j).psi
         macro = basis.macro_project(psi)
         micro = psi - macro
-        macro_res.append(weighted_norm(basis, macro - h_axis[j], s))
+        macro_res.append(weighted_norm(basis, macro - hs[j], s))
         micro_res.append(weighted_norm(basis, micro - 1j * eps_k * s * lead_micro, s))
         if j in (-1, 0, 1):
             a, b, c = psi[i0], psi[i1], psi[i4]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import AXIS, limit_vectors, shell_coefficients
+from .dispersion import limit_vectors, shell_coefficients
 from .errors import BackendError, DataError, FitError
 from .mode_operator import check_eps, mode_operator
 from .semigroup import propagate_axis_modes, propagate_kinetic
@@ -126,7 +126,7 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
         raise DataError("the spectral profile must be finite on every shell and nonzero on one")
     dim = basis.dim
     profile = np.zeros((grid.count, dim), dtype=complex)
-    micro_seed = basis.micro_project(basis.v_matrices[0] @ basis.chi(2))
+    micro_seed = basis.micro_project(basis.v1 @ basis.chi(2))
     micro_seed = micro_seed / np.linalg.norm(micro_seed)
     macro_states: list[MacroState] = []
     for k, (s, amp) in enumerate(zip(grid.nodes, amps)):
@@ -152,7 +152,7 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
 
 def _assert_well_prepared(data: InitialData) -> None:
     worst = {"micro": 0.0, "divergence": 0.0, "boussinesq": 0.0, "acoustic": 0.0}
-    hs = limit_vectors(data.basis, data.grid.nodes, AXIS)
+    hs = limit_vectors(data.basis, data.grid.nodes)
     for k, s in enumerate(data.grid.nodes):
         res = _well_prepared_checks(data.basis, data.profile[k], float(s))
         for key in res:
@@ -190,7 +190,7 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     """
     check_eps(eps)
     basis = data.basis
-    bundle = shell_coefficients(basis, data.grid.nodes, AXIS, coeffs)
+    bundle = shell_coefficients(basis, data.grid.nodes, coeffs)
     return basis.embed_invariants(bundle.evolve(
         basis, basis.macro_project(data.profile), [t], (-1, 1), eps)[:, 0])
 
@@ -307,7 +307,7 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     basis = op.basis
     coords, integrated = propagate_axis_modes(op, eps_list, s, f0, g, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
-    limit = shell_coefficients(basis, np.array(s), AXIS, coeffs).evolve(
+    limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)
     s2 = [sk ** 2 for sk in s]
     out = _gap_norms(basis, coords, limit, np.reshape(s2, (-1, 1, 1)))
@@ -466,7 +466,7 @@ def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
         coeffs = compute_kappas(op)
     # first-order corrections from the micro collision solve, fed back
     # through the streaming flux of the moment equations
-    v1 = basis.v_matrices[0]
+    v1 = basis.v1
     sols = op.micro_solve(basis.fluxes[[1, 3]].T)
     kappa0_ext = -float((v1 @ sols[:, 0]) @ basis.chi(2))
     kappa1_ext = -float((v1 @ sols[:, 1]) @ basis.chi(4))

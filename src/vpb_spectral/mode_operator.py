@@ -1,40 +1,40 @@
 """Per-Fourier-mode linearized operator with electrostatic coupling.
 
-For wavevector xi with s = |xi| the mode matrix is
+The linearized operator is rotation invariant, so its spectrum and its
+semigroup depend only on s = |xi|, and every mode is built at the axis
+representative xi = s e1.  The mode matrix is
 
-    B = L - i eps s V_dir (I + s^{-2} e0 e0^T),
+    B = L - i eps s V1 (I + s^{-2} e0 e0^T),
 
-where V_dir is multiplication by v . dir and e0 marks the density component;
-the rank-one term is the self-consistent field through the Poisson equation.
+where V1 is multiplication by v1 and e0 marks the density component; the
+rank-one term is the self-consistent field through the Poisson equation.
 The time evolution of the mode is df/dt = eps^{-2} B f.
 
 The natural geometry is the wavenumber-weighted metric: the streaming plus
 field part is skew-adjoint there, so the numerical range of B in that metric
-is exactly the (nonpositive) collision form.  All of this is axis-reducible:
-a velocity rotation intertwines the operator at xi with the one at s e1.
+is exactly the (nonpositive) collision form.
 
-On the axis the mode has more structure.  It commutes with every rotation
-about e1 and every coordinate reflection, so in the basis's azimuthal
-sectors (velocity_space.AxisSectors, spanned by the real Burnett functions
-about e1), with the parity scale i^(a1 mod 2) folded in, it is real and
-block-diagonal, one block per azimuthal number m that both copies of the
-sector share.  Each operator's sector blocks are
-computed and checked once (CollisionOperator.sector_blocks, AssemblyError
-for an operator that fails the check); axis_eigen_blocks forms a mode's
-blocks from them, or one stack of blocks for axis modes at several eps and
-s, and EigenBlock decomposes each when it is first needed.  The dense complex
-decomposition serves off-axis modes and is the reference.
+The axis mode commutes with every rotation about e1 and every coordinate
+reflection, so in the basis's azimuthal sectors (velocity_space.AxisSectors,
+spanned by the real Burnett functions about e1), with the parity scale
+i^(a1 mod 2) folded in, it is real and block-diagonal, one block per
+azimuthal number m that both copies of the sector share.  Each operator's
+sector blocks are computed and checked once (CollisionOperator.sector_blocks,
+AssemblyError for an operator that fails the check); axis_eigen_blocks forms
+a mode's blocks from them, or one stack of blocks for axis modes at several
+eps and s, and EigenBlock decomposes each when it is first needed.  The
+dense mode matrix is only the reference the shortcuts are checked against.
 """
-
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .collision import CollisionOperator, _SectorBlocks
+from .collision import CollisionOperator
 from .errors import AssemblyError, BasisError, RegimeError
 from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_inner
 
@@ -132,44 +132,44 @@ class EigenBlock:
         return inv @ np.asarray(g, dtype=complex)
 
 
-def _normalize_xi(xi) -> tuple[float, np.ndarray]:
+def axis_wavenumber(xi) -> float:
+    """s from a wavevector on the axis: a scalar s or the 3-vector (s, 0, 0),
+    s positive and finite; BasisError for anything else."""
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if arr.size == 1:
-        s = float(arr[0])
-        direction = np.array([1.0, 0.0, 0.0])
-    elif arr.shape == (3,):
-        s = float(np.linalg.norm(arr))
-        direction = arr / s if s > 0 else arr
-    else:
-        raise BasisError("wavevector must be a scalar magnitude or a 3-vector")
-    if s <= 0:
+    if arr.shape not in ((1,), (3,)) or arr[1:].any():
+        raise BasisError("wavevector must be a wavenumber s or the axis vector (s, 0, 0)")
+    s = float(arr[0])
+    if s == 0.0:
         raise BasisError("wavevector must be nonzero; the zero mode has no Poisson factor")
-    return s, direction
+    if not 0.0 < s < math.inf:
+        raise BasisError(f"wavenumber must be positive and finite, not {s}")
+    return s
 
 
 @dataclass(frozen=True)
 class FourierMode:
-    """The linearized operator restricted to one spatial frequency."""
+    """The linearized operator restricted to the axis mode xi = s e1."""
 
     collision: CollisionOperator
     eps: float
-    xi: np.ndarray
     s: float
-    direction: np.ndarray
 
     @property
     def basis(self) -> VelocityBasis:
         return self.collision.basis
 
+    @property
+    def xi(self) -> np.ndarray:
+        return np.array([self.s, 0.0, 0.0])
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense complex mode matrix B, formed on first use; read-only."""
         basis = self.basis
-        v_dir = sum(d * v for d, v in zip(self.direction, basis.v_matrices) if d != 0.0)
         i0 = basis.density_index
         coupling = np.zeros((basis.dim, basis.dim))
-        coupling[:, i0] = v_dir[:, i0] / self.s ** 2
-        mat = self.collision.matrix - 1j * self.eps * self.s * (v_dir + coupling)
+        coupling[:, i0] = basis.v1[:, i0] / self.s ** 2
+        mat = self.collision.matrix - 1j * self.eps * self.s * (basis.v1 + coupling)
         mat.setflags(write=False)
         return mat
 
@@ -194,35 +194,18 @@ class FourierMode:
         return float(np.real(self.inner(self.matrix @ f, f)))
 
     @cached_property
-    def _sectors(self) -> _SectorBlocks | None:
-        return None if np.any(self.direction[1:]) else self.collision.sector_blocks
-
-    @cached_property
     def _blocks(self) -> tuple[EigenBlock, ...]:
-        if self._sectors is None:
-            dim = self.basis.dim
-            return (EigenBlock(self.matrix, (Frame(np.arange(dim), np.ones(dim), np.eye(dim)),)),)
-        # on the axis the direction is +-e1, and B carries its sign on V1
-        return tuple(axis_eigen_blocks(self.collision, self.eps * self.s * self.direction[0],
-                                       self.s, [True] * len(self._sectors.L)))
+        return tuple(axis_eigen_blocks(self.collision, self.eps * self.s, self.s,
+                                       [True] * (self.basis.max_degree + 1)))
 
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
-        """The mode's eigendecomposition, one block at a time.
-
-        On the axis, one block per azimuthal sector, formed from the
-        operator's sector blocks (AssemblyError if they fail their check);
-        off the axis, one dense complex block on an identity frame.  Each
-        block is decomposed when its vals, vecs or cond are first read, so a
-        caller that skips a block never pays for it.
+        """The mode's eigendecomposition, one block per azimuthal sector, in the
+        order of basis.axis_sectors, formed from the operator's sector blocks
+        (AssemblyError if they fail their check).  Each block is decomposed
+        when its vals, vecs or cond are first read, so a caller that skips a
+        block never pays for it.
         """
         return self._blocks
-
-    def coordinates(self, f: np.ndarray) -> list[list[np.ndarray]]:
-        """The coordinates of f in every copy of every block of eigen_blocks(),
-        in the same order."""
-        if self._sectors is None:
-            return [[np.asarray(f)]]
-        return self.basis.axis_sectors.coordinates(f)
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +264,8 @@ class FourierMode:
 
 
 def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[EigenBlock | None]:
-    """The sector EigenBlocks of the axis mode at s with y = eps s d1, d1 = +-1
-    its direction; for arrays y and s, of the stack of axis modes, one member
+    """The sector EigenBlocks of the axis mode at s with y = eps s; for arrays
+    y and s, of the stack of axis modes, one member
     per entry of their broadcast; yielded one by one, so a caller can hold one
     at a time, and None for a sector m not held[m], which is never formed.
 
@@ -325,42 +308,6 @@ def _checked_times(times) -> np.ndarray:
 
 
 def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
+    """The mode at eps and the axis wavevector xi, parsed by axis_wavenumber."""
     check_eps(eps)
-    s, direction = _normalize_xi(xi)
-    return FourierMode(collision=collision, eps=eps, xi=s * direction, s=s,
-                       direction=direction)
-
-
-def rotation_to_axis(direction: np.ndarray) -> np.ndarray:
-    """Proper rotation O with O @ direction = e1; the identity at e1 itself,
-    so axis quantities and their rotated images share one transverse frame."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    e1 = np.array([1.0, 0.0, 0.0])
-    pre = np.eye(3)
-    if d[0] < 0.0:
-        pre = np.diag([-1.0, -1.0, 1.0])  # half-turn about e3, det stays +1
-        d = pre @ d
-    u = d + e1
-    o = np.eye(3) + 2.0 * np.outer(e1, d) - np.outer(u, u) / (1.0 + d[0])
-    return o @ pre
-
-
-def compose_rotation(basis: VelocityBasis, rot: np.ndarray) -> np.ndarray:
-    """Matrix of f -> f(rot . v) on basis coefficients; orthogonal, exact.
-
-    A rotation keeps the total degree, so the quadrature sees products of
-    two degree-N polynomials, and the basis's (N+1)^3-node exact_rule, whose
-    Gram check build_basis ran, is exact for these integrals.
-    """
-    rule = basis.exact_rule
-    return rule.poly @ (rule.weights[:, None] * basis.poly_values(rule.nodes @ rot.T))
-
-
-def pushforward_from_axis(basis: VelocityBasis, direction: np.ndarray) -> np.ndarray:
-    """Coefficient map sending an axis-mode solution to the mode along direction.
-
-    If g solves the problem at s e1 then g(O v) solves it at s * direction,
-    O the rotation aligning direction with e1.
-    """
-    return compose_rotation(basis, rotation_to_axis(direction))
+    return FourierMode(collision=collision, eps=eps, s=axis_wavenumber(xi))

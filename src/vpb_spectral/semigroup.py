@@ -1,11 +1,11 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} (one eigen-expansion kernel in the blocks' coordinates,
-stacked over modes: propagate_kinetic embeds one mode's, propagate_axis_modes
-hands over those of every eps of several axis shells; the real azimuthal-sector
-blocks on the axis, the dense complex block off it; each decomposition
-certified by its residuals, with a stiff ODE path for a member that fails),
+e^{(t/eps^2) B} (one eigen-expansion kernel in the coordinates of the real
+azimuthal-sector blocks of axis modes, stacked over modes: propagate_kinetic
+embeds one mode's, propagate_axis_modes hands over those of every eps of
+several shells; each decomposition certified by its residuals, with a stiff
+ODE path for a member that fails),
 its splitting into the five-branch hydrodynamic part and an exponentially
 small remainder, the fluid semigroup on the three non-oscillatory branches,
 the forced fluid mode equations solved by exact Duhamel integration of
@@ -25,7 +25,7 @@ from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
 from .errors import DataError, FitError, RegimeError
-from .mode_operator import (FourierMode, _checked_times, _normalize_xi, axis_eigen_blocks,
+from .mode_operator import (FourierMode, _checked_times, axis_eigen_blocks, axis_wavenumber,
                             mode_operator)
 from .transport import TransportCoefficients, branch_decay
 from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
@@ -135,7 +135,7 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
 
     blocks are EigenBlocks whose leading axes hold the members (none for one
     mode; None where no member has data), coords the coordinates of f0 in each
-    copy of each block (FourierMode.coordinates) and eps2 the eps^2, both
+    copy of each block (AxisSectors.coordinates) and eps2 the eps^2, both
     broadcast against the members.  Only the blocks where some member has
     coordinates are decomposed and solved, all members at once.
 
@@ -191,7 +191,8 @@ def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajector
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
     blocks = mode.eigen_blocks()
-    coords, ode = _eig_coordinates(blocks, mode.coordinates(f0), times, np.array(mode.eps ** 2))
+    coords, ode = _eig_coordinates(blocks, mode.basis.axis_sectors.coordinates(f0), times,
+                                   np.array(mode.eps ** 2))
     states = np.zeros((times.size, f0.size), dtype=complex)
     for fr, x in zip([fr for b in blocks for fr in b.frames], [x for xs in coords for x in xs]):
         if x is not None:
@@ -213,8 +214,7 @@ def propagate_axis_modes(op: CollisionOperator, eps_list, s, f0: np.ndarray, g,
     trusted for is integrated on its own, and integrated maps its (k, e) to
     its states' AxisSectors.coordinates.
     """
-    s = np.asarray(s, dtype=float)[:, None]
-    _normalize_xi(np.min(s))  # BasisError unless every s > 0, as for mode_operator
+    s = np.array([axis_wavenumber(sk) for sk in s])[:, None]  # as mode_operator parses them
     times = _checked_times(times)
     y = s * np.array(eps_list, dtype=float)
     blocks = axis_eigen_blocks(op, y, s, [any(x.any() for x in xs) for xs in g])
@@ -275,14 +275,12 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
     Rank-three evolution: each non-oscillatory branch decays at its own
     e^{-b_j t} with the weighted pairing against the limit vector h_j.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bundle = asymptotic_coefficients(basis, xi, coeffs)
     times = np.asarray(times, dtype=float)
     states = basis.embed_invariants(bundle.evolve(basis, _macro_as_vector(basis, u0), times,
                                                   (0, 2, 3)))
-    full_xi = xi if xi.size == 3 else np.array([bundle.s, 0.0, 0.0])
-    return ModeTrajectory(xi=full_xi, eps=0.0, times=times, states=states,
-                          basis=basis, method="fluid")
+    return ModeTrajectory(xi=np.array([bundle.s, 0.0, 0.0]), eps=0.0, times=times,
+                          states=states, basis=basis, method="fluid")
 
 
 def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,
@@ -290,17 +288,14 @@ def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,
     """Moment-space closed forms of the fluid semigroup and its field flux.
 
     Independent of the eigenvector route: the thermal factor multiplies the
-    combination U0 - sqrt(3/2) U4 of the raw moments, the momentum factor is
-    the transverse projector, and the field flux is the density component
-    scaled by xi/|xi|^2.
+    combination U0 - sqrt(3/2) U4 of the raw moments, the momentum factor
+    keeps the momentum transverse to xi = s e1, and the field flux is the
+    density component scaled by xi/|xi|^2.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bundle = asymptotic_coefficients(basis, xi, coeffs)
     s = bundle.s
-    direction = bundle.direction
     u0vec = _macro_as_vector(basis, u0)
     idx = basis.invariant_indices
-    u_mom = np.array([u0vec[idx[1]], u0vec[idx[2]], u0vec[idx[3]]])
     den = 3.0 + 5.0 * s * s
 
     thermal_scalar = u0vec[idx[0]] - math.sqrt(1.5) * u0vec[idx[4]]
@@ -308,16 +303,11 @@ def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,
     r0_vec[idx[0]] = 2.0 * s * s / den
     r0_vec[idx[4]] = -math.sqrt(6.0) * (1.0 + s * s) / den
 
-    state = math.exp(-bundle.b[0] * t) * thermal_scalar * r0_vec
-    trans = u_mom - (u_mom @ direction) * direction
-    mom = math.exp(-bundle.b[2] * t) * trans
-    state[idx[1]] += mom[0]
-    state[idx[2]] += mom[1]
-    state[idx[3]] += mom[2]
-
-    field_flux = math.exp(-bundle.b[0] * t) * thermal_scalar \
-        * (2.0 * s / den) * direction.astype(complex)
-    return {"state": state, "field_flux": field_flux}
+    thermal = math.exp(-bundle.b[0] * t) * thermal_scalar
+    state = thermal * r0_vec
+    for i in idx[2:4]:
+        state[i] += math.exp(-bundle.b[2] * t) * u0vec[i]
+    return {"state": state, "field_flux": np.array([thermal * (2.0 * s / den), 0.0, 0.0])}
 
 
 def compatible_initial_values(n0: complex, q0: complex, s: float) -> tuple[complex, complex]:

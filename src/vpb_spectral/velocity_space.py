@@ -329,8 +329,7 @@ class VelocityBasis:
     def exact_rule(self) -> ExactRule:
         """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
         exact for every degree-2N product of two basis functions: the Gram
-        check, the Burnett transform, compose_rotation and
-        coeffs_from_callable all read it."""
+        check, the Burnett transform and coeffs_from_callable read it."""
         nodes, weights = _gauss_product_rule(self.max_degree + 1)
         rule = ExactRule(nodes, weights, self.poly_rows(nodes))
         for arr in rule:
@@ -338,12 +337,12 @@ class VelocityBasis:
         return rule
 
     @cached_property
-    def v_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """multiplication_matrices(self), built once per basis; read-only."""
-        mats = multiplication_matrices(self)
-        for mat in mats:
-            mat.setflags(write=False)
-        return mats
+    def v1(self) -> np.ndarray:
+        """The Galerkin matrix of multiplication by v1, built once per basis;
+        read-only.  Axis modes stream along e1 only."""
+        mat = _multiplication_matrix(self, 0)
+        mat.setflags(write=False)
+        return mat
 
     @cached_property
     def axis_sectors(self) -> AxisSectors:
@@ -549,7 +548,7 @@ def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
     j = 4 the heat flux.  The heat flux has degree 3, so it vanishes
     identically on a degree-2 basis.
     """
-    return basis.micro_project(basis.v_matrices[0] @ basis.chi(j))
+    return basis.micro_project(basis.v1 @ basis.chi(j))
 
 
 def weighted_inner(basis: VelocityBasis, f: np.ndarray, g: np.ndarray,
@@ -594,24 +593,25 @@ def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarra
     coefficients sqrt(n+1), sqrt(n); components leaving the truncated span are
     dropped (the Galerkin cutoff).
     """
-    dim = basis.dim
+    return tuple(_multiplication_matrix(basis, k) for k in range(3))
+
+
+def _multiplication_matrix(basis: VelocityBasis, k: int) -> np.ndarray:
+    """The Galerkin matrix of multiplication by v_k, k = 0, 1, 2 for v_1, v_2, v_3."""
     pos = {alpha: i for i, alpha in enumerate(basis.multi_indices)}
-    mats = []
-    for k in range(3):
-        v = np.zeros((dim, dim))
-        for i, alpha in enumerate(basis.multi_indices):
-            a = alpha[k]
-            up = list(alpha)
-            up[k] += 1
-            ju = pos.get(tuple(up))
-            if ju is not None:
-                v[ju, i] = np.sqrt(a + 1.0)
-            if a > 0:
-                dn = list(alpha)
-                dn[k] -= 1
-                v[pos[tuple(dn)], i] = np.sqrt(a)
-        mats.append(_rotate_pure_squares(basis, v))
-    return tuple(mats)
+    v = np.zeros((basis.dim, basis.dim))
+    for i, alpha in enumerate(basis.multi_indices):
+        a = alpha[k]
+        up = list(alpha)
+        up[k] += 1
+        ju = pos.get(tuple(up))
+        if ju is not None:
+            v[ju, i] = np.sqrt(a + 1.0)
+        if a > 0:
+            dn = list(alpha)
+            dn[k] -= 1
+            v[pos[tuple(dn)], i] = np.sqrt(a)
+    return _rotate_pure_squares(basis, v)
 
 
 def _rotate_pure_squares(basis: VelocityBasis, mat: np.ndarray) -> np.ndarray:

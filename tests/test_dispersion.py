@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from rotations import off_axis_matrix, pushforward_from_axis
 
 from vpb_spectral import dispersion
 from vpb_spectral.collision import assemble_collision, synthetic_collision
@@ -36,7 +37,7 @@ from vpb_spectral.dispersion import (
 from vpb_spectral.errors import RegimeError
 from vpb_spectral.mode_operator import mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
-from vpb_spectral.velocity_space import build_basis, flux_vector
+from vpb_spectral.velocity_space import build_basis, flux_vector, weighted_norm
 
 
 @pytest.fixture(scope="module")
@@ -396,15 +397,20 @@ class TestHydrodynamicSpectrum:
                     assert abs(mode.pair(a.psi, b.psi)) < 1e-8
 
     def test_off_axis_pushforward(self, hard_sphere_prod):
-        s = 0.4
-        direction = np.array([1.0, 2.0, 2.0]) / 3.0
-        mode = mode_operator(hard_sphere_prod, 0.1, s * direction)
-        points = hydrodynamic_spectrum(mode)
-        axis_mode = mode_operator(hard_sphere_prod, 0.1, np.array([s, 0.0, 0.0]))
-        axis_points = hydrodynamic_spectrum(axis_mode)
-        for p, q in zip(points, axis_points):
-            assert p.lam == pytest.approx(q.lam, abs=1e-12)
-            assert p.eig_residual <= 1e-8
+        # the axis eigenpairs, pushed forward by the velocity rotation, are
+        # eigenpairs of the dense mode matrix at s * d
+        s, eps = 0.4, 0.1
+        d = np.array([1.0, 2.0, 2.0]) / 3.0
+        basis = hard_sphere_prod.basis
+        tilted = off_axis_matrix(hard_sphere_prod, eps, s * d)
+        points = hydrodynamic_spectrum(mode_operator(hard_sphere_prod, eps, s))
+        psi = pushforward_from_axis(basis, d) @ np.stack([p.psi for p in points], axis=1)
+        lam = np.array([p.lam for p in points])
+        dense = np.linalg.eigvals(tilted)
+        assert np.max(np.min(np.abs(lam[:, None] - dense[None, :]), axis=1)) <= 1e-12
+        for k in range(5):
+            r = tilted @ psi[:, k] - lam[k] * psi[:, k]
+            assert weighted_norm(basis, r, s) <= 1e-8 * weighted_norm(basis, psi[:, k], s)
 
     def test_dense_grid_consistency(self, op_mid):
         for s in (0.2, 0.6, 1.0):
@@ -456,7 +462,7 @@ class TestAsymptoticCoefficients:
     def test_limit_vectors_orthonormal(self, op_mid):
         coeffs = compute_kappas(op_mid)
         basis = op_mid.basis
-        for xi in (np.array([0.5, 0.0, 0.0]), np.array([0.3, -0.4, 1.2])):
+        for xi in (np.array([0.5, 0.0, 0.0]), 1.3):
             bundle = asymptotic_coefficients(basis, xi, coeffs)
             s = bundle.s
             i0 = basis.invariant_indices[0]
@@ -475,15 +481,18 @@ class TestAsymptoticCoefficients:
         # h_j must be its eigenvector with eigenvalue eta_j
         coeffs = compute_kappas(op_mid)
         basis = op_mid.basis
+        # on the axis, and off it with the axis h_j pushed forward
         eps = 0.07
-        xi = np.array([0.3, -0.4, 1.2])
-        bundle = asymptotic_coefficients(basis, xi, coeffs)
-        mode = mode_operator(op_mid, eps, xi)
         macro_idx = np.array(basis.invariant_indices)
-        drift = (mode.matrix - op_mid.matrix)[np.ix_(macro_idx, macro_idx)] / eps
-        for j in (-1, 0, 1, 2, 3):
-            hj = bundle.h[j][macro_idx]
-            assert np.linalg.norm(drift @ hj - bundle.eta[j] * hj) < 1e-12
+        for xi in (np.array([1.3, 0.0, 0.0]), np.array([0.3, -0.4, 1.2])):
+            s = float(np.linalg.norm(xi))
+            bundle = asymptotic_coefficients(basis, s, coeffs)
+            push = pushforward_from_axis(basis, xi / s)
+            mat = off_axis_matrix(op_mid, eps, xi)
+            drift = (mat - op_mid.matrix)[np.ix_(macro_idx, macro_idx)] / eps
+            for j in (-1, 0, 1, 2, 3):
+                hj = (push @ bundle.h[j])[macro_idx]
+                assert np.linalg.norm(drift @ hj - bundle.eta[j] * hj) < 1e-12
 
     def test_axis_limit_of_macro_parts(self, op_mid):
         # leading macro part of each eigenfunction is the limit vector

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from vpb_spectral import dispersion, limit_lab, semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import AXIS, asymptotic_coefficients, shell_coefficients
+from vpb_spectral.dispersion import asymptotic_coefficients, shell_coefficients
 from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
 from vpb_spectral.limit_lab import (
     ErrorTable,
@@ -499,7 +499,7 @@ class TestConvergenceStudy:
         vectors, pairs = [], []
         lv, evolve = dispersion.limit_vectors, dispersion.AsymptoticCoefficients.evolve
         monkeypatch.setattr(dispersion, "limit_vectors",
-                            lambda basis, s, d: vectors.append(np.shape(s)) or lv(basis, s, d))
+                            lambda basis, s: vectors.append(np.shape(s)) or lv(basis, s))
         monkeypatch.setattr(dispersion.AsymptoticCoefficients, "evolve",
                             lambda self, basis, u, *args: pairs.append(np.shape(u))
                             or evolve(self, basis, u, *args))
@@ -657,7 +657,7 @@ class TestStackedFluidLimit:
         shells = slice(8 - count, 8)
         u = basis.macro_project(data.profile[shells])
         times = layer_time_grid(max(eps), 20.0)
-        got = shell_coefficients(basis, grid.nodes[shells], AXIS, coeffs_small).evolve(
+        got = shell_coefficients(basis, grid.nodes[shells], coeffs_small).evolve(
             basis, u, times, branches, eps)
         for k, s in enumerate(grid.nodes[shells]):
             bundle = asymptotic_coefficients(basis, float(s), coeffs_small)

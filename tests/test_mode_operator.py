@@ -6,18 +6,13 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
+from rotations import compose_rotation, off_axis_matrix, pushforward_from_axis, rotation_to_axis
 
 from vpb_spectral import build_basis
 from vpb_spectral.collision import STRUCTURE_TOL, assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import hydrodynamic_spectrum
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
-from vpb_spectral.mode_operator import (
-    EigenBlock,
-    compose_rotation,
-    mode_operator,
-    pushforward_from_axis,
-    rotation_to_axis,
-)
+from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.semigroup import propagate_kinetic
 from vpb_spectral.velocity_space import Frame, _gauss_product_rule
 
@@ -52,12 +47,14 @@ def test_numerical_range_is_the_collision_form(eps, s, seed):
 
 
 def test_adjoint_is_reflected_mode(op4):
+    # the mode at -s e1 is the complex conjugate of the one at s e1, and the
+    # adjoint in the mode metric
     mode = mode_operator(op4, 0.1, 0.7)
-    refl = mode_operator(op4, 0.1, np.array([-0.7, 0.0, 0.0]))
-    lhs = mode.metric @ refl.matrix
+    refl = np.conj(mode.matrix)
+    lhs = mode.metric @ refl
     rhs = (mode.metric @ mode.matrix).conj().T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert np.max(np.abs(refl.matrix - np.conj(mode.matrix))) == 0.0
+    assert np.max(np.abs(off_axis_matrix(op4, 0.1, [-0.7, 0.0, 0.0]) - refl)) == 0.0
 
 
 def test_eigensystem_is_decomposed_once(op4):
@@ -155,10 +152,12 @@ def test_axis_reduction_intertwines(op4):
     d /= np.linalg.norm(d)
     t = pushforward_from_axis(op4.basis, d)
     axis = mode_operator(op4, 0.1, 0.7)
-    tilted = mode_operator(op4, 0.1, 0.7 * d)
-    assert np.max(np.abs(tilted.matrix @ t - t @ axis.matrix)) < 1e-12
+    tilted = off_axis_matrix(op4, 0.1, 0.7 * d)
+    assert np.max(np.abs(tilted @ t - t @ axis.matrix)) < 1e-12
     v_axis = axis.strip_eigensystem()[0]
-    v_tilt = tilted.strip_eigensystem()[0]
+    v_tilt = scipy.linalg.eigvals(tilted)
+    v_tilt = v_tilt[v_tilt.real > -0.3 * op4.spectral_gap()]
+    assert v_tilt.size == 5
     # pair by optimal assignment: sorting splits the acoustic pair on the last
     # bits of its (equal) real parts
     cost = np.abs(v_axis[:, None] - v_tilt[None, :])
@@ -260,9 +259,6 @@ def test_nan_mode_matrix_is_a_typed_error(op4):
     radial[2, 0, 1] = np.nan
     radial.setflags(write=False)
     poisoned = dataclasses.replace(op4, radial=radial)
-    tilted = mode_operator(poisoned, 0.1, 0.4 * np.array([0.6, 0.0, 0.8]))
-    with pytest.raises(AssemblyError, match="eigendecomposition"):
-        tilted.eigensystem()
     with pytest.raises(AssemblyError, match="sector check"):
         mode_operator(poisoned, 0.1, 0.4).eigensystem()
 
@@ -282,19 +278,11 @@ def test_non_finite_frames_are_refused_as_non_finite(broken_frames):
     assert "times STRUCTURE_TOL" not in str(info.value)
 
 
-def test_tilted_mode_is_one_dense_block(op4):
-    d = np.array([0.48, -0.6, 0.64])
-    tilted = mode_operator(op4, 0.1, 0.7 * d / np.linalg.norm(d))
-    (block,) = tilted.eigen_blocks()
-    assert np.array_equal(block.frames[0].index, np.arange(op4.basis.dim))
-    vals, vecs = scipy.linalg.eig(np.array(tilted.matrix))
-    assert np.array_equal(block.vals, vals) and np.array_equal(block.vecs, vecs)
-
-
 @pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
 def test_negative_axis_mode_matches_its_dense_matrix(axis_operators, name):
-    # -s e1 is on the axis too, but its streaming term has the opposite sign
-    mode = mode_operator(axis_operators[name], 0.1, np.array([-0.5, 0.0, 0.0]))
+    # the sector blocks against the dense matrix, eig and expm; the mode at
+    # -s e1 is its complex conjugate (test_adjoint_is_reflected_mode)
+    mode = mode_operator(axis_operators[name], 0.1, np.array([0.5, 0.0, 0.0]))
     assert len(mode.eigen_blocks()) == mode.basis.max_degree + 1
     vals, vecs = mode.eigensystem()
     dense = np.linalg.eigvals(np.array(mode.matrix))
@@ -347,7 +335,7 @@ def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphe
     basis = op.basis
     scale = basis.axis_sectors.scale
     t, spans = basis.axis_sectors.transform, basis.axis_sectors.spans
-    for mat in (op.matrix, -1j * basis.v_matrices[0]):
+    for mat in (op.matrix, -1j * basis.v1):
         scaled = (scale.conj()[:, None] * mat * scale[None, :]).real
         blocks = t.T @ scaled @ t
         cross = np.abs(blocks)

@@ -325,6 +325,10 @@ class TestStackedPropagation:
         with pytest.raises(BasisError, match="nonzero"):
             propagate_axis_modes(op_mid, self.EPS, [0.3, 0.0],
                                  *shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
+        for bad in (math.nan, math.inf, -0.3):
+            with pytest.raises(BasisError, match="positive and finite"):
+                propagate_axis_modes(op_mid, self.EPS, [0.3, bad],
+                                     *shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
 
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -485,7 +489,7 @@ class TestFluidSemigroup:
     def test_closed_forms_agree(self, op_mid, coeffs_mid):
         basis = op_mid.basis
         u0 = MacroState(n=0.2, m=np.array([0.1, -0.3, 0.7]), q=-0.4)
-        for xi in (np.array([0.5, 0.0, 0.0]), np.array([0.3, -0.4, 1.2])):
+        for xi in (np.array([0.5, 0.0, 0.0]), np.array([1.3, 0.0, 0.0])):
             s2 = float(xi @ xi)
             traj = fluid_semigroup_V(basis, coeffs_mid, u0, xi, [0.0, 1.0])
             i0 = basis.invariant_indices[0]
@@ -502,7 +506,7 @@ class TestFluidSemigroup:
         u0 = MacroState(n=0.2 - 0.1j, m=np.array([0.1, -0.3, 0.7j]), q=-0.4)
         u0vec = macro_vector(basis, u0.n, u0.m, u0.q)
         times = [0.0, 0.3, 1.0, 4.0]
-        for xi in (np.array([0.5, 0.0, 0.0]), np.array([0.3, -0.4, 1.2])):
+        for xi in (np.array([0.5, 0.0, 0.0]), 1.3):
             bundle = asymptotic_coefficients(basis, xi, coeffs_mid)
             states = bundle.evolve(basis, u0vec, times, (0, 2, 3))
             slots = list(basis.invariant_indices)
@@ -517,14 +521,19 @@ class TestFluidSemigroup:
 
         basis = op_mid.basis
         u0vec = macro_vector(basis, 0.3 + 0.2j, [0.1, -0.5, 0.4], -0.7)
-        bundle = asymptotic_coefficients(basis, np.array([0.2, 0.5, -0.1]), coeffs_mid)
+        bundle = asymptotic_coefficients(basis, np.array([0.55, 0.0, 0.0]), coeffs_mid)
         states = bundle.evolve(basis, u0vec, [0.0], (0, 2, 3, -1, 1), 0.05)
         assert np.max(np.abs(states[0] - u0vec[list(basis.invariant_indices)])) < 1e-12
 
-    @pytest.mark.parametrize("xi", [np.zeros(3), 0.0, np.array([0.3, 0.4])],
-                             ids=["zero-3-vector", "zero-scalar", "2-vector"])
+    @pytest.mark.parametrize("xi", [
+        np.zeros(3), 0.0, np.array([0.3, 0.4]), math.nan, math.inf,
+        np.array([math.nan, 0.0, 0.0]), np.array([0.3, -0.4, 1.2]), np.array([-0.5, 0.0, 0.0])],
+        ids=["zero-3-vector", "zero-scalar", "2-vector", "nan", "inf", "nan-axis-vector",
+             "off-axis", "negative-axis"])
     def test_bad_wavevector_is_a_basis_error(self, op_mid, coeffs_mid, xi):
-        # one parser (mode_operator's) behind every fluid-side wavevector
+        # one parser (mode_operator's) behind every wavevector: a positive,
+        # finite s or (s, 0, 0); before, NaN and inf gave NaN states or an
+        # AssemblyError that blamed the operator
         from vpb_spectral.dispersion import asymptotic_coefficients
 
         basis = op_mid.basis

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from rotations import compose_rotation
 
 from vpb_spectral import (
     BasisError,
@@ -20,7 +21,6 @@ from vpb_spectral import (
     weighted_norm,
 )
 from vpb_spectral import velocity_space
-from vpb_spectral.mode_operator import compose_rotation
 from vpb_spectral.velocity_space import VelocityBasis, burnett_rows, hermite_polynomial_table
 
 TWO_PI = 2.0 * np.pi
@@ -153,6 +153,15 @@ def test_multiplication_matrices_entries(basis_mid):
     assert (v1 @ b.chi(1)) @ b.chi(4) == pytest.approx(2.0 / np.sqrt(6.0))
     assert (v1 @ b.chi(2)) @ b.chi(0) == 0.0
     assert (v_mats[1] @ b.chi(2)) @ b.chi(4) == pytest.approx(2.0 / np.sqrt(6.0))
+
+
+@pytest.mark.parametrize("deg", [2, 6, 8])
+def test_v1_is_the_first_multiplication_matrix(deg):
+    # the basis builds V1 alone, once, with the bits of the full set's first
+    basis = build_basis(deg)
+    v1 = basis.v1
+    assert basis.v1 is v1 and not v1.flags.writeable
+    assert v1.tobytes() == multiplication_matrices(basis)[0].tobytes()
 
 
 def test_multiplication_matches_pointwise_product(basis_mid):
