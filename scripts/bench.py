@@ -1,7 +1,7 @@
 """Time the package layer by layer and end to end, and write BENCH_<n>.json.
 
-    python3 scripts/bench.py BENCH_28.json
-    python3 scripts/bench.py BENCH_28.json --src parent=../old/src --src change=src
+    python3 scripts/bench.py BENCH_29.json
+    python3 scripts/bench.py BENCH_29.json --src parent=../old/src --src change=src
     python3 scripts/bench.py smoke.json --tiny
 
 Run from the root of a source checkout.  Each --src tree (default: this
@@ -9,7 +9,8 @@ checkout's src, labelled "change") is timed in fresh processes:
 
 - layers, in one process per round, under one_blas_thread() as the jobs run:
   build_basis and hard-sphere assembly (into an empty cache) at degrees 6
-  and 8, sector_blocks, one axis mode's eigen_blocks decomposed,
+  and 8, the transport job's kappas_with_error at degree 6 (into an empty
+  cache), sector_blocks, one axis mode's eigen_blocks decomposed,
   hydrodynamic_sweep over the dispersion workload's modes, propagate_kinetic
   on one mode, propagate_axis_modes over one stack of 8 converge shells, the
   fluid limit of the converge workload (its 32 shells in stacks, generic data,
@@ -86,7 +87,7 @@ def child(tiny: bool, repeats: int) -> dict:
                                         run_convergence_study)
     from vpb_spectral.mode_operator import mode_operator
     from vpb_spectral.semigroup import propagate_axis_modes, propagate_kinetic
-    from vpb_spectral.transport import compute_kappas
+    from vpb_spectral.transport import compute_kappas, kappas_with_error
     from vpb_spectral.velocity_space import build_basis
 
     small, large = (3, 3) if tiny else (6, 8)
@@ -102,6 +103,8 @@ def child(tiny: bool, repeats: int) -> dict:
             basis = build_basis(deg)
             out[f"assemble_hard_sphere_d{deg}"] = _median(
                 lambda _: assemble_collision(basis), repeats, empty_cache)
+        out["transport_levels"] = _median(lambda _: kappas_with_error(3 if tiny else 6),
+                                          repeats, empty_cache)
         hard = assemble_collision(build_basis(large))  # the cache now holds it
         out["sector_blocks"] = _median(
             lambda op: op.sector_blocks, repeats,
@@ -220,7 +223,7 @@ def _revision(src: Path):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_28.json")
+    ap.add_argument("out", type=Path, help="the JSON file to write, e.g. BENCH_29.json")
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable); default change=src")
     ap.add_argument("--repeats", type=int, default=5, help="calls per layer and round")

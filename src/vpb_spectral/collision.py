@@ -358,6 +358,28 @@ def _blocks(radial: np.ndarray) -> list[np.ndarray]:
     return [radial[l, :(top - l) // 2 + 1, :(top - l) // 2 + 1] for l in range(top + 1)]
 
 
+def _gap(blocks: list[np.ndarray]) -> float:
+    """Distance from zero to the rest of the spectrum of -L, from the radial blocks."""
+    vals = [np.repeat(np.linalg.eigvalsh(-block), 2 * l + 1) for l, block in enumerate(blocks)]
+    return float(np.sort(np.concatenate(vals))[5])
+
+
+def _transport_forms(blocks: list[np.ndarray], flux_norms: np.ndarray,
+                     gap: float) -> tuple[float, float, float]:
+    """(kappa0_long, kappa0, kappa1) = -f_j . L^-1 f_j, j = 1, 2, 4: f_1 and f_2
+    lie on phi_02m and f_4 on phi_11m, so the forms are |f_j|^2 (flux_norms)
+    times (-L_2^-1)_00 and the (n = 1) entry of the inverse micro block of L_1.
+    AssemblyError unless gap, the blocks' spectral gap, is positive; solves
+    residual-guarded; below degree 3 the heat flux and its form vanish."""
+    if not gap > 0:
+        raise AssemblyError("collision matrix has no spectral gap")
+    corners = []
+    for block in (blocks[2], blocks[1][1:, 1:]):
+        e0 = np.eye(len(block), 1)
+        corners.append(-float(_guarded_solve(block, e0)[0, 0]) if len(block) else 0.0)
+    return tuple(float(a * b) for a, b in zip(flux_norms, (corners[0], corners[0], corners[1])))
+
+
 class GammaEvaluator:
     """Weak form of the symmetrized bilinear collision product.
 
@@ -448,9 +470,7 @@ class CollisionOperator:
 
     @cached_property
     def _spectral_gap(self) -> float:
-        vals = [np.repeat(np.linalg.eigvalsh(-block), 2 * l + 1)
-                for l, block in enumerate(_blocks(self.radial))]
-        return float(np.sort(np.concatenate(vals))[5])
+        return _gap(_blocks(self.radial))
 
     def micro_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs on the microscopic subspace, for one vector or a
@@ -475,21 +495,36 @@ class CollisionOperator:
 
     @cached_property
     def transport_forms(self) -> tuple[float, float, float]:
-        """(kappa0_long, kappa0, kappa1) = -f_j . L^-1 f_j, j = 1, 2, 4: f_1 and
-        f_2 lie on phi_02m and f_4 on phi_11m, so the forms are |f_j|^2 (from
-        basis.fluxes) times (-L_2^-1)_00 and the (n = 1) entry of the inverse
-        micro block of L_1.  Spectral gap checked first, solves residual-guarded;
-        below degree 3 the heat flux and its form vanish."""
-        if not self.spectral_gap() > 0:
-            raise AssemblyError("collision matrix has no spectral gap")
-        blocks = _blocks(self.radial)
-        corners = []
-        for block in (blocks[2], blocks[1][1:, 1:]):
-            e0 = np.eye(len(block), 1)
-            corners.append(-float(_guarded_solve(block, e0)[0, 0]) if len(block) else 0.0)
+        """(kappa0_long, kappa0, kappa1) = -f_j . L^-1 f_j, j = 1, 2, 4, read
+        off the radial blocks (_transport_forms); spectral gap checked first."""
+        return _transport_forms(_blocks(self.radial), self._flux_norms, self.spectral_gap())
+
+    def truncated_transport_forms(self, degree: int) -> tuple[float, float, float]:
+        """transport_forms of the degree-`degree` Galerkin truncation of L,
+        3 <= degree <= N, without a second assembly or basis.
+
+        The Burnett basis is hierarchical and each assembly exact, so the
+        truncation's radial blocks are the leading ((degree - l) // 2 + 1)-
+        squares of the first degree + 1 blocks, and f_1, f_2 (degree 2) and f_4
+        (degree 3) have the same norms on both bases.  The blocks pass the
+        checks an assembly at that degree runs (_structural_checks) before the
+        forms are taken, with their own spectral gap."""
+        top = self.basis.max_degree
+        if not 3 <= degree <= top:
+            raise ValueError(f"truncation degree {degree} outside [3, {top}]")
+        k = degree // 2 + 1
+        radial = np.zeros((degree + 1, k, k))
+        blocks = _blocks(self.radial[:degree + 1])
+        for l, block in enumerate(blocks):
+            radial[l, :len(block), :len(block)] = block
+        _structural_checks(radial)
+        return _transport_forms(blocks, self._flux_norms, _gap(blocks))
+
+    @property
+    def _flux_norms(self) -> np.ndarray:
+        """|f_j|^2 for j = 1, 2, 4, from basis.fluxes."""
         fluxes = self.basis.fluxes[[0, 1, 3]]
-        norms = np.einsum("ij,ij->i", fluxes, fluxes)
-        return tuple(float(a * b) for a, b in zip(norms, (corners[0], corners[0], corners[1])))
+        return np.einsum("ij,ij->i", fluxes, fluxes)
 
     @cached_property
     def kappa_bar(self) -> float:

@@ -375,17 +375,16 @@ def nspf_mode_solve(basis: VelocityBasis, coeffs: TransportCoefficients,
     algebraic density-energy relation, and the transverse momentum evolves
     against the shear rate with the projected vector forcing.  Initial data
     must already satisfy both constraints; the rejection carries the
-    repaired values.
+    repaired values.  xi is parsed by axis_wavenumber, and times must be a
+    finite, nondecreasing grid from t >= 0 (DataError).
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size == 1:
-        xi = np.array([float(xi[0]), 0.0, 0.0])
-    s = float(np.linalg.norm(xi))
-    if s == 0.0:
-        raise DataError("the zero wavevector has no fluid mode system")
+    s = axis_wavenumber(xi)
+    xi = np.array([s, 0.0, 0.0])
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) < 0.0):
-        raise DataError("times must be a nondecreasing grid with at least two samples")
+    if (times.ndim != 1 or times.size < 2 or not np.isfinite(times).all()
+            or times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
+        raise DataError("times must be a finite, nondecreasing grid from t >= 0 with at "
+                        "least two samples")
 
     n0, q0 = complex(u0.n), complex(u0.q)
     m0 = np.asarray(u0.m, dtype=complex)

@@ -40,16 +40,26 @@ class TransportCoefficients:
     error_bar: float | None = None
 
 
+_HEAT_FLUX = "heat flux vanishes below degree 3; transport needs max_degree >= 3"
+
+
+def _positive(forms: tuple[float, float, float]) -> tuple[float, float, float]:
+    """The transport forms (kappa0_long, kappa0, kappa1), AssemblyError unless
+    each is positive."""
+    kappa0_long, kappa0, kappa1 = forms
+    for name, val in (("kappa0", kappa0), ("kappa1", kappa1), ("kappa0_long", kappa0_long)):
+        if not val > 0.0:
+            raise AssemblyError(f"{name} = {val:.3e} not positive; collision solve is inconsistent")
+    return forms
+
+
 def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
     """Viscosity/conductivity: the operator's transport forms, read off its
     radial blocks (CollisionOperator.transport_forms)."""
     basis = op.basis
     if basis.max_degree < 3:
-        raise BasisError("heat flux vanishes below degree 3; transport needs max_degree >= 3")
-    kappa0_long, kappa0, kappa1 = op.transport_forms
-    for name, val in (("kappa0", kappa0), ("kappa1", kappa1), ("kappa0_long", kappa0_long)):
-        if not val > 0.0:
-            raise AssemblyError(f"{name} = {val:.3e} not positive; collision solve is inconsistent")
+        raise BasisError(_HEAT_FLUX)
+    kappa0_long, kappa0, kappa1 = _positive(op.transport_forms)
     return TransportCoefficients(kappa0=kappa0, kappa1=kappa1, kappa0_long=kappa0_long,
                                  backend=op.backend, max_degree=basis.max_degree,
                                  basis_hash=basis.descriptor_hash())
@@ -57,19 +67,22 @@ def compute_kappas(op: CollisionOperator) -> TransportCoefficients:
 
 def kappas_with_error(max_degree: int, gamma: float = 1.0,
                       kernel_c: float = 1.0) -> TransportCoefficients:
-    """Two-level truncation study at max_degree and max_degree + 2.
+    """Two-level truncation study at max_degree and max_degree + 2, from one
+    basis and one assembly (or cache entry), at max_degree + 2.
 
-    Reports the finer-level coefficients; the error bar is the worst
-    disagreement between the two levels, which owns the truncation error
-    the continuum formulas are silent about.
+    Reports the finer-level coefficients; the coarse level is the degree-
+    max_degree Galerkin truncation of the same operator, read off its radial
+    blocks (CollisionOperator.truncated_transport_forms), with every check a
+    coarse assembly runs.  The error bar is the worst disagreement between the
+    two levels, which owns the truncation error the continuum formulas are
+    silent about.  Below degree 3 BasisError, before any assembly.
     """
-    levels = []
-    for degree in (max_degree, max_degree + 2):
-        op = assemble_collision(build_basis(degree), gamma=gamma, kernel_c=kernel_c)
-        levels.append(compute_kappas(op))
-    coarse, fine = levels
-    bar = max(abs(fine.kappa0 - coarse.kappa0), abs(fine.kappa1 - coarse.kappa1),
-              abs(fine.kappa0_long - coarse.kappa0_long))
+    if max_degree < 3:
+        raise BasisError(_HEAT_FLUX)
+    op = assemble_collision(build_basis(max_degree + 2), gamma=gamma, kernel_c=kernel_c)
+    fine = compute_kappas(op)
+    coarse = _positive(op.truncated_transport_forms(max_degree))
+    bar = max(abs(a - b) for a, b in zip(op.transport_forms, coarse))
     return dataclasses.replace(fine, error_bar=bar)
 
 

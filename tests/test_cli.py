@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import vpb_spectral
+from vpb_spectral import cli, collision, transport, velocity_space
 from vpb_spectral.cli import (
     CONVERGE_HEADER,
     DISPERSION_HEADER,
@@ -351,6 +352,43 @@ class TestReproducibility:
             runs.append({ext: open(artifact_of(out, ext), "rb").read()
                          for ext in (".csv", ".json")})
         assert runs[0] == runs[1]
+
+
+class TestHardSphereTransport:
+    CONFIG = "backend = hard_sphere\nmax_degree = {}\njobs = 1\n"
+
+    def run(self, degree, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(cache))
+        cfg = tmp_path / "hs.cfg"
+        cfg.write_text(self.CONFIG.format(degree), encoding="utf-8")
+        return cache, run_cli(["transport", "--config", cfg, "--out", tmp_path / "out"],
+                              capsys)
+
+    def test_one_basis_and_one_assembly(self, tmp_path, capsys, monkeypatch):
+        # the coarse level is read off the degree-(N+2) radial blocks
+        calls = {"build_basis": 0, "_dirichlet_matrix": 0}
+        spied = [(m, "build_basis") for m in (vpb_spectral, velocity_space, transport, cli)]
+        for module, name in spied + [(collision, "_dirichlet_matrix")]:
+            def spy(*args, _orig=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        cache, (code, out, _) = self.run(3, tmp_path, capsys, monkeypatch)
+        assert code == 0
+        assert calls == {"build_basis": 1, "_dirichlet_matrix": 1}
+        written = list(cache.iterdir())
+        assert len(written) == 1 and written[0].suffix == ".vpbc"
+        payload = json.loads(open(artifact_of(out, ".json"), encoding="utf-8").read())
+        assert payload["max_degree"] == 5 and payload["error_bar"] > 0.0
+
+    def test_below_degree_three_assembles_nothing(self, tmp_path, capsys, monkeypatch):
+        cache, (code, out, err) = self.run(2, tmp_path, capsys, monkeypatch)
+        assert code == 1
+        assert err == ("error: BasisError: heat flux vanishes below degree 3; transport "
+                       "needs max_degree >= 3\n")
+        assert out == "" and list(cache.iterdir()) == []
 
 
 class TestCheck:

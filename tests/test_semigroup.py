@@ -584,6 +584,21 @@ class TestNSPF:
         w_raw = raw.q - math.sqrt(2.0 / 3.0) * raw.n
         assert abs((q_fix - math.sqrt(2.0 / 3.0) * n_fix) - w_raw) < 1e-12
 
+    @pytest.mark.parametrize("xi", [0.0, np.nan, np.inf, (np.nan, 0.0, 0.0),
+                                    (0.3, -0.4, 1.2), (-0.5, 0.0, 0.0)])
+    def test_bad_wavevector_is_a_basis_error(self, op_mid, coeffs_mid, xi):
+        # parsed by axis_wavenumber, as at every other entry point
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(BasisError):
+            nspf_mode_solve(op_mid.basis, coeffs_mid, self.compatible(), None, None, xi, times)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-1.0, 0.0, 1.0],
+                                       [0.0, 1.0, 0.5], [0.0]])
+    def test_bad_times_are_a_data_error(self, op_mid, coeffs_mid, times):
+        with pytest.raises(DataError, match="finite, nondecreasing grid from t >= 0"):
+            nspf_mode_solve(op_mid.basis, coeffs_mid, self.compatible(), None, None, self.XI,
+                            times)
+
     def test_repair_closed_forms(self):
         # repaired values follow the closed formulas in the raw moments
         s = 0.7

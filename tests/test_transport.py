@@ -6,12 +6,14 @@ the coefficients off Richardson-extrapolated branch curvatures of the full
 mode operator and never touches the micro-space solver under test here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.errors import BasisError
+from vpb_spectral.collision import _blocks, assemble_collision, synthetic_collision
+from vpb_spectral.errors import AssemblyError, BasisError
 from vpb_spectral.transport import (
     BRANCHES,
     TransportCoefficients,
@@ -106,15 +108,61 @@ def test_truncation_cauchy(hard_sphere_prod, basis_mid, basis_small):
 
 
 def test_kappas_with_error():
+    # one assembly at degree 5; the coarse level is its degree-3 truncation
     coeffs = kappas_with_error(3)
     assert coeffs.max_degree == 5
-    assert coeffs.error_bar is not None and coeffs.error_bar > 0
-    fine = compute_kappas(assemble_collision(build_basis(5)))
+    op = assemble_collision(build_basis(5))
+    fine = compute_kappas(op)
+    assert (coeffs.kappa0, coeffs.kappa1, coeffs.kappa0_long, coeffs.basis_hash) == (
+        fine.kappa0, fine.kappa1, fine.kappa0_long, fine.basis_hash)
+    long3, kappa0_3, kappa1_3 = op.truncated_transport_forms(3)
+    assert coeffs.error_bar == max(abs(fine.kappa0 - kappa0_3), abs(fine.kappa1 - kappa1_3),
+                                   abs(fine.kappa0_long - long3))
+    assert coeffs.error_bar > 0
+    # the bar against a second, direct degree-3 assembly, at roundoff
     coarse = compute_kappas(assemble_collision(build_basis(3)))
-    assert coeffs.kappa0 == fine.kappa0 and coeffs.kappa1 == fine.kappa1
-    expected_bar = max(abs(fine.kappa0 - coarse.kappa0), abs(fine.kappa1 - coarse.kappa1),
-                       abs(fine.kappa0_long - coarse.kappa0_long))
-    assert coeffs.error_bar == expected_bar
+    two_assemblies = max(abs(fine.kappa0 - coarse.kappa0), abs(fine.kappa1 - coarse.kappa1),
+                         abs(fine.kappa0_long - coarse.kappa0_long))
+    assert abs(coeffs.error_bar - two_assemblies) <= 1e-14
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_truncation_is_the_direct_assembly(degree):
+    # the Burnett basis is hierarchical and each assembly exact, so the
+    # degree-N blocks are the leading squares of the degree-(N+2) ones
+    fine = assemble_collision(build_basis(degree + 2))
+    direct = assemble_collision(build_basis(degree))
+    scale = np.max(np.abs(direct.radial))
+    cut = _blocks(fine.radial[:degree + 1])
+    assert [b.shape for b in cut] == [b.shape for b in _blocks(direct.radial)]
+    for got, ref in zip(cut, _blocks(direct.radial)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+    got, ref = np.array(fine.truncated_transport_forms(degree)), np.array(direct.transport_forms)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    # at the operator's own degree the truncation is the operator
+    assert fine.truncated_transport_forms(degree + 2) == fine.transport_forms
+
+
+@pytest.mark.parametrize("entries, match", [
+    ({(1, 0, 0): np.nan}, "non-finite"),
+    ({(0, 1, 2): 0.5, (0, 2, 1): 0.5}, r"invariant \(l, n\) = \(0, 1\) not annihilated"),
+    ({(3, 0, 0): 1.0}, "not negative semidefinite"),
+    ({(2, 0, k): 0.0 for k in range(4)} | {(2, k, 0): 0.0 for k in range(4)}, "spectral gap"),
+])
+def test_truncation_keeps_the_assembly_checks(hard_sphere_prod, entries, match):
+    # each entry lies inside the degree-4 blocks of the degree-6 operator
+    radial = np.array(hard_sphere_prod.radial)
+    for index, value in entries.items():
+        radial[index] = value
+    broken = dataclasses.replace(hard_sphere_prod, radial=radial)
+    with pytest.raises(AssemblyError, match=match):
+        broken.truncated_transport_forms(4)
+
+
+@pytest.mark.parametrize("degree", [2, 7])
+def test_truncation_degree_outside_the_basis_is_refused(hard_sphere_prod, degree):
+    with pytest.raises(ValueError, match="outside"):
+        hard_sphere_prod.truncated_transport_forms(degree)
 
 
 def test_branch_formula_properties():
