@@ -128,9 +128,12 @@ def child(tiny: bool, repeats: int) -> dict:
         stack = slice(0, min(8, shells))
         f0 = syn.basis.macro_project(generic.profile[stack])
         s = grid.nodes[stack].tolist()
-        if "g" in inspect.signature(propagate_axis_modes).parameters:
+        params = inspect.signature(propagate_axis_modes).parameters
+        if "g" in params:
             g = syn.basis.axis_sectors.coordinates(f0)
-            axis = lambda _: propagate_axis_modes(syn, EPS4, s, f0, g, times)
+            # a tree that integrates refused members takes their data f0 too
+            data = (f0, g) if "f0" in params else (g,)
+            axis = lambda _: propagate_axis_modes(syn, EPS4, s, *data, times)
         else:  # a tree that takes one shell per call
             axis = lambda _: [propagate_axis_modes(syn, EPS4, sk, fk, times)
                               for sk, fk in zip(s, f0)]

@@ -8,11 +8,10 @@ each its previous count back on exit.  Each command-line job runs inside it,
 operator assembly included, so an operator and every artifact computed from
 it do not depend on the thread count or the cache state.  Libraries are
 found in /proc/self/maps and driven through ctypes; where none is found
-(another BLAS vendor, a system without /proc) the block runs unchanged.  The
-benchmark paths run on numpy alone and load only numpy's OpenBLAS.  scipy's
-own copy is loaded when a fallback, oracle or check path first imports
-scipy, which can happen inside a block; the stiff ODE fallback, the one such
-path that does BLAS work, therefore pins again around its solve.
+(another BLAS vendor, a system without /proc) the block runs unchanged.  Every
+job runs on numpy alone and loads only numpy's OpenBLAS: no path in the package
+that does BLAS work imports scipy, whose own copy a block entered earlier
+would leave unpinned.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber
+from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import Frame, VelocityBasis, weighted_norm
 
@@ -487,12 +487,15 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
     Labels come from continuation: each root is solved from its own analytic
     seed.  Eigenfunctions are normalized in the weighted pairing and
     sign-aligned against the limit vectors.  eig_residual applies the mode
-    matrix through the dense L and V1, not through the sector blocks."""
+    matrix through the dense L and V1, not through the sector blocks.  Each
+    mode is parsed as mode_operator parses it: eps by check_eps (RegimeError)
+    and s by axis_wavenumber (BasisError)."""
     if not modes:
         return []
     eps = [float(e) for e, _ in modes]
-    s = [float(x) for _, x in modes]
+    s = [axis_wavenumber(x) for _, x in modes]
     for e, x in zip(eps, s):
+        check_eps(e)
         _require_regime(e * x)
     basis = op.basis
     y = np.multiply(eps, s)

@@ -62,6 +62,8 @@ class RadialGrid:
 
 def radial_grid(s_min: float = S_MIN_DEFAULT, s_max: float = 0.6,
                 count: int = 32, spacing: str = "legendre") -> RadialGrid:
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise DataError(f"radial grid bounds must be finite, not [{s_min}, {s_max}]")
     if s_min <= 0.0:
         raise DataError(f"s_min={s_min} must be positive; the zero mode has no Poisson factor")
     if s_max <= s_min or count < 2:
@@ -305,15 +307,11 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     the caller passes the macro part as f0.
     """
     basis = op.basis
-    coords, integrated = propagate_axis_modes(op, eps_list, s, f0, g, times)
+    coords = propagate_axis_modes(op, eps_list, s, g, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)
-    s2 = [sk ** 2 for sk in s]
-    out = _gap_norms(basis, coords, limit, np.reshape(s2, (-1, 1, 1)))
-    for (k, e), ys in integrated.items():
-        out[k, e] = _gap_norms(basis, ys, limit[k, e], s2[k])
-    return out
+    return _gap_norms(basis, coords, limit, np.reshape([sk ** 2 for sk in s], (-1, 1, 1)))
 
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,

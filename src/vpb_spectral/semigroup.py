@@ -1,11 +1,11 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} (one eigen-expansion kernel in the coordinates of the real
-azimuthal-sector blocks of axis modes, stacked over modes: propagate_kinetic
-embeds one mode's, propagate_axis_modes hands over those of every eps of
-several shells; each decomposition certified by its residuals, with a stiff
-ODE path for a member that fails),
+e^{(t/eps^2) B} (one kernel in the coordinates of the real azimuthal-sector
+blocks of axis modes, stacked over modes: propagate_kinetic embeds one mode's,
+propagate_axis_modes hands over those of every eps of several shells; each
+block goes by eigen-expansion where its residuals certify it, else by its
+matrix exponential),
 its splitting into the five-branch hydrodynamic part and an exponentially
 small remainder, the fluid semigroup on the three non-oscillatory branches,
 the forced fluid mode equations solved by exact Duhamel integration of
@@ -20,29 +20,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
-from .errors import DataError, FitError, RegimeError
-from .mode_operator import (FourierMode, _checked_times, axis_eigen_blocks, axis_wavenumber,
-                            mode_operator)
+from .errors import DataError, FitError
+from .mode_operator import FourierMode, _checked_times, _norm1, axis_eigen_blocks, axis_wavenumber
 from .transport import TransportCoefficients, branch_decay
 from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
 
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-12
 COND_LIMIT = 1e12
-# the eig path is refused above this propagation bound; the ODE path's own gap
-# to the eig path is 6e-10 to 1.8e-9, so the refusal never trades the eig
-# path for a less accurate one
+# the eig path is refused above this propagation bound, for the block exponential
 PROPAGATION_BOUND_LIMIT = 1e-8
+# the degree-13 Pade approximant of e^X and the 1-norm of X up to which its
+# backward error stays below the unit roundoff (Higham, SIAM J. Matrix Anal.
+# Appl. 2005)
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+PADE13_THETA = 5.371920351148152
 
 
 @dataclass
 class ModeTrajectory:
     """Time samples of one Fourier mode, kinetic or fluid; method names the
-    path that computed the states: "eig", "ode" or "fluid"."""
+    path that computed the states: "eig", "expm" or "fluid"."""
 
     xi: np.ndarray
     eps: float
@@ -96,42 +97,30 @@ def hydrodynamic_projector(mode: FourierMode,
     return SpectralProjector(xi=np.asarray(mode.xi), eps=mode.eps, matrix=p)
 
 
-def _ode_states(mode: FourierMode, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Radau integration of the mode ODE, real-stacked; the independent path."""
-    import scipy.integrate  # only this fallback needs it
-
-    a = mode.matrix / mode.eps ** 2
-    n = a.shape[0]
-    big = np.block([[a.real, -a.imag], [a.imag, a.real]])
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return big @ y
-
-    y0 = np.concatenate([f0.real, f0.imag])
-    out = np.empty((times.size, n), dtype=complex)
-    if times[0] == 0.0:
-        out[0] = f0
-        rest = times[1:]
-        base = 1
-    else:
-        rest = times
-        base = 0
-    if rest.size:
-        # importing scipy may have loaded its own OpenBLAS only now, inside a
-        # caller's one_blas_thread() block that could not pin it
-        with one_blas_thread():
-            sol = scipy.integrate.solve_ivp(
-                rhs, (0.0, float(rest[-1])), y0, t_eval=rest, method="Radau",
-                jac=lambda t, y: big, rtol=ODE_RTOL, atol=ODE_ATOL)
-        if not sol.success:
-            raise RegimeError(f"stiff integration failed: {sol.message}")
-        out[base:] = (sol.y[:n] + 1j * sol.y[n:]).T
-    return out
+def _expm(x: np.ndarray) -> np.ndarray:
+    """e^x for a stack (R, n, n) of real matrices: scaling and squaring on the
+    degree-13 Pade approximant, each member scaled by its own 1-norm (Higham,
+    SIAM J. Matrix Anal. Appl. 2005)."""
+    squarings = np.maximum(np.frexp(_norm1(x) / PADE13_THETA)[1], 0)
+    x = np.ldexp(x, -squarings[:, None, None])
+    b, eye = PADE13, np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 \
+        + b[0] * eye
+    r = np.linalg.solve(v - u, 2.0 * u) + eye  # (V - U)^-1 (V + U), exactly I at x = 0
+    for k in range(squarings.max()):
+        sel = squarings > k
+        r[sel] = r[sel] @ r[sel]
+    return r
 
 
 def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
-    """The eig path of the kinetic flow for modes that share their frames:
-    states = e^{(t/eps^2) B} f0 through the eigenvectors, member by member.
+    """The kinetic flow for modes that share their frames: states =
+    e^{(t/eps^2) B} f0 block by block, member by member.
 
     blocks are EigenBlocks whose leading axes hold the members (none for one
     mode; None where no member has data), coords the coordinates of f0 in each
@@ -139,16 +128,19 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
     broadcast against the members.  Only the blocks where some member has
     coordinates are decomposed and solved, all members at once.
 
-    Returns, nested as coords, the states' (..., T, n) coordinates (phases c)
-    vecs^T in each copy where some member has some (None elsewhere: zero;
-    exact zeros for the other members), and the mask of members the eig path
-    cannot be trusted for: in some block where the member has data, cond (in
-    the 1-norm) at COND_LIMIT or more, or the propagation bound cond *
-    (eigenpair residual + worst solve residual ||vecs c - g0||_1 / ||g0||_1 of
-    its copies) above PROPAGATION_BOUND_LIMIT, which governs the method's
-    error when Re vals <= 0 (Moler and Van Loan, SIAM Review 2003).
+    Returns, nested as coords, the states' (..., T, n) coordinates in each
+    copy where some member has some (None elsewhere: zero; exact zeros for the
+    other members), and the mask of members that some block refused.  A
+    member's block propagates through its eigenvectors, (phases c) vecs^T,
+    unless that cannot be trusted where the member has data: cond (in the
+    1-norm) at COND_LIMIT or more, or the propagation bound cond * (eigenpair
+    residual + worst solve residual ||vecs c - g0||_1 / ||g0||_1 of its
+    copies) above PROPAGATION_BOUND_LIMIT, which governs the method's error
+    when Re vals <= 0 (Moler and Van Loan, SIAM Review 2003).  A refused
+    member's block is e^{(t/eps^2) A} g0 instead, A the real block, one time
+    at a time (_expm).
     """
-    out, ode = [], False
+    out, refused = [], False
     for block, copies in zip(blocks, coords):
         out.append([None] * len(copies))
         if block is None:  # no member has data here
@@ -158,73 +150,77 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
         if not held.size:
             continue
         has = has[..., held]
-        ode = ode | has.any(-1) & ~np.less(block.cond, COND_LIMIT)
-        if np.all(ode):
-            break
+        data = has.any(-1)
+        bad = data & ~np.less(block.cond, COND_LIMIT)
         g = np.stack([copies[k] for k in held], axis=-1)
-        c = block.coefficients(g)
-        error = np.abs(block.vecs @ c - g).sum(-2)
-        solve = np.divide(error, np.abs(g).sum(-2), out=np.zeros(error.shape), where=has)
-        bound = block.cond * (block.residual + solve.max(-1))
-        ode = ode | has.any(-1) & ~np.less_equal(bound, PROPAGATION_BOUND_LIMIT)
-        if np.all(ode):
-            break
-        phases = np.exp(times[:, None] * block.vals[..., None, :] / eps2[..., None, None])
-        for i, k in enumerate(held):
-            last = phases if i + 1 == held.size else None  # the last copy scales phases itself
-            out[-1][k] = x = np.multiply(phases, c[..., None, :, i], out=last) \
-                @ block.vecs.swapaxes(-1, -2)
-            np.copyto(x, 0.0, where=~has[..., i, None, None])
-        del phases, last  # not to be held while the next block's are formed
-    return out, ode
+        members = np.broadcast_shapes(block.matrix.shape[:-2], g.shape[:-2], np.shape(eps2))
+        if np.any(data & ~bad):
+            c = block.coefficients(g)
+            error = np.abs(block.vecs @ c - g).sum(-2)
+            solve = np.divide(error, np.abs(g).sum(-2), out=np.zeros(error.shape), where=has)
+            bound = block.cond * (block.residual + solve.max(-1))
+            bad = bad | data & ~np.less_equal(bound, PROPAGATION_BOUND_LIMIT)
+        if np.all(bad | ~data):  # no member takes the eig path here
+            for k in held:
+                out[-1][k] = np.zeros(members + (times.size, g.shape[-2]), dtype=complex)
+        else:
+            phases = np.exp(times[:, None] * block.vals[..., None, :] / eps2[..., None, None])
+            for i, k in enumerate(held):
+                last = phases if i + 1 == held.size else None  # the last copy scales phases
+                out[-1][k] = x = np.multiply(phases, c[..., None, :, i], out=last) \
+                    @ block.vecs.swapaxes(-1, -2)
+                np.copyto(x, 0.0, where=~has[..., i, None, None])
+            del phases, last  # not to be held while the next block's are formed
+        if np.any(bad):
+            rows = np.flatnonzero(np.broadcast_to(bad, members))
+            n = g.shape[-2]
+            a = np.broadcast_to(block.matrix, members + (n, n)).reshape(-1, n, n)[rows]
+            g0 = np.broadcast_to(g, members + g.shape[-2:]).reshape(-1, n, held.size)[rows]
+            rate = 1.0 / np.broadcast_to(eps2, members).reshape(-1)[rows, None, None]
+            xs = [out[-1][k].reshape(-1, times.size, n) for k in held]  # views
+            for j, t in enumerate(times):
+                y = _expm(t * rate * a) @ g0
+                for i, x in enumerate(xs):
+                    x[rows, j] = y[..., i]
+        refused = refused | bad
+    return out, refused
 
 
 def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajectory:
-    """Evolve one mode under the scaled kinetic flow.
-
-    Primary path: the mode's eigen_blocks() through _eig_coordinates, as a
-    stack of one; each copy adds scale * (x @ basis^T) on its slots, x its
-    coordinates.  If that path cannot be trusted (a block's cond at
-    COND_LIMIT or more, or its propagation bound above
-    PROPAGATION_BOUND_LIMIT), the trajectory is integrated: method = "ode".
+    """Evolve one mode under the scaled kinetic flow: the mode's eigen_blocks()
+    through _eig_coordinates, as a stack of one; each copy adds scale * (x @
+    basis^T) on its slots, x its coordinates.  method is "expm" if some block
+    was refused the eig path and took the block exponential, else "eig".
     """
     times = _checked_times(times)
     f0 = np.asarray(f0, dtype=complex)
     blocks = mode.eigen_blocks()
-    coords, ode = _eig_coordinates(blocks, mode.basis.axis_sectors.coordinates(f0), times,
-                                   np.array(mode.eps ** 2))
+    coords, refused = _eig_coordinates(blocks, mode.basis.axis_sectors.coordinates(f0), times,
+                                       np.array(mode.eps ** 2))
     states = np.zeros((times.size, f0.size), dtype=complex)
     for fr, x in zip([fr for b in blocks for fr in b.frames], [x for xs in coords for x in xs]):
         if x is not None:
             states[:, fr.index] += fr.scale * (x @ fr.basis.T)
-    return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times,
-                          states=_ode_states(mode, f0, times) if ode else states,
-                          basis=mode.basis, method="ode" if ode else "eig")
+    return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times, states=states,
+                          basis=mode.basis, method="expm" if refused else "eig")
 
 
-def propagate_axis_modes(op: CollisionOperator, eps_list, s, f0: np.ndarray, g,
-                         times) -> tuple[list, dict]:
-    """(coords, integrated) for the axis modes at each eps of eps_list on each
-    shell s[k] e1 from its data f0[k], g the AxisSectors.coordinates of f0: each
-    sector block where some shell has data is one stack, decomposed by one
-    eig (_eig_coordinates), and no other is formed.  Embedded as by
-    propagate_kinetic, coords[m][j][k, e] gives propagate_kinetic(mode_operator(
-    op, eps_list[e], s[k]), f0[k], times).states bit for bit if row k of g has
-    the bits of f0[k]'s own coordinates.  A member that the eig path cannot be
-    trusted for is integrated on its own, and integrated maps its (k, e) to
-    its states' AxisSectors.coordinates.
+def propagate_axis_modes(op: CollisionOperator, eps_list, s, g, times) -> list:
+    """The sector coordinates of the axis modes at each eps of eps_list on each
+    shell s[k] e1, g the AxisSectors.coordinates of the shells' data (row k
+    shell k's): each sector block where some shell has data is one stack,
+    decomposed by one eig (_eig_coordinates), and no other is formed.
+    Embedded as by propagate_kinetic, coords[m][j][k, e] gives
+    propagate_kinetic(mode_operator(op, eps_list[e], s[k]), f0[k],
+    times).states bit for bit if row k of g has the bits of f0[k]'s own
+    coordinates, whichever path each block of the member took.
     """
     s = np.array([axis_wavenumber(sk) for sk in s])[:, None]  # as mode_operator parses them
     times = _checked_times(times)
     y = s * np.array(eps_list, dtype=float)
     blocks = axis_eigen_blocks(op, y, s, [any(x.any() for x in xs) for xs in g])
-    coords, ode = _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,
-                                   np.array([eps ** 2 for eps in eps_list]))
-    integrated = {}
-    for k, e in np.argwhere(np.broadcast_to(ode, y.shape)).tolist():
-        mode = mode_operator(op, float(eps_list[e]), np.array([s[k, 0], 0.0, 0.0]))
-        integrated[k, e] = op.basis.axis_sectors.coordinates(_ode_states(mode, f0[k], times))
-    return coords, integrated
+    return _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,
+                            np.array([eps ** 2 for eps in eps_list]))[0]
 
 
 def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,

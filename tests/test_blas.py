@@ -145,41 +145,40 @@ def test_hard_sphere_artifacts_do_not_depend_on_blas_threads(tmp_path):
     assert runs[0] == runs[1]
 
 
-ODE_THREADS = """
+REFUSED_JOB = """
 import sys
 import numpy as np
 from vpb_spectral import build_basis, semigroup
-from vpb_spectral.blas import loaded_openblas, one_blas_thread
+from vpb_spectral.blas import loaded_openblas
+from vpb_spectral.cli import main
 from vpb_spectral.collision import synthetic_collision
 from vpb_spectral.mode_operator import mode_operator
 
-seen = []
-
-def spy(frame, event, arg):
-    if event == "call" and frame.f_code.co_name == "rhs" and not seen:
-        seen.append([lib.get_threads() for lib in loaded_openblas()])
-
 semigroup.COND_LIMIT = 0.0
+before = len(loaded_openblas())
 mode = mode_operator(synthetic_collision(build_basis(2)), 0.2, 0.5)
-f0 = np.ones(mode.basis.dim, dtype=complex)
-with one_blas_thread():
-    sys.setprofile(spy)
-    traj = semigroup.propagate_kinetic(mode, f0, np.linspace(0.0, 1.0, 3))
-    sys.setprofile(None)
-print(traj.method, seen)
+traj = semigroup.propagate_kinetic(mode, np.ones(mode.basis.dim, dtype=complex),
+                                   np.linspace(0.0, 1.0, 3))
+rc = main(sys.argv[1:])
+print(traj.method, len(loaded_openblas()) - before,
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(rc)
 """
 
 
-@needs_openblas
-def test_ode_fallback_pins_the_openblas_scipy_loads():
-    # the block starts with numpy's OpenBLAS alone; scipy's copy is loaded
-    # by the fallback's import, at the two threads the environment asks for
+def test_refused_members_load_no_scipy(tmp_path):
+    # the block exponential runs on numpy alone: a mode and a converge job
+    # whose every member the eig path refuses load no scipy module, and so
+    # no second OpenBLAS that a one_blas_thread() block would have to pin
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("backend = synthetic\nmax_degree = 3\ns_count = 4\n"
+                   "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"
+                   "kind = generic\nsubtract_layer = true\n", encoding="utf-8")
     src = str(Path(vpb_spectral.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env = dict(os.environ, VPB_SPECTRAL_CACHE=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", ODE_THREADS], capture_output=True,
-                          text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", REFUSED_JOB, "converge", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    method, seen = proc.stdout.strip().split(" ", 1)
-    assert method == "ode"
-    assert seen == "[[1, 1]]"
+    assert proc.stdout.strip().splitlines()[-1] == "expm 0 []"

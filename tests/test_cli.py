@@ -328,7 +328,7 @@ class TestReproducibility:
         # on the benchmark's grid, profile_sigma = 0.01 underflows to exact
         # zeros on the upper shells, and one stack holds zero and nonzero
         # shells: the zero members must add exact zeros, never be refused,
-        # never be integrated, and leave the bytes of one shell per task
+        # and leave the bytes of one shell per task
         import vpb_spectral.limit_lab as limit_lab
         import vpb_spectral.semigroup as semigroup
 
@@ -342,7 +342,7 @@ class TestReproducibility:
         held = [math.exp(-s * s / 2e-4) != 0.0 for s in nodes]
         first_zero = held.index(False)
         assert first_zero % limit_lab.SHELLS_PER_STACK != 0 and not any(held[first_zero:])
-        monkeypatch.setattr(semigroup, "_ode_states", None)  # no member is integrated
+        monkeypatch.setattr(semigroup, "_expm", None)  # no member is refused
         runs = []
         for size in (1, limit_lab.SHELLS_PER_STACK):
             monkeypatch.setattr(limit_lab, "SHELLS_PER_STACK", size)
@@ -451,7 +451,7 @@ class TestEntryPoint:
         assert proc.stdout.strip().endswith(".json")
 
     def test_import_leaves_fallback_modules_out(self):
-        # scipy serves the fallback, oracle and check paths only; importing
+        # scipy serves the oracle and check paths only; importing
         # scipy.linalg and scipy.special alone costs every command about 0.4 s
         code = ("import sys, vpb_spectral.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -461,9 +461,8 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_scipy_is_imported_only_on_the_oracle_paths(self):
-        # every scipy import, at module level or local, sits directly in one
-        # of the two functions that need it: the dense-spectrum check and the
-        # ODE fallback that is also the propagation oracle
+        # every scipy import, at module level or local, sits directly in the
+        # one function that needs it, the dense-spectrum check
         def imports_scipy(node):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -473,8 +472,7 @@ class TestEntryPoint:
                 names = []
             return any(name.split(".")[0] == "scipy" for name in names)
 
-        assert _source_places(imports_scipy) == {"dispersion.dense_comparison",
-                                                 "semigroup._ode_states"}
+        assert _source_places(imports_scipy) == {"dispersion.dense_comparison"}
 
     def test_converge_leaves_numpy_ma_out(self, tmp_path):
         # np.unique imports numpy.ma on its first call; the converge time grid

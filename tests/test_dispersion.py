@@ -6,6 +6,7 @@ with it, not with each other alone.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -34,7 +35,7 @@ from vpb_spectral.dispersion import (
     solve_D0,
     solve_D1,
 )
-from vpb_spectral.errors import RegimeError
+from vpb_spectral.errors import BasisError, RegimeError
 from vpb_spectral.mode_operator import mode_operator
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, flux_vector, weighted_norm
@@ -359,6 +360,26 @@ class TestPoleSums:
             shapes.clear()
             hydrodynamic_sweep(hard_sphere_prod, modes)
             assert shapes == [(len(modes), 11, 11), (len(modes), 13, 13)]
+
+    @pytest.mark.parametrize("mode, error, match", [
+        ((0.0, 0.5), RegimeError, "outside"),
+        ((-0.1, 0.5), RegimeError, "outside"),
+        ((1.5, 0.1), RegimeError, "outside"),
+        ((math.nan, 0.5), RegimeError, "outside"),
+        ((0.1, -0.5), BasisError, "positive and finite"),
+        ((0.1, 0.0), BasisError, "nonzero"),
+        ((0.1, math.nan), BasisError, "positive and finite"),
+        ((0.1, math.inf), BasisError, "positive and finite"),
+    ], ids=["eps-zero", "eps-negative", "eps-above-one", "eps-nan", "s-negative", "s-zero",
+            "s-nan", "s-inf"])
+    def test_modes_are_parsed_as_mode_operator_parses_them(self, op_mid, mode, error, match):
+        # a zero eps gave five zero eigenvalues, a negative or large one and a
+        # negative s plausible spectra, s = 0 a ZeroDivisionError and a NaN a
+        # ValueError from the root families
+        with pytest.raises(error, match=match):
+            hydrodynamic_sweep(op_mid, [(0.1, 0.3), mode])
+        with pytest.raises(error, match=match):
+            mode_operator(op_mid, *mode)
 
     def test_empty_sweep_has_no_points(self, op_mid):
         # a sweep whose modes all lie outside the ball is empty, not an error

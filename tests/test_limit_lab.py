@@ -116,6 +116,16 @@ class TestRadialGrid:
         with pytest.raises(DataError):
             radial_grid(0.05, 0.6, 8, spacing="chebyshev")
 
+    @pytest.mark.parametrize("bounds", [(0.05, math.nan), (0.05, math.inf), (math.nan, 0.6),
+                                        (math.nan, math.nan)],
+                             ids=["nan-max", "inf-max", "nan-min", "nan-both"])
+    @pytest.mark.parametrize("spacing", ["legendre", "uniform"])
+    def test_rejects_non_finite_bounds(self, bounds, spacing):
+        # every comparison with NaN is false, and inf passes them: both gave
+        # grids of NaN or inf nodes
+        with pytest.raises(DataError, match="must be finite"):
+            radial_grid(*bounds, 8, spacing=spacing)
+
     @given(count=st.integers(2, 40), lo=st.floats(0.01, 0.5))
     def test_weight_sum_property(self, count, lo):
         g = radial_grid(lo, lo + 0.7, count)
@@ -322,17 +332,6 @@ class TestConvergenceStudy:
                                                      monkeypatch):
         # the kinetic coordinates replaced, member by member, by those of the
         # fluid states: the pipeline must assemble exactly zero errors
-        def fluid_coordinates(op, eps_list, s, f0, g, times):
-            basis = op.basis
-            rows = [[basis.axis_sectors.coordinates(st) for st in basis.embed_invariants(
-                asymptotic_coefficients(basis, sk, coeffs_small).evolve(
-                    basis, basis.macro_project(fk), times, (0, 2, 3), eps_list))]
-                for sk, fk in zip(s, f0)]
-            return [[np.array([[r[m][j] for r in shell] for shell in rows])
-                     for j in range(len(copies))]
-                    for m, copies in enumerate(rows[0][0])], {}
-
-        monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
         basis = syn_small.basis
         grid = radial_grid(0.05, 0.6, 8)
         prof = np.zeros((grid.count, basis.dim), dtype=complex)
@@ -341,6 +340,18 @@ class TestConvergenceStudy:
         for k, s in enumerate(grid.nodes):
             prof[k] = asymptotic_coefficients(basis, float(s), coeffs_small).h[2]
             states.append(project_macro(basis, prof[k], float(s)))
+        by_shell = dict(zip(grid.nodes.tolist(), prof))  # each shell's data by its s
+
+        def fluid_coordinates(op, eps_list, s, g, times):
+            rows = [[basis.axis_sectors.coordinates(st) for st in basis.embed_invariants(
+                asymptotic_coefficients(basis, sk, coeffs_small).evolve(
+                    basis, basis.macro_project(by_shell[sk]), times, (0, 2, 3), eps_list))]
+                for sk in s]
+            return [[np.array([[r[m][j] for r in shell] for shell in rows])
+                     for j in range(len(copies))]
+                    for m, copies in enumerate(rows[0][0])]
+
+        monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
         data = InitialData(kind="generic", grid=grid, basis=basis,
                            profile=prof, macro_profile=states)
         tg = layer_time_grid(0.2, 5.0, n_layer=4, n_bulk=8)
@@ -383,9 +394,9 @@ class TestConvergenceStudy:
     def test_integrated_members_take_the_same_norms(self, syn_small, gen_data, coeffs_small,
                                                     monkeypatch):
         # a COND_LIMIT between the members' worst conds sends some (shell, eps)
-        # members of one cross-shell stack to the ODE path: their errors are
-        # the slot-space norms of the integrated states, and every other
-        # member keeps its bits
+        # members of one cross-shell stack to the block exponential: their
+        # errors are the slot-space norms of propagate_kinetic's states, which
+        # take it too, and every other member keeps its bits
         basis = syn_small.basis
         ks = [4, 5, 6]
         shells, data = gen_data.grid.nodes[ks], gen_data.profile[ks]
@@ -408,8 +419,10 @@ class TestConvergenceStudy:
                 if not refused[k, e]:
                     assert np.array_equal(got[k, e], want[k, e])
                     continue
-                mode = mode_operator(syn_small, ek, np.array([sk, 0.0, 0.0]))
-                diff = semigroup._ode_states(mode, data[k], times) - fluid[e]
+                traj = propagate_kinetic(mode_operator(syn_small, ek, np.array([sk, 0.0, 0.0])),
+                                         data[k], times)
+                assert traj.method == "expm"
+                diff = traj.states - fluid[e]
                 slot = np.array([[weighted_norm(basis, d, sk),
                                   weighted_norm(basis, basis.macro_project(d), sk),
                                   np.linalg.norm(basis.micro_project(d))] for d in diff])
@@ -463,6 +476,18 @@ class TestConvergenceStudy:
         size = limit_lab.SHELLS_PER_STACK
         peak, state_bytes = self.stack_peak(max(8, size), list(range(size)))
         assert peak < size * state_bytes
+
+    def test_refused_stack_holds_no_exponential_per_time(self, monkeypatch):
+        # with every member refused, each sector block takes the block
+        # exponential one time sample at a time: a (members, T, n, n) stack of
+        # exponentials would be 22 MB here, against 1.3 MB for the eig path
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
+        calls = []
+        expm = semigroup._expm
+        monkeypatch.setattr(semigroup, "_expm", lambda x: calls.append(x.shape) or expm(x))
+        peak, _ = self.stack_peak(8, list(range(8)))
+        assert calls and all(shape[0] == 8 * len(self.EPS) for shape in calls)
+        assert peak <= 2_000_000
 
     def test_rerun_bit_identical(self, syn_small, wp_data, coeffs_small, wp_table):
         tg = layer_time_grid(max(self.EPS), 20.0)

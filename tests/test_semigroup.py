@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 import scipy.linalg
 from hypothesis import given, strategies as st
+from radau import ode_states
 
 from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
@@ -82,7 +84,17 @@ class TestPropagateKinetic:
         times = np.array([0.0, 0.002, 0.01, 0.05, 0.2])
         traj = propagate_kinetic(mode_mid, f0, times)
         assert traj.method == "eig"
-        ref = semigroup._ode_states(mode_mid, f0, times)
+        ref = ode_states(mode_mid, f0, times)
+        gap = max(mode_mid.norm(traj.states[i] - ref[i]) for i in range(times.size))
+        assert gap < 1e-7
+
+    def test_block_exponential_vs_ode_oracle(self, mode_mid, monkeypatch):
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
+        f0 = random_state(mode_mid.basis.dim)
+        times = np.array([0.0, 0.002, 0.01, 0.05, 0.2])
+        traj = propagate_kinetic(mode_mid, f0, times)
+        assert traj.method == "expm"
+        ref = ode_states(mode_mid, f0, times)
         gap = max(mode_mid.norm(traj.states[i] - ref[i]) for i in range(times.size))
         assert gap < 1e-7
 
@@ -152,11 +164,11 @@ class TestParityBlocks:
         assert sizes == [16, 12]
         assert np.all(traj.states[:, parity_blocks(mode.basis)[3]] == 0.0)
 
-    def test_tiny_cond_limit_takes_the_ode_path(self, mode_mid, monkeypatch):
+    def test_tiny_cond_limit_takes_expm(self, mode_mid, monkeypatch):
         monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
         traj = propagate_kinetic(mode_mid, random_state(mode_mid.basis.dim),
                                  [0.0, 0.01, 0.05])
-        assert traj.method == "ode"
+        assert traj.method == "expm"
 
 
 def embed(basis, coords, member, times):
@@ -184,12 +196,11 @@ def same_coordinates(got, want, member=None):
 
 
 def shells_data(basis, data):
-    """propagate_axis_modes' f0 and g for the data rows data[k], one per
-    shell; g is taken row by row, as propagate_kinetic takes it."""
-    f0 = np.asarray(data, dtype=complex)
-    rows = [basis.axis_sectors.coordinates(f) for f in f0]
-    return f0, [[np.stack([r[m][j] for r in rows]) for j in range(len(xs))]
-                for m, xs in enumerate(rows[0])]
+    """propagate_axis_modes' g for the data rows data[k], one per shell,
+    taken row by row, as propagate_kinetic takes it."""
+    rows = [basis.axis_sectors.coordinates(f) for f in np.asarray(data, dtype=complex)]
+    return [[np.stack([r[m][j] for r in rows]) for j in range(len(xs))]
+            for m, xs in enumerate(rows[0])]
 
 
 class TestStackedPropagation:
@@ -197,9 +208,9 @@ class TestStackedPropagation:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, syn_small, t):
-        f0, g = shells_data(syn_small.basis, [random_state(syn_small.basis.dim)])
+        g = shells_data(syn_small.basis, [random_state(syn_small.basis.dim)])
         with pytest.raises(ValueError, match="finite"):
-            propagate_axis_modes(syn_small, self.EPS, [0.3], f0, g, [t])
+            propagate_axis_modes(syn_small, self.EPS, [0.3], g, [t])
 
     @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4",
                                       "hard-sphere-6"])
@@ -211,9 +222,7 @@ class TestStackedPropagation:
         shells = [0.05, 0.37]
         data = [random_state(op.basis.dim, seed=11), random_state(op.basis.dim, seed=12)]
         times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
-        coords, integrated = propagate_axis_modes(op, self.EPS, shells,
-                                                  *shells_data(op.basis, data), times)
-        assert integrated == {}
+        coords = propagate_axis_modes(op, self.EPS, shells, shells_data(op.basis, data), times)
         for xs, copies in zip(coords, op.basis.axis_sectors.frames):
             for x, fr in zip(xs, copies):
                 assert x.shape == (len(shells), len(self.EPS), times.size, fr.basis.shape[1])
@@ -226,15 +235,14 @@ class TestStackedPropagation:
     def test_members_without_data_hold_exact_zeros(self, op_mid, monkeypatch):
         # a shell whose data is zero, or fills one copy of a sector whose other
         # copy holds data elsewhere, inside a stack: its members are never
-        # refused nor integrated for copies without data (their solve residual
-        # would be 0/0), and hold exact zeros there
+        # refused for copies without data (their solve residual would be 0/0),
+        # and hold exact zeros there
         basis, times = op_mid.basis, np.array([0.0, 0.002, 0.01])
         shells = [0.3, 0.4, 0.5]
         data = [random_state(basis.dim, seed=13), np.zeros(basis.dim),
                 0.7 * basis.chi(2)]  # the cos copy of sector 1 only
-        coords, integrated = propagate_axis_modes(op_mid, self.EPS, shells,
-                                                  *shells_data(basis, data), times)
-        assert integrated == {}
+        g = shells_data(basis, data)
+        coords = propagate_axis_modes(op_mid, self.EPS, shells, g, times)
         for m, xs in enumerate(coords):
             for j, x in enumerate(xs):
                 assert np.all(x[1] == 0.0)
@@ -244,11 +252,17 @@ class TestStackedPropagation:
                 want = propagate_kinetic(mode_operator(op_mid, eps, np.array([s, 0.0, 0.0])),
                                          data[k], times).states
                 assert np.array_equal(embed(basis, coords, (k, e), times), want)
-        # with every cond refused, only the members with data are integrated
+        # with every cond refused, only the members with data are refused,
+        # and the others still hold exact zeros
         monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
-        _, integrated = propagate_axis_modes(op_mid, self.EPS[:2], shells,
-                                             *shells_data(basis, data), times)
-        assert sorted(integrated) == [(k, e) for k in (0, 2) for e in range(2)]
+        s = np.array(shells)[:, None]
+        blocks = axis_eigen_blocks(op_mid, s * np.array(self.EPS[:2]), s,
+                                   [any(x.any() for x in xs) for xs in g])
+        coords, refused = semigroup._eig_coordinates(
+            blocks, [[x[:, None] for x in xs] for xs in g], times,
+            np.array([eps ** 2 for eps in self.EPS[:2]]))
+        assert np.array_equal(refused, [[True] * 2, [False] * 2, [True] * 2])
+        assert all(np.all(x[1] == 0.0) for xs in coords for x in xs if x is not None)
 
     def test_stacked_block_attributes_are_the_members(self, axis_operators):
         op = axis_operators["hard-sphere-4"]
@@ -272,46 +286,50 @@ class TestStackedPropagation:
         assert blocks[0].matrix.shape[0] == 2
 
     def test_one_singular_member_is_integrated_alone(self, op_mid, monkeypatch):
+        # the singular member is refused in that block alone: there it takes
+        # the block exponential, as propagate_kinetic does, and elsewhere, as
+        # every other member everywhere, its eigen-expansion
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=5)
         shell = shells_data(op_mid.basis, [f0])
-        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
+        want = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         eig = np.linalg.eig
 
         def spoiled(a):
+            # member (0, 1) of a stack, and the one mode's own blocks, exactly
+            # singular: the stacked inv fails
             vals, vecs = eig(a)
-            if a.ndim == 4 and a.shape[-1] > 1:
+            if a.shape[-1] > 1:
                 vecs = np.array(vecs)
-                vecs[0, 1][:, 0] = 0.0  # exactly singular: the stacked inv fails
+                vecs[(0, 1) if a.ndim == 4 else ()][:, 0] = 0.0
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", spoiled)
-        got, integrated = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
+        got = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         mode = mode_operator(op_mid, self.EPS[1], np.array([s, 0.0, 0.0]))
-        assert list(integrated) == [(0, 1)]
-        same_coordinates(integrated[0, 1], op_mid.basis.axis_sectors.coordinates(
-            semigroup._ode_states(mode, f0, times)))
+        traj = propagate_kinetic(mode, f0, times)
+        assert traj.method == "expm"
+        assert np.array_equal(embed(op_mid.basis, got, (0, 1), times), traj.states)
         for e in (0, 2, 3):
             same_coordinates(got, want, (0, e))
 
-    def test_cond_limit_sends_only_its_members_to_the_ode_path(self, op_mid, monkeypatch):
+    def test_cond_limit_sends_only_its_members_to_expm(self, op_mid, monkeypatch):
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=7)
         shell = shells_data(op_mid.basis, [f0])
-        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
+        want = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         held = [True] * len(op_mid.basis.axis_sectors.frames)  # f0 fills every sector
         blocks = axis_eigen_blocks(op_mid, np.array([eps * s for eps in self.EPS]), s, held)
         worst = np.max([b.cond for b in blocks], axis=0)
         limit = np.sort(worst)[1:3].mean()
         monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
-        got, integrated = propagate_axis_modes(op_mid, self.EPS, [s], *shell, times)
-        assert sorted(integrated) == [(0, e) for e in range(len(self.EPS)) if worst[e] >= limit]
+        got = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         for e, eps in enumerate(self.EPS):
-            if worst[e] >= limit:
-                mode = mode_operator(op_mid, eps, np.array([s, 0.0, 0.0]))
-                same_coordinates(integrated[0, e], op_mid.basis.axis_sectors.coordinates(
-                    semigroup._ode_states(mode, f0, times)))
-            else:
+            traj = propagate_kinetic(mode_operator(op_mid, eps, np.array([s, 0.0, 0.0])), f0,
+                                     times)
+            assert traj.method == ("expm" if worst[e] >= limit else "eig")
+            assert np.array_equal(embed(op_mid.basis, got, (0, e), times), traj.states)
+            if worst[e] < limit:
                 same_coordinates(got, want, (0, e))
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
 
@@ -320,25 +338,25 @@ class TestStackedPropagation:
         f0 = [random_state(op_mid.basis.dim)]
         broken = broken_frames("imaginary part")
         with pytest.raises(AssemblyError, match="sector check: imaginary part"):
-            propagate_axis_modes(broken, self.EPS, [0.3], *shells_data(broken.basis, f0),
+            propagate_axis_modes(broken, self.EPS, [0.3], shells_data(broken.basis, f0),
                                  [0.0, 0.01])
         with pytest.raises(BasisError, match="nonzero"):
             propagate_axis_modes(op_mid, self.EPS, [0.3, 0.0],
-                                 *shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
+                                 shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
         for bad in (math.nan, math.inf, -0.3):
             with pytest.raises(BasisError, match="positive and finite"):
                 propagate_axis_modes(op_mid, self.EPS, [0.3, bad],
-                                     *shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
+                                     shells_data(op_mid.basis, f0 * 2), [0.0, 0.01])
 
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
         with pytest.raises(AssemblyError, match="eigendecomposition of a 9-row block failed"):
-            propagate_axis_modes(op_mid, self.EPS, [0.3], *shells_data(op_mid.basis, f0),
+            propagate_axis_modes(op_mid, self.EPS, [0.3], shells_data(op_mid.basis, f0),
                                  [0.0, 0.01])
 
-    def test_perturbed_eigenvectors_take_the_ode_path(self, op_mid, monkeypatch):
+    def test_perturbed_eigenvectors_take_expm(self, op_mid, monkeypatch):
         # vectors off by 1e-6 at cond below 100 pass COND_LIMIT by ten
         # orders; only the eigenpair residual sees them
         mode = mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0]))
@@ -350,13 +368,21 @@ class TestStackedPropagation:
             return vals, vecs + 1e-6 * rng.standard_normal(vecs.shape)
 
         monkeypatch.setattr(np.linalg, "eig", perturbed)
-        f0 = random_state(mode.basis.dim)
+        # data in the blocks of more than one row: a 1-row block's eigenvector
+        # is exact however it is scaled
+        f0 = np.zeros(mode.basis.dim, dtype=complex)
+        for b in mode.eigen_blocks():
+            for fr in b.frames if b.matrix.shape[-1] > 1 else ():
+                f0[fr.index] += fr.scale * (fr.basis @ random_state(fr.basis.shape[1]))
         times = np.array([0.0, 0.002, 0.01])
         traj = propagate_kinetic(mode, f0, times)
         assert all(b.cond < 100.0 for b in mode.eigen_blocks())
         assert max(b.residual for b in mode.eigen_blocks()) > 1e-8
-        assert traj.method == "ode"
-        assert np.array_equal(traj.states, semigroup._ode_states(mode, f0, times))
+        assert traj.method == "expm"
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)  # every block refused
+        fresh = mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0]))
+        assert np.array_equal(traj.states, propagate_kinetic(fresh, f0, times).states)
 
     def test_exact_eigenpairs_at_cond_1e11_pass_only_within_the_bound(self, monkeypatch):
         # B v = lambda v holds exactly in floating point for these pairs, and
@@ -372,11 +398,48 @@ class TestStackedPropagation:
             block = EigenBlock(mat, (frame,))
             assert 1e11 < block.cond < semigroup.COND_LIMIT and block.residual == 0.0
             g0 = np.array(g0, dtype=complex)
-            coords, ode = semigroup._eig_coordinates([block], [[g0]], times,
-                                                     np.array(1.0))
-            assert ode == refused
-            if not refused:
-                assert np.array_equal(coords[0][0][0], g0)
+            coords, bad = semigroup._eig_coordinates([block], [[g0]], times, np.array(1.0))
+            assert bad == refused
+            assert np.array_equal(coords[0][0][0], g0)  # both paths are exact at t = 0
+
+
+class TestBlockExponential:
+    """The kernel's path for a member it refuses the eig path: e^{(t/eps^2) A}
+    on the real sector block A."""
+
+    def test_near_defective_block_matches_40_digits(self):
+        # eigenvalues -1 and -1 - delta with eigenvectors (1, 0) and (1, -delta):
+        # cond_1 about 2 / delta, past COND_LIMIT.  The error grows like
+        # (t/eps^2) ||A||_1 u: 2.2e-15 at t/eps^2 = 30, 1e-14 at 120
+        delta = 1e-14
+        mat = np.array([[-1.0, 1.0], [0.0, -1.0 - delta]])
+        block = EigenBlock(mat, (Frame(np.arange(2), np.ones(2), np.eye(2)),))
+        assert block.cond >= semigroup.COND_LIMIT
+        g0 = np.array([0.3 - 0.2j, 0.7 + 0.1j])
+        times, eps2 = np.array([0.0, 0.01, 0.3, 2.0, 9.0, 30.0]), 1.0
+        coords, refused = semigroup._eig_coordinates([block], [[g0]], times, np.array(eps2))
+        assert refused
+        with mpmath.workdps(40):
+            a, g = mpmath.matrix(mat.tolist()), mpmath.matrix(g0.tolist())
+            for t, x in zip(times, coords[0][0]):
+                want = np.array((mpmath.expm(a * (mpmath.mpf(t) / eps2)) * g).tolist(),
+                                dtype=complex).ravel()
+                assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
+
+    @pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-6"])
+    def test_every_member_refused_matches_the_eig_path(self, synthetic_prod,
+                                                       hard_sphere_prod, monkeypatch, name):
+        # on the converge benchmark's time grid, where t/eps^2 reaches 3.2e4;
+        # both paths' errors grow like (t/eps^2) ||A||_1 u there
+        op = synthetic_prod if name == "synthetic-6" else hard_sphere_prod
+        shells, times = [0.05, 0.37, 0.6], layer_time_grid(0.2, 20.0, 12, 24)
+        g = shells_data(op.basis, [random_state(op.basis.dim, seed=k) for k in (21, 22, 23)])
+        want = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
+        monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
+        got = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
+        pairs = [(x, y) for xs, ys in zip(want, got) for x, y in zip(xs, ys) if x is not None]
+        gap = math.sqrt(sum(np.sum(np.abs(x - y) ** 2) for x, y in pairs))
+        assert gap <= 1e-11 * math.sqrt(sum(np.sum(np.abs(x) ** 2) for x, _ in pairs))
 
 
 class TestSplit:
