@@ -81,7 +81,11 @@ def child(tiny: bool, repeats: int) -> dict:
     import numpy as np
 
     from vpb_spectral import blas, dispersion, limit_lab
-    from vpb_spectral.collision import GammaEvaluator, assemble_collision, synthetic_collision
+    from vpb_spectral.collision import assemble_collision, synthetic_collision
+    try:
+        from vpb_spectral.oracles import GammaEvaluator
+    except ImportError:  # a tree from before the oracles module
+        from vpb_spectral.collision import GammaEvaluator
     from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_sweep
     from vpb_spectral.limit_lab import (layer_time_grid, make_initial_data, radial_grid,
                                         run_convergence_study)

@@ -10,20 +10,15 @@ import numpy as np
 
 from vpb_spectral.collision import synthetic_collision
 from vpb_spectral.limit_lab import (
-    layer_frequency,
     layer_time_grid,
     make_initial_data,
     radial_grid,
     run_convergence_study,
 )
 from vpb_spectral.mode_operator import mode_operator
-from vpb_spectral.semigroup import fit_decay, propagate_kinetic, split_S1_S2
-from vpb_spectral.transport import (
-    asymptotic_eigenvalue,
-    branch_frequency,
-    classify_strip,
-    compute_kappas,
-)
+from vpb_spectral.oracles import classify_strip, fit_decay, layer_frequency, strip_eigensystem
+from vpb_spectral.semigroup import propagate_kinetic, split_S1_S2
+from vpb_spectral.transport import asymptotic_eigenvalue, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, macro_vector, weighted_norm
 
 EPS4 = [0.2, 0.1, 0.05, 0.025]
@@ -38,7 +33,7 @@ def c3_slopes():
         lam = {}
         for eps in EPS4:
             mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
-            vals, _ = mode.strip_eigensystem()
+            vals, _ = strip_eigensystem(mode)
             pos = classify_strip(vals, eps)
             for j, i in pos.items():
                 lam.setdefault(j, []).append(complex(vals[i]))
@@ -70,7 +65,7 @@ def c6_margins():
     eps = 0.3
     mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
     vals = np.linalg.eigvals(np.asarray(mode.matrix))
-    hydro, _ = mode.strip_eigensystem()
+    hydro, _ = strip_eigensystem(mode)
     rest = [v for v in vals if min(abs(v - h) for h in hydro) > 1e-10]
     d_op = -max(v.real for v in rest)
     times = np.linspace(0.08, 0.22, 10)

@@ -15,24 +15,8 @@ sys.path.insert(0, "src")
 
 from vpb_spectral.collision import assemble_collision
 from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.oracles import classify_strip, strip_eigensystem
 from vpb_spectral.velocity_space import build_basis
-
-
-def classify(vals: np.ndarray, eps: float) -> dict:
-    """Label the five strip eigenvalues by branch index."""
-    im_tol = 0.2 * eps
-    osc = [i for i in range(5) if abs(vals[i].imag) > im_tol]
-    real = [i for i in range(5) if i not in osc]
-    assert len(osc) == 2 and len(real) == 3
-    plus = max(osc, key=lambda i: vals[i].imag)
-    minus = min(osc, key=lambda i: vals[i].imag)
-    # the shear pair is exactly degenerate; the singleton is the thermal branch
-    pairs = [(abs(vals[a] - vals[b]), a, b)
-             for k, a in enumerate(real) for b in real[k + 1:]]
-    _, sa, sb = min(pairs)
-    thermal = next(i for i in real if i not in (sa, sb))
-    return {1: vals[plus], -1: vals[minus], 0: vals[thermal],
-            2: vals[sa], 3: vals[sb]}
 
 
 def curvature(collision, s: float, j: int, eps: float = 0.04) -> float:
@@ -40,8 +24,8 @@ def curvature(collision, s: float, j: int, eps: float = 0.04) -> float:
     out = []
     for e in (eps, 0.5 * eps):
         mode = mode_operator(collision, e, np.array([s, 0.0, 0.0]))
-        vals, _ = mode.strip_eigensystem()
-        out.append(-classify(vals, e)[j].real / e**2)
+        vals, _ = strip_eigensystem(mode)
+        out.append(-vals[classify_strip(vals, e)[j]].real / e**2)
     return (4.0 * out[1] - out[0]) / 3.0
 
 

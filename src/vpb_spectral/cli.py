@@ -305,7 +305,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     def table_determinism():
         grid = radial_grid(cfg.s_min, cfg.s_max, 4, cfg.s_spacing)
         data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
-        eps3 = (list(cfg.eps_list) + [0.2, 0.1, 0.05])[:3]
+        eps3 = (list(cfg.eps_list) + [e for e in (0.2, 0.1, 0.05) if e not in cfg.eps_list])[:3]
         times = layer_time_grid(max(eps3), min(cfg.t_max, 5.0), 4, 6)
         one = run_convergence_study(op, data, eps3, times, compute_kappas(op))
         two = run_convergence_study(op, data, eps3, times, compute_kappas(op))

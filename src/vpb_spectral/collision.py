@@ -19,8 +19,8 @@ Every factor rule is also mirror-symmetric, so each coordinate reflection,
 applied to the center-of-mass and sphere nodes together, maps the grid onto
 itself, and a function of definite parity at most changes its sign.  The
 Dirichlet sums therefore run only within parity classes, and the entries
-between classes are exact zeros.  The bilinear form has no such invariance
-and runs on the full grid.
+between classes are exact zeros.  The bilinear form (oracles.GammaEvaluator,
+which no job runs) has no such invariance and runs on the full grid.
 
 The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
 which is unchanged when the particles swap, u -> -u on the sphere.  The
@@ -48,7 +48,8 @@ nodes) times the folded Gauss-Hermite rule in c3, at the nodes
 c2 = 0, v2 -> -v2 fixes c, and composed with the exchange it maps each
 sphere node u to (-u1, u2, -u3) with the same integrand, so the sphere sums
 keep one node per such pair as well.
-The bilinear form stays on the basis polynomials and the Cartesian grid.
+The bilinear form stays on the basis polynomials and the Cartesian
+center-of-mass rule.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
-from .errors import AssemblyError, BackendError, VPBError
-from .velocity_space import (Frame, VelocityBasis, _genlaguerre, _product_rule, burnett_labels,
-                             burnett_rows)
+from .errors import AssemblyError, VPBError
+from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_labels, burnett_rows
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
@@ -213,7 +213,6 @@ class _CollisionGrid:
         x, w = hermegauss(quad.n_gauss)
         w = w / np.sqrt(_TWO_PI)
         _check_mirror(x, w, "Gauss-Hermite center-of-mass")
-        self.com_nodes, self.com_w = _product_rule(x, w)
         half = quad.n_gauss // 2
         fold_w = w[half:].copy()
         fold_w[quad.n_gauss % 2:] *= 2.0  # every node but a middle one has a mirror image
@@ -380,66 +379,6 @@ def _transport_forms(blocks: list[np.ndarray], flux_norms: np.ndarray,
     return tuple(float(a * b) for a, b in zip(flux_norms, (corners[0], corners[0], corners[1])))
 
 
-class GammaEvaluator:
-    """Weak form of the symmetrized bilinear collision product.
-
-    form(f, g)[alpha] = (Gamma(f, g), phi_alpha), computed on a grid sized for
-    the degree-3N integrand so the result is exact for basis-resolved inputs.
-    The macroscopic components of the output vanish identically because the
-    invariant test functions cancel pointwise inside the collision bracket.
-    """
-
-    def __init__(self, basis: VelocityBasis, gamma: float, kernel_c: float,
-                 quad: CollisionQuadrature | None = None):
-        self.basis = basis
-        self.quad = quad if quad is not None else CollisionQuadrature.for_degree(
-            3 * basis.max_degree)
-        self.grid = _CollisionGrid(self.quad, gamma, kernel_c)
-        g = self.grid
-        n_rho = g.rho.size
-        sigma, sigma_w = g.folded_eta  # sigma runs over the same sphere rule as eta
-        # sigma-reduced post-collisional sums b[alpha, (com, rho)], exchange-folded
-        self._b_primed = np.zeros((basis.dim, g.com_nodes.shape[0] * n_rho))
-        for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * sigma.shape[0]):
-            vp, vps = _pair_points(g.com_nodes[blk], g.rho, sigma)
-            rows = basis.poly_rows(vp)
-            rows += basis.poly_rows(vps)
-            self._b_primed[:, blk.start * n_rho:blk.stop * n_rho] = (
-                rows.reshape(basis.dim, -1, sigma.shape[0]) @ sigma_w)
-        self._w_com_rho = (g.com_w[:, None] * g.rho_w[None, :]).ravel()
-
-    def form_many(self, pairs) -> np.ndarray:
-        """(Gamma(f, g), phi_alpha) for each (f, g) pair; shape (npairs, dim)."""
-        basis, g = self.basis, self.grid
-        f_mat = np.stack([np.asarray(f) for f, _ in pairs], axis=1)
-        g_mat = np.stack([np.asarray(h) for _, h in pairs], axis=1)
-        cplx = np.iscomplexobj(f_mat) or np.iscomplexobj(g_mat)
-        dtype = complex if cplx else float
-        n_rho = g.rho.size
-        n_sphere = g.eta.shape[0]
-        npairs = f_mat.shape[1]
-        term_local = np.zeros((basis.dim, npairs), dtype=dtype)
-        c_red = np.zeros((g.com_nodes.shape[0] * n_rho, npairs), dtype=dtype)
-        for blk in _chunk_blocks(g.com_nodes.shape[0], n_rho * n_sphere):
-            com = g.com_nodes[blk]
-            v, v_star = _pair_points(com, g.rho, g.eta)
-            u_vals = basis.poly_values(v)
-            us_vals = basis.poly_values(v_star)
-            w_full = _point_weights(g.com_w[blk], g.rho_w, g.eta_w)
-            x = (u_vals @ f_mat) * (us_vals @ g_mat)  # (npts, npairs)
-            term_local += (u_vals + us_vals).T @ (w_full[:, None] * x)
-            start = blk.start * n_rho
-            c_red[start:start + com.shape[0] * n_rho] = np.einsum(
-                "qsp,s->qp", x.reshape(com.shape[0] * n_rho, n_sphere, npairs), g.eta_w)
-        term_local *= float(np.sum(g.eta_w))
-        term_cross = self._b_primed @ (self._w_com_rho[:, None] * c_red)
-        out = 0.5 * g.prefactor * (term_cross - term_local)
-        return out.T
-
-    def form(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return self.form_many([(f, g)])[0]
-
-
 @dataclass(frozen=True)
 class CollisionOperator:
     """Collision operator on a velocity basis, held as its radial blocks.
@@ -471,27 +410,6 @@ class CollisionOperator:
     @cached_property
     def _spectral_gap(self) -> float:
         return _gap(_blocks(self.radial))
-
-    def micro_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs on the microscopic subspace, for one vector or a
-        stack of them as columns; every right-hand side must be microscopic.
-
-        One np.linalg.solve with the micro block of the dense matrix, the
-        reference for transport_forms; the spectral gap is checked first and
-        the solve is residual-guarded (_guarded_solve).
-        """
-        rhs = np.asarray(rhs)
-        macro = np.linalg.norm(rhs[list(self.basis.invariant_indices)], axis=0)
-        if np.any(macro > 1e-10 * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
-            raise AssemblyError("micro_solve requires a microscopic right-hand side")
-        if not self.spectral_gap() > 0:
-            raise AssemblyError("collision matrix has no spectral gap")
-        blocks = self.micro_blocks
-        g = rhs[blocks.micro]
-        x = _guarded_solve(blocks.L, g)
-        out = np.zeros(rhs.shape, dtype=x.dtype)
-        out[blocks.micro] = x
-        return out
 
     @cached_property
     def transport_forms(self) -> tuple[float, float, float]:
@@ -532,20 +450,6 @@ class CollisionOperator:
         backend, which sets how far the coupled roots can drift."""
         return max(self.transport_forms)
 
-    def gamma_form(self) -> GammaEvaluator:
-        if self.backend != "boltzmann":
-            raise BackendError(f"bilinear collision product unavailable on backend {self.backend!r}")
-        return self._gamma_evaluator
-
-    @cached_property
-    def _gamma_evaluator(self) -> GammaEvaluator:
-        return GammaEvaluator(self.basis, self.gamma, self.kernel_c)
-
-    @cached_property
-    def micro_blocks(self) -> "_MicroBlocks":
-        """Collision and streaming blocks on the micro subspace, built once."""
-        return _MicroBlocks(self)
-
     @cached_property
     def sector_blocks(self) -> "_SectorBlocks":
         """The real blocks of the axis modes in the basis's azimuthal
@@ -570,17 +474,6 @@ def _guarded_solve(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                             f"{np.max(resid):.2e}, above the bound {_MICRO_SOLVE_TOL:.0e}; "
                             "the collision matrix has no spectral gap")
     return x
-
-
-class _MicroBlocks:
-    """Collision and streaming matrices restricted to the micro slots, micro."""
-
-    def __init__(self, op: CollisionOperator):
-        basis = op.basis
-        inv = set(basis.invariant_indices)
-        self.micro = np.array([i for i in range(basis.dim) if i not in inv])
-        self.L = op.matrix[np.ix_(self.micro, self.micro)]
-        self.V = basis.v1[np.ix_(self.micro, self.micro)]
 
 
 class _SectorBlocks(NamedTuple):

@@ -2,13 +2,13 @@
 
 Eliminating the microscopic part of the eigenvalue problem at wavenumber
 s = |xi| leaves scalar conditions on the macroscopic components: a scalar
-determinant for the doubly degenerate shear family (solve_D0) and a 3x3
+determinant for the doubly degenerate shear family (_shear_det) and a 3x3
 determinant coupling density, longitudinal momentum and temperature
-(solve_D1, with the electrostatic term entering through the 1/s factor).
-Roots are tracked from their analytic eps -> 0 seeds, converted into
-eigenpairs of the full mode operator, and cross-validated against dense
-spectra.  Everything is computed on the axis xi = s e1, which carries the
-whole spectrum: the operator is rotation invariant.
+(_coupled_det, with the electrostatic term entering through the 1/s factor).
+Roots are tracked from their analytic eps -> 0 seeds and converted into
+eigenpairs of the full mode operator; the tests cross-validate them against
+dense spectra.  Everything is computed on the axis xi = s e1, which carries
+the whole spectrum: the operator is rotation invariant.
 
 Scaling conventions: the shear root variable equals the eigenvalue itself,
 lam_{2,3} = z(eps*s); the coupled-family roots are rescaled, lam_j = eps*z_j
@@ -25,9 +25,8 @@ every axis mode (eps, s) at once: each of those blocks is one stack over
 the modes, decomposed by one eig (_Family), on whose pole sums one damped
 Newton (_newton) finds every root; one guarded, stacked np.linalg.solve
 per block (_Resolvent) certifies all its roots (_certified_roots) and gives
-det_residual and the micro parts of the eigenfunctions.  The solve with
-the whole micro block (_entries) is only the reference for resolvent_entry
-and the tests.
+det_residual and the micro parts of the eigenfunctions.  No job solves with
+the whole micro block; that solve is the tests' reference.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
 from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis, weighted_norm
+from .velocity_space import Frame, VelocityBasis
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -182,34 +181,6 @@ def _pairings(sols: np.ndarray, fluxes: dict) -> dict:
     """(j, k) -> fluxes[k] . sols[:, a], column a the solution for fluxes[j]."""
     return {(j, k): complex(sols[:, a] @ fk)
             for a, j in enumerate(fluxes) for k, fk in fluxes.items()}
-
-
-def _entries(op: CollisionOperator, beta: complex, y: float,
-             derivative: bool = False) -> tuple[dict, dict | None]:
-    """All R_(jk) at one (beta, y) point, and d/dbeta when asked, through
-    solves with the whole micro block (an EigenBlock on a unit frame over
-    the micro slots): the reference the pole sums are tested against.
-    d/dbeta of the resolvent is its square, so the derivative entries solve
-    once more, with the first solutions as right-hand sides."""
-    blocks = op.micro_blocks
-    n = blocks.micro.size
-    block = EigenBlock((blocks.L.astype(complex) - 1j * y * blocks.V)[None],
-                       (Frame(blocks.micro, np.ones(n), np.eye(n)),))
-    fluxes = {j: op.basis.fluxes[j - 1] for j in FLUX_INDICES}
-    res = _Resolvent(block, [0], [beta], fluxes)
-    if not derivative:
-        return res.entries[0], None
-    again = _Resolvent(block, [0], [beta], dict(zip(fluxes, res.solutions[0].T)))
-    return res.entries[0], _pairings(again.solutions[0], fluxes)
-
-
-def resolvent_entry(op: CollisionOperator, j: int, k: int,
-                    beta: complex, y: float) -> complex:
-    """Micro-resolvent matrix element between flux vectors j and k, at
-    y = eps*s: f_k . (L - beta - i y V1)^-1 f_j."""
-    if j not in FLUX_INDICES or k not in FLUX_INDICES:
-        raise ValueError(f"resolvent entries are defined for indices {FLUX_INDICES}")
-    return _entries(op, beta, y)[0][(j, k)]
 
 
 class _Family:
@@ -390,37 +361,6 @@ def _coupled_roots(fam: _Family, eps: list, s: list,
     return roots, dets, res
 
 
-def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
-    """Root of the shear determinant; equals the shear eigenvalue itself.
-
-    _newton from 0 on pole sums (_Family), in the basin |z| <= R1_DEFAULT.
-    The root is real and even in s; it is returned only once |D| <= 1e-10
-    through one solve at the root, inside the basin and on the real axis,
-    else RegimeError.
-    """
-    w = eps * s
-    _require_regime(w)
-    if w == 0.0:
-        return 0.0j
-    return _shear_roots(_Family(op, w, 1), [eps], [s])[0][0]
-
-
-def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
-    """The three coupled-family roots, keyed by branch index -1, 0, 1.
-
-    _newton from each analytic seed eta_j on pole sums (_Family).  Each
-    root is returned only once |D| <= 1e-9 through one solve at the root,
-    it lies inside its basin and, for the thermal branch 0, on the real
-    axis, else RegimeError.  Root collision means the regime assumption
-    failed, not that the solver did.
-    """
-    _require_regime(eps * s)
-    if eps == 0.0:
-        return {j: branch_frequency(j, s) for j in (-1, 0, 1)}
-    return dict(zip((-1, 0, 1), _coupled_roots(_Family(op, eps * s, 0), [eps], [s],
-                                               op.kappa_bar)[0]))
-
-
 def limit_vectors(basis: VelocityBasis, s) -> dict:
     """Leading-order macroscopic limit vectors h_j at s e1.
 
@@ -555,100 +495,3 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
 def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
     """The five labeled branch points of one mode: hydrodynamic_sweep's stack of one."""
     return hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0]
-
-
-def dense_comparison(mode: FourierMode, points: list[BranchPoint],
-                     fraction: float = 0.3) -> dict:
-    """Match branch points against the dense spectrum of the same matrix.
-
-    Assignment is optimal (rectangular Hungarian); the report also carries
-    the largest real part outside the strip, which must stay below the
-    negative threshold for the splitting to make sense.
-    """
-    import scipy.optimize  # only this check needs it
-
-    vals = mode.eigensystem()[0]
-    gap = mode.collision.spectral_gap()
-    keep = np.where(vals.real > -fraction * gap)[0]
-    if keep.size != 5:
-        raise RegimeError(f"{keep.size} dense eigenvalues in the strip, expected 5")
-    strip = vals[keep]
-    rest = np.delete(vals, keep)
-    cost = np.abs(np.array([[p.lam for _ in strip] for p in points])
-                  - strip[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    per_branch = {points[r].branch: float(cost[r, c]) for r, c in zip(rows, cols)}
-    return {
-        "per_branch": per_branch,
-        "max_mismatch": max(per_branch.values()),
-        "max_other_real": float(rest.real.max()) if rest.size else -math.inf,
-    }
-
-
-def fd_branch_derivatives(op: CollisionOperator, s: float,
-                          h: float = 1e-3) -> dict:
-    """Finite-difference checks of the leading asymptotic derivatives.
-
-    Returns the curvature of the shear root at zero wavenumber (expected
-    -2*kappa0) and the eps-derivative of each coupled root at eps = 0
-    (expected -b_j(s)), Richardson-extrapolated central differences.
-    """
-    # five-point second derivative; the root function is even with f(0) = 0
-    curv = (32.0 * solve_D0(op, h, 1.0).real - 2.0 * solve_D0(op, 2.0 * h, 1.0).real) \
-        / (12.0 * h * h)
-    # central differences in eps at hs and hs / 2, all four modes in one stack
-    hs = h * max(s, 1e-6)
-    steps = [hs, -hs, 0.5 * hs, -0.5 * hs]
-    z = np.reshape(_coupled_roots(_Family(op, np.multiply(steps, s), 0), steps, [s] * 4,
-                                  op.kappa_bar)[0], (4, 3))
-    d1, d2 = (z[0] - z[1]) / (2.0 * hs), (z[2] - z[3]) / hs
-    return {"shear_curvature": curv,
-            "eps_slope": {j: complex(d) for j, d in zip((-1, 0, 1), (4.0 * d2 - d1) / 3.0)}}
-
-
-def eigenfunction_expansion_check(op: CollisionOperator, bp: BranchPoint,
-                                  levels: int = 4) -> dict:
-    """Convergence of one branch eigenfunction to its limit expansion.
-
-    Halves eps from the anchor point and measures, in the weighted norm,
-    the distance of the macro part from the limit vector (first order) and
-    of the micro part from its explicit leading term (second order); also
-    tracks the quadratic normalization of the macro coefficients.
-    """
-    basis = op.basis
-    s, j = bp.s, bp.branch
-    hs = limit_vectors(basis, s)
-    v1 = basis.v1
-    lead_micro = op.micro_solve(basis.micro_project(v1 @ hs[j].astype(float)))
-    i0, i1, _, _, i4 = basis.invariant_indices
-
-    eps_levels = [bp.eps / 2.0 ** k for k in range(levels)]
-    macro_res, micro_res, quad_norms = [], [], []
-    for eps_k, points in zip(eps_levels, hydrodynamic_sweep(op, [(e, s) for e in eps_levels])):
-        psi = next(p for p in points if p.branch == j).psi
-        macro = basis.macro_project(psi)
-        micro = psi - macro
-        macro_res.append(weighted_norm(basis, macro - hs[j], s))
-        micro_res.append(weighted_norm(basis, micro - 1j * eps_k * s * lead_micro, s))
-        if j in (-1, 0, 1):
-            a, b, c = psi[i0], psi[i1], psi[i4]
-            quad = a * a * (1.0 + 1.0 / (s * s)) + b * b + c * c
-        else:
-            quad = psi[basis.invariant_indices[j]] ** 2
-        quad_norms.append(complex(quad))
-
-    def fitted_slope(res: list[float]) -> float:
-        xs = np.log(eps_levels)
-        ys = np.log(np.maximum(res, 1e-300))
-        return float(np.polyfit(xs, ys, 1)[0])
-
-    return {
-        "branch": j,
-        "s": s,
-        "eps_levels": eps_levels,
-        "macro_residuals": macro_res,
-        "micro_residuals": micro_res,
-        "macro_slope": fitted_slope(macro_res),
-        "micro_slope": fitted_slope(micro_res),
-        "quad_norms": quad_norms,
-    }

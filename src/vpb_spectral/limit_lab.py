@@ -20,9 +20,9 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .dispersion import limit_vectors, shell_coefficients
-from .errors import BackendError, DataError, FitError
-from .mode_operator import check_eps, mode_operator
-from .semigroup import propagate_axis_modes, propagate_kinetic
+from .errors import DataError, FitError
+from .mode_operator import check_eps
+from .semigroup import propagate_axis_modes
 from .transport import TransportCoefficients, compute_kappas
 from .velocity_space import (
     MacroState,
@@ -195,37 +195,6 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
     bundle = shell_coefficients(basis, data.grid.nodes, coeffs)
     return basis.embed_invariants(bundle.evolve(
         basis, basis.macro_project(data.profile), [t], (-1, 1), eps)[:, 0])
-
-
-def layer_frequency(op: CollisionOperator, eps: float, s_probe: float,
-                    f0: np.ndarray | None = None) -> float:
-    """Measured angular frequency of the initial-layer oscillation.
-
-    Propagates one shell over the window T = 100*eps sampled at eps/4 and
-    locates the dominant positive-frequency peak of the parallel-momentum
-    signal, Hann-windowed with parabolic interpolation of the peak bin.
-    """
-    basis = op.basis
-    if f0 is None:
-        f0 = macro_vector(basis, 0.3, [1.0, 0.0, 0.0], -0.2).astype(complex)
-    dt = eps / 4.0
-    times = np.arange(0.0, 100.0 * eps, dt)
-    mode = mode_operator(op, eps, np.array([s_probe, 0.0, 0.0]))
-    traj = propagate_kinetic(mode, f0, times)
-    signal = traj.states[:, basis.invariant_indices[1]]
-    window = np.hanning(signal.size)
-    spectrum = np.fft.fft(signal * window)
-    freqs = np.fft.fftfreq(signal.size, d=dt)
-    pos = freqs > 0
-    mag = np.abs(spectrum[pos])
-    fpos = freqs[pos]
-    peak = int(np.argmax(mag))
-    if 0 < peak < mag.size - 1:
-        lm, l0, lp = np.log(mag[peak - 1:peak + 2])
-        shift = 0.5 * (lm - lp) / (lm - 2 * l0 + lp)
-    else:
-        shift = 0.0
-    return float(2.0 * math.pi * (fpos[peak] + shift * (fpos[1] - fpos[0])))
 
 
 def layer_time_grid(eps: float, t_max: float, n_layer: int = 12,
@@ -413,85 +382,3 @@ def eps_slope(table: ErrorTable, exponent: float) -> float:
         raise FitError("slope fit refused: need at least three eps values")
     sups = [weighted_sup(table, e, exponent) for e in eps_vals]
     return float(np.polyfit(np.log(eps_vals), np.log(sups), 1)[0])
-
-
-def layer_bump_ratio(table: ErrorTable, eps: float, t_gap: float) -> float:
-    """Largest post-gap error over the first positive-time error."""
-    cols = table.for_eps(eps)
-    pos = cols["t"] > 0.0
-    base = cols["err_Linf_P"][pos][0]
-    late = cols["err_Linf_P"][cols["t"] >= t_gap]
-    if late.size == 0 or base <= 0.0:
-        raise FitError("gap window empty or baseline error vanished")
-    return float(np.max(late) / base)
-
-
-@dataclass
-class HilbertReport:
-    """Residuals of the formal expansion check on the discretization."""
-
-    kappa0_extracted: float
-    kappa1_extracted: float
-    kappa0_reference: float
-    kappa1_reference: float
-    constraint_divergence: float
-    constraint_gradient: float
-    gamma_micro_norm: float | None
-    gamma_macro_leak: float | None
-    note: str
-
-    @property
-    def kappa_residuals(self) -> tuple[float, float]:
-        return (abs(self.kappa0_extracted - self.kappa0_reference)
-                / self.kappa0_reference,
-                abs(self.kappa1_extracted - self.kappa1_reference)
-                / self.kappa1_reference)
-
-
-def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
-                            coeffs: TransportCoefficients | None = None) -> HilbertReport:
-    """Re-derive the limit diffusion coefficients from the moment route.
-
-    The first-order micro correction is the collision solve of the streamed
-    macro state; feeding its flux back into the second-order moment
-    equations must reproduce the momentum and energy diffusion constants.
-    The quadratic collision product is evaluated at a single mode triple
-    only (spatial convolutions are out of scope here) and reported, not
-    asserted.
-    """
-    basis = op.basis
-    if coeffs is None:
-        coeffs = compute_kappas(op)
-    # first-order corrections from the micro collision solve, fed back
-    # through the streaming flux of the moment equations
-    v1 = basis.v1
-    sols = op.micro_solve(basis.fluxes[[1, 3]].T)
-    kappa0_ext = -float((v1 @ sols[:, 0]) @ basis.chi(2))
-    kappa1_ext = -float((v1 @ sols[:, 1]) @ basis.chi(4))
-
-    div = grad = 0.0
-    for k, s in enumerate(data.grid.nodes):
-        res = _well_prepared_checks(basis, data.profile[k], float(s))
-        div = max(div, res["divergence"])
-        st = data.macro_profile[k]
-        phi = st.n / (float(s) ** 2)
-        grad = max(grad, abs(float(s) * (st.n + phi
-                                         + math.sqrt(2.0 / 3.0) * st.q)))
-
-    gamma_micro = gamma_leak = None
-    note = "quadratic product evaluated at one mode triple; x-convolutions truncated"
-    try:
-        form = op.gamma_form()
-        mid = data.grid.count // 2
-        f0 = data.profile[mid]
-        out = form.form(f0, f0)
-        gamma_micro = float(np.linalg.norm(basis.micro_project(out)))
-        gamma_leak = float(np.linalg.norm(basis.macro_project(out)))
-    except BackendError:
-        note = "quadratic product unavailable on this backend"
-
-    return HilbertReport(
-        kappa0_extracted=kappa0_ext, kappa1_extracted=kappa1_ext,
-        kappa0_reference=coeffs.kappa0, kappa1_reference=coeffs.kappa1,
-        constraint_divergence=div, constraint_gradient=grad,
-        gamma_micro_norm=gamma_micro, gamma_macro_leak=gamma_leak, note=note)

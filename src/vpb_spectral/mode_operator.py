@@ -23,7 +23,9 @@ sector blocks are computed and checked once (CollisionOperator.sector_blocks,
 AssemblyError for an operator that fails the check); axis_eigen_blocks forms
 a mode's blocks from them, or one stack of blocks for axis modes at several
 eps and s, and EigenBlock decomposes each when it is first needed.  The
-dense mode matrix is only the reference the shortcuts are checked against.
+dense mode matrix is only the reference the shortcuts are checked against,
+in `check` and in the tests; the dense eigensystem assembled from the blocks
+is oracles.eigensystem, which no job runs.
 """
 from __future__ import annotations
 
@@ -206,61 +208,6 @@ class FourierMode:
         block never pays for it.
         """
         return self._blocks
-
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        dim = self.basis.dim
-        vals = np.concatenate([b.vals for b in self._blocks for _ in b.frames])
-        vecs = np.zeros((dim, vals.size), dtype=complex)
-        col = 0
-        for b in self._blocks:
-            for fr in b.frames:
-                n = b.vals.size
-                vecs[fr.index, col:col + n] = fr.scale[:, None] * (fr.basis @ b.vecs)
-                col += n
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return vals, vecs
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and right eigenvectors of the mode matrix.
-
-        Assembled from eigen_blocks(): every copy of every block embedded
-        back into the basis, each eigenvector zero outside its copy's slots.
-        Both arrays are computed once per mode, shared between callers and
-        read-only.
-        """
-        return self._eig
-
-    def strip_eigensystem(self, fraction: float = 0.3):
-        """Eigenpairs with Re above -fraction * gap: the hydrodynamic cluster.
-
-        Raises RegimeError unless exactly five eigenvalues sit in the strip,
-        which is the operational definition of being inside the regime.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise BasisError("strip fraction must lie in (0, 1)")
-        gap = self.collision.spectral_gap()
-        vals, vecs = self.eigensystem()
-        keep = np.where(vals.real > -fraction * gap)[0]
-        if keep.size != 5:
-            raise RegimeError(
-                f"{keep.size} eigenvalues above -{fraction:.2f}*gap at eps*s="
-                f"{self.eps * self.s:.4g}; mode outside the hydrodynamic regime")
-        order = np.argsort(-vals[keep].real)
-        keep = keep[order]
-        return vals[keep], vecs[:, keep]
-
-    def spectral_projector(self, vectors: np.ndarray) -> np.ndarray:
-        """Projector onto span(vectors) along the complementary invariant subspace.
-
-        Built from the conjugation-free pairing, under which eigenvectors of
-        distinct eigenvalues are orthogonal; degenerate blocks are handled by
-        inverting the pairing Gram matrix.
-        """
-        gram = vectors.T @ (self.metric @ vectors)
-        dual = np.linalg.solve(gram.T, (self.metric @ vectors).T)
-        return vectors @ dual
 
 
 def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[EigenBlock | None]:

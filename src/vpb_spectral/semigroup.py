@@ -8,22 +8,21 @@ block goes by eigen-expansion where its residuals certify it, else by its
 matrix exponential),
 its splitting into the five-branch hydrodynamic part and an exponentially
 small remainder, the fluid semigroup on the three non-oscillatory branches,
-the forced fluid mode equations solved by exact Duhamel integration of
-piecewise-linear forcing, and least-squares decay-rate fitting.
+and the forced fluid mode equations solved by exact Duhamel integration of
+piecewise-linear forcing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
     hydrodynamic_spectrum
-from .errors import DataError, FitError
+from .errors import DataError
 from .mode_operator import FourierMode, _checked_times, _norm1, axis_eigen_blocks, axis_wavenumber
 from .transport import TransportCoefficients, branch_decay
 from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
@@ -75,26 +74,6 @@ class FluidModeState:
         div = abs(xi @ self.m_hat)
         bous = abs(self.n_hat + self.n_hat / s2 + math.sqrt(2.0 / 3.0) * self.q_hat)
         return div, bous
-
-
-@dataclass
-class SpectralProjector:
-    """Rank-five projector onto the hydrodynamic eigenspace of one mode."""
-
-    xi: np.ndarray
-    eps: float
-    matrix: np.ndarray
-
-
-def hydrodynamic_projector(mode: FourierMode,
-                           points: list[BranchPoint] | None = None) -> SpectralProjector:
-    """P = sum_j psi_j (G psi_j)^T; the pairing-orthonormality of the branch
-    eigenfunctions makes this idempotent."""
-    if points is None:
-        points = hydrodynamic_spectrum(mode)
-    g = mode.metric
-    p = sum(np.outer(bp.psi, g @ bp.psi) for bp in points)
-    return SpectralProjector(xi=np.asarray(mode.xi), eps=mode.eps, matrix=p)
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
@@ -279,33 +258,6 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
                           states=states, basis=basis, method="fluid")
 
 
-def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,
-                       u0, xi, t: float) -> dict:
-    """Moment-space closed forms of the fluid semigroup and its field flux.
-
-    Independent of the eigenvector route: the thermal factor multiplies the
-    combination U0 - sqrt(3/2) U4 of the raw moments, the momentum factor
-    keeps the momentum transverse to xi = s e1, and the field flux is the
-    density component scaled by xi/|xi|^2.
-    """
-    bundle = asymptotic_coefficients(basis, xi, coeffs)
-    s = bundle.s
-    u0vec = _macro_as_vector(basis, u0)
-    idx = basis.invariant_indices
-    den = 3.0 + 5.0 * s * s
-
-    thermal_scalar = u0vec[idx[0]] - math.sqrt(1.5) * u0vec[idx[4]]
-    r0_vec = np.zeros(basis.dim, dtype=complex)
-    r0_vec[idx[0]] = 2.0 * s * s / den
-    r0_vec[idx[4]] = -math.sqrt(6.0) * (1.0 + s * s) / den
-
-    thermal = math.exp(-bundle.b[0] * t) * thermal_scalar
-    state = thermal * r0_vec
-    for i in idx[2:4]:
-        state[i] += math.exp(-bundle.b[2] * t) * u0vec[i]
-    return {"state": state, "field_flux": np.array([thermal * (2.0 * s / den), 0.0, 0.0])}
-
-
 def compatible_initial_values(n0: complex, q0: complex, s: float) -> tuple[complex, complex]:
     """Density/energy values consistent with the density-potential constraint,
     preserving the dynamically meaningful combination q - sqrt(2/3) n."""
@@ -420,50 +372,3 @@ def nspf_mode_solve(basis: VelocityBasis, coeffs: TransportCoefficients,
             phi_hat=complex(-n_traj[k] / (s * s)),
         ))
     return out
-
-
-class DecayFit(NamedTuple):
-    rate: float
-    r_squared: float
-    model: str
-    n_samples: int
-
-
-def fit_decay(trajectory, model: str = "exp", transient: float = 0.0,
-              slack: float = 0.02) -> DecayFit:
-    """Least-squares decay-rate fit in log coordinates.
-
-    model "exp" fits log v = c - r t; model "poly" fits log v = c - r log(1+t).
-    Requires at least eight samples past the transient window and a
-    monotone (within `slack` relative wiggle) positive tail.
-    """
-    if isinstance(trajectory, ModeTrajectory):
-        times, values = trajectory.times, trajectory.norm_track
-    else:
-        times, values = trajectory
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = times >= transient
-    times, values = times[keep], values[keep]
-    if times.size < 8:
-        raise FitError(f"need at least 8 samples past the transient, have {times.size}")
-    if np.any(values <= 0.0):
-        raise FitError("decay fit requires strictly positive values")
-    if np.any(np.diff(values) > slack * values[:-1]):
-        worst = float(np.max(np.diff(values) / values[:-1]))
-        raise FitError(f"tail is not monotone (relative increase {worst:.2e}); "
-                       "widen the transient window or inspect the trajectory")
-    if model == "exp":
-        xs = times
-    elif model == "poly":
-        xs = np.log1p(times)
-    else:
-        raise ValueError(f"unknown decay model {model!r}")
-    ys = np.log(values)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(rate=float(-slope), r_squared=r2, model=model,
-                    n_samples=int(times.size))

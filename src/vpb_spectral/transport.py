@@ -3,8 +3,9 @@
 The viscosity and heat-conduction constants are quadratic forms of the
 inverted collision operator on the microscopic flux vectors.  The same
 constants drive the closed-form frequency/decay asymptotics of the five
-hydrodynamic eigenvalue branches, which gives an independent cross-check:
-curvatures extracted from dense spectra must reproduce the quadratic forms.
+hydrodynamic eigenvalue branches, which gives an independent cross-check
+(run by the tests): curvatures extracted from dense spectra must reproduce
+the quadratic forms.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionOperator, assemble_collision
-from .errors import AssemblyError, BasisError, RegimeError
-from .mode_operator import mode_operator
+from .errors import AssemblyError, BasisError
 from .velocity_space import build_basis
 
 BRANCHES = (-1, 0, 1, 2, 3)
@@ -114,56 +114,3 @@ def branch_decay(j: int, s: float, coeffs: TransportCoefficients) -> float:
 def asymptotic_eigenvalue(j: int, s: float, eps: float,
                           coeffs: TransportCoefficients) -> complex:
     return eps * branch_frequency(j, s) - eps * eps * branch_decay(j, s, coeffs)
-
-
-def classify_strip(vals: np.ndarray, eps: float) -> dict[int, int]:
-    """Map branch index -> position among five strip eigenvalues.
-
-    The acoustic pair is the conjugate pair with nonzero imaginary part;
-    among the three real branches the exactly degenerate pair is shear and
-    the singleton thermal.  Degenerate shear gets indices 2, 3 arbitrarily.
-    """
-    if vals.shape != (5,):
-        raise RegimeError(f"expected five strip eigenvalues, got {vals.shape}")
-    im_tol = max(1e-12, 0.2 * eps)
-    osc = [i for i in range(5) if abs(vals[i].imag) > im_tol]
-    real = [i for i in range(5) if i not in osc]
-    if len(osc) != 2:
-        raise RegimeError("could not isolate the oscillatory pair in the strip")
-    plus = max(osc, key=lambda i: vals[i].imag)
-    minus = min(osc, key=lambda i: vals[i].imag)
-    pairs = [(abs(vals[a] - vals[b]), a, b)
-             for k, a in enumerate(real) for b in real[k + 1:]]
-    _, sa, sb = min(pairs)
-    thermal = next(i for i in real if i not in (sa, sb))
-    return {1: plus, -1: minus, 0: thermal, 2: sa, 3: sb}
-
-
-def _strip_by_branch(collision: CollisionOperator, eps: float, s: float) -> dict[int, complex]:
-    mode = mode_operator(collision, eps, np.array([s, 0.0, 0.0]))
-    vals, _ = mode.strip_eigensystem()
-    pos = classify_strip(vals, eps)
-    return {j: complex(vals[i]) for j, i in pos.items()}
-
-
-def crosscheck_b2(collision: CollisionOperator, coeffs: TransportCoefficients,
-                  s_values, eps: float = 0.05, rtol: float = 1e-3) -> dict:
-    """Branch curvatures from dense spectra vs the closed forms.
-
-    For every branch, -Re(lambda_j)/eps^2 = b_j + O(eps^2); a two-level
-    Richardson step removes the O(eps^2) term.  Purely diagnostic: returns
-    a row per (s, branch) and never raises on disagreement.
-    """
-    rows = []
-    for s in s_values:
-        lam_h = _strip_by_branch(collision, eps, s)
-        lam_l = _strip_by_branch(collision, 0.5 * eps, s)
-        for j in BRANCHES:
-            g_h = -lam_h[j].real / eps**2
-            g_l = -lam_l[j].real / (0.5 * eps) ** 2
-            measured = (4.0 * g_l - g_h) / 3.0
-            ref = branch_decay(j, s, coeffs)
-            rows.append({"s": float(s), "branch": j, "measured": measured,
-                         "closed_form": ref, "rel_err": abs(measured - ref) / abs(ref)})
-    worst = max(r["rel_err"] for r in rows)
-    return {"rows": rows, "max_rel_err": worst, "rtol": rtol, "passed": worst <= rtol}

@@ -405,6 +405,17 @@ class TestCheck:
         # the thread policy is stated once, before the steps
         assert out.splitlines()[0] == describe_policy()
 
+    @pytest.mark.parametrize("eps_list", ["0.1", "0.05, 0.2"])
+    def test_short_eps_list_sharing_the_padding_passes(self, eps_list, tmp_path, capsys):
+        # the determinism step pads eps_list to three values with 0.2, 0.1 and
+        # 0.05; a value the list already holds is not added twice
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TINY.replace("eps_list = 0.2, 0.1, 0.05", f"eps_list = {eps_list}"),
+                       encoding="utf-8")
+        code, out, _ = run_cli(["check", "--config", cfg], capsys)
+        assert "FAIL" not in out
+        assert code == 0
+
     def test_default_config_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # keep any artifact litter out of the repo
         code, out, _ = run_cli(["check"], capsys)
@@ -412,10 +423,11 @@ class TestCheck:
         assert "OK" in out.splitlines()[-1]
 
 
-def _source_places(hit) -> set:
-    """The dotted names of the functions and classes in the package whose
-    own bodies, nested definitions left out, hold a node for which hit(node)
-    is true; module-level nodes count for the module."""
+def _source_places(hit, paths=None) -> set:
+    """The dotted names of the functions and classes in the package (or in
+    the modules at paths) whose own bodies, nested definitions left out,
+    hold a node for which hit(node) is true; module-level nodes count for
+    the module."""
     places = set()
 
     def visit(node, where):
@@ -427,7 +439,7 @@ def _source_places(hit) -> set:
                 places.add(".".join(where))
             visit(child, where)
 
-    for path in sorted(Path(vpb_spectral.__file__).parent.glob("*.py")):
+    for path in sorted(paths or Path(vpb_spectral.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
     return places
 
@@ -461,8 +473,8 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_scipy_is_imported_only_on_the_oracle_paths(self):
-        # every scipy import, at module level or local, sits directly in the
-        # one function that needs it, the dense-spectrum check
+        # no scipy import, at module level or local, is left in the package:
+        # the dense-spectrum check that needed it lives with the tests
         def imports_scipy(node):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -472,7 +484,7 @@ class TestEntryPoint:
                 names = []
             return any(name.split(".")[0] == "scipy" for name in names)
 
-        assert _source_places(imports_scipy) == {"dispersion.dense_comparison"}
+        assert _source_places(imports_scipy) == set()
 
     def test_converge_leaves_numpy_ma_out(self, tmp_path):
         # np.unique imports numpy.ma on its first call; the converge time grid
@@ -532,13 +544,17 @@ class TestEntryPoint:
         assert unread == []
 
     def test_whole_micro_block_is_read_only_by_the_reference_solves(self):
-        # the whole micro block is the reference; the dispersion root solvers
-        # and eigenfunctions work on the sector blocks alone
+        # the whole micro block is the reference, kept with the tests; the
+        # package's dispersion root solvers and eigenfunctions work on the
+        # sector blocks alone
         def reads_micro_blocks(node):
-            return isinstance(node, ast.Attribute) and node.attr == "micro_blocks"
+            return (isinstance(node, ast.Attribute) and node.attr == "micro_blocks"
+                    or isinstance(node, ast.Name) and node.id == "micro_blocks")
 
-        assert _source_places(reads_micro_blocks) == {
-            "collision.CollisionOperator.micro_solve", "dispersion._entries"}
+        assert _source_places(reads_micro_blocks) == set()
+        references = Path(__file__).parent.glob("*_reference.py")
+        assert _source_places(reads_micro_blocks, references) == {
+            "collision_reference.micro_solve", "dispersion_reference._entries"}
 
     @pytest.mark.parametrize("subcommand, config", [
         ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"
@@ -547,17 +563,22 @@ class TestEntryPoint:
         ("dispersion", "backend = hard_sphere\nmax_degree = 3\ns_count = 3\n"
                        "eps_list = 0.2, 0.1\njobs = 1\n"),
         ("transport", "backend = hard_sphere\nmax_degree = 3\njobs = 1\n"),
+        ("check", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\n"
+                  "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
+        ("spectrum", "backend = synthetic\nmax_degree = 3\ns_count = 3\neps_list = 0.2, 0.1\n"),
+        ("semigroup", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\neps_list = 0.1\n"
+                      "t_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
     ])
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
-        # the jobs the benchmark times, each assembling into an empty cache,
-        # run on numpy alone
+        # every subcommand, each assembling into an empty cache, runs on numpy
+        # alone and loads none of the oracles
         cfg = tmp_path / "job.cfg"
         cfg.write_text(config, encoding="utf-8")
         env = _child_env()
         env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
         code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-                "sys.exit(rc)")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m == 'vpb_spectral.oracles')); sys.exit(rc)")
         proc = subprocess.run(
             [sys.executable, "-c", code, subcommand, "--config", str(cfg),
              "--out", str(tmp_path / "out")],

@@ -3,6 +3,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
+from collision_reference import gamma_form, micro_solve
 from hypothesis import given
 from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
     STRUCTURE_TOL,
     CollisionQuadrature,
-    GammaEvaluator,
     _add_class_products,
     _chunk_blocks,
     _CollisionGrid,
@@ -24,8 +24,10 @@ from vpb_spectral.collision import (
     synthetic_collision,
 )
 from vpb_spectral.errors import AssemblyError, VPBError
+from vpb_spectral.oracles import GammaEvaluator
 from vpb_spectral.transport import compute_kappas
-from vpb_spectral.velocity_space import VelocityBasis, _product_rule, hermite_polynomial_table
+from vpb_spectral.velocity_space import (VelocityBasis, _gauss_product_rule, _product_rule,
+                                         hermite_polynomial_table)
 
 _FOLD_TAG = "burnett-radial-blocks-v1"  # the fold tag of the cache parameters
 
@@ -142,7 +144,7 @@ def _unfolded_sums(basis, grid, unit, unit_w):
     n_rho, n_sphere = grid.rho.size, unit.shape[0]
     acc = np.zeros((basis.dim, basis.dim))
     reduced = []
-    for com, com_w in zip(grid.com_nodes, grid.com_w):
+    for com, com_w in zip(*_cartesian_com(grid)):
         shift = grid.rho[:, None, None] * unit[None, :, :]
         v = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
         v_star = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
@@ -158,7 +160,7 @@ def _unfolded_dirichlet(basis, grid, sigma):
     grid's sphere rule and the sigma sums on the rule sigma, (nodes, weights)."""
     a1, a_red = _unfolded_sums(basis, grid, grid.eta, grid.eta_w)
     a2, b_red = _unfolded_sums(basis, grid, *sigma)
-    w_com_rho = (grid.com_w[:, None] * grid.rho_w[None, :]).ravel()
+    w_com_rho = (_cartesian_com(grid)[1][:, None] * grid.rho_w[None, :]).ravel()
     cross = (a_red * w_com_rho[:, None]).T @ b_red
     mat = -(grid.prefactor / 4.0) * (np.sum(sigma[1]) * a1 + np.sum(grid.eta_w) * a2
                                      - cross - cross.T)
@@ -167,12 +169,18 @@ def _unfolded_dirichlet(basis, grid, sigma):
 
 def _unfolded_frequency(basis, grid):
     acc = np.zeros((basis.dim, basis.dim))
-    for com, com_w in zip(grid.com_nodes, grid.com_w):
+    for com, com_w in zip(*_cartesian_com(grid)):
         v = ((com + grid.rho[:, None, None] * grid.eta[None, :, :]) / np.sqrt(2.0)).reshape(-1, 3)
         u_vals = basis.poly_values(v)
         w = (com_w * grid.rho_w[:, None] * grid.eta_w[None, :]).ravel()
         acc += u_vals.T @ (w[:, None] * u_vals)
     return grid.prefactor * np.sum(grid.eta_w) * acc
+
+
+def _cartesian_com(grid):
+    """The Cartesian center-of-mass rule that the axial rule folds: the
+    n_gauss^3 Gauss-Hermite product rule for the standard normal."""
+    return _gauss_product_rule(grid.quad.n_gauss)
 
 
 def _folded_com(grid):
@@ -189,7 +197,7 @@ def _folded_com(grid):
 def _total_mass(grid):
     """The integral of 1 against the full collision measure."""
     radial = float(np.sum(grid.rho_w))
-    return (grid.prefactor * float(np.sum(grid.com_w)) * radial
+    return (grid.prefactor * float(np.sum(_cartesian_com(grid)[1])) * radial
             * float(np.sum(grid.eta_w)) ** 2)
 
 
@@ -258,11 +266,12 @@ def one_point_integrals(basis, grid, sigma, which):
     else:
         raise AssemblyError(f"unknown point label {which!r}")
     acc = np.zeros(basis.dim)
-    for blk in _chunk_blocks(grid.com_nodes.shape[0], n_rho * unit.shape[0]):
-        com = grid.com_nodes[blk]
+    com_nodes, com_w = _cartesian_com(grid)
+    for blk in _chunk_blocks(com_nodes.shape[0], n_rho * unit.shape[0]):
+        com = com_nodes[blk]
         plus, minus = _pair_points(com, grid.rho, unit)
         pts = plus if which in ("v", "v_prime") else minus
-        w_full = _point_weights(grid.com_w[blk], grid.rho_w, unit_w)
+        w_full = _point_weights(com_w[blk], grid.rho_w, unit_w)
         acc += basis.poly_values(pts).T @ w_full
     return grid.prefactor * other_total * acc
 
@@ -449,7 +458,7 @@ def test_b_primed_matches_full_sphere_reference(degree):
     ge = GammaEvaluator(basis, 1.0, 1.0)
     g = ge.grid
     ref = []
-    for com in g.com_nodes:
+    for com in ge.com_nodes:
         shift = g.rho[:, None, None] * g.eta[None, :, :]
         vp = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
         vps = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
@@ -530,7 +539,7 @@ def test_axial_com_rule(n_gauss):
     assert nodes.shape == (((n_gauss + 1) // 2) ** 2, 3)
     assert np.all(nodes[:, 1] == 0.0)
     assert np.all(nodes[:, [0, 2]] >= 0.0)
-    assert weights.sum() == pytest.approx(grid.com_w.sum(), rel=1e-14)
+    assert weights.sum() == pytest.approx(_cartesian_com(grid)[1].sum(), rel=1e-14)
     # E |c_perp|^(2a) c3^(2b) = 2^a a! (2b - 1)!! for 2a + 2b <= 2 n_gauss - 1
     for a in range(n_gauss):
         for b in range(n_gauss - a):
@@ -546,10 +555,11 @@ def test_folded_com_rule(n_gauss):
     assert nodes.shape[0] == ((n_gauss + 1) // 2) ** 3
     assert np.all(nodes >= 0.0)
     # each node stands for its 2^(nonzero coordinates) mirror images
-    assert weights.sum() == pytest.approx(grid.com_w.sum(), rel=1e-14)
+    com_nodes, com_w = _cartesian_com(grid)
+    assert weights.sum() == pytest.approx(com_w.sum(), rel=1e-14)
     for node, weight in zip(nodes, weights):
-        (full,) = np.flatnonzero(np.all(grid.com_nodes == node, axis=1))
-        assert weight == pytest.approx(grid.com_w[full] * 2 ** np.count_nonzero(node), rel=1e-14)
+        (full,) = np.flatnonzero(np.all(com_nodes == node, axis=1))
+        assert weight == pytest.approx(com_w[full] * 2 ** np.count_nonzero(node), rel=1e-14)
 
 
 def test_assembled_matrix_has_exact_class_zeros(hard_sphere_prod):
@@ -766,11 +776,11 @@ def test_unfolded_header_under_new_name_is_rebuilt(tmp_path, basis_small, monkey
 def test_micro_solve(basis_small):
     op = synthetic_collision(basis_small, nu_bar=2.0)
     rhs = basis_small.micro_project(np.arange(basis_small.dim, dtype=float))
-    x = op.micro_solve(rhs)
+    x = micro_solve(op, rhs)
     assert np.allclose(op.matrix @ x, rhs)
     assert np.allclose(x, -rhs / 2.0)
     with pytest.raises(AssemblyError):
-        op.micro_solve(basis_small.chi(0))
+        micro_solve(op, basis_small.chi(0))
 
 
 def test_synthetic_backend(basis_small):
@@ -779,7 +789,7 @@ def test_synthetic_backend(basis_small):
     for k in range(5):
         assert np.linalg.norm(op.matrix @ basis_small.chi(k)) == 0.0
     with pytest.raises(BackendError):
-        op.gamma_form()
+        gamma_form(op)
     with pytest.raises(AssemblyError):
         synthetic_collision(basis_small, nu_bar=0.0)
 
@@ -799,7 +809,7 @@ RADIAL_CASES = pytest.mark.parametrize("backend, degree", [
 def test_transport_forms_match_the_dense_micro_solve(backend, degree):
     op = _radial_operator(backend, degree)
     fluxes = op.basis.fluxes[[0, 1, 3]].T
-    ref = -np.einsum("ij,ij->j", op.micro_solve(fluxes), fluxes)
+    ref = -np.einsum("ij,ij->j", micro_solve(op, fluxes), fluxes)
     assert np.max(np.abs(np.array(op.transport_forms) - ref) / ref) <= 1e-13
 
 
@@ -825,7 +835,7 @@ def test_spectral_gap_matches_the_dense_view(backend, degree):
 @pytest.fixture(scope="module")
 def gamma_setup(basis_mid):
     op = assemble_collision(basis_mid)
-    return basis_mid, op, op.gamma_form()
+    return basis_mid, op, gamma_form(op)
 
 
 class TestGammaForm:
@@ -869,4 +879,4 @@ class TestGammaForm:
 
     def test_evaluator_is_cached(self, gamma_setup):
         _, op, ge = gamma_setup
-        assert op.gamma_form() is ge
+        assert gamma_form(op) is ge
