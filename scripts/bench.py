@@ -9,7 +9,8 @@ checkout's src, labelled "change") is timed in fresh processes:
 
 - layers, in one process per round, under one_blas_thread() as the jobs run:
   build_basis and hard-sphere assembly (into an empty cache) at degrees 6
-  and 8, the transport job's kappas_with_error at degree 6 (into an empty
+  and 8, build_basis with its Burnett frames (axis_sectors) at degree 12,
+  the transport job's kappas_with_error at degree 6 (into an empty
   cache), sector_blocks, one axis mode's eigen_blocks decomposed,
   hydrodynamic_sweep over the dispersion workload's modes, propagate_kinetic
   on one mode, propagate_axis_modes over one stack of 8 converge shells, the
@@ -107,6 +108,9 @@ def child(tiny: bool, repeats: int) -> dict:
             basis = build_basis(deg)
             out[f"assemble_hard_sphere_d{deg}"] = _median(
                 lambda _: assemble_collision(basis), repeats, empty_cache)
+        frames_deg = 3 if tiny else 12
+        out[f"basis_frames_d{frames_deg}"] = _median(
+            lambda _: build_basis(frames_deg).axis_sectors, repeats)
         out["transport_levels"] = _median(lambda _: kappas_with_error(3 if tiny else 6),
                                           repeats, empty_cache)
         hard = assemble_collision(build_basis(large))  # the cache now holds it

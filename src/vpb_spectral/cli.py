@@ -46,7 +46,8 @@ from .transport import (
     compute_kappas,
     kappas_with_error,
 )
-from .velocity_space import MacroState, build_basis, weighted_norm
+from .velocity_space import (_FRAME_TOL, _GRAM_TOL, MacroState, build_basis, quadrature_gaps,
+                             weighted_norm)
 
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
@@ -236,6 +237,14 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed)
 
+    def basis_quadrature():
+        # the dense references of the separable Gram check and the closed-form
+        # frames, on the (N+1)^3-node rule that no other subcommand evaluates
+        gram, frames = quadrature_gaps(basis)
+        assert gram <= _GRAM_TOL, f"dense Gram matrix off the identity by {gram:.2e}"
+        assert frames <= _FRAME_TOL, \
+            f"Burnett transform off its quadrature projection by {frames:.2e}"
+
     def collision_structure():
         _structural_checks(op.radial)
         assert op.spectral_gap() > 0.0, "no spectral gap"
@@ -311,6 +320,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         two = run_convergence_study(op, data, eps3, times, compute_kappas(op))
         assert np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted"
 
+    yield "basis quadrature", basis_quadrature
     yield "collision structure", collision_structure
     yield "mode dissipation", mode_dissipation
     yield "dispersion consistency", dispersion_consistency

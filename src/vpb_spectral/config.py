@@ -21,6 +21,9 @@ SCHEMA_VERSION = 1
 BACKENDS = ("synthetic", "hard_sphere")
 KINDS = ("generic", "well_prepared")
 SPACINGS = ("legendre", "uniform")
+# the largest max_degree whose jobs were measured: a synthetic converge job at
+# degree 16 peaks at 107 MB and 1.1 s on a 2-vCPU host; nothing above was run
+MAX_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,9 @@ def validate_config(cfg: ExperimentConfig, source: str = "config") -> None:
                 bad(f.name, f"non-finite value {v}")
     if cfg.max_degree < 2:
         bad("max_degree", "must be at least 2 to span the invariants")
+    if cfg.max_degree > MAX_DEGREE:
+        bad("max_degree", f"{cfg.max_degree} is above {MAX_DEGREE}, the largest degree "
+            "whose time and memory were measured")
     for name in ("gamma", "kernel_c", "nu_bar"):
         if getattr(cfg, name) <= 0:
             bad(name, "kernel parameters must be positive")

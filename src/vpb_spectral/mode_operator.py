@@ -181,16 +181,6 @@ class FourierMode:
     def pair(self, f: np.ndarray, g: np.ndarray) -> complex:
         return bilinear_pair(self.basis, f, g, self.s)
 
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.real(self.inner(f, f))))
-
-    @cached_property
-    def metric(self) -> np.ndarray:
-        g = np.eye(self.basis.dim)
-        i0 = self.basis.density_index
-        g[i0, i0] += self.s ** -2
-        return g
-
     def dissipation(self, f: np.ndarray) -> float:
         """Re (B f, f) in the mode metric; equals the collision form exactly."""
         return float(np.real(self.inner(self.matrix @ f, f)))

@@ -67,14 +67,6 @@ class FluidModeState:
     p_hat: complex
     phi_hat: complex
 
-    def constraint_residuals(self, xi: np.ndarray) -> tuple[float, float]:
-        """(incompressibility, density-potential constraint) residuals."""
-        xi = np.asarray(xi, dtype=float)
-        s2 = float(xi @ xi)
-        div = abs(xi @ self.m_hat)
-        bous = abs(self.n_hat + self.n_hat / s2 + math.sqrt(2.0 / 3.0) * self.q_hat)
-        return div, bous
-
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """e^x for a stack (R, n, n) of real matrices: scaling and squaring on the

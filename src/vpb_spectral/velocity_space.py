@@ -6,16 +6,19 @@ is the tensor product of normalized probabilists' Hermite functions, truncated
 at a total degree, with one orthogonal rotation applied inside the degree-2
 block so that the energy invariant (|v|^2 - 3) sqrt(M) / sqrt(6) is itself a
 basis element.  Every inner product of two basis functions integrates a
-polynomial of degree <= 2N against the Gaussian, so the (N+1)^3-node
-Gauss-Hermite product rule (VelocityBasis.exact_rule) computes all of them
-exactly; it is the basis's only quadrature rule.
+polynomial of degree <= 2N against the Gaussian, one factor of degree <= 2N
+per coordinate, so the Gram matrix is the product of three 1-d Gram matrices
+on the (N+1)-node Gauss-Hermite rule, which build_basis checks.  The
+(N+1)^3-node product rule (VelocityBasis.exact_rule) computes the same
+integrals point by point; only coeffs_from_callable, the dense references of
+the check subcommand (quadrature_gaps) and the tests evaluate the basis on it.
 
 The real Burnett functions about e1 split the basis into azimuthal sectors
 (AxisSectors): rotations about e1 act on sector m as rotations by m times
 the angle, and every rotation-invariant operator, such as the linearized
 collision operator, is a direct sum of radial blocks on them.  One set of
-frames, built once per basis, serves both the axis modes and the dense
-matrix of such an operator.
+frames, built once per basis in closed form, serves both the axis modes and
+the dense matrix of such an operator.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cac
 _PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
 _GRAM_TOL = 1e-10  # largest entry of the quadrature Gram matrix minus the identity
 _ORTHO_TOL = 1e-12  # largest entry of T T^T minus the identity, T a class of Burnett frames
+_FRAME_TOL = 1e-13  # largest gap between the closed-form transform and its quadrature projection
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -50,6 +54,14 @@ def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
         block.sort()
         out.extend(block)
     return out
+
+
+def _slot_of(alpha: np.ndarray) -> np.ndarray:
+    """The slot of each multi-index row of alpha in _multi_indices order: the
+    slots of lower total degree d, then a1 (2d + 3 - a1) / 2 + a2 within d."""
+    d = alpha.sum(axis=-1)
+    return d * (d + 1) * (d + 2) // 6 + alpha[..., 0] * (2 * d + 3 - alpha[..., 0]) // 2 \
+        + alpha[..., 1]
 
 
 def hermite_polynomial_table(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -135,6 +147,72 @@ def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _burnett_coefficients(basis: VelocityBasis, labels: np.ndarray) -> np.ndarray:
+    """The coefficients of the real Burnett functions labels about e1 on the
+    basis slots, one row each, in closed form (no quadrature).
+
+    He_alpha is the Wick-ordered monomial :v^alpha:, and a polynomial of
+    degree k orthogonal to every lower degree is fixed by its degree-k part,
+    so phi_nlm is (-1)^n times a positive multiple of :|v|^2n Q_l^m A_m:
+    (burnett_rows, axis along v1).  Its coefficient on the unit slot alpha is
+    therefore proportional to (-1)^n sqrt(alpha!) times the coefficient of
+    v^alpha in |v|^2n Q_l^m A_m.  The polynomials are monomial-coefficient
+    vectors on the slots, and burnett_rows' recurrence runs on Q_l^m A_m
+    itself, from (2m - 1)!! A_m, so multiplying by v1 or |v|^2 only moves
+    coefficients between slots.  The rows are normalized and the energy
+    rotation is applied on the pure-square columns.  Every row is an exact
+    zero outside its total degree 2n + l and its reflection class.
+    """
+    top, dim = basis.max_degree, basis.dim
+    alpha = np.array(basis.multi_indices)
+    # down[k, j]: the slot of alpha_j - e_k, or dim, a zero column, if alpha_jk = 0
+    down = np.full((3, dim + 1), dim)
+    for k in range(3):
+        has = alpha[:, k] > 0
+        down[k, :dim][has] = _slot_of(alpha[has] - np.eye(3, dtype=int)[k])
+    down2 = [d[d] for d in down]
+
+    def r2(c):
+        return c[:, down2[0]] + c[:, down2[1]] + c[:, down2[2]]
+
+    # rows in the order m = 0, 1, -1, 2, -2, ... (m < 0 for sin): (2|m| - 1)!! times
+    # Re or Im (v2 + i v3)^|m|, the coefficient of v2^(|m|-b) v3^b being binom(|m|, b) i^b
+    r = np.arange(2 * top + 1)
+    m = (r + 1) // 2
+    sign = np.where((r > 0) & (r % 2 == 0), -1, 1)
+    am, b = np.tril_indices(top + 1)
+    cur = np.zeros((r.size, dim + 1))
+    cur[np.maximum(2 * am - 1 + b % 2, 0), _slot_of(np.stack([0 * b, am - b, b], axis=-1))] = [
+        math.prod(range(1, 2 * i, 2)) * math.comb(i, k) * (-1) ** (k // 2)
+        for i, k in zip(am.tolist(), b.tolist())]
+    prev = np.zeros_like(cur)
+    # Q_l^m A_m for l = |m| + j, |m| <= top - j, from (l - m + 1) Q_(l+1)^m
+    # = (2l + 1) v1 Q_l^m - (l + m) |v|^2 Q_(l-1)^m
+    solid, l, signed = [], [], []
+    for j in range(top + 1):
+        live = 2 * (top - j) + 1
+        cur, prev, mj = cur[:live], prev[:live], m[:live, None]
+        solid.append(cur)
+        l.append(m[:live] + j)
+        signed.append(sign[:live] * m[:live])
+        cur, prev = ((2 * (mj + j) + 1) * cur[:, down[0]] - (2 * mj + j) * r2(prev)) / (j + 1), cur
+    stack, l, signed = (np.concatenate(x) for x in (solid, l, signed))
+    row_of = np.zeros((top // 2 + 1, top + 1, 2 * top + 1), dtype=int)
+    row_of[labels[:, 0], labels[:, 1], labels[:, 2] + top] = np.arange(len(labels))
+    out = np.zeros((len(labels), dim))
+    for n in range(top // 2 + 1):  # |v|^2n Q_l^m A_m, 2n + l <= top
+        held = l + 2 * n <= top
+        stack, l, signed = stack[held], l[held], signed[held]
+        out[row_of[n, l, signed + top]] = stack[:, :dim]
+        stack = r2(stack)
+    root_fact = np.sqrt([math.factorial(a) for a in range(top + 1)])
+    out *= root_fact[alpha].prod(axis=1)
+    out *= (np.where(labels[:, 0] % 2 == 1, -1.0, 1.0) / np.linalg.norm(out, axis=1))[:, None]
+    cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
+    out[:, cols] = out[:, cols] @ basis.rotation[np.ix_(cols, cols)]
+    return out
+
+
 def _product_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product rule on R^3 from one 1-d rule."""
     nodes = np.stack([a.ravel() for a in np.meshgrid(x, x, x, indexing="ij")], axis=-1)
@@ -142,20 +220,40 @@ def _product_rule(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n^3-node Gauss-Hermite product rule for the N(0, I3) measure:
-    nodes (n^3, 3) and weights (n^3,).  BasisError if the 1-d rule has a
-    non-positive weight or a non-finite node."""
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule for the N(0, 1) measure.  BasisError if
+    it has a non-positive weight or a non-finite node."""
     x, w = hermegauss(n)
     if not np.all(w > 0) or not np.all(np.isfinite(x)):
         raise BasisError("degenerate 1-d quadrature rule (non-positive weight)")
-    return _product_rule(x, w / np.sqrt(_TWO_PI))  # weights for the standard normal measure
+    return x, w / np.sqrt(_TWO_PI)  # weights for the standard normal measure
+
+
+def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n^3-node Gauss-Hermite product rule for the N(0, I3) measure:
+    nodes (n^3, 3) and weights (n^3,)."""
+    return _product_rule(*_gauss_rule(n))
 
 
 def _gram_deviation(rows: np.ndarray, weights: np.ndarray) -> float:
     """max |P W P^T - I| for basis rows P, (dim, npts), on a rule with weights W."""
     gram = rows @ (weights[:, None] * rows.T)
     return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
+
+
+def _separable_gram(basis: VelocityBasis) -> np.ndarray:
+    """The basis Gram matrix on the (N+1)^3-node product rule, from its tensor
+    structure: G[a, b] = G1[a1, b1] G1[a2, b2] G1[a3, b3], G1 the Gram
+    matrix of the normalized Hermite polynomials on the (N+1)-node rule, with
+    the pure-square rows and columns rotated as the basis is."""
+    x, w = _gauss_rule(basis.max_degree + 1)
+    table = hermite_polynomial_table(basis.max_degree, x)
+    g1 = (table * w) @ table.T
+    alpha = np.array(basis.multi_indices)
+    gram = g1[alpha[:, 0]][:, alpha[:, 0]]
+    for k in (1, 2):
+        gram *= g1[alpha[:, k]][:, alpha[:, k]]
+    return _rotate_pure_squares(basis, gram)
 
 
 def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
@@ -328,8 +426,10 @@ class VelocityBasis:
     @cached_property
     def exact_rule(self) -> ExactRule:
         """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
-        exact for every degree-2N product of two basis functions: the Gram
-        check, the Burnett transform and coeffs_from_callable read it."""
+        exact for every degree-2N product of two basis functions.  Of the
+        subcommands only check evaluates it, through quadrature_gaps, the
+        dense references of the Gram check and the Burnett transform;
+        coeffs_from_callable and the tests read it too."""
         nodes, weights = _gauss_product_rule(self.max_degree + 1)
         rule = ExactRule(nodes, weights, self.poly_rows(nodes))
         for arr in rule:
@@ -347,8 +447,7 @@ class VelocityBasis:
     @cached_property
     def axis_sectors(self) -> AxisSectors:
         """The azimuthal sectors about e1, from the real Burnett functions
-        about e1 on the smallest Gauss-Hermite product rule exact for their
-        degree-2N products (exact_rule, (N+1)^3 nodes).
+        about e1 in closed form (_burnett_coefficients); no quadrature.
 
         Each (a1, a2, a3 mod 2) reflection class must hold as many Burnett
         functions as basis slots, and once the invariants are set as exact
@@ -356,23 +455,18 @@ class VelocityBasis:
         _ORTHO_TOL, which the dense collision matrix and the sector blocks
         rely on; AssemblyError names a failed check.
         """
-        rule = self.exact_rule
         labels = burnett_labels(self.max_degree)
-        # burnett_rows takes its axis along its third coordinate: put v1 there
-        phi = burnett_rows(rule.nodes[:, [1, 2, 0]], labels)
-        phi *= rule.weights
         label_class = _burnett_class(labels)
         alpha = np.array(self.multi_indices) % 2
         slot_class = alpha @ np.array([4, 2, 1])
         classes = [(np.flatnonzero(slot_class == c), np.flatnonzero(label_class == c))
                    for c in range(8)]
-        coef = np.zeros((self.dim, self.dim))  # coef[k]: phi_labels[k] on the basis
         for c, (slots, rows) in enumerate(classes):
             if slots.size != rows.size:
                 raise AssemblyError(f"Burnett transform fails the orthogonality check: "
                                     f"reflection class {c} holds {slots.size} basis slots "
                                     f"but {rows.size} Burnett functions")
-            coef[np.ix_(rows, slots)] = phi[rows] @ rule.poly[slots].T
+        coef = _burnett_coefficients(self, labels)  # coef[k]: phi_labels[k] on the basis
         # chi0, chi1, chi4 | chi2 | chi3 are phi_000, phi_010, -phi_100 | phi_0,1,+1 | phi_0,1,-1
         row_of = {tuple(a): k for k, a in enumerate(labels.tolist())}
         front = [row_of[a] for a in ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1))]
@@ -465,11 +559,11 @@ class MacroState:
 
 
 def build_basis(max_degree: int) -> VelocityBasis:
-    """Construct the truncated Hermite basis and check it on its quadrature.
+    """Construct the truncated Hermite basis and check its Gram matrix.
 
     Construction fails if the quadrature is degenerate or if the Gram matrix
-    on exact_rule, the (max_degree+1)^3 rule that makes it exact, misses
-    _GRAM_TOL.
+    on the (max_degree+1)^3 rule that makes it exact, formed from its tensor
+    structure (_separable_gram), misses _GRAM_TOL.
     """
     if max_degree < 2:
         raise BasisError("max_degree must be >= 2 so all five invariants are in the span")
@@ -489,12 +583,28 @@ def build_basis(max_degree: int) -> VelocityBasis:
         rotation=_energy_rotation(indices),
     )
     basis.rotation.setflags(write=False)
-    rule = basis.exact_rule
-    err = _gram_deviation(rule.poly, rule.weights)
+    gram = _separable_gram(basis)
+    gram[np.diag_indices(basis.dim)] -= 1.0
+    err = float(np.max(np.abs(gram)))
     if not err <= _GRAM_TOL:
         raise BasisError(f"quadrature Gram check failed on the {max_degree + 1}^3-node rule: "
                          f"max deviation {err:.3e} > {_GRAM_TOL:.1e}")
     return basis
+
+
+def quadrature_gaps(basis: VelocityBasis) -> tuple[float, float]:
+    """The dense references of build_basis and axis_sectors on exact_rule:
+    the largest entry of its Gram matrix minus the identity, and the largest
+    gap between the Burnett transform, signs and labels included, and the
+    Burnett functions projected on the rule over every slot."""
+    rule = basis.exact_rule
+    gram = _gram_deviation(rule.poly, rule.weights)
+    sectors = basis.axis_sectors
+    # burnett_rows takes its axis along its third coordinate: put v1 there
+    phi = burnett_rows(rule.nodes[:, [1, 2, 0]], sectors.labels)
+    projected = (phi * rule.weights) @ rule.poly.T
+    frames = float(np.max(np.abs(projected - (sectors.transform * sectors.signs).T)))
+    return gram, frames
 
 
 def evaluate(basis: VelocityBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -15,9 +15,31 @@ import numpy as np
 
 from vpb_spectral.dispersion import BranchPoint, asymptotic_coefficients, hydrodynamic_spectrum
 from vpb_spectral.mode_operator import FourierMode
-from vpb_spectral.semigroup import _macro_as_vector
+from vpb_spectral.semigroup import FluidModeState, _macro_as_vector
 from vpb_spectral.transport import TransportCoefficients
 from vpb_spectral.velocity_space import VelocityBasis
+
+
+def metric(mode: FourierMode) -> np.ndarray:
+    """The Gram matrix G of the mode's weighted inner product: (f, g) = g^H G f."""
+    g = np.eye(mode.basis.dim)
+    i0 = mode.basis.density_index
+    g[i0, i0] += mode.s ** -2
+    return g
+
+
+def mode_norm(mode: FourierMode, f: np.ndarray) -> float:
+    """The weighted norm of f in the mode's metric."""
+    return float(np.sqrt(np.real(mode.inner(f, f))))
+
+
+def constraint_residuals(state: FluidModeState, xi: np.ndarray) -> tuple[float, float]:
+    """(incompressibility, density-potential constraint) residuals of a fluid state."""
+    xi = np.asarray(xi, dtype=float)
+    s2 = float(xi @ xi)
+    div = abs(xi @ state.m_hat)
+    bous = abs(state.n_hat + state.n_hat / s2 + math.sqrt(2.0 / 3.0) * state.q_hat)
+    return div, bous
 
 
 @dataclass
@@ -35,7 +57,7 @@ def hydrodynamic_projector(mode: FourierMode,
     eigenfunctions makes this idempotent."""
     if points is None:
         points = hydrodynamic_spectrum(mode)
-    g = mode.metric
+    g = metric(mode)
     p = sum(np.outer(bp.psi, g @ bp.psi) for bp in points)
     return SpectralProjector(xi=np.asarray(mode.xi), eps=mode.eps, matrix=p)
 
@@ -47,8 +69,9 @@ def spectral_projector(mode: FourierMode, vectors: np.ndarray) -> np.ndarray:
     distinct eigenvalues are orthogonal; degenerate blocks are handled by
     inverting the pairing Gram matrix.
     """
-    gram = vectors.T @ (mode.metric @ vectors)
-    dual = np.linalg.solve(gram.T, (mode.metric @ vectors).T)
+    g = metric(mode)
+    gram = vectors.T @ (g @ vectors)
+    dual = np.linalg.solve(gram.T, (g @ vectors).T)
     return vectors @ dual
 
 

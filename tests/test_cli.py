@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, artifact naming, reproducibility."""
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vpb_spectral
@@ -74,6 +76,16 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
         assert "(0, 1)" in err  # the constraint users trip over most
+
+    def test_max_degree_above_the_bound_is_two(self, tmp_path, capsys):
+        # refused before any basis is built
+        big = tmp_path / "big.cfg"
+        big.write_text("backend = synthetic\nmax_degree = 17\n", encoding="utf-8")
+        code, out, err = run_cli(["converge", "--config", big, "--out", tmp_path / "out"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and "field 'max_degree': 17 is above 16" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_cites_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -400,10 +412,39 @@ class TestCheck:
         assert elapsed < 60.0
         assert "FAIL" not in out
         assert len([line for line in out.splitlines()
-                    if line.startswith("PASS ")]) == 8
+                    if line.startswith("PASS ")]) == 9
         assert out.splitlines()[-1].startswith("OK (0 failure(s)")
         # the thread policy is stated once, before the steps
         assert out.splitlines()[0] == describe_policy()
+
+    def test_sign_flipped_frame_column_fails_the_basis_step(self, tiny_cfg, capsys,
+                                                             monkeypatch):
+        # one sector-0 frame column flips its sign, in the transform and in its
+        # frame: the frames stay orthogonal and the operator's matrix and
+        # blocks keep their structure, so only the quadrature reference sees it
+        build = cli.build_operator
+
+        def planted(cfg):
+            op = build(cfg)
+            sectors = op.basis.axis_sectors
+            col = sectors.n_invariant[0]
+            t = np.array(sectors.transform)
+            t[:, col] *= -1.0
+            fr = sectors.frames[0][0]
+            flipped = np.array(fr.basis)
+            flipped[:, col] *= -1.0
+            frames = ((fr._replace(basis=flipped),),) + sectors.frames[1:]
+            vars(op.basis)["axis_sectors"] = dataclasses.replace(sectors, transform=t,
+                                                                 frames=frames)
+            return op
+
+        monkeypatch.setattr(cli, "build_operator", planted)
+        code, out, _ = run_cli(["check", "--config", tiny_cfg], capsys)
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL basis quadrature: Burnett transform off its "
+                                   "quadrature projection by")
 
     @pytest.mark.parametrize("eps_list", ["0.1", "0.05, 0.2"])
     def test_short_eps_list_sharing_the_padding_passes(self, eps_list, tmp_path, capsys):

@@ -314,8 +314,7 @@ def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
     # nodes, at v and at v_star; the octant and the half sphere took 25,088
     # points, the whole grid 343 x 4 x 98 x 2.  The sums evaluate the zonal
     # Burnett functions only; the basis polynomials are not evaluated at all:
-    # the Burnett frames read the exact rule that build_basis already
-    # evaluated for its Gram check
+    # the Gram check is separable and the Burnett frames are built in closed form
     basis = build_basis(6)
     grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
     zonal, poly = [], []
@@ -417,9 +416,9 @@ def test_cross_l_zonal_entry_raises(basis_small, monkeypatch):
 
 def test_non_orthogonal_burnett_transform_raises(monkeypatch):
     monkeypatch.delenv("VPB_SPECTRAL_CACHE")
-    exact = velocity_space.burnett_rows
-    monkeypatch.setattr(velocity_space, "burnett_rows",
-                        lambda points, labels: exact(points, labels) * (1.0 + 1e-9))
+    exact = velocity_space._burnett_coefficients
+    monkeypatch.setattr(velocity_space, "_burnett_coefficients",
+                        lambda basis, labels: exact(basis, labels) * (1.0 + 1e-9))
     with pytest.raises(AssemblyError, match="Burnett transform fails the orthogonality check"):
         assemble_collision(build_basis(3)).matrix
 

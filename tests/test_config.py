@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vpb_spectral.config import (
     BACKENDS,
+    MAX_DEGREE,
     SCHEMA_VERSION,
     ExperimentConfig,
     apply_overrides,
@@ -121,6 +122,10 @@ class TestValidate:
 
     def test_max_degree(self):
         self.check_rejected("max_degree", "at least 2", max_degree=1)
+
+    def test_max_degree_above_the_measured_range(self):
+        validate_config(dataclasses.replace(ExperimentConfig(), max_degree=MAX_DEGREE))
+        self.check_rejected("max_degree", f"17 is above {MAX_DEGREE}", max_degree=MAX_DEGREE + 1)
 
     def test_eps_above_one(self):
         # the scaling parameter lives in the open unit interval; the message

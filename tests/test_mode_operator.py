@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from rotations import compose_rotation, off_axis_matrix, pushforward_from_axis, rotation_to_axis
-from semigroup_reference import spectral_projector
+from semigroup_reference import metric, mode_norm, spectral_projector
 
 from vpb_spectral import build_basis
 from vpb_spectral.collision import STRUCTURE_TOL, assemble_collision, synthetic_collision
@@ -53,8 +53,8 @@ def test_adjoint_is_reflected_mode(op4):
     # adjoint in the mode metric
     mode = mode_operator(op4, 0.1, 0.7)
     refl = np.conj(mode.matrix)
-    lhs = mode.metric @ refl
-    rhs = (mode.metric @ mode.matrix).conj().T
+    lhs = metric(mode) @ refl
+    rhs = (metric(mode) @ mode.matrix).conj().T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     assert np.max(np.abs(off_axis_matrix(op4, 0.1, [-0.7, 0.0, 0.0]) - refl)) == 0.0
 
@@ -172,7 +172,7 @@ def test_metric_matches_weighted_inner(op4):
     rng = np.random.default_rng(2)
     f = rng.standard_normal(op4.basis.dim) + 1j * rng.standard_normal(op4.basis.dim)
     g = rng.standard_normal(op4.basis.dim)
-    assert mode.inner(f, g) == pytest.approx(complex(np.conj(g) @ (mode.metric @ f)), abs=1e-12)
+    assert mode.inner(f, g) == pytest.approx(complex(np.conj(g) @ (metric(mode) @ f)), abs=1e-12)
 
 
 def _scaled(mode):
@@ -297,7 +297,8 @@ def test_negative_axis_mode_matches_its_dense_matrix(axis_operators, name):
     times = np.array([0.0, 0.01, 0.05, 0.2])
     traj = propagate_kinetic(mode, f0, times)
     exact = [scipy.linalg.expm(t / mode.eps ** 2 * np.array(mode.matrix)) @ f0 for t in times]
-    assert max(mode.norm(a - b) for a, b in zip(traj.states, exact)) <= 1e-10 * mode.norm(f0)
+    gap = max(mode_norm(mode, a - b) for a, b in zip(traj.states, exact))
+    assert gap <= 1e-10 * mode_norm(mode, f0)
 
 
 @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4"])

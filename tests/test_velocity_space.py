@@ -287,7 +287,7 @@ def _dense_burnett_transform(basis):
     return [tuple(a) for a in sectors.labels.tolist()], (sectors.transform * sectors.signs).T
 
 
-@pytest.mark.parametrize("deg", [2, 4, 6, 8])
+@pytest.mark.parametrize("deg", [2, 4, 6, 8, 10, 12])
 def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     basis = _basis(deg)
     labels, t = _dense_burnett_transform(basis)
@@ -302,7 +302,7 @@ def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     assert np.max(np.abs(full - t)) <= 1e-13
 
 
-@pytest.mark.parametrize("deg", [2, 4, 6, 8])
+@pytest.mark.parametrize("deg", [2, 4, 6, 8, 10, 12])
 def test_burnett_functions_match_closed_form(deg):
     # T^T maps each real Burnett function about e1 to basis coefficients; at
     # random points that expansion must equal an independent closed form,
@@ -349,15 +349,22 @@ def test_basis_matrix_is_the_direct_sum_of_radial_blocks(deg):
     assert np.all(mat[np.any(parity[:, None] != parity[None], axis=-1)] == 0.0)
 
 
-def _spy_poly_rows(monkeypatch):
-    """Record the point count of every VelocityBasis.poly_rows call."""
-    calls, kernel = [], VelocityBasis.poly_rows
+def _spy_rows(monkeypatch):
+    """Record the point count of every VelocityBasis.poly_rows and
+    velocity_space.burnett_rows call, by kernel."""
+    calls = {"poly_rows": [], "burnett_rows": []}
+    poly_kernel, burnett_kernel = VelocityBasis.poly_rows, velocity_space.burnett_rows
 
-    def spy(self, points, out=None):
-        calls.append(len(points))
-        return kernel(self, points, out)
+    def poly_spy(self, points, out=None):
+        calls["poly_rows"].append(len(points))
+        return poly_kernel(self, points, out)
 
-    monkeypatch.setattr(VelocityBasis, "poly_rows", spy)
+    def burnett_spy(points, labels):
+        calls["burnett_rows"].append(len(points))
+        return burnett_kernel(points, labels)
+
+    monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
+    monkeypatch.setattr(velocity_space, "burnett_rows", burnett_spy)
     return calls
 
 
@@ -373,19 +380,50 @@ def _skew_weights(monkeypatch, n_skewed):
 
 
 @pytest.mark.parametrize("deg", [4, 6, 8])
-def test_build_basis_evaluates_only_the_exact_rule(monkeypatch, deg):
-    # the Gram check reads the (N+1)^3 rule, the basis's only one
-    calls = _spy_poly_rows(monkeypatch)
-    basis = build_basis(deg)
-    assert calls == [(deg + 1) ** 3]
-    assert basis.exact_rule.poly.shape == (basis.dim, (deg + 1) ** 3)
+def test_build_basis_evaluates_no_basis_rows(monkeypatch, deg):
+    # the Gram check is separable: it evaluates the 1-d table on N + 1 nodes
+    # and neither the basis nor the Burnett functions on any 3-d rule
+    calls = _spy_rows(monkeypatch)
+    build_basis(deg)
+    assert calls == {"poly_rows": [], "burnett_rows": []}
 
 
-def test_burnett_transform_reuses_the_exact_rule(monkeypatch):
+def test_burnett_transform_evaluates_no_basis_rows(monkeypatch):
+    # the frames are built in closed form; only the dense reference of the
+    # check subcommand evaluates both kernels, once each, on the exact rule
     basis = build_basis(6)
-    calls = _spy_poly_rows(monkeypatch)
+    calls = _spy_rows(monkeypatch)
     assert basis.axis_sectors.frames
-    assert calls == []
+    assert calls == {"poly_rows": [], "burnett_rows": []}
+    velocity_space.quadrature_gaps(basis)
+    assert calls == {"poly_rows": [7 ** 3], "burnett_rows": [7 ** 3]}
+
+
+@pytest.mark.parametrize("deg", range(2, 13))
+def test_separable_gram_equals_the_dense_gram(deg):
+    basis = _basis(deg)
+    rule = basis.exact_rule
+    dense = rule.poly @ (rule.weights[:, None] * rule.poly.T)
+    assert np.max(np.abs(velocity_space._separable_gram(basis) - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("deg", [2, 3, 6, 9, 12])
+def test_burnett_transform_is_exactly_block_diagonal(deg):
+    # a Burnett function with 2n + l = k has coefficients on the degree-k
+    # slots of its own reflection class only, and exact zeros elsewhere
+    basis = _basis(deg)
+    labels, t = _dense_burnett_transform(basis)
+    labels = np.array(labels)
+    alpha = np.array(basis.multi_indices)
+    same_degree = 2 * labels[:, :1] + labels[:, 1:2] == alpha.sum(axis=1)[None, :]
+    same_class = (velocity_space._burnett_class(labels)[:, None]
+                  == ((alpha % 2) @ np.array([4, 2, 1]))[None, :])
+    assert np.all(t[~(same_degree & same_class)] == 0.0)
+
+
+def test_slot_of_inverts_the_multi_indices():
+    alpha = np.array(_basis(12).multi_indices)
+    assert np.array_equal(velocity_space._slot_of(alpha), np.arange(len(alpha)))
 
 
 def test_exact_rule_is_read_only():
