@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import (CollisionOperator, _structural_checks, assemble_collision,
-                        synthetic_collision)
+from .collision import (STRUCTURE_TOL, CollisionOperator, _structural_checks,
+                        assemble_collision, synthetic_collision)
 from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
                      validate_subcommand)
 from .blas import describe_policy, one_blas_thread
@@ -245,6 +245,15 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         assert frames <= _FRAME_TOL, \
             f"Burnett transform off its quadrature projection by {frames:.2e}"
 
+    def streaming_blocks():
+        # the dense reference of the sector streaming blocks the jobs read off the labels
+        sectors = basis.axis_sectors
+        dense = sectors.scale.conj()[:, None] * (-1j * basis.v1) * sectors.scale[None, :]
+        ratio = (np.max(np.abs(sectors.basis_matrix(op.sector_blocks.W) - dense))
+                 / np.max(np.abs(dense)))
+        assert ratio <= STRUCTURE_TOL, (f"streaming blocks off the dense conj(S) (-i V1) S by "
+                                        f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL")
+
     def collision_structure():
         _structural_checks(op.radial)
         assert op.spectral_gap() > 0.0, "no spectral gap"
@@ -321,6 +330,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         assert np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted"
 
     yield "basis quadrature", basis_quadrature
+    yield "streaming blocks", streaming_blocks
     yield "collision structure", collision_structure
     yield "mode dissipation", mode_dissipation
     yield "dispersion consistency", dispersion_consistency

@@ -74,8 +74,8 @@ _MIRROR_TOL = 1e-14     # largest mirror mismatch of a 1-d rule's nodes or weigh
 _MICRO_SOLVE_TOL = 1e-8  # relative residual allowed in a micro collision block solve
 # folds, factor rules and Burnett reduction behind cached radial blocks
 _FOLD_TAG = "burnett-radial-blocks-v1"
-# sector check: entries between azimuthal sectors and the mismatch of the two
-# copies of a sector, relative to the largest entry
+# zonal entries between different l, and the gap between the streaming blocks
+# and their dense reference in check, relative to the largest entry
 STRUCTURE_TOL = 1e-13
 _INVARIANTS = ((0, 0), (0, 1), (1, 0))  # (l, n) of density, energy and momentum
 
@@ -398,7 +398,8 @@ class CollisionOperator:
     def matrix(self) -> np.ndarray:
         """The dense Galerkin matrix in basis slot numbering, symmetrized;
         formed through basis.axis_sectors on first use, read-only."""
-        mat = self.basis.axis_sectors.basis_matrix(self.radial)
+        sectors = self.basis.axis_sectors
+        mat = sectors.basis_matrix(sectors.radial_blocks(self.radial))
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         return mat
@@ -430,12 +431,8 @@ class CollisionOperator:
         top = self.basis.max_degree
         if not 3 <= degree <= top:
             raise ValueError(f"truncation degree {degree} outside [3, {top}]")
-        k = degree // 2 + 1
-        radial = np.zeros((degree + 1, k, k))
+        _structural_checks(self.radial[:degree + 1])
         blocks = _blocks(self.radial[:degree + 1])
-        for l, block in enumerate(blocks):
-            radial[l, :len(block), :len(block)] = block
-        _structural_checks(radial)
         return _transport_forms(blocks, self._flux_norms, _gap(blocks))
 
     @property
@@ -453,8 +450,7 @@ class CollisionOperator:
     @cached_property
     def sector_blocks(self) -> "_SectorBlocks":
         """The real blocks of the axis modes in the basis's azimuthal
-        sectors, built and checked once; AssemblyError when they fail the
-        sector check."""
+        sectors, built once; AssemblyError for non-finite radial blocks."""
         return _sector_blocks(self)
 
 
@@ -481,13 +477,13 @@ class _SectorBlocks(NamedTuple):
 
     L[m] is the direct sum of the radial blocks L_l over l >= m
     (AxisSectors.radial_blocks) and W[m] the block of conj(S) (-i V1) S on
-    sector m, S the parity scale; both copies carry the same blocks, in the
-    frames of basis.axis_sectors.frames[m].  The axis mode at eps, s e1
-    is L[m] + eps s W[m] on every sector, plus the Poisson column
-    eps s W[0][:, 0] / s^2 at the density coordinate, which leads sector 0.
-    micro[m] holds the blocks without the invariant coordinates,
-    (L, W, frames): each frame is the copy's sector frame without the
-    invariant slots and columns, in basis slot numbering.
+    sector m, S the parity scale (AxisSectors.streaming_blocks, off the
+    labels); both copies carry them, in basis.axis_sectors.frames[m].  The
+    axis mode at eps, s e1 is L[m] + eps s W[m] on every sector, plus the
+    Poisson column eps s W[0][:, 0] / s^2 at the density coordinate, which
+    leads sector 0.  micro[m] holds the blocks without the invariant
+    coordinates, (L, W, frames): each frame is the copy's sector frame
+    without the invariant slots and columns, in basis slot numbering.
     """
 
     L: tuple[np.ndarray, ...]
@@ -496,48 +492,19 @@ class _SectorBlocks(NamedTuple):
 
 
 def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
-    """The operator's sector blocks: the collision blocks read off the radial
-    blocks, the streaming blocks once they pass the structure check, conj(S)
-    (-i V1) S real and in the sector frames no entry between sectors and no
-    difference between the two copies of a sector above STRUCTURE_TOL times
-    the largest entry.  A failed check raises AssemblyError naming it and its
-    ratio to STRUCTURE_TOL; non-finite entries are refused first, by name."""
+    """The operator's sector blocks, read off the radial blocks and the labels
+    with no dense streaming matrix (`check` holds W against the dense
+    conj(S) (-i V1) S); AssemblyError for non-finite radial blocks."""
     if not np.isfinite(op.radial).all():
         raise AssemblyError("collision matrix has non-finite entries; it fails the axis "
                             "sector check")
-    basis = op.basis
-    sectors = basis.axis_sectors
-    scale, t, spans = sectors.scale, sectors.transform, sectors.spans
-    scaled = scale.conj()[:, None] * (-1j * basis.v1) * scale[None, :]
-    blocks = t.T @ scaled.real @ t
-    if not np.isfinite(blocks).all():
-        raise AssemblyError("streaming matrix has non-finite entries in the sector frames; "
-                            "it fails the axis sector check")
-    cross = np.abs(blocks)
-    for copies in spans:
-        for sl in copies:
-            cross[sl, sl] = 0.0
-    copy_gap = max((np.max(np.abs(blocks[sl, sl] - blocks[c[0], c[0]]))
-                    for c in spans for sl in c[1:]), default=0.0)
-    size = np.max(np.abs(blocks))
-    for check, ratio in (
-            ("imaginary part", np.max(np.abs(scaled.imag)) / np.max(np.abs(scaled.real))),
-            ("entry between sectors", np.max(cross) / size),
-            ("cos/sin copy mismatch", copy_gap / size)):
-        if not ratio <= STRUCTURE_TOL:
-            raise AssemblyError(f"streaming matrix fails the axis sector check: {check} of "
-                                f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL, "
-                                "relative to its largest entry")
-    coll = sectors.radial_blocks(op.radial)
-    stream = tuple(np.array(blocks[c[0], c[0]]) for c in spans)
+    sectors = op.basis.axis_sectors
+    coll, stream = sectors.radial_blocks(op.radial), sectors.streaming_blocks()
     micro = []
-    for m, copies in enumerate(sectors.frames):
-        k = sectors.n_invariant[m]
-        frames = []
-        for fr in copies:
-            rows = ~np.isin(fr.index, basis.invariant_indices)
-            frames.append(Frame(fr.index[rows], fr.scale[rows], fr.basis[rows, k:]))
-        micro.append((coll[m][k:, k:], stream[m][k:, k:], tuple(frames)))
+    for lm, wm, k, copies in zip(coll, stream, sectors.n_invariant, sectors.frames):
+        rows = [~np.isin(fr.index, op.basis.invariant_indices) for fr in copies]
+        frames = [Frame(fr.index[r], fr.scale[r], fr.basis[r, k:]) for fr, r in zip(copies, rows)]
+        micro.append((lm[k:, k:], wm[k:, k:], tuple(frames)))
     for arr in (*coll, *stream, *(a for lw in micro for a in lw[:2]),
                 *(a for lw in micro for fr in lw[2] for a in fr)):
         arr.setflags(write=False)
@@ -545,17 +512,21 @@ def _sector_blocks(op: CollisionOperator) -> _SectorBlocks:
 
 
 def _structural_checks(radial: np.ndarray) -> None:
-    """Finite radial blocks, zero rows at the invariants and no positive
+    """Finite and exactly symmetric blocks (_blocks of a stack, or of its first
+    slabs for a truncation), zero rows at the invariants and no positive
     eigenvalue, relative to the largest entry; AssemblyError otherwise."""
-    if not np.isfinite(radial).all():
+    blocks = _blocks(radial)
+    if not all(np.isfinite(block).all() for block in blocks):
         raise AssemblyError("collision matrix has non-finite entries")
-    scale = max(float(np.max(np.abs(radial))), 1.0)
+    if not all(np.array_equal(block, block.T) for block in blocks):
+        raise AssemblyError("collision matrix has an asymmetric radial block")
+    scale = max(*(float(np.max(np.abs(block))) for block in blocks), 1.0)
     for l, n in _INVARIANTS:
-        resid = float(np.linalg.norm(radial[l, n]))
+        resid = float(np.linalg.norm(blocks[l][n]))
         if resid > 1e-10 * scale:
             raise AssemblyError(f"collision invariant (l, n) = ({l}, {n}) not annihilated: "
                                 f"{resid:.2e}")
-    top = max(float(np.max(np.linalg.eigvalsh(block))) for block in _blocks(radial))
+    top = max(float(np.max(np.linalg.eigvalsh(block))) for block in blocks)
     if top > 1e-10 * scale:
         raise AssemblyError(f"collision matrix not negative semidefinite: {top:.2e}")
 
@@ -571,8 +542,9 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     keyed by every assembly parameter, the reflection, exchange and axial
     folds, the source of the factor rules and the Burnett reduction included
     (_FOLD_TAG), so entries summed another way are never read, and an entry
-    of another shape is rebuilt.  Neither a hit nor a miss builds Burnett
-    frames (VelocityBasis.axis_sectors).
+    of another shape, or one that fails the checks an assembly runs
+    (_structural_checks), is rebuilt.  Neither a hit nor a miss builds
+    Burnett frames (VelocityBasis.axis_sectors).
     """
     if quad is None:
         quad = CollisionQuadrature.for_degree(2 * basis.max_degree)
@@ -587,21 +559,21 @@ def assemble_collision(basis: VelocityBasis, gamma: float = 1.0,
     }
     top = basis.max_degree
     root = _cache.cache_dir()
-    path = None
-    if root is not None:
-        path = root / f"L-{_cache.key_hash(params)}.vpbc"
-        if path.exists():
-            try:
-                header, radial = _cache.read_matrix(path)
-            except VPBError:
-                header, radial = {}, None
+    path = None if root is None else root / f"L-{_cache.key_hash(params)}.vpbc"
+    if path is not None and path.exists():
+        try:
+            header, radial = _cache.read_matrix(path)
             if header.get("params") == params and radial.shape == (top + 1, top // 2 + 1,
                                                                    top // 2 + 1):
+                _structural_checks(radial)
                 radial.setflags(write=False)
                 return CollisionOperator(basis=basis, radial=radial, backend="boltzmann",
                                          gamma=gamma, kernel_c=kernel_c)
-            warnings.warn(f"cached operator {path.name} is unreadable or does not match "
-                          "the requested assembly parameters; rebuilding", stacklevel=2)
+        except VPBError:
+            pass
+        warnings.warn(f"cached operator {path.name} is unreadable, does not match the "
+                      "requested assembly parameters or fails the collision checks; "
+                      "rebuilding", stacklevel=2)
     grid = _CollisionGrid(quad, gamma, kernel_c)
     radial = _dirichlet_matrix(basis, grid)
     _structural_checks(radial)

@@ -19,13 +19,13 @@ reflection, so in the basis's azimuthal sectors (velocity_space.AxisSectors,
 spanned by the real Burnett functions about e1), with the parity scale
 i^(a1 mod 2) folded in, it is real and block-diagonal, one block per
 azimuthal number m that both copies of the sector share.  Each operator's
-sector blocks are computed and checked once (CollisionOperator.sector_blocks,
-AssemblyError for an operator that fails the check); axis_eigen_blocks forms
-a mode's blocks from them, or one stack of blocks for axis modes at several
-eps and s, and EigenBlock decomposes each when it is first needed.  The
-dense mode matrix is only the reference the shortcuts are checked against,
-in `check` and in the tests; the dense eigensystem assembled from the blocks
-is oracles.eigensystem, which no job runs.
+sector blocks are read off its radial blocks and Burnett labels once
+(CollisionOperator.sector_blocks; `check` holds them against the dense V1);
+axis_eigen_blocks forms a mode's blocks from them, or one stack of blocks
+for axis modes at several eps and s, and EigenBlock decomposes each when it
+is first needed.  The dense mode matrix is only the reference the shortcuts
+are checked against, in `check` and in the tests; the dense eigensystem
+assembled from the blocks is oracles.eigensystem, which no job runs.
 """
 from __future__ import annotations
 
@@ -193,7 +193,7 @@ class FourierMode:
     def eigen_blocks(self) -> tuple[EigenBlock, ...]:
         """The mode's eigendecomposition, one block per azimuthal sector, in the
         order of basis.axis_sectors, formed from the operator's sector blocks
-        (AssemblyError if they fail their check).  Each block is decomposed
+        (AssemblyError for non-finite radial blocks).  Each block is decomposed
         when its vals, vecs or cond are first read, so a caller that skips a
         block never pays for it.
         """
@@ -208,8 +208,8 @@ def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[Eige
 
     Sector m holds L[m] + y W[m], and sector 0 also the Poisson column
     y W[0][:, 0] / s^2 at the density, which leads it.  The sector blocks are
-    the operator's (CollisionOperator.sector_blocks, AssemblyError if they
-    fail their check).
+    the operator's (CollisionOperator.sector_blocks, AssemblyError for
+    non-finite radial blocks).
     """
     sectors = collision.sector_blocks
     y = np.asarray(y, dtype=float)[..., None, None]

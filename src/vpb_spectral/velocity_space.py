@@ -335,27 +335,43 @@ class AxisSectors:
         g = self.transform.T @ (self.scale.conj() * f).T
         return [[g[sl].T for sl in spans] for spans in self.spans]
 
+    def _cos_copies(self):
+        """(m, n, l, the outer product of the frame signs) of each sector's
+        cos copy; the sin copy has the same n, l and signs, so the same block."""
+        for m, (sl, *_) in enumerate(self.spans):
+            n, l, signs = self.labels[sl, 0], self.labels[sl, 1], self.signs[sl]
+            yield m, n, l, np.outer(signs, signs)
+
     def radial_blocks(self, radial: np.ndarray) -> tuple[np.ndarray, ...]:
         """Sector m's block, in either copy's frame, of the rotation-invariant
         operator with radial[l, n, n'] its entry between phi_nlm and phi_n'lm
         for every m: the direct sum of radial[l] over l >= m, read off
-        exactly, with the frame columns' signs (the same in both copies)."""
+        exactly, with the frame columns' signs."""
+        return tuple(np.where(l[:, None] == l, radial[l[:, None], n[:, None], n], 0.0) * signs
+                     for _, n, l, signs in self._cos_copies())
+
+    def streaming_blocks(self) -> tuple[np.ndarray, ...]:
+        """Sector m's block, in either copy's frame, of conj(scale) (-i V1)
+        scale, read off the labels: v1 phi_nlm couples l to l +- 1 only, with
+        (phi_n',l+1,m, v1 phi_nlm) = sqrt(2) a_lm (sqrt(n + l + 3/2) [n' = n]
+        - sqrt(n) [n' = n - 1]), a_lm = sqrt(((l+1)^2 - m^2) / ((2l+1)(2l+3)));
+        the parity scale makes -i a -1 on the columns with l - m even and a
+        +1 on the rest, and the frame signs apply as in radial_blocks."""
         out = []
-        for spans in self.spans:
-            sl = spans[0]
-            n, l, sign = self.labels[sl, 0], self.labels[sl, 1], self.signs[sl]
-            block = np.where(l[:, None] == l[None, :],
-                             radial[l[:, None], n[:, None], n[None, :]], 0.0)
-            out.append(block * np.outer(sign, sign))
+        for m, n, l, signs in self._cos_copies():
+            a = np.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1) * (2 * l + 3)))
+            up = (l[:, None] == l + 1) * np.sqrt(2.0) * a * (
+                (n[:, None] == n) * np.sqrt(n + l + 1.5) - (n[:, None] == n - 1) * np.sqrt(n))
+            out.append((up + up.T) * np.where((l - m) % 2, 1.0, -1.0) * signs)
         return tuple(out)
 
-    def basis_matrix(self, radial: np.ndarray) -> np.ndarray:
-        """The matrix, in basis slot numbering, of the rotation-invariant
-        operator with radial blocks radial: each copy's radial_blocks block
-        mapped through the copy's frame.  Columns of different l have no
-        common class, so the entries between classes are exact zeros."""
+    def basis_matrix(self, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The real matrix, in basis slot numbering, with blocks[m] (from
+        radial_blocks or streaming_blocks) on both copies of sector m, mapped
+        through each copy's frame, without the parity scale.  A frame holds
+        one (a2, a3 mod 2) class, so entries between classes are exact zeros."""
         out = np.zeros((self.scale.size, self.scale.size))
-        for copies, block in zip(self.frames, self.radial_blocks(radial)):
+        for copies, block in zip(self.frames, blocks):
             for fr in copies:
                 out[np.ix_(fr.index, fr.index)] += fr.basis @ block @ fr.basis.T
         return out

@@ -412,7 +412,7 @@ class TestCheck:
         assert elapsed < 60.0
         assert "FAIL" not in out
         assert len([line for line in out.splitlines()
-                    if line.startswith("PASS ")]) == 9
+                    if line.startswith("PASS ")]) == 10
         assert out.splitlines()[-1].startswith("OK (0 failure(s)")
         # the thread policy is stated once, before the steps
         assert out.splitlines()[0] == describe_policy()
@@ -420,8 +420,10 @@ class TestCheck:
     def test_sign_flipped_frame_column_fails_the_basis_step(self, tiny_cfg, capsys,
                                                              monkeypatch):
         # one sector-0 frame column flips its sign, in the transform and in its
-        # frame: the frames stay orthogonal and the operator's matrix and
-        # blocks keep their structure, so only the quadrature reference sees it
+        # frame: the frames stay orthogonal, but the streaming blocks, read off
+        # the labels, no longer follow them, so the quadrature reference, the
+        # dense streaming reference and the certification of the branch roots
+        # against the dense mode matrix all see it
         build = cli.build_operator
 
         def planted(cfg):
@@ -442,9 +444,15 @@ class TestCheck:
         code, out, _ = run_cli(["check", "--config", tiny_cfg], capsys)
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
-        assert len(fails) == 1
+        assert [line.split(":")[0] for line in fails] == [
+            "FAIL basis quadrature", "FAIL streaming blocks", "FAIL dispersion consistency",
+            "FAIL semigroup split"]
         assert fails[0].startswith("FAIL basis quadrature: Burnett transform off its "
                                    "quadrature projection by")
+        assert "times STRUCTURE_TOL" in fails[1]
+        # both steps certify the branch roots against the dense mode matrix
+        assert all("determinant root does not match the mode operator" in line
+                   for line in fails[2:])
 
     @pytest.mark.parametrize("eps_list", ["0.1", "0.05, 0.2"])
     def test_short_eps_list_sharing_the_padding_passes(self, eps_list, tmp_path, capsys):

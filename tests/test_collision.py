@@ -302,7 +302,8 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, reference_sigma):
     grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0)
     sigma = (grid.eta, grid.eta_w) if reference_sigma == "shared" else _INDEPENDENT_SIGMA
     cross = _cross_class_mask(basis)
-    dirichlet = basis.axis_sectors.basis_matrix(_dirichlet_matrix(basis, grid))
+    sectors = basis.axis_sectors
+    dirichlet = sectors.basis_matrix(sectors.radial_blocks(_dirichlet_matrix(basis, grid)))
     for folded, ref in ((dirichlet, _unfolded_dirichlet(basis, grid, sigma)),
                         (collision_frequency_matrix(basis, grid), _unfolded_frequency(basis, grid))):
         assert np.max(np.abs(folded - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -662,6 +663,39 @@ def test_non_finite_cache_entry_is_rebuilt(tmp_path, basis_small, monkeypatch):
         again = assemble_collision(basis_small, gamma=0.7)
     assert np.array_equal(again.matrix, fresh.matrix)
     assert path.read_bytes() == intact
+
+
+@pytest.mark.parametrize("entry, value", [((0, 0, 0), -0.3), ((2, 0, 1), 1e-3)])
+def test_cache_entry_failing_the_collision_checks_is_rebuilt(tmp_path, basis_mid, monkeypatch,
+                                                             entry, value):
+    # finite, of the right shape and under the current header, but with a
+    # density row that L does not annihilate, or an asymmetric radial block
+    # whose upper triangle eigvalsh never reads
+    monkeypatch.setenv("VPB_SPECTRAL_CACHE", str(tmp_path))
+    fresh = assemble_collision(basis_mid)
+    (path,) = tmp_path.glob("L-*.vpbc")
+    intact = path.read_bytes()
+    header, stored = read_matrix(path)
+    stored[entry] = value
+    write_matrix(path, header, stored)
+    with pytest.warns(UserWarning, match="fails the collision checks; rebuilding"):
+        again = assemble_collision(basis_mid)
+    assert np.array_equal(again.radial, fresh.radial)
+    assert path.read_bytes() == intact
+
+
+def test_sector_blocks_form_no_dense_streaming_matrix(monkeypatch):
+    # both blocks are read off the radial blocks and the Burnett labels: no
+    # read of the dense V1 or of the dense transform of the frames
+    basis = build_basis(6)
+    sectors = basis.axis_sectors
+    reads = []
+    for cls, name in ((VelocityBasis, "v1"), (type(sectors), "transform")):
+        monkeypatch.setattr(cls, name, property(lambda self, _name=name: reads.append(_name)),
+                            raising=False)
+    blocks = synthetic_collision(basis).sector_blocks
+    assert reads == []
+    assert len(blocks.W) == len(sectors.spans)
 
 
 def _old_params(basis):

@@ -11,7 +11,6 @@ from semigroup_reference import metric, mode_norm, spectral_projector
 
 from vpb_spectral import build_basis
 from vpb_spectral.collision import STRUCTURE_TOL, assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import hydrodynamic_spectrum
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.mode_operator import EigenBlock, mode_operator
 from vpb_spectral.oracles import eigensystem, strip_eigensystem
@@ -274,10 +273,29 @@ def test_nan_operator_is_refused_as_non_finite(op4):
     assert "imaginary" not in str(info.value)
 
 
-def test_non_finite_frames_are_refused_as_non_finite(broken_frames):
-    with pytest.raises(AssemblyError, match="streaming matrix has non-finite entries") as info:
-        broken_frames("non-finite").sector_blocks
-    assert "times STRUCTURE_TOL" not in str(info.value)
+def _streaming_failure(check_fails, op) -> str:
+    """The FAIL line of check's streaming step on op, which must fail check."""
+    code, fails = check_fails(op)
+    assert code == 1
+    (line,) = [f for f in fails if f.startswith("FAIL streaming blocks: ")]
+    return line
+
+
+def test_non_finite_frames_are_refused_as_non_finite(broken_frames, check_fails):
+    # the jobs read the streaming blocks off the labels; check's dense
+    # reference refuses the frames with a NaN ratio, not a plausible one
+    line = _streaming_failure(check_fails, broken_frames("non-finite"))
+    assert " by nan times STRUCTURE_TOL" in line
+
+
+def test_frames_without_the_parity_scale_fail_only_the_streaming_check(broken_frames,
+                                                                         check_fails):
+    # the frames stay orthonormal and match their quadrature projection, so
+    # only the dense reference sees the a1-odd slot without its factor i
+    code, fails = check_fails(broken_frames("imaginary part"))
+    assert code == 1
+    assert [f.split(":")[0] for f in fails] == ["FAIL streaming blocks"]
+    assert "times STRUCTURE_TOL" in fails[0]
 
 
 @pytest.mark.parametrize("name", ["synthetic-6", "hard-sphere-4"])
@@ -349,21 +367,16 @@ def test_collision_and_streaming_do_not_couple_sectors(axis_operators, hard_sphe
     assert len(op.sector_blocks.L) == basis.max_degree + 1  # the check passes
 
 
-def test_frames_coupling_sectors_are_refused_by_every_axis_consumer(broken_frames):
-    # 1e-8 of a sector 0 frame column in a sector 2 one: every axis consumer
-    # refuses the operator and names the failed check
-    broken = broken_frames("entry between sectors")
-    mode = mode_operator(broken, 0.1, np.array([0.5, 0.0, 0.0]))
-    f0 = np.random.default_rng(5).standard_normal(broken.basis.dim).astype(complex)
-    for run in (mode.eigen_blocks, lambda: propagate_kinetic(mode, f0, [0.0, 0.01]),
-                lambda: hydrodynamic_spectrum(mode)):
-        with pytest.raises(AssemblyError, match="sector check: entry between sectors"):
-            run()
+def test_frames_coupling_sectors_fail_the_streaming_check(broken_frames, check_fails):
+    # 1e-8 of a sector 0 frame column in a sector 2 one: the blocks read off
+    # the labels no longer map to the dense streaming matrix
+    line = _streaming_failure(check_fails, broken_frames("entry between sectors"))
+    ratio = float(line.split(" by ")[1].split()[0])
+    assert 1e3 < ratio < 1e6  # 1e-8 of an O(1) entry, against STRUCTURE_TOL = 1e-13
 
 
-def test_sector_copy_mismatch_is_refused(broken_frames):
-    # one cos-copy column of sector 1 with the wrong sign: no entry between
-    # sectors, but the two copies of the sector no longer carry the same block
-    broken = broken_frames("cos/sin copy mismatch")
-    with pytest.raises(AssemblyError, match="sector check: cos/sin copy mismatch"):
-        mode_operator(broken, 0.1, 0.5).eigen_blocks()
+def test_sector_copy_mismatch_is_refused(broken_frames, check_fails):
+    # one cos-copy column of sector 1 with the wrong sign: the cos copy no
+    # longer carries the block that the labels give both copies
+    line = _streaming_failure(check_fails, broken_frames("cos/sin copy mismatch"))
+    assert "times STRUCTURE_TOL" in line

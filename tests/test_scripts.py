@@ -30,7 +30,7 @@ def test_bench_script_writes_its_schema(tmp_path):
     assert set(tree["layers"]) == {
         "build_basis_d3", "assemble_hard_sphere_d3", "sector_blocks", "eigen_blocks",
         "hydrodynamic_sweep", "propagate_kinetic", "propagate_axis_modes", "fluid_limit",
-        "gamma_evaluator", "transport_levels", "basis_frames_d3"}
+        "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
     assert set(tree["end_to_end"]) == {"criterion_08_study", "check", "converge-generic-d6",
                                        "dispersion-hs-d8", "transport-hs-d6"}
     for part in ("layers", "end_to_end"):

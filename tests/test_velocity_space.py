@@ -340,13 +340,29 @@ def test_basis_matrix_is_the_direct_sum_of_radial_blocks(deg):
     for l in range(deg + 1):
         size = (deg - l) // 2 + 1
         radial[l, :size, :size] = gen.standard_normal((size, size))
-    mat = basis.axis_sectors.basis_matrix(radial)
+    sectors = basis.axis_sectors
+    mat = sectors.basis_matrix(sectors.radial_blocks(radial))
     labels, t = _dense_burnett_transform(basis)
     want = np.array([[radial[l][n, k] if (l, m) == (lk, mk) else 0.0 for k, lk, mk in labels]
                      for n, l, m in labels])
     assert np.max(np.abs(t @ mat @ t.T - want)) <= 1e-13
     parity = np.array(basis.multi_indices) % 2
     assert np.all(mat[np.any(parity[:, None] != parity[None], axis=-1)] == 0.0)
+
+
+@pytest.mark.parametrize("deg", range(2, 17))
+def test_streaming_blocks_match_the_dense_product(deg):
+    # the blocks read off the labels by the Burnett recurrence against
+    # T^T conj(S) (-i V1) S T on both copies of every sector, invariant
+    # columns and frame signs included
+    basis = build_basis(deg)
+    sectors = basis.axis_sectors
+    scaled = sectors.scale.conj()[:, None] * (-1j * basis.v1) * sectors.scale[None, :]
+    dense = sectors.transform.T @ scaled.real @ sectors.transform
+    size = np.max(np.abs(dense))
+    for block, copies in zip(sectors.streaming_blocks(), sectors.spans):
+        for sl in copies:
+            assert np.max(np.abs(block - dense[sl, sl])) <= 1e-14 * size
 
 
 def _spy_rows(monkeypatch):
