@@ -25,7 +25,7 @@ from .config import (ExperimentConfig, apply_overrides, parse_config, validate_c
                      validate_subcommand)
 from .blas import describe_policy, one_blas_thread
 from .dispersion import R0_DEFAULT, hydrodynamic_spectrum, hydrodynamic_sweep
-from .errors import ConfigError, RegimeError, VPBError
+from .errors import CheckError, ConfigError, RegimeError, VPBError
 from .limit_lab import (
     layer_time_grid,
     make_initial_data,
@@ -231,8 +231,14 @@ def run_converge(cfg: ExperimentConfig) -> int:
 
 # -------------------------------------------------------------------- check
 
+def _require(ok, message: str) -> None:
+    """CheckError(message) unless ok: a check that also holds under python -O."""
+    if not ok:
+        raise CheckError(message)
+
+
 def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
-    """Yield (name, callable) invariant checks; callables raise on failure."""
+    """Yield (name, callable) invariant checks; callables raise VPBError on failure."""
     basis = op.basis
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed)
@@ -241,9 +247,9 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         # the dense references of the separable Gram check and the closed-form
         # frames, on the (N+1)^3-node rule that no other subcommand evaluates
         gram, frames = quadrature_gaps(basis)
-        assert gram <= _GRAM_TOL, f"dense Gram matrix off the identity by {gram:.2e}"
-        assert frames <= _FRAME_TOL, \
-            f"Burnett transform off its quadrature projection by {frames:.2e}"
+        _require(gram <= _GRAM_TOL, f"dense Gram matrix off the identity by {gram:.2e}")
+        _require(frames <= _FRAME_TOL,
+                 f"Burnett transform off its quadrature projection by {frames:.2e}")
 
     def streaming_blocks():
         # the dense reference of the sector streaming blocks the jobs read off the labels
@@ -251,20 +257,20 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         dense = sectors.scale.conj()[:, None] * (-1j * basis.v1) * sectors.scale[None, :]
         ratio = (np.max(np.abs(sectors.basis_matrix(op.sector_blocks.W) - dense))
                  / np.max(np.abs(dense)))
-        assert ratio <= STRUCTURE_TOL, (f"streaming blocks off the dense conj(S) (-i V1) S by "
-                                        f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL")
+        _require(ratio <= STRUCTURE_TOL, f"streaming blocks off the dense conj(S) (-i V1) S by "
+                                         f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL")
 
     def collision_structure():
         _structural_checks(op.radial)
-        assert op.spectral_gap() > 0.0, "no spectral gap"
+        _require(op.spectral_gap() > 0.0, "no spectral gap")
 
     def mode_dissipation():
         mode = mode_operator(op, cfg.eps_list[0], np.array([0.4, 0.0, 0.0]))
         f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         diss = mode.dissipation(f)
         ref = float(np.real(np.vdot(f, op.matrix @ f)))
-        assert diss <= 1e-12 * np.linalg.norm(f) ** 2, f"positive dissipation {diss:.2e}"
-        assert abs(diss - ref) <= 1e-8 * max(1.0, abs(ref)), "metric broke the collision form"
+        _require(diss <= 1e-12 * np.linalg.norm(f) ** 2, f"positive dissipation {diss:.2e}")
+        _require(abs(diss - ref) <= 1e-8 * max(1.0, abs(ref)), "metric broke the collision form")
 
     def dispersion_consistency():
         eps = min(cfg.eps_list)
@@ -272,15 +278,15 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         points = hydrodynamic_spectrum(mode)
         dense = np.linalg.eigvals(np.asarray(mode.matrix))
         for bp in points:
-            assert bp.det_residual <= tol, f"det residual {bp.det_residual:.2e}"
+            _require(bp.det_residual <= tol, f"det residual {bp.det_residual:.2e}")
             gap = float(np.min(np.abs(dense - bp.lam)))
-            assert gap <= 1e-8, f"branch {bp.branch} misses dense spectrum by {gap:.2e}"
+            _require(gap <= 1e-8, f"branch {bp.branch} misses dense spectrum by {gap:.2e}")
 
     def transport_positive():
         coeffs = compute_kappas(op)
-        assert coeffs.kappa0 > 0 and coeffs.kappa1 > 0, "nonpositive coefficient"
+        _require(coeffs.kappa0 > 0 and coeffs.kappa1 > 0, "nonpositive coefficient")
         iso = abs(coeffs.kappa0_long - 4.0 / 3.0 * coeffs.kappa0)
-        assert iso <= 1e-10 * coeffs.kappa0, f"isotropy broken by {iso:.2e}"
+        _require(iso <= 1e-10 * coeffs.kappa0, f"isotropy broken by {iso:.2e}")
 
     def semigroup_split():
         eps = cfg.eps_list[0]
@@ -288,12 +294,12 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         times = np.array([0.0, 0.05, 0.2])
         traj = propagate_kinetic(mode, f, times)
-        assert np.max(np.abs(traj.states[0] - f)) <= 1e-12, "t=0 is not the identity"
-        assert np.all(np.diff(traj.norm_track) <= 1e-9 * traj.norm_track[0]), \
-            "norm grew along the flow"
+        _require(np.max(np.abs(traj.states[0] - f)) <= 1e-12, "t=0 is not the identity")
+        _require(np.all(np.diff(traj.norm_track) <= 1e-9 * traj.norm_track[0]),
+                 "norm grew along the flow")
         s1, s2 = split_S1_S2(mode, f, times)
         resid = float(np.max(np.abs(s1 + s2 - traj.states)))
-        assert resid <= 1e-12, f"split reassembly off by {resid:.2e}"
+        _require(resid <= 1e-12, f"split reassembly off by {resid:.2e}")
 
     def fluid_consistency():
         coeffs = compute_kappas(op)
@@ -303,22 +309,22 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         times = np.linspace(0.0, 2.0, 5)
         traj = fluid_semigroup_V(basis, coeffs, u0, xi, times)
         expected = np.exp(-coeffs.kappa0 * s * s * times)
-        assert np.max(np.abs(traj.norm_track - expected)) <= 1e-10, \
-            "transverse decay off the closed form"
+        _require(np.max(np.abs(traj.norm_track - expected)) <= 1e-10,
+                 "transverse decay off the closed form")
         states = nspf_mode_solve(basis, coeffs, u0, None, None, xi, times)
         for st, vec in zip(states, traj.states):
             i = basis.invariant_indices
             gap = max(abs(st.m_hat[1] - vec[i[2]]), abs(st.q_hat - vec[i[4]]))
-            assert gap <= 1e-8, f"reduced system disagrees by {gap:.2e}"
+            _require(gap <= 1e-8, f"reduced system disagrees by {gap:.2e}")
 
     def prepared_data():
         grid = radial_grid(cfg.s_min, cfg.s_max, min(cfg.s_count, 8), cfg.s_spacing)
         data = make_initial_data("well_prepared", _profile(cfg), basis, grid)
         coeffs = compute_kappas(op)
         osc = oscillation_part(data, coeffs, 0.3, cfg.eps_list[0])
-        assert np.max(np.abs(osc)) <= 1e-12, "well-prepared data oscillates"
+        _require(np.max(np.abs(osc)) <= 1e-12, "well-prepared data oscillates")
         norm = synth_norm_LinfP(basis, grid, data.profile)
-        assert norm > 0.0, "empty synthesis"
+        _require(norm > 0.0, "empty synthesis")
 
     def table_determinism():
         grid = radial_grid(cfg.s_min, cfg.s_max, 4, cfg.s_spacing)
@@ -327,7 +333,7 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         times = layer_time_grid(max(eps3), min(cfg.t_max, 5.0), 4, 6)
         one = run_convergence_study(op, data, eps3, times, compute_kappas(op))
         two = run_convergence_study(op, data, eps3, times, compute_kappas(op))
-        assert np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted"
+        _require(np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted")
 
     yield "basis quadrature", basis_quadrature
     yield "streaming blocks", streaming_blocks
@@ -351,7 +357,7 @@ def run_check(cfg: ExperimentConfig) -> int:
             t0 = time.perf_counter()
             try:
                 step()
-            except AssertionError as exc:
+            except CheckError as exc:
                 failures += 1
                 print(f"FAIL {name}: {exc}")
             except VPBError as exc:

@@ -21,19 +21,20 @@ block-diagonal in the azimuthal sectors about e1 (CollisionOperator.
 sector_blocks), and each flux lies in one sector: the coupled determinant
 needs R_11, R_14, R_41 and R_44 from the micro m = 0 block, the shear one
 R_22 from the cos copy of the micro m = 1 block.  hydrodynamic_sweep takes
-every axis mode (eps, s) at once: each of those blocks is one stack over
-the modes, decomposed by one eig (_Family), on whose pole sums one damped
-Newton (_newton) finds every root; one guarded, stacked np.linalg.solve
-per block (_Resolvent) certifies all its roots (_certified_roots) and gives
-det_residual and the micro parts of the eigenfunctions.  No job solves with
-the whole micro block; that solve is the tests' reference.
+every axis mode (eps, s) at once, one _Family per determinant: one eig of
+its stacked block, one damped Newton (_newton) over all its roots on the
+pole sums, and one guarded, stacked np.linalg.solve that certifies every
+root and gives det_residual and the micro parts of the eigenfunctions.
+Entries are (roots, J*J) arrays, column (j, k) in j-major order over the
+family's J fluxes.  No job solves with the whole micro block; that solve is
+the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -41,13 +42,13 @@ from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
 from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import Frame, VelocityBasis
+from .velocity_space import VelocityBasis
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
 
 _SOLVE_TOL = 1e-8  # relative residual allowed in a micro-space resolvent solve
-_SPAN_TOL = 1e-12  # relative part of a right-hand side allowed outside its block's span
+_SPAN_TOL = 1e-12  # relative part of a flux allowed outside its family's frame
 _ROOT_TOL = 1e-13  # Newton step size at which a root counts as converged
 _MAX_ITER = 60     # Newton steps before a root solver gives up
 # eigenvector condition (1-norm) of a sector block at which its pole sums are
@@ -109,57 +110,87 @@ class AsymptoticCoefficients:
         return acc
 
 
-class _Resolvent:
-    """(A_r - beta_r)^-1 applied to the right-hand sides rhs (basis-length
-    vectors in the span of the frame), A_r member members[r] of a stack of
-    micro EigenBlocks on its first frame: one np.linalg.solve for every r.
+class _Family:
+    """The roots of one determinant at a stack of axis modes (eps, s):
+    found, certified and embedded at once.
 
-    RegimeError when a Bauer-Fike bound cond / min|vals - beta_r| on the
-    resolvent norm exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue), or a
-    solution's relative residual is not finite or above _SOLVE_TOL.
-    coords[r] and solutions[r] hold the solutions' frame coordinates and
-    basis-length vectors as columns in rhs order; entries[r] maps (j, k) to
-    rhs[k] . (the solution for rhs[j]).
+    The determinant's fluxes (_FLUXES) lie in the micro block of one
+    azimuthal sector m: block, one stack member per mode on the sector's
+    micro frames, decomposed by one eig as B = X diag(mu) X^-1.  On the cos
+    frame F (parity scale included) g holds the coordinates F^H f_j and l
+    the forms F^T f_j, so f_k . embed(x) = l_k . x and no basis-length
+    solution is formed.  Pole sums: R_jk(beta) = sum_m (X^T l_k)_m
+    (X^-1 g_j)_m / (mu_m - beta), and d/dbeta over (mu_m - beta)^2.
+    RegimeError names the first mode whose block is too ill-conditioned for
+    them (cond >= POLE_COND_LIMIT); then AssemblyError if a flux leaves the
+    span of the cos frame.
     """
 
-    def __init__(self, block: EigenBlock, members, betas, rhs: dict):
-        frame = block.frames[0]
-        self.size = len(next(iter(rhs.values())))
-        for f in rhs.values():
-            lost = np.linalg.norm(f - frame.embed(frame.coords(f), self.size))
-            if not lost <= _SPAN_TOL * np.linalg.norm(f):
-                raise ValueError("right-hand side leaves the span of the micro block")
-        betas = np.asarray(betas, dtype=complex)
-        dist = np.min(np.abs(block.vals[members] - betas[:, None]), axis=-1)
-        bound = np.divide(block.cond[members], dist, out=np.full(dist.shape, math.inf),
+    _FLUXES = {0: (1, 4), 1: (2,)}  # coupled fluxes in m = 0, the shear flux in m = 1
+
+    def __init__(self, op: CollisionOperator, eps, s, m: int):
+        eps, s = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (eps, s))
+        lm, wm, frames = op.sector_blocks.micro[m]
+        self.block = EigenBlock(lm + (eps * s)[:, None, None] * wm, frames)
+        for e, x, cond in zip(eps, s, self.block.cond):
+            if not cond < POLE_COND_LIMIT:
+                raise RegimeError(f"micro m = {m} sector block at eps = {e:.6g}, s = {x:.6g} "
+                                  f"has eigenvector cond {cond:.3g}, not below "
+                                  f"POLE_COND_LIMIT = {POLE_COND_LIMIT:.0e}; its pole sums "
+                                  "would lose too many digits")
+        frame, self.size = frames[0], op.basis.dim
+        fluxes = op.basis.fluxes[[j - 1 for j in self._FLUXES[m]]]
+        self.g = np.stack([frame.coords(f) for f in fluxes], axis=1)
+        for j, f, g in zip(self._FLUXES[m], fluxes, self.g.T):
+            if not np.linalg.norm(f - frame.embed(g, self.size)) <= _SPAN_TOL * np.linalg.norm(f):
+                raise AssemblyError(f"flux f_{j} leaves the span of its micro m = {m} frame")
+        self.l = frame.basis.T @ (frame.scale[:, None] * fluxes[:, frame.index].T)
+        # (member, (j, k), pole) weights of the pole sums
+        self._weights = np.einsum("imj,imk->ijkm", self.block.coefficients(self.g),
+                                  self.block.vecs.swapaxes(-1, -2) @ self.l
+                                  ).reshape(eps.size, -1, self.g.shape[0])
+
+    def pole_sums(self, members: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Member members[r]'s entries at beta[r] and their d/dbeta, a row per r."""
+        w = 1.0 / (self.block.vals[members] - beta[:, None])
+        weights = self._weights[members]
+        return (weights @ w[..., None])[..., 0], (weights @ (w * w)[..., None])[..., 0]
+
+    def solve(self, members: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """Member members[r]'s entries at betas[r], a row per r, from one
+        stacked np.linalg.solve (B_r - beta_r) x = g, kept as coords.
+        RegimeError when a Bauer-Fike bound cond / min|mu - beta_r| on the
+        resolvent norm exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue),
+        or a relative residual is not finite or above _SOLVE_TOL."""
+        dist = np.min(np.abs(self.block.vals[members] - betas[:, None]), axis=-1)
+        bound = np.divide(self.block.cond[members], dist, out=np.full(dist.shape, math.inf),
                           where=dist > 0.0)
         for beta, b in zip(betas, bound):
             if not b <= RESOLVENT_BOUND_LIMIT:
                 raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
                                   f"Bauer-Fike bound {b:.3g} exceeds RESOLVENT_BOUND_LIMIT = "
                                   f"{RESOLVENT_BOUND_LIMIT:.0e}")
-        a = block.matrix[members].astype(complex)
+        a = self.block.matrix[members].astype(complex)
         diag = np.arange(a.shape[-1])
         a[:, diag, diag] -= betas[:, None]
-        g = np.stack([frame.coords(f) for f in rhs.values()], axis=1)
         try:
-            x = np.linalg.solve(a, g)
+            x = np.linalg.solve(a, self.g)
         except np.linalg.LinAlgError:
             raise RegimeError(f"micro resolvent is singular at one of beta = {betas}; "
                               "parameter on an eigenvalue of the micro block") from None
-        self.frame, self._a, self._g, self.coords = frame, a, g, x
-        self.solutions = self._guarded(x, g)
-        self.entries = [_pairings(sols, rhs) for sols in self.solutions]
+        self._a = a
+        self.coords = self._guarded(x, self.g)
+        return (self.l.T @ x).swapaxes(-1, -2).reshape(len(betas), -1)
 
     def combine(self, coef: np.ndarray) -> np.ndarray:
-        """sum_j coef[r, j] (A_r - beta_r)^-1 rhs[j] for every r, j in rhs
-        order, residual-guarded as one vector per r: (R, size)."""
+        """sum_j coef[r, j] (B_r - beta_r)^-1 f_j in frame coordinates for every
+        root r of the last solve, residual-guarded as one vector per r."""
         coef = coef[..., None]
-        return self._guarded(self.coords @ coef, self._g @ coef)[..., 0]
+        return self._guarded(self.coords @ coef, self.g @ coef)[..., 0]
 
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The basis-length vectors of the solution columns x, once each
-        relative residual against g is finite and at most _SOLVE_TOL."""
+        """The solution columns x, once each relative residual against g is
+        finite and at most _SOLVE_TOL."""
         scale = np.linalg.norm(g, axis=-2)
         resid = np.linalg.norm(self._a @ x - g, axis=-2)
         bad = ~np.isfinite(resid) | (resid > _SOLVE_TOL * scale)
@@ -168,72 +199,39 @@ class _Resolvent:
             raise RegimeError(f"micro resolvent solve has relative residual {worst:.2e}, "
                               f"above the bound {_SOLVE_TOL:.0e}, although beta passed the "
                               "spectral-distance guard")
-        return self.embed(x, self.frame)
+        return x
 
-    def embed(self, x: np.ndarray, frame: Frame) -> np.ndarray:
-        """The basis-length vectors of the coordinate columns x on frame."""
-        out = np.zeros(x.shape[:-2] + (self.size, x.shape[-1]), dtype=complex)
-        out[..., frame.index, :] = frame.scale[:, None] * (frame.basis @ x)
+    def embed(self, x: np.ndarray, copy: int) -> np.ndarray:
+        """The basis-length columns of the coordinate rows x on frame copy,
+        each formed alone, as a stack of one forms it."""
+        frame = self.block.frames[copy]
+        out = np.zeros((self.size, len(x)), dtype=complex)
+        out[frame.index] = frame.scale[:, None] * (frame.basis @ x[..., None])[..., 0].T
         return out
 
-
-def _pairings(sols: np.ndarray, fluxes: dict) -> dict:
-    """(j, k) -> fluxes[k] . sols[:, a], column a the solution for fluxes[j]."""
-    return {(j, k): complex(sols[:, a] @ fk)
-            for a, j in enumerate(fluxes) for k, fk in fluxes.items()}
-
-
-class _Family:
-    """The resolvent entries one determinant needs, for a stack of y = eps*s.
-
-    They come from the real micro block of the azimuthal sector m that holds
-    the determinant's fluxes (_FLUXES): block, one stack member per y on the
-    sector's micro frames, decomposed by one eig as B = X diag(mu) X^-1.
-    Every Newton step evaluates member i's R_jk(beta) = sum_m l_km r_jm /
-    (mu_m - beta), with l_k = X^T F^T f_k and r_j = X^-1 F^H f_j for the cos
-    frame F (parity scale included), and d/dbeta (over (mu_m - beta)^2), in O(n).
-    """
-
-    _FLUXES = {0: (1, 4), 1: (2,)}  # coupled fluxes in m = 0, the shear flux in m = 1
-
-    def __init__(self, op: CollisionOperator, y, m: int):
-        self.y, self.m = np.atleast_1d(np.asarray(y, dtype=float)), m
-        lm, wm, frames = op.sector_blocks.micro[m]
-        self.block = EigenBlock(lm + self.y[:, None, None] * wm, frames)
-        self.fluxes = {j: op.basis.fluxes[j - 1] for j in self._FLUXES[m]}
-        self._keys = [(j, k) for j in self.fluxes for k in self.fluxes]
-
-    def built_for(self, eps, s, m: int) -> _Family:
-        """self, when built at y = eps*s for sector m, else ValueError;
-        RegimeError naming the first mode (eps, s) whose block's eigenvectors
-        are too ill-conditioned for pole sums (cond >= POLE_COND_LIMIT)."""
-        y = np.multiply(eps, s)
-        if self.m != m or not np.array_equal(self.y, y):
-            raise ValueError(f"family built for eps*s = {self.y.tolist()} and sector "
-                             f"m = {self.m}, not {y.tolist()} and m = {m}")
-        for e, x, cond in zip(eps, s, self.block.cond):
-            if not cond < POLE_COND_LIMIT:
-                raise RegimeError(f"micro m = {m} sector block at eps = {e:.6g}, s = {x:.6g} "
-                                  f"has eigenvector cond {cond:.3g}, not below "
-                                  f"POLE_COND_LIMIT = {POLE_COND_LIMIT:.0e}; its pole sums "
-                                  "would lose too many digits")
-        return self
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """(member, (j, k), pole) weights r_jm l_km of the pole sums."""
-        frame = self.block.frames[0]
-        vecs_t = self.block.vecs.swapaxes(-1, -2)
-        left = {k: vecs_t @ (frame.basis.T @ (frame.scale * f[frame.index]))
-                for k, f in self.fluxes.items()}
-        right = {j: self.block.coefficients(frame.coords(f)) for j, f in self.fluxes.items()}
-        return np.stack([right[j] * left[k] for j, k in self._keys], axis=1)
-
-    def entries(self, i: int, beta: complex) -> tuple[dict, dict]:
-        """Member i's R_jk(beta) and d/dbeta, for one Newton step."""
-        w = 1.0 / (self.block.vals[i] - beta)
-        return (dict(zip(self._keys, (self._weights[i] @ w).tolist())),
-                dict(zip(self._keys, (self._weights[i] @ (w * w)).tolist())))
+    def roots(self, det, scale, seeds: np.ndarray, basins: np.ndarray, tol: float,
+              real: np.ndarray, names: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The root of det (z, R, R' -> D, D', a row per root) near each seed,
+        the seeds of each member in turn, at beta = scale * z: _newton, then
+        each real root within 1e-10 of the real axis put on it.  One solve at
+        every root then certifies each: |D| at most tol, within its basin of
+        the seed and, if real, on the real axis, else RegimeError naming the
+        root and the check.  Returns the roots, their |D| and their entries."""
+        members = np.repeat(np.arange(len(self.block.vals)), len(seeds) // len(self.block.vals))
+        z = _newton(lambda z: det(z, *self.pole_sums(members, scale * z)), seeds, basins, names)
+        snap = real & (np.abs(z.imag) <= 1e-10 * np.maximum(1.0, np.abs(z)))
+        z[snap] = z[snap].real  # certify the root that is returned
+        entries = self.solve(members, scale * z)
+        resid = np.abs(det(z, entries)[0])
+        for r in np.flatnonzero(~(resid <= tol)):
+            raise RegimeError(f"{names[r]} fails its certificate: |D| = {resid[r]:.2e} > "
+                              f"{tol:.0e}")
+        for r in np.flatnonzero(np.abs(z - seeds) > np.maximum(basins, 1e-9)):
+            raise RegimeError(f"{names[r]} left its basin: |z - seed| = "
+                              f"{abs(z[r] - seeds[r]):.3e} > {basins[r]:.3e}")
+        for r in np.flatnonzero(real & (z.imag != 0.0)):
+            raise RegimeError(f"{names[r]} drifted off the real axis: {z[r]:.3e}")
+        return z, resid, entries
 
 
 def _require_regime(w: float) -> None:
@@ -242,19 +240,20 @@ def _require_regime(w: float) -> None:
                           f"(r0 = {R0_DEFAULT}); branch construction not valid there")
 
 
-def _shear_det(w: float, z: complex, vals: dict,
-               ders: dict | None = None) -> tuple[complex, complex | None]:
-    val = z - w * w * vals[(2, 2)]
-    der = None if ders is None else 1.0 - w * w * ders[(2, 2)]
+def _shear_det(w: np.ndarray, z: np.ndarray, vals: np.ndarray,
+               ders: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The shear determinant of every root z at w = eps*s, from its R_22."""
+    val = z - w * w * vals[:, 0]
+    der = None if ders is None else 1.0 - w * w * ders[:, 0]
     return val, der
 
 
-def _coupled_det(s: float, eps: float, z: complex, vals: dict,
-                 ders: dict | None = None) -> tuple[complex, complex | None]:
-    """Cubic determinant of the density/momentum/temperature block, from the
-    entries at beta = eps*z (and their beta-derivatives, for d/dz)."""
-    r11, r44 = vals[(1, 1)], vals[(4, 4)]
-    r14, r41 = vals[(1, 4)], vals[(4, 1)]
+def _coupled_det(s: np.ndarray, eps: np.ndarray, z: np.ndarray, vals: np.ndarray,
+                 ders: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cubic determinant of the density/momentum/temperature block of every
+    root z, from its entries R_11, R_14, R_41, R_44 at beta = eps*z (and
+    their beta-derivatives, for d/dz)."""
+    r11, r14, r41, r44 = vals.T
     s2 = s * s
     root23 = math.sqrt(2.0 / 3.0)
     lin = 1.0 + 5.0 / 3.0 * s2 + 1j * eps * root23 * s2 * s * (r41 + r14) \
@@ -262,8 +261,7 @@ def _coupled_det(s: float, eps: float, z: complex, vals: dict,
     val = z ** 3 - z * z * eps * s2 * (r11 + r44) + z * lin - eps * (s2 + s2 * s2) * r44
     if ders is None:
         return val, None
-    d11, d44 = ders[(1, 1)], ders[(4, 4)]
-    d14, d41 = ders[(1, 4)], ders[(4, 1)]
+    d11, d14, d41, d44 = ders.T
     # chain rule: the entries are evaluated at beta = eps*z
     dlin = 1j * eps * eps * root23 * s2 * s * (d41 + d14) \
         + eps ** 3 * s2 * s2 * (d44 * r11 + r44 * d11 - d14 * r41 - r14 * d41)
@@ -272,93 +270,33 @@ def _coupled_det(s: float, eps: float, z: complex, vals: dict,
     return val, der
 
 
-def _newton(det, seed: complex, basin: float) -> complex:
-    """Damped Newton on det (z -> (D(z), D'(z))) from seed.
-
-    A step that would land more than 1.5 basins from the seed is halved,
-    down to 1/64 of itself.  RegimeError if an iterate leaves two basins, D
-    is not finite, D' vanishes, or _MAX_ITER steps do not converge.
-    """
-    z = seed
+def _newton(det, seeds: np.ndarray, basins: np.ndarray, names: list) -> np.ndarray:
+    """Damped Newton on det (z -> (D(z), D'(z)), a row per root) from every
+    seed at once.  A root's step that would land more than 1.5 basins from
+    its seed is halved, down to 1/64 of itself; a root whose step falls
+    below _ROOT_TOL has converged and is held.  RegimeError naming the root
+    if an iterate leaves two basins, D is not finite, D' vanishes, or
+    _MAX_ITER steps do not converge."""
+    z = np.array(seeds, dtype=complex)
+    active = np.ones(z.size, dtype=bool)
     for _ in range(_MAX_ITER):
         val, der = det(z)
-        if not np.isfinite(val) or abs(der) < 1e-14:
-            raise RegimeError(f"Newton met D = {val:.3e}, D' = {der:.3e} at z = {z:.6g}")
-        step = val / der
-        t = 1.0
-        while t > 1.0 / 64.0 and abs(z - t * step - seed) > 1.5 * basin:
-            t *= 0.5
+        for r in np.flatnonzero(active & (~np.isfinite(val) | ~(np.abs(der) >= 1e-14))):
+            raise RegimeError(f"{names[r]} not found: Newton met D = {val[r]:.3e}, "
+                              f"D' = {der[r]:.3e} at z = {z[r]:.6g}")
+        step = np.divide(val, der, out=np.zeros_like(z), where=active)
+        t = np.ones(z.size)
+        for _ in range(6):
+            t[np.abs(z - t * step - seeds) > 1.5 * basins] *= 0.5
         z = z - t * step
-        if abs(z - seed) > 2.0 * basin:
-            raise RegimeError(f"Newton left two basins of the seed: |z - seed| = "
-                              f"{abs(z - seed):.3e}, basin {basin:.3e}")
-        if t * abs(step) < _ROOT_TOL:
+        for r in np.flatnonzero(np.abs(z - seeds) > 2.0 * basins):
+            raise RegimeError(f"{names[r]} not found: Newton left two basins of the seed: "
+                              f"|z - seed| = {abs(z[r] - seeds[r]):.3e}, basin {basins[r]:.3e}")
+        active &= ~(t * np.abs(step) < _ROOT_TOL)
+        if not active.any():
             return z
-    raise RegimeError(f"Newton did not converge in {_MAX_ITER} steps")
-
-
-def _certified_roots(fam: _Family, specs: list) -> tuple[list, list, _Resolvent]:
-    """The root of each spec (i, det, scale, seed, basin, tol, real, name):
-    _newton from seed on det(z, R, R') -> (D, D'), member i's pole sums at
-    beta = scale * z, put on the real axis if real and within 1e-10 of it.
-    One _Resolvent at every root then certifies each: |D| at most tol, within
-    basin of the seed and, if real, on the real axis, else RegimeError naming
-    the root and the check.  Returns the roots, their |D| and the solve."""
-    roots = []
-    for i, det, scale, seed, basin, _, real, name in specs:
-        try:
-            z = _newton(lambda z: det(z, *fam.entries(i, scale * z)), seed, basin)
-        except RegimeError as exc:
-            raise RegimeError(f"{name} not found: {exc}") from None
-        if real and abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
-            z = complex(z.real)  # certify the root that is returned
-        roots.append(z)
-    res = _Resolvent(fam.block, [sp[0] for sp in specs],
-                     [sp[2] * z for sp, z in zip(specs, roots)], fam.fluxes)
-    dets = []
-    for (_, det, _, seed, basin, tol, real, name), z, vals in zip(specs, roots, res.entries):
-        resid = abs(det(z, vals)[0])
-        if not resid <= tol:
-            raise RegimeError(f"{name} fails its certificate: |D| = {resid:.2e} > {tol:.0e}")
-        if abs(z - seed) > max(basin, 1e-9):
-            raise RegimeError(f"{name} left its basin: |z - seed| = "
-                              f"{abs(z - seed):.3e} > {basin:.3e}")
-        if real and z.imag != 0.0:
-            raise RegimeError(f"{name} drifted off the real axis: {z:.3e}")
-        dets.append(resid)
-    return roots, dets, res
-
-
-def _shear_roots(fam: _Family, eps: list, s: list) -> tuple[list, list, _Resolvent]:
-    """The shear root of every mode (eps, s) from the m = 1 family: seed 0,
-    basin R1_DEFAULT, |D| <= 1e-10, real (_certified_roots)."""
-    fam.built_for(eps, s, 1)
-    return _certified_roots(fam, [
-        (i, partial(_shear_det, e * x), 1.0, 0.0j, R1_DEFAULT, 1e-10, True,
-         f"shear root at eps = {e:.6g}, s = {x:.6g}") for i, (e, x) in enumerate(zip(eps, s))])
-
-
-def _coupled_roots(fam: _Family, eps: list, s: list,
-                   kappa_bar: float) -> tuple[list, list, _Resolvent]:
-    """The roots of branches -1, 0, 1 of every mode (eps, s) from the m = 0
-    family: seeds eta_j, |D| <= 1e-9, branch 0 real (_certified_roots).
-    Colliding roots mean the regime assumption failed: RegimeError."""
-    fam.built_for(eps, s, 0)
-    specs = []
-    for i, (e, x) in enumerate(zip(eps, s)):
-        # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
-        # the certification radius must scale with the backend's coefficient
-        # size or large-coefficient backends get rejected inside the ball
-        basin = max(R1_DEFAULT * abs(x), 3.0 * e * x * x * kappa_bar, 1e-12)
-        specs += [(i, partial(_coupled_det, x, e), e, branch_frequency(j, x), basin, 1e-9,
-                   j == 0, f"branch {j} root at eps = {e:.6g}, s = {x:.6g}") for j in (-1, 0, 1)]
-    roots, dets, res = _certified_roots(fam, specs)
-    for i, (e, x) in enumerate(zip(eps, s)):
-        z = roots[3 * i:3 * i + 3]
-        if any(abs(z[a] - z[b]) < 1e-8 * max(1.0, abs(z[a])) for a, b in ((0, 1), (0, 2), (1, 2))):
-            raise RegimeError(f"coupled-family roots collided at eps = {e:.6g}, s = {x:.6g}; "
-                              "outside the regime")
-    return roots, dets, res
+    raise RegimeError(f"{names[np.flatnonzero(active)[0]]} not found: Newton did not "
+                      f"converge in {_MAX_ITER} steps")
 
 
 def limit_vectors(basis: VelocityBasis, s) -> dict:
@@ -439,34 +377,54 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
         _require_regime(e * x)
     basis = op.basis
     y = np.multiply(eps, s)
-    shear, coupled = _Family(op, y, 1), _Family(op, y, 0)
-    shear_z, shear_det, shear_res = _shear_roots(shear, eps, s)
-    coupled_z, coupled_det, coupled_res = _coupled_roots(coupled, eps, s, op.kappa_bar)
+    # the shear root: seed 0, basin R1_DEFAULT, |D| <= 1e-10, real
+    shear = _Family(op, eps, s, 1)
+    shear_z, shear_det, _ = shear.roots(
+        partial(_shear_det, y), 1.0, np.zeros(len(s), dtype=complex), np.full(len(s), R1_DEFAULT),
+        1e-10, np.ones(len(s), dtype=bool),
+        [f"shear root at eps = {e:.6g}, s = {x:.6g}" for e, x in zip(eps, s)])
+    # the roots of branches -1, 0, 1: seeds eta_j, |D| <= 1e-9, branch 0 real
+    coupled = _Family(op, eps, s, 0)
+    eps3, s3 = np.repeat(eps, 3), np.repeat(s, 3)
+    # the root sits within ~eps*b_j(s) <= C eps s^2 kappa of its seed, so
+    # the certification radius must scale with the backend's coefficient
+    # size or large-coefficient backends get rejected inside the ball
+    basins = np.maximum(np.maximum(R1_DEFAULT * s3, 3.0 * eps3 * s3 * s3 * op.kappa_bar), 1e-12)
+    coupled_z, coupled_det, v = coupled.roots(
+        partial(_coupled_det, s3, eps3), eps3,
+        np.array([branch_frequency(j, x) for x in s for j in (-1, 0, 1)], dtype=complex),
+        basins, 1e-9, np.tile([False, True, False], len(s)),
+        [f"branch {j} root at eps = {e:.6g}, s = {x:.6g}" for e, x in zip(eps, s)
+         for j in (-1, 0, 1)])
+    # colliding roots mean the regime assumption failed
+    z3 = coupled_z.reshape(-1, 3)
+    a, b = z3[:, [0, 0, 1]], z3[:, [1, 2, 2]]
+    for i in np.flatnonzero((np.abs(a - b) < 1e-8 * np.maximum(1.0, np.abs(a))).any(axis=1)):
+        raise RegimeError(f"coupled-family roots collided at eps = {eps[i]:.6g}, s = {s[i]:.6g}; "
+                          "outside the regime")
 
     # coupled eigenfunctions: the null vector (a, b, c) of the macro system on
     # chi_0, chi_1, chi_4, and the micro part of V1 @ macro, b f_1 + c f_4
     # (V1 chi_0 = chi_1 is macro), through the certifying solve
-    root23 = math.sqrt(2.0 / 3.0)
-    mats = []
-    for r, (z, v) in enumerate(zip(coupled_z, coupled_res.entries)):
-        x, es2 = s[r // 3], eps[r // 3] * s[r // 3] ** 2
-        mats.append([[z, 1j * x, 0.0],
-                     [1j * (x + 1.0 / x), z - es2 * v[(1, 1)], 1j * x * root23 - es2 * v[(4, 1)]],
-                     [0.0, 1j * x * root23 - es2 * v[(1, 4)], z - es2 * v[(4, 4)]]])
-    _, sing, vh = np.linalg.svd(np.array(mats, dtype=complex))
+    es2, cross = eps3 * s3 ** 2, 1j * s3 * math.sqrt(2.0 / 3.0)
+    r11, r14, r41, r44 = v.T
+    zero = np.zeros(len(s3))
+    mats = np.array([[coupled_z, 1j * s3, zero],
+                     [1j * (s3 + 1.0 / s3), coupled_z - es2 * r11, cross - es2 * r41],
+                     [zero, cross - es2 * r14, coupled_z - es2 * r44]]).transpose(2, 0, 1)
+    _, sing, vh = np.linalg.svd(mats)
     for r in np.flatnonzero(sing[:, -1] > 1e-6 * sing[:, 0]):
         raise AssemblyError(f"macro system at branch {r % 3 - 1}, eps = {eps[r // 3]:.6g}, "
                             f"s = {s[r // 3]:.6g} is not singular: sigma_min/sigma_max = "
                             f"{sing[r, -1] / sing[r, 0]:.2e}")
     abc = np.conj(vh[:, -1])
     coupled_psi = np.stack([basis.chi(0), basis.chi(1), basis.chi(4)], axis=1) @ abc.T \
-        + 1j * np.repeat(y, 3) * coupled_res.combine(abc[:, 1:]).T
+        + 1j * np.repeat(y, 3) * coupled.embed(coupled.combine(abc[:, 1:]), 0)
     # f_3 is the quarter-turn image of f_2, so its solution is f_2's
     # coordinates embedded in the sin copy of m = 1
-    shear_3 = shear_res.embed(shear_res.coords, shear.block.frames[1])[:, :, 0].T
-    psi = np.dstack([coupled_psi.reshape(basis.dim, -1, 3),
-                     basis.chi(2)[:, None] + 1j * y * shear_res.solutions[:, :, 0].T,
-                     basis.chi(3)[:, None] + 1j * y * shear_3]).reshape(basis.dim, -1)
+    psi = np.dstack([coupled_psi.reshape(basis.dim, -1, 3)]
+                    + [basis.chi(2 + c)[:, None] + 1j * y * shear.embed(shear.coords[..., 0], c)
+                       for c in (0, 1)]).reshape(basis.dim, -1)
     s_col = np.repeat(s, 5)
     pair = _axis_pairs(basis, s_col, psi, psi)
     for c in np.flatnonzero(np.abs(pair) < 1e-6):

@@ -22,6 +22,10 @@ class RegimeError(VPBError):
     """Requested mode lies outside the hydrodynamic regime the solver covers."""
 
 
+class CheckError(VPBError):
+    """An invariant that `vpb-spectral check` tests does not hold."""
+
+
 class FitError(VPBError):
     """A rate fit was refused (too few samples, non-monotone tail, ...)."""
 

@@ -9,39 +9,66 @@ roots and the convergence of one eigenfunction to its limit expansion.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import scipy.optimize
 from collision_reference import micro_blocks, micro_solve
 
+from vpb_spectral import dispersion
 from vpb_spectral.collision import CollisionOperator
-from vpb_spectral.dispersion import (FLUX_INDICES, BranchPoint, _coupled_roots, _Family,
-                                     _pairings, _require_regime, _Resolvent, _shear_roots,
-                                     hydrodynamic_sweep, limit_vectors)
+from vpb_spectral.dispersion import (FLUX_INDICES, R1_DEFAULT, BranchPoint, _coupled_det,
+                                     _Family, _require_regime, _shear_det, hydrodynamic_sweep,
+                                     limit_vectors)
 from vpb_spectral.errors import RegimeError
 from vpb_spectral.mode_operator import EigenBlock, FourierMode
 from vpb_spectral.oracles import eigensystem
 from vpb_spectral.transport import branch_frequency
-from vpb_spectral.velocity_space import Frame, weighted_norm
+from vpb_spectral.velocity_space import weighted_norm
+
+
+def _guarded_solve(a: np.ndarray, beta: complex, g: np.ndarray) -> np.ndarray:
+    """(a - beta)^-1 g, refused as the certification solve of a family
+    refuses: RegimeError when the Bauer-Fike bound cond / min|mu - beta|
+    exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue), the solve fails,
+    or a column's relative residual is not finite or above _SOLVE_TOL."""
+    block = EigenBlock(a, ())
+    dist = np.min(np.abs(block.vals - beta))
+    bound = block.cond / dist if dist > 0.0 else math.inf
+    if not bound <= dispersion.RESOLVENT_BOUND_LIMIT:
+        raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
+                          f"Bauer-Fike bound {bound:.3g} exceeds RESOLVENT_BOUND_LIMIT")
+    shifted = a - beta * np.eye(len(a))
+    try:
+        x = np.linalg.solve(shifted, g)
+    except np.linalg.LinAlgError:
+        raise RegimeError(f"micro resolvent is singular at beta = {beta:.6g}") from None
+    resid = np.linalg.norm(shifted @ x - g, axis=0)
+    if not np.all(resid <= dispersion._SOLVE_TOL * np.linalg.norm(g, axis=0)):
+        raise RegimeError(f"micro resolvent solve has relative residual above "
+                          f"{dispersion._SOLVE_TOL:.0e}")
+    return x
 
 
 def _entries(op: CollisionOperator, beta: complex, y: float,
-             derivative: bool = False) -> tuple[dict, dict | None]:
-    """All R_(jk) at one (beta, y) point, and d/dbeta when asked, through
-    solves with the whole micro block (an EigenBlock on a unit frame over
-    the micro slots): the reference the pole sums are tested against.
-    d/dbeta of the resolvent is its square, so the derivative entries solve
-    once more, with the first solutions as right-hand sides."""
+             derivative: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every R_jk at one (beta, y), and d/dbeta when asked, as (3, 3) arrays
+    over FLUX_INDICES (row j, column k), through solves with the whole micro
+    block: the reference the pole sums are tested against.  d/dbeta of the
+    resolvent is its square, so the derivative entries solve once more, with
+    the first solutions as right-hand sides."""
     blocks = micro_blocks(op)
-    n = blocks.micro.size
-    block = EigenBlock((blocks.L.astype(complex) - 1j * y * blocks.V)[None],
-                       (Frame(blocks.micro, np.ones(n), np.eye(n)),))
-    fluxes = {j: op.basis.fluxes[j - 1] for j in FLUX_INDICES}
-    res = _Resolvent(block, [0], [beta], fluxes)
-    if not derivative:
-        return res.entries[0], None
-    again = _Resolvent(block, [0], [beta], dict(zip(fluxes, res.solutions[0].T)))
-    return res.entries[0], _pairings(again.solutions[0], fluxes)
+    a = blocks.L.astype(complex) - 1j * y * blocks.V
+    f = op.basis.fluxes[[j - 1 for j in FLUX_INDICES]][:, blocks.micro].T
+    x = _guarded_solve(a, beta, f)
+    return x.T @ f, (_guarded_solve(a, beta, x).T @ f if derivative else None)
+
+
+def family_entries(ref: np.ndarray, m: int) -> np.ndarray:
+    """The (3, 3) reference entries in the columns of the sector-m family:
+    (j, k) in j-major order over its fluxes."""
+    pos = [FLUX_INDICES.index(j) for j in _Family._FLUXES[m]]
+    return ref[np.ix_(pos, pos)].ravel()
 
 
 def resolvent_entry(op: CollisionOperator, j: int, k: int,
@@ -50,38 +77,58 @@ def resolvent_entry(op: CollisionOperator, j: int, k: int,
     y = eps*s: f_k . (L - beta - i y V1)^-1 f_j."""
     if j not in FLUX_INDICES or k not in FLUX_INDICES:
         raise ValueError(f"resolvent entries are defined for indices {FLUX_INDICES}")
-    return _entries(op, beta, y)[0][(j, k)]
+    return complex(_entries(op, beta, y)[0][FLUX_INDICES.index(j), FLUX_INDICES.index(k)])
 
 
 def solve_D0(op: CollisionOperator, s: float, eps: float) -> complex:
     """Root of the shear determinant; equals the shear eigenvalue itself.
 
-    _newton from 0 on pole sums (_Family), in the basin |z| <= R1_DEFAULT.
-    The root is real and even in s; it is returned only once |D| <= 1e-10
-    through one solve at the root, inside the basin and on the real axis,
-    else RegimeError.
+    The sweep's shear root of one mode, which need not be an axis mode
+    (s < 0 is allowed): damped Newton from 0 on pole sums (_Family.roots),
+    in the basin |z| <= R1_DEFAULT.  The root is real and even in s; it is
+    returned only once |D| <= 1e-10 through one solve at the root, inside
+    the basin and on the real axis, else RegimeError.
     """
     w = eps * s
     _require_regime(w)
     if w == 0.0:
         return 0.0j
-    return _shear_roots(_Family(op, w, 1), [eps], [s])[0][0]
+    z = _Family(op, eps, s, 1).roots(partial(_shear_det, np.array([w])), 1.0,
+                                     np.zeros(1, dtype=complex), np.array([R1_DEFAULT]), 1e-10,
+                                     np.array([True]), [f"shear root at eps = {eps:.6g}, "
+                                                        f"s = {s:.6g}"])[0]
+    return complex(z[0])
+
+
+def coupled_roots(op: CollisionOperator, eps, s) -> np.ndarray:
+    """The roots of branches -1, 0, 1 of every mode (eps, s), one row per
+    mode, as the sweep finds them: seeds eta_j, basins growing with s and
+    kappa_bar, |D| <= 1e-9, branch 0 real (_Family.roots).  eps may be
+    negative, as the finite differences need."""
+    eps3, s3 = np.repeat(eps, 3), np.repeat(s, 3)
+    basins = np.maximum(np.maximum(R1_DEFAULT * np.abs(s3),
+                                   3.0 * eps3 * s3 * s3 * op.kappa_bar), 1e-12)
+    seeds = np.array([branch_frequency(j, x) for x in s3[::3] for j in (-1, 0, 1)])
+    z = _Family(op, eps, s, 0).roots(
+        partial(_coupled_det, s3, eps3), eps3, seeds, basins, 1e-9,
+        np.tile([False, True, False], len(s3) // 3),
+        [f"branch {j} root at eps = {e:.6g}, s = {x:.6g}" for e, x in zip(eps3[::3], s3[::3])
+         for j in (-1, 0, 1)])[0]
+    return z.reshape(-1, 3)
 
 
 def solve_D1(op: CollisionOperator, s: float, eps: float) -> dict:
     """The three coupled-family roots, keyed by branch index -1, 0, 1.
 
-    _newton from each analytic seed eta_j on pole sums (_Family).  Each
-    root is returned only once |D| <= 1e-9 through one solve at the root,
-    it lies inside its basin and, for the thermal branch 0, on the real
-    axis, else RegimeError.  Root collision means the regime assumption
-    failed, not that the solver did.
+    Damped Newton from each analytic seed eta_j on pole sums
+    (coupled_roots).  Each root is returned only once |D| <= 1e-9 through
+    one solve at the root, it lies inside its basin and, for the thermal
+    branch 0, on the real axis, else RegimeError.
     """
     _require_regime(eps * s)
     if eps == 0.0:
         return {j: branch_frequency(j, s) for j in (-1, 0, 1)}
-    return dict(zip((-1, 0, 1), _coupled_roots(_Family(op, eps * s, 0), [eps], [s],
-                                               op.kappa_bar)[0]))
+    return dict(zip((-1, 0, 1), (complex(z) for z in coupled_roots(op, [eps], [s])[0])))
 
 
 def dense_comparison(mode: FourierMode, points: list[BranchPoint],
@@ -124,8 +171,7 @@ def fd_branch_derivatives(op: CollisionOperator, s: float,
     # central differences in eps at hs and hs / 2, all four modes in one stack
     hs = h * max(s, 1e-6)
     steps = [hs, -hs, 0.5 * hs, -0.5 * hs]
-    z = np.reshape(_coupled_roots(_Family(op, np.multiply(steps, s), 0), steps, [s] * 4,
-                                  op.kappa_bar)[0], (4, 3))
+    z = coupled_roots(op, steps, [s] * 4)
     d1, d2 = (z[0] - z[1]) / (2.0 * hs), (z[2] - z[3]) / hs
     return {"shear_curvature": curv,
             "eps_slope": {j: complex(d) for j, d in zip((-1, 0, 1), (4.0 * d2 - d1) / 3.0)}}

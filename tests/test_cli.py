@@ -454,6 +454,24 @@ class TestCheck:
         assert all("determinant root does not match the mode operator" in line
                    for line in fails[2:])
 
+    def test_failing_step_fails_under_python_o(self, tmp_path):
+        # python -O strips assert statements: a step that tested with them
+        # passed a det residual above tol, and check exited 0
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text("backend = synthetic\nmax_degree = 3\ns_count = 6\ntol = 1e-300\n",
+                       encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "vpb_spectral", "check", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120, env=_child_env(), cwd=tmp_path)
+        assert proc.returncode == 1
+        fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+        assert [line.split(":")[0] for line in fails] == ["FAIL dispersion consistency"]
+        assert fails[0].startswith("FAIL dispersion consistency: det residual ")
+
+    def test_package_holds_no_assert_statement(self):
+        # every check of the package holds under python -O too
+        assert _source_places(lambda node: isinstance(node, ast.Assert)) == set()
+
     @pytest.mark.parametrize("eps_list", ["0.1", "0.05, 0.2"])
     def test_short_eps_list_sharing_the_padding_passes(self, eps_list, tmp_path, capsys):
         # the determinism step pads eps_list to three values with 0.2, 0.1 and

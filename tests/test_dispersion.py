@@ -15,6 +15,7 @@ from collision_reference import micro_blocks
 from dispersion_reference import (
     _entries,
     dense_comparison,
+    family_entries,
     eigenfunction_expansion_check,
     fd_branch_derivatives,
     resolvent_entry,
@@ -28,22 +29,18 @@ from semigroup_reference import mode_norm
 from vpb_spectral import dispersion
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import (
-    FLUX_INDICES,
     R0_DEFAULT,
     R1_DEFAULT,
-    _coupled_roots,
     _Family,
-    _Resolvent,
-    _shear_roots,
     asymptotic_coefficients,
     hydrodynamic_spectrum,
     hydrodynamic_sweep,
 )
-from vpb_spectral.errors import BasisError, RegimeError
+from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.mode_operator import mode_operator
 from vpb_spectral.oracles import eigensystem, strip_eigensystem
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
-from vpb_spectral.velocity_space import build_basis, flux_vector, weighted_norm
+from vpb_spectral.velocity_space import build_basis, weighted_norm
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +85,7 @@ class TestResolventEntries:
 
     def test_kappa_bar_is_the_largest_origin_entry(self, op_mid):
         vals = _entries(op_mid, 0.0, 0.0)[0]
-        assert op_mid.kappa_bar == pytest.approx(
-            max(abs(vals[(j, j)]) for j in FLUX_INDICES), rel=1e-12)
+        assert op_mid.kappa_bar == pytest.approx(np.max(np.abs(np.diag(vals))), rel=1e-12)
         assert op_mid.kappa_bar is op_mid.kappa_bar
 
     def test_invalid_indices(self, op_mid):
@@ -178,16 +174,28 @@ class TestCoupledDeterminant:
 
 
 AXIS_OPERATORS = ("synthetic-4", "synthetic-6", "hard-sphere-4")
-# the entries each family holds, by its azimuthal sector m
-FAMILY_KEYS = {1: ((2, 2),), 0: ((1, 1), (1, 4), (4, 1), (4, 4))}
+# the families, by their azimuthal sector m
+FAMILIES = (1, 0)
 # the axis modes of a small sweep: three eps values at eight s values
 SWEEP = [(eps, s) for eps in (0.2, 0.1, 0.05) for s in np.linspace(0.05, 0.6, 8)]
+
+
+def family(op, y, m):
+    """The sector-m family of the one mode (eps, s) = (y, 1)."""
+    return _Family(op, y, 1.0, m)
+
+
+def pole_sums(fam, beta):
+    """The entries of the family's stack of one at beta and their
+    d/dbeta, through the pole sums."""
+    vals, ders = fam.pole_sums(np.array([0]), np.array([beta], dtype=complex))
+    return vals[0], ders[0]
 
 
 def certified(fam, beta):
     """The entries of the family's stack of one at beta, through the
     certification solve."""
-    return _Resolvent(fam.block, [0], [beta], fam.fluxes).entries[0]
+    return fam.solve(np.array([0]), np.array([beta], dtype=complex))[0]
 
 
 class TestPoleSums:
@@ -198,49 +206,38 @@ class TestPoleSums:
         # the root basins: real shear steps near 0 and coupled steps at
         # beta = eps*z near eps*eta_j, |eta_+-1| <= sqrt(1 + 5/3 R0^2 / eps^2)
         op = axis_operators[name]
-        families = {m: _Family(op, y, m) for m in FAMILY_KEYS}
+        families = {m: family(op, y, m) for m in FAMILIES}
         for beta in (complex(re), complex(re, im)):
-            ref_vals, ref_ders = _entries(op, beta, y, derivative=True)
-            for m, keys in FAMILY_KEYS.items():
-                vals, ders = families[m].entries(0, beta)
-                for got, ref in ((vals, ref_vals), (ders, ref_ders)):
-                    scale = max(abs(ref[k]) for k in keys)
-                    for k in keys:
-                        assert abs(got[k] - ref[k]) <= 1e-12 * scale, (m, k)
+            refs = _entries(op, beta, y, derivative=True)
+            for m in FAMILIES:
+                for got, ref in zip(pole_sums(families[m], beta), refs):
+                    ref = family_entries(ref, m)
+                    assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref))), m
 
     def test_certified_entries_are_the_lu_entries(self, op_mid):
         beta = -0.01 + 0.3j
         ref = _entries(op_mid, beta, 0.12)[0]
-        for m, keys in FAMILY_KEYS.items():
-            got = certified(_Family(op_mid, 0.12, m), beta)
-            for k in keys:
-                assert got[k] == pytest.approx(ref[k], rel=1e-13)
+        for m in FAMILIES:
+            got = certified(family(op_mid, 0.12, m), beta)
+            assert got == pytest.approx(family_entries(ref, m), rel=1e-13)
 
-    def test_block_resolvent_refuses_foreign_rhs(self, op_mid):
-        # f_3 lies in the (even, odd) class, outside the coupled block
-        block = _Family(op_mid, 0.1, 0).block
-        with pytest.raises(ValueError):
-            _Resolvent(block, [0], [0.05j], {3: flux_vector(op_mid.basis, 3)})
-        # an m = 2 vector lies on the slots of the coupled block's class, the
-        # (even, even) one, but outside its m = 0 sector
-        m2 = op_mid.sector_blocks.micro[2][2][0]
-        foreign = m2.embed(np.ones(m2.basis.shape[1]), op_mid.basis.dim)
-        assert set(np.flatnonzero(foreign)) <= set(block.frames[0].index)
-        with pytest.raises(ValueError):
-            _Resolvent(block, [0], [0.05j], {1: flux_vector(op_mid.basis, 1) + 1e-6 * foreign})
-
-    def test_wrong_y_is_refused(self, op_mid):
-        # the mode (eps, s) = (0.2, 0.5) needs a family at y = 0.1
-        with pytest.raises(ValueError):
-            _shear_roots(_Family(op_mid, 0.2, 1), [0.2], [0.5])
-        with pytest.raises(ValueError):
-            _coupled_roots(_Family(op_mid, 0.2, 0), [0.2], [0.5], op_mid.kappa_bar)
-
-    def test_wrong_sector_is_refused(self, op_mid):
-        with pytest.raises(ValueError):
-            _shear_roots(_Family(op_mid, 0.1, 0), [0.2], [0.5])
-        with pytest.raises(ValueError):
-            _coupled_roots(_Family(op_mid, 0.1, 1), [0.2], [0.5], op_mid.kappa_bar)
+    def test_block_resolvent_refuses_foreign_rhs(self):
+        # a flux planted outside its family's cos frame is refused before any
+        # root is sought: f_3 in place of f_2 lies in the sin copy of m = 1;
+        # 1e-6 of an m = 2 vector added to f_1 lies on the slots of the
+        # coupled block's class, the (even, even) one, but outside its m = 0
+        # sector
+        op = synthetic_collision(build_basis(4))  # a fresh basis, for the planted fluxes
+        m2 = op.sector_blocks.micro[2][2][0]
+        foreign = m2.embed(np.ones(m2.basis.shape[1]), op.basis.dim)
+        assert set(np.flatnonzero(foreign)) <= set(op.sector_blocks.micro[0][2][0].index)
+        exact = np.array(op.basis.fluxes, dtype=complex)
+        for m, j, planted in ((1, 2, exact[2]), (0, 1, exact[0] + 1e-6 * foreign)):
+            fluxes = exact.copy()
+            fluxes[j - 1] = planted
+            vars(op.basis)["fluxes"] = fluxes
+            with pytest.raises(AssemblyError, match=f"flux f_{j} leaves the span"):
+                _Family(op, 0.2, 0.5, m)
 
     def test_tiny_cond_limit_is_refused(self, hard_sphere_prod, monkeypatch):
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
@@ -267,9 +264,9 @@ class TestPoleSums:
         op = synthetic_collision(basis_mid, nu_bar=2.0)
         with pytest.raises(RegimeError, match="singular"):
             _entries(op, -2.0, 0.0)
-        for m in FAMILY_KEYS:
+        for m in FAMILIES:
             with pytest.raises(RegimeError, match="singular"):
-                certified(_Family(op, 0.0, m), -2.0)
+                certified(family(op, 0.0, m), -2.0)
 
     @pytest.mark.parametrize("y", [0.0, 0.1])
     def test_whole_block_eigenvalues_are_refused(self, op_mid, y):
@@ -288,16 +285,14 @@ class TestPoleSums:
         lm, wm, _ = op_mid.sector_blocks.micro[2]
         mus = np.linalg.eigvals(lm + 0.1 * wm)
         assert mus.size == 4
-        for m in FAMILY_KEYS:
-            fam = _Family(op_mid, 0.1, m)
+        for m in FAMILIES:
+            fam = family(op_mid, 0.1, m)
             for mu in mus:
-                got, ref = certified(fam, mu), fam.entries(0, mu)[0]
-                for k in FAMILY_KEYS[m]:
-                    assert got[k] == pytest.approx(ref[k], rel=1e-10)
+                assert certified(fam, mu) == pytest.approx(pole_sums(fam, mu)[0], rel=1e-10)
 
     def test_family_eigenvalues_are_refused(self, op_mid):
-        for m in FAMILY_KEYS:
-            fam = _Family(op_mid, 0.1, m)
+        for m in FAMILIES:
+            fam = family(op_mid, 0.1, m)
             for mu in fam.block.vals[0]:
                 with pytest.raises(RegimeError, match="singular"):
                     certified(fam, mu)
@@ -307,15 +302,14 @@ class TestPoleSums:
         # its own member's spectrum, wherever it sits in the stack, and the
         # accepted stack gives each member's own entries
         beta = -0.01 + 0.3j
-        for m in FAMILY_KEYS:
-            fam = _Family(op_mid, [0.12, 0.2], m)
-            stacked = _Resolvent(fam.block, [0, 1, 1], [beta, beta, 0.5 * beta], fam.fluxes)
-            for got, (y, b) in zip(stacked.entries, ((0.12, beta), (0.2, beta),
-                                                     (0.2, 0.5 * beta))):
-                assert got == certified(_Family(op_mid, y, m), b)
+        for m in FAMILIES:
+            fam = _Family(op_mid, [0.12, 0.2], 1.0, m)
+            stacked = fam.solve(np.array([0, 1, 1]), np.array([beta, beta, 0.5 * beta]))
+            for got, (y, b) in zip(stacked, ((0.12, beta), (0.2, beta), (0.2, 0.5 * beta))):
+                assert np.array_equal(got, certified(family(op_mid, y, m), b))
             for mu in fam.block.vals[1]:
                 with pytest.raises(RegimeError, match="singular"):
-                    _Resolvent(fam.block, [0, 1], [beta, mu], fam.fluxes)
+                    fam.solve(np.array([0, 1]), np.array([beta, mu]))
 
     def test_colliding_roots_name_their_mode(self, op_mid, monkeypatch):
         # seeding branch 1 of one mode at branch -1's frequency makes both
@@ -329,9 +323,9 @@ class TestPoleSums:
     def test_one_refused_member_is_named(self, hard_sphere_prod, monkeypatch):
         # a limit at the largest member cond refuses that member alone, and
         # the refusal names its mode
-        y = [eps * s for eps, s in SWEEP]
-        conds = sorted((c, m, mode) for m in (1, 0)
-                       for c, mode in zip(_Family(hard_sphere_prod, y, m).block.cond, SWEEP))
+        conds = sorted((c, m, mode) for m in FAMILIES
+                       for c, mode in zip(_Family(hard_sphere_prod, *np.transpose(SWEEP),
+                                                  m).block.cond, SWEEP))
         (second, *_), (worst, m, (eps, s)) = conds[-2:]
         assert second < worst
         monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", worst)
@@ -353,6 +347,21 @@ class TestPoleSums:
             solves.clear()
             hydrodynamic_sweep(hard_sphere_prod, modes)
             assert solves == [(len(modes), 11, 11), (3 * len(modes), 13, 13)], solves
+
+    def test_one_newton_per_family(self, hard_sphere_prod, monkeypatch):
+        # each Newton step evaluates a determinant on every root of its family
+        # at once, and the certificate once more: at most _MAX_ITER + 1 calls
+        # of each determinant, whatever the number of modes
+        calls = {}
+        for name in ("_shear_det", "_coupled_det"):
+            def spy(*args, name=name, det=getattr(dispersion, name)):
+                calls[name] += 1
+                return det(*args)
+            monkeypatch.setattr(dispersion, name, spy)
+        for modes in (SWEEP[:1], SWEEP):
+            calls.update(_shear_det=0, _coupled_det=0)
+            hydrodynamic_sweep(hard_sphere_prod, modes)
+            assert all(2 <= n <= dispersion._MAX_ITER + 1 for n in calls.values()), calls
 
     def test_two_sector_eigs_per_sweep(self, hard_sphere_prod, monkeypatch):
         # the shear poles come from the micro m = 1 block, the coupled ones
