@@ -13,9 +13,9 @@ checkout's src, labelled "change") is timed in fresh processes:
   the transport job's kappas_with_error at degree 6 (into an empty
   cache), sector_blocks of the hard-sphere operator at degree 8 and of a
   synthetic one at degree 12 (each with its frames built beforehand), one
-  axis mode's eigen_blocks decomposed,
-  hydrodynamic_sweep over the dispersion workload's modes, propagate_kinetic
-  on one mode, propagate_axis_modes over one stack of 8 converge shells, the
+  axis mode's sector blocks formed and decomposed (axis_eigen_blocks),
+  hydrodynamic_sweep over the dispersion workload's modes,
+  propagate_axis_modes over one stack of 8 converge shells, the
   fluid limit of the converge workload (its 32 shells in stacks, generic data,
   five branches, four eps values, 36 times), and the GammaEvaluator build;
   each the median of --repeats calls;
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -83,17 +82,14 @@ def child(tiny: bool, repeats: int) -> dict:
     """The in-process figures of the tree on sys.path, and its environment."""
     import numpy as np
 
-    from vpb_spectral import blas, dispersion, limit_lab
+    from vpb_spectral import blas, limit_lab
     from vpb_spectral.collision import assemble_collision, synthetic_collision
-    try:
-        from vpb_spectral.oracles import GammaEvaluator
-    except ImportError:  # a tree from before the oracles module
-        from vpb_spectral.collision import GammaEvaluator
-    from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_sweep
+    from vpb_spectral.dispersion import R0_DEFAULT, hydrodynamic_sweep, shell_coefficients
     from vpb_spectral.limit_lab import (layer_time_grid, make_initial_data, radial_grid,
                                         run_convergence_study)
-    from vpb_spectral.mode_operator import mode_operator
-    from vpb_spectral.semigroup import propagate_axis_modes, propagate_kinetic
+    from vpb_spectral.mode_operator import axis_eigen_blocks
+    from vpb_spectral.oracles import GammaEvaluator
+    from vpb_spectral.semigroup import propagate_axis_modes
     from vpb_spectral.transport import compute_kappas, kappas_with_error
     from vpb_spectral.velocity_space import build_basis
 
@@ -128,8 +124,9 @@ def child(tiny: bool, repeats: int) -> dict:
             lambda op: op.sector_blocks, repeats,
             lambda: framed(synthetic_collision(build_basis(blocks_deg))))
         out["eigen_blocks"] = _median(
-            lambda mode: [(b.vecs, b.cond) for b in mode.eigen_blocks()], repeats,
-            lambda: mode_operator(hard, 0.1, np.array([0.3, 0.0, 0.0])))
+            lambda _: [(b.vecs, b.cond)
+                       for b in axis_eigen_blocks(hard, 0.03, 0.3, [True] * (large + 1))],
+            repeats)
         pairs = [(eps, float(s)) for eps in (0.2, 0.1, 0.05)
                  for s in radial_grid(0.05, 0.6, 8).nodes if eps * s <= R0_DEFAULT]
         out["hydrodynamic_sweep"] = _median(lambda _: hydrodynamic_sweep(hard, pairs), repeats)
@@ -140,36 +137,17 @@ def child(tiny: bool, repeats: int) -> dict:
         profile = lambda s: math.exp(-s * s / 0.08)
         generic = make_initial_data("generic", profile, syn.basis, grid)
         times = layer_time_grid(max(EPS4), 20.0, 12, 24)
-        out["propagate_kinetic"] = _median(
-            lambda mode: propagate_kinetic(mode, generic.profile[3], times), repeats,
-            lambda: mode_operator(syn, 0.1, np.array([float(grid.nodes[3]), 0.0, 0.0])))
         stack = slice(0, min(8, shells))
         f0 = syn.basis.macro_project(generic.profile[stack])
-        s = grid.nodes[stack].tolist()
-        params = inspect.signature(propagate_axis_modes).parameters
-        if "g" in params:
-            g = syn.basis.axis_sectors.coordinates(f0)
-            # a tree that integrates refused members takes their data f0 too
-            data = (f0, g) if "f0" in params else (g,)
-            axis = lambda _: propagate_axis_modes(syn, EPS4, s, *data, times)
-        else:  # a tree that takes one shell per call
-            axis = lambda _: [propagate_axis_modes(syn, EPS4, sk, fk, times)
-                              for sk, fk in zip(s, f0)]
-        out["propagate_axis_modes"] = _median(axis, repeats)
+        s, g = grid.nodes[stack].tolist(), syn.basis.axis_sectors.coordinates(f0)
+        out["propagate_axis_modes"] = _median(
+            lambda _: propagate_axis_modes(syn, EPS4, s, g, times), repeats)
         u, branches = syn.basis.macro_project(generic.profile), (0, 2, 3, -1, 1)
-        if hasattr(dispersion, "shell_coefficients"):
-            size = limit_lab.SHELLS_PER_STACK
-            # a tree whose library modes may lie off the axis takes their direction
-            axis = ([1.0, 0.0, 0.0],) if "direction" in inspect.signature(
-                dispersion.shell_coefficients).parameters else ()
-            fluid = lambda _: [dispersion.shell_coefficients(
-                syn.basis, grid.nodes[k:k + size], *axis, coeffs).evolve(
-                syn.basis, u[k:k + size], times, branches, EPS4) for k in range(0, shells, size)]
-        else:  # a tree that evolves one shell per call
-            fluid = lambda _: [dispersion.asymptotic_coefficients(
-                syn.basis, float(sk), coeffs).evolve(syn.basis, uk, times, branches, EPS4)
-                for sk, uk in zip(grid.nodes, u)]
-        out["fluid_limit"] = _median(fluid, repeats)
+        size = limit_lab.SHELLS_PER_STACK
+        out["fluid_limit"] = _median(lambda _: [shell_coefficients(
+            syn.basis, grid.nodes[k:k + size], coeffs).evolve(
+            syn.basis, u[k:k + size], times, branches, EPS4) for k in range(0, shells, size)],
+            repeats)
         gamma_basis = build_basis(3 if tiny else 4)
         out["gamma_evaluator"] = _median(lambda _: GammaEvaluator(gamma_basis, 1.0, 1.0),
                                          repeats)

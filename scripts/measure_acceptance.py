@@ -15,9 +15,8 @@ from vpb_spectral.limit_lab import (
     radial_grid,
     run_convergence_study,
 )
-from vpb_spectral.mode_operator import mode_operator
-from vpb_spectral.oracles import classify_strip, fit_decay, layer_frequency, strip_eigensystem
-from vpb_spectral.semigroup import propagate_kinetic, split_S1_S2
+from vpb_spectral.oracles import (classify_strip, fit_decay, layer_frequency, mode_operator,
+                                  propagate_kinetic, split_S1_S2, strip_eigensystem)
 from vpb_spectral.transport import asymptotic_eigenvalue, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, macro_vector, weighted_norm
 

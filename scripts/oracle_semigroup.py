@@ -11,7 +11,7 @@ Run:  python3 scripts/oracle_semigroup.py
 import numpy as np
 
 from vpb_spectral.collision import synthetic_collision
-from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.oracles import mode_operator
 from vpb_spectral.velocity_space import build_basis, weighted_inner
 
 BASIS = build_basis(3)

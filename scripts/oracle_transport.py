@@ -14,8 +14,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from vpb_spectral.collision import assemble_collision
-from vpb_spectral.mode_operator import mode_operator
-from vpb_spectral.oracles import classify_strip, strip_eigensystem
+from vpb_spectral.oracles import classify_strip, mode_operator, strip_eigensystem
 from vpb_spectral.velocity_space import build_basis
 
 

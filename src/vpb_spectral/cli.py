@@ -24,7 +24,7 @@ from .collision import (STRUCTURE_TOL, CollisionOperator, _structural_checks,
 from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
                      validate_subcommand)
 from .blas import describe_policy, one_blas_thread
-from .dispersion import R0_DEFAULT, hydrodynamic_spectrum, hydrodynamic_sweep
+from .dispersion import R0_DEFAULT, hydrodynamic_sweep
 from .errors import CheckError, ConfigError, RegimeError, VPBError
 from .limit_lab import (
     layer_time_grid,
@@ -34,12 +34,13 @@ from .limit_lab import (
     run_convergence_study,
     synth_norm_LinfP,
 )
-from .mode_operator import mode_operator
+from .mode_operator import mode_matrix
 from .semigroup import (
     fluid_semigroup_V,
+    hydrodynamic_part,
+    member_states,
     nspf_mode_solve,
-    propagate_kinetic,
-    split_S1_S2,
+    propagate_axis_modes,
 )
 from .transport import (
     asymptotic_eigenvalue,
@@ -47,7 +48,7 @@ from .transport import (
     kappas_with_error,
 )
 from .velocity_space import (_FRAME_TOL, _GRAM_TOL, MacroState, build_basis, quadrature_gaps,
-                             weighted_norm)
+                             weighted_inner, weighted_norm)
 
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
@@ -171,6 +172,17 @@ def run_transport(cfg: ExperimentConfig) -> int:
 SEMIGROUP_HEADER = ("t", "norm_xi", "norm_macro", "norm_micro", "norm_s2")
 
 
+def _mode_flow(op: CollisionOperator, eps: float, s: float, f0: np.ndarray, times: np.ndarray):
+    """The flow of f0 in the axis mode at eps and s e1, propagated once, and
+    its hydrodynamic part S1 (semigroup.hydrodynamic_part)."""
+    basis = op.basis
+    coords, _ = propagate_axis_modes(op, [eps], [s], basis.axis_sectors.coordinates(f0[None]),
+                                     times)
+    states = member_states(basis, coords, (0, 0), times)
+    points = hydrodynamic_sweep(op, [(eps, s)])[0] if eps * s <= R0_DEFAULT else []
+    return states, hydrodynamic_part(basis, eps, s, f0, times, points)
+
+
 def run_semigroup(cfg: ExperimentConfig) -> int:
     with one_blas_thread():
         op = build_operator(cfg)
@@ -180,14 +192,12 @@ def run_semigroup(cfg: ExperimentConfig) -> int:
         eps = cfg.eps_list[0]
         probe = grid.count // 2
         s = float(grid.nodes[probe])
-        mode = mode_operator(op, eps, np.array([s, 0.0, 0.0]))
         times = layer_time_grid(eps, cfg.t_max, cfg.n_layer, cfg.n_bulk)
-        f0 = data.shell(probe)
-        traj = propagate_kinetic(mode, f0, times)
-        _, s2 = split_S1_S2(mode, f0, times)
+        states, s1 = _mode_flow(op, eps, s, data.shell(probe), times)
+        s2 = states - s1
         rows = []
         for i, t in enumerate(times):
-            state = traj.states[i]
+            state = states[i]
             rows.append((
                 float(t),
                 weighted_norm(basis, state, s),
@@ -265,18 +275,18 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         _require(op.spectral_gap() > 0.0, "no spectral gap")
 
     def mode_dissipation():
-        mode = mode_operator(op, cfg.eps_list[0], np.array([0.4, 0.0, 0.0]))
+        # Re (B f, f) in the mode metric equals the collision form exactly
+        b = mode_matrix(op, cfg.eps_list[0], 0.4)
         f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        diss = mode.dissipation(f)
+        diss = float(np.real(weighted_inner(basis, b @ f, f, 0.4)))
         ref = float(np.real(np.vdot(f, op.matrix @ f)))
         _require(diss <= 1e-12 * np.linalg.norm(f) ** 2, f"positive dissipation {diss:.2e}")
         _require(abs(diss - ref) <= 1e-8 * max(1.0, abs(ref)), "metric broke the collision form")
 
     def dispersion_consistency():
         eps = min(cfg.eps_list)
-        mode = mode_operator(op, eps, np.array([0.5, 0.0, 0.0]))
-        points = hydrodynamic_spectrum(mode)
-        dense = np.linalg.eigvals(np.asarray(mode.matrix))
+        points = hydrodynamic_sweep(op, [(eps, 0.5)])[0]
+        dense = np.linalg.eigvals(mode_matrix(op, eps, 0.5))
         for bp in points:
             _require(bp.det_residual <= tol, f"det residual {bp.det_residual:.2e}")
             gap = float(np.min(np.abs(dense - bp.lam)))
@@ -289,16 +299,14 @@ def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
         _require(iso <= 1e-10 * coeffs.kappa0, f"isotropy broken by {iso:.2e}")
 
     def semigroup_split():
-        eps = cfg.eps_list[0]
-        mode = mode_operator(op, eps, np.array([0.5, 0.0, 0.0]))
         f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         times = np.array([0.0, 0.05, 0.2])
-        traj = propagate_kinetic(mode, f, times)
-        _require(np.max(np.abs(traj.states[0] - f)) <= 1e-12, "t=0 is not the identity")
-        _require(np.all(np.diff(traj.norm_track) <= 1e-9 * traj.norm_track[0]),
-                 "norm grew along the flow")
-        s1, s2 = split_S1_S2(mode, f, times)
-        resid = float(np.max(np.abs(s1 + s2 - traj.states)))
+        states, s1 = _mode_flow(op, cfg.eps_list[0], 0.5, f, times)
+        _require(np.max(np.abs(states[0] - f)) <= 1e-12, "t=0 is not the identity")
+        norms = np.array([weighted_norm(basis, st, 0.5) for st in states])
+        _require(np.all(np.diff(norms) <= 1e-9 * norms[0]), "norm grew along the flow")
+        s2 = states - s1
+        resid = float(np.max(np.abs(s1 + s2 - states)))
         _require(resid <= 1e-12, f"split reassembly off by {resid:.2e}")
 
     def fluid_consistency():
@@ -410,11 +418,11 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, backend=args.backend, jobs=args.jobs,
                               out_dir=args.out)
         validate_subcommand(cfg, args.subcommand, source=args.config or "defaults")
+        # a runner's ConfigError (an unusable VPB_SPECTRAL_CACHE) is a config error too
+        return RUNNERS[args.subcommand](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return RUNNERS[args.subcommand](cfg)
     except VPBError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import EigenBlock, FourierMode, _checked_times, axis_wavenumber, check_eps
+from .mode_operator import EigenBlock, _checked_times, axis_wavenumber, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
 from .velocity_space import VelocityBasis
 
@@ -326,7 +326,7 @@ def limit_vectors(basis: VelocityBasis, s) -> dict:
 def asymptotic_coefficients(basis: VelocityBasis, xi,
                             coeffs: TransportCoefficients) -> AsymptoticCoefficients:
     """Frequencies eta_j, decay rates b_j and limit vectors h_j at xi, parsed
-    as for mode_operator (axis_wavenumber); shell_coefficients takes K shells."""
+    by axis_wavenumber; shell_coefficients takes K shells."""
     return shell_coefficients(basis, axis_wavenumber(xi), coeffs)
 
 
@@ -366,8 +366,8 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
     seed.  Eigenfunctions are normalized in the weighted pairing and
     sign-aligned against the limit vectors.  eig_residual applies the mode
     matrix through the dense L and V1, not through the sector blocks.  Each
-    mode is parsed as mode_operator parses it: eps by check_eps (RegimeError)
-    and s by axis_wavenumber (BasisError)."""
+    mode's eps is parsed by check_eps (RegimeError) and its s by
+    axis_wavenumber (BasisError)."""
     if not modes:
         return []
     eps = [float(e) for e, _ in modes]
@@ -448,8 +448,3 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
                          psi=psi[:, 5 * i + k], det_residual=float(dets[i, k]),
                          eig_residual=float(eig[i, k])) for k, j in enumerate(BRANCHES)]
             for i in range(len(s))]
-
-
-def hydrodynamic_spectrum(mode: FourierMode) -> list[BranchPoint]:
-    """The five labeled branch points of one mode: hydrodynamic_sweep's stack of one."""
-    return hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0]

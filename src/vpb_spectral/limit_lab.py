@@ -276,7 +276,7 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     the caller passes the macro part as f0.
     """
     basis = op.basis
-    coords = propagate_axis_modes(op, eps_list, s, g, times)
+    coords, _ = propagate_axis_modes(op, eps_list, s, g, times)
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)

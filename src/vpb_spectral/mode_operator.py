@@ -23,9 +23,10 @@ sector blocks are read off its radial blocks and Burnett labels once
 (CollisionOperator.sector_blocks; `check` holds them against the dense V1);
 axis_eigen_blocks forms a mode's blocks from them, or one stack of blocks
 for axis modes at several eps and s, and EigenBlock decomposes each when it
-is first needed.  The dense mode matrix is only the reference the shortcuts
-are checked against, in `check` and in the tests; the dense eigensystem
-assembled from the blocks is oracles.eigensystem, which no job runs.
+is first needed.  The dense mode matrix (mode_matrix) is only the reference
+the shortcuts are checked against, in `check` and in the tests; the per-mode
+object FourierMode and the dense eigensystem assembled from the blocks are
+in oracles, which no job runs.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, BasisError, RegimeError
-from .velocity_space import Frame, VelocityBasis, bilinear_pair, weighted_inner
+from .velocity_space import Frame
 
 
 def _norm1(x: np.ndarray) -> np.ndarray:
@@ -148,56 +149,13 @@ def axis_wavenumber(xi) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class FourierMode:
-    """The linearized operator restricted to the axis mode xi = s e1."""
-
-    collision: CollisionOperator
-    eps: float
-    s: float
-
-    @property
-    def basis(self) -> VelocityBasis:
-        return self.collision.basis
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.array([self.s, 0.0, 0.0])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense complex mode matrix B, formed on first use; read-only."""
-        basis = self.basis
-        i0 = basis.density_index
-        coupling = np.zeros((basis.dim, basis.dim))
-        coupling[:, i0] = basis.v1[:, i0] / self.s ** 2
-        mat = self.collision.matrix - 1j * self.eps * self.s * (basis.v1 + coupling)
-        mat.setflags(write=False)
-        return mat
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        return weighted_inner(self.basis, f, g, self.s)
-
-    def pair(self, f: np.ndarray, g: np.ndarray) -> complex:
-        return bilinear_pair(self.basis, f, g, self.s)
-
-    def dissipation(self, f: np.ndarray) -> float:
-        """Re (B f, f) in the mode metric; equals the collision form exactly."""
-        return float(np.real(self.inner(self.matrix @ f, f)))
-
-    @cached_property
-    def _blocks(self) -> tuple[EigenBlock, ...]:
-        return tuple(axis_eigen_blocks(self.collision, self.eps * self.s, self.s,
-                                       [True] * (self.basis.max_degree + 1)))
-
-    def eigen_blocks(self) -> tuple[EigenBlock, ...]:
-        """The mode's eigendecomposition, one block per azimuthal sector, in the
-        order of basis.axis_sectors, formed from the operator's sector blocks
-        (AssemblyError for non-finite radial blocks).  Each block is decomposed
-        when its vals, vecs or cond are first read, so a caller that skips a
-        block never pays for it.
-        """
-        return self._blocks
+def mode_matrix(collision: CollisionOperator, eps: float, s: float) -> np.ndarray:
+    """The dense complex mode matrix B of the axis mode at eps and s e1."""
+    basis = collision.basis
+    i0 = basis.density_index
+    coupling = np.zeros((basis.dim, basis.dim))
+    coupling[:, i0] = basis.v1[:, i0] / s ** 2
+    return collision.matrix - 1j * eps * s * (basis.v1 + coupling)
 
 
 def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[EigenBlock | None]:
@@ -242,9 +200,3 @@ def _checked_times(times) -> np.ndarray:
     if not (np.isfinite(times).all() and times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
         raise ValueError("times must be finite, nondecreasing and start at t >= 0")
     return times
-
-
-def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
-    """The mode at eps and the axis wavevector xi, parsed by axis_wavenumber."""
-    check_eps(eps)
-    return FourierMode(collision=collision, eps=eps, s=axis_wavenumber(xi))

@@ -4,6 +4,11 @@ No subcommand imports this module: each definition here recomputes by a
 second route what a job computes by its first, or measures a quantity the
 acceptance criteria pin down.
 
+- FourierMode and mode_operator: one axis mode as an object, its dense
+  matrix (mode_operator.mode_matrix) and its weighted inner product and
+  pairing; mode_blocks gives its sector blocks, and propagate_kinetic and
+  split_S1_S2 propagate and split it through the jobs' kernel
+  (semigroup.propagate_axis_modes, hydrodynamic_part).
 - eigensystem and strip_eigensystem: the dense eigensystem of one mode,
   every copy of every sector block embedded back into the basis, and its
   five-eigenvalue hydrodynamic strip; classify_strip labels the strip by
@@ -18,29 +23,110 @@ acceptance criteria pin down.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .collision import (CollisionOperator, CollisionQuadrature, _chunk_blocks, _CollisionGrid,
                         _pair_points, _point_weights)
+from .dispersion import R0_DEFAULT, BranchPoint, hydrodynamic_sweep
 from .errors import BasisError, FitError, RegimeError
-from .mode_operator import FourierMode, mode_operator
-from .semigroup import ModeTrajectory, propagate_kinetic
-from .velocity_space import VelocityBasis, _gauss_product_rule, macro_vector
+from .mode_operator import (EigenBlock, _checked_times, axis_eigen_blocks, axis_wavenumber,
+                            check_eps, mode_matrix)
+from .semigroup import ModeTrajectory, hydrodynamic_part, member_states, propagate_axis_modes
+from .velocity_space import (VelocityBasis, _gauss_product_rule, bilinear_pair, macro_vector,
+                             weighted_inner)
+
+
+@dataclass(frozen=True)
+class FourierMode:
+    """The linearized operator restricted to the axis mode xi = s e1."""
+
+    collision: CollisionOperator
+    eps: float
+    s: float
+
+    @property
+    def basis(self) -> VelocityBasis:
+        return self.collision.basis
+
+    @property
+    def xi(self) -> np.ndarray:
+        return np.array([self.s, 0.0, 0.0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense complex mode matrix B, formed on first use; read-only."""
+        mat = mode_matrix(self.collision, self.eps, self.s)
+        mat.setflags(write=False)
+        return mat
+
+    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
+        return weighted_inner(self.basis, f, g, self.s)
+
+    def pair(self, f: np.ndarray, g: np.ndarray) -> complex:
+        return bilinear_pair(self.basis, f, g, self.s)
+
+    def dissipation(self, f: np.ndarray) -> float:
+        """Re (B f, f) in the mode metric; equals the collision form exactly."""
+        return float(np.real(self.inner(self.matrix @ f, f)))
+
+
+def mode_operator(collision: CollisionOperator, eps: float, xi) -> FourierMode:
+    """The mode at eps and the axis wavevector xi, parsed by axis_wavenumber."""
+    check_eps(eps)
+    return FourierMode(collision=collision, eps=eps, s=axis_wavenumber(xi))
+
+
+def mode_blocks(mode: FourierMode) -> list[EigenBlock]:
+    """The mode's sector EigenBlocks, in the order of basis.axis_sectors,
+    every sector formed (axis_eigen_blocks)."""
+    return list(axis_eigen_blocks(mode.collision, mode.eps * mode.s, mode.s,
+                                  [True] * (mode.basis.max_degree + 1)))
+
+
+def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajectory:
+    """Evolve one mode under the scaled kinetic flow: propagate_axis_modes for
+    one shell and one eps, embedded by member_states.  method is "expm" if
+    some block was refused the eig path and took the block exponential, else
+    "eig"."""
+    times = _checked_times(times)
+    f0 = np.asarray(f0, dtype=complex)
+    coords, refused = propagate_axis_modes(mode.collision, [mode.eps], [mode.s],
+                                           mode.basis.axis_sectors.coordinates(f0[None]), times)
+    return ModeTrajectory(xi=mode.xi, eps=mode.eps, times=times,
+                          states=member_states(mode.basis, coords, (0, 0), times),
+                          basis=mode.basis, method="expm" if refused.any() else "eig")
+
+
+def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,
+                points: list[BranchPoint] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Hydrodynamic part S1 (semigroup.hydrodynamic_part, at the mode's own
+    hydrodynamic_sweep unless points are given) and remainder S2 of the
+    propagated mode at time(s) t; S2 is the full propagation minus S1."""
+    tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    full = propagate_kinetic(mode, f0, tarr).states
+    if points is None:
+        points = hydrodynamic_sweep(mode.collision, [(mode.eps, mode.s)])[0] \
+            if mode.eps * mode.s <= R0_DEFAULT else []
+    s1 = hydrodynamic_part(mode.basis, mode.eps, mode.s, f0, tarr, points)
+    s2 = full - s1
+    return (s1[0], s2[0]) if np.ndim(t) == 0 else (s1, s2)
 
 
 def eigensystem(mode: FourierMode) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of the mode matrix.
 
-    Assembled from mode.eigen_blocks(): every copy of every block embedded
-    back into the basis, each eigenvector zero outside its copy's slots.
-    Both arrays are computed once per mode, kept on the mode as a cached
-    property would be, shared between callers and read-only.
+    Assembled from mode_blocks(mode): every copy of every block embedded back
+    into the basis, each eigenvector zero outside its copy's slots.  Both
+    arrays are computed once per mode, kept on the mode as a cached property
+    would be, shared between callers and read-only.
     """
     held = vars(mode)
     if "_dense_eigensystem" not in held:
-        blocks = mode.eigen_blocks()
+        blocks = mode_blocks(mode)
         vals = np.concatenate([b.vals for b in blocks for _ in b.frames])
         vecs = np.zeros((mode.basis.dim, vals.size), dtype=complex)
         col = 0

@@ -1,13 +1,12 @@
 """Propagation of kinetic Fourier modes and their fluid counterparts.
 
 One module covers the whole time side of the theory: the kinetic flow
-e^{(t/eps^2) B} (one kernel in the coordinates of the real azimuthal-sector
-blocks of axis modes, stacked over modes: propagate_kinetic embeds one mode's,
-propagate_axis_modes hands over those of every eps of several shells; each
-block goes by eigen-expansion where its residuals certify it, else by its
-matrix exponential),
-its splitting into the five-branch hydrodynamic part and an exponentially
-small remainder, the fluid semigroup on the three non-oscillatory branches,
+e^{(t/eps^2) B} (one kernel, propagate_axis_modes, in the coordinates of the
+real azimuthal-sector blocks of the axis modes at every eps of several
+shells; each block goes by eigen-expansion where its residuals certify it,
+else by its matrix exponential; member_states embeds one mode's),
+its five-branch hydrodynamic part (hydrodynamic_part; the remainder is the
+flow minus it), the fluid semigroup on the three non-oscillatory branches,
 and the forced fluid mode equations solved by exact Duhamel integration of
 piecewise-linear forcing.
 """
@@ -20,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients, \
-    hydrodynamic_spectrum
+from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients
 from .errors import DataError
-from .mode_operator import FourierMode, _checked_times, _norm1, axis_eigen_blocks, axis_wavenumber
+from .mode_operator import _checked_times, _norm1, axis_eigen_blocks, axis_wavenumber
 from .transport import TransportCoefficients, branch_decay
-from .velocity_space import MacroState, VelocityBasis, macro_vector, weighted_norm
+from .velocity_space import MacroState, VelocityBasis, bilinear_pair, macro_vector, weighted_norm
 
 COND_LIMIT = 1e12
 # the eig path is refused above this propagation bound, for the block exponential
@@ -91,13 +89,14 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
 def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
     """The kinetic flow for modes that share their frames: states =
-    e^{(t/eps^2) B} f0 block by block, member by member.
+    e^{(t/eps^2) B} f0 block by block, member by member; propagate_axis_modes'
+    kernel.
 
-    blocks are EigenBlocks whose leading axes hold the members (none for one
-    mode; None where no member has data), coords the coordinates of f0 in each
-    copy of each block (AxisSectors.coordinates) and eps2 the eps^2, both
-    broadcast against the members.  Only the blocks where some member has
-    coordinates are decomposed and solved, all members at once.
+    blocks are EigenBlocks whose leading axes hold the members (None where no
+    member has data), coords the coordinates of f0 in each copy of each block
+    (AxisSectors.coordinates) and eps2 the eps^2, both broadcast against the
+    members.  Only the blocks where some member has coordinates are decomposed
+    and solved, all members at once.
 
     Returns, nested as coords, the states' (..., T, n) coordinates in each
     copy where some member has some (None elsewhere: zero; exact zeros for the
@@ -157,68 +156,53 @@ def _eig_coordinates(blocks, coords, times: np.ndarray, eps2):
     return out, refused
 
 
-def propagate_kinetic(mode: FourierMode, f0: np.ndarray, times) -> ModeTrajectory:
-    """Evolve one mode under the scaled kinetic flow: the mode's eigen_blocks()
-    through _eig_coordinates, as a stack of one; each copy adds scale * (x @
-    basis^T) on its slots, x its coordinates.  method is "expm" if some block
-    was refused the eig path and took the block exponential, else "eig".
-    """
-    times = _checked_times(times)
-    f0 = np.asarray(f0, dtype=complex)
-    blocks = mode.eigen_blocks()
-    coords, refused = _eig_coordinates(blocks, mode.basis.axis_sectors.coordinates(f0), times,
-                                       np.array(mode.eps ** 2))
-    states = np.zeros((times.size, f0.size), dtype=complex)
-    for fr, x in zip([fr for b in blocks for fr in b.frames], [x for xs in coords for x in xs]):
-        if x is not None:
-            states[:, fr.index] += fr.scale * (x @ fr.basis.T)
-    return ModeTrajectory(xi=np.asarray(mode.xi), eps=mode.eps, times=times, states=states,
-                          basis=mode.basis, method="expm" if refused else "eig")
-
-
-def propagate_axis_modes(op: CollisionOperator, eps_list, s, g, times) -> list:
+def propagate_axis_modes(op: CollisionOperator, eps_list, s, g, times):
     """The sector coordinates of the axis modes at each eps of eps_list on each
     shell s[k] e1, g the AxisSectors.coordinates of the shells' data (row k
     shell k's): each sector block where some shell has data is one stack,
     decomposed by one eig (_eig_coordinates), and no other is formed.
-    Embedded as by propagate_kinetic, coords[m][j][k, e] gives
-    propagate_kinetic(mode_operator(op, eps_list[e], s[k]), f0[k],
-    times).states bit for bit if row k of g has the bits of f0[k]'s own
-    coordinates, whichever path each block of the member took.
+
+    Returns coords, coords[m][j][k, e] the (T, n) coordinates of member (k,
+    e) in copy j of sector m (None where no shell has data: zero), and the
+    (K, E) mask of members that some block refused the eig path, which took
+    the block exponential there.  Each s[k] is parsed by axis_wavenumber.
     """
-    s = np.array([axis_wavenumber(sk) for sk in s])[:, None]  # as mode_operator parses them
+    s = np.array([axis_wavenumber(sk) for sk in s])[:, None]
     times = _checked_times(times)
     y = s * np.array(eps_list, dtype=float)
     blocks = axis_eigen_blocks(op, y, s, [any(x.any() for x in xs) for xs in g])
-    return _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,
-                            np.array([eps ** 2 for eps in eps_list]))[0]
+    coords, refused = _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,
+                                       np.array([eps ** 2 for eps in eps_list]))
+    return coords, np.broadcast_to(refused, y.shape)
 
 
-def split_S1_S2(mode: FourierMode, f0: np.ndarray, t,
-                points: list[BranchPoint] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Hydrodynamic part and remainder of the propagated mode at time(s) t.
+def member_states(basis: VelocityBasis, coords, member, times: np.ndarray) -> np.ndarray:
+    """The (T, dim) states of member (k, e) of propagate_axis_modes' coords:
+    each copy adds scale * (x @ basis^T) on its slots, x its coordinates."""
+    states = np.zeros((times.size, basis.dim), dtype=complex)
+    for copies, xs in zip(basis.axis_sectors.frames, coords):
+        for fr, x in zip(copies, xs):
+            if x is not None:
+                states[:, fr.index] += fr.scale * (x[member] @ fr.basis.T)
+    return states
 
-    The first part sums the five branch contributions weighted by the
-    conjugation-free pairing against the branch eigenfunctions, and is cut
-    off entirely outside the ball eps|xi| <= R0_DEFAULT; the remainder is
-    the full propagation minus it, so the two reassemble exactly by
-    construction.
+
+def hydrodynamic_part(basis: VelocityBasis, eps: float, s: float, f0: np.ndarray,
+                      times: np.ndarray, points: list[BranchPoint]) -> np.ndarray:
+    """S1, the (T, dim) hydrodynamic part of the flow of f0 in the axis mode
+    at eps and s e1: the five branch contributions of points (the mode's
+    hydrodynamic_sweep), each weighted by the conjugation-free pairing of f0
+    against its eigenfunction, summed in their order; zero outside the ball
+    eps s <= R0_DEFAULT.  The remainder S2 is the flow minus it, so the two
+    reassemble exactly by construction.
     """
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    full = propagate_kinetic(mode, f0, tarr).states
     f0 = np.asarray(f0, dtype=complex)
-    s1 = np.zeros_like(full)
-    if mode.eps * mode.s <= R0_DEFAULT:
-        if points is None:
-            points = hydrodynamic_spectrum(mode)
+    s1 = np.zeros((times.size, basis.dim), dtype=complex)
+    if eps * s <= R0_DEFAULT:
         for bp in points:
-            weight = mode.pair(f0, bp.psi)
-            s1 += np.exp(tarr * bp.lam / mode.eps ** 2)[:, None] \
-                * (weight * bp.psi)[None, :]
-    s2 = full - s1
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return s1[0], s2[0]
-    return s1, s2
+            weight = bilinear_pair(basis, f0, bp.psi, s)
+            s1 += np.exp(times * bp.lam / eps ** 2)[:, None] * (weight * bp.psi)[None, :]
+    return s1
 
 
 def _macro_as_vector(basis: VelocityBasis, u0) -> np.ndarray:

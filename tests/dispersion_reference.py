@@ -21,8 +21,8 @@ from vpb_spectral.dispersion import (FLUX_INDICES, R1_DEFAULT, BranchPoint, _cou
                                      _Family, _require_regime, _shear_det, hydrodynamic_sweep,
                                      limit_vectors)
 from vpb_spectral.errors import RegimeError
-from vpb_spectral.mode_operator import EigenBlock, FourierMode
-from vpb_spectral.oracles import eigensystem
+from vpb_spectral.mode_operator import EigenBlock
+from vpb_spectral.oracles import FourierMode, eigensystem
 from vpb_spectral.transport import branch_frequency
 from vpb_spectral.velocity_space import weighted_norm
 

@@ -1,11 +1,12 @@
 """Projectors and closed forms that check the semigroup by a second route.
 
 The library splits a mode's flow by pairing the data with the branch
-eigenfunctions (vpb_spectral.semigroup.split_S1_S2) and evolves the fluid
-limit through the limit vectors.  The helpers here build the hydrodynamic
+eigenfunctions (vpb_spectral.semigroup.hydrodynamic_part) and evolves the
+fluid limit through the limit vectors.  The helpers here build the hydrodynamic
 projector as a matrix, project onto any eigenvector set along its
-complement, and write the fluid semigroup in raw moments, so the tests can
-check the one route against the other.  No job runs them.
+complement, write the fluid semigroup in raw moments, and synthesize the
+norms of a radial packet shell by shell, so the tests can check the one
+route against the other.  No job runs them.
 """
 
 import math
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vpb_spectral.dispersion import BranchPoint, asymptotic_coefficients, hydrodynamic_spectrum
-from vpb_spectral.mode_operator import FourierMode
+from vpb_spectral.dispersion import BranchPoint, asymptotic_coefficients
+from vpb_spectral.oracles import FourierMode, mode_operator, propagate_kinetic
 from vpb_spectral.semigroup import FluidModeState, _macro_as_vector
 from vpb_spectral.transport import TransportCoefficients
-from vpb_spectral.velocity_space import VelocityBasis
+from vpb_spectral.velocity_space import VelocityBasis, weighted_inner
 
 
 def metric(mode: FourierMode) -> np.ndarray:
@@ -51,12 +52,9 @@ class SpectralProjector:
     matrix: np.ndarray
 
 
-def hydrodynamic_projector(mode: FourierMode,
-                           points: list[BranchPoint] | None = None) -> SpectralProjector:
-    """P = sum_j psi_j (G psi_j)^T; the pairing-orthonormality of the branch
-    eigenfunctions makes this idempotent."""
-    if points is None:
-        points = hydrodynamic_spectrum(mode)
+def hydrodynamic_projector(mode: FourierMode, points: list[BranchPoint]) -> SpectralProjector:
+    """P = sum_j psi_j (G psi_j)^T over the mode's branch points; the
+    pairing-orthonormality of the branch eigenfunctions makes this idempotent."""
     g = metric(mode)
     p = sum(np.outer(bp.psi, g @ bp.psi) for bp in points)
     return SpectralProjector(xi=np.asarray(mode.xi), eps=mode.eps, matrix=p)
@@ -100,3 +98,23 @@ def closed_fluid_forms(basis: VelocityBasis, coeffs: TransportCoefficients,
     for i in idx[2:4]:
         state[i] += math.exp(-bundle.b[2] * t) * u0vec[i]
     return {"state": state, "field_flux": np.array([thermal * (2.0 * s / den), 0.0, 0.0])}
+
+
+def packet_norms(op, data_vec, eps, times, micro):
+    """4pi sum w_k s_k^2 ||part||^2 over a radial Gauss-Legendre grid."""
+    basis = op.basis
+    x, w = np.polynomial.legendre.leggauss(64)
+    nodes, weights = 0.3 * (x + 1.0), 0.3 * w
+    acc = np.zeros(len(times))
+    for s_k, w_k in zip(nodes, weights):
+        mode = mode_operator(op, eps, np.array([s_k, 0.0, 0.0]))
+        traj = propagate_kinetic(mode, data_vec.astype(complex), np.asarray(times))
+        for i in range(len(times)):
+            part = basis.micro_project(traj.states[i]) if micro \
+                else basis.macro_project(traj.states[i])
+            if micro:
+                val = float(np.real(np.sum(part * np.conj(part))))
+            else:
+                val = float(np.real(weighted_inner(basis, part, part, s_k)))
+            acc[i] += 4.0 * np.pi * w_k * s_k ** 2 * val
+    return np.sqrt(acc)

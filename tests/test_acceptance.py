@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from collision_reference import gamma_form
-from semigroup_reference import constraint_residuals
+from semigroup_reference import constraint_residuals, packet_norms
 from transport_reference import crosscheck_b2
 
 from vpb_spectral.cli import main as cli_main
@@ -31,27 +31,23 @@ from vpb_spectral.collision import (
     assemble_collision,
     synthetic_collision,
 )
-from vpb_spectral.dispersion import hydrodynamic_spectrum
+from vpb_spectral.dispersion import hydrodynamic_sweep
 from vpb_spectral.limit_lab import (
     layer_time_grid,
     make_initial_data,
     radial_grid,
     run_convergence_study,
 )
-from vpb_spectral.mode_operator import mode_operator
 from vpb_spectral.oracles import (
     GammaEvaluator,
     classify_strip,
     fit_decay,
     layer_frequency,
+    mode_operator,
+    split_S1_S2,
     strip_eigensystem,
 )
-from vpb_spectral.semigroup import (
-    compatible_initial_values,
-    nspf_mode_solve,
-    propagate_kinetic,
-    split_S1_S2,
-)
+from vpb_spectral.semigroup import compatible_initial_values, nspf_mode_solve
 from vpb_spectral.transport import (
     asymptotic_eigenvalue,
     branch_decay,
@@ -63,7 +59,6 @@ from vpb_spectral.velocity_space import (
     build_basis,
     macro_vector,
     multiplication_matrices,
-    weighted_inner,
     weighted_norm,
 )
 
@@ -129,7 +124,7 @@ def test_criterion_02_roots_match_dense_spectrum(syn4):
             assert eps * s <= 0.3 + 1e-12
             mode = mode_operator(syn4, eps, np.array([s, 0.0, 0.0]))
             dense = np.linalg.eigvals(np.asarray(mode.matrix))
-            for bp in hydrodynamic_spectrum(mode):
+            for bp in hydrodynamic_sweep(syn4, [(eps, s)])[0]:
                 worst = max(worst, float(np.min(np.abs(dense - bp.lam))))
     assert worst <= 1e-8
 
@@ -250,26 +245,6 @@ def test_criterion_06_fast_component_scaling(syn4):
     assert fit.r_squared >= 0.99
 
 
-def _packet_norms(op, data_vec, eps, times, micro):
-    """4pi sum w_k s_k^2 ||part||^2 on a Gauss-Legendre radial grid to 0.6."""
-    basis = op.basis
-    x, w = np.polynomial.legendre.leggauss(64)
-    nodes, weights = 0.3 * (x + 1.0), 0.3 * w
-    acc = np.zeros(len(times))
-    for s_k, w_k in zip(nodes, weights):
-        mode = mode_operator(op, eps, np.array([s_k, 0.0, 0.0]))
-        traj = propagate_kinetic(mode, data_vec.astype(complex), np.asarray(times))
-        for i in range(len(times)):
-            part = basis.micro_project(traj.states[i]) if micro \
-                else basis.macro_project(traj.states[i])
-            if micro:
-                val = float(np.real(np.sum(part * np.conj(part))))
-            else:
-                val = float(np.real(weighted_inner(basis, part, part, s_k)))
-            acc[i] += 4.0 * np.pi * w_k * s_k ** 2 * val
-    return np.sqrt(acc)
-
-
 def test_criterion_07_packet_decay_exponents():
     """Radially synthesized density-free packets: macroscopic part decays
     with polynomial rate 0.75 +/- 0.10; microscopic part carries an eps
@@ -278,11 +253,11 @@ def test_criterion_07_packet_decay_exponents():
     basis = op.basis
     data = (basis.chi(2) + basis.chi(4)) / math.sqrt(2.0)
     times = np.expm1(np.linspace(np.log(31.0), np.log(401.0), 10))
-    fit = fit_decay((times, _packet_norms(op, data, 0.1, times, micro=False)),
+    fit = fit_decay((times, packet_norms(op, data, 0.1, times, micro=False)),
                     model="poly")
     assert fit.rate == pytest.approx(0.75, abs=0.10)
     eps_list = np.array([0.1, 0.05, 0.025])
-    vals = np.array([_packet_norms(op, data, e, [20.0], micro=True)[0]
+    vals = np.array([packet_norms(op, data, e, [20.0], micro=True)[0]
                      for e in eps_list])
     slope = float(np.polyfit(np.log(eps_list), np.log(vals), 1)[0])
     assert slope == pytest.approx(1.0, abs=0.1)

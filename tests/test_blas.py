@@ -152,13 +152,13 @@ from vpb_spectral import build_basis, semigroup
 from vpb_spectral.blas import loaded_openblas
 from vpb_spectral.cli import main
 from vpb_spectral.collision import synthetic_collision
-from vpb_spectral.mode_operator import mode_operator
+from vpb_spectral.oracles import mode_operator, propagate_kinetic
 
 semigroup.COND_LIMIT = 0.0
 before = len(loaded_openblas())
 mode = mode_operator(synthetic_collision(build_basis(2)), 0.2, 0.5)
-traj = semigroup.propagate_kinetic(mode, np.ones(mode.basis.dim, dtype=complex),
-                                   np.linspace(0.0, 1.0, 3))
+traj = propagate_kinetic(mode, np.ones(mode.basis.dim, dtype=complex),
+                         np.linspace(0.0, 1.0, 3))
 rc = main(sys.argv[1:])
 print(traj.method, len(loaded_openblas()) - before,
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

@@ -327,12 +327,34 @@ class TestReproducibility:
         sweep = cli.hydrodynamic_sweep
         monkeypatch.setattr(cli, "hydrodynamic_sweep",
                             lambda op, modes: calls.append(len(modes)) or sweep(op, modes))
-        monkeypatch.setattr(cli, "hydrodynamic_spectrum", None)
         code, out, _ = run_cli(["dispersion", "--config", tiny_cfg,
                                 "--out", tmp_path, "--jobs", "4"], capsys)
         assert code == 0 and calls == [6 * 3]
         lines = open(artifact_of(out, ".csv"), encoding="utf-8").read().splitlines()
         assert len(lines) - 1 == 6 * 3 * 5
+
+    def test_semigroup_job_and_split_step_propagate_once(self, tiny_cfg, tmp_path, capsys,
+                                                         monkeypatch):
+        # the semigroup job and check's "semigroup split" step each propagate
+        # their mode once and sweep its branches once: S2 is that flow minus
+        # the branch sum, not a second propagation
+        import vpb_spectral.cli as cli
+        import vpb_spectral.dispersion as dispersion
+        import vpb_spectral.semigroup as semigroup
+
+        calls = []
+        for module, name in ((semigroup, "_eig_coordinates"), (dispersion, "hydrodynamic_sweep"),
+                             (cli, "hydrodynamic_sweep")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        code, _, _ = run_cli(["semigroup", "--config", tiny_cfg, "--out", tmp_path], capsys)
+        assert code == 0
+        assert sorted(calls) == ["_eig_coordinates", "hydrodynamic_sweep"]
+        calls.clear()
+        cfg = cli.parse_config(str(tiny_cfg))
+        dict(cli._check_steps(cfg, cli.build_operator(cfg)))["semigroup split"]()
+        assert sorted(calls) == ["_eig_coordinates", "hydrodynamic_sweep"]
 
 
     def test_shells_without_data_inside_a_stack_keep_the_bytes(self, tmp_path, capsys,
@@ -705,9 +727,9 @@ class TestEntryPoint:
             [sys.executable, "-m", "vpb_spectral", "transport", "--config", str(cfg),
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            f"error: ConfigError: VPB_SPECTRAL_CACHE={str(blocker)!r} is not a usable "
+            f"config error: VPB_SPECTRAL_CACHE={str(blocker)!r} is not a usable "
             "cache directory: File exists"]
         assert not (tmp_path / "out").exists()
 

@@ -33,12 +33,10 @@ from vpb_spectral.dispersion import (
     R1_DEFAULT,
     _Family,
     asymptotic_coefficients,
-    hydrodynamic_spectrum,
     hydrodynamic_sweep,
 )
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
-from vpb_spectral.mode_operator import mode_operator
-from vpb_spectral.oracles import eigensystem, strip_eigensystem
+from vpb_spectral.oracles import eigensystem, mode_operator, strip_eigensystem
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, weighted_norm
 
@@ -240,11 +238,11 @@ class TestPoleSums:
                 _Family(op, 0.2, 0.5, m)
 
     def test_tiny_cond_limit_is_refused(self, hard_sphere_prod, monkeypatch):
-        mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
-        assert max(p.det_residual for p in hydrodynamic_spectrum(mode)) <= 1e-10
+        [points] = hydrodynamic_sweep(hard_sphere_prod, [(0.1, 0.5)])
+        assert max(p.det_residual for p in points) <= 1e-10
         monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", 1.0)
         with pytest.raises(RegimeError, match="POLE_COND_LIMIT"):
-            hydrodynamic_spectrum(mode)
+            hydrodynamic_sweep(hard_sphere_prod, [(0.1, 0.5)])
 
     def test_singular_eigenvectors_are_refused(self, op_mid, monkeypatch):
         exact = np.linalg.eig
@@ -257,7 +255,7 @@ class TestPoleSums:
 
         monkeypatch.setattr(np.linalg, "eig", singular)
         with pytest.raises(RegimeError, match="POLE_COND_LIMIT"):
-            hydrodynamic_spectrum(mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0])))
+            hydrodynamic_sweep(op_mid, [(0.1, 0.5)])
 
     def test_beta_on_a_micro_eigenvalue_is_a_regime_error(self, basis_mid):
         # the synthetic micro block is -nu_bar I, so A - beta is exactly zero
@@ -403,7 +401,7 @@ class TestPoleSums:
     def test_sweep_matches_the_stack_of_one(self, axis_operators, name):
         op = axis_operators[name]
         for (eps, s), points in zip(SWEEP, hydrodynamic_sweep(op, SWEEP)):
-            one = hydrodynamic_spectrum(mode_operator(op, eps, np.array([s, 0.0, 0.0])))
+            [one] = hydrodynamic_sweep(op, [(eps, s)])
             for p, q in zip(points, one):
                 assert (p.branch, p.s, p.eps) == (q.branch, q.s, q.eps)
                 for got, ref in ((p.lam, q.lam), (p.z, q.z), (p.det_residual, q.det_residual),
@@ -415,7 +413,7 @@ class TestPoleSums:
 class TestHydrodynamicSpectrum:
     def test_axis_branches(self, hard_sphere_prod):
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
-        points = hydrodynamic_spectrum(mode)
+        [points] = hydrodynamic_sweep(hard_sphere_prod, [(0.1, 0.5)])
         assert [p.branch for p in points] == [-1, 0, 1, 2, 3]
         for p in points:
             assert p.lam.real < 0.0
@@ -438,7 +436,7 @@ class TestHydrodynamicSpectrum:
         d = np.array([1.0, 2.0, 2.0]) / 3.0
         basis = hard_sphere_prod.basis
         tilted = off_axis_matrix(hard_sphere_prod, eps, s * d)
-        points = hydrodynamic_spectrum(mode_operator(hard_sphere_prod, eps, s))
+        [points] = hydrodynamic_sweep(hard_sphere_prod, [(eps, s)])
         psi = pushforward_from_axis(basis, d) @ np.stack([p.psi for p in points], axis=1)
         lam = np.array([p.lam for p in points])
         dense = np.linalg.eigvals(tilted)
@@ -453,22 +451,20 @@ class TestHydrodynamicSpectrum:
                 if eps * s > 0.3:
                     continue
                 mode = mode_operator(op_mid, eps, np.array([s, 0.0, 0.0]))
-                points = hydrodynamic_spectrum(mode)
+                [points] = hydrodynamic_sweep(op_mid, [(eps, s)])
                 report = dense_comparison(mode, points)
                 assert report["max_mismatch"] <= 1e-8
                 assert report["max_other_real"] < 0.0
 
     def test_plasma_oscillation_limit(self, op_mid):
         # as s -> 0 the acoustic pair oscillates at the plasma frequency
-        mode = mode_operator(op_mid, 0.1, np.array([0.05, 0.0, 0.0]))
-        points = hydrodynamic_spectrum(mode)
+        [points] = hydrodynamic_sweep(op_mid, [(0.1, 0.05)])
         lam_plus = next(p.lam for p in points if p.branch == 1)
         assert abs(lam_plus / 0.1 - 1j) < 0.01
 
     def test_regime_rejection(self, op_mid):
-        mode = mode_operator(op_mid, 0.5, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(RegimeError):
-            hydrodynamic_spectrum(mode)
+            hydrodynamic_sweep(op_mid, [(0.5, 1.0)])
 
     def test_gap_outside_ball(self, op_mid):
         # even outside the asymptotic ball the spectrum stays strictly damped
@@ -483,8 +479,7 @@ class TestHydrodynamicSpectrum:
 class TestEigenfunctionExpansion:
     @pytest.mark.parametrize("branch", [0, 1, 2])
     def test_expansion_orders(self, op_mid, branch):
-        mode = mode_operator(op_mid, 0.16, np.array([0.5, 0.0, 0.0]))
-        bp = next(p for p in hydrodynamic_spectrum(mode) if p.branch == branch)
+        bp = next(p for p in hydrodynamic_sweep(op_mid, [(0.16, 0.5)])[0] if p.branch == branch)
         rep = eigenfunction_expansion_check(op_mid, bp)
         assert rep["macro_slope"] >= 0.9
         assert rep["micro_slope"] >= 1.8
@@ -536,6 +531,6 @@ class TestAsymptoticCoefficients:
         s, eps = 0.5, 0.01
         bundle = asymptotic_coefficients(basis, s, coeffs)
         mode = mode_operator(op_mid, eps, np.array([s, 0.0, 0.0]))
-        for p in hydrodynamic_spectrum(mode):
+        for p in hydrodynamic_sweep(op_mid, [(eps, s)])[0]:
             macro = basis.macro_project(p.psi)
             assert mode_norm(mode, macro - bundle.h[p.branch]) < 5.0 * eps * s

@@ -34,9 +34,8 @@ from vpb_spectral.limit_lab import (
     synth_norm_LinfP,
     weighted_sup,
 )
-from vpb_spectral.mode_operator import axis_eigen_blocks, mode_operator
-from vpb_spectral.oracles import layer_frequency
-from vpb_spectral.semigroup import propagate_kinetic
+from vpb_spectral.mode_operator import axis_eigen_blocks
+from vpb_spectral.oracles import layer_frequency, mode_operator, propagate_kinetic
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import bilinear_pair, build_basis, weighted_norm
 
@@ -348,9 +347,10 @@ class TestConvergenceStudy:
                 asymptotic_coefficients(basis, sk, coeffs_small).evolve(
                     basis, basis.macro_project(by_shell[sk]), times, (0, 2, 3), eps_list))]
                 for sk in s]
-            return [[np.array([[r[m][j] for r in shell] for shell in rows])
-                     for j in range(len(copies))]
-                    for m, copies in enumerate(rows[0][0])]
+            coords = [[np.array([[r[m][j] for r in shell] for shell in rows])
+                       for j in range(len(copies))]
+                      for m, copies in enumerate(rows[0][0])]
+            return coords, np.zeros((len(s), len(eps_list)), dtype=bool)  # none refused
 
         monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
         data = InitialData(kind="generic", grid=grid, basis=basis,

@@ -1,4 +1,5 @@
-"""Smoke run of the bench script under scripts/, started as a user would."""
+"""Smoke runs of what ships beside the package: the bench script under
+scripts/, started as a user would, and README's quick start."""
 
 import json
 import math
@@ -29,7 +30,7 @@ def test_bench_script_writes_its_schema(tmp_path):
     tree = report["trees"]["change"]
     assert set(tree["layers"]) == {
         "build_basis_d3", "assemble_hard_sphere_d3", "sector_blocks", "eigen_blocks",
-        "hydrodynamic_sweep", "propagate_kinetic", "propagate_axis_modes", "fluid_limit",
+        "hydrodynamic_sweep", "propagate_axis_modes", "fluid_limit",
         "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
     assert set(tree["end_to_end"]) == {"criterion_08_study", "check", "converge-generic-d6",
                                        "dispersion-hs-d8", "transport-hs-d6"}
@@ -37,3 +38,14 @@ def test_bench_script_writes_its_schema(tmp_path):
         for fig in tree[part].values():
             assert fig["q1_s"] <= fig["median_s"] <= fig["q3_s"]
             assert all(math.isfinite(v) and v > 0 for v in fig["runs_s"])
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # the python block of README.md, executed as it stands: five branch
+    # points of one axis mode, each printed with its label
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = [b.split("\n", 1)[1] for b in text.split("```")[1::2] if b.startswith("python\n")]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split()[0]) for line in lines] == [-1, 0, 1, 2, 3]
+    assert all(complex(line.split()[1]).real < 0.0 for line in lines)

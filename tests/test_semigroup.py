@@ -17,22 +17,22 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from radau import ode_states
 from semigroup_reference import (closed_fluid_forms, constraint_residuals,
-                                 hydrodynamic_projector, mode_norm)
+                                 hydrodynamic_projector, mode_norm, packet_norms)
 
 from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import hydrodynamic_spectrum
+from vpb_spectral.dispersion import hydrodynamic_sweep
 from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.limit_lab import layer_time_grid
-from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks, mode_operator
-from vpb_spectral.oracles import eigensystem, fit_decay
+from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks
+from vpb_spectral.oracles import (eigensystem, fit_decay, mode_blocks, mode_operator,
+                                  propagate_kinetic, split_S1_S2)
 from vpb_spectral.semigroup import (
     compatible_initial_values,
     fluid_semigroup_V,
+    member_states,
     nspf_mode_solve,
     propagate_axis_modes,
-    propagate_kinetic,
-    split_S1_S2,
 )
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import (
@@ -40,7 +40,6 @@ from vpb_spectral.velocity_space import (
     MacroState,
     build_basis,
     macro_vector,
-    weighted_inner,
 )
 
 
@@ -65,8 +64,8 @@ def mode_mid(op_mid):
 
 
 @pytest.fixture(scope="module")
-def points_mid(mode_mid):
-    return hydrodynamic_spectrum(mode_mid)
+def points_mid(op_mid):
+    return hydrodynamic_sweep(op_mid, [(0.1, 0.5)])[0]
 
 
 def random_state(dim: int, seed: int = 3) -> np.ndarray:
@@ -144,7 +143,7 @@ class TestParityBlocks:
         f0 = random_state(mode.basis.dim, seed=seed)
         times = eps ** 2 * np.linspace(0.0, 50.0, 6)
         traj = propagate_kinetic(mode, f0, times)
-        assert traj.method == "eig" and len(mode.eigen_blocks()) == mode.basis.max_degree + 1
+        assert traj.method == "eig" and len(mode_blocks(mode)) == mode.basis.max_degree + 1
         vals, vecs = scipy.linalg.eig(np.array(mode.matrix))
         dense = np.exp(np.outer(times, vals) / eps ** 2) \
             * np.linalg.solve(vecs, f0)[None, :] @ vecs.T
@@ -159,10 +158,10 @@ class TestParityBlocks:
         mode = mode_operator(hard_sphere_prod, 0.1, np.array([0.5, 0.0, 0.0]))
         sizes = []
         eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a.shape[0]) or eig(a))
+        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(a) or eig(a))
         f0 = macro_vector(mode.basis, 0.3, [0.2, -0.5, 0.1], -0.7).astype(complex)
         traj = propagate_kinetic(mode, f0, [0.0, 0.1])
-        assert sizes == [16, 12]
+        assert [a.shape[-1] for a in sizes] == [16, 12]
         assert np.all(traj.states[:, parity_blocks(mode.basis)[3]] == 0.0)
 
     def test_tiny_cond_limit_takes_expm(self, mode_mid, monkeypatch):
@@ -170,18 +169,6 @@ class TestParityBlocks:
         traj = propagate_kinetic(mode_mid, random_state(mode_mid.basis.dim),
                                  [0.0, 0.01, 0.05])
         assert traj.method == "expm"
-
-
-def embed(basis, coords, member, times):
-    """Member (k, e) of propagate_axis_modes' coordinates, embedded as
-    propagate_kinetic embeds its own: each copy adds scale * (x @ basis^T) on
-    its slots."""
-    states = np.zeros((times.size, basis.dim), dtype=complex)
-    for copies, xs in zip(basis.axis_sectors.frames, coords):
-        for fr, x in zip(copies, xs):
-            if x is not None:
-                states[:, fr.index] += fr.scale * (x[member] @ fr.basis.T)
-    return states
 
 
 def same_coordinates(got, want, member=None):
@@ -223,7 +210,7 @@ class TestStackedPropagation:
         shells = [0.05, 0.37]
         data = [random_state(op.basis.dim, seed=11), random_state(op.basis.dim, seed=12)]
         times = layer_time_grid(max(self.EPS), 5.0, n_layer=4, n_bulk=6)
-        coords = propagate_axis_modes(op, self.EPS, shells, shells_data(op.basis, data), times)
+        coords, _ = propagate_axis_modes(op, self.EPS, shells, shells_data(op.basis, data), times)
         for xs, copies in zip(coords, op.basis.axis_sectors.frames):
             for x, fr in zip(xs, copies):
                 assert x.shape == (len(shells), len(self.EPS), times.size, fr.basis.shape[1])
@@ -231,7 +218,7 @@ class TestStackedPropagation:
             for e, eps in enumerate(self.EPS):
                 want = propagate_kinetic(mode_operator(op, eps, np.array([s, 0.0, 0.0])),
                                          data[k], times).states
-                assert np.array_equal(embed(op.basis, coords, (k, e), times), want)
+                assert np.array_equal(member_states(op.basis, coords, (k, e), times), want)
 
     def test_members_without_data_hold_exact_zeros(self, op_mid, monkeypatch):
         # a shell whose data is zero, or fills one copy of a sector whose other
@@ -243,7 +230,7 @@ class TestStackedPropagation:
         data = [random_state(basis.dim, seed=13), np.zeros(basis.dim),
                 0.7 * basis.chi(2)]  # the cos copy of sector 1 only
         g = shells_data(basis, data)
-        coords = propagate_axis_modes(op_mid, self.EPS, shells, g, times)
+        coords, _ = propagate_axis_modes(op_mid, self.EPS, shells, g, times)
         for m, xs in enumerate(coords):
             for j, x in enumerate(xs):
                 assert np.all(x[1] == 0.0)
@@ -252,16 +239,11 @@ class TestStackedPropagation:
             for e, eps in enumerate(self.EPS):
                 want = propagate_kinetic(mode_operator(op_mid, eps, np.array([s, 0.0, 0.0])),
                                          data[k], times).states
-                assert np.array_equal(embed(basis, coords, (k, e), times), want)
+                assert np.array_equal(member_states(basis, coords, (k, e), times), want)
         # with every cond refused, only the members with data are refused,
         # and the others still hold exact zeros
         monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
-        s = np.array(shells)[:, None]
-        blocks = axis_eigen_blocks(op_mid, s * np.array(self.EPS[:2]), s,
-                                   [any(x.any() for x in xs) for xs in g])
-        coords, refused = semigroup._eig_coordinates(
-            blocks, [[x[:, None] for x in xs] for xs in g], times,
-            np.array([eps ** 2 for eps in self.EPS[:2]]))
+        coords, refused = propagate_axis_modes(op_mid, self.EPS[:2], shells, g, times)
         assert np.array_equal(refused, [[True] * 2, [False] * 2, [True] * 2])
         assert all(np.all(x[1] == 0.0) for xs in coords for x in xs if x is not None)
 
@@ -271,7 +253,7 @@ class TestStackedPropagation:
         held = [True] * len(op.basis.axis_sectors.frames)
         blocks = tuple(axis_eigen_blocks(op, s * np.array(self.EPS), s, held))
         for k, e in np.ndindex(len(s), len(self.EPS)):
-            one = mode_operator(op, self.EPS[e], np.array([s[k, 0], 0.0, 0.0])).eigen_blocks()
+            one = mode_blocks(mode_operator(op, self.EPS[e], np.array([s[k, 0], 0.0, 0.0])))
             assert len(blocks) == len(one)
             for stacked, block in zip(blocks, one):
                 assert np.array_equal(stacked.matrix[k, e], block.matrix)
@@ -293,24 +275,24 @@ class TestStackedPropagation:
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=5)
         shell = shells_data(op_mid.basis, [f0])
-        want = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
+        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         eig = np.linalg.eig
 
         def spoiled(a):
-            # member (0, 1) of a stack, and the one mode's own blocks, exactly
-            # singular: the stacked inv fails
+            # member (0, 1) of the stack of four eps, and the one mode's own
+            # stack of one, exactly singular: the stacked inv fails
             vals, vecs = eig(a)
             if a.shape[-1] > 1:
                 vecs = np.array(vecs)
-                vecs[(0, 1) if a.ndim == 4 else ()][:, 0] = 0.0
+                vecs[(0, 1) if a.shape[1] > 1 else (0, 0)][:, 0] = 0.0
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", spoiled)
-        got = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
+        got, refused = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         mode = mode_operator(op_mid, self.EPS[1], np.array([s, 0.0, 0.0]))
         traj = propagate_kinetic(mode, f0, times)
-        assert traj.method == "expm"
-        assert np.array_equal(embed(op_mid.basis, got, (0, 1), times), traj.states)
+        assert traj.method == "expm" and np.array_equal(refused, [[False, True, False, False]])
+        assert np.array_equal(member_states(op_mid.basis, got, (0, 1), times), traj.states)
         for e in (0, 2, 3):
             same_coordinates(got, want, (0, e))
 
@@ -318,18 +300,19 @@ class TestStackedPropagation:
         s, times = 0.4, np.array([0.0, 0.002, 0.01])
         f0 = random_state(op_mid.basis.dim, seed=7)
         shell = shells_data(op_mid.basis, [f0])
-        want = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
+        want, _ = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
         held = [True] * len(op_mid.basis.axis_sectors.frames)  # f0 fills every sector
         blocks = axis_eigen_blocks(op_mid, np.array([eps * s for eps in self.EPS]), s, held)
         worst = np.max([b.cond for b in blocks], axis=0)
         limit = np.sort(worst)[1:3].mean()
         monkeypatch.setattr(semigroup, "COND_LIMIT", limit)
-        got = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
+        got, refused = propagate_axis_modes(op_mid, self.EPS, [s], shell, times)
+        assert np.array_equal(refused, [worst >= limit])
         for e, eps in enumerate(self.EPS):
             traj = propagate_kinetic(mode_operator(op_mid, eps, np.array([s, 0.0, 0.0])), f0,
                                      times)
             assert traj.method == ("expm" if worst[e] >= limit else "eig")
-            assert np.array_equal(embed(op_mid.basis, got, (0, e), times), traj.states)
+            assert np.array_equal(member_states(op_mid.basis, got, (0, e), times), traj.states)
             if worst[e] < limit:
                 same_coordinates(got, want, (0, e))
         assert 0 < np.sum(worst >= limit) < len(self.EPS)
@@ -363,6 +346,7 @@ class TestStackedPropagation:
         # vectors off by 1e-6 at cond below 100 pass COND_LIMIT by ten
         # orders; only the eigenpair residual sees them
         mode = mode_operator(op_mid, 0.1, np.array([0.5, 0.0, 0.0]))
+        blocks = mode_blocks(mode)
         rng = np.random.default_rng(2)
         eig = np.linalg.eig
 
@@ -374,13 +358,13 @@ class TestStackedPropagation:
         # data in the blocks of more than one row: a 1-row block's eigenvector
         # is exact however it is scaled
         f0 = np.zeros(mode.basis.dim, dtype=complex)
-        for b in mode.eigen_blocks():
+        for b in blocks:
             for fr in b.frames if b.matrix.shape[-1] > 1 else ():
                 f0[fr.index] += fr.scale * (fr.basis @ random_state(fr.basis.shape[1]))
         times = np.array([0.0, 0.002, 0.01])
         traj = propagate_kinetic(mode, f0, times)
-        assert all(b.cond < 100.0 for b in mode.eigen_blocks())
-        assert max(b.residual for b in mode.eigen_blocks()) > 1e-8
+        assert all(b.cond < 100.0 for b in blocks)
+        assert max(b.residual for b in blocks) > 1e-8
         assert traj.method == "expm"
         monkeypatch.setattr(np.linalg, "eig", eig)
         monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)  # every block refused
@@ -437,9 +421,10 @@ class TestBlockExponential:
         op = synthetic_prod if name == "synthetic-6" else hard_sphere_prod
         shells, times = [0.05, 0.37, 0.6], layer_time_grid(0.2, 20.0, 12, 24)
         g = shells_data(op.basis, [random_state(op.basis.dim, seed=k) for k in (21, 22, 23)])
-        want = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
+        want, _ = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
         monkeypatch.setattr(semigroup, "COND_LIMIT", 0.0)
-        got = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
+        got, refused = propagate_axis_modes(op, TestStackedPropagation.EPS, shells, g, times)
+        assert refused.all()
         pairs = [(x, y) for xs, ys in zip(want, got) for x, y in zip(xs, ys) if x is not None]
         gap = math.sqrt(sum(np.sum(np.abs(x - y) ** 2) for x, y in pairs))
         assert gap <= 1e-11 * math.sqrt(sum(np.sum(np.abs(x) ** 2) for x, _ in pairs))
@@ -785,26 +770,6 @@ class TestFitDecay:
                                  np.array([0.5, 0.0, 0.0]), times)
         fit = fit_decay(traj, model="exp")
         assert fit.rate == pytest.approx(coeffs_mid.kappa0 * 0.25, rel=1e-9)
-
-
-def packet_norms(op, data_vec, eps, times, micro):
-    """4pi sum w_k s_k^2 ||part||^2 over a radial Gauss-Legendre grid."""
-    basis = op.basis
-    x, w = np.polynomial.legendre.leggauss(64)
-    nodes, weights = 0.3 * (x + 1.0), 0.3 * w
-    acc = np.zeros(len(times))
-    for s_k, w_k in zip(nodes, weights):
-        mode = mode_operator(op, eps, np.array([s_k, 0.0, 0.0]))
-        traj = propagate_kinetic(mode, data_vec.astype(complex), np.asarray(times))
-        for i in range(len(times)):
-            part = basis.micro_project(traj.states[i]) if micro \
-                else basis.macro_project(traj.states[i])
-            if micro:
-                val = float(np.real(np.sum(part * np.conj(part))))
-            else:
-                val = float(np.real(weighted_inner(basis, part, part, s_k)))
-            acc[i] += 4.0 * np.pi * w_k * s_k ** 2 * val
-    return np.sqrt(acc)
 
 
 class TestPacketRates:

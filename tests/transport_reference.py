@@ -9,8 +9,7 @@ of the five labeled strip eigenvalues.  No job runs it.
 import numpy as np
 
 from vpb_spectral.collision import CollisionOperator
-from vpb_spectral.mode_operator import mode_operator
-from vpb_spectral.oracles import classify_strip, strip_eigensystem
+from vpb_spectral.oracles import classify_strip, mode_operator, strip_eigensystem
 from vpb_spectral.transport import BRANCHES, TransportCoefficients, branch_decay
 
 
