@@ -20,8 +20,9 @@ checkout's src, labelled "change") is timed in fresh processes:
   five branches, four eps values, 36 times), and the GammaEvaluator build;
   each the median of --repeats calls;
 - end to end: the criterion-08 convergence study in that process, and
-  `vpb-spectral check` and the three perfbench configurations as fresh
-  command-line processes (wall time, interpreter start included); the
+  `vpb-spectral check`, the three perfbench configurations and
+  `python -c "import vpb_spectral.cli"` (import_cli) as fresh processes
+  (wall time, interpreter start included, and peak RSS from os.wait4); the
   dispersion job reads a cache filled once beforehand, the others start
   from an empty one;
 - with --tier1, the Tier-1 suite of the tree's checkout.
@@ -51,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS4 = [0.2, 0.1, 0.05, 0.025]
+UNITS = {"layers": "s", "end_to_end": "s", "peak_rss": "mb"}  # each part's figures
 
 
 def _perfbench_workloads():
@@ -168,15 +170,26 @@ def child(tiny: bool, repeats: int) -> dict:
 
 # ------------------------------------------------------------ processes
 
-def _cli(src: Path, args: list, cache: Path, cwd: Path) -> float:
+def _fresh(src: Path, argv: list, cache: Path, cwd: Path) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB, the child's ru_maxrss from os.wait4)
+    of `python argv` as a fresh process on src."""
     env = dict(os.environ, PYTHONPATH=str(src), VPB_SPECTRAL_CACHE=str(cache))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "vpb_spectral", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(args[:1])} failed on {src}: {proc.stderr.strip()[-300:]}")
-    return wall
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        if proc.returncode != 0:
+            err.seek(0)
+            tail = err.read().decode(errors="replace").strip()[-300:]
+            raise SystemExit(f"{' '.join(argv[:3])} failed on {src}: {tail}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def _cli(src: Path, args: list, cache: Path, cwd: Path) -> tuple[float, float]:
+    return _fresh(src, ["-m", "vpb_spectral", *args], cache, cwd)
 
 
 def _tiny(config: dict) -> dict:
@@ -184,13 +197,14 @@ def _tiny(config: dict) -> dict:
 
 
 def end_to_end(src: Path, work: Path, tiny: bool, workloads, fill, warm: Path) -> dict:
-    """Wall time of each command-line job on src, as fresh processes."""
+    """(wall time, peak RSS) of each command-line job on src and of the bare
+    import of its command line, as fresh processes."""
     def config(name: str, values: dict) -> Path:
         path = work / f"{name}.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
         return path
 
-    out = {}
+    out = {"import_cli": _fresh(src, ["-c", "import vpb_spectral.cli"], work, work)}
     check = ["check"] + (["--config", str(config("check", _tiny({})))] if tiny else [])
     out["check"] = _cli(src, check, Path(tempfile.mkdtemp(dir=work)), work)
     for name, (sub, values, warm_cache) in workloads.items():
@@ -203,10 +217,10 @@ def end_to_end(src: Path, work: Path, tiny: bool, workloads, fill, warm: Path) -
     return out
 
 
-def _quartiles(runs: list) -> dict:
+def _quartiles(runs: list, unit: str = "s") -> dict:
     q1, med, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
                    if len(runs) > 1 else runs * 3)
-    return {"median_s": med, "q1_s": q1, "q3_s": q3, "runs_s": runs}
+    return {f"median_{unit}": med, f"q1_{unit}": q1, f"q3_{unit}": q3, f"runs_{unit}": runs}
 
 
 def _revision(src: Path):
@@ -242,7 +256,7 @@ def main() -> int:
         label, _, path = spec.rpartition("=")
         trees[label or path] = Path(path).resolve()
     workloads, fill = _perfbench_workloads()
-    runs = {label: {"layers": {}, "end_to_end": {}} for label in trees}
+    runs = {label: {"layers": {}, "end_to_end": {}, "peak_rss": {}} for label in trees}
     env = None
     with tempfile.TemporaryDirectory() as tmp:
         warm = {label: Path(tmp) / f"warm-{i}" for i, label in enumerate(trees)}
@@ -261,12 +275,13 @@ def main() -> int:
                 env = env or got["env"]
                 for name, value in got["layers"].items():
                     runs[label]["layers"].setdefault(name, []).append(value)
-                jobs = {"criterion_08_study": got["criterion_08_study"]}
+                runs[label]["end_to_end"].setdefault("criterion_08_study", []).append(
+                    got["criterion_08_study"])
                 with tempfile.TemporaryDirectory(dir=tmp) as work:
-                    jobs.update(end_to_end(src, Path(work), args.tiny, workloads, fill,
-                                           warm[label]))
-                for name, value in jobs.items():
-                    runs[label]["end_to_end"].setdefault(name, []).append(value)
+                    jobs = end_to_end(src, Path(work), args.tiny, workloads, fill, warm[label])
+                for name, (wall, rss) in jobs.items():
+                    runs[label]["end_to_end"].setdefault(name, []).append(wall)
+                    runs[label]["peak_rss"].setdefault(name, []).append(rss)
         for label, src in trees.items():
             if args.tier1:
                 t0 = time.perf_counter()
@@ -291,16 +306,18 @@ def main() -> int:
                         blas_threads_in_jobs=1),
         "settings": {"repeats": args.repeats, "rounds": args.rounds, "tiny": args.tiny},
         "trees": {label: {"revision": _revision(trees[label]),
-                          **{part: {name: _quartiles(values) for name, values in figures.items()}
+                          **{part: {name: _quartiles(values, UNITS[part])
+                                    for name, values in figures.items()}
                              for part, figures in runs[label].items()}}
                   for label in trees},
     }
     args.out.write_text(json.dumps(report, indent=1, allow_nan=False) + "\n", encoding="utf-8")
     for label, tree in report["trees"].items():
-        for part in ("layers", "end_to_end"):
+        for part, unit in UNITS.items():
+            scale, shown = (1e3, "ms") if unit == "s" else (1.0, "MB")
             for name, fig in tree[part].items():
-                print(f"{label:>8} {part:<10} {name:<28} {fig['median_s'] * 1e3:9.2f} ms "
-                      f"[{fig['q1_s'] * 1e3:.2f}, {fig['q3_s'] * 1e3:.2f}]")
+                print(f"{label:>8} {part:<10} {name:<28} {fig[f'median_{unit}'] * scale:9.2f} "
+                      f"{shown} [{fig[f'q1_{unit}'] * scale:.2f}, {fig[f'q3_{unit}'] * scale:.2f}]")
     return 0
 
 

@@ -7,7 +7,6 @@ assembly so a stale file can be rejected instead of silently reused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -15,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import sha256_hex
 from .errors import ConfigError, VPBError
 
 _MAGIC = b"VPBSPEC1"
@@ -37,7 +37,7 @@ def cache_dir() -> Path | None:
 
 def key_hash(params: dict) -> str:
     blob = json.dumps(params, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256_hex(blob)[:16]
 
 
 def write_matrix(path: Path, header: dict, matrix: np.ndarray) -> None:

@@ -54,19 +54,17 @@ center-of-mass rule.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
 
 from . import cache as _cache
 from .errors import AssemblyError, VPBError
-from .velocity_space import Frame, VelocityBasis, _genlaguerre, burnett_labels, burnett_rows
+from .gauss import genlaggauss, hermegauss, leggauss
+from .velocity_space import Frame, VelocityBasis, burnett_labels, burnett_rows
 
 _TWO_PI = 2.0 * np.pi
 _CHUNK_POINTS = 16_000  # quadrature points per evaluated block
@@ -106,23 +104,6 @@ class CollisionQuadrature:
             "n_polar": self.n_polar,
             "n_azimuth": self.n_azimuth,
         }
-
-
-def genlaggauss(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight x^alpha e^(-x) on (0, inf).
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Laguerre recurrence, polished by one Newton step; the weights are
-    1 / (L_(n-1)(x) L_n'(x)), scaled to the total Gamma(alpha + 1).
-    """
-    k = np.arange(n, dtype=float)
-    off = -np.sqrt(k[1:] * (k[1:] + alpha))
-    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    x = np.linalg.eigvalsh(jacobi)
-    dy = (n * _genlaguerre(n, alpha, x) - (n + alpha) * _genlaguerre(n - 1, alpha, x)) / x
-    x = x - _genlaguerre(n, alpha, x) / dy
-    w = 1.0 / (_genlaguerre(n - 1, alpha, x) * dy)
-    return x, w * (math.gamma(alpha + 1.0) / w.sum())
 
 
 def _check_mirror(x: np.ndarray, w: np.ndarray, rule: str) -> None:

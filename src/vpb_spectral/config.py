@@ -9,12 +9,21 @@ practically impossible.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+
+# CPython's own SHA-256 module: hashlib would load OpenSSL into every job
+# for the three digests of under 1 KB that a job takes
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = 1
 
@@ -24,6 +33,12 @@ SPACINGS = ("legendre", "uniform")
 # the largest max_degree whose jobs were measured: a synthetic converge job at
 # degree 16 peaks at 107 MB and 1.1 s on a 2-vCPU host; nothing above was run
 MAX_DEGREE = 16
+
+
+def sha256_hex(blob: bytes) -> str:
+    """hashlib.sha256(blob).hexdigest(): every artifact name, cache key and
+    basis descriptor hash is one."""
+    return _sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -69,7 +84,7 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         blob = "\n".join(self.canonical_lines()).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return sha256_hex(blob)[:12]
 
 
 def _parse_bool(raw: str) -> bool:

@@ -21,6 +21,7 @@ import numpy as np
 from .collision import CollisionOperator
 from .dispersion import limit_vectors, shell_coefficients
 from .errors import DataError, FitError
+from .gauss import leggauss
 from .mode_operator import check_eps
 from .semigroup import propagate_axis_modes
 from .transport import TransportCoefficients, compute_kappas
@@ -69,7 +70,7 @@ def radial_grid(s_min: float = S_MIN_DEFAULT, s_max: float = 0.6,
     if s_max <= s_min or count < 2:
         raise DataError("radial grid needs s_max > s_min and at least two shells")
     if spacing == "legendre":
-        x, w = np.polynomial.legendre.leggauss(count)
+        x, w = leggauss(count)
         nodes = 0.5 * (s_max - s_min) * (x + 1.0) + s_min
         weights = 0.5 * (s_max - s_min) * w
     elif spacing == "uniform":

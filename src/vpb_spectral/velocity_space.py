@@ -23,7 +23,6 @@ the dense matrix of such an operator.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -31,9 +30,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
+from .config import sha256_hex
 from .errors import AssemblyError, BasisError
+from .gauss import _genlaguerre, hermegauss
 
 _TWO_PI = 2.0 * np.pi
 _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
@@ -77,19 +77,6 @@ def hermite_polynomial_table(nmax: int, x: np.ndarray) -> np.ndarray:
     for n in range(1, nmax):
         table[n + 1] = (x * table[n] - np.sqrt(n) * table[n - 1]) / np.sqrt(n + 1)
     return table
-
-
-def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_m^(alpha)(x), as binom(m + alpha, m) times the recurrence for
-    L_m^(alpha) / L_m^(alpha)(0)."""
-    if m == 0:
-        return np.ones_like(x)
-    d = -x / (alpha + 1.0)
-    p = d + 1.0
-    for k in range(1, m):
-        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
-        p = d + p
-    return math.prod((i + alpha) / i for i in range(1, m + 1)) * p
 
 
 def burnett_labels(max_degree: int) -> np.ndarray:
@@ -407,7 +394,7 @@ class VelocityBasis:
 
     def descriptor_hash(self) -> str:
         payload = json.dumps(self.descriptor(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return sha256_hex(payload)
 
     def poly_rows(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Polynomial parts of the basis functions at arbitrary points, (dim, npts),

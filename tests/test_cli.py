@@ -476,6 +476,24 @@ class TestCheck:
         assert all("determinant root does not match the mode operator" in line
                    for line in fails[2:])
 
+    def test_skewed_branch_weight_fails_only_the_split_step(self, tiny_cfg, capsys,
+                                                             monkeypatch):
+        # S1 is held against the dense spectral projection of the mode matrix,
+        # not against the flow it is subtracted from, so one branch weighted
+        # by 1 + 1e-6 fails the split step and no other
+        part = cli.hydrodynamic_part
+
+        def skewed(basis, eps, s, f0, times, points):
+            return (part(basis, eps, s, f0, times, points)
+                    + 1e-6 * part(basis, eps, s, f0, times, points[:1]))
+
+        monkeypatch.setattr(cli, "hydrodynamic_part", skewed)
+        code, out, _ = run_cli(["check", "--config", tiny_cfg], capsys)
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert [line.split(":")[0] for line in fails] == ["FAIL semigroup split"]
+        assert "off the dense spectral projection by" in fails[0]
+
     def test_failing_step_fails_under_python_o(self, tmp_path):
         # python -O strips assert statements: a step that tested with them
         # passed a det residual above tol, and check exited 0
@@ -531,6 +549,39 @@ def _source_places(hit, paths=None) -> set:
     for path in sorted(paths or Path(vpb_spectral.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
     return places
+
+
+TINY_JOBS = [
+    ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"
+                 "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"
+                 "kind = generic\nsubtract_layer = true\njobs = 1\n"),
+    ("dispersion", "backend = hard_sphere\nmax_degree = 3\ns_count = 3\n"
+                   "eps_list = 0.2, 0.1\njobs = 1\n"),
+    ("transport", "backend = hard_sphere\nmax_degree = 3\njobs = 1\n"),
+    ("check", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\n"
+              "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
+    ("spectrum", "backend = synthetic\nmax_degree = 3\ns_count = 3\neps_list = 0.2, 0.1\n"),
+    ("semigroup", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\neps_list = 0.1\n"
+                  "t_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
+]
+
+
+def _modules_after_job(subcommand: str, config: str, tmp_path, wanted: str) -> str:
+    """The sorted names m in sys.modules for which the expression wanted
+    holds, printed by a fresh process after one job on config, which
+    assembles into an empty cache."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    env = _child_env()
+    env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
+    code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
+            f"print(sorted(m for m in sys.modules if {wanted})); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, subcommand, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def _child_env() -> dict:
@@ -645,35 +696,21 @@ class TestEntryPoint:
         assert _source_places(reads_micro_blocks, references) == {
             "collision_reference.micro_solve", "dispersion_reference._entries"}
 
-    @pytest.mark.parametrize("subcommand, config", [
-        ("converge", "backend = synthetic\nmax_degree = 3\ns_count = 4\n"
-                     "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"
-                     "kind = generic\nsubtract_layer = true\njobs = 1\n"),
-        ("dispersion", "backend = hard_sphere\nmax_degree = 3\ns_count = 3\n"
-                       "eps_list = 0.2, 0.1\njobs = 1\n"),
-        ("transport", "backend = hard_sphere\nmax_degree = 3\njobs = 1\n"),
-        ("check", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\n"
-                  "eps_list = 0.2, 0.1, 0.05\nt_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
-        ("spectrum", "backend = synthetic\nmax_degree = 3\ns_count = 3\neps_list = 0.2, 0.1\n"),
-        ("semigroup", "backend = hard_sphere\nmax_degree = 3\ns_count = 4\neps_list = 0.1\n"
-                      "t_max = 4.0\nn_layer = 3\nn_bulk = 6\n"),
-    ])
+    @pytest.mark.parametrize("subcommand, config", TINY_JOBS)
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
         # every subcommand, each assembling into an empty cache, runs on numpy
         # alone and loads none of the oracles
-        cfg = tmp_path / "job.cfg"
-        cfg.write_text(config, encoding="utf-8")
-        env = _child_env()
-        env["VPB_SPECTRAL_CACHE"] = str(tmp_path / "cache")
-        code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-                "or m == 'vpb_spectral.oracles')); sys.exit(rc)")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, subcommand, "--config", str(cfg),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert _modules_after_job(subcommand, config, tmp_path,
+                                  "m.split('.')[0] == 'scipy' or m == 'vpb_spectral.oracles'") == "[]"
+
+    @pytest.mark.parametrize("subcommand, config", [job for job in TINY_JOBS if job[0] != "check"])
+    def test_jobs_leave_openssl_and_numpy_polynomial_out(self, subcommand, config, tmp_path):
+        # the digests run on CPython's own SHA-256 and the Gauss rules are the
+        # package's, so no job loads OpenSSL (hashlib's _hashlib) or
+        # numpy.polynomial; check is exempt: np.random.default_rng imports
+        # secrets, whose hmac loads _hashlib
+        assert _modules_after_job(subcommand, config, tmp_path,
+                                  "m == '_hashlib' or m.startswith('numpy.polynomial')") == "[]"
 
     def test_closed_stdout_pipe_exits_one_without_a_traceback(self, tiny_cfg):
         # unbuffered, so each line is written as it is printed; the pause

@@ -197,6 +197,20 @@ class TestDigest:
             new = old + "_x"
         assert dataclasses.replace(base, **{name: new}).digest() != base.digest()
 
+    def test_digests_keep_their_sha256_values(self):
+        # artifact names, cache keys and the basis hash run on CPython's own
+        # SHA-256, not hashlib's OpenSSL; these literals are hashlib.sha256's
+        from vpb_spectral.cache import key_hash
+        from vpb_spectral.velocity_space import build_basis
+
+        assert ExperimentConfig().digest() == "6811e210c9fa"
+        assert ExperimentConfig(backend="hard_sphere", max_degree=6,
+                                eps_list=(0.1, 0.05)).digest() == "022dbcda6d6e"
+        assert key_hash({"kind": "hard_sphere", "max_degree": 4,
+                         "gamma": 1.0}) == "503973041873b170"
+        assert build_basis(4).descriptor_hash() == (
+            "82ca9a08538bad8559e1eaebff40bf0dec69568aaedb385481d1fb3ca08af9b7")
+
     def test_float_rendering_is_exact(self):
         # %.17g keeps the digest sensitive to the last bit of a float field
         a = ExperimentConfig(gamma=0.1)

@@ -1,19 +1,22 @@
-"""The numpy Gauss rules behind the velocity basis and the collision grid.
+"""The package's Gauss rules behind the velocity basis, the collision grid
+and the radial grid.
 
 Each rule is checked against scipy.special's and for exactness on every
 monomial up to degree 2n - 1, at every node count the basis and the
-collision grids use at degrees 2-8.
+collision grids use at degrees 2-8.  The Gauss-Hermite and Gauss-Legendre
+rules also return numpy.polynomial's bits, which keeps every artifact and
+cache file as it was when the jobs read numpy's.
 """
 
 import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import hermite_e, legendre
 from scipy.special import roots_genlaguerre, roots_hermitenorm, roots_legendre
 
-from vpb_spectral.collision import CollisionQuadrature, genlaggauss
+from vpb_spectral.collision import CollisionQuadrature
+from vpb_spectral.gauss import genlaggauss, hermegauss, leggauss
 
 DEGREES = range(2, 9)
 # assembly sizes its grid for the degree-2N integrand, the Gamma form for 3N
@@ -45,6 +48,20 @@ def _assert_exact(x, w, moment):
 
 def _double_factorial(k: int) -> int:
     return math.prod(range(k, 0, -2))
+
+
+# N + 1, n_gauss and n_polar up to degree 16 and every s_count the configs
+# use lie far inside this range
+BIT_IDENTITY_N = range(1, 257)
+
+
+@pytest.mark.parametrize("ours, numpys", [(hermegauss, hermite_e.hermegauss),
+                                          (leggauss, legendre.leggauss)])
+def test_rules_are_numpys_bit_for_bit(ours, numpys):
+    moved = [n for n in BIT_IDENTITY_N
+             if any(a.dtype != b.dtype or a.tobytes() != b.tobytes()
+                    for a, b in zip(ours(n), numpys(n)))]
+    assert moved == []
 
 
 @pytest.mark.parametrize("n", HERMITE_N)

@@ -32,12 +32,17 @@ def test_bench_script_writes_its_schema(tmp_path):
         "build_basis_d3", "assemble_hard_sphere_d3", "sector_blocks", "eigen_blocks",
         "hydrodynamic_sweep", "propagate_axis_modes", "fluid_limit",
         "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
-    assert set(tree["end_to_end"]) == {"criterion_08_study", "check", "converge-generic-d6",
-                                       "dispersion-hs-d8", "transport-hs-d6"}
-    for part in ("layers", "end_to_end"):
+    fresh = {"import_cli", "check", "converge-generic-d6", "dispersion-hs-d8", "transport-hs-d6"}
+    assert set(tree["end_to_end"]) == fresh | {"criterion_08_study"}
+    # each fresh process's peak RSS, in MB, beside its wall time
+    assert set(tree["peak_rss"]) == fresh
+    for part, unit in (("layers", "s"), ("end_to_end", "s"), ("peak_rss", "mb")):
         for fig in tree[part].values():
-            assert fig["q1_s"] <= fig["median_s"] <= fig["q3_s"]
-            assert all(math.isfinite(v) and v > 0 for v in fig["runs_s"])
+            assert fig[f"q1_{unit}"] <= fig[f"median_{unit}"] <= fig[f"q3_{unit}"]
+            assert all(math.isfinite(v) and v > 0 for v in fig[f"runs_{unit}"])
+    # a job holds the interpreter, numpy and the package: more than a bare import
+    assert all(1.0 < tree["peak_rss"]["import_cli"]["median_mb"] < fig["median_mb"]
+               for name, fig in tree["peak_rss"].items() if name != "import_cli")
 
 
 def test_readme_quick_start_runs_as_written(capsys):
