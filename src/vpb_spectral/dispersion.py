@@ -40,9 +40,10 @@ import numpy as np
 
 from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
-from .mode_operator import EigenBlock, _checked_times, axis_wavenumber, check_eps
+from .mode_operator import EigenBlock, _checked_times, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import VelocityBasis
+from .velocity_space import (VelocityBasis, axis_wavenumber, bilinear_pair, wavenumber_squares,
+                             weighted_inner)
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -88,22 +89,24 @@ class AsymptoticCoefficients:
                eps=1.0) -> np.ndarray:
         """sum_j exp(eta_j t / eps - b_j t) <u, h_j> h_j over the given branches.
 
-        One row per time, the times checked as for the kinetic flow; the pairing
-        is bilinear_pair's, bit for bit: each row is summed over its whole length,
-        and s ** 2 taken on Python floats.  Every h_j vanishes off
-        basis.invariant_indices, so the sum holds only those five slots, in that
-        order (embed_invariants places them).  Branches 0, 2, 3 do not oscillate,
-        so eps only matters for -1 and 1.  E eps values give (E, T, 5), each pairing
-        formed once for all; at K shells, u (K, dim) gives (K, E, T, 5), bit for bit.
+        One row per time, the times checked as for the kinetic flow; the
+        pairings <u, h_j> are one bilinear_pair of u against every h_j.  Every
+        h_j vanishes off basis.invariant_indices, so the sum holds only those
+        five slots, in that order (embed_invariants places them).  Branches 0,
+        2, 3 do not oscillate, so eps only matters for -1 and 1.  E eps values
+        give (E, T, 5), each pairing formed once for all; at K shells, u (K, dim)
+        gives (K, E, T, 5), bit for bit.
         """
         times = _checked_times(times)
         eps = np.asarray(eps, dtype=float)[..., None]
         lead = np.shape(self.s) + (1,) * eps.ndim  # the shells against (eps, time)
-        s2 = np.reshape([x ** 2 for x in np.ravel(self.s).tolist()], np.shape(self.s))
-        i0, slots = basis.density_index, list(basis.invariant_indices)
+        slots = list(basis.invariant_indices)
+        coefs = bilinear_pair(basis, np.expand_dims(u, -2),
+                              np.stack([self.h[j] for j in branches], axis=-2),
+                              np.expand_dims(self.s, -1))
         acc = np.zeros(np.shape(self.s) + eps.shape[:-1] + (times.size, 5), dtype=complex)
-        for j in branches:
-            coef = ((u * self.h[j]).sum(axis=-1) + u[..., i0] * self.h[j][..., i0] / s2)[..., None]
+        for i, j in enumerate(branches):
+            coef = coefs[..., i, None]
             eta, b = (np.reshape(x[j], lead) for x in (self.eta, self.b))
             phases = np.exp(eta * times / eps - b * times)
             acc += phases[..., None] * (coef * self.h[j][..., slots]).reshape(lead + (5,))
@@ -202,12 +205,9 @@ class _Family:
         return x
 
     def embed(self, x: np.ndarray, copy: int) -> np.ndarray:
-        """The basis-length columns of the coordinate rows x on frame copy,
-        each formed alone, as a stack of one forms it."""
-        frame = self.block.frames[copy]
-        out = np.zeros((self.size, len(x)), dtype=complex)
-        out[frame.index] = frame.scale[:, None] * (frame.basis @ x[..., None])[..., 0].T
-        return out
+        """The basis-length rows of the coordinate rows x on frame copy
+        (Frame.embed)."""
+        return self.block.frames[copy].embed(x, self.size)
 
     def roots(self, det, scale, seeds: np.ndarray, basins: np.ndarray, tol: float,
               real: np.ndarray, names: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,22 +339,15 @@ def shell_coefficients(basis: VelocityBasis, s,
                                   h=limit_vectors(basis, s))
 
 
-def _axis_pairs(basis: VelocityBasis, s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The weighted bilinear pairing of the columns of f and g, at s per column."""
-    i0 = basis.density_index
-    return (f * g).sum(0) + f[i0] * g[i0] / (s * s)
-
-
-def _eig_residuals(basis: VelocityBasis, eps: list, s: list, r: np.ndarray,
+def _eig_residuals(basis: VelocityBasis, eps: list, s: np.ndarray, r: np.ndarray,
                    psi: np.ndarray) -> np.ndarray:
-    """||r|| / ||psi|| per column in the weighted norm, r = B psi - lam psi,
-    five columns (branches) per mode (eps, s); RegimeError above 1e-6."""
-    s_col = np.repeat(s, 5)
-    res = np.sqrt(_axis_pairs(basis, s_col, r, r.conj()).real
-                  / _axis_pairs(basis, s_col, psi, psi.conj()).real)
-    for c in np.flatnonzero(~(res <= 1e-6)):
-        raise RegimeError(f"branch {BRANCHES[c % 5]} eigenpair residual {res[c]:.2e} at "
-                          f"eps = {eps[c // 5]:.6g}, s = {s[c // 5]:.6g}; determinant root "
+    """||r|| / ||psi|| per mode (eps, s) and branch in the weighted norm,
+    r = B psi - lam psi, rows (modes, 5, dim) and s (modes, 1); RegimeError
+    above 1e-6."""
+    res = np.sqrt(weighted_inner(basis, r, r, s).real / weighted_inner(basis, psi, psi, s).real)
+    for i, k in zip(*np.nonzero(~(res <= 1e-6))):
+        raise RegimeError(f"branch {BRANCHES[k]} eigenpair residual {res[i, k]:.2e} at "
+                          f"eps = {eps[i]:.6g}, s = {s[i, 0]:.6g}; determinant root "
                           "does not match the mode operator")
     return res
 
@@ -418,33 +411,36 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
                             f"s = {s[r // 3]:.6g} is not singular: sigma_min/sigma_max = "
                             f"{sing[r, -1] / sing[r, 0]:.2e}")
     abc = np.conj(vh[:, -1])
-    coupled_psi = np.stack([basis.chi(0), basis.chi(1), basis.chi(4)], axis=1) @ abc.T \
-        + 1j * np.repeat(y, 3) * coupled.embed(coupled.combine(abc[:, 1:]), 0)
+    coupled_psi = abc @ np.stack([basis.chi(0), basis.chi(1), basis.chi(4)]) \
+        + 1j * np.repeat(y, 3)[:, None] * coupled.embed(coupled.combine(abc[:, 1:]), 0)
     # f_3 is the quarter-turn image of f_2, so its solution is f_2's
-    # coordinates embedded in the sin copy of m = 1
-    psi = np.dstack([coupled_psi.reshape(basis.dim, -1, 3)]
-                    + [basis.chi(2 + c)[:, None] + 1j * y * shear.embed(shear.coords[..., 0], c)
-                       for c in (0, 1)]).reshape(basis.dim, -1)
-    s_col = np.repeat(s, 5)
-    pair = _axis_pairs(basis, s_col, psi, psi)
-    for c in np.flatnonzero(np.abs(pair) < 1e-6):
-        raise AssemblyError(f"branch {BRANCHES[c % 5]} eigenfunction at eps = {eps[c // 5]:.6g}, "
-                            f"s = {s[c // 5]:.6g} is nearly isotropic-null; cannot normalize "
+    # coordinates embedded in the sin copy of m = 1; psi holds one row per
+    # (mode, branch)
+    psi = np.concatenate([coupled_psi.reshape(-1, 3, basis.dim)]
+                         + [(basis.chi(2 + c) + 1j * y[:, None]
+                             * shear.embed(shear.coords[..., 0], c))[:, None] for c in (0, 1)],
+                         axis=1)
+    s_mode = np.array(s)[:, None]
+    pair = bilinear_pair(basis, psi, psi, s_mode)
+    for i, k in zip(*np.nonzero(np.abs(pair) < 1e-6)):
+        raise AssemblyError(f"branch {BRANCHES[k]} eigenfunction at eps = {eps[i]:.6g}, "
+                            f"s = {s[i]:.6g} is nearly isotropic-null; cannot normalize "
                             "in the weighted pairing")
-    psi = psi / np.sqrt(pair)
+    psi = psi / np.sqrt(pair)[..., None]
     hs = limit_vectors(basis, s)
-    h = np.stack([hs[j] for j in BRANCHES], axis=1).reshape(-1, basis.dim).T
-    psi = psi * np.where(_axis_pairs(basis, s_col, psi, h).real < 0, -1.0, 1.0)
+    h = np.stack([hs[j] for j in BRANCHES], axis=1)
+    psi = psi * np.where(bilinear_pair(basis, psi, h, s_mode).real < 0, -1.0, 1.0)[..., None]
 
     z = np.column_stack([np.reshape(coupled_z, (-1, 3)), shear_z, shear_z])
     lam = z * np.array([[e, e, e, 1.0, 1.0] for e in eps])
     dets = np.column_stack([np.reshape(coupled_det, (-1, 3)), shear_det, shear_det])
-    v1_psi, l_psi = (a @ psi.real + 1j * (a @ psi.imag) for a in (basis.v1, op.matrix))
+    # one product per mode, as a sweep of that mode alone forms it
+    v1_psi, l_psi = (psi.real @ a.T + 1j * (psi.imag @ a.T) for a in (basis.v1, op.matrix))
     i0 = basis.density_index
-    v1_psi += np.outer(basis.v1[:, i0], psi[i0] / (s_col * s_col))
-    eig = _eig_residuals(basis, eps, s, l_psi - 1j * np.repeat(y, 5) * v1_psi - psi * lam.ravel(),
-                         psi).reshape(-1, 5)
+    v1_psi += (psi[..., i0] / wavenumber_squares(s_mode))[..., None] * basis.v1[:, i0]
+    eig = _eig_residuals(basis, eps, s_mode,
+                         l_psi - 1j * y[:, None, None] * v1_psi - psi * lam[..., None], psi)
     return [[BranchPoint(branch=j, s=s[i], eps=eps[i], lam=complex(lam[i, k]), z=complex(z[i, k]),
-                         psi=psi[:, 5 * i + k], det_residual=float(dets[i, k]),
+                         psi=psi[i, k], det_residual=float(dets[i, k]),
                          eig_residual=float(eig[i, k])) for k, j in enumerate(BRANCHES)]
             for i in range(len(s))]

@@ -26,11 +26,11 @@ from .mode_operator import check_eps
 from .semigroup import propagate_axis_modes
 from .transport import TransportCoefficients, compute_kappas
 from .velocity_space import (
-    MacroState,
     VelocityBasis,
     bilinear_pair,
     macro_vector,
     project_macro,
+    wavenumber_squares,
     weighted_norm,
 )
 
@@ -92,18 +92,15 @@ class InitialData:
     grid: RadialGrid
     basis: VelocityBasis
     profile: np.ndarray            # (count, dim) complex
-    macro_profile: list[MacroState]
-
-    def shell(self, k: int) -> np.ndarray:
-        return self.profile[k]
 
 
-def _well_prepared_checks(basis: VelocityBasis, vec: np.ndarray, s: float) -> dict:
-    """Residuals of the three preparation constraints at one shell."""
-    st = project_macro(basis, vec, s)
-    micro = float(np.linalg.norm(basis.micro_project(vec)))
-    div = abs(s * st.m[0])
-    bous = abs(st.n + st.n / s ** 2 + math.sqrt(2.0 / 3.0) * st.q)
+def _well_prepared_checks(basis: VelocityBasis, vec: np.ndarray, s) -> dict:
+    """Residuals of the three preparation constraints at one shell, or at
+    each shell s[k] of a stack vec (K, dim)."""
+    st = project_macro(basis, vec)
+    micro = np.linalg.norm(basis.micro_project(vec), axis=-1)
+    div = np.abs(s * st.m[..., 0])
+    bous = np.abs(st.n + st.n / wavenumber_squares(s) + math.sqrt(2.0 / 3.0) * st.q)
     return {"micro": micro, "divergence": div, "boussinesq": bous}
 
 
@@ -131,7 +128,6 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
     profile = np.zeros((grid.count, dim), dtype=complex)
     micro_seed = basis.micro_project(basis.v1 @ basis.chi(2))
     micro_seed = micro_seed / np.linalg.norm(micro_seed)
-    macro_states: list[MacroState] = []
     for k, (s, amp) in enumerate(zip(grid.nodes, amps)):
         if kind == "generic":
             n0 = 0.4 * amp
@@ -145,25 +141,22 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
         if kind == "generic":
             vec = vec + 0.5 * amp * micro_seed
         profile[k] = vec
-        macro_states.append(project_macro(basis, vec, float(s)))
-    data = InitialData(kind=kind, grid=grid, basis=basis, profile=profile,
-                       macro_profile=macro_states)
+    data = InitialData(kind=kind, grid=grid, basis=basis, profile=profile)
     if kind == "well_prepared":
         _assert_well_prepared(data)
     return data
 
 
 def _assert_well_prepared(data: InitialData) -> None:
-    worst = {"micro": 0.0, "divergence": 0.0, "boussinesq": 0.0, "acoustic": 0.0}
-    hs = limit_vectors(data.basis, data.grid.nodes)
-    for k, s in enumerate(data.grid.nodes):
-        res = _well_prepared_checks(data.basis, data.profile[k], float(s))
-        for key in res:
-            worst[key] = max(worst[key], res[key])
-        for j in (-1, 1):
-            worst["acoustic"] = max(worst["acoustic"], abs(
-                bilinear_pair(data.basis, data.profile[k], hs[j][k], float(s))))
-    bad = {k: v for k, v in worst.items() if v > CONSTRAINT_TOL}
+    """DataError unless every shell meets the preparation constraints and
+    pairs to zero with both acoustic limit vectors, each to CONSTRAINT_TOL."""
+    s = data.grid.nodes
+    res = _well_prepared_checks(data.basis, data.profile, s)
+    hs = limit_vectors(data.basis, s)
+    res["acoustic"] = bilinear_pair(data.basis, data.profile[:, None],
+                                    np.stack([hs[-1], hs[1]], axis=1), s[:, None])
+    worst = {key: float(np.max(np.abs(v))) for key, v in res.items()}
+    bad = {k: v for k, v in worst.items() if not v <= CONSTRAINT_TOL}
     if bad:
         raise DataError(f"well-prepared invariants violated: {bad}")
 
@@ -177,10 +170,8 @@ def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray) ->
     if fld.shape != (grid.count, basis.dim):
         raise DataError(f"field shape {fld.shape} does not match grid x basis "
                         f"({grid.count}, {basis.dim})")
-    total = 0.0
-    for k, (s, w) in enumerate(zip(grid.nodes, grid.weights)):
-        total += 4.0 * math.pi * s * s * w * weighted_norm(basis, fld[k], float(s))
-    return total
+    norms = weighted_norm(basis, fld, grid.nodes)
+    return float(np.sum(4.0 * math.pi * wavenumber_squares(grid.nodes) * grid.weights * norms))
 
 
 def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
@@ -281,7 +272,7 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)
-    return _gap_norms(basis, coords, limit, np.reshape([sk ** 2 for sk in s], (-1, 1, 1)))
+    return _gap_norms(basis, coords, limit, wavenumber_squares(s)[:, None, None])
 
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
@@ -332,24 +323,13 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
     else:
         results = [r for k in stacks for r in stack_task(k)]
 
-    rows_eps, rows_t = [], []
-    err_tot, err_mac, err_mic = [], [], []
-    for i_eps, eps in enumerate(eps_list):
-        acc = np.zeros((times.size, 3))
-        for k in range(grid.count):
-            s, w = float(grid.nodes[k]), float(grid.weights[k])
-            acc += 4.0 * math.pi * s * s * w * results[k][i_eps]
-        for i_t, t in enumerate(times):
-            rows_eps.append(eps)
-            rows_t.append(float(t))
-            err_tot.append(acc[i_t, 0])
-            err_mac.append(acc[i_t, 1])
-            err_mic.append(acc[i_t, 2])
-
+    acc = np.zeros((len(eps_list), times.size, 3))
+    for s, w, errors in zip(grid.nodes.tolist(), grid.weights.tolist(), results):  # shell order
+        acc += 4.0 * math.pi * s * s * w * errors
+    acc = acc.reshape(-1, 3)
     table = ErrorTable(
-        eps=np.array(rows_eps), t=np.array(rows_t),
-        err_Linf_P=np.array(err_tot), err_macro=np.array(err_mac),
-        err_micro=np.array(err_mic),
+        eps=np.repeat(eps_list, times.size), t=np.tile(times, len(eps_list)),
+        err_Linf_P=acc[:, 0], err_macro=acc[:, 1], err_micro=acc[:, 2],
         metadata={
             "kind": data.kind,
             "backend": op.backend,
@@ -360,10 +340,10 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
         })
     exponent = 0.5 if subtract_layer else 0.75
     table.metadata["weight_exponent"] = exponent
-    sups = {f"{e:.17g}": weighted_sup(table, e, exponent) for e in eps_list}
-    table.metadata["weighted_sup"] = sups
-    table.metadata["eps_slope"] = (eps_slope(table, exponent)
-                                   if all(v > 0.0 for v in sups.values()) else None)
+    sups = {e: weighted_sup(table, e, exponent) for e in eps_list}
+    table.metadata["weighted_sup"] = {f"{e:.17g}": v for e, v in sups.items()}
+    table.metadata["eps_slope"] = (eps_slope(sups) if all(v > 0.0 for v in sups.values())
+                                   else None)
     return table
 
 
@@ -377,9 +357,10 @@ def weighted_sup(table: ErrorTable, eps: float, exponent: float) -> float:
                         * cols["err_Linf_P"][keep]))
 
 
-def eps_slope(table: ErrorTable, exponent: float) -> float:
-    eps_vals = sorted(set(table.eps.tolist()))
+def eps_slope(sups: dict) -> float:
+    """The least-squares slope of log weighted_sup against log eps, sups the
+    weighted_sup of each eps, fitted in ascending eps."""
+    eps_vals = sorted(sups)
     if len(eps_vals) < 3:
         raise FitError("slope fit refused: need at least three eps values")
-    sups = [weighted_sup(table, e, exponent) for e in eps_vals]
-    return float(np.polyfit(np.log(eps_vals), np.log(sups), 1)[0])
+    return float(np.polyfit(np.log(eps_vals), np.log([sups[e] for e in eps_vals]), 1)[0])

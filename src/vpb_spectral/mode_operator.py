@@ -10,9 +10,10 @@ where V1 is multiplication by v1 and e0 marks the density component; the
 rank-one term is the self-consistent field through the Poisson equation.
 The time evolution of the mode is df/dt = eps^{-2} B f.
 
-The natural geometry is the wavenumber-weighted metric: the streaming plus
-field part is skew-adjoint there, so the numerical range of B in that metric
-is exactly the (nonpositive) collision form.
+The natural geometry is the wavenumber-weighted metric
+(velocity_space.weighted_inner): the streaming plus field part is
+skew-adjoint there, so the numerical range of B in that metric is exactly
+the (nonpositive) collision form.
 
 The axis mode commutes with every rotation about e1 and every coordinate
 reflection, so in the basis's azimuthal sectors (velocity_space.AxisSectors,
@@ -30,7 +31,6 @@ in oracles, which no job runs.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .collision import CollisionOperator
-from .errors import AssemblyError, BasisError, RegimeError
-from .velocity_space import Frame
+from .errors import AssemblyError, RegimeError
+from .velocity_space import Frame, wavenumber_squares
 
 
 def _norm1(x: np.ndarray) -> np.ndarray:
@@ -135,20 +135,6 @@ class EigenBlock:
         return inv @ np.asarray(g, dtype=complex)
 
 
-def axis_wavenumber(xi) -> float:
-    """s from a wavevector on the axis: a scalar s or the 3-vector (s, 0, 0),
-    s positive and finite; BasisError for anything else."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if arr.shape not in ((1,), (3,)) or arr[1:].any():
-        raise BasisError("wavevector must be a wavenumber s or the axis vector (s, 0, 0)")
-    s = float(arr[0])
-    if s == 0.0:
-        raise BasisError("wavevector must be nonzero; the zero mode has no Poisson factor")
-    if not 0.0 < s < math.inf:
-        raise BasisError(f"wavenumber must be positive and finite, not {s}")
-    return s
-
-
 def mode_matrix(collision: CollisionOperator, eps: float, s: float) -> np.ndarray:
     """The dense complex mode matrix B of the axis mode at eps and s e1."""
     basis = collision.basis
@@ -165,14 +151,14 @@ def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[Eige
     at a time, and None for a sector m not held[m], which is never formed.
 
     Sector m holds L[m] + y W[m], and sector 0 also the Poisson column
-    y W[0][:, 0] / s^2 at the density, which leads it.  The sector blocks are
+    y W[0][:, 0] / s^2 at the density, which leads it, s^2 from
+    wavenumber_squares (BasisError for a bad s).  The sector blocks are
     the operator's (CollisionOperator.sector_blocks, AssemblyError for
     non-finite radial blocks).
     """
     sectors = collision.sector_blocks
     y = np.asarray(y, dtype=float)[..., None, None]
-    # C pow per entry, as one mode squares its float s (numpy's s * s rounds some apart)
-    s2 = np.reshape([v ** 2 for v in np.ravel(s).tolist()], np.shape(s))[..., None]
+    s2 = wavenumber_squares(s)[..., None]
     frames = collision.basis.axis_sectors.frames
     for m, (lm, wm, copies, hold) in enumerate(zip(sectors.L, sectors.W, frames, held)):
         if not hold:

@@ -33,11 +33,10 @@ from .collision import (CollisionOperator, CollisionQuadrature, _chunk_blocks, _
                         _pair_points, _point_weights)
 from .dispersion import R0_DEFAULT, BranchPoint, hydrodynamic_sweep
 from .errors import BasisError, FitError, RegimeError
-from .mode_operator import (EigenBlock, _checked_times, axis_eigen_blocks, axis_wavenumber,
-                            check_eps, mode_matrix)
+from .mode_operator import EigenBlock, _checked_times, axis_eigen_blocks, check_eps, mode_matrix
 from .semigroup import ModeTrajectory, hydrodynamic_part, member_states, propagate_axis_modes
-from .velocity_space import (VelocityBasis, _gauss_product_rule, bilinear_pair, macro_vector,
-                             weighted_inner)
+from .velocity_space import (VelocityBasis, _gauss_product_rule, axis_wavenumber, bilinear_pair,
+                             macro_vector, weighted_inner)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def eigensystem(mode: FourierMode) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of the mode matrix.
 
     Assembled from mode_blocks(mode): every copy of every block embedded back
-    into the basis, each eigenvector zero outside its copy's slots.  Both
+    into the basis (Frame.embed), each eigenvector zero outside its copy's slots.  Both
     arrays are computed once per mode, kept on the mode as a cached property
     would be, shared between callers and read-only.
     """
@@ -128,13 +127,8 @@ def eigensystem(mode: FourierMode) -> tuple[np.ndarray, np.ndarray]:
     if "_dense_eigensystem" not in held:
         blocks = mode_blocks(mode)
         vals = np.concatenate([b.vals for b in blocks for _ in b.frames])
-        vecs = np.zeros((mode.basis.dim, vals.size), dtype=complex)
-        col = 0
-        for b in blocks:
-            for fr in b.frames:
-                n = b.vals.size
-                vecs[fr.index, col:col + n] = fr.scale[:, None] * (fr.basis @ b.vecs)
-                col += n
+        vecs = np.concatenate([fr.embed(b.vecs.T, mode.basis.dim)
+                               for b in blocks for fr in b.frames]).T
         vals.setflags(write=False)
         vecs.setflags(write=False)
         held["_dense_eigensystem"] = vals, vecs

@@ -21,9 +21,10 @@ import numpy as np
 from .collision import CollisionOperator
 from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients
 from .errors import DataError
-from .mode_operator import _checked_times, _norm1, axis_eigen_blocks, axis_wavenumber
+from .mode_operator import _checked_times, _norm1, axis_eigen_blocks
 from .transport import TransportCoefficients, branch_decay
-from .velocity_space import MacroState, VelocityBasis, bilinear_pair, macro_vector, weighted_norm
+from .velocity_space import (MacroState, VelocityBasis, axis_wavenumber, bilinear_pair,
+                             macro_vector, weighted_norm)
 
 COND_LIMIT = 1e12
 # the eig path is refused above this propagation bound, for the block exponential
@@ -53,8 +54,7 @@ class ModeTrajectory:
     def norm_track(self) -> np.ndarray:
         """Weighted norm at each time; for the unforced kinetic flow it must
         be non-increasing (the flow is a contraction)."""
-        s = float(np.linalg.norm(self.xi))
-        return np.array([weighted_norm(self.basis, st, s) for st in self.states])
+        return weighted_norm(self.basis, self.states, float(np.linalg.norm(self.xi)))
 
 
 @dataclass
@@ -192,15 +192,15 @@ def hydrodynamic_part(basis: VelocityBasis, eps: float, s: float, f0: np.ndarray
     """S1, the (T, dim) hydrodynamic part of the flow of f0 in the axis mode
     at eps and s e1: the five branch contributions of points (the mode's
     hydrodynamic_sweep), each weighted by the conjugation-free pairing of f0
-    against its eigenfunction, summed in their order; zero outside the ball
-    eps s <= R0_DEFAULT.  The remainder S2 is the flow minus it, so the two
-    reassemble exactly by construction.
+    against its eigenfunction (one bilinear_pair for all), summed in their
+    order; zero outside the ball eps s <= R0_DEFAULT.  The remainder S2 is the
+    flow minus it, so the two reassemble exactly by construction.
     """
     f0 = np.asarray(f0, dtype=complex)
     s1 = np.zeros((times.size, basis.dim), dtype=complex)
-    if eps * s <= R0_DEFAULT:
-        for bp in points:
-            weight = bilinear_pair(basis, f0, bp.psi, s)
+    if eps * s <= R0_DEFAULT and points:
+        weights = bilinear_pair(basis, f0, np.stack([bp.psi for bp in points]), s)
+        for bp, weight in zip(points, weights):
             s1 += np.exp(times * bp.lam / eps ** 2)[:, None] * (weight * bp.psi)[None, :]
     return s1
 

@@ -19,6 +19,12 @@ the angle, and every rotation-invariant operator, such as the linearized
 collision operator, is a direct sum of radial blocks on them.  One set of
 frames, built once per basis in closed form, serves both the axis modes and
 the dense matrix of such an operator.
+
+The mode metric lives here and nowhere else: bilinear_pair is the pairing
+sum f g + f_0 g_0 / s^2 at wavenumber s, whose second term is the Poisson
+field's energy, stacked over leading axes; weighted_inner and weighted_norm
+are built on it, and every wavenumber is parsed by axis_wavenumber and
+squared by wavenumber_squares.
 """
 
 from __future__ import annotations
@@ -279,9 +285,11 @@ class Frame(NamedTuple):
         return self.basis.T @ (self.scale.conj() * np.asarray(f)[self.index])
 
     def embed(self, y: np.ndarray, size: int) -> np.ndarray:
-        """The length-size vector with coordinates y."""
-        out = np.zeros(size, dtype=complex)
-        out[self.index] = self.scale * (self.basis @ y)
+        """The length-size vectors, (..., size), with coordinates y (..., n),
+        each formed alone by its own matvec, as a 1-d y forms it."""
+        y = np.asarray(y)
+        out = np.zeros(y.shape[:-1] + (size,), dtype=complex)
+        out[..., self.index] = self.scale * (self.basis @ y[..., None])[..., 0]
         return out
 
 
@@ -558,7 +566,6 @@ class MacroState:
     n: complex
     m: np.ndarray
     q: complex
-    phi_factor: complex | None = None  # n / |xi|^2, the Poisson coupling factor
 
 
 def build_basis(max_degree: int) -> VelocityBasis:
@@ -627,19 +634,10 @@ def coeffs_from_callable(basis: VelocityBasis, fn) -> np.ndarray:
     return rule.poly @ (rule.weights * fn(rule.nodes) / sqrt_m)
 
 
-def project_macro(basis: VelocityBasis, f: np.ndarray,
-                  xi_norm: float | None = None) -> MacroState:
-    """Extract (n, m, q) and, when a wavenumber is given, the Poisson factor."""
+def project_macro(basis: VelocityBasis, f: np.ndarray) -> MacroState:
+    """(n, m, q) of f (dim,), or of each row of a stack f (..., dim), m then (..., 3)."""
     i0, i1, i2, i3, i4 = basis.invariant_indices
-    n = f[i0]
-    m = np.array([f[i1], f[i2], f[i3]])
-    q = f[i4]
-    phi = None
-    if xi_norm is not None:
-        if xi_norm <= 0:
-            raise BasisError("xi_norm must be positive for the Poisson factor")
-        phi = n / xi_norm ** 2
-    return MacroState(n=n, m=m, q=q, phi_factor=phi)
+    return MacroState(n=f[..., i0], m=f[..., [i1, i2, i3]], q=f[..., i4])
 
 
 def macro_vector(basis: VelocityBasis, n: complex, m, q: complex) -> np.ndarray:
@@ -664,39 +662,57 @@ def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
     return basis.micro_project(basis.v1 @ basis.chi(j))
 
 
-def weighted_inner(basis: VelocityBasis, f: np.ndarray, g: np.ndarray,
-                   xi_norm: float) -> complex:
-    """Sesquilinear wavenumber-weighted inner product.
+def axis_wavenumber(xi) -> float:
+    """s from a wavevector on the axis: a scalar s or the 3-vector (s, 0, 0),
+    s positive and finite, with s^2 and 1/s^2 finite; BasisError for anything else."""
+    if isinstance(xi, float):  # such as each entry of a stack: s itself, parsed cheaply
+        s = float(xi)
+    else:
+        arr = np.atleast_1d(np.asarray(xi, dtype=float))
+        if arr.shape not in ((1,), (3,)) or arr[1:].any():
+            raise BasisError("wavevector must be a wavenumber s or the axis vector (s, 0, 0)")
+        s = float(arr[0])
+    if s == 0.0:
+        raise BasisError("wavevector must be nonzero; the zero mode has no Poisson factor")
+    if not (0.0 < s < math.inf and math.isfinite(s * s) and math.isfinite(1.0 / s / s)):
+        raise BasisError(f"wavenumber must be positive and finite, with s^2 and 1/s^2 finite, "
+                         f"not {s}")
+    return s
 
-    Adds |xi|^{-2} times the product of density components to the plain L^2
-    pairing; this is the quadratic form whose real part the mode operator
-    dissipates.  Conjugation sits on the second slot.
-    """
-    if xi_norm == 0:
-        raise BasisError("weighted inner product undefined at xi = 0")
-    f = np.asarray(f)
-    g = np.asarray(g)
-    i0 = basis.density_index
-    return complex(np.sum(f * np.conj(g)) + (f[i0] * np.conj(g[i0])) / xi_norm ** 2)
+
+def wavenumber_squares(s) -> np.ndarray:
+    """s ** 2 for each entry of s (a float or an array of wavenumbers), each
+    parsed by axis_wavenumber, with the shape of s.  Squared on Python floats,
+    by C pow, as one mode squares its s; numpy's s * s rounds some apart."""
+    return np.reshape([axis_wavenumber(v) ** 2 for v in np.ravel(s).tolist()], np.shape(s))
 
 
-def bilinear_pair(basis: VelocityBasis, f: np.ndarray, g: np.ndarray,
-                  xi_norm: float) -> complex:
-    """Bilinear (conjugation-free) version of the weighted pairing.
+def bilinear_pair(basis: VelocityBasis, f: np.ndarray, g: np.ndarray, s) -> np.ndarray:
+    """The mode pairing sum f g + f_0 g_0 / s^2, bilinear (conjugation-free),
+    f_0 the density component: the one place the Poisson field's energy
+    weights the density.  Vectors lie on the last axis, and the leading axes
+    of f and g broadcast against s, one wavenumber per pairing, each parsed by
+    axis_wavenumber (BasisError).  Each row sums over its whole length, as a
+    1-d pairing does, so a stack pairs bit for bit as its rows do.
 
     This is the pairing that diagonalizes the non-self-adjoint mode operator:
     eigenfunctions for distinct eigenvalues are orthogonal under it.
     """
-    if xi_norm == 0:
-        raise BasisError("weighted pairing undefined at xi = 0")
-    f = np.asarray(f)
-    g = np.asarray(g)
+    s2 = wavenumber_squares(s)
+    f, g = np.asarray(f), np.asarray(g)
     i0 = basis.density_index
-    return complex(np.sum(f * g) + (f[i0] * g[i0]) / xi_norm ** 2)
+    return np.multiply(f, g, order="C").sum(axis=-1) + f[..., i0] * g[..., i0] / s2
 
 
-def weighted_norm(basis: VelocityBasis, f: np.ndarray, xi_norm: float) -> float:
-    return float(np.sqrt(np.real(weighted_inner(basis, f, f, xi_norm))))
+def weighted_inner(basis: VelocityBasis, f: np.ndarray, g: np.ndarray, s) -> np.ndarray:
+    """The sesquilinear mode inner product, bilinear_pair(f, conj g): the
+    quadratic form whose real part the mode operator dissipates."""
+    return bilinear_pair(basis, f, np.conj(g), s)
+
+
+def weighted_norm(basis: VelocityBasis, f: np.ndarray, s) -> np.ndarray:
+    """The mode norm of f, or of each row of a stack, sqrt(weighted_inner(f, f))."""
+    return np.sqrt(weighted_inner(basis, f, f, s).real)
 
 
 def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

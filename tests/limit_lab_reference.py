@@ -17,6 +17,7 @@ from vpb_spectral.collision import CollisionOperator
 from vpb_spectral.errors import BackendError, FitError
 from vpb_spectral.limit_lab import ErrorTable, InitialData, _well_prepared_checks
 from vpb_spectral.transport import TransportCoefficients, compute_kappas
+from vpb_spectral.velocity_space import project_macro
 
 
 def layer_bump_ratio(table: ErrorTable, eps: float, t_gap: float) -> float:
@@ -77,7 +78,7 @@ def hilbert_expansion_check(op: CollisionOperator, data: InitialData,
     for k, s in enumerate(data.grid.nodes):
         res = _well_prepared_checks(basis, data.profile[k], float(s))
         div = max(div, res["divergence"])
-        st = data.macro_profile[k]
+        st = project_macro(basis, data.profile[k])
         phi = st.n / (float(s) ** 2)
         grad = max(grad, abs(float(s) * (st.n + phi
                                          + math.sqrt(2.0 / 3.0) * st.q)))

@@ -135,6 +135,18 @@ class TestExitCodes:
         assert out == "" and not (tmp_path / "a").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("sub", ["converge", "spectrum"])
+    def test_shell_without_a_finite_poisson_weight_is_one(self, sub, tmp_path, capsys, recwarn):
+        # validate_config accepts s_min = 1e-200, whose 1/s^2 overflows: each
+        # job refuses the shell where it first parses it, before any warning
+        cfg = tmp_path / "tiny_shell.cfg"
+        cfg.write_text(TINY + "s_spacing = uniform\ns_min = 1e-200\n", encoding="utf-8")
+        code, out, err = run_cli([sub, "--config", cfg, "--out", tmp_path / "a"], capsys)
+        assert code == 1 and out == "" and not (tmp_path / "a").exists()
+        assert err.startswith("error: BasisError: ") and err.count("\n") == 1
+        assert "1e-200" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_nan_t_max_is_two_and_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(TINY.replace("t_max = 4.0", "t_max = nan"), encoding="utf-8")
@@ -695,6 +707,20 @@ class TestEntryPoint:
         references = Path(__file__).parent.glob("*_reference.py")
         assert _source_places(reads_micro_blocks, references) == {
             "collision_reference.micro_solve", "dispersion_reference._entries"}
+
+    def test_only_velocity_space_pairs_with_the_density_weight(self):
+        # the mode pairing sum f g + f_0 g_0 / s^2 is written once, in
+        # velocity_space.bilinear_pair: a function elsewhere that reads the
+        # density slot and sums a row holds a second copy of it
+        def reads_density_index(node):
+            return isinstance(node, ast.Attribute) and node.attr == "density_index"
+
+        def calls_sum(node):
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum")
+
+        both = _source_places(reads_density_index) & _source_places(calls_sum)
+        assert both == {"velocity_space.bilinear_pair"}
 
     @pytest.mark.parametrize("subcommand, config", TINY_JOBS)
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):

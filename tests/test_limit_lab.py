@@ -335,11 +335,8 @@ class TestConvergenceStudy:
         basis = syn_small.basis
         grid = radial_grid(0.05, 0.6, 8)
         prof = np.zeros((grid.count, basis.dim), dtype=complex)
-        states = []
-        from vpb_spectral.velocity_space import project_macro
         for k, s in enumerate(grid.nodes):
             prof[k] = asymptotic_coefficients(basis, float(s), coeffs_small).h[2]
-            states.append(project_macro(basis, prof[k], float(s)))
         by_shell = dict(zip(grid.nodes.tolist(), prof))  # each shell's data by its s
 
         def fluid_coordinates(op, eps_list, s, g, times):
@@ -353,8 +350,7 @@ class TestConvergenceStudy:
             return coords, np.zeros((len(s), len(eps_list)), dtype=bool)  # none refused
 
         monkeypatch.setattr(limit_lab, "propagate_axis_modes", fluid_coordinates)
-        data = InitialData(kind="generic", grid=grid, basis=basis,
-                           profile=prof, macro_profile=states)
+        data = InitialData(kind="generic", grid=grid, basis=basis, profile=prof)
         tg = layer_time_grid(0.2, 5.0, n_layer=4, n_bulk=8)
         tab = run_convergence_study(syn_small, data, [0.2, 0.1, 0.05], tg, coeffs_small)
         assert float(np.max(tab.err_Linf_P)) == 0.0

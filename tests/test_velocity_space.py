@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -117,11 +118,24 @@ def test_project_macro_examples(basis_small):
     ms = project_macro(b, g)
     assert ms.n == pytest.approx(3.0, abs=1e-12)
     assert ms.q == pytest.approx(np.sqrt(6.0), abs=1e-12)
-    assert ms.phi_factor is None
-    ms = project_macro(b, g, xi_norm=2.0)
-    assert ms.phi_factor == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(BasisError):
-        project_macro(b, g, xi_norm=0.0)
+
+
+def assert_rows_pair_as_one(pair, deg):
+    """Each row of a stacked pairing equals the 1-d pairing bit for bit: the
+    leading axes broadcast against one wavenumber per row or a single one,
+    and the rows lie C- or F-ordered.  Degree-8 rows (165 entries) are
+    longer than numpy's 128-entry pairwise block."""
+    b = _basis(deg)
+    rng = np.random.default_rng(deg)
+    f = rng.standard_normal((2, 7, b.dim)) + 1j * rng.standard_normal((2, 7, b.dim))
+    g = rng.standard_normal((7, b.dim)) + 1j * rng.standard_normal((7, b.dim))
+    s = rng.uniform(0.05, 2.0, (2, 7))
+    one = np.array([[pair(b, f[i, k], g[k], s[i, k]) for k in range(7)] for i in range(2)])
+    assert np.array_equal(pair(b, f, g, s), one)
+    assert np.array_equal(pair(b, np.asfortranarray(f.reshape(14, b.dim)),
+                               np.asfortranarray(np.tile(g, (2, 1))), s.ravel()), one.ravel())
+    assert np.array_equal(pair(b, f, g, 0.4),
+                          [[pair(b, f[i, k], g[k], 0.4) for k in range(7)] for i in range(2)])
 
 
 def test_weighted_inner_examples(basis_small):
@@ -132,6 +146,9 @@ def test_weighted_inner_examples(basis_small):
     assert weighted_inner(b, b.chi(1), chi0, 0.5) == 0.0
     with pytest.raises(BasisError):
         weighted_inner(b, chi0, chi0, 0.0)
+    for deg in (3, 8):
+        assert_rows_pair_as_one(weighted_inner, deg)
+        assert_rows_pair_as_one(lambda b, f, g, s: weighted_norm(b, f, s), deg)
 
 
 def test_bilinear_pair_has_no_conjugation(basis_small):
@@ -139,6 +156,23 @@ def test_bilinear_pair_has_no_conjugation(basis_small):
     f = (1.0 + 2.0j) * b.chi(0)
     assert bilinear_pair(b, f, f, 1.0) == pytest.approx(2.0 * (1.0 + 2.0j) ** 2)
     assert weighted_inner(b, f, f, 1.0) == pytest.approx(2.0 * 5.0)
+    assert np.array_equal(bilinear_pair(b, np.stack([f, 2 * f]), f, [1.0, 0.5]),
+                          [2.0 * (1.0 + 2.0j) ** 2, 10.0 * (1.0 + 2.0j) ** 2])
+    for deg in (3, 8):
+        assert_rows_pair_as_one(bilinear_pair, deg)
+
+
+@pytest.mark.parametrize("s", [math.nan, -0.5, math.inf, 1e-200, 1e200])
+def test_pairings_refuse_a_wavenumber_without_a_finite_weight(basis_small, s):
+    # unparsed, the first four paired to numbers (nan at NaN, inf at 1e-200,
+    # whose 1/s^2 overflows) and 1e200, whose s^2 overflows, to OverflowError
+    b = basis_small
+    f = b.chi(0) + b.chi(4)
+    for pair in (bilinear_pair, weighted_inner, lambda b, f, g, s: weighted_norm(b, f, s)):
+        with pytest.raises(BasisError, match="positive and finite"):
+            pair(b, f, f, s)
+        with pytest.raises(BasisError, match="positive and finite"):
+            pair(b, np.stack([f, f]), f, [0.5, s])  # one bad shell of a stack
 
 
 def test_multiplication_matrices_entries(basis_mid):
