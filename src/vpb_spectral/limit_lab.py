@@ -29,6 +29,7 @@ from .velocity_space import (
     VelocityBasis,
     bilinear_pair,
     macro_vector,
+    poisson_energy,
     project_macro,
     wavenumber_squares,
     weighted_norm,
@@ -55,6 +56,12 @@ class RadialGrid:
     @property
     def count(self) -> int:
         return self.nodes.size
+
+    @property
+    def measure(self) -> np.ndarray:
+        """The radial measure 4 pi s_k^2 w_k of each shell, formed as
+        ((4 pi s_k) s_k) w_k, the one product every radial synthesis reads."""
+        return 4.0 * math.pi * self.nodes * self.nodes * self.weights
 
     def descriptor(self) -> dict:
         return {"s_min": self.s_min, "s_max": self.s_max,
@@ -170,8 +177,7 @@ def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray) ->
     if fld.shape != (grid.count, basis.dim):
         raise DataError(f"field shape {fld.shape} does not match grid x basis "
                         f"({grid.count}, {basis.dim})")
-    norms = weighted_norm(basis, fld, grid.nodes)
-    return float(np.sum(4.0 * math.pi * wavenumber_squares(grid.nodes) * grid.weights * norms))
+    return float(np.sum(grid.measure * weighted_norm(basis, fld, grid.nodes)))
 
 
 def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
@@ -236,10 +242,10 @@ class ErrorTable:
                 for name in ("t", "err_Linf_P", "err_macro", "err_micro")}
 
 
-def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s2) -> np.ndarray:
+def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s) -> np.ndarray:
     """(weighted, weighted macro, plain micro) norms of the kinetic states
     (their AxisSectors.coordinates, None for zeros) minus the fluid limit
-    (evolve), s2 = s^2 broadcast against limit[..., 0].  The transform is
+    (evolve), s the wavenumbers broadcast against limit[..., 0].  The transform is
     orthogonal, and its rows at the invariant slots are exact unit vectors on
     the leading n_invariant[m] columns of sectors 0 and 1; the rest is micro."""
     sectors, slots = basis.axis_sectors, list(basis.invariant_indices)
@@ -253,7 +259,7 @@ def _gap_norms(basis: VelocityBasis, coords, limit: np.ndarray, s2) -> np.ndarra
     diff = kinetic - limit
     sq = diff.real ** 2 + diff.imag ** 2
     # in ascending slot order, as a slot-space sum; the density leads evolve's order
-    macro_sq = sq[..., np.argsort(slots)].sum(axis=-1) + sq[..., 0] / s2
+    macro_sq = sq[..., np.argsort(slots)].sum(axis=-1) + poisson_energy(sq[..., 0], s)
     return np.sqrt(np.stack([macro_sq + micro_sq, macro_sq, micro_sq], axis=-1))
 
 
@@ -272,7 +278,7 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
     limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)
-    return _gap_norms(basis, coords, limit, wavenumber_squares(s)[:, None, None])
+    return _gap_norms(basis, coords, limit, np.reshape(s, (-1, 1, 1)))
 
 
 def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
@@ -324,8 +330,8 @@ def run_convergence_study(op: CollisionOperator, data: InitialData, eps_list,
         results = [r for k in stacks for r in stack_task(k)]
 
     acc = np.zeros((len(eps_list), times.size, 3))
-    for s, w, errors in zip(grid.nodes.tolist(), grid.weights.tolist(), results):  # shell order
-        acc += 4.0 * math.pi * s * s * w * errors
+    for measure, errors in zip(grid.measure.tolist(), results):  # shell order
+        acc += measure * errors
     acc = acc.reshape(-1, 3)
     table = ErrorTable(
         eps=np.repeat(eps_list, times.size), t=np.tile(times, len(eps_list)),

@@ -20,11 +20,11 @@ collision operator, is a direct sum of radial blocks on them.  One set of
 frames, built once per basis in closed form, serves both the axis modes and
 the dense matrix of such an operator.
 
-The mode metric lives here and nowhere else: bilinear_pair is the pairing
-sum f g + f_0 g_0 / s^2 at wavenumber s, whose second term is the Poisson
-field's energy, stacked over leading axes; weighted_inner and weighted_norm
-are built on it, and every wavenumber is parsed by axis_wavenumber and
-squared by wavenumber_squares.
+The mode metric lives here: poisson_energy writes its density weight, the
+Poisson field's energy f_0 g_0 / s^2 at wavenumber s, and bilinear_pair is
+the pairing sum f g plus that term, stacked over leading axes;
+weighted_inner and weighted_norm are built on it, and every wavenumber is
+parsed by axis_wavenumber and squared by wavenumber_squares.
 """
 
 from __future__ import annotations
@@ -665,43 +665,54 @@ def flux_vector(basis: VelocityBasis, j: int) -> np.ndarray:
 def axis_wavenumber(xi) -> float:
     """s from a wavevector on the axis: a scalar s or the 3-vector (s, 0, 0),
     s positive and finite, with s^2 and 1/s^2 finite; BasisError for anything else."""
-    if isinstance(xi, float):  # such as each entry of a stack: s itself, parsed cheaply
-        s = float(xi)
-    else:
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if arr.shape not in ((1,), (3,)) or arr[1:].any():
-            raise BasisError("wavevector must be a wavenumber s or the axis vector (s, 0, 0)")
-        s = float(arr[0])
+    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    if arr.shape not in ((1,), (3,)) or arr[1:].any():
+        raise BasisError("wavevector must be a wavenumber s or the axis vector (s, 0, 0)")
+    return _wavenumber(float(arr[0]))
+
+
+def _wavenumber(s: float) -> float:
+    """s, if it is positive and finite with s^2 and 1/s^2 finite; BasisError naming it if not."""
     if s == 0.0:
         raise BasisError("wavevector must be nonzero; the zero mode has no Poisson factor")
-    if not (0.0 < s < math.inf and math.isfinite(s * s) and math.isfinite(1.0 / s / s)):
+    if not (0.0 < s and math.isfinite(s * s) and math.isfinite(1.0 / s / s)):
         raise BasisError(f"wavenumber must be positive and finite, with s^2 and 1/s^2 finite, "
                          f"not {s}")
     return s
 
 
 def wavenumber_squares(s) -> np.ndarray:
-    """s ** 2 for each entry of s (a float or an array of wavenumbers), each
-    parsed by axis_wavenumber, with the shape of s.  Squared on Python floats,
-    by C pow, as one mode squares its s; numpy's s * s rounds some apart."""
-    return np.reshape([axis_wavenumber(v) ** 2 for v in np.ravel(s).tolist()], np.shape(s))
+    """s ** 2 for each entry of s (a float or an array of wavenumbers), with
+    the shape of s; BasisError, as axis_wavenumber, naming the first bad
+    entry.  Squared on Python floats, by C pow, as one mode squares its s;
+    numpy's s * s rounds some apart."""
+    s = np.asarray(s, dtype=float)
+    return np.reshape([_wavenumber(v) ** 2 for v in s.ravel().tolist()], s.shape)
+
+
+def poisson_energy(density_product, s) -> np.ndarray:
+    """f_0 g_0 / s^2, the Poisson field's energy of a density product f_0 g_0
+    at each wavenumber s (wavenumber_squares): the one place the mode metric
+    weights the density.  bilinear_pair adds it to a row's plain pairing, and
+    the convergence study's gap norm to its sum of squared moduli."""
+    return density_product / wavenumber_squares(s)
 
 
 def bilinear_pair(basis: VelocityBasis, f: np.ndarray, g: np.ndarray, s) -> np.ndarray:
     """The mode pairing sum f g + f_0 g_0 / s^2, bilinear (conjugation-free),
-    f_0 the density component: the one place the Poisson field's energy
-    weights the density.  Vectors lie on the last axis, and the leading axes
-    of f and g broadcast against s, one wavenumber per pairing, each parsed by
-    axis_wavenumber (BasisError).  Each row sums over its whole length, as a
-    1-d pairing does, so a stack pairs bit for bit as its rows do.
+    f_0 the density component, its term the poisson_energy.  Vectors lie on
+    the last axis, and the leading axes of f and g broadcast against s, one
+    wavenumber per pairing (BasisError for a bad one).  Each row sums over
+    its whole length, as a 1-d pairing does, so a stack pairs bit for bit as
+    its rows do.
 
     This is the pairing that diagonalizes the non-self-adjoint mode operator:
     eigenfunctions for distinct eigenvalues are orthogonal under it.
     """
-    s2 = wavenumber_squares(s)
     f, g = np.asarray(f), np.asarray(g)
     i0 = basis.density_index
-    return np.multiply(f, g, order="C").sum(axis=-1) + f[..., i0] * g[..., i0] / s2
+    return (np.multiply(f, g, order="C").sum(axis=-1)
+            + poisson_energy(f[..., i0] * g[..., i0], s))
 
 
 def weighted_inner(basis: VelocityBasis, f: np.ndarray, g: np.ndarray, s) -> np.ndarray:

@@ -722,6 +722,30 @@ class TestEntryPoint:
         both = _source_places(reads_density_index) & _source_places(calls_sum)
         assert both == {"velocity_space.bilinear_pair"}
 
+        # nor does one read a density slot and divide by a wavenumber square
+        # (s2, s ** 2, s * s or a wavenumber_squares call), the shape of a gap
+        # norm adding |f_0|^2 / s^2 itself; only the operator's Poisson column,
+        # in the dense mode matrix and in the sweep's residual, does
+        def reads_density_slot(node):
+            return (isinstance(node, ast.Attribute)
+                    and node.attr in ("density_index", "invariant_indices"))
+
+        def is_square(node):
+            if isinstance(node, ast.Name):
+                return node.id == "s2"
+            if isinstance(node, ast.Call):
+                return getattr(node.func, "id", None) == "wavenumber_squares"
+            return isinstance(node, ast.BinOp) and (
+                (isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2)
+                or (isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)))
+
+        def divides_by_square(node):
+            return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and is_square(node.right))
+
+        both = _source_places(reads_density_slot) & _source_places(divides_by_square)
+        assert both == {"mode_operator.mode_matrix", "dispersion.hydrodynamic_sweep"}
+
     @pytest.mark.parametrize("subcommand, config", TINY_JOBS)
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
         # every subcommand, each assembling into an empty cache, runs on numpy
