@@ -42,8 +42,8 @@ from .collision import CollisionOperator
 from .errors import AssemblyError, RegimeError
 from .mode_operator import EigenBlock, _checked_times, check_eps
 from .transport import BRANCHES, TransportCoefficients, branch_decay, branch_frequency
-from .velocity_space import (VelocityBasis, axis_wavenumber, bilinear_pair, wavenumber_squares,
-                             weighted_inner)
+from .velocity_space import (MacroState, VelocityBasis, axis_wavenumber, bilinear_pair,
+                             wavenumber_squares, weighted_inner)
 
 R0_DEFAULT = 0.3  # admissible eps*|xi| ball for the five-branch construction
 R1_DEFAULT = 0.1  # root basin radius (scaled by |s| for the coupled family)
@@ -60,6 +60,8 @@ POLE_COND_LIMIT = 1e4
 RESOLVENT_BOUND_LIMIT = 1e6
 
 FLUX_INDICES = (1, 2, 4)
+# the non-oscillatory branches: their limit vectors span the fluid state
+FLUID_BRANCHES = (0, 2, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,6 +323,17 @@ def limit_vectors(basis: VelocityBasis, s) -> dict:
     h[2] = chi[2]
     h[3] = chi[3]
     return {j: basis.embed_invariants(np.broadcast_to(v, h[0].shape)) for j, v in h.items()}
+
+
+def fluid_constraints(state: MacroState, s) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals (|s m_1|, |n + n / s^2 + sqrt(2/3) q|) of the two
+    constraints whose solutions at s e1 are the span of h_0, h_2, h_3
+    (limit_vectors): divergence-free momentum and the density-potential
+    relation.  state holds one shell's moments, or a stack with s one shell
+    per row; s^2 from wavenumber_squares (BasisError for a bad s)."""
+    div = np.abs(s * state.m[..., 0])
+    bous = np.abs(state.n + state.n / wavenumber_squares(s) + math.sqrt(2.0 / 3.0) * state.q)
+    return div, bous
 
 
 def asymptotic_coefficients(basis: VelocityBasis, xi,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import limit_vectors, shell_coefficients
+from .dispersion import FLUID_BRANCHES, fluid_constraints, limit_vectors, shell_coefficients
 from .errors import DataError, FitError
 from .gauss import leggauss
 from .mode_operator import check_eps
@@ -31,7 +31,6 @@ from .velocity_space import (
     macro_vector,
     poisson_energy,
     project_macro,
-    wavenumber_squares,
     weighted_norm,
 )
 
@@ -104,11 +103,9 @@ class InitialData:
 def _well_prepared_checks(basis: VelocityBasis, vec: np.ndarray, s) -> dict:
     """Residuals of the three preparation constraints at one shell, or at
     each shell s[k] of a stack vec (K, dim)."""
-    st = project_macro(basis, vec)
-    micro = np.linalg.norm(basis.micro_project(vec), axis=-1)
-    div = np.abs(s * st.m[..., 0])
-    bous = np.abs(st.n + st.n / wavenumber_squares(s) + math.sqrt(2.0 / 3.0) * st.q)
-    return {"micro": micro, "divergence": div, "boussinesq": bous}
+    div, bous = fluid_constraints(project_macro(basis, vec), s)
+    return {"micro": np.linalg.norm(basis.micro_project(vec), axis=-1), "divergence": div,
+            "boussinesq": bous}
 
 
 def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
@@ -117,11 +114,12 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
 
     generic data carries density, parallel and transverse momentum, energy
     and a microscopic component, so both acoustic projections and the
-    initial layer are present.  well_prepared data lives in the null space
-    with divergence-free momentum and the Poisson-compatible density, which
-    kills the acoustic projections identically; its moments satisfy both
-    preparation constraints by construction, and _assert_well_prepared
-    checks them to CONSTRAINT_TOL.  The profile must be finite on every shell and nonzero on one.
+    initial layer are present.  well_prepared data is amp (h_0 / (h_0's
+    energy) + 0.7 h_2 - 0.4 h_3) on every shell at once, in the span of the
+    non-oscillatory limit vectors (limit_vectors), which meets both
+    preparation constraints and kills the acoustic projections;
+    _assert_well_prepared checks them to CONSTRAINT_TOL.  The profile must be
+    finite on every shell and nonzero on one.
     """
     if kind not in ("generic", "well_prepared"):
         raise DataError(f"unknown initial-data kind {kind!r}")
@@ -131,27 +129,20 @@ def make_initial_data(kind: str, spectral_profile, basis: VelocityBasis,
         amps = [complex(spectral_profile(s)) for s in grid.nodes]
     if not (np.isfinite(amps).all() and any(amps)):
         raise DataError("the spectral profile must be finite on every shell and nonzero on one")
-    dim = basis.dim
-    profile = np.zeros((grid.count, dim), dtype=complex)
+    if kind == "well_prepared":
+        h, slots = limit_vectors(basis, grid.nodes), list(basis.invariant_indices)
+        unit = h[0][:, slots] / h[0][:, slots[4:]] + 0.7 * h[2][:, slots] - 0.4 * h[3][:, slots]
+        data = InitialData(kind=kind, grid=grid, basis=basis,
+                           profile=basis.embed_invariants(np.array(amps)[:, None] * unit))
+        _assert_well_prepared(data)
+        return data
+    profile = np.zeros((grid.count, basis.dim), dtype=complex)
     micro_seed = basis.micro_project(basis.v1 @ basis.chi(2))
     micro_seed = micro_seed / np.linalg.norm(micro_seed)
-    for k, (s, amp) in enumerate(zip(grid.nodes, amps)):
-        if kind == "generic":
-            n0 = 0.4 * amp
-            m0 = amp * np.array([0.8, 0.5, -0.3])
-            q0 = -0.6 * amp
-        else:
-            q0 = amp
-            n0 = -math.sqrt(2.0 / 3.0) * s * s / (1.0 + s * s) * q0
-            m0 = amp * np.array([0.0, 0.7, -0.4])
-        vec = macro_vector(basis, n0, m0, q0).astype(complex)
-        if kind == "generic":
-            vec = vec + 0.5 * amp * micro_seed
-        profile[k] = vec
-    data = InitialData(kind=kind, grid=grid, basis=basis, profile=profile)
-    if kind == "well_prepared":
-        _assert_well_prepared(data)
-    return data
+    for k, amp in enumerate(amps):
+        vec = macro_vector(basis, 0.4 * amp, amp * np.array([0.8, 0.5, -0.3]), -0.6 * amp)
+        profile[k] = vec.astype(complex) + 0.5 * amp * micro_seed
+    return InitialData(kind=kind, grid=grid, basis=basis, profile=profile)
 
 
 def _assert_well_prepared(data: InitialData) -> None:
@@ -275,7 +266,7 @@ def _stack_errors(op, coeffs, eps_list, s, f0, g, times, subtract):
     """
     basis = op.basis
     coords, _ = propagate_axis_modes(op, eps_list, s, g, times)
-    branches = (0, 2, 3, -1, 1) if subtract else (0, 2, 3)
+    branches = FLUID_BRANCHES + (-1, 1) if subtract else FLUID_BRANCHES
     limit = shell_coefficients(basis, np.array(s), coeffs).evolve(
         basis, basis.macro_project(f0), times, branches, eps_list)
     return _gap_norms(basis, coords, limit, np.reshape(s, (-1, 1, 1)))

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .collision import CollisionOperator
-from .errors import AssemblyError, RegimeError
+from .errors import AssemblyError, DataError, RegimeError
 from .velocity_space import Frame, wavenumber_squares
 
 
@@ -179,10 +179,10 @@ def check_eps(eps: float) -> None:
 
 
 def _checked_times(times) -> np.ndarray:
-    """times as floats; ValueError unless 1-D, nonempty, finite, nondecreasing, from t >= 0."""
+    """times as floats; DataError unless 1-D, nonempty, finite, nondecreasing, from t >= 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D array")
+        raise DataError("times must be a nonempty 1-D array")
     if not (np.isfinite(times).all() and times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
-        raise ValueError("times must be finite, nondecreasing and start at t >= 0")
+        raise DataError("times must be finite, nondecreasing and start at t >= 0")
     return times

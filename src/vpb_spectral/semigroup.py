@@ -6,9 +6,12 @@ real azimuthal-sector blocks of the axis modes at every eps of several
 shells; each block goes by eigen-expansion where its residuals certify it,
 else by its matrix exponential; member_states embeds one mode's),
 its five-branch hydrodynamic part (hydrodynamic_part; the remainder is the
-flow minus it), the fluid semigroup on the three non-oscillatory branches,
-and the forced fluid mode equations solved by exact Duhamel integration of
-piecewise-linear forcing.
+flow minus it), the fluid semigroup on the three non-oscillatory branches
+(dispersion.FLUID_BRANCHES), and the forced fluid mode equations
+(nspf_mode_solve), solved in the coordinates <u, h_j> on those branches'
+limit vectors by exact Duhamel integration of piecewise-linear forcing.
+The fluid subspace and its constraints are dispersion's (limit_vectors,
+fluid_constraints); no function here writes them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionOperator
-from .dispersion import R0_DEFAULT, BranchPoint, asymptotic_coefficients
+from .dispersion import (FLUID_BRANCHES, R0_DEFAULT, BranchPoint, asymptotic_coefficients,
+                         fluid_constraints)
 from .errors import DataError
 from .mode_operator import _checked_times, _norm1, axis_eigen_blocks
-from .transport import TransportCoefficients, branch_decay
+from .transport import TransportCoefficients
 from .velocity_space import (MacroState, VelocityBasis, axis_wavenumber, bilinear_pair,
-                             macro_vector, weighted_norm)
+                             macro_vector, project_macro, weighted_norm)
 
 COND_LIMIT = 1e12
 # the eig path is refused above this propagation bound, for the block exponential
@@ -229,18 +233,9 @@ def fluid_semigroup_V(basis: VelocityBasis, coeffs: TransportCoefficients,
     bundle = asymptotic_coefficients(basis, xi, coeffs)
     times = np.asarray(times, dtype=float)
     states = basis.embed_invariants(bundle.evolve(basis, _macro_as_vector(basis, u0), times,
-                                                  (0, 2, 3)))
+                                                  FLUID_BRANCHES))
     return ModeTrajectory(xi=np.array([bundle.s, 0.0, 0.0]), eps=0.0, times=times,
                           states=states, basis=basis, method="fluid")
-
-
-def compatible_initial_values(n0: complex, q0: complex, s: float) -> tuple[complex, complex]:
-    """Density/energy values consistent with the density-potential constraint,
-    preserving the dynamically meaningful combination q - sqrt(2/3) n."""
-    w = q0 - math.sqrt(2.0 / 3.0) * n0
-    n_hat = -math.sqrt(6.0) * s * s / (3.0 + 5.0 * s * s) * w
-    q_hat = (3.0 + 3.0 * s * s) / (3.0 + 5.0 * s * s) * w
-    return n_hat, q_hat
 
 
 def _phi1(z: complex) -> complex:
@@ -294,57 +289,40 @@ def nspf_mode_solve(basis: VelocityBasis, coeffs: TransportCoefficients,
                     u0: MacroState, h1, h2, xi, times) -> list[FluidModeState]:
     """Forced fluid mode equations solved through their Duhamel forms.
 
-    The energy variable evolves against the thermal decay rate with the
-    (3+3s^2)/(3+5s^2)-weighted forcing, the density follows it through the
-    algebraic density-energy relation, and the transverse momentum evolves
-    against the shear rate with the projected vector forcing.  Initial data
-    must already satisfy both constraints; the rejection carries the
-    repaired values.  xi is parsed by axis_wavenumber, and times must be a
-    finite, nondecreasing grid from t >= 0 (DataError).
+    The state stays in the span of the non-oscillatory limit vectors h_j,
+    j = 0, 2, 3 (asymptotic_coefficients), so it is sum_j a_j h_j: each
+    coordinate a_j = <u, h_j> decays at b_j with the forcing (0, h1(t), h2(t))
+    paired against h_j as its source (one bilinear_pair for the data and
+    every sample), integrated exactly for forcing that is piecewise linear
+    (_duhamel_linear).  Initial data must already satisfy both constraints
+    (dispersion.fluid_constraints, to 1e-10 of its largest moment); the
+    DataError's suggestion is its projection onto that span, the fluid
+    semigroup at t = 0.  xi is parsed by axis_wavenumber, and times are
+    checked as for the kinetic flow (DataError).
     """
-    s = axis_wavenumber(xi)
-    xi = np.array([s, 0.0, 0.0])
-    times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.size < 2 or not np.isfinite(times).all()
-            or times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
-        raise DataError("times must be a finite, nondecreasing grid from t >= 0 with at "
-                        "least two samples")
-
-    n0, q0 = complex(u0.n), complex(u0.q)
-    m0 = np.asarray(u0.m, dtype=complex)
-    scale = max(abs(n0), abs(q0), float(np.max(np.abs(m0))), 1e-30)
-    n_fix, q_fix = compatible_initial_values(n0, q0, s)
-    m_fix = m0 - (m0 @ xi) / (s * s) * xi
-    div = abs(xi @ m0)
-    bous = abs(n0 + n0 / (s * s) + math.sqrt(2.0 / 3.0) * q0)
+    bundle = asymptotic_coefficients(basis, xi, coeffs)
+    s = bundle.s
+    times = _checked_times(times)
+    u = _macro_as_vector(basis, u0)
+    scale = max(float(np.max(np.abs(u))), 1e-30)
+    div, bous = fluid_constraints(project_macro(basis, u), s)
     if div > 1e-10 * scale or bous > 1e-10 * scale:
+        fix = bundle.evolve(basis, u, [0.0], FLUID_BRANCHES)[0]  # (n, m, q) slots
         raise DataError(
             "fluid initial data violates the mode constraints "
             f"(divergence {div:.2e}, density-potential {bous:.2e}); "
             "the suggestion field carries compatible values",
-            suggestion={"n_hat": n_fix, "m_hat": m_fix, "q_hat": q_fix})
-
-    b0 = branch_decay(0, s, coeffs)
-    b2 = branch_decay(2, s, coeffs)
-    c_w = (3.0 + 3.0 * s * s) / (3.0 + 5.0 * s * s)
+            suggestion={"n_hat": fix[0], "m_hat": fix[1:4], "q_hat": fix[4]})
 
     h1_vals = _sample_forcing(h1, times, 3)
     h2_vals = _sample_forcing(h2, times, 1)
-    h1_perp = h1_vals - np.outer(h1_vals @ xi, xi) / (s * s)
-
-    q_traj = _duhamel_linear(b0, times, q0, c_w * h2_vals)
-    n_traj = -math.sqrt(2.0 / 3.0) * s * s / (1.0 + s * s) * q_traj
-    m_traj = np.column_stack([
-        _duhamel_linear(b2, times, m0[i], h1_perp[:, i]) for i in range(3)])
-    p_traj = -1j * (h1_vals @ xi) / (s * s)
-
-    out = []
-    for k in range(times.size):
-        out.append(FluidModeState(
-            n_hat=complex(n_traj[k]),
-            m_hat=m_traj[k],
-            q_hat=complex(q_traj[k]),
-            p_hat=complex(p_traj[k]),
-            phi_hat=complex(-n_traj[k] / (s * s)),
-        ))
-    return out
+    forcing = basis.embed_invariants(np.column_stack([np.zeros(times.size), h1_vals, h2_vals]))
+    hs = np.stack([bundle.h[j] for j in FLUID_BRANCHES])
+    coefs = bilinear_pair(basis, np.vstack([u, forcing])[:, None], hs, s)
+    a = np.column_stack([_duhamel_linear(bundle.b[j], times, coefs[0, i], coefs[1:, i])
+                         for i, j in enumerate(FLUID_BRANCHES)])
+    st = project_macro(basis, a @ hs)
+    p_traj = -1j * h1_vals[:, 0] / s
+    return [FluidModeState(n_hat=complex(n), m_hat=m, q_hat=complex(q), p_hat=complex(p),
+                           phi_hat=complex(-n / (s * s)))
+            for n, m, q, p in zip(st.n, st.m, st.q, p_traj)]

@@ -32,6 +32,7 @@ from vpb_spectral.collision import (
     synthetic_collision,
 )
 from vpb_spectral.dispersion import hydrodynamic_sweep
+from vpb_spectral.errors import DataError
 from vpb_spectral.limit_lab import (
     layer_time_grid,
     make_initial_data,
@@ -47,7 +48,7 @@ from vpb_spectral.oracles import (
     split_S1_S2,
     strip_eigensystem,
 )
-from vpb_spectral.semigroup import compatible_initial_values, nspf_mode_solve
+from vpb_spectral.semigroup import nspf_mode_solve
 from vpb_spectral.transport import (
     asymptotic_eigenvalue,
     branch_decay,
@@ -369,21 +370,26 @@ def test_hard_sphere_rate_does_not_depend_on_the_truncation(hs_study, kind, subt
 
 def test_criterion_10_reduced_fluid_formulas(syn4, coeffs4):
     """Closed-form forced mode solutions match a restarted high-order ODE
-    integration to 1e-8; algebraic preparation formulas to 1e-12; both
-    constraints conserved to 1e-12 along the trajectory."""
+    integration to 1e-8; the suggested repair of raw data (the fluid
+    semigroup's projection at t = 0) matches the algebraic preparation
+    formulas to 1e-12; both constraints conserved to 1e-12 along the
+    trajectory."""
     basis = syn4.basis
     s = 0.5
     xi = np.array([s, 0.0, 0.0])
     s2 = s * s
 
     n_raw, q_raw = 0.37 - 0.1j, -0.82 + 0.4j
-    n0, q0 = compatible_initial_values(n_raw, q_raw, s)
+    m0 = np.array([0.0, 0.6, -0.2 + 0.1j])
+    with pytest.raises(DataError) as err:
+        nspf_mode_solve(basis, coeffs4, MacroState(n=n_raw, m=m0, q=q_raw), None, None, xi, [0.0])
+    n0, q0 = err.value.suggestion["n_hat"], err.value.suggestion["q_hat"]
     w = q_raw - math.sqrt(2.0 / 3.0) * n_raw
     assert abs(n0 + math.sqrt(6.0) * s2 / (3 + 5 * s2) * w) <= 1e-12
     assert abs(q0 - (3 + 3 * s2) / (3 + 5 * s2) * w) <= 1e-12
     assert abs(n0 + n0 / s2 + math.sqrt(2.0 / 3.0) * q0) <= 1e-12
 
-    u0 = MacroState(n=n0, m=np.array([0.0, 0.6, -0.2 + 0.1j]), q=q0)
+    u0 = MacroState(n=n0, m=m0, q=q0)
     times = np.linspace(0.0, 2.0, 161)
     h1 = np.column_stack([0.3 * np.sin(2 * times), 0.1 * np.cos(times),
                           -0.2 * np.sin(times) + 0.05j * times])

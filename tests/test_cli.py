@@ -746,6 +746,15 @@ class TestEntryPoint:
         both = _source_places(reads_density_slot) & _source_places(divides_by_square)
         assert both == {"mode_operator.mode_matrix", "dispersion.hydrodynamic_sweep"}
 
+    def test_only_dispersion_writes_the_fluid_subspace(self):
+        # the fluid state's constraints, divergence-free momentum and
+        # n + n / s^2 + sqrt(2/3) q = 0, are the span of the limit vectors
+        # h_0, h_2, h_3; a function elsewhere that writes sqrt(2/3) holds a
+        # second copy of that subspace
+        root23 = ast.dump(ast.parse("math.sqrt(2.0 / 3.0)", mode="eval").body)
+        places = _source_places(lambda node: ast.dump(node) == root23)
+        assert {p for p in places if not p.startswith("dispersion.")} == set()
+
     @pytest.mark.parametrize("subcommand, config", TINY_JOBS)
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
         # every subcommand, each assembling into an empty cache, runs on numpy

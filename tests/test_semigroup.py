@@ -21,14 +21,13 @@ from semigroup_reference import (closed_fluid_forms, constraint_residuals,
 
 from vpb_spectral import semigroup
 from vpb_spectral.collision import assemble_collision, synthetic_collision
-from vpb_spectral.dispersion import hydrodynamic_sweep
+from vpb_spectral.dispersion import asymptotic_coefficients, hydrodynamic_sweep
 from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.limit_lab import layer_time_grid
 from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks
 from vpb_spectral.oracles import (eigensystem, fit_decay, mode_blocks, mode_operator,
                                   propagate_kinetic, split_S1_S2)
 from vpb_spectral.semigroup import (
-    compatible_initial_values,
     fluid_semigroup_V,
     member_states,
     nspf_mode_solve,
@@ -41,6 +40,15 @@ from vpb_spectral.velocity_space import (
     build_basis,
     macro_vector,
 )
+
+
+def suggested(basis, coeffs, raw: MacroState, xi) -> MacroState:
+    """The moments nspf_mode_solve suggests for raw data that it refuses:
+    the fluid semigroup's projection at t = 0."""
+    with pytest.raises(DataError) as err:
+        nspf_mode_solve(basis, coeffs, raw, None, None, xi, [0.0])
+    sug = err.value.suggestion
+    return MacroState(n=sug["n_hat"], m=sug["m_hat"], q=sug["q_hat"])
 
 
 @pytest.fixture(scope="module")
@@ -112,16 +120,16 @@ class TestPropagateKinetic:
 
     def test_rejects_bad_time_grid(self, mode_mid):
         f0 = random_state(mode_mid.basis.dim)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             propagate_kinetic(mode_mid, f0, [0.2, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             propagate_kinetic(mode_mid, f0, [-0.1, 0.2])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, mode_mid, t):
         # every comparison with NaN is false: without a finiteness test the
         # eig path returned all-NaN states under method "eig"
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             propagate_kinetic(mode_mid, random_state(mode_mid.basis.dim), [t])
 
     @given(seed=st.integers(0, 2 ** 16))
@@ -197,7 +205,7 @@ class TestStackedPropagation:
     @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, syn_small, t):
         g = shells_data(syn_small.basis, [random_state(syn_small.basis.dim)])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             propagate_axis_modes(syn_small, self.EPS, [0.3], g, [t])
 
     @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4",
@@ -511,8 +519,9 @@ class TestFluidSemigroup:
         basis = op_mid.basis
         s = 0.5
         xi = np.array([s, 0.0, 0.0])
-        n0, q0 = compatible_initial_values(0.4, -0.9, s)
-        u0 = MacroState(n=n0, m=np.array([0.0, 0.3, -0.2]), q=q0)
+        u0 = suggested(basis, coeffs_mid, MacroState(n=0.4, m=np.array([0.0, 0.3, -0.2]), q=-0.9),
+                       xi)
+        q0 = u0.q
         times = np.linspace(0.0, 2.0, 9)
         traj = fluid_semigroup_V(basis, coeffs_mid, u0, xi, times)
 
@@ -609,16 +618,16 @@ class TestFluidSemigroup:
         # the fluid kernel checks its times as the kinetic flow does: before,
         # NaN gave NaN states, and a negative time ran the semigroup backwards
         u0 = MacroState(n=0.2, m=np.array([0.1, -0.3, 0.7]), q=-0.4)
-        with pytest.raises(ValueError, match="finite, nondecreasing"):
+        with pytest.raises(DataError, match="finite, nondecreasing"):
             fluid_semigroup_V(op_mid.basis, coeffs_mid, u0, np.array([0.5, 0.0, 0.0]), times)
 
 
 class TestNSPF:
     XI = np.array([0.5, 0.0, 0.0])
 
-    def compatible(self) -> MacroState:
-        n0, q0 = compatible_initial_values(0.37 - 0.1j, -0.82 + 0.4j, 0.5)
-        return MacroState(n=n0, m=np.array([0.0, 0.6, -0.2 + 0.1j]), q=q0)
+    def compatible(self, basis, coeffs) -> MacroState:
+        raw = MacroState(n=0.37 - 0.1j, m=np.array([0.0, 0.6, -0.2 + 0.1j]), q=-0.82 + 0.4j)
+        return suggested(basis, coeffs, raw, self.XI)
 
     def test_rejects_incompatible_with_suggestion(self, op_mid, coeffs_mid):
         basis = op_mid.basis
@@ -634,6 +643,15 @@ class TestNSPF:
         # the repair preserves the forced combination
         w_raw = raw.q - math.sqrt(2.0 / 3.0) * raw.n
         assert abs((q_fix - math.sqrt(2.0 / 3.0) * n_fix) - w_raw) < 1e-12
+        # it is the fluid semigroup's projection at t = 0, which the solve accepts
+        fix = asymptotic_coefficients(basis, self.XI, coeffs_mid).evolve(
+            basis, macro_vector(basis, raw.n, raw.m, raw.q), [0.0], (0, 2, 3))[0]
+        got = np.array([n_fix, *sug["m_hat"], q_fix])
+        assert np.max(np.abs(got - fix)) <= 1e-15
+        u0 = MacroState(n=n_fix, m=sug["m_hat"], q=q_fix)
+        states = nspf_mode_solve(basis, coeffs_mid, u0, None, None, self.XI, times)
+        first = np.array([states[0].n_hat, *states[0].m_hat, states[0].q_hat])
+        assert np.max(np.abs(first - fix)) <= 1e-15
 
     @pytest.mark.parametrize("xi", [0.0, np.nan, np.inf, (np.nan, 0.0, 0.0),
                                     (0.3, -0.4, 1.2), (-0.5, 0.0, 0.0)])
@@ -641,28 +659,37 @@ class TestNSPF:
         # parsed by axis_wavenumber, as at every other entry point
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(BasisError):
-            nspf_mode_solve(op_mid.basis, coeffs_mid, self.compatible(), None, None, xi, times)
+            nspf_mode_solve(op_mid.basis, coeffs_mid, self.compatible(op_mid.basis, coeffs_mid),
+                            None, None, xi, times)
 
     @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-1.0, 0.0, 1.0],
                                        [0.0, 1.0, 0.5], [0.0]])
     def test_bad_times_are_a_data_error(self, op_mid, coeffs_mid, times):
-        with pytest.raises(DataError, match="finite, nondecreasing grid from t >= 0"):
-            nspf_mode_solve(op_mid.basis, coeffs_mid, self.compatible(), None, None, self.XI,
-                            times)
+        # checked as the kinetic flow checks them; one sample is a grid, and
+        # its state is the data
+        u0 = self.compatible(op_mid.basis, coeffs_mid)
+        if len(times) == 1:
+            [st] = nspf_mode_solve(op_mid.basis, coeffs_mid, u0, None, None, self.XI, times)
+            assert abs(st.n_hat - u0.n) <= 1e-15 and abs(st.q_hat - u0.q) <= 1e-15
+            assert np.max(np.abs(st.m_hat - u0.m)) <= 1e-15
+            return
+        with pytest.raises(DataError, match="finite, nondecreasing and start at t >= 0"):
+            nspf_mode_solve(op_mid.basis, coeffs_mid, u0, None, None, self.XI, times)
 
-    def test_repair_closed_forms(self):
+    def test_repair_closed_forms(self, op_mid, coeffs_mid):
         # repaired values follow the closed formulas in the raw moments
         s = 0.7
         n0, q0 = 0.4 + 0.2j, -1.1
         w = q0 - math.sqrt(2.0 / 3.0) * n0
-        n_c, q_c = compatible_initial_values(n0, q0, s)
+        fix = suggested(op_mid.basis, coeffs_mid, MacroState(n=n0, m=np.zeros(3), q=q0), s)
+        n_c, q_c = fix.n, fix.q
         s2 = s * s
         assert n_c == pytest.approx(-math.sqrt(6.0) * s2 / (3 + 5 * s2) * w, abs=1e-14)
         assert q_c == pytest.approx((3 + 3 * s2) / (3 + 5 * s2) * w, abs=1e-14)
 
     def test_unforced_matches_fluid_semigroup(self, op_mid, coeffs_mid):
         basis = op_mid.basis
-        u0 = self.compatible()
+        u0 = self.compatible(basis, coeffs_mid)
         times = np.linspace(0.0, 2.0, 9)
         states = nspf_mode_solve(basis, coeffs_mid, u0, None, None, self.XI, times)
         traj = fluid_semigroup_V(basis, coeffs_mid, u0, self.XI, times)
@@ -676,7 +703,7 @@ class TestNSPF:
 
     def test_density_energy_relation_and_constraints(self, op_mid, coeffs_mid):
         basis = op_mid.basis
-        u0 = self.compatible()
+        u0 = self.compatible(basis, coeffs_mid)
         times = np.linspace(0.0, 2.0, 41)
         h1 = np.column_stack([0.3 * np.sin(2 * times), 0.1 * np.cos(times),
                               -0.2 * np.sin(times)])
@@ -697,7 +724,7 @@ class TestNSPF:
 
         basis = op_mid.basis
         s = 0.5
-        u0 = self.compatible()
+        u0 = self.compatible(basis, coeffs_mid)
         times = np.linspace(0.0, 2.0, 161)
         h1_s = np.column_stack([0.3 * np.sin(2 * times), 0.1 * np.cos(times),
                                 -0.2 * np.sin(times) + 0.05j * times])
