@@ -20,11 +20,12 @@ checkout's src, labelled "change") is timed in fresh processes:
   five branches, four eps values, 36 times), and the GammaEvaluator build;
   each the median of --repeats calls;
 - end to end: the criterion-08 convergence study in that process, and
-  `vpb-spectral check`, the three perfbench configurations and
+  `vpb-spectral check`, the three perfbench configurations, the perfbench
+  dispersion configuration at degree 14 (dispersion-hs-d14) and
   `python -c "import vpb_spectral.cli"` (import_cli) as fresh processes
-  (wall time, interpreter start included, and peak RSS from os.wait4); the
-  dispersion job reads a cache filled once beforehand, the others start
-  from an empty one;
+  (wall time, interpreter start included, and peak RSS from os.wait4); each
+  dispersion job reads its own cache, filled once beforehand by perfbench's
+  filling config at its degree, the others start from an empty one;
 - with --tier1, the Tier-1 suite of the tree's checkout.
 
 Every round times each tree in turn, each tree leading in turn, so the
@@ -55,16 +56,22 @@ EPS4 = [0.2, 0.1, 0.05, 0.025]
 UNITS = {"layers": "s", "end_to_end": "s", "peak_rss": "mb"}  # each part's figures
 
 
-def _perfbench_workloads():
-    """perfbench's workload configs and its cache-filling config, read from
-    perfbench/run.py without writing bytecode into perfbench/."""
+def _perfbench_workloads() -> dict:
+    """perfbench's workloads, and its dispersion workload at degree 14, each as
+    (subcommand, config, the config that fills its warm cache or None for an
+    empty cache); read from perfbench/run.py without writing bytecode into
+    perfbench/."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.dont_write_bytecode = True
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    return {name: (wl.subcommand, wl.config, wl.warm_cache)
-            for name, wl in run.WORKLOADS.items()}, run.FILL_CONFIG
+    jobs = {name: (wl.subcommand, wl.config, run.FILL_CONFIG if wl.warm_cache else None)
+            for name, wl in run.WORKLOADS.items()}
+    sub, config, fill = jobs["dispersion-hs-d8"]
+    jobs["dispersion-hs-d14"] = (sub, dict(config, max_degree="14"),
+                                 dict(fill, max_degree="14"))
+    return jobs
 
 
 def _median(fn, repeats: int, setup=lambda: None) -> float:
@@ -196,9 +203,10 @@ def _tiny(config: dict) -> dict:
     return dict(config, max_degree="3", **({"s_count": "6"} if "s_count" in config else {}))
 
 
-def end_to_end(src: Path, work: Path, tiny: bool, workloads, fill, warm: Path) -> dict:
+def end_to_end(src: Path, work: Path, tiny: bool, workloads, warm: Path) -> dict:
     """(wall time, peak RSS) of each command-line job on src and of the bare
-    import of its command line, as fresh processes."""
+    import of its command line, as fresh processes.  A job with a filling
+    config reads warm/<job>, filled by a spectrum run the first time."""
     def config(name: str, values: dict) -> Path:
         path = work / f"{name}.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
@@ -207,12 +215,13 @@ def end_to_end(src: Path, work: Path, tiny: bool, workloads, fill, warm: Path) -
     out = {"import_cli": _fresh(src, ["-c", "import vpb_spectral.cli"], work, work)}
     check = ["check"] + (["--config", str(config("check", _tiny({})))] if tiny else [])
     out["check"] = _cli(src, check, Path(tempfile.mkdtemp(dir=work)), work)
-    for name, (sub, values, warm_cache) in workloads.items():
+    for name, (sub, values, fill) in workloads.items():
         cfg = config(name, _tiny(values) if tiny else values)
-        if warm_cache and not any(warm.iterdir()):
-            fill_cfg = config("fill", _tiny(fill) if tiny else fill)
-            _cli(src, ["spectrum", "--config", str(fill_cfg), "--out", "fill"], warm, work)
-        cache = warm if warm_cache else Path(tempfile.mkdtemp(dir=work))
+        cache = warm / name if fill else Path(tempfile.mkdtemp(dir=work))
+        if fill and not cache.exists():
+            cache.mkdir()
+            fill_cfg = config(f"{name}-fill", _tiny(fill) if tiny else fill)
+            _cli(src, ["spectrum", "--config", str(fill_cfg), "--out", "fill"], cache, work)
         out[name] = _cli(src, [sub, "--config", str(cfg), "--out", "out"], cache, work)
     return out
 
@@ -255,7 +264,7 @@ def main() -> int:
     for spec in args.src or ["change=src"]:
         label, _, path = spec.rpartition("=")
         trees[label or path] = Path(path).resolve()
-    workloads, fill = _perfbench_workloads()
+    workloads = _perfbench_workloads()
     runs = {label: {"layers": {}, "end_to_end": {}, "peak_rss": {}} for label in trees}
     env = None
     with tempfile.TemporaryDirectory() as tmp:
@@ -278,7 +287,7 @@ def main() -> int:
                 runs[label]["end_to_end"].setdefault("criterion_08_study", []).append(
                     got["criterion_08_study"])
                 with tempfile.TemporaryDirectory(dir=tmp) as work:
-                    jobs = end_to_end(src, Path(work), args.tiny, workloads, fill, warm[label])
+                    jobs = end_to_end(src, Path(work), args.tiny, workloads, warm[label])
                 for name, (wall, rss) in jobs.items():
                     runs[label]["end_to_end"].setdefault(name, []).append(wall)
                     runs[label]["peak_rss"].setdefault(name, []).append(rss)

@@ -46,7 +46,9 @@ def loaded_openblas() -> list[OpenBLAS]:
     """Every OpenBLAS mapped into this process, sorted by path."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+            # only the few lines naming an OpenBLAS are split into their paths
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh
+                      if "openblas" in line.lower()}
     except OSError:
         return []
     found = []

@@ -120,8 +120,11 @@ class _Family:
     found, certified and embedded at once.
 
     The determinant's fluxes (_FLUXES) lie in the micro block of one
-    azimuthal sector m: block, one stack member per mode on the sector's
-    micro frames, decomposed by one eig as B = X diag(mu) X^-1.  On the cos
+    azimuthal sector m: matrix, one real stack member per mode on the
+    sector's micro frames, decomposed by one eig as B = X diag(mu) X^-1.
+    The family keeps the eigenvalues mu (vals) and each member's eigenvector
+    condition (cond) but not X or X^-1, which only the pole weights read,
+    and no complex copy of the blocks outlives a solve.  On the cos
     frame F (parity scale included) g holds the coordinates F^H f_j and l
     the forms F^T f_j, so f_k . embed(x) = l_k . x and no basis-length
     solution is formed.  Pole sums: R_jk(beta) = sum_m (X^T l_k)_m
@@ -136,8 +139,10 @@ class _Family:
     def __init__(self, op: CollisionOperator, eps, s, m: int):
         eps, s = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (eps, s))
         lm, wm, frames = op.sector_blocks.micro[m]
-        self.block = EigenBlock(lm + (eps * s)[:, None, None] * wm, frames)
-        for e, x, cond in zip(eps, s, self.block.cond):
+        block = EigenBlock(lm + (eps * s)[:, None, None] * wm, frames)
+        self.matrix, self.vals, self.cond = block.matrix, block.vals, block.cond
+        self.frames = frames
+        for e, x, cond in zip(eps, s, self.cond):
             if not cond < POLE_COND_LIMIT:
                 raise RegimeError(f"micro m = {m} sector block at eps = {e:.6g}, s = {x:.6g} "
                                   f"has eigenvector cond {cond:.3g}, not below "
@@ -151,13 +156,13 @@ class _Family:
                 raise AssemblyError(f"flux f_{j} leaves the span of its micro m = {m} frame")
         self.l = frame.basis.T @ (frame.scale[:, None] * fluxes[:, frame.index].T)
         # (member, (j, k), pole) weights of the pole sums
-        self._weights = np.einsum("imj,imk->ijkm", self.block.coefficients(self.g),
-                                  self.block.vecs.swapaxes(-1, -2) @ self.l
+        self._weights = np.einsum("imj,imk->ijkm", block.coefficients(self.g),
+                                  block.vecs.swapaxes(-1, -2) @ self.l
                                   ).reshape(eps.size, -1, self.g.shape[0])
 
     def pole_sums(self, members: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Member members[r]'s entries at beta[r] and their d/dbeta, a row per r."""
-        w = 1.0 / (self.block.vals[members] - beta[:, None])
+        w = 1.0 / (self.vals[members] - beta[:, None])
         weights = self._weights[members]
         return (weights @ w[..., None])[..., 0], (weights @ (w * w)[..., None])[..., 0]
 
@@ -167,15 +172,18 @@ class _Family:
         RegimeError when a Bauer-Fike bound cond / min|mu - beta_r| on the
         resolvent norm exceeds RESOLVENT_BOUND_LIMIT (inf on an eigenvalue),
         or a relative residual is not finite or above _SOLVE_TOL."""
-        dist = np.min(np.abs(self.block.vals[members] - betas[:, None]), axis=-1)
-        bound = np.divide(self.block.cond[members], dist, out=np.full(dist.shape, math.inf),
+        dist = np.min(np.abs(self.vals[members] - betas[:, None]), axis=-1)
+        bound = np.divide(self.cond[members], dist, out=np.full(dist.shape, math.inf),
                           where=dist > 0.0)
         for beta, b in zip(betas, bound):
             if not b <= RESOLVENT_BOUND_LIMIT:
                 raise RegimeError(f"micro resolvent is near-singular at beta = {beta:.6g}: its "
                                   f"Bauer-Fike bound {b:.3g} exceeds RESOLVENT_BOUND_LIMIT = "
                                   f"{RESOLVENT_BOUND_LIMIT:.0e}")
-        a = self.block.matrix[members].astype(complex)
+        # filled member by member: a fancy index would hold a real copy beside it
+        a = np.empty(members.shape + self.matrix.shape[1:], dtype=complex)
+        for r, i in enumerate(members):
+            a[r] = self.matrix[i]
         diag = np.arange(a.shape[-1])
         a[:, diag, diag] -= betas[:, None]
         try:
@@ -183,7 +191,8 @@ class _Family:
         except np.linalg.LinAlgError:
             raise RegimeError(f"micro resolvent is singular at one of beta = {betas}; "
                               "parameter on an eigenvalue of the micro block") from None
-        self._a = a
+        del a  # the guard forms (B_r - beta_r) x from the real blocks
+        self._members, self._betas = members, betas
         self.coords = self._guarded(x, self.g)
         return (self.l.T @ x).swapaxes(-1, -2).reshape(len(betas), -1)
 
@@ -194,10 +203,13 @@ class _Family:
         return self._guarded(self.coords @ coef, self.g @ coef)[..., 0]
 
     def _guarded(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The solution columns x, once each relative residual against g is
-        finite and at most _SOLVE_TOL."""
+        """The solution columns x of the last solve, once each relative
+        residual of (B_r - beta_r) x = g is finite and at most _SOLVE_TOL; B_r
+        stays real, so no complex copy of the blocks is formed."""
         scale = np.linalg.norm(g, axis=-2)
-        resid = np.linalg.norm(self._a @ x - g, axis=-2)
+        b = self.matrix[self._members]
+        resid = np.linalg.norm(b @ x.real + 1j * (b @ x.imag) - self._betas[:, None, None] * x - g,
+                               axis=-2)
         bad = ~np.isfinite(resid) | (resid > _SOLVE_TOL * scale)
         if np.any(bad):
             worst = float(np.max((resid / scale)[bad]))
@@ -209,7 +221,7 @@ class _Family:
     def embed(self, x: np.ndarray, copy: int) -> np.ndarray:
         """The basis-length rows of the coordinate rows x on frame copy
         (Frame.embed)."""
-        return self.block.frames[copy].embed(x, self.size)
+        return self.frames[copy].embed(x, self.size)
 
     def roots(self, det, scale, seeds: np.ndarray, basins: np.ndarray, tol: float,
               real: np.ndarray, names: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,7 +231,7 @@ class _Family:
         every root then certifies each: |D| at most tol, within its basin of
         the seed and, if real, on the real axis, else RegimeError naming the
         root and the check.  Returns the roots, their |D| and their entries."""
-        members = np.repeat(np.arange(len(self.block.vals)), len(seeds) // len(self.block.vals))
+        members = np.repeat(np.arange(len(self.vals)), len(seeds) // len(self.vals))
         z = _newton(lambda z: det(z, *self.pole_sums(members, scale * z)), seeds, basins, names)
         snap = real & (np.abs(z.imag) <= 1e-10 * np.maximum(1.0, np.abs(z)))
         z[snap] = z[snap].real  # certify the root that is returned
@@ -389,6 +401,11 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
         partial(_shear_det, y), 1.0, np.zeros(len(s), dtype=complex), np.full(len(s), R1_DEFAULT),
         1e-10, np.ones(len(s), dtype=bool),
         [f"shear root at eps = {e:.6g}, s = {x:.6g}" for e, x in zip(eps, s)])
+    # the shear eigenfunctions: f_3 is the quarter-turn image of f_2, so its
+    # solution is f_2's coordinates embedded in the sin copy of m = 1
+    shear_psi = [basis.chi(2 + c) + 1j * y[:, None] * shear.embed(shear.coords[..., 0], c)
+                 for c in (0, 1)]
+    del shear  # its blocks and pole weights
     # the roots of branches -1, 0, 1: seeds eta_j, |D| <= 1e-9, branch 0 real
     coupled = _Family(op, eps, s, 0)
     eps3, s3 = np.repeat(eps, 3), np.repeat(s, 3)
@@ -426,33 +443,43 @@ def hydrodynamic_sweep(op: CollisionOperator, modes) -> list[list[BranchPoint]]:
     abc = np.conj(vh[:, -1])
     coupled_psi = abc @ np.stack([basis.chi(0), basis.chi(1), basis.chi(4)]) \
         + 1j * np.repeat(y, 3)[:, None] * coupled.embed(coupled.combine(abc[:, 1:]), 0)
-    # f_3 is the quarter-turn image of f_2, so its solution is f_2's
-    # coordinates embedded in the sin copy of m = 1; psi holds one row per
-    # (mode, branch)
+    del coupled
+    # psi holds one row per (mode, branch)
     psi = np.concatenate([coupled_psi.reshape(-1, 3, basis.dim)]
-                         + [(basis.chi(2 + c) + 1j * y[:, None]
-                             * shear.embed(shear.coords[..., 0], c))[:, None] for c in (0, 1)],
-                         axis=1)
+                         + [x[:, None] for x in shear_psi], axis=1)
+    del coupled_psi, shear_psi
     s_mode = np.array(s)[:, None]
     pair = bilinear_pair(basis, psi, psi, s_mode)
     for i, k in zip(*np.nonzero(np.abs(pair) < 1e-6)):
         raise AssemblyError(f"branch {BRANCHES[k]} eigenfunction at eps = {eps[i]:.6g}, "
                             f"s = {s[i]:.6g} is nearly isotropic-null; cannot normalize "
                             "in the weighted pairing")
-    psi = psi / np.sqrt(pair)[..., None]
+    psi /= np.sqrt(pair)[..., None]
     hs = limit_vectors(basis, s)
     h = np.stack([hs[j] for j in BRANCHES], axis=1)
-    psi = psi * np.where(bilinear_pair(basis, psi, h, s_mode).real < 0, -1.0, 1.0)[..., None]
+    del hs
+    psi *= np.where(bilinear_pair(basis, psi, h, s_mode).real < 0, -1.0, 1.0)[..., None]
+    del h
 
     z = np.column_stack([np.reshape(coupled_z, (-1, 3)), shear_z, shear_z])
     lam = z * np.array([[e, e, e, 1.0, 1.0] for e in eps])
     dets = np.column_stack([np.reshape(coupled_det, (-1, 3)), shear_det, shear_det])
-    # one product per mode, as a sweep of that mode alone forms it
-    v1_psi, l_psi = (psi.real @ a.T + 1j * (psi.imag @ a.T) for a in (basis.v1, op.matrix))
+    # one product per mode, as a sweep of that mode alone forms it, each
+    # psi.real @ A.T + 1j * (psi.imag @ A.T) summed in its imaginary half's
+    # array; then r = B psi - lam psi in place in L psi's array, as L psi -
+    # (1j y) V1 psi - psi lam with the operands in that order: numpy's complex
+    # multiply may fuse its multiply-adds differently when they are swapped
+    v1_psi = 1j * (psi.imag @ basis.v1.T)
+    np.add(psi.real @ basis.v1.T, v1_psi, out=v1_psi)
     i0 = basis.density_index
     v1_psi += (psi[..., i0] / wavenumber_squares(s_mode))[..., None] * basis.v1[:, i0]
-    eig = _eig_residuals(basis, eps, s_mode,
-                         l_psi - 1j * y[:, None, None] * v1_psi - psi * lam[..., None], psi)
+    np.multiply(1j * y[:, None, None], v1_psi, out=v1_psi)
+    r = 1j * (psi.imag @ op.matrix.T)
+    np.add(psi.real @ op.matrix.T, r, out=r)
+    np.subtract(r, v1_psi, out=r)
+    del v1_psi
+    np.subtract(r, psi * lam[..., None], out=r)
+    eig = _eig_residuals(basis, eps, s_mode, r, psi)
     return [[BranchPoint(branch=j, s=s[i], eps=eps[i], lam=complex(lam[i, k]), z=complex(z[i, k]),
                          psi=psi[i, k], det_residual=float(dets[i, k]),
                          eig_residual=float(eig[i, k])) for k, j in enumerate(BRANCHES)]

@@ -75,7 +75,8 @@ class EigenBlock:
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"eigendecomposition of a {self.matrix.shape[-1]}-row "
                                 f"block failed: {exc}") from None
-        vals, vecs = vals.astype(complex), vecs.astype(complex)
+        # eig of a matrix with a complex eigenvalue is complex already
+        vals, vecs = vals.astype(complex, copy=False), vecs.astype(complex, copy=False)
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs

@@ -210,12 +210,16 @@ def hydrodynamic_part(basis: VelocityBasis, eps: float, s: float, f0: np.ndarray
 
 
 def _macro_as_vector(basis: VelocityBasis, u0) -> np.ndarray:
+    """Fluid data as a coefficient vector; DataError unless it is macroscopic
+    and finite (a NaN moment would pass every constraint check)."""
     if isinstance(u0, MacroState):
-        return macro_vector(basis, u0.n, u0.m, u0.q).astype(complex)
+        u0 = macro_vector(basis, u0.n, u0.m, u0.q)
     vec = np.asarray(u0, dtype=complex)
     if vec.shape != (basis.dim,):
         raise DataError(f"fluid data must be a MacroState or a length-{basis.dim} "
                         "coefficient vector")
+    if not np.isfinite(vec).all():
+        raise DataError("fluid data must have finite moments")
     micro = basis.micro_project(vec)
     scale = np.linalg.norm(vec)
     if scale > 0 and np.linalg.norm(micro) > 1e-12 * scale:

@@ -202,7 +202,7 @@ def _burnett_coefficients(basis: VelocityBasis, labels: np.ndarray) -> np.ndarra
     out *= root_fact[alpha].prod(axis=1)
     out *= (np.where(labels[:, 0] % 2 == 1, -1.0, 1.0) / np.linalg.norm(out, axis=1))[:, None]
     cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
-    out[:, cols] = out[:, cols] @ basis.rotation[np.ix_(cols, cols)]
+    out[:, cols] = out[:, cols] @ basis.rotation
     return out
 
 
@@ -249,25 +249,16 @@ def _separable_gram(basis: VelocityBasis) -> np.ndarray:
     return _rotate_pure_squares(basis, gram)
 
 
-def _energy_rotation(indices: list[tuple[int, int, int]]) -> np.ndarray:
+def _energy_rotation() -> np.ndarray:
     """Orthogonal change of basis making the energy invariant a basis column.
 
-    Identity except on the three pure-square degree-2 slots.  The sum
-    (He2(v1)+He2(v2)+He2(v3))/sqrt(3) lands on the slot of (2,0,0).
+    The identity except on the three pure-square degree-2 slots, so only
+    its 3x3 block there is returned, rows and columns in _PURE_SQUARES
+    order.  The sum (He2(v1)+He2(v2)+He2(v3))/sqrt(3) lands on the slot of
+    (2,0,0).
     """
-    dim = len(indices)
-    rot = np.eye(dim)
-    i002, i020, i200 = (indices.index(a) for a in _PURE_SQUARES)
-    rot[:, [i002, i020, i200]] = 0.0
-    rot[i002, i002] = 1.0 / np.sqrt(2.0)
-    rot[i020, i002] = -1.0 / np.sqrt(2.0)
-    rot[i002, i020] = 1.0 / np.sqrt(6.0)
-    rot[i020, i020] = 1.0 / np.sqrt(6.0)
-    rot[i200, i020] = -2.0 / np.sqrt(6.0)
-    rot[i002, i200] = 1.0 / np.sqrt(3.0)
-    rot[i020, i200] = 1.0 / np.sqrt(3.0)
-    rot[i200, i200] = 1.0 / np.sqrt(3.0)
-    return rot
+    a, b, c = (1.0 / np.sqrt(x) for x in (2.0, 6.0, 3.0))
+    return np.array([[a, b, c], [-a, b, c], [0.0, -2.0 / np.sqrt(6.0), c]])
 
 
 class Frame(NamedTuple):
@@ -390,7 +381,7 @@ class VelocityBasis:
     dim: int
     multi_indices: tuple[tuple[int, int, int], ...]
     invariant_indices: tuple[int, int, int, int, int]
-    rotation: np.ndarray          # (dim, dim) raw-tensor -> final basis
+    rotation: np.ndarray          # (3, 3) raw-tensor -> final basis on the pure squares
 
     def descriptor(self) -> dict:
         return {
@@ -424,7 +415,7 @@ class VelocityBasis:
                 tables[0][alpha[:, 0]] * tables[1][alpha[:, 1]] * tables[2][alpha[:, 2]])
         cols = [self.multi_indices.index(a) for a in _PURE_SQUARES]
         # an (npts, 3) by (3, 3) product, so each point sums in the same order
-        out[cols] = (out[cols].T @ self.rotation[np.ix_(cols, cols)]).T
+        out[cols] = (out[cols].T @ self.rotation).T
         return out
 
     def poly_values(self, points: np.ndarray) -> np.ndarray:
@@ -590,7 +581,7 @@ def build_basis(max_degree: int) -> VelocityBasis:
         dim=len(indices),
         multi_indices=tuple(indices),
         invariant_indices=inv,
-        rotation=_energy_rotation(indices),
+        rotation=_energy_rotation(),
     )
     basis.rotation.setflags(write=False)
     gram = _separable_gram(basis)
@@ -760,7 +751,7 @@ def _rotate_pure_squares(basis: VelocityBasis, mat: np.ndarray) -> np.ndarray:
     those rows are multiplied.  v_k vanishes between pure-square slots, and for
     it the result equals the dense product exactly."""
     cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
-    r = basis.rotation[np.ix_(cols, cols)]
+    r = basis.rotation
     mat[:, cols] = mat[:, cols] @ r
     mat[cols, :] = r.T @ mat[cols, :]
     return mat

@@ -3,12 +3,23 @@
 The library builds every mode on the axis xi = s e1.  An off-axis mode is
 the axis mode pushed forward by a velocity rotation; the helpers here form
 that map and the dense off-axis mode matrix directly, so the tests can
-check the one against the other.
+check the one against the other.  dense_energy_rotation rebuilds the
+basis's energy rotation as the dim x dim matrix that the basis stores as its
+pure-square block, for the references that apply it as a dense product.
 """
 
 import numpy as np
 
-from vpb_spectral.velocity_space import VelocityBasis, multiplication_matrices
+from vpb_spectral.velocity_space import _PURE_SQUARES, VelocityBasis, multiplication_matrices
+
+
+def dense_energy_rotation(basis: VelocityBasis) -> np.ndarray:
+    """The energy rotation on every slot: the identity, with basis.rotation
+    on the pure-square slots."""
+    rot = np.eye(basis.dim)
+    cols = [basis.multi_indices.index(a) for a in _PURE_SQUARES]
+    rot[np.ix_(cols, cols)] = basis.rotation
+    return rot
 
 
 def rotation_to_axis(direction: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Scoped BLAS thread policy: pin, restore, no-op fallback, artifact bytes."""
 
+import io
 import os
 import shutil
 import subprocess
@@ -61,6 +62,32 @@ def test_fake_libraries_pinned_and_restored(monkeypatch):
     assert counts == {"a": 3, "b": 5}
     assert describe_policy() == ("BLAS: libaopenblas.so (3 threads), libbopenblas.so "
                                  "(5 threads); every job runs at 1 thread")
+
+
+MAPS = """\
+7f00-7f01 r--p 00000000 08:01 11 /usr/lib/libc.so.6
+7f01-7f02 r-xp 00001000 08:01 12 /usr/local/openblas/lib/libgfortran.so.5
+7f02-7f03 r-xp 00001000 08:01 13 /site/numpy.libs/libscipy_openblas64_-a1.so
+7f03-7f04 r--p 00002000 08:01 13 /site/numpy.libs/libscipy_openblas64_-a1.so
+7f04-7f05 r-xp 00001000 08:01 14 /usr/lib/libOpenBLAS.so.0
+7f05-7f06 rw-p 00000000 00:00 0
+7f06-7f07 rw-p 00000000 00:00 0 [heap]
+"""
+
+
+def test_maps_lines_naming_openblas_are_the_candidates(monkeypatch):
+    # each mapped library whose file name names OpenBLAS, in any case, is
+    # opened once, in path order; a directory named openblas is no library
+    opened = []
+
+    def cdll(path):
+        opened.append(path)
+        raise OSError("not loadable here")
+
+    monkeypatch.setattr(blas, "open", lambda *a, **k: io.StringIO(MAPS), raising=False)
+    monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
+    assert loaded_openblas() == []
+    assert opened == ["/site/numpy.libs/libscipy_openblas64_-a1.so", "/usr/lib/libOpenBLAS.so.0"]
 
 
 def test_nothing_found_is_a_silent_noop(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from collision_reference import gamma_form, micro_solve
 from hypothesis import given
 from numpy.polynomial.hermite_e import hermegauss
+from rotations import dense_energy_rotation
 from hypothesis import strategies as st
 
 from vpb_spectral import (BackendError, build_basis, collision, multiplication_matrices,
@@ -77,7 +78,7 @@ def test_collision_frequency_matrix_anchor(basis_mid):
     tables = [hermite_polynomial_table(basis_mid.max_degree, nodes[:, k]) for k in range(3)]
     alpha = np.array(basis_mid.multi_indices)
     poly = (tables[0][alpha[:, 0]] * tables[1][alpha[:, 1]] * tables[2][alpha[:, 2]]).T
-    poly = poly @ basis_mid.rotation
+    poly = poly @ dense_energy_rotation(basis_mid)
     nu_vals = nu_hard_sphere(np.linalg.norm(nodes, axis=1))
     ref = poly.T @ ((weights * nu_vals)[:, None] * poly)
     assert np.max(np.abs(numat - ref)) < 1e-6

@@ -8,6 +8,7 @@ with it, not with each other alone.
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from vpb_spectral.dispersion import (
     hydrodynamic_sweep,
 )
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
+from vpb_spectral.limit_lab import radial_grid
 from vpb_spectral.oracles import eigensystem, mode_operator, strip_eigensystem
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, weighted_norm
@@ -291,7 +293,7 @@ class TestPoleSums:
     def test_family_eigenvalues_are_refused(self, op_mid):
         for m in FAMILIES:
             fam = family(op_mid, 0.1, m)
-            for mu in fam.block.vals[0]:
+            for mu in fam.vals[0]:
                 with pytest.raises(RegimeError, match="singular"):
                     certified(fam, mu)
 
@@ -305,7 +307,7 @@ class TestPoleSums:
             stacked = fam.solve(np.array([0, 1, 1]), np.array([beta, beta, 0.5 * beta]))
             for got, (y, b) in zip(stacked, ((0.12, beta), (0.2, beta), (0.2, 0.5 * beta))):
                 assert np.array_equal(got, certified(family(op_mid, y, m), b))
-            for mu in fam.block.vals[1]:
+            for mu in fam.vals[1]:
                 with pytest.raises(RegimeError, match="singular"):
                     fam.solve(np.array([0, 1]), np.array([beta, mu]))
 
@@ -323,7 +325,7 @@ class TestPoleSums:
         # the refusal names its mode
         conds = sorted((c, m, mode) for m in FAMILIES
                        for c, mode in zip(_Family(hard_sphere_prod, *np.transpose(SWEEP),
-                                                  m).block.cond, SWEEP))
+                                                  m).cond, SWEEP))
         (second, *_), (worst, m, (eps, s)) = conds[-2:]
         assert second < worst
         monkeypatch.setattr(dispersion, "POLE_COND_LIMIT", worst)
@@ -408,6 +410,46 @@ class TestPoleSums:
                                  (p.eig_residual, q.eig_residual)):
                     assert abs(got - ref) <= 1e-13 * abs(ref)
                 assert np.max(np.abs(p.psi - q.psi)) <= 1e-13 * np.max(np.abs(q.psi))
+
+
+class TestSweepMemory:
+    # the modes of the dispersion benchmark: three eps values at eight
+    # Legendre nodes on [0.05, 0.6]
+    MODES = [(eps, float(s)) for eps in (0.2, 0.1, 0.05)
+             for s in radial_grid(0.05, 0.6, 8, "legendre").nodes]
+
+    @pytest.fixture(scope="class")
+    def hard_sphere_d8(self):
+        op = assemble_collision(build_basis(8))
+        hydrodynamic_sweep(op, self.MODES[:1])  # frames, sector blocks, kappa_bar
+        return op
+
+    def test_sweep_peak_is_a_few_eigenfunction_stacks(self, hard_sphere_d8):
+        # the sweep holds each stacked array only until its last use, so its
+        # traced peak stays within 8 copies of the (modes, 5, dim) complex
+        # eigenfunctions it returns
+        tracemalloc.start()
+        try:
+            hydrodynamic_sweep(hard_sphere_d8, self.MODES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = len(self.MODES) * 5 * hard_sphere_d8.basis.dim * 16
+        assert peak <= 8 * unit, peak / unit
+
+    @pytest.mark.parametrize("m", FAMILIES)
+    def test_no_complex_block_stack_outlives_a_solve(self, hard_sphere_d8, m):
+        # after a stacked solve over three roots per mode, no attribute of
+        # the family holds as many complex entries as the shifted blocks
+        # (B_r - beta_r) it solved with
+        eps, s = np.transpose(self.MODES)
+        fam = _Family(hard_sphere_d8, eps, s, m)
+        members = np.repeat(np.arange(len(eps)), 3)
+        fam.solve(members, np.tile([-0.05j, 0.0, 0.05j], len(eps)))
+        n = fam.g.shape[0]
+        for name, value in vars(fam).items():
+            if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+                assert value.size < members.size * n * n, name
 
 
 class TestHydrodynamicSpectrum:

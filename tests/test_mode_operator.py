@@ -255,6 +255,21 @@ def test_singular_eigenvectors_have_infinite_cond(monkeypatch):
         block.coefficients(np.ones(2))
 
 
+def test_complex_decomposition_is_held_without_a_copy(monkeypatch):
+    # eig of a real block with a complex eigenvalue returns complex arrays
+    # already; the block holds those arrays, not complex copies beside them,
+    # and a real decomposition is still made complex
+    out = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: out.append(eig(a)) or out[-1])
+    frames = (Frame(np.arange(2), np.ones(2), np.eye(2)),)
+    turn = EigenBlock(np.array([[0.0, -1.0], [1.0, 0.0]]), frames)
+    assert turn.vals is out[-1][0] and turn.vecs is out[-1][1]
+    assert not turn.vecs.flags.writeable
+    real = EigenBlock(np.diag([1.0, 2.0]), frames)
+    assert real.vecs.dtype == complex and out[-1][1].dtype == float
+
+
 def test_nan_mode_matrix_is_a_typed_error(op4):
     radial = np.array(op4.radial)
     radial[2, 0, 1] = np.nan

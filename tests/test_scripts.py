@@ -32,7 +32,8 @@ def test_bench_script_writes_its_schema(tmp_path):
         "build_basis_d3", "assemble_hard_sphere_d3", "sector_blocks", "eigen_blocks",
         "hydrodynamic_sweep", "propagate_axis_modes", "fluid_limit",
         "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
-    fresh = {"import_cli", "check", "converge-generic-d6", "dispersion-hs-d8", "transport-hs-d6"}
+    fresh = {"import_cli", "check", "converge-generic-d6", "dispersion-hs-d8",
+             "dispersion-hs-d14", "transport-hs-d6"}
     assert set(tree["end_to_end"]) == fresh | {"criterion_08_study"}
     # each fresh process's peak RSS, in MB, beside its wall time
     assert set(tree["peak_rss"]) == fresh

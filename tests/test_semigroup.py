@@ -612,6 +612,20 @@ class TestFluidSemigroup:
         with pytest.raises(DataError):
             fluid_semigroup_V(basis, coeffs_mid, bad, np.array([0.5, 0.0, 0.0]), [0.0])
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, complex(0.2, math.nan)])
+    def test_non_finite_moments_are_a_data_error(self, syn_small, n):
+        # a NaN moment passes every constraint check (NaN > tol is False), so
+        # each fluid kernel checks the moments themselves
+        basis, xi = syn_small.basis, np.array([0.5, 0.0, 0.0])
+        coeffs = compute_kappas(syn_small)
+        u0 = MacroState(n=n, m=np.array([0.0, 0.1, -0.3]), q=0.2)
+        with pytest.raises(DataError, match="finite moments"):
+            nspf_mode_solve(basis, coeffs, u0, None, None, xi, [0.0, 1.0])
+        with pytest.raises(DataError, match="finite moments"):
+            fluid_semigroup_V(basis, coeffs, u0, xi, [0.0, 1.0])
+        with pytest.raises(DataError, match="finite moments"):
+            fluid_semigroup_V(basis, coeffs, macro_vector(basis, n, u0.m, u0.q), xi, [0.0])
+
     @pytest.mark.parametrize("times", [[math.nan], [math.inf], [-1.0], [0.0, -5.0]],
                              ids=["nan", "inf", "negative", "backwards"])
     def test_rejects_the_kinetic_flows_bad_times(self, op_mid, coeffs_mid, times):
