@@ -17,7 +17,8 @@ checkout's src, labelled "change") is timed in fresh processes:
   hydrodynamic_sweep over the dispersion workload's modes,
   propagate_axis_modes over one stack of 8 converge shells, the
   fluid limit of the converge workload (its 32 shells in stacks, generic data,
-  five branches, four eps values, 36 times), and the GammaEvaluator build;
+  five branches, four eps values, 36 times), and the GammaEvaluator build
+  (from the tree's tests/oracles.py, or its package's oracles module);
   each the median of --repeats calls;
 - end to end: the criterion-08 convergence study in that process, and
   `vpb-spectral check`, the three perfbench configurations, the perfbench
@@ -87,6 +88,20 @@ def _median(fn, repeats: int, setup=lambda: None) -> float:
 
 # ------------------------------------------------------------ in process
 
+def _gamma_evaluator():
+    """GammaEvaluator of the tree on sys.path: from its checkout's tests/, or
+    from the package in a tree that still ships vpb_spectral.oracles."""
+    import vpb_spectral
+
+    tests = Path(vpb_spectral.__file__).resolve().parents[2] / "tests"
+    if not (tests / "oracles.py").exists():
+        from vpb_spectral.oracles import GammaEvaluator
+        return GammaEvaluator
+    sys.path.insert(0, str(tests))
+    from oracles import GammaEvaluator
+    return GammaEvaluator
+
+
 def child(tiny: bool, repeats: int) -> dict:
     """The in-process figures of the tree on sys.path, and its environment."""
     import numpy as np
@@ -97,11 +112,11 @@ def child(tiny: bool, repeats: int) -> dict:
     from vpb_spectral.limit_lab import (layer_time_grid, make_initial_data, radial_grid,
                                         run_convergence_study)
     from vpb_spectral.mode_operator import axis_eigen_blocks
-    from vpb_spectral.oracles import GammaEvaluator
     from vpb_spectral.semigroup import propagate_axis_modes
     from vpb_spectral.transport import compute_kappas, kappas_with_error
     from vpb_spectral.velocity_space import build_basis
 
+    GammaEvaluator = _gamma_evaluator()
     small, large = (3, 3) if tiny else (6, 8)
     shells = 6 if tiny else 32
     out = {}

@@ -4,10 +4,16 @@ Run this before freezing tolerances in tests/test_acceptance.py; it prints
 the raw numbers the assertions pin down.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the oracles
+
+from oracles import (classify_strip, fit_decay, layer_frequency, mode_operator,
+                     propagate_kinetic, split_S1_S2, strip_eigensystem)
 from vpb_spectral.collision import synthetic_collision
 from vpb_spectral.limit_lab import (
     layer_time_grid,
@@ -15,8 +21,6 @@ from vpb_spectral.limit_lab import (
     radial_grid,
     run_convergence_study,
 )
-from vpb_spectral.oracles import (classify_strip, fit_decay, layer_frequency, mode_operator,
-                                  propagate_kinetic, split_S1_S2, strip_eigensystem)
 from vpb_spectral.transport import asymptotic_eigenvalue, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, macro_vector, weighted_norm
 

@@ -8,10 +8,15 @@ and the eps-prefactor slope whose values the test suite freezes.
 Run:  python3 scripts/oracle_semigroup.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the oracles
+
+from oracles import mode_operator
 from vpb_spectral.collision import synthetic_collision
-from vpb_spectral.oracles import mode_operator
 from vpb_spectral.velocity_space import build_basis, weighted_inner
 
 BASIS = build_basis(3)

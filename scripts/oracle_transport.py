@@ -8,13 +8,15 @@ Run:  python3 scripts/oracle_transport.py [max_degree]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the oracles
 
+from oracles import classify_strip, mode_operator, strip_eigensystem
 from vpb_spectral.collision import assemble_collision
-from vpb_spectral.oracles import classify_strip, mode_operator, strip_eigensystem
 from vpb_spectral.velocity_space import build_basis
 
 

@@ -3,7 +3,6 @@ with self-consistent electrostatic coupling, one Fourier mode at a time."""
 
 from .errors import (
     AssemblyError,
-    BackendError,
     BasisError,
     ConfigError,
     DataError,
@@ -16,10 +15,7 @@ from .velocity_space import (
     VelocityBasis,
     bilinear_pair,
     build_basis,
-    coeffs_from_callable,
-    evaluate,
     macro_vector,
-    multiplication_matrices,
     project_macro,
     weighted_inner,
     weighted_norm,

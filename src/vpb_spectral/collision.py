@@ -19,8 +19,9 @@ Every factor rule is also mirror-symmetric, so each coordinate reflection,
 applied to the center-of-mass and sphere nodes together, maps the grid onto
 itself, and a function of definite parity at most changes its sign.  The
 Dirichlet sums therefore run only within parity classes, and the entries
-between classes are exact zeros.  The bilinear form (oracles.GammaEvaluator,
-which no job runs) has no such invariance and runs on the full grid.
+between classes are exact zeros.  The bilinear form (GammaEvaluator in
+tests/oracles.py, which no job runs) has no such invariance and runs on the
+full grid.
 
 The Dirichlet form sees a colliding pair only through S = P(v) + P(v_*),
 which is unchanged when the particles swap, u -> -u on the sphere.  The
@@ -573,8 +574,8 @@ def synthetic_collision(basis: VelocityBasis, nu_bar: float = 1.0) -> CollisionO
     transport integral available in closed form; used to cross-check the
     spectral pipeline independently of the Boltzmann quadrature.
     """
-    if nu_bar <= 0:
-        raise AssemblyError("synthetic relaxation rate must be positive")
+    if not 0.0 < nu_bar < np.inf:
+        raise AssemblyError(f"synthetic relaxation rate must be positive and finite, not {nu_bar}")
     top = basis.max_degree
     labels = burnett_labels(top)
     radial = np.zeros((top + 1, top // 2 + 1, top // 2 + 1))

@@ -14,10 +14,6 @@ class AssemblyError(VPBError):
     structural check (symmetry, coercivity, ...)."""
 
 
-class BackendError(VPBError):
-    """Operation requested on a backend that does not support it."""
-
-
 class RegimeError(VPBError):
     """Requested mode lies outside the hydrodynamic regime the solver covers."""
 

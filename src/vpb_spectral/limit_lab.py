@@ -356,8 +356,12 @@ def weighted_sup(table: ErrorTable, eps: float, exponent: float) -> float:
 
 def eps_slope(sups: dict) -> float:
     """The least-squares slope of log weighted_sup against log eps, sups the
-    weighted_sup of each eps, fitted in ascending eps."""
+    weighted_sup of each eps, fitted in ascending eps; FitError unless there
+    are three eps values and every sup is positive and finite."""
     eps_vals = sorted(sups)
     if len(eps_vals) < 3:
         raise FitError("slope fit refused: need at least three eps values")
-    return float(np.polyfit(np.log(eps_vals), np.log([sups[e] for e in eps_vals]), 1)[0])
+    vals = [sups[e] for e in eps_vals]
+    if not all(0.0 < v < math.inf for v in vals):
+        raise FitError(f"slope fit refused: every sup must be positive and finite, not {vals}")
+    return float(np.polyfit(np.log(eps_vals), np.log(vals), 1)[0])

@@ -26,8 +26,8 @@ axis_eigen_blocks forms a mode's blocks from them, or one stack of blocks
 for axis modes at several eps and s, and EigenBlock decomposes each when it
 is first needed.  The dense mode matrix (mode_matrix) is only the reference
 the shortcuts are checked against, in `check` and in the tests; the per-mode
-object FourierMode and the dense eigensystem assembled from the blocks are
-in oracles, which no job runs.
+object FourierMode and the dense eigensystem assembled from the blocks live
+with the tests (tests/oracles.py); no job runs them.
 """
 from __future__ import annotations
 

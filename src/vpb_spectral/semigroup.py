@@ -45,7 +45,8 @@ PADE13_THETA = 5.371920351148152
 @dataclass
 class ModeTrajectory:
     """Time samples of one Fourier mode, kinetic or fluid; method names the
-    path that computed the states: "eig", "expm" or "fluid"."""
+    path that computed the states: "fluid" here, "eig" or "expm" from the
+    kinetic propagate_kinetic of tests/oracles.py."""
 
     xi: np.ndarray
     eps: float
@@ -286,6 +287,8 @@ def _sample_forcing(h, times: np.ndarray, width: int):
     expect = (times.size,) if width == 1 else (times.size, width)
     if vals.shape != expect:
         raise DataError(f"forcing must be sampled on the time grid with shape {expect}")
+    if not np.isfinite(vals).all():
+        raise DataError("forcing samples must be finite")
     return vals
 
 

@@ -10,8 +10,8 @@ polynomial of degree <= 2N against the Gaussian, one factor of degree <= 2N
 per coordinate, so the Gram matrix is the product of three 1-d Gram matrices
 on the (N+1)-node Gauss-Hermite rule, which build_basis checks.  The
 (N+1)^3-node product rule (VelocityBasis.exact_rule) computes the same
-integrals point by point; only coeffs_from_callable, the dense references of
-the check subcommand (quadrature_gaps) and the tests evaluate the basis on it.
+integrals point by point; only the dense references of the check subcommand
+(quadrature_gaps) and the tests evaluate the basis on it.
 
 The real Burnett functions about e1 split the basis into azimuthal sectors
 (AxisSectors): rotations about e1 act on sector m as rotations by m times
@@ -395,9 +395,9 @@ class VelocityBasis:
         payload = json.dumps(self.descriptor(), sort_keys=True).encode()
         return sha256_hex(payload)
 
-    def poly_rows(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def poly_rows(self, points: np.ndarray) -> np.ndarray:
         """Polynomial parts of the basis functions at arbitrary points, (dim, npts),
-        one row per slot.  Written into out when given.
+        one row per slot.
 
         The energy rotation only mixes the three pure-square slots, so only
         those rows are rotated, in ascending slot order (the order a dense
@@ -406,8 +406,7 @@ class VelocityBasis:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         alpha = np.array(self.multi_indices)
-        if out is None:
-            out = np.empty((self.dim, points.shape[0]))
+        out = np.empty((self.dim, points.shape[0]))
         for start in range(0, points.shape[0], _EVAL_ROWS):
             block = points[start:start + _EVAL_ROWS]
             tables = [hermite_polynomial_table(self.max_degree, block[:, k]) for k in range(3)]
@@ -418,20 +417,13 @@ class VelocityBasis:
         out[cols] = (out[cols].T @ self.rotation).T
         return out
 
-    def poly_values(self, points: np.ndarray) -> np.ndarray:
-        """poly_rows in slot order, written into a C-ordered (npts, dim) array."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((points.shape[0], self.dim))
-        self.poly_rows(points, out=out.T)
-        return out
-
     @cached_property
     def exact_rule(self) -> ExactRule:
         """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
         exact for every degree-2N product of two basis functions.  Of the
         subcommands only check evaluates it, through quadrature_gaps, the
-        dense references of the Gram check and the Burnett transform;
-        coeffs_from_callable and the tests read it too."""
+        dense references of the Gram check and the Burnett transform; the
+        tests read it too."""
         nodes, weights = _gauss_product_rule(self.max_degree + 1)
         rule = ExactRule(nodes, weights, self.poly_rows(nodes))
         for arr in rule:
@@ -608,23 +600,6 @@ def quadrature_gaps(basis: VelocityBasis) -> tuple[float, float]:
     return gram, frames
 
 
-def evaluate(basis: VelocityBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pointwise values of the represented function, sqrt-Maxwellian included."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = basis.poly_values(points)
-    sqrt_m = (_TWO_PI) ** (-0.75) * np.exp(-0.25 * np.sum(points ** 2, axis=1))
-    return (poly @ np.asarray(coeffs)) * sqrt_m
-
-
-def coeffs_from_callable(basis: VelocityBasis, fn) -> np.ndarray:
-    """Galerkin coefficients of a pointwise function v -> f(v) (f carries
-    sqrt(M)) on exact_rule: exact when f / sqrt(M) is a polynomial of degree
-    <= N + 1."""
-    rule = basis.exact_rule
-    sqrt_m = (_TWO_PI) ** (-0.75) * np.exp(-0.25 * np.sum(rule.nodes ** 2, axis=1))
-    return rule.poly @ (rule.weights * fn(rule.nodes) / sqrt_m)
-
-
 def project_macro(basis: VelocityBasis, f: np.ndarray) -> MacroState:
     """(n, m, q) of f (dim,), or of each row of a stack f (..., dim), m then (..., 3)."""
     i0, i1, i2, i3, i4 = basis.invariant_indices
@@ -717,18 +692,10 @@ def weighted_norm(basis: VelocityBasis, f: np.ndarray, s) -> np.ndarray:
     return np.sqrt(weighted_inner(basis, f, f, s).real)
 
 
-def multiplication_matrices(basis: VelocityBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Galerkin matrices of multiplication by v_1, v_2, v_3.
-
-    Exact within the truncation: v_k couples Hermite degrees n -> n +/- 1 with
-    coefficients sqrt(n+1), sqrt(n); components leaving the truncated span are
-    dropped (the Galerkin cutoff).
-    """
-    return tuple(_multiplication_matrix(basis, k) for k in range(3))
-
-
 def _multiplication_matrix(basis: VelocityBasis, k: int) -> np.ndarray:
-    """The Galerkin matrix of multiplication by v_k, k = 0, 1, 2 for v_1, v_2, v_3."""
+    """The Galerkin matrix of multiplication by v_k, k = 0, 1, 2 for v_1, v_2, v_3:
+    v_k couples Hermite degrees n -> n +/- 1 with coefficients sqrt(n+1),
+    sqrt(n), and components leaving the truncated span are dropped."""
     pos = {alpha: i for i, alpha in enumerate(basis.multi_indices)}
     v = np.zeros((basis.dim, basis.dim))
     for i, alpha in enumerate(basis.multi_indices):

@@ -4,15 +4,19 @@ The library reads the transport forms off the radial blocks and the
 dispersion entries off the sector blocks.  micro_solve solves with the micro
 block of the dense collision matrix instead, so the tests can check both
 shortcuts against it; gamma_form is a Boltzmann operator's bilinear
-collision product (vpb_spectral.oracles.GammaEvaluator), built once per
-operator.
+collision product (oracles.GammaEvaluator), built once per operator, and
+BackendError, which gamma_form raises on a backend without one.
 """
 
 import numpy as np
+from oracles import GammaEvaluator
 
 from vpb_spectral.collision import CollisionOperator, _guarded_solve
-from vpb_spectral.errors import AssemblyError, BackendError
-from vpb_spectral.oracles import GammaEvaluator
+from vpb_spectral.errors import AssemblyError, VPBError
+
+
+class BackendError(VPBError):
+    """Operation requested on a backend that does not support it."""
 
 
 class MicroBlocks:

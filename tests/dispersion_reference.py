@@ -14,6 +14,7 @@ from functools import partial
 import numpy as np
 import scipy.optimize
 from collision_reference import micro_blocks, micro_solve
+from oracles import FourierMode, eigensystem
 
 from vpb_spectral import dispersion
 from vpb_spectral.collision import CollisionOperator
@@ -22,7 +23,6 @@ from vpb_spectral.dispersion import (FLUX_INDICES, R1_DEFAULT, BranchPoint, _cou
                                      limit_vectors)
 from vpb_spectral.errors import RegimeError
 from vpb_spectral.mode_operator import EigenBlock
-from vpb_spectral.oracles import FourierMode, eigensystem
 from vpb_spectral.transport import branch_frequency
 from vpb_spectral.velocity_space import weighted_norm
 

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from collision_reference import gamma_form, micro_solve
+from collision_reference import BackendError, gamma_form, micro_solve
 
 from vpb_spectral.collision import CollisionOperator
-from vpb_spectral.errors import BackendError, FitError
+from vpb_spectral.errors import FitError
 from vpb_spectral.limit_lab import ErrorTable, InitialData, _well_prepared_checks
 from vpb_spectral.transport import TransportCoefficients, compute_kappas
 from vpb_spectral.velocity_space import project_macro

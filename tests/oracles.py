@@ -1,8 +1,9 @@
 """Independent checks that the tests and the measurement scripts share.
 
-No subcommand imports this module: each definition here recomputes by a
-second route what a job computes by its first, or measures a quantity the
-acceptance criteria pin down.
+No subcommand imports this module, and it lives beside the tests'
+*_reference modules: each definition here recomputes by a second route what
+a job computes by its first, or measures a quantity the acceptance criteria
+pin down.  The scripts that read it put this directory on sys.path.
 
 - FourierMode and mode_operator: one axis mode as an object, its dense
   matrix (mode_operator.mode_matrix) and its weighted inner product and
@@ -18,6 +19,8 @@ acceptance criteria pin down.
 - fit_decay: a least-squares decay rate of a trajectory's norm track.
 - GammaEvaluator: the weak form of the bilinear collision product on the
   Cartesian center-of-mass rule, sized for the degree-3N integrand.
+- evaluate and coeffs_from_callable: a coefficient vector's pointwise
+  values, and the coefficients of a pointwise function on exact_rule.
 """
 
 from __future__ import annotations
@@ -29,14 +32,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collision import (CollisionOperator, CollisionQuadrature, _chunk_blocks, _CollisionGrid,
-                        _pair_points, _point_weights)
-from .dispersion import R0_DEFAULT, BranchPoint, hydrodynamic_sweep
-from .errors import BasisError, FitError, RegimeError
-from .mode_operator import EigenBlock, _checked_times, axis_eigen_blocks, check_eps, mode_matrix
-from .semigroup import ModeTrajectory, hydrodynamic_part, member_states, propagate_axis_modes
-from .velocity_space import (VelocityBasis, _gauss_product_rule, axis_wavenumber, bilinear_pair,
-                             macro_vector, weighted_inner)
+from vpb_spectral.collision import (CollisionOperator, CollisionQuadrature, _chunk_blocks,
+                                    _CollisionGrid, _pair_points, _point_weights)
+from vpb_spectral.dispersion import R0_DEFAULT, BranchPoint, hydrodynamic_sweep
+from vpb_spectral.errors import BasisError, FitError, RegimeError
+from vpb_spectral.mode_operator import (EigenBlock, _checked_times, axis_eigen_blocks, check_eps,
+                                        mode_matrix)
+from vpb_spectral.semigroup import (ModeTrajectory, hydrodynamic_part, member_states,
+                                    propagate_axis_modes)
+from vpb_spectral.velocity_space import (VelocityBasis, _gauss_product_rule, axis_wavenumber,
+                                         bilinear_pair, macro_vector, weighted_inner)
 
 
 @dataclass(frozen=True)
@@ -302,8 +307,8 @@ class GammaEvaluator:
         for blk in _chunk_blocks(self.com_nodes.shape[0], n_rho * n_sphere):
             com = self.com_nodes[blk]
             v, v_star = _pair_points(com, g.rho, g.eta)
-            u_vals = basis.poly_values(v)
-            us_vals = basis.poly_values(v_star)
+            u_vals = basis.poly_rows(v).T
+            us_vals = basis.poly_rows(v_star).T
             w_full = _point_weights(self.com_w[blk], g.rho_w, g.eta_w)
             x = (u_vals @ f_mat) * (us_vals @ g_mat)  # (npts, npairs)
             term_local += (u_vals + us_vals).T @ (w_full[:, None] * x)
@@ -317,3 +322,21 @@ class GammaEvaluator:
 
     def form(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         return self.form_many([(f, g)])[0]
+
+
+def _sqrt_maxwellian(points: np.ndarray) -> np.ndarray:
+    return (2.0 * np.pi) ** (-0.75) * np.exp(-0.25 * np.sum(points ** 2, axis=1))
+
+
+def evaluate(basis: VelocityBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Pointwise values of the represented function, sqrt-Maxwellian included."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return (basis.poly_rows(points).T @ np.asarray(coeffs)) * _sqrt_maxwellian(points)
+
+
+def coeffs_from_callable(basis: VelocityBasis, fn) -> np.ndarray:
+    """Galerkin coefficients of a pointwise function v -> f(v) (f carries
+    sqrt(M)) on exact_rule: exact when f / sqrt(M) is a polynomial of degree
+    <= N + 1."""
+    rule = basis.exact_rule
+    return rule.poly @ (rule.weights * fn(rule.nodes) / _sqrt_maxwellian(rule.nodes))

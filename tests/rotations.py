@@ -10,7 +10,7 @@ pure-square block, for the references that apply it as a dense product.
 
 import numpy as np
 
-from vpb_spectral.velocity_space import _PURE_SQUARES, VelocityBasis, multiplication_matrices
+from vpb_spectral.velocity_space import _PURE_SQUARES, VelocityBasis, _multiplication_matrix
 
 
 def dense_energy_rotation(basis: VelocityBasis) -> np.ndarray:
@@ -45,7 +45,7 @@ def compose_rotation(basis: VelocityBasis, rot: np.ndarray) -> np.ndarray:
     Gram check build_basis ran, is exact for these integrals.
     """
     rule = basis.exact_rule
-    return rule.poly @ (rule.weights[:, None] * basis.poly_values(rule.nodes @ rot.T))
+    return rule.poly @ (rule.weights[:, None] * basis.poly_rows(rule.nodes @ rot.T).T)
 
 
 def pushforward_from_axis(basis: VelocityBasis, direction: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def off_axis_matrix(collision, eps: float, xi: np.ndarray) -> np.ndarray:
     basis = collision.basis
     xi = np.asarray(xi, dtype=float)
     s = float(np.linalg.norm(xi))
-    v_d = sum(d * v for d, v in zip(xi / s, multiplication_matrices(basis)))
+    v_d = sum(d * v for d, v in zip(xi / s, (_multiplication_matrix(basis, k) for k in range(3))))
     i0 = basis.density_index
     coupling = np.zeros((basis.dim, basis.dim))
     coupling[:, i0] = v_d[:, i0] / s ** 2

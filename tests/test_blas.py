@@ -179,7 +179,7 @@ from vpb_spectral import build_basis, semigroup
 from vpb_spectral.blas import loaded_openblas
 from vpb_spectral.cli import main
 from vpb_spectral.collision import synthetic_collision
-from vpb_spectral.oracles import mode_operator, propagate_kinetic
+from oracles import mode_operator, propagate_kinetic
 
 semigroup.COND_LIMIT = 0.0
 before = len(loaded_openblas())
@@ -203,7 +203,8 @@ def test_refused_members_load_no_scipy(tmp_path):
                    "kind = generic\nsubtract_layer = true\n", encoding="utf-8")
     src = str(Path(vpb_spectral.__file__).resolve().parents[1])
     env = dict(os.environ, VPB_SPECTRAL_CACHE=str(tmp_path / "cache"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", REFUSED_JOB, "converge", "--config", str(cfg),
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120, env=env)

@@ -758,9 +758,9 @@ class TestEntryPoint:
     @pytest.mark.parametrize("subcommand, config", TINY_JOBS)
     def test_jobs_leave_scipy_out(self, subcommand, config, tmp_path):
         # every subcommand, each assembling into an empty cache, runs on numpy
-        # alone and loads none of the oracles
+        # alone and loads none of the test oracles
         assert _modules_after_job(subcommand, config, tmp_path,
-                                  "m.split('.')[0] == 'scipy' or m == 'vpb_spectral.oracles'") == "[]"
+                                  "m.split('.')[0] == 'scipy' or m == 'oracles'") == "[]"
 
     @pytest.mark.parametrize("subcommand, config", [job for job in TINY_JOBS if job[0] != "check"])
     def test_jobs_leave_openssl_and_numpy_polynomial_out(self, subcommand, config, tmp_path):

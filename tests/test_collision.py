@@ -3,14 +3,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
-from collision_reference import gamma_form, micro_solve
+from collision_reference import BackendError, gamma_form, micro_solve
 from hypothesis import given
 from numpy.polynomial.hermite_e import hermegauss
+from oracles import GammaEvaluator
 from rotations import dense_energy_rotation
 from hypothesis import strategies as st
 
-from vpb_spectral import (BackendError, build_basis, collision, multiplication_matrices,
-                          velocity_space)
+from vpb_spectral import build_basis, collision, velocity_space
 from vpb_spectral.cache import key_hash, read_matrix, write_matrix
 from vpb_spectral.collision import (
     STRUCTURE_TOL,
@@ -25,10 +25,9 @@ from vpb_spectral.collision import (
     synthetic_collision,
 )
 from vpb_spectral.errors import AssemblyError, VPBError
-from vpb_spectral.oracles import GammaEvaluator
 from vpb_spectral.transport import compute_kappas
-from vpb_spectral.velocity_space import (VelocityBasis, _gauss_product_rule, _product_rule,
-                                         hermite_polynomial_table)
+from vpb_spectral.velocity_space import (VelocityBasis, _gauss_product_rule, _multiplication_matrix,
+                                         _product_rule, hermite_polynomial_table)
 
 _FOLD_TAG = "burnett-radial-blocks-v1"  # the fold tag of the cache parameters
 
@@ -149,7 +148,7 @@ def _unfolded_sums(basis, grid, unit, unit_w):
         shift = grid.rho[:, None, None] * unit[None, :, :]
         v = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
         v_star = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
-        s_vals = basis.poly_values(v) + basis.poly_values(v_star)
+        s_vals = basis.poly_rows(v).T + basis.poly_rows(v_star).T
         w = (com_w * grid.rho_w[:, None] * unit_w[None, :]).ravel()
         acc += s_vals.T @ (w[:, None] * s_vals)
         reduced.append(np.einsum("rsd,s->rd", s_vals.reshape(n_rho, n_sphere, -1), unit_w))
@@ -172,7 +171,7 @@ def _unfolded_frequency(basis, grid):
     acc = np.zeros((basis.dim, basis.dim))
     for com, com_w in zip(*_cartesian_com(grid)):
         v = ((com + grid.rho[:, None, None] * grid.eta[None, :, :]) / np.sqrt(2.0)).reshape(-1, 3)
-        u_vals = basis.poly_values(v)
+        u_vals = basis.poly_rows(v).T
         w = (com_w * grid.rho_w[:, None] * grid.eta_w[None, :]).ravel()
         acc += u_vals.T @ (w[:, None] * u_vals)
     return grid.prefactor * np.sum(grid.eta_w) * acc
@@ -273,7 +272,7 @@ def one_point_integrals(basis, grid, sigma, which):
         plus, minus = _pair_points(com, grid.rho, unit)
         pts = plus if which in ("v", "v_prime") else minus
         w_full = _point_weights(com_w[blk], grid.rho_w, unit_w)
-        acc += basis.poly_values(pts).T @ w_full
+        acc += basis.poly_rows(pts) @ w_full
     return grid.prefactor * other_total * acc
 
 
@@ -463,7 +462,7 @@ def test_b_primed_matches_full_sphere_reference(degree):
         shift = g.rho[:, None, None] * g.eta[None, :, :]
         vp = ((com + shift) / np.sqrt(2.0)).reshape(-1, 3)
         vps = ((com - shift) / np.sqrt(2.0)).reshape(-1, 3)
-        s_vals = basis.poly_values(vp) + basis.poly_values(vps)
+        s_vals = basis.poly_rows(vp).T + basis.poly_rows(vps).T
         ref.append(np.einsum("rsd,s->dr", s_vals.reshape(g.rho.size, -1, basis.dim), g.eta_w))
     ref = np.concatenate(ref, axis=1)
     assert ge._b_primed.shape == ref.shape
@@ -824,8 +823,9 @@ def test_synthetic_backend(basis_small):
         assert np.linalg.norm(op.matrix @ basis_small.chi(k)) == 0.0
     with pytest.raises(BackendError):
         gamma_form(op)
-    with pytest.raises(AssemblyError):
-        synthetic_collision(basis_small, nu_bar=0.0)
+    for nu_bar in (0.0, math.nan, math.inf):  # NaN and inf pass a bare nu_bar <= 0 test
+        with pytest.raises(AssemblyError, match="positive and finite"):
+            synthetic_collision(basis_small, nu_bar=nu_bar)
 
 
 @lru_cache(maxsize=None)
@@ -901,7 +901,7 @@ class TestGammaForm:
         # product of two momentum modes relaxes through the microscopic part
         # of the velocity dyad: Gamma(v_i X0, v_j X0) = -L micro(v_i v_j X0)/2
         basis, op, ge = gamma_setup
-        v_mats = multiplication_matrices(basis)
+        v_mats = [_multiplication_matrix(basis, k) for k in range(3)]
         chi0 = basis.chi(0)
         pairs, expected = [], []
         for i in range(3):

@@ -24,6 +24,7 @@ from dispersion_reference import (
     solve_D1,
 )
 from hypothesis import given, strategies as st
+from oracles import eigensystem, mode_operator, strip_eigensystem
 from rotations import off_axis_matrix, pushforward_from_axis
 from semigroup_reference import mode_norm
 
@@ -38,7 +39,6 @@ from vpb_spectral.dispersion import (
 )
 from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.limit_lab import radial_grid
-from vpb_spectral.oracles import eigensystem, mode_operator, strip_eigensystem
 from vpb_spectral.transport import branch_decay, branch_frequency, compute_kappas
 from vpb_spectral.velocity_space import build_basis, weighted_norm
 

@@ -16,6 +16,7 @@ import pytest
 from collision_reference import gamma_form
 from hypothesis import given, strategies as st
 from limit_lab_reference import hilbert_expansion_check, layer_bump_ratio
+from oracles import layer_frequency, mode_operator, propagate_kinetic
 from semigroup_reference import closed_fluid_forms
 
 from vpb_spectral import dispersion, limit_lab, semigroup
@@ -26,6 +27,7 @@ from vpb_spectral.limit_lab import (
     ErrorTable,
     InitialData,
     _stack_errors,
+    eps_slope,
     layer_time_grid,
     make_initial_data,
     oscillation_part,
@@ -35,7 +37,6 @@ from vpb_spectral.limit_lab import (
     weighted_sup,
 )
 from vpb_spectral.mode_operator import axis_eigen_blocks
-from vpb_spectral.oracles import layer_frequency, mode_operator, propagate_kinetic
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import bilinear_pair, build_basis, weighted_norm
 
@@ -568,6 +569,14 @@ class TestConvergenceStudy:
         with pytest.raises(FitError):
             run_convergence_study(syn_small, wp_data, [0.2, 0.1],
                                   layer_time_grid(0.2, 5.0), coeffs_small)
+
+    @pytest.mark.parametrize("sup", [0.0, math.nan, math.inf])
+    def test_slope_over_a_zero_or_non_finite_sup_refused(self, sup):
+        # the log of a zero, NaN or inf sup gives no slope, only a NaN
+        sups = {0.2: 0.4, 0.1: sup, 0.05: 0.1}
+        with pytest.raises(FitError, match="positive and finite"):
+            eps_slope(sups)
+        assert eps_slope({**sups, 0.1: 0.2}) == pytest.approx(1.0)
 
     def test_table_rejects_duplicates_and_negatives(self):
         ones = np.ones(2)

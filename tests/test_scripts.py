@@ -1,6 +1,8 @@
 """Smoke runs of what ships beside the package: the bench script under
-scripts/, started as a user would, and README's quick start."""
+scripts/, started as a user would, the imports of the other scripts that
+read the test oracles, and README's quick start."""
 
+import ast
 import json
 import math
 import os
@@ -11,11 +13,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
 def test_bench_script_writes_its_schema(tmp_path):
     # the tiny mode runs every layer and every end-to-end job once on
     # degree-3 problems; the file is standard JSON with finite timings
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    env = _src_env()
     out = tmp_path / "BENCH_0.json"
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), str(out),
                            "--tiny", "--src", f"change={ROOT / 'src'}"],
@@ -44,6 +50,21 @@ def test_bench_script_writes_its_schema(tmp_path):
     # a job holds the interpreter, numpy and the package: more than a bare import
     assert all(1.0 < tree["peak_rss"]["import_cli"]["median_mb"] < fig["median_mb"]
                for name, fig in tree["peak_rss"].items() if name != "import_cli")
+
+
+def test_oracle_scripts_imports_resolve():
+    # Tier-1 runs none of these scripts: each one's imports and sys.path
+    # lines run here, in a fresh process from the checkout's root with the
+    # script's own __file__, so a moved module cannot break them unseen
+    for name in ("measure_acceptance.py", "oracle_semigroup.py", "oracle_transport.py"):
+        path = ROOT / "scripts" / name
+        body = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                or (isinstance(node, ast.Expr) and ast.unparse(node).startswith("sys.path"))]
+        head = f"__file__ = {str(path)!r}\n" + ast.unparse(ast.Module(body=body, type_ignores=[]))
+        proc = subprocess.run([sys.executable, "-c", head], cwd=ROOT, env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
 
 
 def test_readme_quick_start_runs_as_written(capsys):

@@ -15,6 +15,8 @@ import pytest
 import mpmath
 import scipy.linalg
 from hypothesis import given, strategies as st
+from oracles import (eigensystem, fit_decay, mode_blocks, mode_operator,
+                     propagate_kinetic, split_S1_S2)
 from radau import ode_states
 from semigroup_reference import (closed_fluid_forms, constraint_residuals,
                                  hydrodynamic_projector, mode_norm, packet_norms)
@@ -25,8 +27,6 @@ from vpb_spectral.dispersion import asymptotic_coefficients, hydrodynamic_sweep
 from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.limit_lab import layer_time_grid
 from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks
-from vpb_spectral.oracles import (eigensystem, fit_decay, mode_blocks, mode_operator,
-                                  propagate_kinetic, split_S1_S2)
 from vpb_spectral.semigroup import (
     fluid_semigroup_V,
     member_states,
@@ -689,6 +689,24 @@ class TestNSPF:
             return
         with pytest.raises(DataError, match="finite, nondecreasing and start at t >= 0"):
             nspf_mode_solve(op_mid.basis, coeffs_mid, u0, None, None, self.XI, times)
+
+    @pytest.mark.parametrize("which", ["h1", "h2", "callable"])
+    def test_non_finite_forcing_is_a_data_error(self, syn_small, which):
+        # a NaN or inf sample, from an array or a callable, would reach the
+        # Duhamel sums and give NaN states
+        basis, times = syn_small.basis, [0.0, 0.5, 1.0]
+        coeffs = compute_kappas(syn_small)
+        u0 = suggested(basis, coeffs, MacroState(n=0.3, m=np.zeros(3), q=-0.2), 0.5)
+        h1, h2 = np.zeros((3, 3)), np.zeros(3)
+        if which == "h1":
+            h1[1, 2] = math.nan
+        elif which == "h2":
+            h2[2] = math.inf
+        else:
+            h2 = lambda t: math.nan if t > 0.7 else 0.0
+        nspf_mode_solve(basis, coeffs, u0, np.zeros((3, 3)), np.zeros(3), 0.5, times)
+        with pytest.raises(DataError, match="forcing samples must be finite"):
+            nspf_mode_solve(basis, coeffs, u0, h1, h2, 0.5, times)
 
     def test_repair_closed_forms(self, op_mid, coeffs_mid):
         # repaired values follow the closed formulas in the raw moments

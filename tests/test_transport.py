@@ -25,7 +25,7 @@ from vpb_spectral.transport import (
     compute_kappas,
     kappas_with_error,
 )
-from vpb_spectral.velocity_space import build_basis, flux_vector, multiplication_matrices
+from vpb_spectral.velocity_space import _multiplication_matrix, build_basis, flux_vector
 
 # oracle values, degree 6 hard sphere (see module docstring)
 KAPPA0_ORACLE = 0.089554422334
@@ -77,7 +77,7 @@ def test_determinism(hard_sphere_prod):
 def test_isotropy(hard_sphere_prod):
     op = hard_sphere_prod
     basis = op.basis
-    v1, v2, v3 = multiplication_matrices(basis)
+    v1, v2, v3 = (_multiplication_matrix(basis, k) for k in range(3))
 
     def form(mat, k):
         x = basis.micro_project(mat @ basis.chi(k))

@@ -9,22 +9,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import coeffs_from_callable, evaluate
 from rotations import compose_rotation, dense_energy_rotation
 
 from vpb_spectral import (
     BasisError,
     bilinear_pair,
     build_basis,
-    coeffs_from_callable,
-    evaluate,
     macro_vector,
-    multiplication_matrices,
     project_macro,
     weighted_inner,
     weighted_norm,
 )
 from vpb_spectral import velocity_space
-from vpb_spectral.velocity_space import VelocityBasis, burnett_rows, hermite_polynomial_table
+from vpb_spectral.velocity_space import (VelocityBasis, _multiplication_matrix, burnett_rows,
+                                         hermite_polynomial_table)
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,9 +50,9 @@ def dense_reference(basis, pts):
 @given(deg=st.integers(2, 8),
        pts=arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
                   elements=st.floats(-8.0, 8.0, allow_nan=False)))
-def test_poly_values_equal_dense_rotation(deg, pts):
+def test_poly_rows_equal_dense_rotation(deg, pts):
     basis = _basis(deg)
-    np.testing.assert_array_equal(basis.poly_values(pts), dense_reference(basis, pts))
+    np.testing.assert_array_equal(basis.poly_rows(pts).T, dense_reference(basis, pts))
 
 
 @pytest.mark.parametrize("deg", [2, 3, 4, 6, 8])
@@ -64,7 +63,7 @@ def test_rows_on_product_rules_equal_dense_rotation(deg):
     rule = basis.exact_rule
     np.testing.assert_array_equal(rule.poly, dense_reference(basis, rule.nodes).T)
     nodes, _ = velocity_space._gauss_product_rule(2 * deg + 4)
-    np.testing.assert_array_equal(basis.poly_values(nodes), dense_reference(basis, nodes))
+    np.testing.assert_array_equal(basis.poly_rows(nodes).T, dense_reference(basis, nodes))
 
 
 def test_dimension_counts():
@@ -182,7 +181,7 @@ def test_pairings_refuse_a_wavenumber_without_a_finite_weight(basis_small, s):
 
 def test_multiplication_matrices_entries(basis_mid):
     b = basis_mid
-    v_mats = multiplication_matrices(b)
+    v_mats = [_multiplication_matrix(b, k) for k in range(3)]
     for k, vk in enumerate(v_mats):
         assert np.max(np.abs(vk - vk.T)) == 0.0
         assert np.allclose(vk @ b.chi(0), b.chi(k + 1))
@@ -196,16 +195,16 @@ def test_multiplication_matrices_entries(basis_mid):
 
 @pytest.mark.parametrize("deg", [2, 6, 8])
 def test_v1_is_the_first_multiplication_matrix(deg):
-    # the basis builds V1 alone, once, with the bits of the full set's first
+    # the basis builds V1 once, read-only, with the bits of a fresh build
     basis = build_basis(deg)
     v1 = basis.v1
     assert basis.v1 is v1 and not v1.flags.writeable
-    assert v1.tobytes() == multiplication_matrices(basis)[0].tobytes()
+    assert v1.tobytes() == _multiplication_matrix(basis, 0).tobytes()
 
 
 def test_multiplication_matches_pointwise_product(basis_mid):
     b = basis_mid
-    v1 = multiplication_matrices(b)[0]
+    v1 = b.v1
     rng = np.random.default_rng(7)
     # keep a degree margin so v * f stays inside the span
     coeffs = np.zeros(b.dim)
@@ -337,7 +336,7 @@ def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     # outside the class
     nodes, weights = velocity_space._gauss_product_rule(2 * deg + 4)
     phi = burnett_rows(nodes[:, [1, 2, 0]], np.array(labels))
-    full = (phi * weights) @ basis.poly_values(nodes)
+    full = (phi * weights) @ basis.poly_rows(nodes).T
     assert np.max(np.abs(full - t)) <= 1e-13
 
 
@@ -356,7 +355,7 @@ def test_burnett_functions_match_closed_form(deg):
     pts = 1.5 * np.random.default_rng(deg).standard_normal((200, 3))
     r = np.linalg.norm(pts, axis=1)
     azimuth = np.arctan2(pts[:, 2], pts[:, 1])
-    expanded = t @ basis.poly_values(pts).T
+    expanded = t @ basis.poly_rows(pts)
     for row, (n, l, m) in enumerate(labels):
         radial = sqrt(factorial(n) * sqrt(pi) / (2.0 ** (l + 1) * gamma(n + l + 1.5)))
         angular = sqrt((2 - (m == 0)) * (2 * l + 1) * factorial(l - abs(m)) / factorial(l + abs(m)))
@@ -410,9 +409,9 @@ def _spy_rows(monkeypatch):
     calls = {"poly_rows": [], "burnett_rows": []}
     poly_kernel, burnett_kernel = VelocityBasis.poly_rows, velocity_space.burnett_rows
 
-    def poly_spy(self, points, out=None):
+    def poly_spy(self, points):
         calls["poly_rows"].append(len(points))
-        return poly_kernel(self, points, out)
+        return poly_kernel(self, points)
 
     def burnett_spy(points, labels):
         calls["burnett_rows"].append(len(points))
@@ -502,5 +501,5 @@ def test_pure_square_rotation_equals_the_dense_product(deg):
     assert basis.rotation.shape == (3, 3)  # the basis stores the pure-square block alone
     raw = dataclasses.replace(basis, rotation=np.eye(3))
     rot = dense_energy_rotation(basis)
-    for mat, tensor in zip(multiplication_matrices(basis), multiplication_matrices(raw)):
+    for mat, tensor in zip(*[[_multiplication_matrix(b, k) for k in range(3)] for b in (basis, raw)]):
         np.testing.assert_array_equal(mat, rot.T @ tensor @ rot)

@@ -7,9 +7,9 @@ of the five labeled strip eigenvalues.  No job runs it.
 """
 
 import numpy as np
+from oracles import classify_strip, mode_operator, strip_eigensystem
 
 from vpb_spectral.collision import CollisionOperator
-from vpb_spectral.oracles import classify_strip, mode_operator, strip_eigensystem
 from vpb_spectral.transport import BRANCHES, TransportCoefficients, branch_decay
 
 
