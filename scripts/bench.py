@@ -9,7 +9,9 @@ checkout's src, labelled "change") is timed in fresh processes:
 
 - layers, in one process per round, under one_blas_thread() as the jobs run:
   build_basis and hard-sphere assembly (into an empty cache) at degrees 6
-  and 8, build_basis with its Burnett frames (axis_sectors) at degree 12,
+  and 8, hard-sphere assembly alone at degree 14 (its Dirichlet sums are
+  the assembly's largest cost), build_basis with its Burnett frames
+  (axis_sectors) at degree 12,
   the transport job's kappas_with_error at degree 6 (into an empty
   cache), sector_blocks of the hard-sphere operator at degree 8 and of a
   synthetic one at degree 12 (each with its frames built beforehand), one
@@ -34,7 +36,8 @@ trees share the host's drift; a figure is the median over --rounds rounds,
 with its quartiles.  The file
 records Python, numpy, scipy, nproc, the CPU model, each loaded OpenBLAS
 with its thread count, and whether bytecode is written.  --tiny runs every
-step on degree-3 problems, once, in a few seconds.
+step on degree-3 problems (the degree-14 assembly at degree 4), once, in a few
+seconds.
 """
 
 from __future__ import annotations
@@ -130,6 +133,10 @@ def child(tiny: bool, repeats: int) -> dict:
             basis = build_basis(deg)
             out[f"assemble_hard_sphere_d{deg}"] = _median(
                 lambda _: assemble_collision(basis), repeats, empty_cache)
+        sums_deg = 4 if tiny else 14
+        sums_basis = build_basis(sums_deg)
+        out[f"assemble_hard_sphere_d{sums_deg}"] = _median(
+            lambda _: assemble_collision(sums_basis), repeats, empty_cache)
         frames_deg = 3 if tiny else 12
         out[f"basis_frames_d{frames_deg}"] = _median(
             lambda _: build_basis(frames_deg).axis_sectors, repeats)

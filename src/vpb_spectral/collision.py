@@ -49,6 +49,11 @@ nodes) times the folded Gauss-Hermite rule in c3, at the nodes
 c2 = 0, v2 -> -v2 fixes c, and composed with the exchange it maps each
 sphere node u to (-u1, u2, -u3) with the same integrand, so the sphere sums
 keep one node per such pair as well.
+Each chunk of points is evaluated one reflection class at a time, even l
+then odd l: the class's rows at v, the rows at v_* added into them in place,
+its weighted product and its sphere reduction, and the rows are dropped
+before the next class's, so the sums hold one class's rows and their
+weighted copy (burnett_rows runs each Laguerre recurrence once per l).
 The bilinear form stays on the basis polynomials and the Cartesian
 center-of-mass rule.
 """
@@ -255,39 +260,47 @@ def _add_class_products(acc: np.ndarray, left: np.ndarray, right: np.ndarray,
         acc[rng, rng] += left[rng] @ right[rng].T
 
 
-def _pair_sums_and_reductions(rows_at, n_rows: int, grid: _CollisionGrid,
-                              unit: np.ndarray, unit_w: np.ndarray, ranges: list[slice]):
+def _pair_sums_and_reductions(labels: np.ndarray, grid: _CollisionGrid, unit: np.ndarray,
+                              unit_w: np.ndarray, ranges: list[slice]):
     """Accumulate A = S^T W S within the ranges over the axial (com, rho,
     sphere) grid and the sphere-reduced sums a[row, (com, rho)], with
-    S = P(v) + P(v_*) for the n_rows zonal functions P that rows_at
-    evaluates, one row per function, in class-major order."""
+    S = P(v) + P(v_*) for the zonal Burnett functions P of labels, one row
+    per function, in class-major order.
+
+    Each chunk of points takes one class range at a time: its rows at v, with
+    the rows at v_* added in place row by row (burnett_rows' out), then its
+    weighted product and its sphere reduction; the rows go before the next
+    class's are evaluated, so no chunk holds more than one class's rows and
+    their weighted copy.
+    """
     com_nodes, com_w = grid.axial_com
     n_sphere = unit.shape[0]
     n_rho = grid.rho.size
-    a_red = np.zeros((n_rows, com_nodes.shape[0] * n_rho))
-    acc = np.zeros((n_rows, n_rows))
+    a_red = np.zeros((len(labels), com_nodes.shape[0] * n_rho))
+    acc = np.zeros((len(labels), len(labels)))
     for blk in _chunk_blocks(com_nodes.shape[0], n_rho * n_sphere):
         v, v_star = _pair_points(com_nodes[blk], grid.rho, unit)
-        rows = rows_at(v)
-        rows += rows_at(v_star)
-        _add_class_products(acc, rows, rows * _point_weights(com_w[blk], grid.rho_w, unit_w),
-                            ranges)
-        a_red[:, blk.start * n_rho:blk.stop * n_rho] = (
-            rows.reshape(n_rows, -1, n_sphere) @ unit_w)
+        weights = _point_weights(com_w[blk], grid.rho_w, unit_w)
+        for rng in ranges:
+            rows = burnett_rows(v_star, labels[rng], out=burnett_rows(v, labels[rng]))
+            acc[rng, rng] += rows @ (rows * weights).T
+            a_red[rng, blk.start * n_rho:blk.stop * n_rho] = (
+                rows.reshape(len(rows), -1, n_sphere) @ unit_w)
+            del rows
     return acc, a_red
 
 
-def _folded_dirichlet(rows_at, n_rows: int, grid: _CollisionGrid,
+def _folded_dirichlet(labels: np.ndarray, grid: _CollisionGrid,
                       ranges: list[slice]) -> np.ndarray:
-    """The symmetrized Dirichlet form between the zonal functions rows_at
-    evaluates, within the class ranges, on the axial grid.
+    """The symmetrized Dirichlet form between the zonal Burnett functions of
+    labels, within the class ranges, on the axial grid.
 
     The raw sum is symmetric up to roundoff; a larger asymmetry means a
     broken sum and raises before the result is symmetrized.
     """
-    acc, a_red = _pair_sums_and_reductions(rows_at, n_rows, grid, *grid.axial_eta, ranges)
+    acc, a_red = _pair_sums_and_reductions(labels, grid, *grid.axial_eta, ranges)
     w_com_rho = (grid.axial_com[1][:, None] * grid.rho_w[None, :]).ravel()
-    cross = np.zeros((n_rows, n_rows))
+    cross = np.zeros((len(labels), len(labels)))
     _add_class_products(cross, a_red * w_com_rho, a_red, ranges)
     # eta and sigma share the sphere rule, so the two S S^T terms are one sum
     total = float(np.sum(grid.eta_w))
@@ -320,8 +333,7 @@ def _dirichlet_matrix(basis: VelocityBasis, grid: _CollisionGrid) -> np.ndarray:
                        for n in range((top - l) // 2 + 1)])
     l = labels[:, 1]
     n_even = int(np.count_nonzero(l % 2 == 0))
-    zonal = _folded_dirichlet(lambda pts: burnett_rows(pts, labels), len(labels), grid,
-                              [slice(0, n_even), slice(n_even, len(labels))])
+    zonal = _folded_dirichlet(labels, grid, [slice(0, n_even), slice(n_even, len(labels))])
     ratio = np.max(np.abs(zonal[l[:, None] != l[None, :]])) / np.max(np.abs(zonal))
     if not ratio <= STRUCTURE_TOL:
         raise AssemblyError(f"collision matrix fails the Burnett check: zonal entry between "

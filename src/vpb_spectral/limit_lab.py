@@ -188,7 +188,10 @@ def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
 
 def layer_time_grid(eps: float, t_max: float, n_layer: int = 12,
                     n_bulk: int = 24) -> np.ndarray:
-    """Geometric bulk grid with a linear refinement inside the layer [0, 10 eps]."""
+    """Geometric bulk grid with a linear refinement inside the layer [0, 10 eps];
+    DataError for a non-finite eps or t_max."""
+    if not (math.isfinite(eps) and math.isfinite(t_max)):
+        raise DataError(f"layer time grid needs a finite eps and t_max, not {eps} and {t_max}")
     edge = min(10.0 * eps, 0.5 * t_max)
     layer = np.linspace(0.0, edge, n_layer, endpoint=False)
     bulk = np.geomspace(edge, t_max, n_bulk)

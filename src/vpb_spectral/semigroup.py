@@ -170,10 +170,13 @@ def propagate_axis_modes(op: CollisionOperator, eps_list, s, g, times):
     Returns coords, coords[m][j][k, e] the (T, n) coordinates of member (k,
     e) in copy j of sector m (None where no shell has data: zero), and the
     (K, E) mask of members that some block refused the eig path, which took
-    the block exponential there.  Each s[k] is parsed by axis_wavenumber.
+    the block exponential there.  Each s[k] is parsed by axis_wavenumber;
+    DataError for a non-finite coordinate in g.
     """
     s = np.array([axis_wavenumber(sk) for sk in s])[:, None]
     times = _checked_times(times)
+    if not all(np.isfinite(x).all() for xs in g for x in xs):
+        raise DataError("shell data must have finite sector coordinates")
     y = s * np.array(eps_list, dtype=float)
     blocks = axis_eigen_blocks(op, y, s, [any(x.any() for x in xs) for xs in g])
     coords, refused = _eig_coordinates(blocks, [[x[:, None] for x in xs] for xs in g], times,

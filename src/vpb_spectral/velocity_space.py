@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import sha256_hex
 from .errors import AssemblyError, BasisError
-from .gauss import _genlaguerre, hermegauss
+from .gauss import hermegauss
 
 _TWO_PI = 2.0 * np.pi
 _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cache
@@ -102,7 +102,8 @@ def _burnett_class(labels: np.ndarray) -> np.ndarray:
     return 4 * ((l - m) % 2) + 2 * ((m - sin) % 2) + sin
 
 
-def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def burnett_rows(points: np.ndarray, labels: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Closed-form values of the real Burnett functions labels at points, one
     row each:
 
@@ -113,30 +114,58 @@ def burnett_rows(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     - (l + m) |v|^2 Q_(l-1)^m (never dividing by |v|), so Q_l^m A_m is the
     solid harmonic |v|^l P_l^m(v3 / |v|) cos or sin(m phi).  c_nl and N_lm make
     every function a unit vector of L^2(M); N_l0 = sqrt(2l + 1).
+
+    The labels are taken by |m|, then l, then n, holding one Q_l^|m| and one
+    Laguerre recurrence at a time: gauss._genlaguerre's d and p steps run
+    once per (|m|, l), and L_n is read off them at each n as it rises, times
+    the same binomial factor, so every value is the one _genlaguerre(n,
+    l + 1/2, |v|^2/2) gives.  With out, each row's values are added into
+    out's row in place (the IEEE sum out + burnett_rows(points, labels)) and
+    out is returned.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     v1, v2, v3 = points.T
     r2 = v1 * v1 + v2 * v2 + v3 * v3
-    out = np.empty((len(labels), points.shape[0]))
-    lmax = int(np.max(labels[:, 1]))
-    re, im = np.ones_like(v1), np.zeros_like(v1)
-    for am in range(int(np.max(np.abs(labels[:, 2]))) + 1):
+    neg_x = -(0.5 * r2)
+    add = out is not None
+    if out is None:
+        out = np.empty((len(labels), points.shape[0]))
+    by_ml = {}  # (|m|, l): the (n, m, row) of its labels
+    for row, (n, l, m) in enumerate(labels.tolist()):
+        by_ml.setdefault((abs(m), l), []).append((n, m, row))
+    lmax = max(key[1] for key in by_ml)
+    ones = np.ones_like(v1)
+    re, im = ones, np.zeros_like(v1)
+    for am in range(max(key[0] for key in by_ml) + 1):
         if am:
             re, im = re * v1 - im * v2, re * v2 + im * v1
-        solid, q_prev = {}, 0.0
+        q_prev = 0.0
         q = np.full_like(v1, math.prod(range(1, 2 * am, 2)))
         for l in range(am, lmax + 1):
-            solid[l] = q
+            alpha, lag, binom, held = l + 0.5, ones, 1.0, 0  # lag = L_held
+            for n, m, row in sorted(by_ml.get((am, l), ())):
+                for k in range(held, n):  # _genlaguerre's steps from L_k to L_(k+1)
+                    if k == 0:
+                        d = neg_x / (alpha + 1.0)
+                        p = d + 1.0
+                    else:
+                        d = neg_x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+                        p = d + p
+                    binom *= (k + 1 + alpha) / (k + 1)
+                    lag = binom * p
+                held = n
+                norm2 = ((2 - (m == 0)) * (2 * l + 1) * math.factorial(l - am)
+                         / math.factorial(l + am)
+                         * math.factorial(n) * math.sqrt(math.pi)
+                         / (2.0 ** (l + 1) * math.gamma(n + l + 1.5)))
+                val = math.sqrt(norm2) * lag * q
+                if m:
+                    val *= re if m > 0 else im
+                if add:
+                    out[row] += val
+                else:
+                    out[row] = val
             q_prev, q = q, ((2 * l + 1) * v3 * q - (l + am) * r2 * q_prev) / (l - am + 1)
-        for row in np.flatnonzero(np.abs(labels[:, 2]) == am):
-            n, l, m = (int(a) for a in labels[row])
-            norm2 = ((2 - (m == 0)) * (2 * l + 1) * math.factorial(l - am)
-                     / math.factorial(l + am)
-                     * math.factorial(n) * math.sqrt(math.pi)
-                     / (2.0 ** (l + 1) * math.gamma(n + l + 1.5)))
-            out[row] = math.sqrt(norm2) * _genlaguerre(n, l + 0.5, 0.5 * r2) * solid[l]
-            if m:
-                out[row] *= re if m > 0 else im
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -311,20 +312,22 @@ def test_folded_sums_match_unfolded_reference(degree, gamma, reference_sigma):
 
 
 def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
-    # deg 6, shared spheres: 16 axial com nodes x 4 radii x 25 of 98 sphere
-    # nodes, at v and at v_star; the octant and the half sphere took 25,088
-    # points, the whole grid 343 x 4 x 98 x 2.  The sums evaluate the zonal
-    # Burnett functions only; the basis polynomials are not evaluated at all:
-    # the Gram check is separable and the Burnett frames are built in closed form
+    # deg 6, shared spheres: the 16 zonal rows at 16 axial com nodes x 4 radii
+    # x 25 of 98 sphere nodes, at v and at v_star, counted as rows x points
+    # whichever class a call evaluates; the octant and the half sphere took
+    # 25,088 points, the whole grid 343 x 4 x 98 x 2.  The sums evaluate the
+    # zonal Burnett functions only; the basis polynomials are not evaluated at
+    # all: the Gram check is separable and the Burnett frames are built in
+    # closed form
     basis = build_basis(6)
     grid = _CollisionGrid(CollisionQuadrature.for_degree(12), 1.0, 1.0)
     zonal, poly = [], []
     zonal_kernel, poly_kernel = collision.burnett_rows, VelocityBasis.poly_rows
 
-    def zonal_spy(points, labels):
-        zonal.append(len(points))
+    def zonal_spy(points, labels, out=None):
+        zonal.append(len(labels) * len(points))
         assert np.all(labels[:, 2] == 0)
-        return zonal_kernel(points, labels)
+        return zonal_kernel(points, labels, out)
 
     def poly_spy(self, points, out=None):
         poly.append(len(points))
@@ -333,8 +336,28 @@ def test_dirichlet_sums_evaluate_the_axial_grid(monkeypatch):
     monkeypatch.setattr(collision, "burnett_rows", zonal_spy)
     monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
     _dirichlet_matrix(basis, grid)
-    assert sum(zonal) == 3_200
+    assert sum(zonal) == 16 * 3_200
     assert poly == []
+
+
+def test_dirichlet_sums_hold_one_class_of_rows_at_a_time():
+    # deg 12: 49 zonal rows, 15,470 points in the largest chunk.  The sums
+    # hold one reflection class's rows and their weighted copy, not the rows
+    # at v, at v_star and weighted for all 49 (15.9 MB traced); the bound is
+    # 1.5 full zonal row arrays of that chunk
+    basis = build_basis(12)
+    grid = _CollisionGrid(CollisionQuadrature.for_degree(24), 1.0, 1.0)
+    per_com = grid.rho.size * grid.axial_eta[1].size
+    points = max(blk.stop - blk.start
+                 for blk in _chunk_blocks(grid.axial_com[1].size, per_com)) * per_com
+    assert points == 15_470
+    tracemalloc.start()
+    try:
+        _dirichlet_matrix(basis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 49 * points * 8
 
 
 def test_under_resolved_grid_is_refused():
@@ -391,8 +414,7 @@ def test_zonal_sums_match_octant_reference(degree, gamma):
     grid = _CollisionGrid(CollisionQuadrature.for_degree(2 * degree), gamma, 1.0)
     labels = _zonal_labels(degree)
     n_even = int(np.count_nonzero(labels[:, 1] % 2 == 0))
-    axial = collision._folded_dirichlet(lambda pts: velocity_space.burnett_rows(pts, labels),
-                                        len(labels), grid,
+    axial = collision._folded_dirichlet(labels, grid,
                                         [slice(0, n_even), slice(n_even, len(labels))])
     ref = _octant_zonal_dirichlet(grid, labels)
     assert np.max(np.abs(axial - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -282,6 +282,13 @@ class TestTimeGrid:
         assert tg[-1] == pytest.approx(1.0)
         assert np.all(np.diff(tg) > 0)
 
+    @pytest.mark.parametrize("eps, t_max", [(math.nan, 20.0), (0.1, math.nan),
+                                            (math.inf, 20.0), (0.1, math.inf)])
+    def test_non_finite_eps_or_t_max_is_a_data_error(self, eps, t_max):
+        # a NaN eps gave an all-NaN grid, a NaN t_max a grid holding NaN
+        with pytest.raises(DataError, match="finite eps and t_max"):
+            layer_time_grid(eps, t_max)
+
 
 STUDY_EPS = [0.2, 0.1, 0.05, 0.025]
 

@@ -35,7 +35,8 @@ def test_bench_script_writes_its_schema(tmp_path):
     assert all(lib["threads"] >= 1 for lib in machine["openblas"])
     tree = report["trees"]["change"]
     assert set(tree["layers"]) == {
-        "build_basis_d3", "assemble_hard_sphere_d3", "sector_blocks", "eigen_blocks",
+        "build_basis_d3", "assemble_hard_sphere_d3", "assemble_hard_sphere_d4",
+        "sector_blocks", "eigen_blocks",
         "hydrodynamic_sweep", "propagate_axis_modes", "fluid_limit",
         "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
     fresh = {"import_cli", "check", "converge-generic-d6", "dispersion-hs-d8",

@@ -208,6 +208,17 @@ class TestStackedPropagation:
         with pytest.raises(DataError, match="finite"):
             propagate_axis_modes(syn_small, self.EPS, [0.3], g, [t])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_coordinates(self, bad):
+        # one bad slot of synthetic degree-3 data gave NaN states, no error
+        op = synthetic_collision(build_basis(3))
+        f0 = random_state(op.basis.dim)
+        f0[4] = bad
+        with np.errstate(invalid="ignore"):
+            g = shells_data(op.basis, [f0])
+        with pytest.raises(DataError, match="finite sector coordinates"):
+            propagate_axis_modes(op, [0.1], [0.5], g, [0.0, 1.0])
+
     @pytest.mark.parametrize("name", ["synthetic-4", "synthetic-6", "hard-sphere-4",
                                       "hard-sphere-6"])
     def test_each_member_is_its_own_propagation(self, axis_operators, hard_sphere_prod,

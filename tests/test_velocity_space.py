@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from collision_reference import burnett_rows_per_row
 from hypothesis.extra.numpy import arrays
 from oracles import coeffs_from_callable, evaluate
 from rotations import compose_rotation, dense_energy_rotation
@@ -338,6 +339,23 @@ def test_burnett_transform_is_orthogonal_and_class_pure(deg):
     phi = burnett_rows(nodes[:, [1, 2, 0]], np.array(labels))
     full = (phi * weights) @ basis.poly_rows(nodes).T
     assert np.max(np.abs(full - t)) <= 1e-13
+
+
+@pytest.mark.parametrize("labels", ["zonal", "full"])
+@pytest.mark.parametrize("deg", [8, 16])
+def test_burnett_rows_equal_per_row_laguerre(deg, labels):
+    # one Laguerre recurrence per (|m|, l), read off at each n, gives every
+    # row bit for bit as its own _genlaguerre call; so does adding rows in
+    # place through out, as the assembly adds the rows at v_star
+    full = velocity_space.burnett_labels(deg)
+    labels = full[full[:, 2] == 0] if labels == "zonal" else full
+    rng = np.random.default_rng(deg)
+    points, more = rng.normal(scale=1.5, size=(2, 300, 3))
+    points[0] = 0.0
+    want = burnett_rows_per_row(points, labels)
+    assert np.array_equal(burnett_rows(points, labels), want)
+    total = burnett_rows(more, labels, out=burnett_rows(points, labels))
+    assert np.array_equal(total, want + burnett_rows_per_row(more, labels))
 
 
 @pytest.mark.parametrize("deg", [2, 4, 6, 8, 10, 12])
