@@ -8,9 +8,14 @@ Run from the root of a source checkout.  Each --src tree (default: this
 checkout's src, labelled "change") is timed in fresh processes:
 
 - layers, in one process per round, under one_blas_thread() as the jobs run:
-  build_basis and hard-sphere assembly (into an empty cache) at degrees 6
-  and 8, hard-sphere assembly alone at degree 14 (its Dirichlet sums are
-  the assembly's largest cost), build_basis with its Burnett frames
+  `import vpb_spectral.cli` (import_cli), each call a fresh interpreter that
+  writes no bytecode and has imported numpy untimed, with the growth of its
+  peak RSS over the import in the layer_rss part (VmHWM, the peak of the
+  process image: ru_maxrss would start at the peak of the process that
+  launched it, which it keeps across exec); build_basis and hard-sphere
+  assembly (into an empty cache) at degrees 6 and 8, hard-sphere assembly
+  alone at degree 14 (its Dirichlet sums are the assembly's largest cost),
+  build_basis with its Burnett frames
   (axis_sectors) at degree 12,
   the transport job's kappas_with_error at degree 6 (into an empty
   cache), sector_blocks of the hard-sphere operator at degree 8 and of a
@@ -57,7 +62,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS4 = [0.2, 0.1, 0.05, 0.025]
-UNITS = {"layers": "s", "end_to_end": "s", "peak_rss": "mb"}  # each part's figures
+# each part's figures and their unit
+UNITS = {"layers": "s", "layer_rss": "mb", "end_to_end": "s", "peak_rss": "mb"}
+# one fresh interpreter's wall time of the package's import and its peak RSS growth (MB)
+IMPORT_CLI = "\n".join([
+    "import time",
+    "import numpy",
+    "def peak_kb():",
+    "    with open('/proc/self/status', encoding='utf-8') as fh:",
+    "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))",
+    "rss = peak_kb()",
+    "t0 = time.perf_counter()",
+    "import vpb_spectral.cli",
+    "wall = time.perf_counter() - t0",
+    "print(wall, (peak_kb() - rss) / 1024.0)"])
 
 
 def _perfbench_workloads() -> dict:
@@ -91,6 +109,17 @@ def _median(fn, repeats: int, setup=lambda: None) -> float:
 
 # ------------------------------------------------------------ in process
 
+def _import_cli(repeats: int) -> tuple[float, float]:
+    """Medians over repeats fresh interpreters, each writing no bytecode, of
+    the wall time (s) of `import vpb_spectral.cli` after numpy and of the
+    growth of peak RSS (MB) over it."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    runs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, capture_output=True,
+                           text=True, check=True).stdout.split() for _ in range(repeats)]
+    return (statistics.median(float(wall) for wall, _ in runs),
+            statistics.median(float(rss) for _, rss in runs))
+
+
 def _gamma_evaluator():
     """GammaEvaluator of the tree on sys.path: from its checkout's tests/, or
     from the package in a tree that still ships vpb_spectral.oracles."""
@@ -123,6 +152,7 @@ def child(tiny: bool, repeats: int) -> dict:
     small, large = (3, 3) if tiny else (6, 8)
     shells = 6 if tiny else 32
     out = {}
+    out["import_cli"], import_rss = _import_cli(repeats)
 
     def empty_cache():
         os.environ["VPB_SPECTRAL_CACHE"] = tempfile.mkdtemp(dir=scratch)
@@ -194,7 +224,8 @@ def child(tiny: bool, repeats: int) -> dict:
            "scipy": scipy.__version__, "writes_bytecode": not sys.dont_write_bytecode,
            "openblas": [{"library": os.path.basename(lib.path), "threads": lib.get_threads()}
                         for lib in blas.loaded_openblas()]}
-    return {"layers": out, "criterion_08_study": study, "env": env}
+    return {"layers": out, "layer_rss": {"import_cli": import_rss},
+            "criterion_08_study": study, "env": env}
 
 
 # ------------------------------------------------------------ processes
@@ -287,7 +318,7 @@ def main() -> int:
         label, _, path = spec.rpartition("=")
         trees[label or path] = Path(path).resolve()
     workloads = _perfbench_workloads()
-    runs = {label: {"layers": {}, "end_to_end": {}, "peak_rss": {}} for label in trees}
+    runs = {label: {part: {} for part in UNITS} for label in trees}
     env = None
     with tempfile.TemporaryDirectory() as tmp:
         warm = {label: Path(tmp) / f"warm-{i}" for i, label in enumerate(trees)}
@@ -304,8 +335,9 @@ def main() -> int:
                     raise SystemExit(f"in-process layers failed on {src}: {proc.stderr[-500:]}")
                 got = json.loads(proc.stdout)
                 env = env or got["env"]
-                for name, value in got["layers"].items():
-                    runs[label]["layers"].setdefault(name, []).append(value)
+                for part in ("layers", "layer_rss"):
+                    for name, value in got[part].items():
+                        runs[label][part].setdefault(name, []).append(value)
                 runs[label]["end_to_end"].setdefault("criterion_08_study", []).append(
                     got["criterion_08_study"])
                 with tempfile.TemporaryDirectory(dir=tmp) as work:

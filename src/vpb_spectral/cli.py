@@ -5,6 +5,10 @@ never silently overwrite another run, while an unchanged config reproduces
 its files byte for byte (floats are written with %.17g, and reductions are
 ordered: the convergence study sums its shells in order, whatever the stack
 size and the number of workers).
+
+Every job's code is imported here, and only that: the check runner imports
+its references and steps (the checks module) when it runs, so no other job
+compiles them.  One flat parser takes the subcommand and four flags.
 """
 
 from __future__ import annotations
@@ -14,41 +18,20 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .collision import (STRUCTURE_TOL, CollisionOperator, _structural_checks,
-                        assemble_collision, synthetic_collision)
+from .collision import CollisionOperator, assemble_collision, synthetic_collision
 from .config import (ExperimentConfig, apply_overrides, parse_config, validate_config,
                      validate_subcommand)
-from .blas import describe_policy, one_blas_thread
+from .blas import one_blas_thread
 from .dispersion import R0_DEFAULT, hydrodynamic_sweep
-from .errors import CheckError, ConfigError, RegimeError, VPBError
-from .limit_lab import (
-    layer_time_grid,
-    make_initial_data,
-    oscillation_part,
-    radial_grid,
-    run_convergence_study,
-    synth_norm_LinfP,
-)
-from .mode_operator import mode_matrix
-from .semigroup import (
-    fluid_semigroup_V,
-    hydrodynamic_part,
-    member_states,
-    nspf_mode_solve,
-    propagate_axis_modes,
-)
-from .transport import (
-    asymptotic_eigenvalue,
-    compute_kappas,
-    kappas_with_error,
-)
-from .velocity_space import (_FRAME_TOL, _GRAM_TOL, MacroState, build_basis, macro_vector,
-                             project_macro, quadrature_gaps, weighted_inner, weighted_norm)
+from .errors import ConfigError, RegimeError, VPBError
+from .limit_lab import layer_time_grid, make_initial_data, radial_grid, run_convergence_study
+from .semigroup import hydrodynamic_part, member_states, propagate_axis_modes
+from .transport import asymptotic_eigenvalue, compute_kappas, kappas_with_error
+from .velocity_space import build_basis, weighted_norm
 
 SUBCOMMANDS = ("check", "spectrum", "dispersion", "transport", "semigroup", "converge")
 
@@ -235,156 +218,11 @@ def run_converge(cfg: ExperimentConfig) -> int:
 
 # -------------------------------------------------------------------- check
 
-def _require(ok, message: str) -> None:
-    """CheckError(message) unless ok: a check that also holds under python -O."""
-    if not ok:
-        raise CheckError(message)
-
-
-def _check_steps(cfg: ExperimentConfig, op: CollisionOperator):
-    """Yield (name, callable) invariant checks; callables raise VPBError on failure."""
-    basis = op.basis
-    tol = cfg.tol
-    rng = np.random.default_rng(cfg.seed)
-
-    def basis_quadrature():
-        # the dense references of the separable Gram check and the closed-form
-        # frames, on the (N+1)^3-node rule that no other subcommand evaluates
-        gram, frames = quadrature_gaps(basis)
-        _require(gram <= _GRAM_TOL, f"dense Gram matrix off the identity by {gram:.2e}")
-        _require(frames <= _FRAME_TOL,
-                 f"Burnett transform off its quadrature projection by {frames:.2e}")
-
-    def streaming_blocks():
-        # the dense reference of the sector streaming blocks the jobs read off the labels
-        sectors = basis.axis_sectors
-        dense = sectors.scale.conj()[:, None] * (-1j * basis.v1) * sectors.scale[None, :]
-        ratio = (np.max(np.abs(sectors.basis_matrix(op.sector_blocks.W) - dense))
-                 / np.max(np.abs(dense)))
-        _require(ratio <= STRUCTURE_TOL, f"streaming blocks off the dense conj(S) (-i V1) S by "
-                                         f"{ratio / STRUCTURE_TOL:.2g} times STRUCTURE_TOL")
-
-    def collision_structure():
-        _structural_checks(op.radial)
-        _require(op.spectral_gap() > 0.0, "no spectral gap")
-
-    def mode_dissipation():
-        # Re (B f, f) in the mode metric equals the collision form exactly
-        b = mode_matrix(op, cfg.eps_list[0], 0.4)
-        f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        diss = float(np.real(weighted_inner(basis, b @ f, f, 0.4)))
-        ref = float(np.real(np.vdot(f, op.matrix @ f)))
-        _require(diss <= 1e-12 * np.linalg.norm(f) ** 2, f"positive dissipation {diss:.2e}")
-        _require(abs(diss - ref) <= 1e-8 * max(1.0, abs(ref)), "metric broke the collision form")
-
-    def dispersion_consistency():
-        eps = min(cfg.eps_list)
-        points = hydrodynamic_sweep(op, [(eps, 0.5)])[0]
-        dense = np.linalg.eigvals(mode_matrix(op, eps, 0.5))
-        for bp in points:
-            _require(bp.det_residual <= tol, f"det residual {bp.det_residual:.2e}")
-            gap = float(np.min(np.abs(dense - bp.lam)))
-            _require(gap <= 1e-8, f"branch {bp.branch} misses dense spectrum by {gap:.2e}")
-
-    def transport_positive():
-        coeffs = compute_kappas(op)
-        _require(coeffs.kappa0 > 0 and coeffs.kappa1 > 0, "nonpositive coefficient")
-        iso = abs(coeffs.kappa0_long - 4.0 / 3.0 * coeffs.kappa0)
-        _require(iso <= 1e-10 * coeffs.kappa0, f"isotropy broken by {iso:.2e}")
-
-    def semigroup_split():
-        # S1 against the dense spectral projection onto the eigenvalues of B
-        # nearest the branch points, one each (the shear eigenvalue is double)
-        eps, s = cfg.eps_list[0], 0.5
-        f = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        times = np.array([0.0, 0.05, 0.2])
-        states, s1, points = _mode_flow(op, eps, s, f, times)
-        _require(np.max(np.abs(states[0] - f)) <= 1e-12, "t=0 is not the identity")
-        norms = weighted_norm(basis, states, s)
-        _require(np.all(np.diff(norms) <= 1e-9 * norms[0]), "norm grew along the flow")
-        dense = np.zeros_like(s1)
-        if points:
-            vals, vecs = np.linalg.eig(mode_matrix(op, eps, s))
-            near = []
-            for bp in points:
-                near.append(next(k for k in np.argsort(np.abs(vals - bp.lam)) if k not in near))
-            coeffs = np.linalg.solve(vecs, f)[near]
-            dense = (np.exp(np.outer(times, vals[near]) / eps ** 2) * coeffs) @ vecs[:, near].T
-        gap = float(np.max(np.abs(s1 - dense))) / float(np.max(np.abs(f)))
-        _require(gap <= 1e-9, f"hydrodynamic part off the dense spectral projection by {gap:.2e}")
-
-    def fluid_consistency():
-        coeffs = compute_kappas(op)
-        s = 0.5
-        xi = np.array([s, 0.0, 0.0])
-        u0 = MacroState(n=0.0, m=np.array([0.0, 1.0, 0.0]), q=0.0)
-        times = np.linspace(0.0, 2.0, 5)
-        traj = fluid_semigroup_V(basis, coeffs, u0, xi, times)
-        expected = np.exp(-coeffs.kappa0 * s * s * times)
-        _require(np.max(np.abs(traj.norm_track - expected)) <= 1e-10,
-                 "transverse decay off the closed form")
-        # the reduced system from the semigroup's t = 0 projection of data with
-        # every moment, so the thermal branch is compared too
-        u0 = MacroState(n=0.3, m=np.array([0.2, 0.7, -0.4]), q=-0.8)
-        traj = fluid_semigroup_V(basis, coeffs, u0, xi, times)
-        states = nspf_mode_solve(basis, coeffs, project_macro(basis, traj.states[0]), None, None,
-                                 xi, times)
-        for st, vec in zip(states, traj.states):
-            gap = float(np.max(np.abs(macro_vector(basis, st.n_hat, st.m_hat, st.q_hat) - vec)))
-            _require(gap <= 1e-8, f"reduced system disagrees by {gap:.2e}")
-
-    def prepared_data():
-        grid = radial_grid(cfg.s_min, cfg.s_max, min(cfg.s_count, 8), cfg.s_spacing)
-        data = make_initial_data("well_prepared", _profile(cfg), basis, grid)
-        coeffs = compute_kappas(op)
-        osc = oscillation_part(data, coeffs, 0.3, cfg.eps_list[0])
-        _require(np.max(np.abs(osc)) <= 1e-12, "well-prepared data oscillates")
-        norm = synth_norm_LinfP(basis, grid, data.profile)
-        _require(norm > 0.0, "empty synthesis")
-
-    def table_determinism():
-        grid = radial_grid(cfg.s_min, cfg.s_max, 4, cfg.s_spacing)
-        data = make_initial_data(cfg.kind, _profile(cfg), basis, grid)
-        eps3 = (list(cfg.eps_list) + [e for e in (0.2, 0.1, 0.05) if e not in cfg.eps_list])[:3]
-        times = layer_time_grid(max(eps3), min(cfg.t_max, 5.0), 4, 6)
-        one = run_convergence_study(op, data, eps3, times, compute_kappas(op))
-        two = run_convergence_study(op, data, eps3, times, compute_kappas(op))
-        _require(np.array_equal(one.err_Linf_P, two.err_Linf_P), "rerun drifted")
-
-    yield "basis quadrature", basis_quadrature
-    yield "streaming blocks", streaming_blocks
-    yield "collision structure", collision_structure
-    yield "mode dissipation", mode_dissipation
-    yield "dispersion consistency", dispersion_consistency
-    yield "transport coefficients", transport_positive
-    yield "semigroup split", semigroup_split
-    yield "fluid consistency", fluid_consistency
-    yield "prepared data", prepared_data
-    yield "table determinism", table_determinism
-
-
 def run_check(cfg: ExperimentConfig) -> int:
-    print(describe_policy())
-    failures = 0
-    t_start = time.perf_counter()
-    with one_blas_thread():
-        op = build_operator(cfg)
-        for name, step in _check_steps(cfg, op):
-            t0 = time.perf_counter()
-            try:
-                step()
-            except CheckError as exc:
-                failures += 1
-                print(f"FAIL {name}: {exc}")
-            except VPBError as exc:
-                failures += 1
-                print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-            else:
-                print(f"PASS {name} ({time.perf_counter() - t0:.2f}s)")
-    total = time.perf_counter() - t_start
-    print(f"{'FAILED' if failures else 'OK'} "
-          f"({failures} failure(s), {total:.2f}s total)")
-    return 1 if failures else 0
+    """checks.run_check, imported only when check runs: no other job compiles it."""
+    from .checks import run_check as run
+
+    return run(cfg)
 
 
 RUNNERS = {
@@ -401,17 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vpb-spectral",
         description="Mode-by-mode spectral and diffusion-limit experiments")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="key=value config file (defaults apply if omitted)")
-        p.add_argument("--backend", default=None,
-                       help="override the collision backend")
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker threads for the convergence study's stacks of shells")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="artifact output directory")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, help="the experiment to run")
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="key=value config file (defaults apply if omitted)")
+    parser.add_argument("--backend", default=None, help="override the collision backend")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker threads for the convergence study's stacks of shells")
+    parser.add_argument("--out", default=None, metavar="DIR", help="artifact output directory")
     return parser
 
 

@@ -31,7 +31,6 @@ from .velocity_space import (
     macro_vector,
     poisson_energy,
     project_macro,
-    weighted_norm,
 )
 
 S_MIN_DEFAULT = 0.05  # zero mode excluded: the Poisson factor diverges there
@@ -157,33 +156,6 @@ def _assert_well_prepared(data: InitialData) -> None:
     bad = {k: v for k, v in worst.items() if not v <= CONSTRAINT_TOL}
     if bad:
         raise DataError(f"well-prepared invariants violated: {bad}")
-
-
-def synth_norm_LinfP(basis: VelocityBasis, grid: RadialGrid, fld: np.ndarray) -> float:
-    """Radial L1 synthesis 4*pi sum_k s_k^2 w_k ||f_hat(s_k)||_{s_k}.
-
-    Upper bound surrogate for the sup-in-x norm of the inverse transform.
-    """
-    fld = np.asarray(fld)
-    if fld.shape != (grid.count, basis.dim):
-        raise DataError(f"field shape {fld.shape} does not match grid x basis "
-                        f"({grid.count}, {basis.dim})")
-    return float(np.sum(grid.measure * weighted_norm(basis, fld, grid.nodes)))
-
-
-def oscillation_part(data: InitialData, coeffs: TransportCoefficients,
-                     t: float, eps: float) -> np.ndarray:
-    """Acoustic-branch layer field at time t, one row per shell.
-
-    Each shell evolves its two acoustic projections with the closed-form
-    phase exp(eta_j t / eps - b_j t), all in one evolve; well-prepared data has no
-    acoustic content, so the result vanishes identically there.  eps in (0, 1).
-    """
-    check_eps(eps)
-    basis = data.basis
-    bundle = shell_coefficients(basis, data.grid.nodes, coeffs)
-    return basis.embed_invariants(bundle.evolve(
-        basis, basis.macro_project(data.profile), [t], (-1, 1), eps)[:, 0])
 
 
 def layer_time_grid(eps: float, t_max: float, n_layer: int = 12,

@@ -24,8 +24,8 @@ sector blocks are read off its radial blocks and Burnett labels once
 (CollisionOperator.sector_blocks; `check` holds them against the dense V1);
 axis_eigen_blocks forms a mode's blocks from them, or one stack of blocks
 for axis modes at several eps and s, and EigenBlock decomposes each when it
-is first needed.  The dense mode matrix (mode_matrix) is only the reference
-the shortcuts are checked against, in `check` and in the tests; the per-mode
+is first needed.  The dense mode matrix (checks.mode_matrix) is only the
+reference the shortcuts are checked against, in `check` and in the tests; the per-mode
 object FourierMode and the dense eigensystem assembled from the blocks live
 with the tests (tests/oracles.py); no job runs them.
 """
@@ -134,15 +134,6 @@ class EigenBlock:
             raise RegimeError(f"eigenvector basis of a {self.vals.shape[-1]}-row block is "
                               "singular; its eigen-expansion does not exist")
         return inv @ np.asarray(g, dtype=complex)
-
-
-def mode_matrix(collision: CollisionOperator, eps: float, s: float) -> np.ndarray:
-    """The dense complex mode matrix B of the axis mode at eps and s e1."""
-    basis = collision.basis
-    i0 = basis.density_index
-    coupling = np.zeros((basis.dim, basis.dim))
-    coupling[:, i0] = basis.v1[:, i0] / s ** 2
-    return collision.matrix - 1j * eps * s * (basis.v1 + coupling)
 
 
 def axis_eigen_blocks(collision: CollisionOperator, y, s, held) -> Iterator[EigenBlock | None]:

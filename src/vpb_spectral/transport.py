@@ -11,12 +11,13 @@ the quadratic forms.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import CollisionOperator, assemble_collision
-from .errors import AssemblyError, BasisError
+from .errors import AssemblyError, BasisError, RegimeError
 from .velocity_space import build_basis
 
 BRANCHES = (-1, 0, 1, 2, 3)
@@ -86,23 +87,34 @@ def kappas_with_error(max_degree: int, gamma: float = 1.0,
     return dataclasses.replace(fine, error_bar=bar)
 
 
+def _check_wavenumber(s) -> None:
+    """BasisError unless s, a float or an array of shells, is finite throughout;
+    O(1) for a float."""
+    if not (np.isfinite(s).all() if isinstance(s, np.ndarray) else math.isfinite(s)):
+        raise BasisError(f"wavenumber must be finite, not {s}")
+
+
 def branch_frequency(j: int, s: float) -> complex:
     """Leading-order frequency eta_j(s); eigenvalue ~ eps*eta_j - eps^2*b_j.
 
     Only the acoustic pair oscillates; its frequency never drops below 1
-    because the electrostatic coupling stiffens the sound speed; s may be an array.
+    because the electrostatic coupling stiffens the sound speed; s may be an
+    array.  BasisError for a non-finite s.
     """
     if j not in BRANCHES:
         raise ValueError(f"branch index {j} not in {BRANCHES}")
+    _check_wavenumber(s)
     if j in (-1, 1):
         return 1j * j * np.sqrt(1.0 + (5.0 / 3.0) * s * s)
     return 0.0j * s
 
 
 def branch_decay(j: int, s: float, coeffs: TransportCoefficients) -> float:
-    """Second-order decay coefficient b_j(s) of branch j, always >= 0."""
+    """Second-order decay coefficient b_j(s) of branch j, always >= 0;
+    BasisError for a non-finite s."""
     if j not in BRANCHES:
         raise ValueError(f"branch index {j} not in {BRANCHES}")
+    _check_wavenumber(s)
     s2 = s * s
     if j in (2, 3):
         return coeffs.kappa0 * s2
@@ -113,4 +125,8 @@ def branch_decay(j: int, s: float, coeffs: TransportCoefficients) -> float:
 
 def asymptotic_eigenvalue(j: int, s: float, eps: float,
                           coeffs: TransportCoefficients) -> complex:
+    """eps eta_j(s) - eps^2 b_j(s); RegimeError for a non-finite eps and
+    BasisError for a non-finite s."""
+    if not math.isfinite(eps):
+        raise RegimeError(f"scaling parameter eps must be finite, not {eps}")
     return eps * branch_frequency(j, s) - eps * eps * branch_decay(j, s, coeffs)

@@ -11,7 +11,7 @@ per coordinate, so the Gram matrix is the product of three 1-d Gram matrices
 on the (N+1)-node Gauss-Hermite rule, which build_basis checks.  The
 (N+1)^3-node product rule (VelocityBasis.exact_rule) computes the same
 integrals point by point; only the dense references of the check subcommand
-(quadrature_gaps) and the tests evaluate the basis on it.
+(checks.quadrature_gaps) and the tests evaluate the basis on it.
 
 The real Burnett functions about e1 split the basis into azimuthal sectors
 (AxisSectors): rotations about e1 act on sector m as rotations by m times
@@ -46,7 +46,6 @@ _EVAL_ROWS = 1024  # points per evaluation block: the block's tables stay in cac
 _PURE_SQUARES = ((0, 0, 2), (0, 2, 0), (2, 0, 0))  # the only slots the energy rotation mixes
 _GRAM_TOL = 1e-10  # largest entry of the quadrature Gram matrix minus the identity
 _ORTHO_TOL = 1e-12  # largest entry of T T^T minus the identity, T a class of Burnett frames
-_FRAME_TOL = 1e-13  # largest gap between the closed-form transform and its quadrature projection
 
 
 def _multi_indices(max_degree: int) -> list[tuple[int, int, int]]:
@@ -257,12 +256,6 @@ def _gauss_product_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _product_rule(*_gauss_rule(n))
 
 
-def _gram_deviation(rows: np.ndarray, weights: np.ndarray) -> float:
-    """max |P W P^T - I| for basis rows P, (dim, npts), on a rule with weights W."""
-    gram = rows @ (weights[:, None] * rows.T)
-    return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
-
-
 def _separable_gram(basis: VelocityBasis) -> np.ndarray:
     """The basis Gram matrix on the (N+1)^3-node product rule, from its tensor
     structure: G[a, b] = G1[a1, b1] G1[a2, b2] G1[a3, b3], G1 the Gram
@@ -450,7 +443,7 @@ class VelocityBasis:
     def exact_rule(self) -> ExactRule:
         """The (N+1)^3-node rule and the basis rows on it; read-only.  It is
         exact for every degree-2N product of two basis functions.  Of the
-        subcommands only check evaluates it, through quadrature_gaps, the
+        subcommands only check evaluates it, through checks.quadrature_gaps, the
         dense references of the Gram check and the Burnett transform; the
         tests read it too."""
         nodes, weights = _gauss_product_rule(self.max_degree + 1)
@@ -612,21 +605,6 @@ def build_basis(max_degree: int) -> VelocityBasis:
         raise BasisError(f"quadrature Gram check failed on the {max_degree + 1}^3-node rule: "
                          f"max deviation {err:.3e} > {_GRAM_TOL:.1e}")
     return basis
-
-
-def quadrature_gaps(basis: VelocityBasis) -> tuple[float, float]:
-    """The dense references of build_basis and axis_sectors on exact_rule:
-    the largest entry of its Gram matrix minus the identity, and the largest
-    gap between the Burnett transform, signs and labels included, and the
-    Burnett functions projected on the rule over every slot."""
-    rule = basis.exact_rule
-    gram = _gram_deviation(rule.poly, rule.weights)
-    sectors = basis.axis_sectors
-    # burnett_rows takes its axis along its third coordinate: put v1 there
-    phi = burnett_rows(rule.nodes[:, [1, 2, 0]], sectors.labels)
-    projected = (phi * rule.weights) @ rule.poly.T
-    frames = float(np.max(np.abs(projected - (sectors.transform * sectors.signs).T)))
-    return gram, frames
 
 
 def project_macro(basis: VelocityBasis, f: np.ndarray) -> MacroState:

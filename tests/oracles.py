@@ -6,7 +6,7 @@ a job computes by its first, or measures a quantity the acceptance criteria
 pin down.  The scripts that read it put this directory on sys.path.
 
 - FourierMode and mode_operator: one axis mode as an object, its dense
-  matrix (mode_operator.mode_matrix) and its weighted inner product and
+  matrix (checks.mode_matrix) and its weighted inner product and
   pairing; mode_blocks gives its sector blocks, and propagate_kinetic and
   split_S1_S2 propagate and split it through the jobs' kernel
   (semigroup.propagate_axis_modes, hydrodynamic_part).
@@ -32,14 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from vpb_spectral.checks import ModeTrajectory, mode_matrix
 from vpb_spectral.collision import (CollisionOperator, CollisionQuadrature, _chunk_blocks,
                                     _CollisionGrid, _pair_points, _point_weights)
 from vpb_spectral.dispersion import R0_DEFAULT, BranchPoint, hydrodynamic_sweep
 from vpb_spectral.errors import BasisError, FitError, RegimeError
-from vpb_spectral.mode_operator import (EigenBlock, _checked_times, axis_eigen_blocks, check_eps,
-                                        mode_matrix)
-from vpb_spectral.semigroup import (ModeTrajectory, hydrodynamic_part, member_states,
-                                    propagate_axis_modes)
+from vpb_spectral.mode_operator import EigenBlock, _checked_times, axis_eigen_blocks, check_eps
+from vpb_spectral.semigroup import hydrodynamic_part, member_states, propagate_axis_modes
 from vpb_spectral.velocity_space import (VelocityBasis, _gauss_product_rule, axis_wavenumber,
                                          bilinear_pair, macro_vector, weighted_inner)
 

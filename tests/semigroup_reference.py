@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from oracles import FourierMode, mode_operator, propagate_kinetic
 
+from vpb_spectral.checks import FluidModeState, _macro_as_vector
 from vpb_spectral.dispersion import BranchPoint, asymptotic_coefficients
-from vpb_spectral.semigroup import FluidModeState, _macro_as_vector
 from vpb_spectral.transport import TransportCoefficients
 from vpb_spectral.velocity_space import VelocityBasis, weighted_inner
 

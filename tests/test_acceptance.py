@@ -34,6 +34,7 @@ from oracles import (
 from semigroup_reference import constraint_residuals, packet_norms
 from transport_reference import crosscheck_b2
 
+from vpb_spectral.checks import nspf_mode_solve
 from vpb_spectral.cli import main as cli_main
 from vpb_spectral.collision import (
     CollisionQuadrature,
@@ -48,7 +49,6 @@ from vpb_spectral.limit_lab import (
     radial_grid,
     run_convergence_study,
 )
-from vpb_spectral.semigroup import nspf_mode_solve
 from vpb_spectral.transport import (
     asymptotic_eigenvalue,
     branch_decay,

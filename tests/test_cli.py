@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import vpb_spectral
-from vpb_spectral import cli, collision, transport, velocity_space
+from vpb_spectral import checks, cli, collision, transport, velocity_space
 from vpb_spectral.cli import (
     CONVERGE_HEADER,
     DISPERSION_HEADER,
@@ -365,7 +365,7 @@ class TestReproducibility:
         assert sorted(calls) == ["_eig_coordinates", "hydrodynamic_sweep"]
         calls.clear()
         cfg = cli.parse_config(str(tiny_cfg))
-        dict(cli._check_steps(cfg, cli.build_operator(cfg)))["semigroup split"]()
+        dict(checks._check_steps(cfg, cli.build_operator(cfg)))["semigroup split"]()
         assert sorted(calls) == ["_eig_coordinates", "hydrodynamic_sweep"]
 
 
@@ -744,7 +744,7 @@ class TestEntryPoint:
                     and is_square(node.right))
 
         both = _source_places(reads_density_slot) & _source_places(divides_by_square)
-        assert both == {"mode_operator.mode_matrix", "dispersion.hydrodynamic_sweep"}
+        assert both == {"checks.mode_matrix", "dispersion.hydrodynamic_sweep"}
 
     def test_only_dispersion_writes_the_fluid_subspace(self):
         # the fluid state's constraints, divergence-free momentum and
@@ -770,6 +770,39 @@ class TestEntryPoint:
         # secrets, whose hmac loads _hashlib
         assert _modules_after_job(subcommand, config, tmp_path,
                                   "m == '_hashlib' or m.startswith('numpy.polynomial')") == "[]"
+
+    @pytest.mark.parametrize("subcommand, config",
+                             [job for job in TINY_JOBS
+                              if job[0] in ("transport", "dispersion", "converge")])
+    def test_jobs_leave_the_check_module_out(self, subcommand, config, tmp_path):
+        # check's runner and its references live in vpb_spectral.checks, which
+        # only check imports: no other job compiles them
+        assert _modules_after_job(subcommand, config, tmp_path,
+                                  "m == 'vpb_spectral.checks'") == "[]"
+
+    def test_importing_the_cli_leaves_the_check_module_out(self):
+        code = "import sys, vpb_spectral.cli; print('vpb_spectral.checks' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_check_loads_the_check_module_and_passes(self, tiny_cfg):
+        code = ("import sys; from vpb_spectral.cli import main; rc = main(sys.argv[1:]); "
+                "print('vpb_spectral.checks' in sys.modules); sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, "check", "--config", str(tiny_cfg)],
+                              capture_output=True, text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len([line for line in lines if line.startswith("PASS ")]) == 10
+        assert lines[-1] == "True"
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in SUBCOMMANDS)
 
     def test_closed_stdout_pipe_exits_one_without_a_traceback(self, tiny_cfg):
         # unbuffered, so each line is written as it is printed; the pause

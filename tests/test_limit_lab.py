@@ -20,6 +20,7 @@ from oracles import layer_frequency, mode_operator, propagate_kinetic
 from semigroup_reference import closed_fluid_forms
 
 from vpb_spectral import dispersion, limit_lab, semigroup
+from vpb_spectral.checks import oscillation_part, synth_norm_LinfP
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import asymptotic_coefficients, shell_coefficients
 from vpb_spectral.errors import AssemblyError, DataError, FitError, RegimeError
@@ -30,10 +31,8 @@ from vpb_spectral.limit_lab import (
     eps_slope,
     layer_time_grid,
     make_initial_data,
-    oscillation_part,
     radial_grid,
     run_convergence_study,
-    synth_norm_LinfP,
     weighted_sup,
 )
 from vpb_spectral.mode_operator import axis_eigen_blocks

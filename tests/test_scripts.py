@@ -35,16 +35,18 @@ def test_bench_script_writes_its_schema(tmp_path):
     assert all(lib["threads"] >= 1 for lib in machine["openblas"])
     tree = report["trees"]["change"]
     assert set(tree["layers"]) == {
-        "build_basis_d3", "assemble_hard_sphere_d3", "assemble_hard_sphere_d4",
+        "import_cli", "build_basis_d3", "assemble_hard_sphere_d3", "assemble_hard_sphere_d4",
         "sector_blocks", "eigen_blocks",
         "hydrodynamic_sweep", "propagate_axis_modes", "fluid_limit",
         "gamma_evaluator", "transport_levels", "basis_frames_d3", "sector_blocks_d3"}
+    assert set(tree["layer_rss"]) == {"import_cli"}
     fresh = {"import_cli", "check", "converge-generic-d6", "dispersion-hs-d8",
              "dispersion-hs-d14", "transport-hs-d6"}
     assert set(tree["end_to_end"]) == fresh | {"criterion_08_study"}
     # each fresh process's peak RSS, in MB, beside its wall time
     assert set(tree["peak_rss"]) == fresh
-    for part, unit in (("layers", "s"), ("end_to_end", "s"), ("peak_rss", "mb")):
+    for part, unit in (("layers", "s"), ("layer_rss", "mb"), ("end_to_end", "s"),
+                       ("peak_rss", "mb")):
         for fig in tree[part].values():
             assert fig[f"q1_{unit}"] <= fig[f"median_{unit}"] <= fig[f"q3_{unit}"]
             assert all(math.isfinite(v) and v > 0 for v in fig[f"runs_{unit}"])

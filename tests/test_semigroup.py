@@ -22,17 +22,13 @@ from semigroup_reference import (closed_fluid_forms, constraint_residuals,
                                  hydrodynamic_projector, mode_norm, packet_norms)
 
 from vpb_spectral import semigroup
+from vpb_spectral.checks import fluid_semigroup_V, nspf_mode_solve
 from vpb_spectral.collision import assemble_collision, synthetic_collision
 from vpb_spectral.dispersion import asymptotic_coefficients, hydrodynamic_sweep
 from vpb_spectral.errors import AssemblyError, BasisError, DataError, FitError
 from vpb_spectral.limit_lab import layer_time_grid
 from vpb_spectral.mode_operator import EigenBlock, axis_eigen_blocks
-from vpb_spectral.semigroup import (
-    fluid_semigroup_V,
-    member_states,
-    nspf_mode_solve,
-    propagate_axis_modes,
-)
+from vpb_spectral.semigroup import hydrodynamic_part, member_states, propagate_axis_modes
 from vpb_spectral.transport import compute_kappas
 from vpb_spectral.velocity_space import (
     Frame,
@@ -503,6 +499,23 @@ class TestSplit:
         f0 = random_state(mode_mid.basis.dim, seed=23)
         s1, _ = split_S1_S2(mode_mid, f0, 0.0, points=points_mid)
         assert np.max(np.abs(p @ f0 - s1)) < 1e-10
+
+
+    @pytest.mark.parametrize("where", ["data", "times"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_data_or_times_are_a_data_error(self, syn_small, where, bad):
+        # synthetic degree 3, eps 0.1, s 0.5 with the mode's own branch points:
+        # one bad slot of f0, or one bad time, gave a non-finite S1, no error
+        eps, s = 0.1, 0.5
+        points = hydrodynamic_sweep(syn_small, [(eps, s)])[0]
+        f0 = random_state(syn_small.basis.dim)
+        times = np.array([0.0, 0.1, 0.3])
+        if where == "data":
+            f0[4] = bad
+        else:
+            times[1] = bad
+        with pytest.raises(DataError, match="finite"):
+            hydrodynamic_part(syn_small.basis, eps, s, f0, times, points)
 
 
 class TestFluidSemigroup:

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from transport_reference import crosscheck_b2
 
 from vpb_spectral.collision import _blocks, assemble_collision, synthetic_collision
-from vpb_spectral.errors import AssemblyError, BasisError
+from vpb_spectral.errors import AssemblyError, BasisError, RegimeError
 from vpb_spectral.transport import (
     BRANCHES,
     TransportCoefficients,
@@ -183,6 +183,27 @@ def test_branch_formula_properties():
         branch_frequency(4, 0.1)
     with pytest.raises(ValueError):
         branch_decay(5, 0.1, coeffs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_wavenumber_or_eps_is_a_typed_error(bad):
+    # each of these returned a non-finite value with no error: the branch
+    # formulas at a NaN or infinite s, and the asymptotic eigenvalue at a
+    # NaN or infinite eps
+    for j in BRANCHES:
+        with pytest.raises(BasisError, match="finite"):
+            branch_frequency(j, bad)
+        with pytest.raises(BasisError, match="finite"):
+            branch_decay(j, bad, SYNTH_COEFFS)
+        with pytest.raises(BasisError, match="finite"):
+            asymptotic_eigenvalue(j, bad, 0.1, SYNTH_COEFFS)
+        with pytest.raises(RegimeError, match="finite"):
+            asymptotic_eigenvalue(j, 0.5, bad, SYNTH_COEFFS)
+        # a stack of shells is refused for one bad entry
+        with pytest.raises(BasisError, match="finite"):
+            branch_decay(j, np.array([0.2, bad]), SYNTH_COEFFS)
+        with pytest.raises(BasisError, match="finite"):
+            branch_frequency(j, np.array([0.2, bad]))
 
 
 @given(s=st.floats(0.01, 5.0), eps=st.floats(0.001, 0.3))

@@ -22,7 +22,7 @@ from vpb_spectral import (
     weighted_inner,
     weighted_norm,
 )
-from vpb_spectral import velocity_space
+from vpb_spectral import checks, velocity_space
 from vpb_spectral.velocity_space import (VelocityBasis, _multiplication_matrix, burnett_rows,
                                          hermite_polynomial_table)
 
@@ -423,7 +423,8 @@ def test_streaming_blocks_match_the_dense_product(deg):
 
 def _spy_rows(monkeypatch):
     """Record the point count of every VelocityBasis.poly_rows and
-    velocity_space.burnett_rows call, by kernel."""
+    velocity_space.burnett_rows call (checks' binding of it included), by
+    kernel."""
     calls = {"poly_rows": [], "burnett_rows": []}
     poly_kernel, burnett_kernel = VelocityBasis.poly_rows, velocity_space.burnett_rows
 
@@ -437,6 +438,7 @@ def _spy_rows(monkeypatch):
 
     monkeypatch.setattr(VelocityBasis, "poly_rows", poly_spy)
     monkeypatch.setattr(velocity_space, "burnett_rows", burnett_spy)
+    monkeypatch.setattr(checks, "burnett_rows", burnett_spy)
     return calls
 
 
@@ -467,7 +469,7 @@ def test_burnett_transform_evaluates_no_basis_rows(monkeypatch):
     calls = _spy_rows(monkeypatch)
     assert basis.axis_sectors.frames
     assert calls == {"poly_rows": [], "burnett_rows": []}
-    velocity_space.quadrature_gaps(basis)
+    checks.quadrature_gaps(basis)
     assert calls == {"poly_rows": [7 ** 3], "burnett_rows": [7 ** 3]}
 
 
